@@ -13,16 +13,20 @@ over the sampled ball.  The inner product pairs f against the conjugate of g
 with weight (a/pi)^n e^{-a|z|^2}.  Quadrature is polar Gauss-Legendre times
 trapezoid (see quadrature.py) with automatic refinement: the grid is doubled
 until successive values agree to 1e-8 relative or the 512 x 1024 cap, and a
-residual disagreement above 1e-6 raises GridTooCoarse.
+residual disagreement above 1e-6, or a non-finite value, raises GridTooCoarse.
 
 Suprema are discretized on Chebyshev radii times a uniform angle grid over
-the sampled units, then the best radial cell is polished by golden-section
-search.  The radial endpoints are grid nodes, so boundary maxima are exact.
+the sampled units, then the best radial cell of every unit is polished by
+golden-section search, all units in lockstep.  The radial endpoints are grid
+nodes, so boundary maxima are exact.
 
-Evaluation on a slice goes through the splitting f = f_1 + f_2 J: on C_I the
-components are honest complex polynomials and |f|^2 = |f_1|^2 + |f_2|^2, so
-grids evaluate as two batched complex polynomial evaluations.  Consistency
-of this path with direct quaternion Horner evaluation is covered by tests.
+Evaluation on a slice uses f(x + yI) = A(z) + I B(z) (Colombo, Gentili,
+Sabadini, Struppa, Adv. Math. 2009): with z = x + iy and z^k = u_k + i v_k,
+A = sum u_k a_k and B = sum v_k a_k do not depend on I, and
+|f|^2 = |A|^2 + |B|^2 + 2 <Im(A conj(B)), I>: one table of powers serves every
+unit at one 3-vector dot product per point.  At p = 2 the integrand is linear
+in |f|^2, so the sums over the points are taken before the units enter (the
+same quadrature rule, summed in another order).
 """
 
 from __future__ import annotations
@@ -135,47 +139,76 @@ class LittleSpaceReport:
 
 
 # ---------------------------------------------------------------------------
-# batched slice evaluation
+# slice evaluation: f(x + yI) = A(z) + I B(z)
 # ---------------------------------------------------------------------------
 
-def _component_matrix(f: SliceSeries, units) -> np.ndarray:
-    """Splitting components of f on every unit, shape (M, 2, degree + 1)."""
-    out = np.empty((len(units), 2, f.degree + 1), dtype=complex)
-    for m, unit in enumerate(units):
-        f1, f2 = split(f, unit, orthonormal_partner(unit))
-        out[m, 0] = f1.coeffs
-        out[m, 1] = f2.coeffs
-    return out
+def _coeff_array(f: SliceSeries) -> np.ndarray:
+    """Coefficients a_k as rows (w, x, y, z), shape (K, 4)."""
+    return np.array([[a.w, a.x, a.y, a.z] for a in f.coeffs])
 
 
-def _powers(z: np.ndarray, count: int) -> np.ndarray:
-    """Matrix of powers z^k, shape (count, len(z))."""
-    out = np.empty((count, z.size), dtype=complex)
-    out[0] = 1.0
-    for k in range(1, count):
-        out[k] = out[k - 1] * z
-    return out
+def _unit_rows(units) -> np.ndarray:
+    """Units as rows (x, y, z), shape (M, 3)."""
+    return np.array([[u.x, u.y, u.z] for u in units]).reshape(-1, 3)
 
 
-def _abs_sq_values(comp: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """|f|^2 on the point set for every unit, shape (M, npts)."""
-    m, _, k = comp.shape
-    vals = comp.reshape(2 * m, k) @ powers
-    sq = vals.real ** 2 + vals.imag ** 2
-    return sq.reshape(m, 2, -1).sum(axis=1)
+def _qmul(p, q):
+    """Hamilton product of quaternion arrays with components on axis 0."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + px * qw + py * qz - pz * qy,
+                     pw * qy - px * qz + py * qw + pz * qx,
+                     pw * qz + px * qy - py * qx + pz * qw])
 
 
-def _complex_values(comp_row: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Component values (f_1, f_2) on the point set for a single unit."""
-    vals = comp_row @ powers
-    return vals[0], vals[1]
+def _slice_terms(coeffs: np.ndarray, radii: np.ndarray,
+                 theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = |A|^2 + |B|^2, shape (N,), and v = Im(A conj(B)), shape (3, N).
+
+    Points z = r_i e^{i t_j} run radius-major as in QuadratureGrid.points();
+    with z^k = r^k (cos kt + i sin kt), A = sum_k r^k cos(kt) a_k and
+    B = sum_k r^k sin(kt) a_k, and on C_I, |f(x + yI)|^2 = s + 2 <v, I>.
+    """
+    ks = np.arange(coeffs.shape[0])
+    angle = ks[:, None] * theta
+    # components (w, x, y, z, x, y): shifted slices give the cross product
+    table = (np.stack([np.cos(angle), np.sin(angle)])[:, None]
+             * coeffs.T[[0, 1, 2, 3, 1, 2], :, None])          # (2, 6, K, Nt)
+    a, b = (radii[:, None] ** ks @ table).reshape(2, 6, -1)
+    s = (a[:4] ** 2).sum(axis=0) + (b[:4] ** 2).sum(axis=0)
+    v = b[0] * a[1:4] - a[0] * b[1:4] - (a[2:5] * b[3:6] - a[3:6] * b[2:5])
+    return s, v
 
 
-def _horner(coeffs: np.ndarray, z: complex) -> complex:
-    acc = complex(coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = z * acc + complex(c)
-    return acc
+def _ray_coeffs(coeffs: np.ndarray, units, theta: np.ndarray) -> np.ndarray:
+    """Coefficients of r -> f(r e^{I t}) = sum_k r^k (cos(kt) a_k + sin(kt) I a_k).
+
+    theta holds T angles, shared or one row per unit; the result has shape
+    (M, 4, K, T), so radii[:, None] ** k @ result gives f on each slice.
+    """
+    unit_q = np.vstack([np.zeros(len(units)), _unit_rows(units).T])[:, :, None]
+    i_times = _qmul(unit_q, coeffs.T[:, None, :]).transpose(1, 0, 2)   # I a_k
+    angle = np.arange(coeffs.shape[0])[:, None] * np.atleast_2d(theta)[:, None, :]
+    return (np.cos(angle)[:, None] * coeffs.T[:, :, None]
+            + np.sin(angle)[:, None] * i_times[..., None])
+
+
+def _abs_sq_rows(coeffs: np.ndarray, units, radii: np.ndarray,
+                 theta: np.ndarray) -> np.ndarray:
+    """|f|^2 on the polar grid of every slice C_I, shape (M, Nr * Nt).
+
+    Many units share s and v; s + 2 <v, I> can land a few ulps below 0 at a
+    zero of f, so it is clamped.  Under five units |A + I B|^2 is cheaper; it
+    is squared in place, as a second temporary re-faults the heap each call.
+    """
+    if len(units) < 5:
+        vals = radii[:, None] ** np.arange(len(coeffs)) @ _ray_coeffs(coeffs, units, theta)
+        return np.square(vals, out=vals).sum(axis=1).reshape(len(units), -1)
+    s, v = _slice_terms(coeffs, radii, theta)
+    out = _unit_rows(units) @ (2.0 * v)
+    out += s
+    return np.maximum(out, 0.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,51 +233,51 @@ def _grid_for(params: FockParams, grid: QuadratureGrid | None) -> QuadratureGrid
 
 def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
                          grid: QuadratureGrid) -> np.ndarray:
-    z = grid.points()
-    powers = _powers(z, f.degree + 1)
-    absq = _abs_sq_values(_component_matrix(f, units), powers)
-    rsq = np.abs(z) ** 2
+    r, _ = grid.radial_arrays()
+    coeffs, theta = _coeff_array(f), grid.angles()
     p = params.p
+    w = (grid.area_weights().reshape(r.size, -1)
+         * np.exp(-0.5 * params.alpha * p * r * r)[:, None]).ravel()
     if p == 2.0:
-        integrand = absq * np.exp(-params.alpha * rsq)
+        # linear in |f|^2 = s + 2 <v, I>: reduce over the points first
+        s, v = _slice_terms(coeffs, r, theta)
+        sums = s @ w + 2.0 * (_unit_rows(units) @ (v @ w))
     else:
-        integrand = absq ** (p / 2.0) * np.exp(-0.5 * params.alpha * p * rsq)
-    area = grid.area_weights()
-    prefactor = (params.alpha / math.pi) ** params.n / math.pi
-    integrals = prefactor * (integrand * area[None, :]).sum(axis=1)
-    return integrals ** (1.0 / p)
+        powered = _abs_sq_rows(coeffs, units, r, theta)
+        sums = np.power(powered, p / 2.0, out=powered) @ w
+    integrals = (params.alpha / math.pi) ** params.n / math.pi * sums
+    return np.maximum(integrals, 0.0) ** (1.0 / p)
+
+
+def _refine(compute, gap, grid, radial_cap, angular_cap):
+    """Double the grid until gap(finer, coarser) <= 1e-8; see module docstring.
+
+    Returns (values, grid, trace, refinements).  A start grid at the cap is
+    accepted; a non-finite value never stabilizes and raises at once.
+    """
+    trace, coarser = [], None
+    while True:
+        values = compute(grid)
+        trace.append((grid.describe(), [float(v) for v in values]))
+        if not np.all(np.isfinite(values)):
+            raise GridTooCoarse("a value is not finite on grid "
+                                f"{grid.radial_count} x {grid.angular_count}", trace)
+        at_cap = grid.radial_count >= radial_cap or grid.angular_count >= angular_cap
+        rel = gap(values, coarser) if coarser is not None else 0.0 if at_cap else math.inf
+        if rel <= REFINE_TOL or (at_cap and rel <= COARSE_TOL):
+            return values, grid, trace, len(trace) - 1
+        if at_cap:
+            raise GridTooCoarse("grid refinements disagree beyond 1e-6 relative at the "
+                                f"resolution cap {radial_cap} x {angular_cap}", trace)
+        coarser, grid = values, grid.doubled()
 
 
 def _refine_norms(f, units, params, grid, radial_cap, angular_cap):
-    """Double the grid until per-slice norms stabilize; see module docstring."""
-    values = _slice_norms_on_grid(f, units, params, grid)
-    trace = [(grid.describe(), [float(v) for v in values])]
-    refinements = 0
-    while True:
-        if grid.radial_count >= radial_cap or grid.angular_count >= angular_cap:
-            if refinements == 0:
-                # nothing to compare against; accept the cap-size grid
-                return values, grid, trace, refinements
-            raise GridTooCoarse(
-                "grid refinements disagree beyond 1e-6 relative at the "
-                f"resolution cap {radial_cap} x {angular_cap}", trace)
-        finer_grid = grid.doubled()
-        finer = _slice_norms_on_grid(f, units, params, finer_grid)
-        trace.append((finer_grid.describe(), [float(v) for v in finer]))
-        refinements += 1
-        rel = float(np.max(np.abs(finer - values)
-                           / np.maximum(np.abs(finer), 1e-300)))
-        if rel <= REFINE_TOL:
-            return finer, finer_grid, trace, refinements
-        at_cap = (finer_grid.radial_count >= radial_cap
-                  or finer_grid.angular_count >= angular_cap)
-        if at_cap and rel > COARSE_TOL:
-            raise GridTooCoarse(
-                "grid refinements disagree beyond 1e-6 relative at the "
-                f"resolution cap {radial_cap} x {angular_cap}", trace)
-        if at_cap:
-            return finer, finer_grid, trace, refinements
-        values, grid = finer, finer_grid
+    """Per-slice norms on the first grid that agrees with its coarser one."""
+    return _refine(lambda g: _slice_norms_on_grid(f, units, params, g),
+                   lambda finer, coarser: float(np.max(
+                       np.abs(finer - coarser) / np.maximum(np.abs(finer), 1e-300))),
+                   grid, radial_cap, angular_cap)
 
 
 def slice_norm_p(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
@@ -286,67 +319,28 @@ def inner_product(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
     """
     _require_quadrature_params(FockParams(params.alpha, 2.0, params.n, params.radius))
     quad = _grid_for(params, grid)
-    partner = orthonormal_partner(unit)
-    qj = partner.as_quaternion()
-    qk = unit.as_quaternion() * qj
-    frame = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, unit.x, unit.y, unit.z],
-        [qj.w, qj.x, qj.y, qj.z],
-        [qk.w, qk.x, qk.y, qk.z],
-    ])
-    comp_f = _component_matrix(f, [unit])[0]
-    comp_g = _component_matrix(g, [unit])[0]
+    coeff_f, coeff_g = _coeff_array(f), _coeff_array(g)
     prefactor = (params.alpha / math.pi) ** params.n / math.pi
 
     def compute(quad_grid):
-        z = quad_grid.points()
-        kmax = max(f.degree, g.degree) + 1
-        powers = _powers(z, kmax)
-        f1, f2 = _complex_values(comp_f, powers[:f.degree + 1])
-        g1, g2 = _complex_values(comp_g, powers[:g.degree + 1])
-        # components in the orthonormal frame {1, I, J, IJ}
-        aw, ax = f1.real, f1.imag
-        ay, az = f2.real, f2.imag
-        bw, bx = g1.real, -g1.imag           # conj(g)
-        by, bz = -g2.real, -g2.imag
-        prod = np.stack([
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ])
-        weight = quad_grid.area_weights() * np.exp(-params.alpha * np.abs(z) ** 2)
-        comps = prefactor * (prod * weight[None, :]).sum(axis=1)
-        scale = prefactor * math.sqrt(
-            float((f1.real**2 + f1.imag**2 + f2.real**2 + f2.imag**2) @ weight)
-            * float((g1.real**2 + g1.imag**2 + g2.real**2 + g2.imag**2) @ weight))
-        return comps, scale
+        """The pairing's components, then the Cauchy-Schwarz bound as floor."""
+        r, _ = quad_grid.radial_arrays()
+        fv, gv = ((r[:, None] ** np.arange(len(c))
+                   @ _ray_coeffs(c, [unit], quad_grid.angles())).reshape(4, -1)
+                  for c in (coeff_f, coeff_g))
+        prod = _qmul(fv, gv * np.array([1.0, -1.0, -1.0, -1.0])[:, None])
+        weight = (quad_grid.area_weights().reshape(r.size, -1)
+                  * np.exp(-params.alpha * r * r)[:, None]).ravel()
+        bound = math.sqrt(float((fv * fv).sum(axis=0) @ weight)
+                          * float((gv * gv).sum(axis=0) @ weight))
+        return prefactor * np.append(prod @ weight, bound)
 
-    comps, scale = compute(quad)
-    trace = [(quad.describe(), [float(c) for c in comps])]
-    refinements = 0
-    while True:
-        if quad.radial_count >= radial_cap or quad.angular_count >= angular_cap:
-            if refinements == 0:
-                break
-            raise GridTooCoarse("inner product did not stabilize at the cap", trace)
-        finer_grid = quad.doubled()
-        finer, scale = compute(finer_grid)
-        trace.append((finer_grid.describe(), [float(c) for c in finer]))
-        refinements += 1
-        delta = float(np.linalg.norm(finer - comps))
-        floor = max(float(np.linalg.norm(finer)), scale, 1e-300)
-        comps, quad = finer, finer_grid
-        if delta / floor <= REFINE_TOL:
-            break
-        at_cap = (quad.radial_count >= radial_cap or quad.angular_count >= angular_cap)
-        if at_cap:
-            if delta / floor > COARSE_TOL:
-                raise GridTooCoarse("inner product did not stabilize at the cap", trace)
-            break
-    vec = frame.T @ comps
-    return Quaternion(vec[0], vec[1], vec[2], vec[3])
+    def gap(finer, coarser):
+        delta = float(np.linalg.norm(finer[:4] - coarser[:4]))
+        return delta / max(float(np.linalg.norm(finer[:4])), finer[4], 1e-300)
+
+    values, _, _, _ = _refine(compute, gap, quad, radial_cap, angular_cap)
+    return Quaternion(*(float(c) for c in values[:4]))
 
 
 # ---------------------------------------------------------------------------
@@ -380,47 +374,60 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 48) -> float:
     return max(best, fc, fd)
 
 
-def _sup_over_rows(comp: np.ndarray, alpha: float, radius: float,
+# interval ends (a, b) -> (a, c, d, b) with c = b - g (b - a), d = a + g (b - a)
+_GOLDEN_SPLIT = np.array([[1.0, _GOLDEN_RATIO_CONJ, 1.0 - _GOLDEN_RATIO_CONJ, 0.0],
+                          [0.0, 1.0 - _GOLDEN_RATIO_CONJ, _GOLDEN_RATIO_CONJ, 1.0]])
+
+
+def _golden_max_rows(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 48) -> np.ndarray:
+    """_golden_max for every row at once; fn maps (M, 2) abscissae to values.
+
+    A round evaluates both interior points of every row in one call, so it
+    costs a few numpy calls however many rows there are.
+    """
+    ends = np.stack([lo, hi], axis=1)
+    seen = [fn(ends)]
+    for _ in range(iters):
+        cuts = ends @ _GOLDEN_SPLIT
+        vals = fn(cuts[:, 1:3])
+        seen.append(vals)
+        ends = np.where((vals[:, 0] >= vals[:, 1])[:, None],
+                        cuts[:, 0::2], cuts[:, 1::2])
+    return np.max(seen, axis=(0, 2))
+
+
+def _sup_over_rows(f: SliceSeries, units, alpha: float, radius: float,
                    radial_samples: int, angular_count: int,
                    weight_order: int = 0):
-    """Weighted sup of |row|(z) e^{-a|z|^2/2} / (1+|z|)^t per component row.
+    """Weighted sup of |f|(z) e^{-a|z|^2/2} / (1+|z|)^t on each slice C_I.
 
-    comp has shape (M, 2, K); returns (sups, argmax points) with one complex
-    argmax point per row.  Chebyshev radii (hitting 0 and R exactly) times a
-    uniform angle grid locate the maximum; the surrounding radial cell is
-    then polished with golden-section search at the best angle.
+    Returns (sups, argmax points) with one complex grid argmax per unit.
+    Chebyshev radii (hitting 0 and R exactly) times a uniform angle grid
+    locate the maximum; the surrounding radial cell is then polished with
+    golden-section search along the best ray, all units in lockstep.
     """
+    coeffs = _coeff_array(f)
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
-    z = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    powers = _powers(z, comp.shape[2])
-    mags = np.sqrt(_abs_sq_values(comp, powers))
+    mags = np.sqrt(_abs_sq_rows(coeffs, units, radii, theta))
     weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
-    vals = mags.reshape(comp.shape[0], radial_samples, angular_count) \
-        * weight[None, :, None]
+    vals = (mags.reshape(-1, radial_samples, angular_count)
+            * weight[None, :, None]).reshape(len(units), -1)
+    flat = vals.argmax(axis=1)
+    grid_max = vals[np.arange(flat.size), flat]
+    ri, ti = np.divmod(flat, angular_count)
+    ks = np.arange(coeffs.shape[0])
+    ray = _ray_coeffs(coeffs, units, theta[ti][:, None])[..., 0].transpose(0, 2, 1)
 
-    sups = np.empty(comp.shape[0])
-    arg_points = []
-    for row in range(comp.shape[0]):
-        flat = int(np.argmax(vals[row]))
-        ri, ti = divmod(flat, angular_count)
-        phase = np.exp(1j * theta[ti])
-        c1 = comp[row, 0]
-        c2 = comp[row, 1]
+    def weighted_sq(r):
+        vec = r[..., None] ** ks @ ray
+        out = (vec * vec).sum(axis=-1) * np.exp(-alpha * r * r)
+        return out / (1.0 + r) ** (2 * weight_order) if weight_order else out
 
-        def f_of_r(r):
-            zz = r * phase
-            v1 = _horner(c1, zz)
-            v2 = _horner(c2, zz)
-            mag = math.sqrt(v1.real**2 + v1.imag**2 + v2.real**2 + v2.imag**2)
-            return mag * math.exp(-0.5 * alpha * r * r) / (1.0 + r) ** weight_order
-
-        lo = radii[max(ri - 1, 0)]
-        hi = radii[min(ri + 1, radial_samples - 1)]
-        refined = _golden_max(f_of_r, float(lo), float(hi))
-        sups[row] = max(refined, float(vals[row, ri, ti]))
-        arg_points.append(float(radii[ri]) * complex(phase))
-    return sups, arg_points
+    refined = np.sqrt(_golden_max_rows(weighted_sq, radii[np.maximum(ri - 1, 0)],
+                                       radii[np.minimum(ri + 1, radial_samples - 1)]))
+    points = radii[ri] * np.exp(1j * theta[ti])
+    return np.maximum(refined, grid_max), points
 
 
 def sup_norm(f: SliceSeries, params: FockParams, sphere=None,
@@ -428,8 +435,7 @@ def sup_norm(f: SliceSeries, params: FockParams, sphere=None,
              angular_count: int = DEFAULT_SUP_ANGULAR) -> NormReport:
     """sup of |f(q)| e^{-a|q|^2/2} over the sampled ball of radius R."""
     units = list(sphere) if sphere is not None else default_sphere()
-    comp = _component_matrix(f, units)
-    sups, _ = _sup_over_rows(comp, params.alpha, params.radius,
+    sups, _ = _sup_over_rows(f, units, params.alpha, params.radius,
                              radial_samples, angular_count)
     per_slice = tuple((u, float(v)) for u, v in zip(units, sups))
     spec = {"rule": "chebyshev x trapezoid + golden", "radial": radial_samples,
@@ -442,8 +448,7 @@ def slice_sup_norm(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
                    radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
                    angular_count: int = DEFAULT_SUP_ANGULAR) -> float:
     """sup of |f(z)| e^{-a|z|^2/2} over the single slice disk B_I."""
-    comp = _component_matrix(f, [unit])
-    sups, _ = _sup_over_rows(comp, params.alpha, params.radius,
+    sups, _ = _sup_over_rows(f, [unit], params.alpha, params.radius,
                              radial_samples, angular_count)
     return float(sups[0])
 
@@ -645,29 +650,26 @@ def derivative_criterion(f: SliceSeries, order: int, params: FockParams,
     """
     der = derivative(f, order)
     units = list(sphere) if sphere is not None else default_sphere()
-    comp = _component_matrix(der, units)
-    sups, points = _sup_over_rows(comp, params.alpha, params.radius,
+    sups, points = _sup_over_rows(der, units, params.alpha, params.radius,
                                   radial_samples, angular_count,
                                   weight_order=order)
     best_row = int(np.argmax(sups))
     sup_f = float(sups[best_row])
-    zstar = points[best_row]
+    zstar = complex(points[best_row])
 
     f1, f2 = split(der, UNIT_I, orthonormal_partner(UNIT_I))
-    comp_parts = np.zeros((2, 2, der.degree + 1), dtype=complex)
-    comp_parts[0, 0] = f1.coeffs
-    comp_parts[1, 0] = f2.coeffs
-    part_sups, _ = _sup_over_rows(comp_parts, params.alpha, params.radius,
-                                  radial_samples, angular_count,
-                                  weight_order=order)
+    part_sups = [float(_sup_over_rows(part.embed(), [UNIT_I], params.alpha,
+                                      params.radius, radial_samples,
+                                      angular_count, weight_order=order)[0][0])
+                 for part in (f1, f2)]
 
     def ratio_at(poly: ComplexSlicePolynomial, z: complex) -> float:
         mag = abs(poly.eval(z))
         return mag * math.exp(-0.5 * params.alpha * abs(z) ** 2) \
             / (1.0 + abs(z)) ** order
 
-    s1 = max(float(part_sups[0]), ratio_at(f1, zstar), ratio_at(f1, zstar.conjugate()))
-    s2 = max(float(part_sups[1]), ratio_at(f2, zstar), ratio_at(f2, zstar.conjugate()))
+    s1 = max(part_sups[0], ratio_at(f1, zstar), ratio_at(f1, zstar.conjugate()))
+    s2 = max(part_sups[1], ratio_at(f2, zstar), ratio_at(f2, zstar.conjugate()))
     passed = sup_f <= s1 + s2 + slack
     return DerivativeCriterionReport(order, sup_f, (s1, s2), passed)
 
@@ -687,14 +689,11 @@ def little_space_profile(f: SliceSeries, params: FockParams, rho_list,
             or any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rho_list must be strictly increasing inside (0, R]")
     units = list(sphere) if sphere is not None else default_sphere()
-    comp = _component_matrix(f, units)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
-    phases = np.exp(1j * theta)
-    values = []
-    for rho in rhos:
-        powers = _powers(rho * phases, f.degree + 1)
-        mags = np.sqrt(_abs_sq_values(comp, powers))
-        values.append(float(mags.max()) * math.exp(-0.5 * params.alpha * rho * rho))
+    absq = _abs_sq_rows(_coeff_array(f), units, np.array(rhos), theta)
+    peaks = np.sqrt(absq.reshape(len(units), len(rhos), angular_count).max(axis=(0, 2)))
+    values = [float(m) * math.exp(-0.5 * params.alpha * rho * rho)
+              for m, rho in zip(peaks, rhos)]
     tail = values[-3:] if len(values) >= 3 else values
     decreasing = all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
     member = decreasing and values[-1] <= tolerance

@@ -24,8 +24,6 @@ __all__ = [
     "UNIT_I",
     "UNIT_J",
     "UNIT_K",
-    "quat_mul",
-    "quat_conj_mod_inv",
     "decompose",
     "compose",
     "orthonormal_partner",
@@ -208,20 +206,6 @@ class SliceCoords:
         if self.im < 0.0:
             object.__setattr__(self, "im", -self.im)
             object.__setattr__(self, "unit", -self.unit)
-
-
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product of two quaternions."""
-    return a * b
-
-
-def quat_conj_mod_inv(q: Quaternion) -> tuple[Quaternion, float, Quaternion]:
-    """Conjugate, modulus and inverse of q in one call.
-
-    Raises ZeroDivisor when the modulus is below 1e-300 because the inverse
-    is part of the result.
-    """
-    return q.conjugate(), q.modulus(), q.inverse()
 
 
 def decompose(q: Quaternion) -> SliceCoords:

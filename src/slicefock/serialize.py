@@ -8,12 +8,14 @@ Norm reports:     {"value": v, "per_slice": [[[x, y, z], v], ...],
                    "grid": {...}, "tail_bound": t}
 
 Floats go through repr, so emitted files reload to bit-identical values.
-Loaders raise ValueError on malformed input with the offending field named.
+Loaders raise ValueError on malformed input with the offending field named;
+NaN, Infinity and true/false are not accepted as numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .fock import NormReport
@@ -36,10 +38,24 @@ def quaternion_to_list(q: Quaternion) -> list[float]:
     return [q.w, q.x, q.y, q.z]
 
 
+def _is_number(value: Any) -> bool:
+    """A finite JSON number; true and false are ints to Python, not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _numbers(data: Any, count: int) -> bool:
+    return (isinstance(data, (list, tuple)) and len(data) == count
+            and all(_is_number(v) for v in data))
+
+
 def quaternion_from_list(data: Any, context: str = "quaternion") -> Quaternion:
-    if (not isinstance(data, (list, tuple)) or len(data) != 4
-            or not all(isinstance(v, (int, float)) for v in data)):
-        raise ValueError(f"{context} must be a list of four numbers, got {data!r}")
+    if not _numbers(data, 4):
+        raise ValueError(f"{context} must be a list of four finite numbers, got {data!r}")
     return Quaternion(*data)
 
 
@@ -48,9 +64,8 @@ def unit_to_list(u: ImaginaryUnit) -> list[float]:
 
 
 def unit_from_list(data: Any, context: str = "unit") -> ImaginaryUnit:
-    if (not isinstance(data, (list, tuple)) or len(data) != 3
-            or not all(isinstance(v, (int, float)) for v in data)):
-        raise ValueError(f"{context} must be a list of three numbers, got {data!r}")
+    if not _numbers(data, 3):
+        raise ValueError(f"{context} must be a list of three finite numbers, got {data!r}")
     try:
         return ImaginaryUnit(*data)
     except ValueError as exc:
@@ -73,14 +88,14 @@ def function_from_dict(data: Any) -> SliceSeries | MultiPolynomial:
     if not isinstance(data, dict):
         raise ValueError("function file must be a JSON object")
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"field 'n' must be a positive integer, got {n!r}")
     if n == 1:
         coeffs = data.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             raise ValueError("field 'coeffs' must be a nonempty list")
         radius = data.get("radius", 1.0)
-        if not isinstance(radius, (int, float)) or not radius > 0:
+        if not _is_number(radius) or not radius > 0:
             raise ValueError(f"field 'radius' must be positive, got {radius!r}")
         qs = tuple(quaternion_from_list(c, f"coeffs[{i}]")
                    for i, c in enumerate(coeffs))
@@ -94,7 +109,7 @@ def function_from_dict(data: Any) -> SliceSeries | MultiPolynomial:
             raise ValueError(f"monomials[{i}] must be an object with 'm' and 'a'")
         m = entry["m"]
         if (not isinstance(m, list) or len(m) != n
-                or not all(isinstance(v, int) and v >= 0 for v in m)):
+                or not all(_is_integer(v) and v >= 0 for v in m)):
             raise ValueError(f"monomials[{i}].m must be {n} nonnegative integers")
         monos.append(MultiMonomial(tuple(m),
                                    quaternion_from_list(entry["a"],
@@ -128,10 +143,10 @@ def atomic_from_dict(data: Any) -> tuple[AtomicData, ImaginaryUnit]:
     if not isinstance(data, dict):
         raise ValueError("synthesis file must be a JSON object")
     alpha = data.get("alpha")
-    if not isinstance(alpha, (int, float)) or not alpha > 0:
+    if not _is_number(alpha) or not alpha > 0:
         raise ValueError(f"field 'alpha' must be positive, got {alpha!r}")
     degree = data.get("N")
-    if not isinstance(degree, int) or degree < 0:
+    if not _is_integer(degree) or degree < 0:
         raise ValueError(f"field 'N' must be a nonnegative integer, got {degree!r}")
     unit = unit_from_list(data.get("slice"), "slice")
     points = data.get("points")

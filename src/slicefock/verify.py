@@ -33,9 +33,9 @@ import numpy as np
 from .corpus import (random_ball_point, random_orthogonal_pair, random_unit,
                      rng_for, standard_corpus)
 from .errors import SingularPoint, ZeroValue
-from .fock import (FockParams, _component_matrix, _monomial_sup,
-                   _slice_norms_on_grid, _sup_over_rows, derivative_criterion,
-                   dilation_convergence, slice_sup_norm)
+from .fock import (FockParams, _monomial_sup, _slice_norms_on_grid,
+                   _sup_over_rows, derivative_criterion, dilation_convergence,
+                   slice_sup_norm)
 from .quadrature import QuadratureGrid
 from .quaternion import UNIT_I, Quaternion, default_sphere
 from .series import (MultiMonomial, SliceSeries, regular_conjugate, rep_eval,
@@ -230,8 +230,7 @@ def _check_p_norms(corpus, params: FockParams, grid: QuadratureGrid,
 def _check_sup_norms(corpus, params: FockParams, units, radial_samples: int,
                      angular_count: int, cap: int) -> PropositionResult:
     def one(f):
-        comp = _component_matrix(f, units)
-        sups, _ = _sup_over_rows(comp, params.alpha, params.radius,
+        sups, _ = _sup_over_rows(f, units, params.alpha, params.radius,
                                  radial_samples, angular_count)
         top = float(sups.max())
         low = float(sups.min())

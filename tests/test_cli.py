@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from slicefock import (UNIT_I, AtomicData, MultiMonomial, MultiPolynomial,
@@ -205,3 +206,30 @@ def test_argparse_errors_raise_system_exit(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "true", "false"])
+def test_norm_rejects_non_numeric_coefficients(tmp_path, capsys, entry):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 1, "radius": 1.0, "coeffs": [[1, 0, 0, 0], '
+                    f'[0, {entry}, 0, 0]]}}\n')
+    code, out, err = run(capsys, ["norm", str(path), "--sphere", "2"])
+    assert code == 2 and out == ""
+    assert "coeffs[1] must be a list of four finite numbers" in err
+
+
+def test_norm_rejects_non_finite_radius(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 1, "radius": Infinity, "coeffs": [[1, 0, 0, 0]]}\n')
+    code, _, err = run(capsys, ["norm", str(path), "--sphere", "2"])
+    assert code == 2
+    assert "field 'radius'" in err
+
+
+def test_norm_overflow_exits_three(tmp_path, capsys):
+    # |f|^2 overflows, so the quadrature has no finite value to certify
+    path = write_series(tmp_path, [Quaternion(1e200), Quaternion(0.0, 1e200, 0.0, 0.0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, ["norm", path, "--sphere", "2"])
+    assert code == 3 and out == ""
+    assert "not finite" in err

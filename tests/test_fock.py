@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
-                       MultiMonomial, MultiPolynomial, Quaternion,
-                       QuadratureGrid, SliceSeries, derivative_criterion,
+                       ImaginaryUnit, MultiMonomial, MultiPolynomial,
+                       Quaternion, QuadratureGrid, SliceSeries,
+                       default_sphere, derivative_criterion,
                        dilation_convergence, embed_complex, fock_norm_p,
                        inner_product, little_space_profile,
                        monomial_bound_check, norm_equivalence_check,
-                       slice_norm_p, slice_sup_norm, sup_norm)
+                       orthonormal_partner, slice_norm_p, slice_sup_norm,
+                       split, sup_norm)
 from slicefock.corpus import random_series, rng_for
+from slicefock.fock import (_abs_sq_rows, _chebyshev_radii, _coeff_array,
+                            _golden_max, _slice_norms_on_grid, _sup_over_rows)
 
 P2 = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
 ONE_F = SliceSeries((Quaternion(1.0),))
@@ -18,7 +24,6 @@ Q_F = SliceSeries((Quaternion(), Quaternion(1.0)))
 
 
 def small_sphere():
-    from slicefock import default_sphere
     return default_sphere(8)
 
 
@@ -407,3 +412,125 @@ def test_little_space_profile_validates_rhos():
     for bad in ((1.0, 0.5), (0.0, 0.5), (0.5, 1.5)):
         with pytest.raises(ValueError):
             little_space_profile(ONE_F, P2, bad, small_sphere())
+
+
+# --- cancellation guard at a zero on a grid node ---
+
+def test_zero_on_a_grid_node_gives_finite_norms():
+    # f(q) = q - I0 vanishes at z = i on C_I0: the Chebyshev radius R = 1 and
+    # the angle pi/2 are sup-grid nodes, and rho = 1 is a profile radius
+    unit = default_sphere()[9]
+    f = SliceSeries((-unit.as_quaternion(), Quaternion(1.0)))
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    absq = _abs_sq_rows(_coeff_array(f), default_sphere(), np.array([1.0]), theta)
+    assert absq.min() >= 0.0
+    assert absq[9, 64] <= 1e-15
+    sup = sup_norm(f, P2)
+    assert math.isfinite(sup.value) and sup.value > 0.0
+    norm = fock_norm_p(f, FockParams(alpha=1.0, p=1.5, n=1, radius=1.0))
+    assert math.isfinite(norm.value) and norm.value > 0.0
+    profile = little_space_profile(f, P2, (0.5, 0.75, 1.0))
+    assert all(math.isfinite(v) for v in profile.values)
+
+
+# --- the A + I B evaluator against independent references ---
+
+def _series_from(rows):
+    return SliceSeries(tuple(Quaternion(*row) for row in rows))
+
+
+coeff_rows = st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4), min_size=1,
+                      max_size=13)
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: sum(c * c for c in v) > 1e-2)
+
+
+@given(coeff_rows, st.lists(directions, min_size=1, max_size=7),
+       st.lists(st.floats(0.0, 1.5), min_size=1, max_size=4),
+       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_abs_sq_rows_matches_quaternion_horner(rows, dirs, radii, angles):
+    # fewer than five units take |A + I B|^2, more take s + 2 <v, I>
+    f = _series_from(rows)
+    units = [ImaginaryUnit.normalized(*d) for d in dirs]
+    radii, theta = np.array(radii), np.array(angles)
+    absq = _abs_sq_rows(_coeff_array(f), units, radii, theta)
+    assert absq.shape == (len(units), radii.size * theta.size)
+    for m, unit in enumerate(units):
+        for i, r in enumerate(radii):
+            scale = sum(a.modulus() * r ** k for k, a in enumerate(f.coeffs)) ** 2
+            for j, t in enumerate(theta):
+                q = Quaternion(r * math.cos(t), *(r * math.sin(t) * c for c in
+                                                  (unit.x, unit.y, unit.z)))
+                want = f.eval(q).modulus_sq()
+                got = absq[m, i * theta.size + j]
+                assert abs(got - want) <= 1e-13 * max(scale, 1.0)
+
+
+def _split_reference_norms(f, units, params, grid):
+    """Per-unit slice norms from the splitting f = f_1 + f_2 J."""
+    z = grid.points()
+    weight = grid.area_weights() * np.exp(-0.5 * params.alpha * params.p
+                                          * np.abs(z) ** 2)
+    out = []
+    for unit in units:
+        f1, f2 = split(f, unit, orthonormal_partner(unit))
+        absq = sum(np.abs(np.polyval(np.array(part.coeffs[::-1]), z)) ** 2
+                   for part in (f1, f2))
+        integral = (params.alpha / math.pi) / math.pi * float(
+            (absq ** (params.p / 2.0)) @ weight)
+        out.append(integral ** (1.0 / params.p))
+    return np.array(out)
+
+
+@given(coeff_rows, st.sampled_from([1.5, 2.0, 3.0]), st.floats(0.3, 2.5),
+       st.sampled_from([1, 8]))
+@settings(max_examples=30, deadline=None)
+def test_slice_norms_on_grid_match_split_reference(rows, p, alpha, count):
+    # default_sphere(1) is i, j, k: at p != 2 it takes the few-unit route
+    f = _series_from(rows)
+    params = FockParams(alpha=alpha, p=p, n=1, radius=1.0)
+    units = default_sphere(count)
+    grid = QuadratureGrid.build(16, 32)
+    got = _slice_norms_on_grid(f, units, params, grid)
+    want = _split_reference_norms(f, units, params, grid)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
+
+
+@given(coeff_rows, st.integers(0, 3), st.sampled_from([1, 11]))
+@settings(max_examples=30, deadline=None)
+def test_lockstep_polish_matches_scalar_golden(rows, order, sphere_count):
+    f = _series_from(rows)
+    units = default_sphere(sphere_count)
+    radial, angular = 17, 32
+    sups, points = _sup_over_rows(f, units, 1.0, 1.0, radial, angular,
+                                  weight_order=order)
+    radii = _chebyshev_radii(radial, 1.0)
+    theta = 2.0 * np.pi * np.arange(angular) / angular
+    for unit, sup, point in zip(units, sups, points):
+        def weighted(z):
+            q = Quaternion(z.real, z.imag * unit.x, z.imag * unit.y, z.imag * unit.z)
+            return f.eval(q).modulus() * math.exp(-0.5 * abs(z) ** 2) \
+                / (1.0 + abs(z)) ** order
+
+        grid_max = max(weighted(r * complex(math.cos(t), math.sin(t)))
+                       for r in radii for t in theta)
+        assert sup >= grid_max * (1.0 - 1e-13)
+        ri = int(np.argmin(np.abs(radii - abs(point))))
+        phase = point / abs(point) if abs(point) > 0.0 else 1.0 + 0.0j
+        ray = _golden_max(lambda r: weighted(r * phase), float(radii[max(ri - 1, 0)]),
+                          float(radii[min(ri + 1, radial - 1)]))
+        assert abs(sup - max(ray, grid_max)) <= 1e-12 * max(sup, 1e-300)
+
+
+# --- refinement refuses non-finite values ---
+
+def test_refinement_refuses_non_finite_values():
+    huge = SliceSeries((Quaternion(1e200), Quaternion(0.0, 1e200, 0.0, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GridTooCoarse, match="not finite"):
+            fock_norm_p(huge, P2, sphere=small_sphere())
+        # also when the start grid already sits at the cap
+        with pytest.raises(GridTooCoarse, match="not finite"):
+            fock_norm_p(huge, P2, QuadratureGrid.build(8, 16), small_sphere(),
+                        radial_cap=8, angular_cap=16)

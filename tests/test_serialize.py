@@ -17,16 +17,20 @@ from slicefock.serialize import (atomic_from_dict, atomic_to_dict,
 def test_quaternion_codec_roundtrip():
     q = Quaternion(0.1, -2.0, 3.5, 0.25)
     assert quaternion_from_list(quaternion_to_list(q)) == q
-    for bad in ([1.0, 2.0], "nope", [1.0, 2.0, 3.0, "x"]):
-        with pytest.raises(ValueError):
-            quaternion_from_list(bad)
+    for bad in ([1.0, 2.0], "nope", [1.0, 2.0, 3.0, "x"],
+                [1.0, math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0],
+                [True, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="coeffs\\[3\\]"):
+            quaternion_from_list(bad, "coeffs[3]")
 
 
 def test_unit_codec_roundtrip():
     u = ImaginaryUnit.normalized(1.0, 2.0, -2.0)
     assert unit_from_list(unit_to_list(u)) == u
-    with pytest.raises(ValueError):
-        unit_from_list([1.0, 1.0])
+    for bad in ([1.0, 1.0], [math.nan, 0.0, 0.0], [1.0, 0.0, math.inf],
+                [True, False, False]):
+        with pytest.raises(ValueError, match="slice"):
+            unit_from_list(bad, "slice")
     with pytest.raises(ValueError, match="unit"):
         unit_from_list([1.0, 1.0, 1.0])  # not norm one
 
@@ -60,6 +64,9 @@ def test_function_from_dict_rejects_malformed():
         {"n": 2, "monomials": [{"m": [1], "a": [1, 0, 0, 0]}]},
         {"n": 2, "monomials": [{"m": [1, 1]}]},
         {"n": 2, "monomials": "xx"},
+        {"n": True, "coeffs": [[1, 0, 0, 0]]},
+        {"n": 1, "radius": math.inf, "coeffs": [[1, 0, 0, 0]]},
+        {"n": 2, "monomials": [{"m": [True, 1], "a": [1, 0, 0, 0]}]},
     ]
     for data in cases:
         with pytest.raises(ValueError):
@@ -101,8 +108,10 @@ def test_atomic_roundtrip(tmp_path):
 def test_atomic_from_dict_rejects_malformed():
     good = {"alpha": 1.0, "N": 4, "slice": [1.0, 0.0, 0.0],
             "points": [[0.0, 0.0, 0.0, 0.0]], "coeffs": [[1.0, 0.0, 0.0, 0.0]]}
-    for key, value in (("alpha", -1.0), ("N", -2), ("slice", [2.0, 0.0, 0.0]),
-                       ("points", "xx"), ("coeffs", [])):
+    for key, value in (("alpha", -1.0), ("alpha", math.inf), ("N", -2),
+                       ("N", True), ("slice", [2.0, 0.0, 0.0]),
+                       ("points", "xx"), ("coeffs", []),
+                       ("coeffs", [[math.nan, 0.0, 0.0, 0.0]])):
         data = dict(good)
         data[key] = value
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from slicefock.corpus import rng_for, standard_corpus
@@ -98,3 +101,16 @@ def test_formatters_agree_with_results():
     assert csv[1].startswith("split,4000,") and csv[1].endswith(",true")
     text = format_text(results)
     assert "split" in text and "PASS" in text and "1/1 propositions passed" in text
+
+
+def test_small_verify_report_matches_pinned_output():
+    # report pinned byte for byte; only the rounding-residual grid-doubling
+    # figure may move when the order of the quadrature sums changes
+    pinned = (Path(__file__).parent / "data" / "verify_seed0_small.txt").read_text()
+    text = format_text(run_verify(0, sphere_count=8, radial=16, angular=32,
+                                  sup_radial=17, sup_angular=32))
+
+    def mask(report):
+        return re.sub(r"grid-doubling-rel=[0-9.e+-]+", "grid-doubling-rel=*", report)
+
+    assert mask(text) == mask(pinned.rstrip("\n"))
