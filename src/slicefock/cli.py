@@ -35,9 +35,12 @@ def _parse_quaternion(text: str, flag: str) -> Quaternion:
     if len(parts) != 4:
         raise ValueError(f"{flag} expects 'w,x,y,z', got {text!r}")
     try:
-        return Quaternion(*(float(v) for v in parts))
+        values = [float(v) for v in parts]
     except ValueError as exc:
         raise ValueError(f"{flag} expects four numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{flag} expects four finite numbers, got {text!r}")
+    return Quaternion(*values)
 
 
 def _parse_unit(text: str, flag: str) -> ImaginaryUnit:
@@ -48,6 +51,8 @@ def _parse_unit(text: str, flag: str) -> ImaginaryUnit:
         x, y, z = (float(v) for v in parts)
     except ValueError as exc:
         raise ValueError(f"{flag} expects three numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in (x, y, z)):
+        raise ValueError(f"{flag} expects three finite numbers, got {text!r}")
     norm = math.sqrt(x * x + y * y + z * z)
     if norm < 1e-6:
         raise ValueError(f"{flag} must be a nonzero direction, got {text!r}")

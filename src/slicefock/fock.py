@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import GridTooCoarse, ViolationDetected
 from .quadrature import (ANGULAR_CAP, RADIAL_CAP, QuadratureGrid)
-from .quaternion import (ImaginaryUnit, Quaternion, UNIT_I, default_sphere,
-                         orthonormal_partner)
+from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, UNIT_I,
+                         _qmul, _rows, default_sphere, orthonormal_partner)
 from .series import (ComplexSlicePolynomial, MultiMonomial, MultiPolynomial,
                      SliceSeries, derivative, dilate, split)
 
@@ -71,7 +71,7 @@ _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class FockParams:
-    """Weight parameter alpha > 0, exponent p, dimension n, ball radius."""
+    """Finite weight alpha > 0, exponent p, dimension n, finite ball radius."""
 
     alpha: float
     p: float = 2.0
@@ -79,14 +79,14 @@ class FockParams:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not (self.p > 0.0 or self.p == math.inf):
             raise ValueError("p must be positive or infinity")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -142,24 +142,9 @@ class LittleSpaceReport:
 # slice evaluation: f(x + yI) = A(z) + I B(z)
 # ---------------------------------------------------------------------------
 
-def _coeff_array(f: SliceSeries) -> np.ndarray:
-    """Coefficients a_k as rows (w, x, y, z), shape (K, 4)."""
-    return np.array([[a.w, a.x, a.y, a.z] for a in f.coeffs])
-
-
 def _unit_rows(units) -> np.ndarray:
     """Units as rows (x, y, z), shape (M, 3)."""
     return np.array([[u.x, u.y, u.z] for u in units]).reshape(-1, 3)
-
-
-def _qmul(p, q):
-    """Hamilton product of quaternion arrays with components on axis 0."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
-                     pw * qx + px * qw + py * qz - pz * qy,
-                     pw * qy - px * qz + py * qw + pz * qx,
-                     pw * qz + px * qy - py * qx + pz * qw])
 
 
 def _slice_terms(coeffs: np.ndarray, radii: np.ndarray,
@@ -187,8 +172,8 @@ def _ray_coeffs(coeffs: np.ndarray, units, theta: np.ndarray) -> np.ndarray:
     theta holds T angles, shared or one row per unit; the result has shape
     (M, 4, K, T), so radii[:, None] ** k @ result gives f on each slice.
     """
-    unit_q = np.vstack([np.zeros(len(units)), _unit_rows(units).T])[:, :, None]
-    i_times = _qmul(unit_q, coeffs.T[:, None, :]).transpose(1, 0, 2)   # I a_k
+    unit_q = np.hstack([np.zeros((len(units), 1)), _unit_rows(units)])[:, None]
+    i_times = _qmul(unit_q, coeffs).transpose(0, 2, 1)                # I a_k
     angle = np.arange(coeffs.shape[0])[:, None] * np.atleast_2d(theta)[:, None, :]
     return (np.cos(angle)[:, None] * coeffs.T[:, :, None]
             + np.sin(angle)[:, None] * i_times[..., None])
@@ -234,7 +219,7 @@ def _grid_for(params: FockParams, grid: QuadratureGrid | None) -> QuadratureGrid
 def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
                          grid: QuadratureGrid) -> np.ndarray:
     r, _ = grid.radial_arrays()
-    coeffs, theta = _coeff_array(f), grid.angles()
+    coeffs, theta = _rows(f.coeffs), grid.angles()
     p = params.p
     w = (grid.area_weights().reshape(r.size, -1)
          * np.exp(-0.5 * params.alpha * p * r * r)[:, None]).ravel()
@@ -319,7 +304,7 @@ def inner_product(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
     """
     _require_quadrature_params(FockParams(params.alpha, 2.0, params.n, params.radius))
     quad = _grid_for(params, grid)
-    coeff_f, coeff_g = _coeff_array(f), _coeff_array(g)
+    coeff_f, coeff_g = _rows(f.coeffs), _rows(g.coeffs)
     prefactor = (params.alpha / math.pi) ** params.n / math.pi
 
     def compute(quad_grid):
@@ -328,7 +313,8 @@ def inner_product(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
         fv, gv = ((r[:, None] ** np.arange(len(c))
                    @ _ray_coeffs(c, [unit], quad_grid.angles())).reshape(4, -1)
                   for c in (coeff_f, coeff_g))
-        prod = _qmul(fv, gv * np.array([1.0, -1.0, -1.0, -1.0])[:, None])
+        # kept row-major (4, N): BLAS rounds the transposed product differently
+        prod = np.ascontiguousarray(_qmul(fv.T, gv.T * _CONJ_SIGNS).T)
         weight = (quad_grid.area_weights().reshape(r.size, -1)
                   * np.exp(-params.alpha * r * r)[:, None]).ravel()
         bound = math.sqrt(float((fv * fv).sum(axis=0) @ weight)
@@ -406,7 +392,7 @@ def _sup_over_rows(f: SliceSeries, units, alpha: float, radius: float,
     locate the maximum; the surrounding radial cell is then polished with
     golden-section search along the best ray, all units in lockstep.
     """
-    coeffs = _coeff_array(f)
+    coeffs = _rows(f.coeffs)
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
     mags = np.sqrt(_abs_sq_rows(coeffs, units, radii, theta))
@@ -690,7 +676,7 @@ def little_space_profile(f: SliceSeries, params: FockParams, rho_list,
         raise ValueError("rho_list must be strictly increasing inside (0, R]")
     units = list(sphere) if sphere is not None else default_sphere()
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
-    absq = _abs_sq_rows(_coeff_array(f), units, np.array(rhos), theta)
+    absq = _abs_sq_rows(_rows(f.coeffs), units, np.array(rhos), theta)
     peaks = np.sqrt(absq.reshape(len(units), len(rhos), angular_count).max(axis=(0, 2)))
     values = [float(m) * math.exp(-0.5 * params.alpha * rho * rho)
               for m, rho in zip(peaks, rhos)]

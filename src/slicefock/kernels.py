@@ -23,8 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PointOffSlice
-from .quaternion import ImaginaryUnit, Quaternion
+from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, _from_rows,
+                         _qmul, _rows)
 from .series import SliceSeries
 
 __all__ = [
@@ -139,20 +142,26 @@ def atomic_synthesis(data: AtomicData, unit: ImaginaryUnit) -> SliceSeries:
         if dist > _SLICE_TOL:
             raise PointOffSlice(
                 f"synthesis point {point!r} is {dist:.3e} away from the slice")
-    damps = [math.exp(-0.5 * data.alpha * p.modulus_sq()) for p in data.points]
-    conj_powers = [Quaternion(1.0) for _ in data.points]
-    coeffs = []
-    scale = 1.0
-    for n in range(data.trunc_degree + 1):
-        if n > 0:
-            scale *= data.alpha / n
-            conj_powers = [cp * p.conjugate()
-                           for cp, p in zip(conj_powers, data.points)]
-        acc = Quaternion()
-        for cp, damp, a in zip(conj_powers, damps, data.coeffs):
-            acc = acc + (cp * a) * (scale * damp)
-        coeffs.append(acc)
-    return SliceSeries(tuple(coeffs))
+    # math.exp, not np.exp: the two may round differently
+    damps = np.array([math.exp(-0.5 * data.alpha * p.modulus_sq())
+                      for p in data.points])
+    conj_points = _rows(data.points) * _CONJ_SIGNS
+    conj_powers = np.empty((data.trunc_degree + 1,) + conj_points.shape)
+    conj_powers[0] = [1.0, 0.0, 0.0, 0.0]
+    scales = [1.0]
+    for n in range(1, data.trunc_degree + 1):
+        conj_powers[n] = _qmul(conj_powers[n - 1], conj_points)
+        # scale * (alpha / n), not (scale * alpha) / n, which rounds otherwise
+        scales.append(scales[-1] * (data.alpha / n))
+    terms = _qmul(conj_powers, _rows(data.coeffs)) * (
+        np.array(scales)[:, None] * damps)[..., None]
+    # add the atoms one by one in storage order; a BLAS product or np.sum
+    # over k would reduce in a shape-dependent order, so a coefficient could
+    # change with the truncation degree
+    coeffs = np.zeros((data.trunc_degree + 1, 4))
+    for k in range(len(data.points)):
+        coeffs += terms[:, k]
+    return SliceSeries(_from_rows(coeffs))
 
 
 def lattice_points(spacing: float, unit: ImaginaryUnit,

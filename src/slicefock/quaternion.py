@@ -7,12 +7,22 @@ constructions in the rest of the package are phrased in these coordinates.
 
 All values here are immutable and all operations are pure functions, so
 concurrent use requires no locking.
+
+A private array section at the end holds the package's one array kernel:
+quaternions as rows (w, x, y, z) on the last axis of a float64 array, a
+Hamilton product on such arrays and conversions to and from `Quaternion`.
+Hot loops in series, kernels and fock multiply whole tables at once through
+it instead of constructing one `Quaternion` per product.  Its product uses
+the same formula, term order and rounding as `Quaternion.__mul__`, so an
+array product equals the scalar one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ZeroDivisor
 
@@ -163,7 +173,8 @@ class ImaginaryUnit:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
         nsq = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(nsq - 1.0) > 1e-12:
+        # written so that a NaN component fails too
+        if not abs(nsq - 1.0) <= 1e-12:
             raise ValueError(f"imaginary unit must have norm 1, got |v|^2 = {nsq!r}")
 
     @classmethod
@@ -272,3 +283,35 @@ def default_sphere(count: int = 64) -> list[ImaginaryUnit]:
         if all(u != extra for u in units):
             units.append(extra)
     return units
+
+
+# ---------------------------------------------------------------------------
+# array section: quaternions as rows (w, x, y, z) on the last axis
+# ---------------------------------------------------------------------------
+
+# row-wise conjugation: multiply by these signs
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product of broadcastable (..., 4) arrays, shape (..., 4).
+
+    Each component is the expression of `Quaternion.__mul__`, evaluated in
+    the same order, so every element equals the scalar product exactly.
+    """
+    pw, px, py, pz = np.moveaxis(p, -1, 0)
+    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + px * qw + py * qz - pz * qy,
+                     pw * qy - px * qz + py * qw + pz * qx,
+                     pw * qz + px * qy - py * qx + pz * qw], axis=-1)
+
+
+def _rows(quaternions) -> np.ndarray:
+    """Quaternions as rows (w, x, y, z), shape (K, 4)."""
+    return np.array([[a.w, a.x, a.y, a.z] for a in quaternions]).reshape(-1, 4)
+
+
+def _from_rows(rows: np.ndarray) -> tuple[Quaternion, ...]:
+    """Rows (w, x, y, z) of a (K, 4) array as a tuple of quaternions."""
+    return tuple(Quaternion(*row) for row in rows.tolist())

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import (BadRadius, NotOrthogonal, SingularPoint, UnitMismatch,
                      ZeroValue)
-from .quaternion import (ImaginaryUnit, Quaternion, decompose)
+from .quaternion import (ImaginaryUnit, Quaternion, _from_rows, _qmul, _rows,
+                         decompose)
 
 __all__ = [
     "SliceSeries",
@@ -197,13 +198,14 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     The sum runs over ascending k so the reduction order is fixed.
     """
     n, m = f.degree, g.degree
-    out = []
-    for idx in range(n + m + 1):
-        acc = Quaternion()
-        for k in range(max(0, idx - m), min(idx, n) + 1):
-            acc = acc + f.coeffs[k] * g.coeffs[idx - k]
-        out.append(acc)
-    return SliceSeries(tuple(out), min(f.nominal_radius, g.nominal_radius))
+    prod = _qmul(_rows(f.coeffs)[:, None], _rows(g.coeffs))    # a_k b_l
+    out = np.zeros((n + m + 1, 4))
+    # one row of products per k, added in ascending k: every c_n sums its
+    # terms in the order above.  A BLAS product or np.sum would reduce in a
+    # shape-dependent order and change the rounding.
+    for k in range(n + 1):
+        out[k:k + m + 1] += prod[k]
+    return SliceSeries(_from_rows(out), min(f.nominal_radius, g.nominal_radius))
 
 
 def regular_conjugate(f: SliceSeries) -> SliceSeries:
@@ -265,8 +267,7 @@ def split(f: SliceSeries, unit_i: ImaginaryUnit, unit_j: ImaginaryUnit,
         [0.0, unit_i.y, qj.y, qk.y],
         [0.0, unit_i.z, qj.z, qk.z],
     ])
-    rhs = np.array([[a.w, a.x, a.y, a.z] for a in f.coeffs]).T
-    sol = np.linalg.solve(basis, rhs)
+    sol = np.linalg.solve(basis, _rows(f.coeffs).T)
     c1 = tuple(complex(re, im) for re, im in zip(sol[0], sol[1]))
     c2 = tuple(complex(re, im) for re, im in zip(sol[2], sol[3]))
     return (ComplexSlicePolynomial(unit_i, c1), ComplexSlicePolynomial(unit_i, c2))

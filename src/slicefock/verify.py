@@ -319,8 +319,11 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     Norm propositions use a Gauss-Legendre x trapezoid grid of the given
     size (plus one doubling for the stability figure); sup propositions use
     Chebyshev radii with golden-section polish.  The same seed and flags
-    always produce the same results.
+    always produce the same results.  p must be finite: the p-sandwich
+    integrates |f|^p, and the sup norms have their own proposition.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"verify needs a finite p, got {p!r}")
     selected = _select(props)
     params = FockParams(alpha=alpha, p=p, n=1, radius=radius)
     corpus = standard_corpus(seed)

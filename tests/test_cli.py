@@ -233,3 +233,46 @@ def test_norm_overflow_exits_three(tmp_path, capsys):
         code, out, err = run(capsys, ["norm", path, "--sphere", "2"])
     assert code == 3 and out == ""
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--point", "nan,0,0,0"],
+    ["--point", "0,inf,0,0"],
+    ["--point", "0,0,0,0", "--slice-unit", "nan,0,0"],
+    ["--point", "0,0,0,0", "--slice-unit", "1,-inf,0"],
+])
+def test_eval_rejects_non_finite_point_and_unit(tmp_path, capsys, argv):
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 1.0, 0.0, 0.0)])
+    code, out, err = run(capsys, ["eval", path] + argv)
+    assert code == 2 and out == ""
+    assert "finite numbers" in err
+
+
+@pytest.mark.parametrize("flag", ["--q", "--w"])
+@pytest.mark.parametrize("text", ["nan,0,0,0", "0,0,-inf,0"])
+def test_kernel_rejects_non_finite_points(capsys, flag, text):
+    points = {"--q": "0.1,0.2,0,0", "--w": "0.3,0,0.1,0"}
+    points[flag] = text
+    code, out, err = run(capsys, ["kernel", "--q", points["--q"],
+                                  "--w", points["--w"]])
+    assert code == 2 and out == ""
+    assert f"{flag} expects four finite numbers" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--p", "inf", "--radius", "inf"], "radius"),
+    (["--p", "inf", "--alpha", "inf"], "alpha"),
+    (["--alpha", "inf"], "alpha"),
+])
+def test_norm_rejects_infinite_alpha_and_radius(tmp_path, capsys, argv, field):
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.5)])
+    code, out, err = run(capsys, ["norm", path, "--sphere", "2"] + argv)
+    assert code == 2 and out == ""
+    assert f"{field} must be positive and finite" in err
+
+
+@pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
+def test_verify_rejects_non_finite_p(capsys, p):
+    code, out, err = run(capsys, ["verify", "--props", "star", f"--p={p}"])
+    assert code == 2 and out == ""
+    assert "verify needs a finite p" in err

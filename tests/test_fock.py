@@ -15,8 +15,9 @@ from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
                        orthonormal_partner, slice_norm_p, slice_sup_norm,
                        split, sup_norm)
 from slicefock.corpus import random_series, rng_for
-from slicefock.fock import (_abs_sq_rows, _chebyshev_radii, _coeff_array,
-                            _golden_max, _slice_norms_on_grid, _sup_over_rows)
+from slicefock.fock import (_abs_sq_rows, _chebyshev_radii, _golden_max,
+                            _slice_norms_on_grid, _sup_over_rows)
+from slicefock.quaternion import _rows
 
 P2 = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
 ONE_F = SliceSeries((Quaternion(1.0),))
@@ -34,7 +35,9 @@ def monomial_series(n):
 # --- closed-form oracles ---
 
 def test_params_validation():
-    for bad in (dict(alpha=0.0), dict(p=0.0), dict(n=0), dict(radius=0.0)):
+    for bad in (dict(alpha=0.0), dict(p=0.0), dict(n=0), dict(radius=0.0),
+                dict(alpha=math.inf), dict(radius=math.inf),
+                dict(alpha=math.nan), dict(radius=math.nan)):
         kwargs = dict(alpha=1.0, p=2.0, n=1, radius=1.0)
         kwargs.update(bad)
         with pytest.raises(ValueError):
@@ -422,7 +425,7 @@ def test_zero_on_a_grid_node_gives_finite_norms():
     unit = default_sphere()[9]
     f = SliceSeries((-unit.as_quaternion(), Quaternion(1.0)))
     theta = 2.0 * np.pi * np.arange(256) / 256
-    absq = _abs_sq_rows(_coeff_array(f), default_sphere(), np.array([1.0]), theta)
+    absq = _abs_sq_rows(_rows(f.coeffs), default_sphere(), np.array([1.0]), theta)
     assert absq.min() >= 0.0
     assert absq[9, 64] <= 1e-15
     sup = sup_norm(f, P2)
@@ -454,7 +457,7 @@ def test_abs_sq_rows_matches_quaternion_horner(rows, dirs, radii, angles):
     f = _series_from(rows)
     units = [ImaginaryUnit.normalized(*d) for d in dirs]
     radii, theta = np.array(radii), np.array(angles)
-    absq = _abs_sq_rows(_coeff_array(f), units, radii, theta)
+    absq = _abs_sq_rows(_rows(f.coeffs), units, radii, theta)
     assert absq.shape == (len(units), radii.size * theta.size)
     for m, unit in enumerate(units):
         for i, r in enumerate(radii):

@@ -2,9 +2,12 @@ import cmath
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slicefock import (UNIT_I, UNIT_J, AtomicData, FockParams, PointOffSlice,
-                       Quaternion, SliceSeries, atomic_synthesis,
+                       ImaginaryUnit, Quaternion, SliceSeries,
+                       atomic_synthesis,
                        embed_complex, fock_norm_p, kernel_series,
                        lattice_points, normalized_kernel_eval, rep_eval,
                        star_exp_eval, star_exp_tail_bound)
@@ -175,6 +178,46 @@ def test_synthesis_truncation_stability():
     assert shared <= 1e-15  # shared coefficients use the identical formula
     tail = max(a.modulus() for a in f64.coeffs[33:])
     assert tail < 1e-12
+
+
+def _scalar_synthesis(data):
+    """The scalar loop atomic_synthesis replaced, kept as the reference."""
+    damps = [math.exp(-0.5 * data.alpha * p.modulus_sq()) for p in data.points]
+    conj_powers = [Quaternion(1.0) for _ in data.points]
+    coeffs = []
+    scale = 1.0
+    for n in range(data.trunc_degree + 1):
+        if n > 0:
+            scale *= data.alpha / n
+            conj_powers = [cp * p.conjugate()
+                           for cp, p in zip(conj_powers, data.points)]
+        acc = Quaternion()
+        for cp, damp, a in zip(conj_powers, damps, data.coeffs):
+            acc = acc + (cp * a) * (scale * damp)
+        coeffs.append(acc)
+    return tuple(coeffs)
+
+
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: sum(c * c for c in v) > 1e-2)
+atoms = st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                           st.tuples(*[st.floats(-2.0, 2.0)] * 4)),
+                 min_size=1, max_size=12)
+
+
+@given(directions, atoms, st.floats(0.05, 4.0), st.integers(0, 40))
+@example((1.0, 0.0, 0.0), [(0.4, -0.3, (1.0, 0.5, -0.25, 2.0))], 1.0, 12)   # one atom
+@example((0.0, 1.0, 1.0), [(0.0, 0.0, (0.3, 0.1, -0.2, 0.5)),               # origin
+                           (0.5, 0.7, (1.0, 0.0, 0.0, 0.0))], 2.5, 33)
+@example((0.2, -1.0, 0.3), [(0.5, 0.0, (1.0, 1.0, 0.0, 0.0)),               # real atoms
+                            (-1.2, 0.0, (0.0, 0.0, 1.0, -1.0))], 0.3, 0)
+@settings(max_examples=150, deadline=None)
+def test_synthesis_equals_scalar_loop_bit_for_bit(direction, atom_list, alpha, trunc):
+    unit = ImaginaryUnit.normalized(*direction)
+    points = tuple(embed_complex(complex(re, im), unit) for re, im, _ in atom_list)
+    coeffs = tuple(Quaternion(*c) for _, _, c in atom_list)
+    data = AtomicData(points, coeffs, alpha, trunc)
+    assert atomic_synthesis(data, unit).coeffs == _scalar_synthesis(data)
 
 
 def test_synthesis_rejects_off_slice_points():

@@ -143,6 +143,9 @@ def test_imaginary_unit_validation():
     assert abs(u.x - s) <= 1e-15 and abs(u.y - s) <= 1e-15
     with pytest.raises(ValueError):
         ImaginaryUnit.normalized(0.0, 0.0, 0.0)
+    for bad in ((math.nan, 0.0, 0.0), (0.0, math.nan, 1.0), (math.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            ImaginaryUnit(*bad)
 
 
 def test_unit_squares_to_minus_one():

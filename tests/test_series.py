@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slicefock import (UNIT_I, UNIT_J, UNIT_K, BadRadius, ComplexSlicePolynomial,
                        ImaginaryUnit, MultiMonomial, MultiPolynomial,
@@ -91,6 +93,33 @@ def test_star_keeps_smaller_radius():
     f = SliceSeries((ONE,), 2.0)
     g = SliceSeries((ONE,), 0.5)
     assert star_mul(f, g).nominal_radius == 0.5
+
+
+def _scalar_star_mul(f, g):
+    """The scalar convolution loop star_mul replaced, kept as the reference."""
+    n, m = f.degree, g.degree
+    out = []
+    for idx in range(n + m + 1):
+        acc = Quaternion()
+        for k in range(max(0, idx - m), min(idx, n) + 1):
+            acc = acc + f.coeffs[k] * g.coeffs[idx - k]
+        out.append(acc)
+    return tuple(out)
+
+
+quats = st.builds(Quaternion, *[st.floats(-1e3, 1e3)] * 4)
+coeff_lists = st.lists(quats, min_size=1, max_size=14)
+
+
+@given(coeff_lists, coeff_lists)
+@example([ONE], [I])                                  # degree 0 times degree 0
+@example([Quaternion(0.3, -1.0, 2.0, 0.5)], [I, J, K, ONE])
+@example([I, J, K, ONE, I], [Quaternion(-2.0, 0.1, 0.0, 7.0), K])
+@settings(max_examples=150, deadline=None)
+def test_star_mul_equals_scalar_convolution_bit_for_bit(a, b):
+    f, g = series(*a), series(*b)
+    assert star_mul(f, g).coeffs == _scalar_star_mul(f, g)
+    assert symmetrization(f).coeffs == _scalar_star_mul(f, regular_conjugate(f))
 
 
 def test_regular_conjugate():
