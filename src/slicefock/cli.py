@@ -11,8 +11,9 @@ Subcommands:
     profile   boundary decay profile M(rho) and the vanishing verdict
 
 Exit codes: 0 success, 1 a verified proposition failed, 2 bad input,
-3 quadrature failed to stabilize at the resolution cap.  Output carries no
-timing or environment data, so a command line is reproducible byte for byte.
+3 a computed value is not finite or quadrature failed to stabilize at the
+resolution cap.  Output carries no timing or environment data, so a command
+line is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -110,6 +111,10 @@ def cmd_eval(args) -> int:
     value = f.eval(q)
     reconstructed = rep_eval(f, unit, q)
     residual = (value - reconstructed).modulus()
+    if not all(map(math.isfinite, (value.w, value.x, value.y, value.z, residual))):
+        sys.stderr.write(f"error: a value is not finite: f(q) = {_quat_str(value)}, "
+                         f"rep-formula residual = {residual!r}\n")
+        return 3
     outside = q.modulus() > f.nominal_radius + 1e-12
     payload = {"point": serialize.quaternion_to_list(q),
                "value": serialize.quaternion_to_list(value),

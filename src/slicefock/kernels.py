@@ -43,6 +43,11 @@ __all__ = [
 _SLICE_TOL = 1e-10
 
 
+def _require_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+
+
 @dataclass(frozen=True)
 class AtomicData:
     """Synthesis data: points z_k on one slice, coefficients a_k, weight alpha."""
@@ -59,8 +64,7 @@ class AtomicData:
             raise ValueError("points and coefficients must pair up")
         if not self.points:
             raise ValueError("need at least one synthesis point")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        _require_alpha(self.alpha)
         if self.trunc_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
 
@@ -68,8 +72,7 @@ class AtomicData:
 def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
                   trunc_degree: int) -> Quaternion:
     """Truncated star exponential sum_{n<=N} q^n alpha^n wbar^n / n!."""
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    _require_alpha(alpha)
     if trunc_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
     acc = Quaternion(1.0)
@@ -88,6 +91,7 @@ def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
 def star_exp_tail_bound(q: Quaternion, w: Quaternion, alpha: float,
                         trunc_degree: int) -> float:
     """Bound (a|q||w|)^{N+1}/(N+1)! e^{a|q||w|} on the dropped tail."""
+    _require_alpha(alpha)
     x = alpha * q.modulus() * w.modulus()
     lead = 1.0
     for n in range(1, trunc_degree + 2):
@@ -98,8 +102,7 @@ def star_exp_tail_bound(q: Quaternion, w: Quaternion, alpha: float,
 def kernel_series(w: Quaternion, alpha: float, trunc_degree: int,
                   radius: float = 1.0) -> SliceSeries:
     """The kernel q -> e_*^{a q wbar} as a series with coefficients a^n wbar^n/n!."""
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    _require_alpha(alpha)
     if trunc_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
     coeffs = [Quaternion(1.0)]

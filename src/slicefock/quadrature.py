@@ -10,11 +10,13 @@ periodic angular direction the trapezoid rule is spectrally accurate, and the
 Gaussian weights appearing in the norm integrands are entire, so the default
 64 x 128 grid already integrates the polynomial corpus to machine precision.
 Point and weight orderings are fixed (radius outer, angle inner) so repeated
-runs reduce in the same order.
+runs reduce in the same order.  Gauss-Legendre nodes on [-1, 1] are computed
+once per count and shared, read-only, by every grid of that count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,14 @@ DEFAULT_RADIAL = 64
 DEFAULT_ANGULAR = 128
 RADIAL_CAP = 512
 ANGULAR_CAP = 1024
+
+
+@functools.lru_cache(maxsize=32)
+def _legendre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    xs, ws = np.polynomial.legendre.leggauss(count)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,7 @@ class QuadratureGrid:
               radius: float = 1.0) -> "QuadratureGrid":
         if radial_count < 1:
             raise ValueError("radial_count must be positive")
-        xs, ws = np.polynomial.legendre.leggauss(radial_count)
+        xs, ws = _legendre_nodes(radial_count)
         r = 0.5 * radius * (xs + 1.0)
         w = 0.5 * radius * ws
         nodes = tuple((float(a), float(b)) for a, b in zip(r, w))

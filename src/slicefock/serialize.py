@@ -5,7 +5,7 @@ Multi-variable:   {"n": k, "monomials": [{"m": [m1, ...], "a": [w, x, y, z]}]}
 Synthesis data:   {"alpha": a, "N": n, "slice": [x, y, z],
                    "points": [[w, x, y, z], ...], "coeffs": [[w, x, y, z], ...]}
 Norm reports:     {"value": v, "per_slice": [[[x, y, z], v], ...],
-                   "grid": {...}, "tail_bound": t}
+                   "grid": {...}}
 
 Floats go through repr, so emitted files reload to bit-identical values.
 Loaders raise ValueError on malformed input with the offending field named;
@@ -170,8 +170,7 @@ def load_atomic(path: str) -> tuple[AtomicData, ImaginaryUnit]:
 def norm_report_to_dict(report: NormReport) -> dict:
     return {"value": report.value,
             "per_slice": [[unit_to_list(u), v] for u, v in report.per_slice],
-            "grid": dict(report.grid_spec),
-            "tail_bound": report.tail_bound}
+            "grid": dict(report.grid_spec)}
 
 
 def norm_report_csv_rows(function_id: str, p: float, alpha: float,

@@ -102,6 +102,7 @@ def test_norm_json_payload(tmp_path, capsys):
     assert payload["p"] == 2.0 and payload["alpha"] == 1.0
     assert payload["grid"]["rule"] == "gauss-legendre x trapezoid"
     assert len(payload["per_slice"]) == 5  # sphere 2 plus the i, j, k tail
+    assert "tail_bound" not in payload
 
 
 def test_verify_subset_reproducible(capsys):
@@ -257,6 +258,37 @@ def test_kernel_rejects_non_finite_points(capsys, flag, text):
                                   "--w", points["--w"]])
     assert code == 2 and out == ""
     assert f"{flag} expects four finite numbers" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "json"], ["--truncate", "1"]])
+def test_eval_overflow_exits_three(tmp_path, capsys, extra):
+    # f(q) = 1 + q i + q^2 0.5 overflows at q = 1e300
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 1.0, 0.0, 0.0),
+                                   Quaternion(0.5)])
+    code, out, err = run(capsys, ["eval", path, "--point", "1e300,0,0,0"] + extra)
+    assert code == 3 and out == ""
+    assert "a value is not finite" in err
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+@pytest.mark.parametrize("extra", [[], ["--normalized"]])
+def test_kernel_rejects_non_finite_alpha(capsys, alpha, extra):
+    code, out, err = run(capsys, ["kernel", "--q", "0.1,0.2,0,0", "--w", "0.3,0,0.1,0",
+                                  f"--alpha={alpha}"] + extra)
+    assert code == 2 and out == ""
+    assert "alpha must be positive and finite" in err
+
+
+def test_synth_rejects_infinite_alpha(tmp_path, capsys):
+    data = AtomicData((Quaternion(0.0),), (Quaternion(2.0),), 1.0, 8)
+    text = dumps_canonical(atomic_to_dict(data, UNIT_I))
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(text.replace('"alpha":1.0', '"alpha":1e400') + "\n")
+    out_path = tmp_path / "synth.json"
+    code, out, err = run(capsys, ["synth", str(atoms), "--output", str(out_path)])
+    assert code == 2 and out == ""
+    assert "field 'alpha'" in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("argv, field", [

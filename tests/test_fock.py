@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
@@ -15,8 +16,9 @@ from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
                        orthonormal_partner, slice_norm_p, slice_sup_norm,
                        split, sup_norm)
 from slicefock.corpus import random_series, rng_for
-from slicefock.fock import (_abs_sq_rows, _chebyshev_radii, _golden_max,
-                            _slice_norms_on_grid, _sup_over_rows)
+from slicefock.fock import (_BLOCK_POINTS, _abs_sq_rows, _chebyshev_radii,
+                            _golden_max, _slice_norms_on_grid, _sup_over_rows)
+from slicefock.quadrature import ANGULAR_CAP, RADIAL_CAP
 from slicefock.quaternion import _rows
 
 P2 = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
@@ -486,21 +488,28 @@ def _split_reference_norms(f, units, params, grid):
     return np.array(out)
 
 
+# p != 2 sums blocks of _BLOCK_POINTS // angular radial rows: one block, and
+# two full blocks plus a partial one
+BLOCK_GRIDS = [(16, 32), (2 * (_BLOCK_POINTS // 64) + 3, 64)]
+
+
 @given(coeff_rows, st.sampled_from([1.5, 2.0, 3.0]), st.floats(0.3, 2.5),
-       st.sampled_from([1, 8]))
-@settings(max_examples=30, deadline=None)
-def test_slice_norms_on_grid_match_split_reference(rows, p, alpha, count):
+       st.sampled_from([1, 8]), st.sampled_from(BLOCK_GRIDS))
+@settings(max_examples=40, deadline=None)
+def test_slice_norms_on_grid_match_split_reference(rows, p, alpha, count, shape):
     # default_sphere(1) is i, j, k: at p != 2 it takes the few-unit route
     f = _series_from(rows)
     params = FockParams(alpha=alpha, p=p, n=1, radius=1.0)
     units = default_sphere(count)
-    grid = QuadratureGrid.build(16, 32)
+    grid = QuadratureGrid.build(*shape)
     got = _slice_norms_on_grid(f, units, params, grid)
     want = _split_reference_norms(f, units, params, grid)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
 
 
 @given(coeff_rows, st.integers(0, 3), st.sampled_from([1, 11]))
+# squared, a coefficient of 3.5e-203 underflows unless it is scaled first
+@example(rows=[(0.0, 0.0, 0.0, 3.543643236417232e-203)], order=0, sphere_count=1)
 @settings(max_examples=30, deadline=None)
 def test_lockstep_polish_matches_scalar_golden(rows, order, sphere_count):
     f = _series_from(rows)
@@ -524,6 +533,23 @@ def test_lockstep_polish_matches_scalar_golden(rows, order, sphere_count):
         ray = _golden_max(lambda r: weighted(r * phase), float(radii[max(ri - 1, 0)]),
                           float(radii[min(ri + 1, radial - 1)]))
         assert abs(sup - max(ray, grid_max)) <= 1e-12 * max(sup, 1e-300)
+
+
+def test_blocked_p_norm_memory_stays_cache_sized():
+    # at the 512 x 1024 cap one units x points array of |f|^p would take
+    # 67 x 524288 doubles, 281 MB; the blocked sum never holds more than a block
+    f = _series_from([(0.3, -0.2, 0.5, 0.1)] * 12)
+    units = default_sphere()
+    assert len(units) * RADIAL_CAP * ANGULAR_CAP * 8 > 280e6
+    grid = QuadratureGrid.build(RADIAL_CAP, ANGULAR_CAP)
+    tracemalloc.start()
+    try:
+        values = _slice_norms_on_grid(f, units, FockParams(1.0, 1.5), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(values))
+    assert peak < 32e6
 
 
 # --- refinement refuses non-finite values ---

@@ -51,6 +51,12 @@ def test_kernel_validation():
         star_exp_eval(I_Q, J_Q, 0.0, 10)
     with pytest.raises(ValueError):
         star_exp_eval(I_Q, J_Q, 1.0, -1)
+    for alpha in (math.inf, math.nan, -1.0):
+        for call in (lambda: star_exp_eval(I_Q, J_Q, alpha, 10),
+                     lambda: star_exp_tail_bound(I_Q, J_Q, alpha, 10),
+                     lambda: kernel_series(J_Q, alpha, 10)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                call()
 
 
 def test_tail_bound_dominates_truncation_error():
@@ -230,8 +236,9 @@ def test_synthesis_rejects_off_slice_points():
 def test_atomic_data_validation():
     with pytest.raises(ValueError):
         AtomicData((Quaternion(),), (), 1.0, 4)
-    with pytest.raises(ValueError):
-        AtomicData((Quaternion(),), (Quaternion(1.0),), 0.0, 4)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            AtomicData((Quaternion(),), (Quaternion(1.0),), alpha, 4)
     with pytest.raises(ValueError):
         AtomicData((Quaternion(),), (Quaternion(1.0),), 1.0, -1)
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammainc
 
 from slicefock.quadrature import (ANGULAR_CAP, DEFAULT_ANGULAR, DEFAULT_RADIAL,
-                                  RADIAL_CAP, QuadratureGrid)
+                                  RADIAL_CAP, QuadratureGrid, _legendre_nodes)
 
 
 def gaussian_moment(k: int, alpha: float, radius: float) -> float:
@@ -50,6 +50,24 @@ def test_nodes_inside_open_disk():
     assert np.all(w > 0.0)
     assert g.points().shape == (16 * 32,)
     assert g.area_weights().shape == (16 * 32,)
+
+
+def test_cached_nodes_equal_leggauss_and_are_read_only():
+    for count in (1, 2, 7, 64, 128, 512):
+        xs, ws = _legendre_nodes(count)
+        want_x, want_w = np.polynomial.legendre.leggauss(count)
+        assert np.array_equal(xs, want_x) and np.array_equal(ws, want_w)
+        assert _legendre_nodes(count)[0] is xs
+        for array in (xs, ws):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    # build scales the shared nodes without writing to them
+    g = QuadratureGrid.build(64, 8, 2.0)
+    r, w = g.radial_arrays()
+    want_x, want_w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(r, 0.5 * 2.0 * (want_x + 1.0))
+    assert np.array_equal(w, 0.5 * 2.0 * want_w)
+    assert np.array_equal(_legendre_nodes(64)[0], want_x)
 
 
 def test_doubled_and_describe():
