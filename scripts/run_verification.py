@@ -8,7 +8,7 @@ breaks an unusual exponent or an unlucky corpus still surfaces.
 
 Example:
 
-    python3 scripts/run_verification.py --seeds 0,1,2 --p 2.0,3.0 --threads 4
+    python3 scripts/run_verification.py --seeds 0,1,2 --p 2.0,3.0
 """
 
 import argparse
@@ -32,7 +32,6 @@ def parse_args(argv=None):
     parser.add_argument("--angular", type=int, default=96)
     parser.add_argument("--props", default=None,
                         help="comma separated proposition subset (default all)")
-    parser.add_argument("--threads", type=int, default=None)
     return parser.parse_args(argv)
 
 
@@ -48,8 +47,7 @@ def main(argv=None) -> int:
             start = time.monotonic()
             results = run_verify(seed=seed, props=args.props, alpha=args.alpha,
                                  p=p, sphere_count=args.sphere,
-                                 radial=args.radial, angular=args.angular,
-                                 threads=args.threads)
+                                 radial=args.radial, angular=args.angular)
             elapsed = time.monotonic() - start
             print(f"== seed={seed} p={p} alpha={args.alpha} "
                   f"({elapsed:.1f} s) ==")

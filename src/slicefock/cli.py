@@ -93,10 +93,6 @@ def _params_from(args, p: float | None = None) -> fock.FockParams:
                            radius=args.radius)
 
 
-def _sphere_from(args):
-    return default_sphere(args.sphere)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -123,9 +119,14 @@ def cmd_eval(args) -> int:
                "outside_radius": outside}
     extra_lines = []
     if args.truncate is not None:
-        cut = truncate(f, args.truncate)
-        approx = cut.eval(q)
+        approx = truncate(f, args.truncate).eval(q)
         bound = tail_bound(f, q.modulus(), args.truncate)
+        if not all(map(math.isfinite, (approx.w, approx.x, approx.y, approx.z,
+                                       bound))):
+            sys.stderr.write(f"error: a value is not finite: truncated("
+                             f"{args.truncate}) = {_quat_str(approx)}, "
+                             f"tail bound = {bound!r}\n")
+            return 3
         payload["truncated"] = serialize.quaternion_to_list(approx)
         payload["tail_bound"] = bound
         extra_lines.append(f"truncated({args.truncate}) = {_quat_str(approx)}")
@@ -154,7 +155,7 @@ def cmd_norm(args) -> int:
                          "library for slice suprema in several variables")
     p = _parse_p(args.p)
     params = _params_from(args, p)
-    sphere = _sphere_from(args)
+    sphere = default_sphere(args.sphere)
     if p == math.inf:
         report = fock.sup_norm(f, params, sphere)
     else:
@@ -187,7 +188,7 @@ def cmd_verify(args) -> int:
     results = verify.run_verify(seed=args.seed, props=props, alpha=args.alpha,
                                 p=_parse_p(args.p), radius=args.radius,
                                 sphere_count=args.sphere, radial=args.radial,
-                                angular=args.angular, threads=args.threads)
+                                angular=args.angular)
     if args.out == "json":
         _emit(serialize.dumps_canonical(verify.results_to_dicts(results)))
     elif args.out == "csv":
@@ -245,7 +246,8 @@ def cmd_profile(args) -> int:
     rhos = _parse_floats(args.rho, "--rho")
     if not rhos:
         raise ValueError("--rho expects at least one radius")
-    report = fock.little_space_profile(f, params, rhos, _sphere_from(args),
+    report = fock.little_space_profile(f, params, rhos,
+                                       default_sphere(args.sphere),
                                        angular_count=args.angular,
                                        tolerance=args.tolerance)
     if args.out == "json":
@@ -323,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--props", default=None,
                      help="comma separated proposition names (default all): "
                           + ",".join(verify.PROPOSITIONS))
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default SLICE_FOCK_THREADS or 1)")
     sub.set_defaults(handler=cmd_verify)
 
     sub = subs.add_parser("kernel",

@@ -211,6 +211,17 @@ def _abs_sq_blocks(coeffs: np.ndarray, units, radii: np.ndarray,
         yield i, np.maximum(out, 0.0, out=out)
 
 
+def _scaled_rows(f: SliceSeries) -> tuple[np.ndarray, int]:
+    """Coefficient rows of f 2^-e, and e; undo with np.ldexp(|.|, e).
+
+    |f| = 2^e |f 2^-e| exactly; with the largest coefficient component in
+    [1/2, 1) the squares of tiny or huge coefficients stay representable.
+    """
+    coeffs = _rows(f.coeffs)
+    exponent = math.frexp(float(np.abs(coeffs).max()))[1]
+    return np.ldexp(coeffs, -exponent), exponent
+
+
 def _abs_sq_rows(coeffs: np.ndarray, units, radii: np.ndarray,
                  theta: np.ndarray) -> np.ndarray:
     """|f|^2 on the polar grid of every slice C_I, shape (M, Nr * Nt)."""
@@ -416,11 +427,7 @@ def _sup_over_rows(f: SliceSeries, units, alpha: float, radius: float,
     locate the maximum; the surrounding radial cell is then polished with
     golden-section search along the best ray, all units in lockstep.
     """
-    # |f| = 2^e |f 2^-e| exactly; with the largest coefficient component in
-    # [1/2, 1) the squares of tiny or huge coefficients stay representable
-    coeffs = _rows(f.coeffs)
-    exponent = math.frexp(float(np.abs(coeffs).max()))[1]
-    coeffs = np.ldexp(coeffs, -exponent)
+    coeffs, exponent = _scaled_rows(f)
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
     mags = np.sqrt(_abs_sq_rows(coeffs, units, radii, theta))
@@ -704,10 +711,11 @@ def little_space_profile(f: SliceSeries, params: FockParams, rho_list,
         raise ValueError("rho_list must be strictly increasing inside (0, R]")
     units = list(sphere) if sphere is not None else default_sphere()
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
-    absq = _abs_sq_rows(_rows(f.coeffs), units, np.array(rhos), theta)
+    coeffs, exponent = _scaled_rows(f)
+    absq = _abs_sq_rows(coeffs, units, np.array(rhos), theta)
     peaks = np.sqrt(absq.reshape(len(units), len(rhos), angular_count).max(axis=(0, 2)))
-    values = [float(m) * math.exp(-0.5 * params.alpha * rho * rho)
-              for m, rho in zip(peaks, rhos)]
+    values = [float(np.ldexp(m * math.exp(-0.5 * params.alpha * rho * rho),
+                             exponent)) for m, rho in zip(peaks, rhos)]
     tail = values[-3:] if len(values) >= 3 else values
     decreasing = all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
     member = decreasing and values[-1] <= tolerance

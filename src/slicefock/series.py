@@ -343,12 +343,20 @@ def truncate(f: SliceSeries, degree: int) -> SliceSeries:
 
 
 def tail_bound(f: SliceSeries, point_modulus: float, degree: int) -> float:
-    """Bound sum_{k > degree} |q|^k |a_k| on |f(q) - truncate(f, degree)(q)|."""
+    """Bound sum_{k > degree} |q|^k |a_k| on |f(q) - truncate(f, degree)(q)|.
+
+    Never raises: a bound that overflows a float is inf.
+    """
     if degree >= f.degree:
         return 0.0
     total = 0.0
-    power = point_modulus ** (degree + 1)
+    try:
+        power = point_modulus ** (degree + 1)
+    except OverflowError:
+        power = math.inf
     for a in f.coeffs[degree + 1:]:
-        total += power * a.modulus()
+        modulus = a.modulus()
+        if modulus:  # skip zeros, so an infinite power never meets 0 (NaN)
+            total += power * modulus
         power *= point_modulus
     return total

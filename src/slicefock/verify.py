@@ -24,8 +24,6 @@ Propositions:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +41,7 @@ from .series import (MultiMonomial, SliceSeries, regular_conjugate, rep_eval,
                      transform_point, truncate)
 
 __all__ = ["PropositionResult", "PROPOSITIONS", "run_verify",
-           "format_text", "results_to_dicts", "format_csv", "thread_cap"]
+           "format_text", "results_to_dicts", "format_csv"]
 
 SLACK = 1e-9
 
@@ -68,27 +66,6 @@ class PropositionResult:
     bound: float
     passed: bool
     detail: str = ""
-
-
-def thread_cap(threads: int | None = None) -> int:
-    """Worker cap: explicit argument, else SLICE_FOCK_THREADS, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SLICE_FOCK_THREADS")
-    if env is None or env == "":
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError as exc:
-        raise ValueError(f"SLICE_FOCK_THREADS must be an integer, got {env!r}") from exc
-
-
-def _pmap(fn, items, cap: int):
-    items = list(items)
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _select(props) -> list[str]:
@@ -192,7 +169,7 @@ def _check_rep_formula(corpus, seed: int) -> PropositionResult:
 
 
 def _check_p_norms(corpus, params: FockParams, grid: QuadratureGrid,
-                   units, cap: int) -> tuple[PropositionResult, PropositionResult]:
+                   units) -> tuple[PropositionResult, PropositionResult]:
     p = params.p
     fine = grid.doubled()
 
@@ -209,7 +186,7 @@ def _check_p_norms(corpus, params: FockParams, grid: QuadratureGrid,
                 float((top / powered).max()),
                 float(powered.max() / powered.min()))
 
-    rows = _pmap(one, corpus, cap)
+    rows = [one(f) for f in corpus]
     stability = max(r[0] for r in rows)
     worst_lower = max(r[1] for r in rows)
     worst_upper = max(r[2] for r in rows)
@@ -228,7 +205,7 @@ def _check_p_norms(corpus, params: FockParams, grid: QuadratureGrid,
 
 
 def _check_sup_norms(corpus, params: FockParams, units, radial_samples: int,
-                     angular_count: int, cap: int) -> PropositionResult:
+                     angular_count: int) -> PropositionResult:
     def one(f):
         sups, _ = _sup_over_rows(f, units, params.alpha, params.radius,
                                  radial_samples, angular_count)
@@ -238,7 +215,7 @@ def _check_sup_norms(corpus, params: FockParams, units, radial_samples: int,
             return 1.0, 1.0
         return float(sups.max() / top), top / low
 
-    rows = _pmap(one, corpus, cap)
+    rows = [one(f) for f in corpus]
     worst_lower = max(r[0] for r in rows)
     worst_upper = max(r[1] for r in rows)
     instances = len(corpus) * len(units)
@@ -248,7 +225,7 @@ def _check_sup_norms(corpus, params: FockParams, units, radial_samples: int,
 
 
 def _check_dilation(corpus, params: FockParams, units, radial_samples: int,
-                    angular_count: int, cap: int) -> PropositionResult:
+                    angular_count: int) -> PropositionResult:
     subset = corpus[::10][:20]
     factors = (0.5, 0.9, 0.99)
 
@@ -259,14 +236,13 @@ def _check_dilation(corpus, params: FockParams, units, radial_samples: int,
             return -math.inf  # already converged, nothing to order
         return max(b - a for a, b in zip(vals, vals[1:]))
 
-    rows = _pmap(one, subset, cap)
-    worst = max(rows)
+    worst = max(one(f) for f in subset)
     return PropositionResult("dilation", len(subset) * len(factors), worst,
                              0.0, worst < 0.0)
 
 
 def _check_derivative(corpus, params: FockParams, units, radial_samples: int,
-                      angular_count: int, cap: int) -> PropositionResult:
+                      angular_count: int) -> PropositionResult:
     subset = corpus[:50]
     orders = (1, 2, 3)
 
@@ -280,8 +256,7 @@ def _check_derivative(corpus, params: FockParams, units, radial_samples: int,
                          - rep.component_sups[1])
         return margin
 
-    rows = _pmap(one, subset, cap)
-    worst = max(rows)
+    worst = max(one(f) for f in subset)
     return PropositionResult("derivative", len(subset) * len(orders), worst,
                              SLACK, worst <= SLACK)
 
@@ -312,8 +287,8 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
 
 def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
                radius: float = 1.0, sphere_count: int = 64, radial: int = 64,
-               angular: int = 128, sup_radial: int = 65, sup_angular: int = 128,
-               threads: int | None = None) -> list[PropositionResult]:
+               angular: int = 128, sup_radial: int = 65,
+               sup_angular: int = 128) -> list[PropositionResult]:
     """Run the selected propositions on the seeded corpus.
 
     Norm propositions use a Gauss-Legendre x trapezoid grid of the given
@@ -329,18 +304,17 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     corpus = standard_corpus(seed)
     units = default_sphere(sphere_count)
     grid = QuadratureGrid.build(radial, angular, radius)
-    cap = thread_cap(threads)
 
     results: list[PropositionResult] = []
     if "norm-sandwich-p" in selected or "slice-pair" in selected:
-        sandwich, pair = _check_p_norms(corpus, params, grid, units, cap)
+        sandwich, pair = _check_p_norms(corpus, params, grid, units)
         if "norm-sandwich-p" in selected:
             results.append(sandwich)
         if "slice-pair" in selected:
             results.append(pair)
     if "norm-sandwich-sup" in selected:
         results.append(_check_sup_norms(corpus, params, units, sup_radial,
-                                        sup_angular, cap))
+                                        sup_angular))
     if "star" in selected:
         results.append(_check_star(corpus, seed))
     if "split" in selected:
@@ -348,9 +322,9 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     if "rep-formula" in selected:
         results.append(_check_rep_formula(corpus, seed))
     if "dilation" in selected:
-        results.append(_check_dilation(corpus, params, units, 33, 64, cap))
+        results.append(_check_dilation(corpus, params, units, 33, 64))
     if "derivative" in selected:
-        results.append(_check_derivative(corpus, params, units, 33, 64, cap))
+        results.append(_check_derivative(corpus, params, units, 33, 64))
     if "monomial" in selected:
         results.append(_check_monomial(corpus, params))
     return sorted(results, key=lambda r: r.name)

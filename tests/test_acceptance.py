@@ -23,7 +23,7 @@ from slicefock.corpus import (random_ball_point, random_quaternion,
                               standard_corpus)
 from slicefock.errors import SingularPoint, ZeroValue
 from slicefock.fock import _slice_norms_on_grid
-from slicefock.verify import _pmap, run_verify
+from slicefock.verify import run_verify
 
 COUNT = 10_000
 PARAMS = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
@@ -211,7 +211,7 @@ def test_criterion_5_quadrature_certification():
         return float(np.max(np.abs(fine_vals - coarse_vals)
                             / np.maximum(np.abs(fine_vals), 1e-300)))
 
-    worst_stability = max(_pmap(stability, corpus, 4))
+    worst_stability = max(stability(f) for f in corpus)
     assert worst_stability <= 1e-8
     _report(f"criterion 5 (moments exact to {worst_moment:.2e} <= 1e-12; "
             f"corpus grid-doubling drift {worst_stability:.2e} <= 1e-8): PASS")

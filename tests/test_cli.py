@@ -1,12 +1,14 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slicefock import (UNIT_I, AtomicData, MultiMonomial, MultiPolynomial,
                        Quaternion, SliceSeries)
-from slicefock.cli import main
+from slicefock.cli import build_parser, main
 from slicefock.errors import GridTooCoarse
 from slicefock.serialize import (atomic_to_dict, dumps_canonical,
                                  function_to_dict, load_function,
@@ -270,6 +272,25 @@ def test_eval_overflow_exits_three(tmp_path, capsys, extra):
     assert "a value is not finite" in err
 
 
+def test_eval_tail_bound_overflow_exits_three(tmp_path, capsys):
+    # g(q) = 1 + q^2 1e-300: g(1e200) = 1e100 is finite, but |q|^2 overflows
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0),
+                                   Quaternion(1e-300)])
+    code, out, err = run(capsys, ["eval", path, "--point", "1e200,0,0,0"])
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, ["eval", path, "--point", "1e200,0,0,0",
+                                  "--truncate", "1"])
+    assert code == 3 and out == ""
+    assert "a value is not finite" in err and "tail bound = inf" in err
+    # at a moderate point the same truncation has a finite bound
+    code, out, err = run(capsys, ["eval", path, "--point", "1e100,0,0,0",
+                                  "--truncate", "1", "--out", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["truncated"] == [1.0, 0.0, 0.0, 0.0]
+    assert math.isclose(payload["tail_bound"], 1e-100, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
 @pytest.mark.parametrize("extra", [[], ["--normalized"]])
 def test_kernel_rejects_non_finite_alpha(capsys, alpha, extra):
@@ -308,3 +329,26 @@ def test_verify_rejects_non_finite_p(capsys, p):
     code, out, err = run(capsys, ["verify", "--props", "star", f"--p={p}"])
     assert code == 2 and out == ""
     assert "verify needs a finite p" in err
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("slicefock ")]
+
+
+def test_readme_examples_parse():
+    examples = _readme_examples()
+    commands = set()
+    for line in examples:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        commands.add(args.command)
+    assert commands == {"eval", "norm", "verify", "kernel", "synth", "profile"}
+
+
+def test_verify_has_no_worker_flag(capsys):
+    # argparse would accept this abbreviation if a matching flag existed
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["verify", "--thread", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

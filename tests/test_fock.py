@@ -413,6 +413,16 @@ def test_little_space_profile_zero_function():
     assert report.member
 
 
+@pytest.mark.parametrize("scale", [3.5e-203, 1e200])
+def test_little_space_profile_scales_tiny_and_huge_coefficients(scale):
+    # |f| = scale on the whole ball; unscaled squares under- or overflow
+    f = SliceSeries((Quaternion(0.0, 0.0, 0.0, scale),))
+    report = little_space_profile(f, P2, (0.5, 0.8, 1.0), small_sphere())
+    for rho, value in zip(report.rhos, report.values):
+        assert math.isclose(value, scale * math.exp(-0.5 * rho * rho),
+                            rel_tol=1e-12)
+
+
 def test_little_space_profile_validates_rhos():
     for bad in ((1.0, 0.5), (0.0, 0.5), (0.5, 1.5)):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from slicefock.corpus import rng_for, standard_corpus
 from slicefock.verify import (PROPOSITIONS, _select, format_csv, format_text,
-                              results_to_dicts, run_verify, thread_cap)
+                              results_to_dicts, run_verify)
 
 # algebra-only subset runs in well under a second; norm subsets get a small
 # sphere and coarse grid so the whole file stays fast
@@ -25,19 +25,6 @@ def test_select_exact_prefix_and_errors():
         _select(["holomorphy"])
     with pytest.raises(ValueError, match="ambiguous"):
         _select(["norm-sandwich"])
-
-
-def test_thread_cap_sources(monkeypatch):
-    monkeypatch.delenv("SLICE_FOCK_THREADS", raising=False)
-    assert thread_cap() == 1
-    assert thread_cap(4) == 4
-    assert thread_cap(0) == 1
-    monkeypatch.setenv("SLICE_FOCK_THREADS", "3")
-    assert thread_cap() == 3
-    assert thread_cap(2) == 2  # explicit argument wins
-    monkeypatch.setenv("SLICE_FOCK_THREADS", "two")
-    with pytest.raises(ValueError, match="SLICE_FOCK_THREADS"):
-        thread_cap()
 
 
 def test_corpus_determinism_and_shape():
@@ -71,13 +58,10 @@ def test_selection_does_not_change_draws():
     assert alone[0] == mixed[0]
 
 
-def test_threads_do_not_change_results():
-    base = run_verify(seed=2, props="dilation,derivative", sphere_count=4,
-                      threads=1)
-    pooled = run_verify(seed=2, props="dilation,derivative", sphere_count=4,
-                        threads=3)
-    assert format_text(base) == format_text(pooled)
-    assert all(r.passed for r in base)
+def test_dilation_and_derivative_pass_on_seed_2():
+    results = run_verify(seed=2, props="dilation,derivative", sphere_count=4)
+    assert [r.name for r in results] == ["derivative", "dilation"]
+    assert all(r.passed for r in results)
 
 
 def test_norm_propositions_on_coarse_setup():
