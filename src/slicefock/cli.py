@@ -250,6 +250,12 @@ def cmd_profile(args) -> int:
                                        default_sphere(args.sphere),
                                        angular_count=args.angular,
                                        tolerance=args.tolerance)
+    if not all(map(math.isfinite, report.values)):
+        shown = ", ".join(f"M({r!r}) = {v!r}"
+                          for r, v in zip(report.rhos, report.values)
+                          if not math.isfinite(v))
+        sys.stderr.write(f"error: a value is not finite: {shown}\n")
+        return 3
     if args.out == "json":
         payload = {"rhos": list(report.rhos), "values": list(report.values),
                    "decreasing_tail": report.decreasing_tail,

@@ -714,8 +714,10 @@ def little_space_profile(f: SliceSeries, params: FockParams, rho_list,
     coeffs, exponent = _scaled_rows(f)
     absq = _abs_sq_rows(coeffs, units, np.array(rhos), theta)
     peaks = np.sqrt(absq.reshape(len(units), len(rhos), angular_count).max(axis=(0, 2)))
-    values = [float(np.ldexp(m * math.exp(-0.5 * params.alpha * rho * rho),
-                             exponent)) for m, rho in zip(peaks, rhos)]
+    # an M that overflows is inf, which callers refuse; numpy need not warn
+    with np.errstate(over="ignore"):
+        values = [float(np.ldexp(m * math.exp(-0.5 * params.alpha * rho * rho),
+                                 exponent)) for m, rho in zip(peaks, rhos)]
     tail = values[-3:] if len(values) >= 3 else values
     decreasing = all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
     member = decreasing and values[-1] <= tolerance

@@ -71,21 +71,36 @@ class AtomicData:
 
 def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
                   trunc_degree: int) -> Quaternion:
-    """Truncated star exponential sum_{n<=N} q^n alpha^n wbar^n / n!."""
+    """Truncated star exponential sum_{n<=N} q^n alpha^n wbar^n / n!.
+
+    The recurrences qp = qp * q, wp = wp * wbar and acc = acc + (qp * wp) *
+    scale run on floats, written out in the terms and order of the
+    `Quaternion` operators, so the value is the same bit for bit.
+    """
     _require_alpha(alpha)
     if trunc_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
-    acc = Quaternion(1.0)
-    qp = Quaternion(1.0)
-    wp = Quaternion(1.0)
-    wbar = w.conjugate()
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    bw, bx, by, bz = w.w, -w.x, -w.y, -w.z                # wbar
+    aw, ax, ay, az = 1.0, 0.0, 0.0, 0.0                   # acc
+    pw, px, py, pz = 1.0, 0.0, 0.0, 0.0                   # qp = q^n
+    vw, vx, vy, vz = 1.0, 0.0, 0.0, 0.0                   # wp = wbar^n
     scale = 1.0
     for n in range(1, trunc_degree + 1):
-        qp = qp * q
-        wp = wp * wbar
+        pw, px, py, pz = (pw * qw - px * qx - py * qy - pz * qz,
+                          pw * qx + px * qw + py * qz - pz * qy,
+                          pw * qy - px * qz + py * qw + pz * qx,
+                          pw * qz + px * qy - py * qx + pz * qw)
+        vw, vx, vy, vz = (vw * bw - vx * bx - vy * by - vz * bz,
+                          vw * bx + vx * bw + vy * bz - vz * by,
+                          vw * by - vx * bz + vy * bw + vz * bx,
+                          vw * bz + vx * by - vy * bx + vz * bw)
         scale *= alpha / n
-        acc = acc + (qp * wp) * scale
-    return acc
+        aw += (pw * vw - px * vx - py * vy - pz * vz) * scale
+        ax += (pw * vx + px * vw + py * vz - pz * vy) * scale
+        ay += (pw * vy - px * vz + py * vw + pz * vx) * scale
+        az += (pw * vz + px * vy - py * vx + pz * vw) * scale
+    return Quaternion(aw, ax, ay, az)
 
 
 def star_exp_tail_bound(q: Quaternion, w: Quaternion, alpha: float,

@@ -12,9 +12,15 @@ A private array section at the end holds the package's one array kernel:
 quaternions as rows (w, x, y, z) on the last axis of a float64 array, a
 Hamilton product on such arrays and conversions to and from `Quaternion`.
 Hot loops in series, kernels and fock multiply whole tables at once through
-it instead of constructing one `Quaternion` per product.  Its product uses
-the same formula, term order and rounding as `Quaternion.__mul__`, so an
-array product equals the scalar one bit for bit.
+it.  Its product uses the same formula, term order and rounding as
+`Quaternion.__mul__`, so an array product equals the scalar one bit for bit.
+
+Loops that must stay per point, the Horner evaluation in series and the
+star exponential in kernels, run on plain floats instead of constructing
+one `Quaternion` per step: each step writes out the components of the
+`Quaternion` operators it replaces, term for term and in the same order, so
+the result equals the operator loop's bit for bit.  Only the result is
+built as a `Quaternion`.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _INVERSION_FLOOR = 1e-300
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Quaternion:
     """Element w + x*i + y*j + z*k of the real quaternion algebra.
 
@@ -63,11 +69,14 @@ class Quaternion:
     y: float = 0.0
     z: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
+    def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0,
+                 z: float = 0.0):
+        # the slot setters write past the frozen __setattr__ in one pass;
+        # float() keeps every stored component a Python float
+        _SET_W(self, float(w))
+        _SET_X(self, float(x))
+        _SET_Y(self, float(y))
+        _SET_Z(self, float(z))
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
@@ -154,6 +163,8 @@ class Quaternion:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
+_SET_W, _SET_X, _SET_Y, _SET_Z = (Quaternion.__dict__[name].__set__
+                                  for name in "wxyz")
 ONE = Quaternion(1.0)
 
 
@@ -299,12 +310,15 @@ def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Each component is the expression of `Quaternion.__mul__`, evaluated in
     the same order, so every element equals the scalar product exactly.
     """
-    pw, px, py, pz = np.moveaxis(p, -1, 0)
-    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
-    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
-                     pw * qx + px * qw + py * qz - pz * qy,
-                     pw * qy - px * qz + py * qw + pz * qx,
-                     pw * qz + px * qy - py * qx + pz * qw], axis=-1)
+    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    # a fresh C-contiguous result: fock's BLAS products round by layout
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[..., 0] = pw * qw - px * qx - py * qy - pz * qz
+    out[..., 1] = pw * qx + px * qw + py * qz - pz * qy
+    out[..., 2] = pw * qy - px * qz + py * qw + pz * qx
+    out[..., 3] = pw * qz + px * qy - py * qx + pz * qw
+    return out
 
 
 def _rows(quaternions) -> np.ndarray:

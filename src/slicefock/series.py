@@ -82,12 +82,20 @@ class SliceSeries:
     def eval(self, q: Quaternion) -> Quaternion:
         """Left-Horner evaluation a_0 + q(a_1 + q(a_2 + ...)).
 
-        eval at q = 0 returns a_0 exactly.
+        eval at q = 0 returns a_0 exactly.  The loop runs on floats: each
+        step is `q * acc + a` written out in the terms and order of
+        `Quaternion.__mul__` and `__add__`, so the value is the same bit for
+        bit and only the result is built as a `Quaternion`.
         """
         acc = self.coeffs[-1]
+        qw, qx, qy, qz = q.w, q.x, q.y, q.z
+        aw, ax, ay, az = acc.w, acc.x, acc.y, acc.z
         for a in reversed(self.coeffs[:-1]):
-            acc = q * acc + a
-        return acc
+            aw, ax, ay, az = (qw * aw - qx * ax - qy * ay - qz * az + a.w,
+                              qw * ax + qx * aw + qy * az - qz * ay + a.x,
+                              qw * ay - qx * az + qy * aw + qz * ax + a.y,
+                              qw * az + qx * ay - qy * ax + qz * aw + a.z)
+        return Quaternion(aw, ax, ay, az)
 
     def scale_right(self, c: Quaternion) -> "SliceSeries":
         """Series of q -> f(q) c, i.e. every coefficient multiplied by c."""
@@ -345,18 +353,27 @@ def truncate(f: SliceSeries, degree: int) -> SliceSeries:
 def tail_bound(f: SliceSeries, point_modulus: float, degree: int) -> float:
     """Bound sum_{k > degree} |q|^k |a_k| on |f(q) - truncate(f, degree)(q)|.
 
-    Never raises: a bound that overflows a float is inf.
+    The terms are summed on a power-of-two scale, so a representable bound
+    is returned even where |q|^k alone overflows or underflows.  Never
+    raises: a bound that overflows a float is inf.
     """
     if degree >= f.degree:
         return 0.0
-    total = 0.0
+    mant, step = math.frexp(point_modulus)
+    power, shift = 1.0, 0          # |q|^k = power 2^shift, power in [1/2, 1)
+    terms = []                     # (m, e) for the term m 2^e
+    for k, a in enumerate(f.coeffs[1:], 1):
+        power, e = math.frexp(power * mant)
+        shift += step + e
+        if k > degree:
+            m, e = math.frexp(a.modulus())
+            if m:                  # skip zeros: an infinite power never meets 0
+                terms.append((power * m, shift + e))
+    if not terms:
+        return 0.0
+    top = max(e for _, e in terms)
+    total = math.fsum(math.ldexp(m, e - top) for m, e in terms)
     try:
-        power = point_modulus ** (degree + 1)
+        return math.ldexp(total, top)
     except OverflowError:
-        power = math.inf
-    for a in f.coeffs[degree + 1:]:
-        modulus = a.modulus()
-        if modulus:  # skip zeros, so an infinite power never meets 0 (NaN)
-            total += power * modulus
-        power *= point_modulus
-    return total
+        return math.inf

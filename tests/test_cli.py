@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,19 @@ def test_profile_member_verdict(tmp_path, capsys):
     assert payload["decreasing_tail"] is True
 
 
+@pytest.mark.parametrize("out", ["text", "json", "csv"])
+def test_profile_overflow_exits_three(tmp_path, capsys, out):
+    # f = 1e308 (1 + q): the weighted peak at rho = 10 is about 1e309
+    path = write_series(tmp_path, [Quaternion(1e308), Quaternion(1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, ["profile", path, "--radius", "10",
+                                         "--alpha", "0.001", "--rho", "0.5,10",
+                                         "--out", out])
+    assert code == 3 and stdout == ""
+    assert err == "error: a value is not finite: M(10.0) = inf\n"
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, ["norm", "/nonexistent/f.json"])
     assert code == 2
@@ -273,13 +287,26 @@ def test_eval_overflow_exits_three(tmp_path, capsys, extra):
 
 
 def test_eval_tail_bound_overflow_exits_three(tmp_path, capsys):
-    # g(q) = 1 + q^2 1e-300: g(1e200) = 1e100 is finite, but |q|^2 overflows
+    # g(q) = 1 + q^2 1e-300: g(1e200) = 1e100 is finite, and so is the tail
+    # bound, although |q|^2 alone overflows
     path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0),
                                    Quaternion(1e-300)])
     code, out, err = run(capsys, ["eval", path, "--point", "1e200,0,0,0"])
     assert code == 0 and err == ""
     code, out, err = run(capsys, ["eval", path, "--point", "1e200,0,0,0",
-                                  "--truncate", "1"])
+                                  "--truncate", "1", "--out", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["truncated"] == [1.0, 0.0, 0.0, 0.0]
+    assert math.isclose(payload["tail_bound"], 1e100, rel_tol=1e-15)
+    # h(q) = 1 - 1e200 q + q^2: h(1e200) = 1 is finite, but the bound
+    # 2e400 on the dropped terms exceeds the float range
+    h_path = write_series(tmp_path, [Quaternion(1.0), Quaternion(-1e200),
+                                     Quaternion(1.0)], name="h.json")
+    code, out, err = run(capsys, ["eval", h_path, "--point", "1e200,0,0,0"])
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, ["eval", h_path, "--point", "1e200,0,0,0",
+                                  "--truncate", "0"])
     assert code == 3 and out == ""
     assert "a value is not finite" in err and "tail bound = inf" in err
     # at a moderate point the same truncation has a finite bound

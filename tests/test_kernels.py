@@ -226,6 +226,39 @@ def test_synthesis_equals_scalar_loop_bit_for_bit(direction, atom_list, alpha, t
     assert atomic_synthesis(data, unit).coeffs == _scalar_synthesis(data)
 
 
+def _quaternion_star_exp(q, w, alpha, trunc):
+    """The Quaternion-operator loop star_exp_eval replaced, kept as the reference."""
+    acc = Quaternion(1.0)
+    qp = Quaternion(1.0)
+    wp = Quaternion(1.0)
+    wbar = w.conjugate()
+    scale = 1.0
+    for n in range(1, trunc + 1):
+        qp = qp * q
+        wp = wp * wbar
+        scale *= alpha / n
+        acc = acc + (qp * wp) * scale
+    return acc
+
+
+def bits(q):
+    """Components as hex strings, so == also tells -0.0 from 0.0."""
+    return tuple(c.hex() for c in (q.w, q.x, q.y, q.z))
+
+
+kernel_quats = st.builds(Quaternion, *[st.floats(-2.0, 2.0)] * 4)
+
+
+@given(kernel_quats, kernel_quats, st.floats(0.05, 4.0), st.integers(0, 40))
+@example(Quaternion(0.3, -0.2, 0.1, 0.5), Quaternion(-0.0, 0.7, -0.0, 0.2), 2.5, 0)
+@example(Quaternion(0.3, -0.2, 0.1, 0.5), Quaternion(0.4, 0.7, -0.1, 0.2), 0.3, 32)
+@example(Quaternion(-0.0, 0.0, -0.0, 0.0), Quaternion(0.4, -0.0, 0.0, -0.0), 1.7, 5)
+@settings(max_examples=150, deadline=None)
+def test_star_exp_equals_quaternion_loop_bit_for_bit(q, w, alpha, trunc):
+    assert bits(star_exp_eval(q, w, alpha, trunc)) == bits(
+        _quaternion_star_exp(q, w, alpha, trunc))
+
+
 def test_synthesis_rejects_off_slice_points():
     data = AtomicData((Quaternion(0.1, 0.0, 0.5, 0.0),), (Quaternion(1.0),),
                       1.0, 8)

@@ -1,13 +1,18 @@
+import dataclasses
+import doctest
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import slicefock.quaternion
 from slicefock import (ONE, UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, Quaternion,
                        SliceCoords, ZeroDivisor, compose, decompose,
                        default_sphere, orthonormal_partner, sphere_sample)
+from slicefock.quaternion import _CONJ_SIGNS, _qmul
 
 component = st.floats(min_value=-10.0, max_value=10.0,
                       allow_nan=False, allow_infinity=False)
@@ -221,3 +226,75 @@ def test_accessors(q):
     assert abs(q.imag_modulus() - math.sqrt(x * x + y * y + z * z)) <= 1e-12
     assert abs(q.modulus_sq() - q.modulus() ** 2) <= 1e-9 * max(1.0, q.modulus_sq())
     assert abs(q) == q.modulus()
+
+
+# --- constructor contract ---
+
+def test_constructor_coerces_to_float():
+    q = Quaternion(1, np.float64(2.5), True, -3)
+    assert (q.w, q.x, q.y, q.z) == (1.0, 2.5, 1.0, -3.0)
+    assert all(type(c) is float for c in (q.w, q.x, q.y, q.z))
+
+
+def test_constructor_keywords_and_defaults():
+    assert Quaternion() == Quaternion(0.0, 0.0, 0.0, 0.0)
+    assert Quaternion(z=2, w=1) == Quaternion(1.0, 0.0, 0.0, 2.0)
+    assert Quaternion(0.5, y=-1) == Quaternion(0.5, 0.0, -1.0, 0.0)
+    with pytest.raises(TypeError):
+        Quaternion(1, 2, 3, 4, 5)
+    with pytest.raises(TypeError):
+        Quaternion(v=1)
+
+
+def test_repr_eq_hash_frozen_and_slots():
+    q = Quaternion(1, 2.5, -0.0, 3)
+    assert repr(q) == "Quaternion(w=1.0, x=2.5, y=-0.0, z=3.0)"
+    assert q == Quaternion(1.0, 2.5, 0.0, 3.0)
+    assert q != (1.0, 2.5, 0.0, 3.0)
+    assert hash(q) == hash((1.0, 2.5, -0.0, 3.0))
+    assert len({q, Quaternion(1.0, 2.5, 0.0, 3.0)}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.w = 0.0
+    assert not hasattr(q, "__dict__")
+    assert dataclasses.replace(q, w=-2) == Quaternion(-2.0, 2.5, 0.0, 3.0)
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(slicefock.quaternion)
+    assert result.attempted >= 1
+    assert result.failed == 0
+
+
+# --- array kernel ---
+
+def _stacked_qmul(p, q):
+    """The moveaxis/stack form _qmul replaced, kept as the reference."""
+    pw, px, py, pz = np.moveaxis(p, -1, 0)
+    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + px * qw + py * qz - pz * qy,
+                     pw * qy - px * qz + py * qw + pz * qx,
+                     pw * qz + px * qy - py * qx + pz * qw], axis=-1)
+
+
+def float_rows(*shape):
+    return hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))
+
+
+@given(st.data(), st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_qmul_equals_stacked_form_bit_for_bit(data, k, n):
+    cases = [
+        # star_mul and fock's ray coefficients: (K, 1, 4) x (L, 4)
+        (data.draw(float_rows(k, 1, 4)), data.draw(float_rows(n, 4))),
+        # fock's pairing: transposed, non-contiguous (N, 4) rows
+        (data.draw(float_rows(4, k)).T, data.draw(float_rows(4, k)).T * _CONJ_SIGNS),
+        (data.draw(float_rows(4, k)).T, data.draw(float_rows(4, k)).T),
+        # atomic_synthesis: (N + 1, K, 4) x (K, 4)
+        (data.draw(float_rows(n + 1, k, 4)), data.draw(float_rows(k, 4))),
+    ]
+    for p, q in cases:
+        out, ref = _qmul(p, q), _stacked_qmul(p, q)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()     # bits, so -0.0 != 0.0 too
+        assert out.flags.c_contiguous

@@ -122,6 +122,33 @@ def test_star_mul_equals_scalar_convolution_bit_for_bit(a, b):
     assert symmetrization(f).coeffs == _scalar_star_mul(f, regular_conjugate(f))
 
 
+def _quaternion_horner(f, q):
+    """The Quaternion-operator loop SliceSeries.eval replaced, kept as the reference."""
+    acc = f.coeffs[-1]
+    for a in reversed(f.coeffs[:-1]):
+        acc = q * acc + a
+    return acc
+
+
+def bits(q):
+    """Components as hex strings, so == also tells -0.0 from 0.0."""
+    return tuple(c.hex() for c in (q.w, q.x, q.y, q.z))
+
+
+SIGNED_ZEROS = Quaternion(-0.0, 0.0, -0.0, 0.0)
+
+
+@given(coeff_lists, quats)
+@example([SIGNED_ZEROS], Quaternion(0.5, -1.0, 2.0, 0.25))           # degree 0
+@example([Quaternion(1.5, -0.0, 0.0, -2.0), SIGNED_ZEROS, I], Quaternion())  # q = 0
+@example([SIGNED_ZEROS, SIGNED_ZEROS], Quaternion(-0.0, -0.0, 0.0, -0.0))
+@example([ONE, I, J, K], Quaternion(0.3, -1.25, 0.5, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_eval_equals_quaternion_horner_bit_for_bit(a, q):
+    f = series(*a)
+    assert bits(f.eval(q)) == bits(_quaternion_horner(f, q))
+
+
 def test_regular_conjugate():
     assert regular_conjugate(series(ONE, I)).coeffs == (ONE, -I)
     assert regular_conjugate(series(J)).coeffs == (-J,)
