@@ -161,6 +161,9 @@ def cmd_norm(args) -> int:
     else:
         grid = QuadratureGrid.build(args.radial, args.angular, args.radius)
         report = fock.fock_norm_p(f, params, grid, sphere)
+    if not math.isfinite(report.value):
+        sys.stderr.write(f"error: a value is not finite: norm = {report.value!r}\n")
+        return 3
     if args.out == "json":
         payload = serialize.norm_report_to_dict(report)
         payload.update({"p": "inf" if p == math.inf else p,
@@ -208,6 +211,10 @@ def cmd_kernel(args) -> int:
         value = kernels.star_exp_eval(q, w, args.alpha, args.trunc)
         damp = 1.0
     tail = kernels.star_exp_tail_bound(q, w, args.alpha, args.trunc) * damp
+    if not all(map(math.isfinite, (value.w, value.x, value.y, value.z, tail))):
+        sys.stderr.write(f"error: a value is not finite: kernel value = "
+                         f"{_quat_str(value)}, tail bound = {tail!r}\n")
+        return 3
     payload = {"value": serialize.quaternion_to_list(value),
                "tail_bound": tail, "alpha": args.alpha, "N": args.trunc,
                "normalized": bool(args.normalized)}

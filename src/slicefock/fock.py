@@ -29,6 +29,12 @@ in |f|^2, so the sums over the points are taken before the units enter (the
 same quadrature rule, summed in another order).  At p != 2 the units x points
 array of |f|^p is built and summed in blocks of radial rows holding a few
 thousand points each, so it stays cache-sized however fine the grid.
+
+Grid stages work in one buffer.  The sup search takes the root and the
+radial weight in place in the units x points array of |f|^2, and s and v
+are written through two scratch rows; both keep every term and its order,
+so the values are those of the fresh-array expressions bit for bit, without
+the page faults of a new multi-megabyte temporary per call.
 """
 
 from __future__ import annotations
@@ -168,10 +174,28 @@ def _slice_terms(table: np.ndarray,
     Points z = r_i e^{i t_j} run radius-major as in QuadratureGrid.points();
     with z^k = r^k (cos kt + i sin kt), A = sum_k r^k cos(kt) a_k and
     B = sum_k r^k sin(kt) a_k, and on C_I, |f(x + yI)|^2 = s + 2 <v, I>.
+
+    s and v are written into their own arrays through two scratch rows,
+    one component at a time: the terms and their order are those of
+    (a[:4]**2).sum(0) + (b[:4]**2).sum(0) and
+    b[0] a[1:4] - a[0] b[1:4] - (a[2:5] b[3:6] - a[3:6] b[2:5]), so the
+    values are the same bit for bit without (3, N) or (4, N) temporaries.
     """
     a, b = (radii[:, None] ** np.arange(table.shape[2]) @ table).reshape(2, 6, -1)
-    s = (a[:4] ** 2).sum(axis=0) + (b[:4] ** 2).sum(axis=0)
-    v = b[0] * a[1:4] - a[0] * b[1:4] - (a[2:5] * b[3:6] - a[3:6] * b[2:5])
+    t1, t2 = np.empty(a.shape[1]), np.empty(a.shape[1])
+    s = np.square(a[0])
+    np.square(b[0], out=t2)
+    for k in range(1, 4):
+        s += np.square(a[k], out=t1)
+        t2 += np.square(b[k], out=t1)
+    s += t2
+    v = np.empty((3, a.shape[1]))
+    for c, row in enumerate(v, 1):
+        np.multiply(b[0], a[c], out=row)
+        row -= np.multiply(a[0], b[c], out=t1)
+        np.multiply(a[c + 1], b[c + 2], out=t1)
+        t1 -= np.multiply(a[c + 2], b[c + 1], out=t2)
+        row -= t1
     return s, v
 
 
@@ -425,15 +449,18 @@ def _sup_over_rows(f: SliceSeries, units, alpha: float, radius: float,
     Returns (sups, argmax points) with one complex grid argmax per unit.
     Chebyshev radii (hitting 0 and R exactly) times a uniform angle grid
     locate the maximum; the surrounding radial cell is then polished with
-    golden-section search along the best ray, all units in lockstep.
+    golden-section search along the best ray, all units in lockstep.  The
+    grid stage takes the root and the radial weight in place, in the
+    units x points array that holds |f|^2.
     """
     coeffs, exponent = _scaled_rows(f)
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
-    mags = np.sqrt(_abs_sq_rows(coeffs, units, radii, theta))
+    vals = _abs_sq_rows(coeffs, units, radii, theta)
+    np.sqrt(vals, out=vals)
     weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
-    vals = (mags.reshape(-1, radial_samples, angular_count)
-            * weight[None, :, None]).reshape(len(units), -1)
+    cells = vals.reshape(len(units), radial_samples, angular_count)   # a view
+    cells *= weight[:, None]
     flat = vals.argmax(axis=1)
     grid_max = vals[np.arange(flat.size), flat]
     ri, ti = np.divmod(flat, angular_count)
@@ -448,7 +475,9 @@ def _sup_over_rows(f: SliceSeries, units, alpha: float, radius: float,
     refined = np.sqrt(_golden_max_rows(weighted_sq, radii[np.maximum(ri - 1, 0)],
                                        radii[np.minimum(ri + 1, radial_samples - 1)]))
     points = radii[ri] * np.exp(1j * theta[ti])
-    return np.ldexp(np.maximum(refined, grid_max), exponent), points
+    # a sup that overflows is inf, which callers refuse; numpy need not warn
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.maximum(refined, grid_max), exponent), points
 
 
 def sup_norm(f: SliceSeries, params: FockParams, sphere=None,

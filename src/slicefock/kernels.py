@@ -105,13 +105,26 @@ def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
 
 def star_exp_tail_bound(q: Quaternion, w: Quaternion, alpha: float,
                         trunc_degree: int) -> float:
-    """Bound (a|q||w|)^{N+1}/(N+1)! e^{a|q||w|} on the dropped tail."""
+    """Bound (a|q||w|)^{N+1}/(N+1)! e^{a|q||w|} on the dropped tail.
+
+    Never raises: a bound that overflows a float is inf.  Where e^x alone
+    overflows, the bound is formed from its logarithm, so an underflowed
+    power never meets an infinite exponential as 0 * inf.
+    """
     _require_alpha(alpha)
     x = alpha * q.modulus() * w.modulus()
     lead = 1.0
     for n in range(1, trunc_degree + 2):
         lead *= x / n
-    return lead * math.exp(x)
+    try:
+        return lead * math.exp(x)
+    except OverflowError:
+        log_bound = ((trunc_degree + 1) * math.log(x)
+                     - math.lgamma(trunc_degree + 2) + x)
+        try:
+            return math.exp(log_bound)
+        except OverflowError:
+            return math.inf
 
 
 def kernel_series(w: Quaternion, alpha: float, trunc_degree: int,

@@ -15,12 +15,12 @@ Hot loops in series, kernels and fock multiply whole tables at once through
 it.  Its product uses the same formula, term order and rounding as
 `Quaternion.__mul__`, so an array product equals the scalar one bit for bit.
 
-Loops that must stay per point, the Horner evaluation in series and the
-star exponential in kernels, run on plain floats instead of constructing
-one `Quaternion` per step: each step writes out the components of the
-`Quaternion` operators it replaces, term for term and in the same order, so
-the result equals the operator loop's bit for bit.  Only the result is
-built as a `Quaternion`.
+Loops that must stay per point, the Horner evaluation and `extend` in
+series and the star exponential in kernels, run on plain floats instead of
+constructing one `Quaternion` per step: each step writes out the components
+of the `Quaternion` operators it replaces, term for term and in the same
+order, so the result equals the operator loop's bit for bit.  Only the
+result is built as a `Quaternion`.
 """
 
 from __future__ import annotations

@@ -233,11 +233,17 @@ def star_inverse_eval(f: SliceSeries, q: Quaternion) -> Quaternion:
     so no series object exists for it.  Raises SingularPoint at (numerical)
     zeros of the symmetrization.
     """
-    s = symmetrization(f).eval(q)
+    fc = regular_conjugate(f)
+    return _star_inverse_at(star_mul(f, fc), fc, q)
+
+
+def _star_inverse_at(sym: SliceSeries, fc: SliceSeries, q: Quaternion) -> Quaternion:
+    """star_inverse_eval given f^s = sym and f^c = fc, formed once per function."""
+    s = sym.eval(q)
     if s.modulus() < _SINGULAR_TOL:
         raise SingularPoint(
             f"symmetrization vanishes at this point (|f^s(q)| = {s.modulus():.3e})")
-    return s.inverse() * regular_conjugate(f).eval(q)
+    return s.inverse() * fc.eval(q)
 
 
 def transform_point(f: SliceSeries, q: Quaternion) -> Quaternion:
@@ -283,19 +289,31 @@ def split(f: SliceSeries, unit_i: ImaginaryUnit, unit_j: ImaginaryUnit,
 
 def extend(f1: ComplexSlicePolynomial, f2: ComplexSlicePolynomial,
            unit_j: ImaginaryUnit) -> SliceSeries:
-    """Series with coefficients a_n = f1_n + f2_n * J, inverse of split()."""
+    """Series with coefficients a_n = f1_n + f2_n * J, inverse of split().
+
+    Each coefficient is `embed_complex(a) + embed_complex(b) * J` written out
+    on floats in the terms and order of the `Quaternion` operators, so it is
+    the same bit for bit and only one `Quaternion` is built per coefficient.
+    """
     if (abs(f1.unit.x - f2.unit.x) > _UNIT_MATCH_TOL
             or abs(f1.unit.y - f2.unit.y) > _UNIT_MATCH_TOL
             or abs(f1.unit.z - f2.unit.z) > _UNIT_MATCH_TOL):
         raise UnitMismatch("component polynomials live on different slices")
     _check_orthogonal(f1.unit, unit_j)
-    qj = unit_j.as_quaternion()
+    ux, uy, uz = f1.unit.x, f1.unit.y, f1.unit.z
+    jw, jx, jy, jz = 0.0, unit_j.x, unit_j.y, unit_j.z      # J as a quaternion
     width = max(len(f1.coeffs), len(f2.coeffs))
     c1 = f1.coeffs + (0j,) * (width - len(f1.coeffs))
     c2 = f2.coeffs + (0j,) * (width - len(f2.coeffs))
-    coeffs = tuple(embed_complex(a, f1.unit) + embed_complex(b, f1.unit) * qj
-                   for a, b in zip(c1, c2))
-    return SliceSeries(coeffs)
+    coeffs = []
+    for a, b in zip(c1, c2):
+        bw, bx, by, bz = b.real, b.imag * ux, b.imag * uy, b.imag * uz
+        coeffs.append(Quaternion(
+            a.real + (bw * jw - bx * jx - by * jy - bz * jz),
+            a.imag * ux + (bw * jx + bx * jw + by * jz - bz * jy),
+            a.imag * uy + (bw * jy - bx * jz + by * jw + bz * jx),
+            a.imag * uz + (bw * jz + bx * jy - by * jx + bz * jw)))
+    return SliceSeries(tuple(coeffs))
 
 
 def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:

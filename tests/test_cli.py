@@ -188,6 +188,30 @@ def test_profile_overflow_exits_three(tmp_path, capsys, out):
     assert err == "error: a value is not finite: M(10.0) = inf\n"
 
 
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_norm_sup_overflow_exits_three(tmp_path, capsys, out):
+    # f = 1e308 (1 + q): the weighted sup near |q| = 10 is about 1e309
+    path = write_series(tmp_path, [Quaternion(1e308), Quaternion(1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, ["norm", path, "--p", "inf", "--radius", "10",
+                                         "--alpha", "0.001", "--out", out])
+    assert code == 3 and stdout == ""
+    assert err == "error: a value is not finite: norm = inf\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--normalized"], ["--out", "json"]])
+def test_kernel_overflow_exits_three(capsys, extra):
+    # alpha |q| |w| = 900: e^900 overflows a float, so the tail bound is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["kernel", "--q", "30,0,0,0", "--w", "30,0,0,0",
+                                      "--trunc", "40"] + extra)
+    assert code == 3 and out == ""
+    assert err.startswith("error: a value is not finite: kernel value = [")
+    assert err.endswith("tail bound = inf\n")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, ["norm", "/nonexistent/f.json"])
     assert code == 2

@@ -17,7 +17,9 @@ from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
                        split, sup_norm)
 from slicefock.corpus import random_series, rng_for
 from slicefock.fock import (_BLOCK_POINTS, _abs_sq_rows, _chebyshev_radii,
-                            _golden_max, _slice_norms_on_grid, _sup_over_rows)
+                            _golden_max, _golden_max_rows, _ray_coeffs,
+                            _scaled_rows, _slice_norms_on_grid, _slice_terms,
+                            _sup_over_rows, _terms_table)
 from slicefock.quadrature import ANGULAR_CAP, RADIAL_CAP
 from slicefock.quaternion import _rows
 
@@ -573,3 +575,98 @@ def test_refinement_refuses_non_finite_values():
         with pytest.raises(GridTooCoarse, match="not finite"):
             fock_norm_p(huge, P2, QuadratureGrid.build(8, 16), small_sphere(),
                         radial_cap=8, angular_cap=16)
+
+
+# --- the in-place grid stages against the array expressions they replaced ---
+
+def _reference_sup_over_rows(f, units, alpha, radius, radial_samples,
+                             angular_count, weight_order=0):
+    """_sup_over_rows with its grid stage in fresh arrays, kept as the reference."""
+    coeffs, exponent = _scaled_rows(f)
+    radii = _chebyshev_radii(radial_samples, radius)
+    theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
+    mags = np.sqrt(_abs_sq_rows(coeffs, units, radii, theta))
+    weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
+    vals = (mags.reshape(-1, radial_samples, angular_count)
+            * weight[None, :, None]).reshape(len(units), -1)
+    flat = vals.argmax(axis=1)
+    grid_max = vals[np.arange(flat.size), flat]
+    ri, ti = np.divmod(flat, angular_count)
+    ks = np.arange(coeffs.shape[0])
+    ray = _ray_coeffs(coeffs, units, theta[ti][:, None])[..., 0].transpose(0, 2, 1)
+
+    def weighted_sq(r):
+        vec = r[..., None] ** ks @ ray
+        out = (vec * vec).sum(axis=-1) * np.exp(-alpha * r * r)
+        return out / (1.0 + r) ** (2 * weight_order) if weight_order else out
+
+    refined = np.sqrt(_golden_max_rows(weighted_sq, radii[np.maximum(ri - 1, 0)],
+                                       radii[np.minimum(ri + 1, radial_samples - 1)]))
+    points = radii[ri] * np.exp(1j * theta[ti])
+    return np.ldexp(np.maximum(refined, grid_max), exponent), points
+
+
+def _reference_slice_terms(table, radii):
+    a, b = (radii[:, None] ** np.arange(table.shape[2]) @ table).reshape(2, 6, -1)
+    s = (a[:4] ** 2).sum(axis=0) + (b[:4] ** 2).sum(axis=0)
+    v = b[0] * a[1:4] - a[0] * b[1:4] - (a[2:5] * b[3:6] - a[3:6] * b[2:5])
+    return s, v
+
+
+# 1 and 4 units take |A + I B|^2, 5 and 67 take s + 2 <v, I>
+@pytest.mark.parametrize("sphere", [[UNIT_I], default_sphere(1) + [UNIT_J],
+                                    default_sphere(1) + [UNIT_I, UNIT_J],
+                                    default_sphere()])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_sup_over_rows_equals_reference_bit_for_bit(sphere, order, scale):
+    rng = rng_for(17 + order)
+    assert len(sphere) in (1, 4, 5, 67)
+    for _ in range(3):
+        f = random_series(rng, max_degree=12).scale_right(Quaternion(scale))
+        for radial, angular in ((17, 32), (33, 64)):
+            got = _sup_over_rows(f, sphere, 1.3, 1.2, radial, angular, order)
+            want = _reference_sup_over_rows(f, sphere, 1.3, 1.2, radial, angular,
+                                            order)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+@given(coeff_rows, st.lists(st.floats(0.0, 1.5), min_size=1, max_size=9),
+       st.integers(1, 17))
+@settings(max_examples=60, deadline=None)
+def test_slice_terms_equal_reference_bit_for_bit(rows, radii, angular):
+    theta = 2.0 * np.pi * np.arange(angular) / angular
+    table = _terms_table(_rows(_series_from(rows).coeffs), theta)
+    got, want = _slice_terms(table, np.array(radii)), \
+        _reference_slice_terms(table, np.array(radii))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sup_grid_stage_holds_one_units_by_points_array():
+    # the fresh-array grid stage peaked at 2.03 such arrays
+    f = _series_from([(0.3, -0.2, 0.5, 0.1)] * 13)
+    units = default_sphere()
+    array_bytes = len(units) * 65 * 128 * 8
+    peak = _traced_peak(lambda: _sup_over_rows(f, units, 1.0, 1.0, 65, 128))
+    assert peak <= 1.25 * array_bytes
+
+
+def test_p2_slice_terms_peak_stays_near_the_table():
+    # s and v through scratch rows: the fresh-array terms peaked at 2.0 tables
+    f = _series_from([(0.3, -0.2, 0.5, 0.1)] * 13)
+    grid = QuadratureGrid.build(128, 256)
+    grid.radial_arrays()
+    table_bytes = 2 * 6 * 128 * 256 * 8
+    peak = _traced_peak(lambda: _slice_norms_on_grid(f, default_sphere(), P2, grid))
+    assert peak <= 1.8 * table_bytes

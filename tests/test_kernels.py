@@ -70,6 +70,21 @@ def test_tail_bound_dominates_truncation_error():
             assert qdist(full, short) <= star_exp_tail_bound(q, w, 1.5, trunc) + 1e-15
 
 
+@pytest.mark.parametrize("x, trunc", [(900.0, 40), (710.0, 0), (720.0, 2000),
+                                      (710.0, 20000), (1e300, 3)])
+def test_tail_bound_never_raises_where_e_x_overflows(x, trunc):
+    # e^x > 1.8e308 for x > 709.8; the bound is formed from its logarithm
+    q, w = Quaternion(x), Quaternion(1.0)
+    log_bound = (trunc + 1) * math.log(x) - math.lgamma(trunc + 2) + x
+    bound = star_exp_tail_bound(q, w, 1.0, trunc)
+    if log_bound > 709.8:
+        assert bound == math.inf
+    else:
+        # x = 720, N = 2000: the power alone is about 1e-20, the bound 1e292;
+        # x = 710, N = 20000: the power underflows to 0 and so does the bound
+        assert math.isclose(bound, math.exp(log_bound), rel_tol=1e-10)
+
+
 def test_slice_collapse_to_complex_exponential():
     rng = rng_for(82)
     for _ in range(100):

@@ -15,6 +15,7 @@ from slicefock import (UNIT_I, UNIT_J, UNIT_K, BadRadius, ComplexSlicePolynomial
                        transform_point, truncate)
 from slicefock.corpus import (random_ball_point, random_orthogonal_pair,
                               random_series, random_unit, rng_for)
+from slicefock.series import _star_inverse_at
 from slicefock.fock import FockParams
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
@@ -182,6 +183,39 @@ def test_star_inverse_worked_examples():
         star_inverse_eval(series(Quaternion(), ONE), Quaternion())
 
 
+def _reference_star_inverse(f, q):
+    """star_inverse_eval as it formed f^s at every point, kept as the reference."""
+    s = symmetrization(f).eval(q)
+    if s.modulus() < 1e-12:
+        raise SingularPoint(
+            f"symmetrization vanishes at this point (|f^s(q)| = {s.modulus():.3e})")
+    return s.inverse() * regular_conjugate(f).eval(q)
+
+
+ball_quats = st.builds(Quaternion, *[st.floats(-0.6, 0.6)] * 4)
+
+
+@given(coeff_lists, ball_quats)
+@example([Quaternion(), ONE], Quaternion())                 # f^s(0) = 0
+@example([ONE, I], Quaternion(0.5))
+@example([Quaternion(0.0, 2.0, 0.0, 1.0)], Quaternion(0.1, -0.2, 0.3, 0.0))
+@settings(max_examples=150, deadline=None)
+def test_star_inverse_at_equals_star_inverse_eval(a, q):
+    f = series(*a)
+    fc = regular_conjugate(f)
+    try:
+        want = _reference_star_inverse(f, q)
+    except SingularPoint as exc:
+        for call in (lambda: star_inverse_eval(f, q),
+                     lambda: _star_inverse_at(star_mul(f, fc), fc, q)):
+            with pytest.raises(SingularPoint) as raised:
+                call()
+            assert str(raised.value) == str(exc)
+        return
+    assert bits(star_inverse_eval(f, q)) == bits(want)
+    assert bits(_star_inverse_at(star_mul(f, fc), fc, q)) == bits(want)
+
+
 def test_transform_point_worked_examples():
     q = Quaternion(0.1, 0.2, -0.3, 0.4)
     assert transform_point(series(ONE), q) == q
@@ -264,6 +298,43 @@ def test_extend_unit_mismatch():
     b = ComplexSlicePolynomial(UNIT_J, (1.0 + 0j,))
     with pytest.raises(UnitMismatch):
         extend(a, b, UNIT_J)
+
+
+def _operator_extend(f1, f2, unit_j):
+    """extend's coefficients in Quaternion operators, kept as the reference."""
+    qj = unit_j.as_quaternion()
+    width = max(len(f1.coeffs), len(f2.coeffs))
+    c1 = f1.coeffs + (0j,) * (width - len(f1.coeffs))
+    c2 = f2.coeffs + (0j,) * (width - len(f2.coeffs))
+    return tuple(embed_complex(a, f1.unit) + embed_complex(b, f1.unit) * qj
+                 for a, b in zip(c1, c2))
+
+
+complexes = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+unit_dirs = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: sum(c * c for c in v) > 1e-2)
+SIGNED_ZERO_COMPLEX = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
+
+
+@given(st.lists(complexes, min_size=1, max_size=9),
+       st.lists(complexes, min_size=1, max_size=9), unit_dirs,
+       st.floats(0.0, 2.0 * math.pi))
+@example(SIGNED_ZERO_COMPLEX, SIGNED_ZERO_COMPLEX[::-1], (0.0, 0.0, 1.0), 0.0)
+@example([1 + 2j], [0j, -3 - 0.5j, 1j], (1.0, 0.0, 0.0), 1.0)
+@settings(max_examples=150, deadline=None)
+def test_extend_equals_operator_form_bit_for_bit(c1, c2, direction, turn):
+    unit_i = ImaginaryUnit.normalized(*direction)
+    p = orthonormal_partner(unit_i)
+    # every unit orthogonal to I: p turned by the given angle about I
+    ip = unit_i.as_quaternion() * p.as_quaternion()
+    unit_j = ImaginaryUnit.normalized(*(math.cos(turn) * a + math.sin(turn) * b
+                                        for a, b in zip((p.x, p.y, p.z),
+                                                        (ip.x, ip.y, ip.z))))
+    f1 = ComplexSlicePolynomial(unit_i, tuple(c1))
+    f2 = ComplexSlicePolynomial(unit_i, tuple(c2))
+    got = extend(f1, f2, unit_j).coeffs
+    want = _operator_extend(f1, f2, unit_j)
+    assert [bits(a) for a in got] == [bits(b) for b in want]
 
 
 def test_split_extend_roundtrip():
