@@ -90,27 +90,17 @@ def test_formatters_agree_with_results():
 
 def test_small_verify_report_matches_pinned_output():
     # report pinned byte for byte; only the rounding-residual grid-doubling
-    # figure may move when the order of the quadrature sums changes
-    pinned = (Path(__file__).parent / "data" / "verify_seed0_small.txt").read_text()
-    text = format_text(run_verify(0, sphere_count=8, radial=16, angular=32,
-                                  sup_radial=17, sup_angular=32))
+    # figure may move when the order of the quadrature sums changes.  The
+    # text rounds to 7 digits; the JSON carries every float in full, so it
+    # pins the numbers themselves.
+    data = Path(__file__).parent / "data"
+    results = run_verify(0, sphere_count=8, radial=16, angular=32,
+                         sup_radial=17, sup_angular=32)
 
     def mask(report):
         return re.sub(r"grid-doubling-rel=[0-9.e+-]+", "grid-doubling-rel=*", report)
 
-    assert mask(text) == mask(pinned.rstrip("\n"))
-
-
-def test_small_verify_json_matches_pinned_output_bit_for_bit():
-    # the text report rounds to 7 digits; the JSON carries every float in
-    # full, so it pins the numbers themselves.  Only the rounding-residual
-    # grid-doubling figure is masked, as in the text test above.
-    pinned = (Path(__file__).parent / "data" / "verify_seed0_small.json").read_text()
-    got = dumps_canonical(results_to_dicts(
-        run_verify(0, sphere_count=8, radial=16, angular=32, sup_radial=17,
-                   sup_angular=32)))
-
-    def mask(report):
-        return re.sub(r"grid-doubling-rel=[0-9.e+-]+", "grid-doubling-rel=*", report)
-
-    assert mask(got) == mask(pinned.rstrip("\n"))
+    for name, got in (("verify_seed0_small.txt", format_text(results)),
+                      ("verify_seed0_small.json",
+                       dumps_canonical(results_to_dicts(results)))):
+        assert mask(got) == mask((data / name).read_text().rstrip("\n")), name
