@@ -17,7 +17,8 @@ from .fock import (DerivativeCriterionReport, FockParams, LittleSpaceReport,
                    norm_equivalence_check, slice_norm_p, slice_sup_norm,
                    sup_norm)
 from .kernels import (AtomicData, atomic_synthesis, kernel_series,
-                      lattice_points, normalized_kernel_eval, star_exp_eval,
+                      lattice_points, normalized_kernel_eval,
+                      normalized_kernel_tail_bound, star_exp_eval,
                       star_exp_tail_bound)
 from .quadrature import QuadratureGrid
 from .quaternion import (ONE, UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit,
@@ -42,7 +43,8 @@ __all__ = [
     "inner_product", "little_space_profile", "monomial_bound_check",
     "norm_equivalence_check", "slice_norm_p", "slice_sup_norm", "sup_norm",
     "AtomicData", "atomic_synthesis", "kernel_series", "lattice_points",
-    "normalized_kernel_eval", "star_exp_eval", "star_exp_tail_bound",
+    "normalized_kernel_eval", "normalized_kernel_tail_bound", "star_exp_eval",
+    "star_exp_tail_bound",
     "QuadratureGrid",
     "ONE", "UNIT_I", "UNIT_J", "UNIT_K", "ImaginaryUnit", "Quaternion",
     "SliceCoords", "compose", "decompose", "default_sphere",

@@ -206,11 +206,10 @@ def cmd_kernel(args) -> int:
     w = _parse_quaternion(args.w, "--w")
     if args.normalized:
         value = kernels.normalized_kernel_eval(w, q, args.alpha, args.trunc)
-        damp = math.exp(-0.5 * args.alpha * w.modulus_sq())
+        tail = kernels.normalized_kernel_tail_bound(w, q, args.alpha, args.trunc)
     else:
         value = kernels.star_exp_eval(q, w, args.alpha, args.trunc)
-        damp = 1.0
-    tail = kernels.star_exp_tail_bound(q, w, args.alpha, args.trunc) * damp
+        tail = kernels.star_exp_tail_bound(q, w, args.alpha, args.trunc)
     if not all(map(math.isfinite, (value.w, value.x, value.y, value.z, tail))):
         sys.stderr.write(f"error: a value is not finite: kernel value = "
                          f"{_quat_str(value)}, tail bound = {tail!r}\n")

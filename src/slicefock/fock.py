@@ -17,8 +17,13 @@ residual disagreement above 1e-6, or a non-finite value, raises GridTooCoarse.
 
 Suprema are discretized on Chebyshev radii times a uniform angle grid over
 the sampled units, then the best radial cell of every unit is polished by
-golden-section search, all units in lockstep.  The radial endpoints are grid
-nodes, so boundary maxima are exact.
+golden-section search.  One call takes a list of (f, units) jobs: it finds
+the grid maxima job by job, then polishes the rows of every job together,
+one row per unit, so the polish costs a few numpy calls per round however
+many functions are batched.  A row's arithmetic does not depend on the
+rows beside it.  The radial endpoints are grid nodes, so boundary maxima
+are exact.  Quadrature and sup norms both work on f 2^-e, with the largest
+coefficient component in [1/2, 1), and scale the result back by 2^e.
 
 Evaluation on a slice uses f(x + yI) = A(z) + I B(z) (Colombo, Gentili,
 Sabadini, Struppa, Adv. Math. 2009): with z = x + iy and z^k = u_k + i v_k,
@@ -40,7 +45,9 @@ the page faults of a new multi-megabyte temporary per call.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +85,9 @@ _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 # grid points per block of the p != 2 quadrature sum: 67 units x 4096 points
 # of float64 is 2.2 MB, which stays in cache (2048 to 8192 measured alike)
 _BLOCK_POINTS = 4096
+# rows per golden polish call: a chunk's (rows, 2, K) powers and values stay
+# small however many jobs one sup call batches (1024 and 2048 measured alike)
+_POLISH_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -275,7 +285,7 @@ def _grid_for(params: FockParams, grid: QuadratureGrid | None) -> QuadratureGrid
 def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
                          grid: QuadratureGrid) -> np.ndarray:
     r, _ = grid.radial_arrays()
-    coeffs, theta = _rows(f.coeffs), grid.angles()
+    (coeffs, exponent), theta = _scaled_rows(f), grid.angles()
     p = params.p
     w = (grid.area_weights().reshape(r.size, -1)
          * np.exp(-0.5 * params.alpha * p * r * r)[:, None]).ravel()
@@ -290,7 +300,9 @@ def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
         for i, powered in _abs_sq_blocks(coeffs, units, r, theta, rows):
             sums += np.power(powered, p / 2.0, out=powered) @ w[i * nt:(i + rows) * nt]
     integrals = (params.alpha / math.pi) ** params.n / math.pi * sums
-    return np.maximum(integrals, 0.0) ** (1.0 / p)
+    # a norm that overflows is inf, which _refine refuses; numpy need not warn
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.maximum(integrals, 0.0) ** (1.0 / p), exponent)
 
 
 def _refine(compute, gap, grid, radial_cap, angular_cap):
@@ -428,56 +440,130 @@ def _golden_max_rows(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 48) -> np.
     """_golden_max for every row at once; fn maps (M, 2) abscissae to values.
 
     A round evaluates both interior points of every row in one call, so it
-    costs a few numpy calls however many rows there are.
+    costs a few numpy calls however many rows there are.  The cuts are
+    formed elementwise, not as a BLAS product: BLAS rounds a lone row (gemv)
+    and a stack of rows (gemm, fused multiply-add) differently, and a row
+    must come out the same in every batch.
     """
     ends = np.stack([lo, hi], axis=1)
-    seen = [fn(ends)]
+    best = fn(ends).max(axis=1)
     for _ in range(iters):
-        cuts = ends @ _GOLDEN_SPLIT
+        cuts = ends[:, :1] * _GOLDEN_SPLIT[0] + ends[:, 1:] * _GOLDEN_SPLIT[1]
         vals = fn(cuts[:, 1:3])
-        seen.append(vals)
+        np.maximum(best, vals.max(axis=1), out=best)
         ends = np.where((vals[:, 0] >= vals[:, 1])[:, None],
                         cuts[:, 0::2], cuts[:, 1::2])
-    return np.max(seen, axis=(0, 2))
+    return best
 
 
-def _sup_over_rows(f: SliceSeries, units, alpha: float, radius: float,
-                   radial_samples: int, angular_count: int,
-                   weight_order: int = 0):
-    """Weighted sup of |f|(z) e^{-a|z|^2/2} / (1+|z|)^t on each slice C_I.
+class _GridMaxima(NamedTuple):
+    """One job's grid stage: its rows, one per unit, ready for the polish."""
 
-    Returns (sups, argmax points) with one complex grid argmax per unit.
-    Chebyshev radii (hitting 0 and R exactly) times a uniform angle grid
-    locate the maximum; the surrounding radial cell is then polished with
-    golden-section search along the best ray, all units in lockstep.  The
-    grid stage takes the root and the radial weight in place, in the
-    units x points array that holds |f|^2.
+    coeffs: np.ndarray          # f 2^-exponent as rows (K, 4)
+    units: list                 # sliced per chunk by the polish
+    angles: np.ndarray          # angle of each unit's best ray, (M,)
+    brackets: np.ndarray        # radial cell around each maximum, (M, 2)
+    grid_max: np.ndarray
+    points: np.ndarray          # complex grid argmax of each unit
+    exponent: int
+
+
+def _sup_grid_stage(f: SliceSeries, units, radii: np.ndarray, theta: np.ndarray,
+                    weight: np.ndarray) -> _GridMaxima:
+    """Maxima of one job on the polar grid of every unit.
+
+    The root and the radial weight are taken in place in the units x points
+    array of |f|^2, which is released on return, before the next job's is
+    built.
     """
     coeffs, exponent = _scaled_rows(f)
-    radii = _chebyshev_radii(radial_samples, radius)
-    theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
     vals = _abs_sq_rows(coeffs, units, radii, theta)
     np.sqrt(vals, out=vals)
-    weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
-    cells = vals.reshape(len(units), radial_samples, angular_count)   # a view
+    cells = vals.reshape(len(units), radii.size, theta.size)   # a view
     cells *= weight[:, None]
     flat = vals.argmax(axis=1)
-    grid_max = vals[np.arange(flat.size), flat]
-    ri, ti = np.divmod(flat, angular_count)
-    ks = np.arange(coeffs.shape[0])
-    ray = _ray_coeffs(coeffs, units, theta[ti][:, None])[..., 0].transpose(0, 2, 1)
+    ri, ti = np.divmod(flat, theta.size)
+    return _GridMaxima(coeffs, units, theta[ti],
+                       np.stack([radii[np.maximum(ri - 1, 0)],
+                                 radii[np.minimum(ri + 1, radii.size - 1)]], axis=1),
+                       vals[np.arange(flat.size), flat],
+                       radii[ri] * np.exp(1j * theta[ti]), exponent)
+
+
+def _row_chunks(sizes, limit: int):
+    """Cut the rows of consecutive jobs into chunks of at most limit rows.
+
+    sizes holds (job, rows) pairs; yields lists of (job, slice of its rows).
+    """
+    chunk, room = [], limit
+    for job, rows in sizes:
+        start = 0
+        while start < rows:
+            stop = min(rows, start + room)
+            chunk.append((job, slice(start, stop)))
+            room -= stop - start
+            start = stop
+            if not room:
+                yield chunk
+                chunk, room = [], limit
+    if chunk:
+        yield chunk
+
+
+def _polish(pieces, alpha: float, weight_order: int) -> np.ndarray:
+    """Golden-section max of the weight times |f| along the best ray of each row.
+
+    pieces holds (grid maxima of a job, slice of its rows); the rays'
+    coefficients are built here, so that only one chunk's are ever held.
+    """
+    ray = np.concatenate([_ray_coeffs(stage.coeffs, stage.units[rows],
+                                      stage.angles[rows, None])[..., 0]
+                          for stage, rows in pieces]).transpose(0, 2, 1)
+    brackets = np.concatenate([stage.brackets[rows] for stage, rows in pieces])
+    ks = np.arange(ray.shape[1])
 
     def weighted_sq(r):
-        vec = r[..., None] ** ks @ ray
+        vec = r[..., None] ** ks @ ray              # f on the ray, (M, 2, 4)
         out = (vec * vec).sum(axis=-1) * np.exp(-alpha * r * r)
         return out / (1.0 + r) ** (2 * weight_order) if weight_order else out
 
-    refined = np.sqrt(_golden_max_rows(weighted_sq, radii[np.maximum(ri - 1, 0)],
-                                       radii[np.minimum(ri + 1, radial_samples - 1)]))
-    points = radii[ri] * np.exp(1j * theta[ti])
-    # a sup that overflows is inf, which callers refuse; numpy need not warn
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.maximum(refined, grid_max), exponent), points
+    return np.sqrt(_golden_max_rows(weighted_sq, brackets[:, 0], brackets[:, 1]))
+
+
+def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
+                   angular_count: int, weight_order: int = 0):
+    """Weighted sup of |f|(z) e^{-a|z|^2/2} / (1+|z|)^t on each slice C_I.
+
+    jobs is a list of (f, units); returns one (sups, argmax points) per job,
+    with one complex grid argmax per unit.  Chebyshev radii (hitting 0 and R
+    exactly) times a uniform angle grid locate each maximum, one job at a
+    time (see _sup_grid_stage).  The radial cells around the maxima of all
+    jobs are then polished together by golden-section search along the best
+    rays, one row per unit, grouped by coefficient count K and in chunks of
+    at most _POLISH_ROWS rows.  A row's arithmetic does not depend on the
+    other rows, so a batch gives what one call per job gives, bit for bit.
+    """
+    radii = _chebyshev_radii(radial_samples, radius)
+    theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
+    weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
+    stages = [_sup_grid_stage(f, units, radii, theta, weight) for f, units in jobs]
+    groups = defaultdict(list)
+    for j, stage in enumerate(stages):
+        groups[len(stage.coeffs)].append((j, len(stage.units)))
+    refined = [None] * len(stages)
+    for sizes in groups.values():
+        polished = np.concatenate([
+            _polish([(stages[j], rows) for j, rows in chunk], alpha, weight_order)
+            for chunk in _row_chunks(sizes, _POLISH_ROWS)])
+        for j, rows in sizes:
+            refined[j], polished = polished[:rows], polished[rows:]
+    results = []
+    for stage, best in zip(stages, refined):
+        # a sup that overflows is inf, which callers refuse; numpy need not warn
+        with np.errstate(over="ignore"):
+            sups = np.ldexp(np.maximum(best, stage.grid_max), stage.exponent)
+        results.append((sups, stage.points))
+    return results
 
 
 def sup_norm(f: SliceSeries, params: FockParams, sphere=None,
@@ -485,8 +571,8 @@ def sup_norm(f: SliceSeries, params: FockParams, sphere=None,
              angular_count: int = DEFAULT_SUP_ANGULAR) -> NormReport:
     """sup of |f(q)| e^{-a|q|^2/2} over the sampled ball of radius R."""
     units = list(sphere) if sphere is not None else default_sphere()
-    sups, _ = _sup_over_rows(f, units, params.alpha, params.radius,
-                             radial_samples, angular_count)
+    [(sups, _)] = _sup_over_rows([(f, units)], params.alpha, params.radius,
+                                 radial_samples, angular_count)
     per_slice = tuple((u, float(v)) for u, v in zip(units, sups))
     spec = {"rule": "chebyshev x trapezoid + golden", "radial": radial_samples,
             "angular": angular_count, "radius": params.radius,
@@ -498,8 +584,8 @@ def slice_sup_norm(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
                    radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
                    angular_count: int = DEFAULT_SUP_ANGULAR) -> float:
     """sup of |f(z)| e^{-a|z|^2/2} over the single slice disk B_I."""
-    sups, _ = _sup_over_rows(f, [unit], params.alpha, params.radius,
-                             radial_samples, angular_count)
+    [(sups, _)] = _sup_over_rows([(f, [unit])], params.alpha, params.radius,
+                                 radial_samples, angular_count)
     return float(sups[0])
 
 
@@ -672,15 +758,11 @@ def dilation_convergence(f: SliceSeries, params: FockParams, r_list,
     if any(not 0.0 < r < 1.0 for r in rs) or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_list must be strictly increasing inside (0, 1)")
     units = list(sphere) if sphere is not None else default_sphere()
-    out = []
-    for r in rs:
-        diff = SliceSeries(tuple(a - b for a, b in
-                                 zip(dilate(f, r).coeffs, f.coeffs)),
-                           f.nominal_radius)
-        report = sup_norm(diff, params, units, radial_samples,
-                          angular_count=angular_count)
-        out.append(report.value)
-    return out
+    diffs = [SliceSeries(tuple(a - b for a, b in zip(dilate(f, r).coeffs, f.coeffs)),
+                         f.nominal_radius) for r in rs]
+    results = _sup_over_rows([(diff, units) for diff in diffs], params.alpha,
+                             params.radius, radial_samples, angular_count)
+    return [float(sups.max()) for sups, _ in results]
 
 
 def derivative_criterion(f: SliceSeries, order: int, params: FockParams,
@@ -698,30 +780,42 @@ def derivative_criterion(f: SliceSeries, order: int, params: FockParams,
     The argmax of the left side (and its conjugate) is re-evaluated on the
     component side so discretization cannot break the comparison.
     """
-    der = derivative(f, order)
     units = list(sphere) if sphere is not None else default_sphere()
-    sups, points = _sup_over_rows(der, units, params.alpha, params.radius,
-                                  radial_samples, angular_count,
-                                  weight_order=order)
-    best_row = int(np.argmax(sups))
-    sup_f = float(sups[best_row])
-    zstar = complex(points[best_row])
+    return _derivative_reports([f], order, params, units, radial_samples,
+                               angular_count, slack)[0]
 
-    f1, f2 = split(der, UNIT_I, orthonormal_partner(UNIT_I))
-    part_sups = [float(_sup_over_rows(part.embed(), [UNIT_I], params.alpha,
-                                      params.radius, radial_samples,
-                                      angular_count, weight_order=order)[0][0])
-                 for part in (f1, f2)]
+
+def _derivative_reports(fs, order: int, params: FockParams, units,
+                        radial_samples: int, angular_count: int,
+                        slack: float) -> list[DerivativeCriterionReport]:
+    """derivative_criterion for each f in fs, with one sup call for all of them.
+
+    The call polishes d^t f on every unit and its two split parts on i.
+    """
+    ders = [derivative(f, order) for f in fs]
+    parts = [split(der, UNIT_I, orthonormal_partner(UNIT_I)) for der in ders]
+    jobs = []
+    for der, (f1, f2) in zip(ders, parts):
+        jobs += [(der, units), (f1.embed(), [UNIT_I]), (f2.embed(), [UNIT_I])]
+    results = _sup_over_rows(jobs, params.alpha, params.radius, radial_samples,
+                             angular_count, weight_order=order)
 
     def ratio_at(poly: ComplexSlicePolynomial, z: complex) -> float:
         mag = abs(poly.eval(z))
         return mag * math.exp(-0.5 * params.alpha * abs(z) ** 2) \
             / (1.0 + abs(z)) ** order
 
-    s1 = max(part_sups[0], ratio_at(f1, zstar), ratio_at(f1, zstar.conjugate()))
-    s2 = max(part_sups[1], ratio_at(f2, zstar), ratio_at(f2, zstar.conjugate()))
-    passed = sup_f <= s1 + s2 + slack
-    return DerivativeCriterionReport(order, sup_f, (s1, s2), passed)
+    reports = []
+    for i, (f1, f2) in enumerate(parts):
+        (sups, points), (sups1, _), (sups2, _) = results[3 * i:3 * i + 3]
+        best_row = int(np.argmax(sups))
+        sup_f = float(sups[best_row])
+        zstar = complex(points[best_row])
+        s1 = max(float(sups1[0]), ratio_at(f1, zstar), ratio_at(f1, zstar.conjugate()))
+        s2 = max(float(sups2[0]), ratio_at(f2, zstar), ratio_at(f2, zstar.conjugate()))
+        reports.append(DerivativeCriterionReport(order, sup_f, (s1, s2),
+                                                 sup_f <= s1 + s2 + slack))
+    return reports
 
 
 def little_space_profile(f: SliceSeries, params: FockParams, rho_list,

@@ -8,7 +8,9 @@ with the power of q on the left, the power of wbar in the middle and the
 real scalar on the right; the three factors do not commute, so the order is
 part of the definition.  Truncation at degree N leaves the explicit tail
 
-    (a |q| |w|)^{N+1} / (N+1)! * e^{a |q| |w|}.
+    (a |q| |w|)^{N+1} / (N+1)! * e^{a |q| |w|},
+
+and the normalized kernel's tail is that bound times e^{-a |w|^2 / 2}.
 
 When q and w share one slice, the kernel collapses to the complex Gaussian
 kernel e^{a z wbar} on that slice.  Atomic synthesis assembles the series
@@ -36,6 +38,7 @@ __all__ = [
     "star_exp_tail_bound",
     "kernel_series",
     "normalized_kernel_eval",
+    "normalized_kernel_tail_bound",
     "atomic_synthesis",
     "lattice_points",
 ]
@@ -103,28 +106,40 @@ def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
     return Quaternion(aw, ax, ay, az)
 
 
-def star_exp_tail_bound(q: Quaternion, w: Quaternion, alpha: float,
-                        trunc_degree: int) -> float:
-    """Bound (a|q||w|)^{N+1}/(N+1)! e^{a|q||w|} on the dropped tail.
+def _tail_bound(x: float, trunc_degree: int, log_damp: float = 0.0) -> float:
+    """(x^{N+1}/(N+1)!) e^{x + log_damp}; inf only where that overflows a float.
 
-    Never raises: a bound that overflows a float is inf.  Where e^x alone
-    overflows, the bound is formed from its logarithm, so an underflowed
-    power never meets an infinite exponential as 0 * inf.
+    Where the product of floats is positive and finite it is the bound.
+    Elsewhere (e^x overflows, or the power underflows against it) the bound
+    is formed from its logarithm, so a damping factor enters before anything
+    overflows and an underflowed power never meets an infinite exponential
+    as 0 * inf.
     """
-    _require_alpha(alpha)
-    x = alpha * q.modulus() * w.modulus()
     lead = 1.0
     for n in range(1, trunc_degree + 2):
         lead *= x / n
     try:
-        return lead * math.exp(x)
+        bound = lead * math.exp(x) * math.exp(log_damp)
     except OverflowError:
-        log_bound = ((trunc_degree + 1) * math.log(x)
-                     - math.lgamma(trunc_degree + 2) + x)
-        try:
-            return math.exp(log_bound)
-        except OverflowError:
-            return math.inf
+        bound = math.inf
+    if 0.0 < bound < math.inf or x == 0.0:
+        return bound
+    log_bound = ((trunc_degree + 1) * math.log(x)
+                 - math.lgamma(trunc_degree + 2) + x + log_damp)
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
+        return math.inf
+
+
+def star_exp_tail_bound(q: Quaternion, w: Quaternion, alpha: float,
+                        trunc_degree: int) -> float:
+    """Bound (a|q||w|)^{N+1}/(N+1)! e^{a|q||w|} on the dropped tail.
+
+    Never raises: a bound that overflows a float is inf (see _tail_bound).
+    """
+    _require_alpha(alpha)
+    return _tail_bound(alpha * q.modulus() * w.modulus(), trunc_degree)
 
 
 def kernel_series(w: Quaternion, alpha: float, trunc_degree: int,
@@ -149,6 +164,18 @@ def normalized_kernel_eval(point: Quaternion, q: Quaternion, alpha: float,
     """Normalized kernel w_{z_k}(q) = e_*^{a q zbar_k} e^{-a |z_k|^2 / 2}."""
     damp = math.exp(-0.5 * alpha * point.modulus_sq())
     return star_exp_eval(q, point, alpha, trunc_degree) * damp
+
+
+def normalized_kernel_tail_bound(point: Quaternion, q: Quaternion, alpha: float,
+                                 trunc_degree: int) -> float:
+    """star_exp_tail_bound(q, point) times e^{-a |z_k|^2 / 2}, never raising.
+
+    The damping enters the logarithm before it is exponentiated, so a bound
+    whose undamped value overflows but whose damped value fits is returned.
+    """
+    _require_alpha(alpha)
+    return _tail_bound(alpha * q.modulus() * point.modulus(), trunc_degree,
+                       -0.5 * alpha * point.modulus_sq())
 
 
 def _off_slice_distance(point: Quaternion, unit: ImaginaryUnit) -> float:

@@ -31,9 +31,9 @@ import numpy as np
 from .corpus import (random_ball_point, random_orthogonal_pair, random_unit,
                      rng_for, standard_corpus)
 from .errors import SingularPoint, ZeroValue
-from .fock import (FockParams, _monomial_sup, _slice_norms_on_grid,
-                   _sup_over_rows, derivative_criterion, dilation_convergence,
-                   slice_sup_norm)
+from .fock import (DEFAULT_RADIAL_SAMPLES, DEFAULT_SUP_ANGULAR, FockParams,
+                   _derivative_reports, _monomial_sup, _slice_norms_on_grid,
+                   _sup_over_rows, dilation_convergence)
 from .quadrature import QuadratureGrid
 from .quaternion import UNIT_I, Quaternion, default_sphere
 from .series import (MultiMonomial, SliceSeries, _star_inverse_at,
@@ -207,16 +207,16 @@ def _check_p_norms(corpus, params: FockParams, grid: QuadratureGrid,
 
 def _check_sup_norms(corpus, params: FockParams, units, radial_samples: int,
                      angular_count: int) -> PropositionResult:
-    def one(f):
-        sups, _ = _sup_over_rows(f, units, params.alpha, params.radius,
-                                 radial_samples, angular_count)
+    def one(sups):
         top = float(sups.max())
         low = float(sups.min())
         if top < 1e-300:
             return 1.0, 1.0
         return float(sups.max() / top), top / low
 
-    rows = [one(f) for f in corpus]
+    results = _sup_over_rows([(f, units) for f in corpus], params.alpha,
+                             params.radius, radial_samples, angular_count)
+    rows = [one(sups) for sups, _ in results]
     worst_lower = max(r[0] for r in rows)
     worst_upper = max(r[1] for r in rows)
     instances = len(corpus) * len(units)
@@ -246,18 +246,10 @@ def _check_derivative(corpus, params: FockParams, units, radial_samples: int,
                       angular_count: int) -> PropositionResult:
     subset = corpus[:50]
     orders = (1, 2, 3)
-
-    def one(f):
-        margin = -math.inf
-        for order in orders:
-            rep = derivative_criterion(f, order, params, units, radial_samples,
-                                       angular_count=angular_count, slack=SLACK)
-            margin = max(margin,
-                         rep.sup_ratio - rep.component_sups[0]
-                         - rep.component_sups[1])
-        return margin
-
-    worst = max(one(f) for f in subset)
+    worst = max(rep.sup_ratio - rep.component_sups[0] - rep.component_sups[1]
+                for order in orders
+                for rep in _derivative_reports(subset, order, params, units,
+                                               radial_samples, angular_count, SLACK))
     return PropositionResult("derivative", len(subset) * len(orders), worst,
                              SLACK, worst <= SLACK)
 
@@ -267,9 +259,12 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
     constant = 2.0 ** max(params.p, 1.0)
     worst = 0.0
     instances = 0
-    for f in subset:
-        low = truncate(f, 5)
-        ssup = slice_sup_norm(low, UNIT_I, params)
+    lows = [truncate(f, 5) for f in subset]
+    results = _sup_over_rows([(low, [UNIT_I]) for low in lows], params.alpha,
+                             params.radius, DEFAULT_RADIAL_SAMPLES,
+                             DEFAULT_SUP_ANGULAR)
+    for low, (sups, _) in zip(lows, results):
+        ssup = float(sups[0])
         if ssup < 1e-300:
             continue
         for k in range(1, low.degree + 1):

@@ -4,11 +4,11 @@ import shlex
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from slicefock import (UNIT_I, AtomicData, MultiMonomial, MultiPolynomial,
-                       Quaternion, SliceSeries)
+from slicefock import (UNIT_I, AtomicData, FockParams, MultiMonomial,
+                       MultiPolynomial, Quaternion, SliceSeries, default_sphere,
+                       fock_norm_p)
 from slicefock.cli import build_parser, main
 from slicefock.errors import GridTooCoarse
 from slicefock.serialize import (atomic_to_dict, dumps_canonical,
@@ -202,11 +202,18 @@ def test_norm_sup_overflow_exits_three(tmp_path, capsys, out):
 
 @pytest.mark.parametrize("extra", [[], ["--normalized"], ["--out", "json"]])
 def test_kernel_overflow_exits_three(capsys, extra):
-    # alpha |q| |w| = 900: e^900 overflows a float, so the tail bound is inf
+    # alpha |q| |w| = 900: e^900 overflows a float, so the tail bound is inf;
+    # damped by e^{-alpha |w|^2 / 2} = e^{-450}, it is about e^615 and fits
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, ["kernel", "--q", "30,0,0,0", "--w", "30,0,0,0",
                                       "--trunc", "40"] + extra)
+    if extra == ["--normalized"]:
+        assert code == 0 and err == ""
+        want = math.exp(41 * math.log(900.0) - math.lgamma(42) + 900.0 - 450.0)
+        assert math.isclose(float(out.split("tail bound = ")[1]), want,
+                            rel_tol=1e-12)
+        return
     assert code == 3 and out == ""
     assert err.startswith("error: a value is not finite: kernel value = [")
     assert err.endswith("tail bound = inf\n")
@@ -267,13 +274,17 @@ def test_norm_rejects_non_finite_radius(tmp_path, capsys):
     assert "field 'radius'" in err
 
 
-def test_norm_overflow_exits_three(tmp_path, capsys):
-    # |f|^2 overflows, so the quadrature has no finite value to certify
+def test_norm_of_huge_coefficients_is_finite(tmp_path, capsys):
+    # |f|^2 overflows unscaled; on a power-of-two scale the norm is 1e200 times
+    # that of 1 + q i
     path = write_series(tmp_path, [Quaternion(1e200), Quaternion(0.0, 1e200, 0.0, 0.0)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, ["norm", path, "--sphere", "2"])
-    assert code == 3 and out == ""
-    assert "not finite" in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["norm", path, "--sphere", "2", "--out", "json"])
+    assert code == 0 and err == ""
+    unit_f = SliceSeries((Quaternion(1.0), Quaternion(0.0, 1.0, 0.0, 0.0)))
+    want = 1e200 * fock_norm_p(unit_f, FockParams(1.0), sphere=default_sphere(2)).value
+    assert math.isclose(json.loads(out)["value"], want, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import unittest.mock
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +11,17 @@ from hypothesis import strategies as st
 from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
                        ImaginaryUnit, MultiMonomial, MultiPolynomial,
                        Quaternion, QuadratureGrid, SliceSeries,
-                       default_sphere, derivative_criterion,
-                       dilation_convergence, embed_complex, fock_norm_p,
+                       default_sphere, derivative, derivative_criterion,
+                       dilate, dilation_convergence, embed_complex, fock_norm_p,
                        inner_product, little_space_profile,
                        monomial_bound_check, norm_equivalence_check,
                        orthonormal_partner, slice_norm_p, slice_sup_norm,
                        split, sup_norm)
+from slicefock import fock
 from slicefock.corpus import random_series, rng_for
-from slicefock.fock import (_BLOCK_POINTS, _abs_sq_rows, _chebyshev_radii,
-                            _golden_max, _golden_max_rows, _ray_coeffs,
+from slicefock.fock import (_BLOCK_POINTS, _POLISH_ROWS, _abs_sq_rows,
+                            _chebyshev_radii, _golden_max, _golden_max_rows,
+                            _ray_coeffs,
                             _scaled_rows, _slice_norms_on_grid, _slice_terms,
                             _sup_over_rows, _terms_table)
 from slicefock.quadrature import ANGULAR_CAP, RADIAL_CAP
@@ -485,18 +489,23 @@ def test_abs_sq_rows_matches_quaternion_horner(rows, dirs, radii, angles):
 
 
 def _split_reference_norms(f, units, params, grid):
-    """Per-unit slice norms from the splitting f = f_1 + f_2 J."""
+    """Per-unit slice norms from the splitting f = f_1 + f_2 J.
+
+    The parts are divided by the largest coefficient modulus, so that tiny
+    and huge coefficients square without underflow or overflow.
+    """
     z = grid.points()
     weight = grid.area_weights() * np.exp(-0.5 * params.alpha * params.p
                                           * np.abs(z) ** 2)
+    scale = max(a.modulus() for a in f.coeffs) or 1.0
     out = []
     for unit in units:
         f1, f2 = split(f, unit, orthonormal_partner(unit))
-        absq = sum(np.abs(np.polyval(np.array(part.coeffs[::-1]), z)) ** 2
+        absq = sum(np.abs(np.polyval(np.array(part.coeffs[::-1]) / scale, z)) ** 2
                    for part in (f1, f2))
         integral = (params.alpha / math.pi) / math.pi * float(
             (absq ** (params.p / 2.0)) @ weight)
-        out.append(integral ** (1.0 / params.p))
+        out.append(scale * integral ** (1.0 / params.p))
     return np.array(out)
 
 
@@ -507,6 +516,9 @@ BLOCK_GRIDS = [(16, 32), (2 * (_BLOCK_POINTS // 64) + 3, 64)]
 
 @given(coeff_rows, st.sampled_from([1.5, 2.0, 3.0]), st.floats(0.3, 2.5),
        st.sampled_from([1, 8]), st.sampled_from(BLOCK_GRIDS))
+# squared unscaled, a coefficient of 2.8e-227 underflows to a norm of 0
+@example(rows=[(0.0, 0.0, 0.0, 2.7593618519186086e-227)], p=1.5, alpha=1.0,
+         count=1, shape=(16, 32))
 @settings(max_examples=40, deadline=None)
 def test_slice_norms_on_grid_match_split_reference(rows, p, alpha, count, shape):
     # default_sphere(1) is i, j, k: at p != 2 it takes the few-unit route
@@ -527,8 +539,8 @@ def test_lockstep_polish_matches_scalar_golden(rows, order, sphere_count):
     f = _series_from(rows)
     units = default_sphere(sphere_count)
     radial, angular = 17, 32
-    sups, points = _sup_over_rows(f, units, 1.0, 1.0, radial, angular,
-                                  weight_order=order)
+    [(sups, points)] = _sup_over_rows([(f, units)], 1.0, 1.0, radial, angular,
+                                      weight_order=order)
     radii = _chebyshev_radii(radial, 1.0)
     theta = 2.0 * np.pi * np.arange(angular) / angular
     for unit, sup, point in zip(units, sups, points):
@@ -567,14 +579,29 @@ def test_blocked_p_norm_memory_stays_cache_sized():
 # --- refinement refuses non-finite values ---
 
 def test_refinement_refuses_non_finite_values():
-    huge = SliceSeries((Quaternion(1e200), Quaternion(0.0, 1e200, 0.0, 0.0)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the norm of 1 + q is 8.52 here, so that of 1e308 (1 + q) overflows
+    huge = SliceSeries((Quaternion(1e308), Quaternion(1e308)))
+    params = FockParams(alpha=0.001, p=2.0, n=1, radius=30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(GridTooCoarse, match="not finite"):
-            fock_norm_p(huge, P2, sphere=small_sphere())
+            fock_norm_p(huge, params, sphere=small_sphere())
         # also when the start grid already sits at the cap
         with pytest.raises(GridTooCoarse, match="not finite"):
-            fock_norm_p(huge, P2, QuadratureGrid.build(8, 16), small_sphere(),
-                        radial_cap=8, angular_cap=16)
+            fock_norm_p(huge, params, QuadratureGrid.build(8, 16, 30.0),
+                        small_sphere(), radial_cap=8, angular_cap=16)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("scale", [3.543643236417232e-203, 1e200])
+def test_quadrature_norm_scales_tiny_and_huge_coefficients(p, scale):
+    # squared unscaled, 3.5e-203 underflows to 0 and 1e200 overflows to inf
+    f = random_series(rng_for(19), max_degree=6)
+    params = FockParams(alpha=1.0, p=p, n=1, radius=1.0)
+    want = fock_norm_p(f, params, sphere=small_sphere()).value * scale
+    got = fock_norm_p(f.scale_right(Quaternion(scale)), params,
+                      sphere=small_sphere()).value
+    assert abs(got - want) <= 1e-13 * want
 
 
 # --- the in-place grid stages against the array expressions they replaced ---
@@ -625,7 +652,7 @@ def test_sup_over_rows_equals_reference_bit_for_bit(sphere, order, scale):
     for _ in range(3):
         f = random_series(rng, max_degree=12).scale_right(Quaternion(scale))
         for radial, angular in ((17, 32), (33, 64)):
-            got = _sup_over_rows(f, sphere, 1.3, 1.2, radial, angular, order)
+            [got] = _sup_over_rows([(f, sphere)], 1.3, 1.2, radial, angular, order)
             want = _reference_sup_over_rows(f, sphere, 1.3, 1.2, radial, angular,
                                             order)
             assert got[0].tobytes() == want[0].tobytes()
@@ -658,7 +685,7 @@ def test_sup_grid_stage_holds_one_units_by_points_array():
     f = _series_from([(0.3, -0.2, 0.5, 0.1)] * 13)
     units = default_sphere()
     array_bytes = len(units) * 65 * 128 * 8
-    peak = _traced_peak(lambda: _sup_over_rows(f, units, 1.0, 1.0, 65, 128))
+    peak = _traced_peak(lambda: _sup_over_rows([(f, units)], 1.0, 1.0, 65, 128))
     assert peak <= 1.25 * array_bytes
 
 
@@ -670,3 +697,137 @@ def test_p2_slice_terms_peak_stays_near_the_table():
     table_bytes = 2 * 6 * 128 * 256 * 8
     peak = _traced_peak(lambda: _slice_norms_on_grid(f, default_sphere(), P2, grid))
     assert peak <= 1.8 * table_bytes
+
+
+# --- one polish for a batch of jobs against one call per job ---
+
+jobs_strategy = st.lists(
+    st.tuples(coeff_rows, st.lists(directions, min_size=1, max_size=7),
+              st.sampled_from([1e-200, 1.0, 1e200])),
+    min_size=1, max_size=6)
+
+
+# a chunk of 3 rows splits jobs and coefficient groups across chunks
+@given(jobs_strategy, st.integers(0, 3), st.sampled_from([3, _POLISH_ROWS]),
+       st.sampled_from([(9, 16), (17, 32)]))
+@settings(max_examples=60, deadline=None)
+def test_batched_polish_equals_one_call_per_job(jobs, order, chunk, shape):
+    # 1 to 4 units take the _ray_coeffs route, 5 to 7 take s + 2 <v, I>
+    jobs = [(_series_from(rows).scale_right(Quaternion(scale)),
+             [ImaginaryUnit.normalized(*d) for d in dirs])
+            for rows, dirs, scale in jobs]
+    with unittest.mock.patch.object(fock, "_POLISH_ROWS", chunk):
+        batched = _sup_over_rows(jobs, 1.3, 1.2, *shape, order)
+    assert len(batched) == len(jobs)
+    for job, (sups, points) in zip(jobs, batched):
+        [(want_sups, want_points)] = _sup_over_rows([job], 1.3, 1.2, *shape, order)
+        assert sups.tobytes() == want_sups.tobytes()
+        assert points.tobytes() == want_points.tobytes()
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), min_size=2,
+                max_size=9))
+@settings(max_examples=40, deadline=None)
+def test_golden_rows_take_the_same_steps_alone_and_in_a_batch(cells):
+    # a lone row and a stack of rows must be cut at the same abscissae
+    lo, hi = np.array(cells).T
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+
+    def recorded(log):
+        def fn(r):
+            log.append(r.copy())
+            return np.sin(3.0 * r) * np.exp(-r)
+        return fn
+
+    batch_log = []
+    batched = _golden_max_rows(recorded(batch_log), lo, hi)
+    for m in range(lo.size):
+        row_log = []
+        alone = _golden_max_rows(recorded(row_log), lo[m:m + 1], hi[m:m + 1])
+        assert alone.tobytes() == batched[m:m + 1].tobytes()
+        assert np.array(row_log)[:, 0].tobytes() == np.array(batch_log)[:, m].tobytes()
+
+
+def test_batched_polish_crosses_a_chunk_boundary():
+    # 24 jobs of 67 units at one coefficient count make 1608 rows, two chunks
+    rng = rng_for(23)
+    units = default_sphere()
+    jobs = [(_series_from(rng.uniform(-scale, scale, (8, 4))), units)
+            for scale in (1e-200, 1.0, 1e200) * 8]
+    assert len(jobs) * len(units) > _POLISH_ROWS
+    for order in (0, 3):
+        batched = _sup_over_rows(jobs, 1.0, 1.0, 17, 32, order)
+        for job, (sups, points) in zip(jobs, batched):
+            [(want_sups, want_points)] = _sup_over_rows([job], 1.0, 1.0, 17, 32, order)
+            assert sups.tobytes() == want_sups.tobytes()
+            assert points.tobytes() == want_points.tobytes()
+
+
+def _parent_dilation_convergence(f, params, r_list, sphere, radial_samples,
+                                 angular_count):
+    """dilation_convergence as it was before the sup calls were batched."""
+    out = []
+    for r in r_list:
+        diff = SliceSeries(tuple(a - b for a, b in
+                                 zip(dilate(f, r).coeffs, f.coeffs)),
+                           f.nominal_radius)
+        report = sup_norm(diff, params, sphere, radial_samples,
+                          angular_count=angular_count)
+        out.append(report.value)
+    return out
+
+
+def _parent_derivative_criterion(f, order, params, sphere, radial_samples,
+                                 angular_count, slack=1e-9):
+    """derivative_criterion as it was before the sup calls were batched."""
+    der = derivative(f, order)
+    [(sups, points)] = _sup_over_rows([(der, sphere)], params.alpha, params.radius,
+                                      radial_samples, angular_count,
+                                      weight_order=order)
+    best_row = int(np.argmax(sups))
+    sup_f = float(sups[best_row])
+    zstar = complex(points[best_row])
+
+    f1, f2 = split(der, UNIT_I, orthonormal_partner(UNIT_I))
+    part_sups = [float(_sup_over_rows([(part.embed(), [UNIT_I])], params.alpha,
+                                      params.radius, radial_samples,
+                                      angular_count, weight_order=order)[0][0][0])
+                 for part in (f1, f2)]
+
+    def ratio_at(poly, z):
+        mag = abs(poly.eval(z))
+        return mag * math.exp(-0.5 * params.alpha * abs(z) ** 2) \
+            / (1.0 + abs(z)) ** order
+
+    s1 = max(part_sups[0], ratio_at(f1, zstar), ratio_at(f1, zstar.conjugate()))
+    s2 = max(part_sups[1], ratio_at(f2, zstar), ratio_at(f2, zstar.conjugate()))
+    return sup_f, (s1, s2), sup_f <= s1 + s2 + slack
+
+
+def test_derivative_and_dilation_equal_their_unbatched_bodies():
+    rng = rng_for(29)
+    params = FockParams(alpha=1.3, p=2.0, n=1, radius=1.2)
+    for degree in (2, 5, 12):
+        f = random_series(rng, max_degree=degree)
+        for sphere in (default_sphere(1), small_sphere()):
+            got = dilation_convergence(f, params, (0.5, 0.9, 0.99), sphere, 17,
+                                       angular_count=32)
+            want = _parent_dilation_convergence(f, params, (0.5, 0.9, 0.99),
+                                                sphere, 17, 32)
+            assert got == want
+            for order in range(4):
+                rep = derivative_criterion(f, order, params, sphere, 17,
+                                           angular_count=32)
+                assert rep.order == order
+                assert (rep.sup_ratio, rep.component_sups, rep.passed) == \
+                    _parent_derivative_criterion(f, order, params, sphere, 17, 32)
+
+
+def test_batched_sup_call_holds_one_grid_buffer_at_a_time():
+    # a job's units x points array is released before the next one is built;
+    # holding the previous one raises the peak to about 2 such arrays
+    f = _series_from([(0.3, -0.2, 0.5, 0.1)] * 13)
+    units = default_sphere()
+    one = _traced_peak(lambda: _sup_over_rows([(f, units)], 1.0, 1.0, 65, 128))
+    many = _traced_peak(lambda: _sup_over_rows([(f, units)] * 40, 1.0, 1.0, 65, 128))
+    assert many <= 1.25 * one

@@ -9,7 +9,8 @@ from slicefock import (UNIT_I, UNIT_J, AtomicData, FockParams, PointOffSlice,
                        ImaginaryUnit, Quaternion, SliceSeries,
                        atomic_synthesis,
                        embed_complex, fock_norm_p, kernel_series,
-                       lattice_points, normalized_kernel_eval, rep_eval,
+                       lattice_points, normalized_kernel_eval,
+                       normalized_kernel_tail_bound, rep_eval,
                        star_exp_eval, star_exp_tail_bound)
 from slicefock.corpus import random_unit, rng_for
 
@@ -128,6 +129,7 @@ def test_normalized_kernel_examples():
     expected = Quaternion(math.exp(0.5 * z.modulus_sq()))
     damp = math.exp(-0.5 * z.modulus_sq())
     tail = star_exp_tail_bound(z, z, 1.0, 40) * damp
+    assert normalized_kernel_tail_bound(z, z, 1.0, 40) == tail
     assert qdist(value, expected) <= tail + 1e-12
 
 
