@@ -33,7 +33,14 @@ unit at one 3-vector dot product per point.  At p = 2 the integrand is linear
 in |f|^2, so the sums over the points are taken before the units enter (the
 same quadrature rule, summed in another order).  At p != 2 the units x points
 array of |f|^p is built and summed in blocks of radial rows holding a few
-thousand points each, so it stays cache-sized however fine the grid.
+thousand points each, so it stays cache-sized however fine the grid.  The
+blocks are dealt round-robin to lanes, one per usable core: the calling
+thread runs the first lane and helper threads, made on first use, run the
+others, reading only the tables the calling thread built.  A block is numpy
+work that releases the GIL, so the lanes run at once.  Each block's unit
+sums are the same whichever lane makes them, and they are added in block
+order, as a serial loop adds them, so every norm is the same bit for bit on
+any number of cores.
 
 Grid stages work in one buffer.  The sup search takes the root and the
 radial weight in place in the units x points array of |f|^2, and s and v
@@ -44,7 +51,10 @@ the page faults of a new multi-megabyte temporary per call.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,7 +93,10 @@ DEFAULT_RADIAL_SAMPLES = 129
 DEFAULT_SUP_ANGULAR = 256
 _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 # grid points per block of the p != 2 quadrature sum: 67 units x 4096 points
-# of float64 is 2.2 MB, which stays in cache (2048 to 8192 measured alike)
+# of float64 is 2.2 MB, which stays in cache.  With two lanes on 2 cores,
+# 2048 and 4096 measured alike at the 512 x 1024 cap (158 ms a call) and
+# 8192 took twice as long (320 ms).  The block size sets the grouping of the
+# sums, so changing it moves the last bits of the norms.
 _BLOCK_POINTS = 4096
 # rows per golden polish call: a chunk's (rows, 2, K) powers and values stay
 # small however many jobs one sup call batches (1024 and 2048 measured alike)
@@ -222,27 +235,31 @@ def _ray_coeffs(coeffs: np.ndarray, units, theta: np.ndarray) -> np.ndarray:
             + np.sin(angle)[:, None] * i_times[..., None])
 
 
-def _abs_sq_blocks(coeffs: np.ndarray, units, radii: np.ndarray,
-                   theta: np.ndarray, rows: int):
-    """Yield (i, |f|^2) for radii[i:i + rows] on every slice C_I, (M, rows * Nt).
+def _abs_sq_evaluator(coeffs: np.ndarray, units, theta: np.ndarray):
+    """radii -> |f|^2 on the polar grid of every slice C_I, (M, radii.size * Nt).
 
-    The angle tables are built once for all blocks.  Many units share s and
-    v; s + 2 <v, I> can land a few ulps below 0 at a zero of f, so it is
-    clamped.  Under five units |A + I B|^2 is cheaper; it is squared in
-    place, as a second temporary re-faults the heap each call.
+    The angle table is built here, once for every block of radial rows; the
+    evaluator only reads it and makes its own arrays, so several threads
+    may call it at once.  Many units share s and v; s + 2 <v, I> can land a
+    few ulps below 0 at a zero of f, so it is clamped.  Under five units
+    |A + I B|^2 is cheaper; it is squared in place, as a second temporary
+    re-faults the heap each call.
     """
     if len(units) < 5:
         ks, table = np.arange(len(coeffs)), _ray_coeffs(coeffs, units, theta)
-        for i in range(0, radii.size, rows):
-            vals = radii[i:i + rows, None] ** ks @ table
-            yield i, np.square(vals, out=vals).sum(axis=1).reshape(len(units), -1)
-        return
+
+        def few(radii):
+            vals = radii[:, None] ** ks @ table
+            return np.square(vals, out=vals).sum(axis=1).reshape(len(units), -1)
+        return few
     table, unit_rows = _terms_table(coeffs, theta), _unit_rows(units)
-    for i in range(0, radii.size, rows):
-        s, v = _slice_terms(table, radii[i:i + rows])
+
+    def many(radii):
+        s, v = _slice_terms(table, radii)
         out = unit_rows @ (2.0 * v)
         out += s
-        yield i, np.maximum(out, 0.0, out=out)
+        return np.maximum(out, 0.0, out=out)
+    return many
 
 
 def _scaled_rows(f: SliceSeries) -> tuple[np.ndarray, int]:
@@ -259,7 +276,73 @@ def _scaled_rows(f: SliceSeries) -> tuple[np.ndarray, int]:
 def _abs_sq_rows(coeffs: np.ndarray, units, radii: np.ndarray,
                  theta: np.ndarray) -> np.ndarray:
     """|f|^2 on the polar grid of every slice C_I, shape (M, Nr * Nt)."""
-    return next(_abs_sq_blocks(coeffs, units, radii, theta, max(radii.size, 1)))[1]
+    return _abs_sq_evaluator(coeffs, units, theta)(radii)
+
+
+# ---------------------------------------------------------------------------
+# lanes: one per usable core, for the blocks of the p != 2 quadrature sum
+# ---------------------------------------------------------------------------
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _lane_pool():
+    """One helper thread per spare core, made on first use (never at import)."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(max(1, _usable_cores() - 1),
+                                       thread_name_prefix="slicefock-lane")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads: an inherited pool
+    # would hang on its first task, and the lock may have been held
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):         # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_lanes(fn, items) -> list:
+    """[fn(x) for x in items], the items dealt round-robin to one lane per core.
+
+    The calling thread runs lane 0 and pool helpers run the others, each
+    under a copy of the caller's context, so numpy's error state (a
+    contextvar) holds there too.  fn must only read shared arrays.  The
+    results come back in item order, so what a caller makes of them does
+    not depend on the number of lanes; a helper's exception reaches the
+    caller once every lane has finished.
+    """
+    items = list(items)
+    lanes = min(_usable_cores(), len(items))
+    if lanes < 2:
+        return [fn(x) for x in items]
+    pool = _lane_pool()
+    futures = [pool.submit(contextvars.copy_context().run,
+                           lambda part: [fn(x) for x in part], items[lane::lanes])
+               for lane in range(1, lanes)]
+    try:
+        parts = [[fn(x) for x in items[::lanes]]]
+    finally:
+        for future in futures:
+            future.exception()                  # waits, never raises
+    parts += [future.result() for future in futures]
+    out = [None] * len(items)
+    for lane, part in enumerate(parts):
+        out[lane::lanes] = part
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +377,18 @@ def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
         s, v = _slice_terms(_terms_table(coeffs, theta), r)
         sums = s @ w + 2.0 * (_unit_rows(units) @ (v @ w))
     else:
-        # blocks of radial rows keep the units x points array cache-sized
+        # blocks of radial rows keep the units x points array cache-sized;
+        # their unit sums are added in block order, whatever lane made them
+        evaluate = _abs_sq_evaluator(coeffs, units, theta)
         rows, nt = max(1, _BLOCK_POINTS // theta.size), theta.size
+
+        def block_sum(i):
+            powered = evaluate(r[i:i + rows])
+            return np.power(powered, p / 2.0, out=powered) @ w[i * nt:(i + rows) * nt]
+
         sums = np.zeros(len(units))
-        for i, powered in _abs_sq_blocks(coeffs, units, r, theta, rows):
-            sums += np.power(powered, p / 2.0, out=powered) @ w[i * nt:(i + rows) * nt]
+        for part in _in_lanes(block_sum, range(0, r.size, rows)):
+            sums += part
     integrals = (params.alpha / math.pi) ** params.n / math.pi * sums
     # a norm that overflows is inf, which _refine refuses; numpy need not warn
     with np.errstate(over="ignore"):
@@ -754,15 +844,23 @@ def dilation_convergence(f: SliceSeries, params: FockParams, r_list,
     r_list must be strictly increasing inside (0, 1); for a polynomial the
     values decrease to 0 as r -> 1.
     """
+    units = list(sphere) if sphere is not None else default_sphere()
+    return _dilation_values([f], params, r_list, units, radial_samples,
+                            angular_count)[0]
+
+
+def _dilation_values(fs, params: FockParams, r_list, units, radial_samples: int,
+                     angular_count: int) -> list[list[float]]:
+    """dilation_convergence for each f in fs, with one sup call for all of them."""
     rs = [float(r) for r in r_list]
     if any(not 0.0 < r < 1.0 for r in rs) or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_list must be strictly increasing inside (0, 1)")
-    units = list(sphere) if sphere is not None else default_sphere()
-    diffs = [SliceSeries(tuple(a - b for a, b in zip(dilate(f, r).coeffs, f.coeffs)),
-                         f.nominal_radius) for r in rs]
-    results = _sup_over_rows([(diff, units) for diff in diffs], params.alpha,
-                             params.radius, radial_samples, angular_count)
-    return [float(sups.max()) for sups, _ in results]
+    jobs = [(SliceSeries(tuple(a - b for a, b in zip(dilate(f, r).coeffs, f.coeffs)),
+                         f.nominal_radius), units) for f in fs for r in rs]
+    results = _sup_over_rows(jobs, params.alpha, params.radius, radial_samples,
+                             angular_count)
+    sups = [float(s.max()) for s, _ in results]
+    return [sups[i * len(rs):(i + 1) * len(rs)] for i in range(len(fs))]
 
 
 def derivative_criterion(f: SliceSeries, order: int, params: FockParams,

@@ -32,8 +32,8 @@ from .corpus import (random_ball_point, random_orthogonal_pair, random_unit,
                      rng_for, standard_corpus)
 from .errors import SingularPoint, ZeroValue
 from .fock import (DEFAULT_RADIAL_SAMPLES, DEFAULT_SUP_ANGULAR, FockParams,
-                   _derivative_reports, _monomial_sup, _slice_norms_on_grid,
-                   _sup_over_rows, dilation_convergence)
+                   _derivative_reports, _dilation_values, _monomial_sup,
+                   _slice_norms_on_grid, _sup_over_rows)
 from .quadrature import QuadratureGrid
 from .quaternion import UNIT_I, Quaternion, default_sphere
 from .series import (MultiMonomial, SliceSeries, _star_inverse_at,
@@ -230,14 +230,13 @@ def _check_dilation(corpus, params: FockParams, units, radial_samples: int,
     subset = corpus[::10][:20]
     factors = (0.5, 0.9, 0.99)
 
-    def one(f):
-        vals = dilation_convergence(f, params, factors, units, radial_samples,
-                                    angular_count=angular_count)
+    def one(vals):
         if max(vals) < 1e-12:
             return -math.inf  # already converged, nothing to order
         return max(b - a for a, b in zip(vals, vals[1:]))
 
-    worst = max(one(f) for f in subset)
+    worst = max(one(vals) for vals in _dilation_values(
+        subset, params, factors, units, radial_samples, angular_count))
     return PropositionResult("dilation", len(subset) * len(factors), worst,
                              0.0, worst < 0.0)
 

@@ -1,7 +1,15 @@
+import concurrent.futures
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import unittest.mock
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +31,10 @@ from slicefock.fock import (_BLOCK_POINTS, _POLISH_ROWS, _abs_sq_rows,
                             _chebyshev_radii, _golden_max, _golden_max_rows,
                             _ray_coeffs,
                             _scaled_rows, _slice_norms_on_grid, _slice_terms,
-                            _sup_over_rows, _terms_table)
+                            _sup_over_rows, _terms_table, _unit_rows)
 from slicefock.quadrature import ANGULAR_CAP, RADIAL_CAP
 from slicefock.quaternion import _rows
+from slicefock.serialize import save_function
 
 P2 = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
 ONE_F = SliceSeries((Quaternion(1.0),))
@@ -576,6 +585,201 @@ def test_blocked_p_norm_memory_stays_cache_sized():
     assert peak < 32e6
 
 
+# --- the p != 2 lanes against the serial block loop they replaced ---
+
+def _serial_abs_sq_blocks(coeffs, units, radii, theta, rows):
+    """The block generator of the serial loop, kept as the reference."""
+    if len(units) < 5:
+        ks, table = np.arange(len(coeffs)), _ray_coeffs(coeffs, units, theta)
+        for i in range(0, radii.size, rows):
+            vals = radii[i:i + rows, None] ** ks @ table
+            yield i, np.square(vals, out=vals).sum(axis=1).reshape(len(units), -1)
+        return
+    table, unit_rows = _terms_table(coeffs, theta), _unit_rows(units)
+    for i in range(0, radii.size, rows):
+        s, v = _slice_terms(table, radii[i:i + rows])
+        out = unit_rows @ (2.0 * v)
+        out += s
+        yield i, np.maximum(out, 0.0, out=out)
+
+
+def _serial_slice_norms(f, units, params, grid):
+    """_slice_norms_on_grid at p != 2 with every block on the calling thread."""
+    r, _ = grid.radial_arrays()
+    (coeffs, exponent), theta = _scaled_rows(f), grid.angles()
+    p = params.p
+    w = (grid.area_weights().reshape(r.size, -1)
+         * np.exp(-0.5 * params.alpha * p * r * r)[:, None]).ravel()
+    rows, nt = max(1, _BLOCK_POINTS // theta.size), theta.size
+    sums = np.zeros(len(units))
+    for i, powered in _serial_abs_sq_blocks(coeffs, units, r, theta, rows):
+        sums += np.power(powered, p / 2.0, out=powered) @ w[i * nt:(i + rows) * nt]
+    integrals = (params.alpha / math.pi) ** params.n / math.pi * sums
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.maximum(integrals, 0.0) ** (1.0 / p), exponent)
+
+
+# a block holds _BLOCK_POINTS // angular radial rows: these grids give 1, 3,
+# 9 and 13 blocks, each with a partial last block
+@given(coeff_rows, st.sampled_from([0.7, 1.5, 3.0]), st.sampled_from([1, 4, 5, 67]),
+       st.sampled_from([(16, 64), (131, 64), (67, 512), (200, 256)]),
+       st.sampled_from([1e-200, 1.0, 1e200]), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_lanes_equal_the_serial_block_loop_bit_for_bit(rows, p, count, shape,
+                                                       scale, lanes):
+    f = _series_from(rows).scale_right(Quaternion(scale))
+    units = default_sphere()[:count]
+    params = FockParams(alpha=1.3, p=p, n=1, radius=1.2)
+    grid = QuadratureGrid.build(*shape, 1.2)
+    with unittest.mock.patch.object(fock, "_usable_cores", lambda: lanes):
+        got = _slice_norms_on_grid(f, units, params, grid)
+    assert got.tobytes() == _serial_slice_norms(f, units, params, grid).tobytes()
+
+
+def test_helper_lanes_keep_the_callers_error_state():
+    # two blocks of 64 radial rows; only the outer one, a helper's, overflows
+    radius = 2.2e19
+    f = monomial_series(8)
+    grid = QuadratureGrid.build(128, 64, radius)
+    units = default_sphere()
+    r, _ = grid.radial_arrays()
+    coeffs, _ = _scaled_rows(f)
+    params = FockParams(alpha=1.0, p=1.5, n=1, radius=radius)
+    with np.errstate(over="raise"):
+        _abs_sq_rows(coeffs, units, r[:64], grid.angles())
+        with pytest.raises(FloatingPointError):
+            _abs_sq_rows(coeffs, units, r[64:], grid.angles())
+        with pytest.raises(FloatingPointError):
+            _serial_slice_norms(f, units, params, grid)
+        with unittest.mock.patch.object(fock, "_usable_cores", lambda: 2):
+            with pytest.raises(FloatingPointError):
+                fock_norm_p(f, params, grid, units)
+
+
+def test_helper_exception_reaches_the_caller():
+    def fn(x):
+        if x == 1:                      # item 1 of 4 is lane 1's, a helper's
+            raise ValueError(threading.current_thread().name)
+        return x
+
+    with unittest.mock.patch.object(fock, "_usable_cores", lambda: 2):
+        assert fock._in_lanes(lambda x: 2 * x, range(5)) == [0, 2, 4, 6, 8]
+        with pytest.raises(ValueError, match="slicefock-lane"):
+            fock._in_lanes(fn, range(4))
+
+
+def test_concurrent_callers_make_one_pool_and_equal_results():
+    # six callers of three lanes each on however many cores, switching often;
+    # a slow pool start widens the window in which a second one could be made
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.05)
+            super().__init__(*args, **kwargs)
+
+    f = random_series(rng_for(23), max_degree=8)
+    units, params = default_sphere(), FockParams(alpha=1.0, p=1.5)
+    grid = QuadratureGrid.build(67, 512)
+    want = _serial_slice_norms(f, units, params, grid).tobytes()
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with unittest.mock.patch.object(fock, "_POOL", None), \
+                unittest.mock.patch.object(fock, "_usable_cores", lambda: 3), \
+                unittest.mock.patch.object(concurrent.futures, "ThreadPoolExecutor",
+                                           Counted):
+            callers = [threading.Thread(target=lambda: got.append(
+                _slice_norms_on_grid(f, units, params, grid).tobytes()))
+                for _ in range(6)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+            for pool in made:
+                pool.shutdown()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(made) == 1
+    assert got == [want] * 6
+
+
+def _src_env():
+    """Environment of a child process that imports this checkout's slicefock."""
+    src = str(Path(fock.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+FORK_SCRIPT = """
+import os, sys, time
+from slicefock import FockParams, SliceSeries, Quaternion, fock_norm_p
+f = SliceSeries((Quaternion(1.0), Quaternion(0.0, 0.5, 0.2, 0.1), Quaternion(0.3)))
+params = FockParams(alpha=1.0, p=1.5)
+fock_norm_p(f, params)                       # the parent's pool now exists
+pid = os.fork()
+if pid == 0:
+    value = fock_norm_p(f, params).value
+    os._exit(0 if value > 0.0 else 1)
+deadline = time.monotonic() + 60.0
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+sys.exit("the forked child hung")
+"""
+
+
+def test_forked_child_computes_with_a_fresh_pool():
+    done = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_norm_output_does_not_depend_on_the_core_count(tmp_path):
+    cores = sorted(os.sched_getaffinity(0))
+    if len(cores) < 2:
+        pytest.skip("needs two usable cores")
+    # the zero at 0.3 makes |f|^1.5 rough, so the grid doubles to many blocks
+    path = tmp_path / "f.json"
+    save_function(SliceSeries((Quaternion(-0.3, 0.1), Quaternion(1.0, 0.0, 0.2))),
+                  str(path))
+    argv = [sys.executable, "-m", "slicefock", "norm", str(path), "--p", "1.5",
+            "--out", "json"]
+    free = subprocess.run(argv, env=_src_env(), capture_output=True, timeout=120)
+    pinned = subprocess.run(argv, env=_src_env(), capture_output=True, timeout=120,
+                            preexec_fn=lambda: os.sched_setaffinity(0, cores[:1]))
+    assert free.returncode == pinned.returncode == 0, free.stderr + pinned.stderr
+    assert json.loads(free.stdout)["grid"]["refinements"] >= 1
+    assert free.stdout == pinned.stdout
+
+
+NO_POOL_SCRIPT = """
+import sys, threading
+from slicefock import FockParams, SliceSeries, Quaternion, fock_norm_p, sup_norm
+from slicefock.verify import run_verify
+f = SliceSeries((Quaternion(1.0), Quaternion(0.0, 0.5, 0.2, 0.1), Quaternion(0.3)))
+fock_norm_p(f, FockParams(alpha=1.0, p=2.0))
+sup_norm(f, FockParams(alpha=1.0))
+run_verify(seed=0, sphere_count=4, radial=16, angular=32, sup_radial=17,
+           sup_angular=32)
+assert threading.active_count() == 1, threading.enumerate()
+assert "concurrent.futures" not in sys.modules
+"""
+
+
+def test_p2_sup_and_verify_start_no_thread():
+    done = subprocess.run([sys.executable, "-c", NO_POOL_SCRIPT], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 # --- refinement refuses non-finite values ---
 
 def test_refinement_refuses_non_finite_values():
@@ -821,6 +1025,18 @@ def test_derivative_and_dilation_equal_their_unbatched_bodies():
                 assert rep.order == order
                 assert (rep.sup_ratio, rep.component_sups, rep.passed) == \
                     _parent_derivative_criterion(f, order, params, sphere, 17, 32)
+
+
+def test_dilation_values_of_a_batch_equal_one_call_per_function():
+    # verify's dilation row: mixed coefficient counts, a constant among them
+    rng = rng_for(31)
+    params = FockParams(alpha=1.3, p=2.0, n=1, radius=1.2)
+    fs = [random_series(rng, max_degree=d) for d in (2, 12, 5, 12)] + [ONE_F]
+    factors = (0.5, 0.9, 0.99)
+    for sphere in (default_sphere(1), small_sphere()):
+        got = fock._dilation_values(fs, params, factors, sphere, 17, 32)
+        assert got == [dilation_convergence(f, params, factors, sphere, 17,
+                                            angular_count=32) for f in fs]
 
 
 def test_batched_sup_call_holds_one_grid_buffer_at_a_time():
