@@ -253,7 +253,6 @@ def cmd_profile(args) -> int:
     if not rhos:
         raise ValueError("--rho expects at least one radius")
     report = fock.little_space_profile(f, params, rhos,
-                                       default_sphere(args.sphere),
                                        angular_count=args.angular,
                                        tolerance=args.tolerance)
     if not all(map(math.isfinite, report.values)):
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("profile", help="boundary decay profile M(rho)")
     sub.add_argument("function", help="JSON function file")
-    _add_common(sub, with_p=False, with_grid=False)
+    _add_common(sub, with_p=False, with_grid=False, with_sphere=False)
     sub.add_argument("--angular", type=int, default=256,
                      help="angular samples per circle (default 256)")
     sub.add_argument("--rho", required=True,

@@ -9,21 +9,34 @@ over the sampled sphere of imaginary units, and for p = infinity
 
     ||f||_inf = sup |f(q)| e^{-a|q|^2/2}
 
-over the sampled ball.  The inner product pairs f against the conjugate of g
+over the ball.  The inner product pairs f against the conjugate of g
 with weight (a/pi)^n e^{-a|z|^2}.  Quadrature is polar Gauss-Legendre times
 trapezoid (see quadrature.py) with automatic refinement: the grid is doubled
 until successive values agree to 1e-8 relative or the 512 x 1024 cap, and a
 residual disagreement above 1e-6, or a non-finite value, raises GridTooCoarse.
 
-Suprema are discretized on Chebyshev radii times a uniform angle grid over
-the sampled units, then the best radial cell of every unit is polished by
-golden-section search.  One call takes a list of (f, units) jobs: it finds
-the grid maxima job by job, then polishes the rows of every job together,
-one row per unit, so the polish costs a few numpy calls per round however
-many functions are batched.  A row's arithmetic does not depend on the
-rows beside it.  The radial endpoints are grid nodes, so boundary maxima
-are exact.  Quadrature and sup norms both work on f 2^-e, with the largest
-coefficient component in [1/2, 1), and scale the result back by 2^e.
+Suprema.  On C_I, |f(x + yI)|^2 = s + 2 <v, I> with s and v independent of I
+(below), so max_I |f|^2 = s + 2|v| exactly: the ball sup is exact over the
+units, and only the disk is sampled.  A per-slice sup is a sampled lower
+bound over the disk B_I.  Both are discretized on Chebyshev radii times a
+uniform angle grid, then the best radial cell of every row is polished by
+golden-section search along its best ray: a unit row evaluates f on its
+slice, the ball row evaluates A and B and takes s + 2|v|.  One call takes a
+list of jobs (f, units, ball): it finds the grid maxima job by job, then
+polishes the rows of every job together, so the polish costs a few numpy
+calls per round however many functions are batched.  A row's arithmetic
+does not depend on the rows beside it.  The radial endpoints are grid nodes,
+so boundary maxima are exact.  Quadrature and sup norms both work on f 2^-e,
+with the largest coefficient component in [1/2, 1), and scale the result
+back by 2^e.
+
+The per-unit grid stage is pruned by the ball row.  No unit's weighted |f|
+at a point exceeds the bound w sqrt(s + 2|v|) there, beyond rounding.  Every
+unit is evaluated on the 64 points of largest bound; the least of the
+units' maxima there is a floor under every unit's grid max, so only the
+aligned blocks of 16 points that hold a bound above the floor are evaluated,
+in the full array's terms and order, and each unit's grid max and argmax are
+those of the full units x points array bit for bit.
 
 Evaluation on a slice uses f(x + yI) = A(z) + I B(z) (Colombo, Gentili,
 Sabadini, Struppa, Adv. Math. 2009): with z = x + iy and z^k = u_k + i v_k,
@@ -42,11 +55,11 @@ sums are the same whichever lane makes them, and they are added in block
 order, as a serial loop adds them, so every norm is the same bit for bit on
 any number of cores.
 
-Grid stages work in one buffer.  The sup search takes the root and the
-radial weight in place in the units x points array of |f|^2, and s and v
-are written through two scratch rows; both keep every term and its order,
-so the values are those of the fresh-array expressions bit for bit, without
-the page faults of a new multi-megabyte temporary per call.
+Grid stages work in place.  s and v are written through two scratch rows,
+and under five units the sup search takes the root and the radial weight in
+place in the units x points array of |f|^2; both keep every term and its
+order, so the values are those of the fresh-array expressions bit for bit,
+without the page faults of a new multi-megabyte temporary per call.
 """
 
 from __future__ import annotations
@@ -101,6 +114,14 @@ _BLOCK_POINTS = 4096
 # rows per golden polish call: a chunk's (rows, 2, K) powers and values stay
 # small however many jobs one sup call batches (1024 and 2048 measured alike)
 _POLISH_ROWS = 1024
+# the per-unit grid stage first evaluates every unit on this many points of
+# largest bound w sqrt(s + 2|v|), then on whole blocks of _PRUNE_BLOCK
+# consecutive points (see _pruned_unit_maxima)
+_TOP_POINTS = 64
+_PRUNE_BLOCK = 16
+# relative allowance for rounding in "a unit's weighted |f| never exceeds the
+# bound at the same point"; the rounding itself is a few ulps
+_BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -204,7 +225,12 @@ def _slice_terms(table: np.ndarray,
     b[0] a[1:4] - a[0] b[1:4] - (a[2:5] b[3:6] - a[3:6] b[2:5]), so the
     values are the same bit for bit without (3, N) or (4, N) temporaries.
     """
-    a, b = (radii[:, None] ** np.arange(table.shape[2]) @ table).reshape(2, 6, -1)
+    return _s_and_v(*(radii[:, None] ** np.arange(table.shape[2]) @ table)
+                    .reshape(2, 6, -1))
+
+
+def _s_and_v(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_slice_terms' s and v from A and B as components (w, x, y, z, x, y), (6, N)."""
     t1, t2 = np.empty(a.shape[1]), np.empty(a.shape[1])
     s = np.square(a[0])
     np.square(b[0], out=t2)
@@ -547,37 +573,128 @@ def _golden_max_rows(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 48) -> np.
 
 
 class _GridMaxima(NamedTuple):
-    """One job's grid stage: its rows, one per unit, ready for the polish."""
+    """Grid maxima of one set of rows, ready for the polish.
+
+    A row is the slice of one unit or, with units None, the ball row: the
+    unit-free w sqrt(s + 2|v|), which is max_I w |f(x + yI)| exactly.
+    """
 
     coeffs: np.ndarray          # f 2^-exponent as rows (K, 4)
-    units: list                 # sliced per chunk by the polish
-    angles: np.ndarray          # angle of each unit's best ray, (M,)
+    units: list | None          # sliced per chunk by the polish; None: ball row
+    angles: np.ndarray          # angle of each row's best ray, (M,)
     brackets: np.ndarray        # radial cell around each maximum, (M, 2)
     grid_max: np.ndarray
-    points: np.ndarray          # complex grid argmax of each unit
+    points: np.ndarray          # complex grid argmax of each row
     exponent: int
 
 
-def _sup_grid_stage(f: SliceSeries, units, radii: np.ndarray, theta: np.ndarray,
-                    weight: np.ndarray) -> _GridMaxima:
-    """Maxima of one job on the polar grid of every unit.
+class _Sups(NamedTuple):
+    """One job's weighted suprema."""
 
-    The root and the radial weight are taken in place in the units x points
-    array of |f|^2, which is released on return, before the next job's is
-    built.
-    """
-    coeffs, exponent = _scaled_rows(f)
-    vals = _abs_sq_rows(coeffs, units, radii, theta)
-    np.sqrt(vals, out=vals)
-    cells = vals.reshape(len(units), radii.size, theta.size)   # a view
-    cells *= weight[:, None]
-    flat = vals.argmax(axis=1)
+    sups: np.ndarray            # on each unit's slice disk, (M,)
+    points: np.ndarray          # complex grid argmax of each unit
+    ball: float | None          # over the ball, exact over the units; None if not asked
+    ball_point: complex | None  # complex grid argmax of the ball row
+
+
+def _grid_maxima(coeffs, units, exponent, flat, grid_max, radii, theta) -> _GridMaxima:
+    """_GridMaxima of rows whose grid maxima sit at the flat indices flat."""
     ri, ti = np.divmod(flat, theta.size)
     return _GridMaxima(coeffs, units, theta[ti],
                        np.stack([radii[np.maximum(ri - 1, 0)],
                                  radii[np.minimum(ri + 1, radii.size - 1)]], axis=1),
-                       vals[np.arange(flat.size), flat],
-                       radii[ri] * np.exp(1j * theta[ti]), exponent)
+                       grid_max, radii[ri] * np.exp(1j * theta[ti]), exponent)
+
+
+def _ball_abs_sq(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """s + 2|v|, the max of |f|^2 = s + 2 <v, I> over all units I, shape (N,)."""
+    out = np.sqrt(np.einsum("ij,ij->j", v, v))
+    out *= 2.0
+    out += s
+    return out
+
+
+def _unit_values(s, v, unit_rows, w, cols) -> np.ndarray:
+    """Weighted |f| of every unit on the grid points cols, (M, cols.size).
+
+    The many-unit evaluator's terms in its order, then the root and the
+    weight, so where BLAS rounds the product alike (see _pruned_unit_maxima)
+    each value is the one a full units x points array holds, bit for bit.
+    """
+    out = unit_rows @ (2.0 * v[:, cols])
+    out += s[cols]
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    out *= w[cols]
+    return out
+
+
+def _pruned_unit_maxima(s, v, bound, units, w) -> tuple[np.ndarray, np.ndarray]:
+    """Flat grid argmax and max of the weighted |f| of every unit.
+
+    bound is the ball row w sqrt(s + 2|v|), which no unit's value exceeds
+    beyond rounding.  Every unit is evaluated on the _TOP_POINTS points of
+    largest bound; the least of the units' maxima there, low, is a floor
+    under every unit's grid max, so a point whose bound is below low, with
+    a relative rounding allowance, holds no unit's max.  Only the aligned
+    blocks of _PRUNE_BLOCK points that hold some other point are evaluated.
+    NaN and inf compare below nothing, so non-finite points stay in, and so
+    does every tie to a max: the first max in flat order is the one argmax
+    finds on the whole grid.
+
+    BLAS rounds the trailing columns of a product differently when their
+    count is not a multiple of its kernel width (measured: OpenBLAS moves
+    a partial group of 4 by an ulp).  Whole aligned blocks keep every
+    column at its place modulo _PRUNE_BLOCK and the count a multiple of it,
+    and a grid whose size is not such a multiple is evaluated whole.
+    """
+    unit_rows = _unit_rows(units)
+    cols = np.arange(bound.size)
+    if bound.size % _PRUNE_BLOCK == 0 and bound.size > _TOP_POINTS:
+        top = np.argpartition(bound, -_TOP_POINTS)[-_TOP_POINTS:]
+        low = _unit_values(s, v, unit_rows, w, top).max(axis=1).min()
+        # rounding is relative only down to the smallest normal number
+        if low >= np.finfo(float).tiny:
+            keep = ~(bound < low * (1.0 - _BOUND_SLACK))
+            blocks = keep.reshape(-1, _PRUNE_BLOCK).any(axis=1)
+            cols = np.flatnonzero(np.repeat(blocks, _PRUNE_BLOCK))
+    vals = _unit_values(s, v, unit_rows, w, cols)
+    best = vals.argmax(axis=1)
+    return cols[best], vals[np.arange(best.size), best]
+
+
+def _sup_grid_stage(f: SliceSeries, units, ball: bool, radii: np.ndarray,
+                    theta: np.ndarray, weight: np.ndarray) -> list[_GridMaxima]:
+    """Grid maxima of one job: its unit rows if it has units, then its ball row.
+
+    Five units or more and the ball row share one s and v.  Under five
+    units the root and the radial weight are taken in place in the units x
+    points array of |f|^2.  Every grid array is released on return, before
+    the next job's is built.
+    """
+    coeffs, exponent = _scaled_rows(f)
+    out = []
+    if ball or len(units) >= 5:
+        s, v = _slice_terms(_terms_table(coeffs, theta), radii)
+        w = np.repeat(weight, theta.size)
+        bound = _ball_abs_sq(s, v)
+        np.sqrt(bound, out=bound)
+        bound *= w
+    if len(units) >= 5:
+        flat, grid_max = _pruned_unit_maxima(s, v, bound, units, w)
+        out.append(_grid_maxima(coeffs, units, exponent, flat, grid_max, radii, theta))
+    elif units:
+        vals = _abs_sq_rows(coeffs, units, radii, theta)
+        np.sqrt(vals, out=vals)
+        cells = vals.reshape(len(units), radii.size, theta.size)   # a view
+        cells *= weight[:, None]
+        flat = vals.argmax(axis=1)
+        out.append(_grid_maxima(coeffs, units, exponent, flat,
+                                vals[np.arange(flat.size), flat], radii, theta))
+    if ball:
+        flat = np.array([bound.argmax()])
+        out.append(_grid_maxima(coeffs, None, exponent, flat, bound[flat], radii, theta))
+    return out
 
 
 def _row_chunks(sizes, limit: int):
@@ -603,80 +720,112 @@ def _row_chunks(sizes, limit: int):
 def _polish(pieces, alpha: float, weight_order: int) -> np.ndarray:
     """Golden-section max of the weight times |f| along the best ray of each row.
 
-    pieces holds (grid maxima of a job, slice of its rows); the rays'
-    coefficients are built here, so that only one chunk's are ever held.
+    pieces holds (grid maxima, slice of its rows), either all unit rows or
+    all ball rows.  A unit row evaluates f on its slice; a ball row
+    evaluates A and B and takes s + 2|v|.  The rays' coefficients are built
+    here, so that only one chunk's are ever held.
     """
-    ray = np.concatenate([_ray_coeffs(stage.coeffs, stage.units[rows],
-                                      stage.angles[rows, None])[..., 0]
-                          for stage, rows in pieces]).transpose(0, 2, 1)
+    ball = pieces[0][0].units is None
+    if ball:
+        # (M, K, 12): r^k @ ray gives A then B as in _terms_table
+        ray = np.concatenate([_terms_table(stage.coeffs, stage.angles[rows])
+                              .transpose(3, 2, 0, 1) for stage, rows in pieces])
+        ray = ray.reshape(*ray.shape[:2], 12)
+    else:
+        ray = np.concatenate([_ray_coeffs(stage.coeffs, stage.units[rows],
+                                          stage.angles[rows, None])[..., 0]
+                              for stage, rows in pieces]).transpose(0, 2, 1)
     brackets = np.concatenate([stage.brackets[rows] for stage, rows in pieces])
     ks = np.arange(ray.shape[1])
 
     def weighted_sq(r):
-        vec = r[..., None] ** ks @ ray              # f on the ray, (M, 2, 4)
-        out = (vec * vec).sum(axis=-1) * np.exp(-alpha * r * r)
+        vec = r[..., None] ** ks @ ray      # f, or A then B, on the ray (M, 2, .)
+        if ball:
+            sq = _ball_abs_sq(*_s_and_v(*np.moveaxis(vec, -1, 0).reshape(2, 6, -1)))
+            sq = sq.reshape(r.shape)
+        else:
+            sq = (vec * vec).sum(axis=-1)
+        out = sq * np.exp(-alpha * r * r)
         return out / (1.0 + r) ** (2 * weight_order) if weight_order else out
 
     return np.sqrt(_golden_max_rows(weighted_sq, brackets[:, 0], brackets[:, 1]))
 
 
 def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
-                   angular_count: int, weight_order: int = 0):
-    """Weighted sup of |f|(z) e^{-a|z|^2/2} / (1+|z|)^t on each slice C_I.
+                   angular_count: int, weight_order: int = 0) -> list[_Sups]:
+    """Weighted sup of |f|(q) e^{-a|q|^2/2} / (1+|q|)^t, per slice and on the ball.
 
-    jobs is a list of (f, units); returns one (sups, argmax points) per job,
-    with one complex grid argmax per unit.  Chebyshev radii (hitting 0 and R
+    jobs is a list of (f, units, ball); returns one _Sups per job: the sup
+    on each unit's slice disk C_I and, if ball, the sup over the ball of
+    radius R, exact over the units.  Chebyshev radii (hitting 0 and R
     exactly) times a uniform angle grid locate each maximum, one job at a
     time (see _sup_grid_stage).  The radial cells around the maxima of all
     jobs are then polished together by golden-section search along the best
-    rays, one row per unit, grouped by coefficient count K and in chunks of
-    at most _POLISH_ROWS rows.  A row's arithmetic does not depend on the
-    other rows, so a batch gives what one call per job gives, bit for bit.
+    rays, one row per unit and one per ball, grouped by row kind and
+    coefficient count K and in chunks of at most _POLISH_ROWS rows.  A row's
+    arithmetic does not depend on the other rows, so a batch gives what one
+    call per job gives, bit for bit.
     """
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
     weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
-    stages = [_sup_grid_stage(f, units, radii, theta, weight) for f, units in jobs]
+    sets = [rows for f, units, ball in jobs
+            for rows in _sup_grid_stage(f, units, ball, radii, theta, weight)]
     groups = defaultdict(list)
-    for j, stage in enumerate(stages):
-        groups[len(stage.coeffs)].append((j, len(stage.units)))
-    refined = [None] * len(stages)
+    for j, rows in enumerate(sets):
+        groups[len(rows.coeffs), rows.units is None].append((j, rows.angles.size))
+    refined = [None] * len(sets)
     for sizes in groups.values():
         polished = np.concatenate([
-            _polish([(stages[j], rows) for j, rows in chunk], alpha, weight_order)
+            _polish([(sets[j], rows) for j, rows in chunk], alpha, weight_order)
             for chunk in _row_chunks(sizes, _POLISH_ROWS)])
         for j, rows in sizes:
             refined[j], polished = polished[:rows], polished[rows:]
-    results = []
-    for stage, best in zip(stages, refined):
+    found = iter(zip(sets, refined))
+
+    def next_sups():
+        rows, best = next(found)
         # a sup that overflows is inf, which callers refuse; numpy need not warn
         with np.errstate(over="ignore"):
-            sups = np.ldexp(np.maximum(best, stage.grid_max), stage.exponent)
-        results.append((sups, stage.points))
+            return np.ldexp(np.maximum(best, rows.grid_max), rows.exponent), rows.points
+
+    results = []
+    for _, units, ball in jobs:
+        sups, points = next_sups() if units else (np.empty(0), np.empty(0, complex))
+        top = top_point = None
+        if ball:
+            values, ball_points = next_sups()
+            top, top_point = float(values[0]), complex(ball_points[0])
+        results.append(_Sups(sups, points, top, top_point))
     return results
 
 
 def sup_norm(f: SliceSeries, params: FockParams, sphere=None,
              radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
              angular_count: int = DEFAULT_SUP_ANGULAR) -> NormReport:
-    """sup of |f(q)| e^{-a|q|^2/2} over the sampled ball of radius R."""
+    """sup of |f(q)| e^{-a|q|^2/2} over the ball of radius R, exact over the units.
+
+    per_slice holds the sup on the slice disk of each sampled unit, a lower
+    bound of the value.  The value is the ball row's sup, or the largest
+    slice sup where rounding or the polish puts one above it.
+    """
     units = list(sphere) if sphere is not None else default_sphere()
-    [(sups, _)] = _sup_over_rows([(f, units)], params.alpha, params.radius,
-                                 radial_samples, angular_count)
-    per_slice = tuple((u, float(v)) for u, v in zip(units, sups))
+    [found] = _sup_over_rows([(f, units, True)], params.alpha, params.radius,
+                             radial_samples, angular_count)
+    per_slice = tuple((u, float(v)) for u, v in zip(units, found.sups))
     spec = {"rule": "chebyshev x trapezoid + golden", "radial": radial_samples,
             "angular": angular_count, "radius": params.radius,
             "sphere": len(units)}
-    return NormReport(float(sups.max()), per_slice, spec)
+    return NormReport(float(np.append(found.sups, found.ball).max()), per_slice, spec)
 
 
 def slice_sup_norm(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
                    radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
                    angular_count: int = DEFAULT_SUP_ANGULAR) -> float:
     """sup of |f(z)| e^{-a|z|^2/2} over the single slice disk B_I."""
-    [(sups, _)] = _sup_over_rows([(f, [unit])], params.alpha, params.radius,
-                                 radial_samples, angular_count)
-    return float(sups[0])
+    [found] = _sup_over_rows([(f, [unit], False)], params.alpha, params.radius,
+                             radial_samples, angular_count)
+    return float(found.sups[0])
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +887,9 @@ def _monomial_sup(mono: MultiMonomial, alpha: float, radius: float) -> float:
     """sup over the ball of |z^m a_m| e^{-a|z|^2/2} by radial reduction.
 
     |z^m| depends only on the moduli r_k, and for a fixed total radius s the
-    product prod r_k^{m_k} is maximized at r_k^2 = s^2 m_k / |m|, so the sup
-    reduces to one unimodal function of s on [0, R].
+    product prod r_k^{m_k} is maximized at r_k^2 = s^2 m_k / |m|.  What is
+    left, s^{|m|} e^{-a s^2/2}, rises up to s = sqrt(|m|/a) and falls after
+    it, so its max on [0, R] is at s = min(R, sqrt(|m|/a)).
     """
     m = mono.multi_index
     total = sum(m)
@@ -750,11 +900,8 @@ def _monomial_sup(mono: MultiMonomial, alpha: float, radius: float) -> float:
     for mk in m:
         if mk > 0:
             direction *= (mk / total) ** (mk / 2.0)
-
-    def g(s):
-        return a * direction * s ** total * math.exp(-0.5 * alpha * s * s)
-
-    return _golden_max(g, 0.0, radius, iters=64)
+    s = min(radius, math.sqrt(total / alpha))
+    return a * direction * s ** total * math.exp(-0.5 * alpha * s * s)
 
 
 def _multi_slice_sup(poly: MultiPolynomial, unit: ImaginaryUnit, alpha: float,
@@ -836,65 +983,62 @@ def monomial_bound_check(mono: MultiMonomial, f, params: FockParams,
 
 
 def dilation_convergence(f: SliceSeries, params: FockParams, r_list,
-                         sphere=None,
                          radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
                          angular_count: int = DEFAULT_SUP_ANGULAR) -> list[float]:
     """Values ||f_r - f||_inf for each dilation factor in r_list.
 
-    r_list must be strictly increasing inside (0, 1); for a polynomial the
-    values decrease to 0 as r -> 1.
+    Each value is the sup over the ball, exact over the units.  r_list must
+    be strictly increasing inside (0, 1); for a polynomial the values
+    decrease to 0 as r -> 1.
     """
-    units = list(sphere) if sphere is not None else default_sphere()
-    return _dilation_values([f], params, r_list, units, radial_samples,
-                            angular_count)[0]
+    return _dilation_values([f], params, r_list, radial_samples, angular_count)[0]
 
 
-def _dilation_values(fs, params: FockParams, r_list, units, radial_samples: int,
+def _dilation_values(fs, params: FockParams, r_list, radial_samples: int,
                      angular_count: int) -> list[list[float]]:
     """dilation_convergence for each f in fs, with one sup call for all of them."""
     rs = [float(r) for r in r_list]
     if any(not 0.0 < r < 1.0 for r in rs) or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_list must be strictly increasing inside (0, 1)")
     jobs = [(SliceSeries(tuple(a - b for a, b in zip(dilate(f, r).coeffs, f.coeffs)),
-                         f.nominal_radius), units) for f in fs for r in rs]
-    results = _sup_over_rows(jobs, params.alpha, params.radius, radial_samples,
-                             angular_count)
-    sups = [float(s.max()) for s, _ in results]
+                         f.nominal_radius), [], True) for f in fs for r in rs]
+    sups = [found.ball for found in _sup_over_rows(
+        jobs, params.alpha, params.radius, radial_samples, angular_count)]
     return [sups[i * len(rs):(i + 1) * len(rs)] for i in range(len(fs))]
 
 
 def derivative_criterion(f: SliceSeries, order: int, params: FockParams,
-                         sphere=None,
                          radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
                          angular_count: int = DEFAULT_SUP_ANGULAR,
                          slack: float = 1e-9) -> DerivativeCriterionReport:
     """Weighted sup of the t-th slice derivative against its split components.
 
-    Computes  sup |d^t f(q)| e^{-a|q|^2/2} / (1+|q|)^t  over the sampled ball
-    and the matching suprema of the two split components on C_i, then checks
+    Computes  sup |d^t f(q)| e^{-a|q|^2/2} / (1+|q|)^t  over the ball, exact
+    over the units, and the matching suprema of the two split components on
+    C_i, then checks
 
         sup(f) <= sup(f_1) + sup(f_2) + slack.
 
     The argmax of the left side (and its conjugate) is re-evaluated on the
     component side so discretization cannot break the comparison.
     """
-    units = list(sphere) if sphere is not None else default_sphere()
-    return _derivative_reports([f], order, params, units, radial_samples,
+    return _derivative_reports([f], order, params, radial_samples,
                                angular_count, slack)[0]
 
 
-def _derivative_reports(fs, order: int, params: FockParams, units,
-                        radial_samples: int, angular_count: int,
+def _derivative_reports(fs, order: int, params: FockParams, radial_samples: int,
+                        angular_count: int,
                         slack: float) -> list[DerivativeCriterionReport]:
     """derivative_criterion for each f in fs, with one sup call for all of them.
 
-    The call polishes d^t f on every unit and its two split parts on i.
+    The call polishes the ball row of d^t f and its two split parts on i.
     """
     ders = [derivative(f, order) for f in fs]
     parts = [split(der, UNIT_I, orthonormal_partner(UNIT_I)) for der in ders]
     jobs = []
     for der, (f1, f2) in zip(ders, parts):
-        jobs += [(der, units), (f1.embed(), [UNIT_I]), (f2.embed(), [UNIT_I])]
+        jobs += [(der, [], True), (f1.embed(), [UNIT_I], False),
+                 (f2.embed(), [UNIT_I], False)]
     results = _sup_over_rows(jobs, params.alpha, params.radius, radial_samples,
                              angular_count, weight_order=order)
 
@@ -905,23 +1049,21 @@ def _derivative_reports(fs, order: int, params: FockParams, units,
 
     reports = []
     for i, (f1, f2) in enumerate(parts):
-        (sups, points), (sups1, _), (sups2, _) = results[3 * i:3 * i + 3]
-        best_row = int(np.argmax(sups))
-        sup_f = float(sups[best_row])
-        zstar = complex(points[best_row])
-        s1 = max(float(sups1[0]), ratio_at(f1, zstar), ratio_at(f1, zstar.conjugate()))
-        s2 = max(float(sups2[0]), ratio_at(f2, zstar), ratio_at(f2, zstar.conjugate()))
-        reports.append(DerivativeCriterionReport(order, sup_f, (s1, s2),
-                                                 sup_f <= s1 + s2 + slack))
+        left, part1, part2 = results[3 * i:3 * i + 3]
+        zstar = left.ball_point
+        s1 = max(float(part1.sups[0]), ratio_at(f1, zstar), ratio_at(f1, zstar.conjugate()))
+        s2 = max(float(part2.sups[0]), ratio_at(f2, zstar), ratio_at(f2, zstar.conjugate()))
+        reports.append(DerivativeCriterionReport(order, left.ball, (s1, s2),
+                                                 left.ball <= s1 + s2 + slack))
     return reports
 
 
-def little_space_profile(f: SliceSeries, params: FockParams, rho_list,
-                         sphere=None, *,
+def little_space_profile(f: SliceSeries, params: FockParams, rho_list, *,
                          angular_count: int = DEFAULT_SUP_ANGULAR,
                          tolerance: float = 1e-3) -> LittleSpaceReport:
     """Boundary decay profile M(rho) = max_{|q| = rho} |f(q)| e^{-a rho^2/2}.
 
+    The max is exact over the units and taken over angular_count angles.
     rho_list must increase inside (0, R].  A non-increasing tail over the
     last three entries that also drops below the tolerance is reported as
     membership in the vanishing-at-the-boundary subspace.
@@ -930,11 +1072,10 @@ def little_space_profile(f: SliceSeries, params: FockParams, rho_list,
     if any(not 0.0 < r <= params.radius for r in rhos) \
             or any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rho_list must be strictly increasing inside (0, R]")
-    units = list(sphere) if sphere is not None else default_sphere()
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
     coeffs, exponent = _scaled_rows(f)
-    absq = _abs_sq_rows(coeffs, units, np.array(rhos), theta)
-    peaks = np.sqrt(absq.reshape(len(units), len(rhos), angular_count).max(axis=(0, 2)))
+    s, v = _slice_terms(_terms_table(coeffs, theta), np.array(rhos))
+    peaks = np.sqrt(_ball_abs_sq(s, v).reshape(len(rhos), angular_count).max(axis=1))
     # an M that overflows is inf, which callers refuse; numpy need not warn
     with np.errstate(over="ignore"):
         values = [float(np.ldexp(m * math.exp(-0.5 * params.alpha * rho * rho),

@@ -78,17 +78,42 @@ def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
 
     The recurrences qp = qp * q, wp = wp * wbar and acc = acc + (qp * wp) *
     scale run on floats, written out in the terms and order of the
-    `Quaternion` operators, so the value is the same bit for bit.
+    `Quaternion` operators, so the value is the same bit for bit.  Where
+    that sum is not finite, because q^n or wbar^n overflows or 1/n!
+    underflows while the terms are representable, it is formed again with
+    the three kept as mantissa times 2^e (see _star_exp_sum).
     """
     _require_alpha(alpha)
     if trunc_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
+    value = _star_exp_sum(q, w, alpha, trunc_degree, scaled=False)
+    if not all(map(math.isfinite, value)):
+        value = _star_exp_sum(q, w, alpha, trunc_degree, scaled=True)
+    return Quaternion(*value)
+
+
+def _ldexp(x: float, e: int) -> float:
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _star_exp_sum(q: Quaternion, w: Quaternion, alpha: float, trunc_degree: int,
+                  scaled: bool) -> tuple[float, float, float, float]:
+    """Components of star_exp_eval's sum; scaled keeps the factors representable.
+
+    Scaled, qp, wp and scale are divided by a power of two after every
+    step, and each term takes the three powers back through its scale
+    factor.  Both are exact for normal numbers, so a term rounds as the
+    unscaled one does wherever that one is representable.
+    """
     qw, qx, qy, qz = q.w, q.x, q.y, q.z
     bw, bx, by, bz = w.w, -w.x, -w.y, -w.z                # wbar
     aw, ax, ay, az = 1.0, 0.0, 0.0, 0.0                   # acc
-    pw, px, py, pz = 1.0, 0.0, 0.0, 0.0                   # qp = q^n
-    vw, vx, vy, vz = 1.0, 0.0, 0.0, 0.0                   # wp = wbar^n
-    scale = 1.0
+    pw, px, py, pz = 1.0, 0.0, 0.0, 0.0                   # qp = q^n 2^-ep
+    vw, vx, vy, vz = 1.0, 0.0, 0.0, 0.0                   # wp = wbar^n 2^-ev
+    scale, ep, ev, es = 1.0, 0, 0, 0                      # scale = a^n/n! 2^-es
     for n in range(1, trunc_degree + 1):
         pw, px, py, pz = (pw * qw - px * qx - py * qy - pz * qz,
                           pw * qx + px * qw + py * qz - pz * qy,
@@ -99,11 +124,22 @@ def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
                           vw * by - vx * bz + vy * bw + vz * bx,
                           vw * bz + vx * by - vy * bx + vz * bw)
         scale *= alpha / n
-        aw += (pw * vw - px * vx - py * vy - pz * vz) * scale
-        ax += (pw * vx + px * vw + py * vz - pz * vy) * scale
-        ay += (pw * vy - px * vz + py * vw + pz * vx) * scale
-        az += (pw * vz + px * vy - py * vx + pz * vw) * scale
-    return Quaternion(aw, ax, ay, az)
+        # scaled, the term's factor takes back all three powers of two
+        step = _ldexp(scale, ep + ev + es) if scaled else scale
+        aw += (pw * vw - px * vx - py * vy - pz * vz) * step
+        ax += (pw * vx + px * vw + py * vz - pz * vy) * step
+        ay += (pw * vy - px * vz + py * vw + pz * vx) * step
+        az += (pw * vz + px * vy - py * vx + pz * vw) * step
+        if scaled:
+            k = math.frexp(max(abs(pw), abs(px), abs(py), abs(pz)))[1]
+            pw, px, py, pz, ep = (math.ldexp(pw, -k), math.ldexp(px, -k),
+                                  math.ldexp(py, -k), math.ldexp(pz, -k), ep + k)
+            k = math.frexp(max(abs(vw), abs(vx), abs(vy), abs(vz)))[1]
+            vw, vx, vy, vz, ev = (math.ldexp(vw, -k), math.ldexp(vx, -k),
+                                  math.ldexp(vy, -k), math.ldexp(vz, -k), ev + k)
+            k = math.frexp(scale)[1]
+            scale, es = math.ldexp(scale, -k), es + k
+    return aw, ax, ay, az
 
 
 def _tail_bound(x: float, trunc_degree: int, log_damp: float = 0.0) -> float:

@@ -161,7 +161,7 @@ def test_synth_writes_loadable_function(tmp_path, capsys):
 def test_profile_member_verdict(tmp_path, capsys):
     path = write_series(tmp_path, [Quaternion(1.0)])
     code, out, _ = run(capsys, ["profile", path, "--alpha", "20",
-                                "--rho", "0.5,0.75,1.0", "--sphere", "2"])
+                                "--rho", "0.5,0.75,1.0"])
     assert code == 0
     assert "vanishes at the boundary (tolerance 0.001): yes" in out
     values = [float(line.split("M =")[1]) for line in out.splitlines()[:-1]]
@@ -169,7 +169,7 @@ def test_profile_member_verdict(tmp_path, capsys):
     assert math.isclose(values[-1], math.exp(-10.0), rel_tol=1e-9)
 
     code, out, _ = run(capsys, ["profile", path, "--rho", "0.5,0.75,1.0",
-                                "--sphere", "2", "--out", "json"])
+                                "--out", "json"])
     payload = json.loads(out)
     assert payload["member"] is False  # e^{-rho^2/2} stays order one
     assert payload["decreasing_tail"] is True
@@ -412,5 +412,13 @@ def test_verify_has_no_worker_flag(capsys):
     # argparse would accept this abbreviation if a matching flag existed
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["verify", "--thread", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_profile_has_no_sphere_flag(capsys):
+    # M(rho) is exact over the units, so no unit sample is left to size
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["profile", "f.json", "--rho", "1", "--sphere", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err

@@ -232,6 +232,45 @@ def test_sup_sandwich_random():
         assert global_val <= 2.0 * slice_val + 1e-9
 
 
+def test_ball_sup_is_exact_over_the_units():
+    # value is the max of w sqrt(s + 2|v|): no sampled unit, not even one of
+    # 4000, exceeds it on the same grid
+    rng = rng_for(83)
+    many = default_sphere(4000)
+    for _ in range(20):
+        f = random_series(rng, max_degree=12)
+        report = sup_norm(f, P2, None, 33, angular_count=64)
+        assert report.value >= max(v for _, v in report.per_slice)
+        sampled = max(v for i in range(0, len(many), 1000)
+                      for _, v in sup_norm(f, P2, many[i:i + 1000], 33,
+                                           angular_count=64).per_slice)
+        assert report.value >= sampled
+
+
+def test_sup_norm_reaches_the_best_unit_off_the_sample():
+    # f = 1 + q c with c = (i + 2j + 3k)/sqrt(14): max_I |f|^2 = 1 + r^2 + 2|y|,
+    # so the sup is max_r (1 + r) e^{-r^2/2}, at r = (sqrt(5) - 1)/2 and
+    # y = r (angle pi/2, a grid node); no sampled unit is -c or c
+    c = ImaginaryUnit.normalized(1.0, 2.0, 3.0).as_quaternion()
+    f = SliceSeries((Quaternion(1.0), c))
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    oracle = (1.0 + r) * math.exp(-0.5 * r * r)
+    report = sup_norm(f, P2)
+    assert abs(report.value - oracle) <= 1e-12
+    assert max(v for _, v in report.per_slice) < oracle * (1.0 - 1e-6)
+
+
+def test_ball_row_alone_gives_the_sup_norm_value():
+    rng = rng_for(84)
+    for _ in range(5):
+        f = random_series(rng, max_degree=9)
+        [found] = _sup_over_rows([(f, [], True)], 1.0, 1.0, 65, 128)
+        assert found.sups.size == 0
+        assert found.ball == sup_norm(f, P2, [], 65, angular_count=128).value
+        assert found.ball >= sup_norm(f, P2, None, 65, angular_count=128).value \
+            * (1.0 - 1e-12)
+
+
 # --- norm equivalence report ---
 
 def test_norm_equivalence_p2_ratios_are_unit():
@@ -337,17 +376,30 @@ def test_monomial_bound_two_variables():
     assert report.lhs <= report.rhs + 1e-9
 
 
+@pytest.mark.parametrize("m, alpha, radius", [((1,), 1.0, 1.0), ((5,), 1.0, 1.0),
+                                              ((3,), 4.0, 2.0), ((2, 1), 0.5, 3.0),
+                                              ((0, 4), 2.0, 0.5), ((7,), 0.01, 2.0)])
+def test_monomial_sup_closed_form_matches_a_golden_search(m, alpha, radius):
+    # interior maxima at sqrt(|m|/alpha) and boundary maxima at R
+    mono = MultiMonomial(m, Quaternion(0.5, -0.5, 0.2, 0.1))
+    total, a = sum(m), mono.coeff.modulus()
+    direction = math.prod((k / total) ** (k / 2.0) for k in m if k)
+    golden = _golden_max(lambda s: a * direction * s ** total
+                         * math.exp(-0.5 * alpha * s * s), 0.0, radius, iters=64)
+    got = fock._monomial_sup(mono, alpha, radius)
+    assert golden <= got * (1.0 + 1e-15)
+    assert got <= golden * (1.0 + 1e-12)
+
+
 # --- dilation and derivative criteria ---
 
 def test_dilation_constant_gives_zeros():
-    values = dilation_convergence(ONE_F, P2, (0.5, 0.9), small_sphere(), 33,
-                                  angular_count=64)
+    values = dilation_convergence(ONE_F, P2, (0.5, 0.9), 33, angular_count=64)
     assert values == [0.0, 0.0]
 
 
 def test_dilation_linear_closed_form():
-    values = dilation_convergence(Q_F, P2, (0.5, 0.9, 0.99), small_sphere(),
-                                  65, angular_count=64)
+    values = dilation_convergence(Q_F, P2, (0.5, 0.9, 0.99), 65, angular_count=64)
     for r, v in zip((0.5, 0.9, 0.99), values):
         assert abs(v - (1.0 - r) * math.exp(-0.5)) <= 1e-9
 
@@ -356,8 +408,8 @@ def test_dilation_strictly_decreasing_random():
     rng = rng_for(76)
     for _ in range(5):
         f = random_series(rng, max_degree=6)
-        values = dilation_convergence(f, P2, (0.5, 0.9, 0.99), small_sphere(),
-                                      33, angular_count=64)
+        values = dilation_convergence(f, P2, (0.5, 0.9, 0.99), 33,
+                                      angular_count=64)
         if max(values) < 1e-12:
             continue
         assert values[0] > values[1] > values[2]
@@ -366,14 +418,13 @@ def test_dilation_strictly_decreasing_random():
 def test_dilation_validates_factors():
     for bad in ((0.9, 0.5), (0.0, 0.5), (0.5, 1.0)):
         with pytest.raises(ValueError):
-            dilation_convergence(Q_F, P2, bad, small_sphere(), 17,
-                                 angular_count=32)
+            dilation_convergence(Q_F, P2, bad, 17, angular_count=32)
 
 
 def test_derivative_criterion_order_zero_is_sup_norm():
     rng = rng_for(77)
     f = random_series(rng, max_degree=7)
-    rep = derivative_criterion(f, 0, P2, small_sphere(), 65, angular_count=128)
+    rep = derivative_criterion(f, 0, P2, 65, angular_count=128)
     sup = sup_norm(f, P2, small_sphere(), 65, angular_count=128).value
     assert abs(rep.sup_ratio - sup) <= 1e-12 * max(1.0, sup)
 
@@ -381,7 +432,7 @@ def test_derivative_criterion_order_zero_is_sup_norm():
 def test_derivative_criterion_square_oracle():
     # d(q^2) = 2q; maximize 2r e^{-r^2/2} / (1+r): stationary at r^3+r^2 = 1
     f = SliceSeries((Quaternion(), Quaternion(), Quaternion(1.0)))
-    rep = derivative_criterion(f, 1, P2, small_sphere(), 129, angular_count=64)
+    rep = derivative_criterion(f, 1, P2, 129, angular_count=64)
     roots = np.roots([1.0, 1.0, 0.0, -1.0])
     r = float(roots[np.isreal(roots)].real.max())
     oracle = 2.0 * r * math.exp(-0.5 * r * r) / (1.0 + r)
@@ -394,8 +445,7 @@ def test_derivative_criterion_split_inequality_random():
     for _ in range(10):
         f = random_series(rng, max_degree=9)
         for order in (1, 2, 3):
-            rep = derivative_criterion(f, order, P2, small_sphere(), 33,
-                                       angular_count=64)
+            rep = derivative_criterion(f, order, P2, 33, angular_count=64)
             assert rep.passed
             assert rep.sup_ratio <= sum(rep.component_sups) + 1e-9
 
@@ -404,16 +454,14 @@ def test_derivative_criterion_split_inequality_random():
 
 def test_little_space_profile_fast_weight():
     params = FockParams(alpha=20.0, p=2.0, n=1, radius=3.0)
-    report = little_space_profile(ONE_F, params, (1.0, 2.0, 3.0),
-                                  small_sphere())
+    report = little_space_profile(ONE_F, params, (1.0, 2.0, 3.0))
     for rho, value in zip(report.rhos, report.values):
         assert abs(value - math.exp(-10.0 * rho * rho)) <= 1e-12
     assert report.decreasing_tail and report.member
 
 
 def test_little_space_profile_unit_weight_not_member():
-    report = little_space_profile(ONE_F, P2, (0.25, 0.5, 0.75, 1.0),
-                                  small_sphere())
+    report = little_space_profile(ONE_F, P2, (0.25, 0.5, 0.75, 1.0))
     for rho, value in zip(report.rhos, report.values):
         assert abs(value - math.exp(-0.5 * rho * rho)) <= 1e-12
     assert report.decreasing_tail
@@ -423,7 +471,7 @@ def test_little_space_profile_unit_weight_not_member():
 
 def test_little_space_profile_zero_function():
     zero = SliceSeries((Quaternion(),))
-    report = little_space_profile(zero, P2, (0.5, 0.75, 1.0), small_sphere())
+    report = little_space_profile(zero, P2, (0.5, 0.75, 1.0))
     assert all(v == 0.0 for v in report.values)
     assert report.member
 
@@ -432,16 +480,34 @@ def test_little_space_profile_zero_function():
 def test_little_space_profile_scales_tiny_and_huge_coefficients(scale):
     # |f| = scale on the whole ball; unscaled squares under- or overflow
     f = SliceSeries((Quaternion(0.0, 0.0, 0.0, scale),))
-    report = little_space_profile(f, P2, (0.5, 0.8, 1.0), small_sphere())
+    report = little_space_profile(f, P2, (0.5, 0.8, 1.0))
     for rho, value in zip(report.rhos, report.values):
         assert math.isclose(value, scale * math.exp(-0.5 * rho * rho),
                             rel_tol=1e-12)
 
 
+def test_little_space_profile_is_exact_over_the_units():
+    # on each circle M(rho) is the max of w sqrt(s + 2|v|) over the angles;
+    # 4000 sampled units on the same angles reach it from below
+    rng = rng_for(85)
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    rhos = (0.25, 0.5, 0.75, 1.0)
+    units = default_sphere(4000)
+    for _ in range(5):
+        f = random_series(rng, max_degree=10)
+        report = little_space_profile(f, P2, rhos, angular_count=64)
+        absq = _abs_sq_rows(_rows(f.coeffs), units, np.array(rhos), theta)
+        sampled = np.sqrt(absq.reshape(len(units), len(rhos), -1).max(axis=(0, 2)))
+        for rho, value, low in zip(rhos, report.values, sampled):
+            weighted = low * math.exp(-0.5 * rho * rho)
+            assert weighted <= value * (1.0 + 1e-12)
+            assert value <= weighted * (1.0 + 1e-3)
+
+
 def test_little_space_profile_validates_rhos():
     for bad in ((1.0, 0.5), (0.0, 0.5), (0.5, 1.5)):
         with pytest.raises(ValueError):
-            little_space_profile(ONE_F, P2, bad, small_sphere())
+            little_space_profile(ONE_F, P2, bad)
 
 
 # --- cancellation guard at a zero on a grid node ---
@@ -548,8 +614,8 @@ def test_lockstep_polish_matches_scalar_golden(rows, order, sphere_count):
     f = _series_from(rows)
     units = default_sphere(sphere_count)
     radial, angular = 17, 32
-    [(sups, points)] = _sup_over_rows([(f, units)], 1.0, 1.0, radial, angular,
-                                      weight_order=order)
+    [(sups, points, _, _)] = _sup_over_rows([(f, units, False)], 1.0, 1.0, radial,
+                                            angular, weight_order=order)
     radii = _chebyshev_radii(radial, 1.0)
     theta = 2.0 * np.pi * np.arange(angular) / angular
     for unit, sup, point in zip(units, sups, points):
@@ -844,7 +910,8 @@ def _reference_slice_terms(table, radii):
     return s, v
 
 
-# 1 and 4 units take |A + I B|^2, 5 and 67 take s + 2 <v, I>
+# 1 and 4 units take |A + I B|^2; 5 and 67 take s + 2 <v, I> and evaluate
+# only the grid blocks where the bound w sqrt(s + 2|v|) can hold a unit's max
 @pytest.mark.parametrize("sphere", [[UNIT_I], default_sphere(1) + [UNIT_J],
                                     default_sphere(1) + [UNIT_I, UNIT_J],
                                     default_sphere()])
@@ -853,14 +920,36 @@ def _reference_slice_terms(table, radii):
 def test_sup_over_rows_equals_reference_bit_for_bit(sphere, order, scale):
     rng = rng_for(17 + order)
     assert len(sphere) in (1, 4, 5, 67)
-    for _ in range(3):
-        f = random_series(rng, max_degree=12).scale_right(Quaternion(scale))
-        for radial, angular in ((17, 32), (33, 64)):
-            [got] = _sup_over_rows([(f, sphere)], 1.3, 1.2, radial, angular, order)
+    # ties: a constant is the same everywhere, real coefficients on every
+    # unit, and zero is both
+    fs = [random_series(rng, max_degree=12) for _ in range(3)] + [
+        SliceSeries((Quaternion(0.3, -0.4, 0.5, 0.1),)),
+        SliceSeries.from_reals(rng.uniform(-1.0, 1.0, 9)),
+        SliceSeries((Quaternion(),))]
+    for f in fs:
+        f = f.scale_right(Quaternion(scale))
+        for radial, angular in ((17, 32), (33, 64), (65, 128), (129, 256)):
+            [got] = _sup_over_rows([(f, sphere, False)], 1.3, 1.2, radial, angular,
+                                   order)
             want = _reference_sup_over_rows(f, sphere, 1.3, 1.2, radial, angular,
                                             order)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("sphere", [default_sphere(1) + [UNIT_I, UNIT_J],
+                                    default_sphere()])
+@pytest.mark.parametrize("alpha", [1e-300, 1.3])
+def test_sup_over_rows_equals_reference_bit_for_bit_on_overflow(sphere, alpha):
+    # r^12 overflows on the outer radii: |f|^2 is inf there and, where the
+    # weight underflows to 0 or inf meets -inf, NaN
+    f = random_series(rng_for(16), max_degree=12)
+    with np.errstate(all="ignore"):
+        [got] = _sup_over_rows([(f, sphere, False)], alpha, 1e30, 65, 128)
+        want = _reference_sup_over_rows(f, sphere, alpha, 1e30, 65, 128)
+    assert not np.all(np.isfinite(want[0]))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 @given(coeff_rows, st.lists(st.floats(0.0, 1.5), min_size=1, max_size=9),
@@ -889,7 +978,7 @@ def test_sup_grid_stage_holds_one_units_by_points_array():
     f = _series_from([(0.3, -0.2, 0.5, 0.1)] * 13)
     units = default_sphere()
     array_bytes = len(units) * 65 * 128 * 8
-    peak = _traced_peak(lambda: _sup_over_rows([(f, units)], 1.0, 1.0, 65, 128))
+    peak = _traced_peak(lambda: _sup_over_rows([(f, units, False)], 1.0, 1.0, 65, 128))
     assert peak <= 1.25 * array_bytes
 
 
@@ -906,9 +995,16 @@ def test_p2_slice_terms_peak_stays_near_the_table():
 # --- one polish for a batch of jobs against one call per job ---
 
 jobs_strategy = st.lists(
-    st.tuples(coeff_rows, st.lists(directions, min_size=1, max_size=7),
-              st.sampled_from([1e-200, 1.0, 1e200])),
+    st.tuples(coeff_rows, st.lists(directions, max_size=7),
+              st.sampled_from([1e-200, 1.0, 1e200]), st.booleans()),
     min_size=1, max_size=6)
+
+
+def _sups_bytes(found):
+    """A _Sups as bytes, so == also tells -0.0 from 0.0 and NaN from NaN."""
+    ball = None if found.ball is None else \
+        np.array([found.ball, found.ball_point]).tobytes()
+    return found.sups.tobytes(), found.points.tobytes(), ball
 
 
 # a chunk of 3 rows splits jobs and coefficient groups across chunks
@@ -916,17 +1012,19 @@ jobs_strategy = st.lists(
        st.sampled_from([(9, 16), (17, 32)]))
 @settings(max_examples=60, deadline=None)
 def test_batched_polish_equals_one_call_per_job(jobs, order, chunk, shape):
-    # 1 to 4 units take the _ray_coeffs route, 5 to 7 take s + 2 <v, I>
+    # 1 to 4 units take the _ray_coeffs route, 5 to 7 take s + 2 <v, I>; a
+    # job may have no unit, and a ball row or none
     jobs = [(_series_from(rows).scale_right(Quaternion(scale)),
-             [ImaginaryUnit.normalized(*d) for d in dirs])
-            for rows, dirs, scale in jobs]
+             [ImaginaryUnit.normalized(*d) for d in dirs], ball)
+            for rows, dirs, scale, ball in jobs]
     with unittest.mock.patch.object(fock, "_POLISH_ROWS", chunk):
         batched = _sup_over_rows(jobs, 1.3, 1.2, *shape, order)
     assert len(batched) == len(jobs)
-    for job, (sups, points) in zip(jobs, batched):
-        [(want_sups, want_points)] = _sup_over_rows([job], 1.3, 1.2, *shape, order)
-        assert sups.tobytes() == want_sups.tobytes()
-        assert points.tobytes() == want_points.tobytes()
+    for job, found in zip(jobs, batched):
+        [want] = _sup_over_rows([job], 1.3, 1.2, *shape, order)
+        assert _sups_bytes(found) == _sups_bytes(want)
+        assert found.sups.size == len(job[1])
+        assert (found.ball is None) == (not job[2])
 
 
 @given(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), min_size=2,
@@ -956,46 +1054,41 @@ def test_batched_polish_crosses_a_chunk_boundary():
     # 24 jobs of 67 units at one coefficient count make 1608 rows, two chunks
     rng = rng_for(23)
     units = default_sphere()
-    jobs = [(_series_from(rng.uniform(-scale, scale, (8, 4))), units)
+    jobs = [(_series_from(rng.uniform(-scale, scale, (8, 4))), units, True)
             for scale in (1e-200, 1.0, 1e200) * 8]
     assert len(jobs) * len(units) > _POLISH_ROWS
     for order in (0, 3):
         batched = _sup_over_rows(jobs, 1.0, 1.0, 17, 32, order)
-        for job, (sups, points) in zip(jobs, batched):
-            [(want_sups, want_points)] = _sup_over_rows([job], 1.0, 1.0, 17, 32, order)
-            assert sups.tobytes() == want_sups.tobytes()
-            assert points.tobytes() == want_points.tobytes()
+        for job, found in zip(jobs, batched):
+            [want] = _sup_over_rows([job], 1.0, 1.0, 17, 32, order)
+            assert _sups_bytes(found) == _sups_bytes(want)
 
 
-def _parent_dilation_convergence(f, params, r_list, sphere, radial_samples,
-                                 angular_count):
-    """dilation_convergence as it was before the sup calls were batched."""
+def _parent_dilation_convergence(f, params, r_list, radial_samples, angular_count):
+    """dilation_convergence as one sup call per factor."""
     out = []
     for r in r_list:
         diff = SliceSeries(tuple(a - b for a, b in
                                  zip(dilate(f, r).coeffs, f.coeffs)),
                            f.nominal_radius)
-        report = sup_norm(diff, params, sphere, radial_samples,
+        report = sup_norm(diff, params, [], radial_samples,
                           angular_count=angular_count)
         out.append(report.value)
     return out
 
 
-def _parent_derivative_criterion(f, order, params, sphere, radial_samples,
+def _parent_derivative_criterion(f, order, params, radial_samples,
                                  angular_count, slack=1e-9):
-    """derivative_criterion as it was before the sup calls were batched."""
+    """derivative_criterion as one sup call per function."""
     der = derivative(f, order)
-    [(sups, points)] = _sup_over_rows([(der, sphere)], params.alpha, params.radius,
-                                      radial_samples, angular_count,
-                                      weight_order=order)
-    best_row = int(np.argmax(sups))
-    sup_f = float(sups[best_row])
-    zstar = complex(points[best_row])
+    [left] = _sup_over_rows([(der, [], True)], params.alpha, params.radius,
+                            radial_samples, angular_count, weight_order=order)
+    sup_f, zstar = left.ball, left.ball_point
 
     f1, f2 = split(der, UNIT_I, orthonormal_partner(UNIT_I))
-    part_sups = [float(_sup_over_rows([(part.embed(), [UNIT_I])], params.alpha,
+    part_sups = [float(_sup_over_rows([(part.embed(), [UNIT_I], False)], params.alpha,
                                       params.radius, radial_samples,
-                                      angular_count, weight_order=order)[0][0][0])
+                                      angular_count, weight_order=order)[0].sups[0])
                  for part in (f1, f2)]
 
     def ratio_at(poly, z):
@@ -1013,18 +1106,14 @@ def test_derivative_and_dilation_equal_their_unbatched_bodies():
     params = FockParams(alpha=1.3, p=2.0, n=1, radius=1.2)
     for degree in (2, 5, 12):
         f = random_series(rng, max_degree=degree)
-        for sphere in (default_sphere(1), small_sphere()):
-            got = dilation_convergence(f, params, (0.5, 0.9, 0.99), sphere, 17,
-                                       angular_count=32)
-            want = _parent_dilation_convergence(f, params, (0.5, 0.9, 0.99),
-                                                sphere, 17, 32)
-            assert got == want
-            for order in range(4):
-                rep = derivative_criterion(f, order, params, sphere, 17,
-                                           angular_count=32)
-                assert rep.order == order
-                assert (rep.sup_ratio, rep.component_sups, rep.passed) == \
-                    _parent_derivative_criterion(f, order, params, sphere, 17, 32)
+        got = dilation_convergence(f, params, (0.5, 0.9, 0.99), 17, angular_count=32)
+        want = _parent_dilation_convergence(f, params, (0.5, 0.9, 0.99), 17, 32)
+        assert got == want
+        for order in range(4):
+            rep = derivative_criterion(f, order, params, 17, angular_count=32)
+            assert rep.order == order
+            assert (rep.sup_ratio, rep.component_sups, rep.passed) == \
+                _parent_derivative_criterion(f, order, params, 17, 32)
 
 
 def test_dilation_values_of_a_batch_equal_one_call_per_function():
@@ -1033,10 +1122,9 @@ def test_dilation_values_of_a_batch_equal_one_call_per_function():
     params = FockParams(alpha=1.3, p=2.0, n=1, radius=1.2)
     fs = [random_series(rng, max_degree=d) for d in (2, 12, 5, 12)] + [ONE_F]
     factors = (0.5, 0.9, 0.99)
-    for sphere in (default_sphere(1), small_sphere()):
-        got = fock._dilation_values(fs, params, factors, sphere, 17, 32)
-        assert got == [dilation_convergence(f, params, factors, sphere, 17,
-                                            angular_count=32) for f in fs]
+    got = fock._dilation_values(fs, params, factors, 17, 32)
+    assert got == [dilation_convergence(f, params, factors, 17, angular_count=32)
+                   for f in fs]
 
 
 def test_batched_sup_call_holds_one_grid_buffer_at_a_time():
@@ -1044,6 +1132,7 @@ def test_batched_sup_call_holds_one_grid_buffer_at_a_time():
     # holding the previous one raises the peak to about 2 such arrays
     f = _series_from([(0.3, -0.2, 0.5, 0.1)] * 13)
     units = default_sphere()
-    one = _traced_peak(lambda: _sup_over_rows([(f, units)], 1.0, 1.0, 65, 128))
-    many = _traced_peak(lambda: _sup_over_rows([(f, units)] * 40, 1.0, 1.0, 65, 128))
+    one = _traced_peak(lambda: _sup_over_rows([(f, units, True)], 1.0, 1.0, 65, 128))
+    many = _traced_peak(lambda: _sup_over_rows([(f, units, True)] * 40, 1.0, 1.0,
+                                               65, 128))
     assert many <= 1.25 * one

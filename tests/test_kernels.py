@@ -325,3 +325,15 @@ def test_lattice_validation():
         lattice_points(0.0, UNIT_I, 1.0)
     with pytest.raises(ValueError):
         lattice_points(0.5, UNIT_I, 0.0)
+
+
+def test_star_exp_sum_stays_finite_where_the_powers_overflow():
+    # 20^300 overflows a float, but every term 400^n / n!, n <= 300, and
+    # their sum (about 1e167) are representable
+    value = star_exp_eval(Quaternion(20.0), Quaternion(20.0), 1.0, 300)
+    logs = [n * math.log(400.0) - math.lgamma(n + 1) for n in range(301)]
+    top = max(logs)
+    want = math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
+    assert all(map(math.isfinite, (value.w, value.x, value.y, value.z)))
+    assert abs(value.w - want) <= 1e-12 * want
+    assert value.x == value.y == value.z == 0.0

@@ -63,6 +63,11 @@ def test_dilation_and_derivative_pass_on_seed_2():
     results = run_verify(seed=2, props="dilation,derivative", sphere_count=4)
     assert [r.name for r in results] == ["derivative", "dilation"]
     assert all(r.passed for r in results)
+    # d^t f = 0 for degree < t is counted, not taken as the worst margin
+    derivative = results[0]
+    assert derivative.instances == 150
+    assert re.fullmatch(r"vacuous=[1-9][0-9]*", derivative.detail)
+    assert derivative.worst < 0.0
 
 
 def test_norm_propositions_on_coarse_setup():
