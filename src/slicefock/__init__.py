@@ -9,13 +9,11 @@ exponential kernels with atomic synthesis, and a seeded verification suite
 
 from .errors import (BadRadius, GridTooCoarse, NotOrthogonal, PointOffSlice,
                      SingularPoint, SliceFockError, UnitMismatch,
-                     ViolationDetected, ZeroDivisor, ZeroValue)
+                     ZeroDivisor, ZeroValue)
 from .fock import (DerivativeCriterionReport, FockParams, LittleSpaceReport,
-                   MonomialBoundReport, NormEquivalenceReport, NormReport,
-                   derivative_criterion, dilation_convergence, fock_norm_p,
-                   inner_product, little_space_profile, monomial_bound_check,
-                   norm_equivalence_check, slice_norm_p, slice_sup_norm,
-                   sup_norm)
+                   NormReport, derivative_criterion, dilation_convergence,
+                   fock_norm_p, inner_product, little_space_profile,
+                   slice_norm_p, slice_sup_norm, sup_norm)
 from .kernels import (AtomicData, atomic_synthesis, kernel_series,
                       lattice_points, normalized_kernel_eval,
                       normalized_kernel_tail_bound, star_exp_eval,
@@ -35,13 +33,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadRadius", "GridTooCoarse", "NotOrthogonal", "PointOffSlice",
-    "SingularPoint", "SliceFockError", "UnitMismatch", "ViolationDetected",
-    "ZeroDivisor", "ZeroValue",
+    "SingularPoint", "SliceFockError", "UnitMismatch", "ZeroDivisor",
+    "ZeroValue",
     "DerivativeCriterionReport", "FockParams", "LittleSpaceReport",
-    "MonomialBoundReport", "NormEquivalenceReport", "NormReport",
-    "derivative_criterion", "dilation_convergence", "fock_norm_p",
-    "inner_product", "little_space_profile", "monomial_bound_check",
-    "norm_equivalence_check", "slice_norm_p", "slice_sup_norm", "sup_norm",
+    "NormReport", "derivative_criterion", "dilation_convergence",
+    "fock_norm_p", "inner_product", "little_space_profile", "slice_norm_p",
+    "slice_sup_norm", "sup_norm",
     "AtomicData", "atomic_synthesis", "kernel_series", "lattice_points",
     "normalized_kernel_eval", "normalized_kernel_tail_bound", "star_exp_eval",
     "star_exp_tail_bound",

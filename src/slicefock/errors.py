@@ -43,16 +43,3 @@ class GridTooCoarse(SliceFockError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = list(trace or [])
-
-
-class ViolationDetected(SliceFockError):
-    """A certified norm inequality failed; signals a bug, never expected.
-
-    Carries the offending pair of imaginary units and the measured ratio.
-    """
-
-    def __init__(self, message, unit_i=None, unit_j=None, ratio=None):
-        super().__init__(message)
-        self.unit_i = unit_i
-        self.unit_j = unit_j
-        self.ratio = ratio

@@ -23,12 +23,14 @@ uniform angle grid, then the best radial cell of every row is polished by
 golden-section search along its best ray: a unit row evaluates f on its
 slice, the ball row evaluates A and B and takes s + 2|v|.  One call takes a
 list of jobs (f, units, ball): it finds the grid maxima job by job, then
-polishes the rows of every job together, so the polish costs a few numpy
-calls per round however many functions are batched.  A row's arithmetic
-does not depend on the rows beside it.  The radial endpoints are grid nodes,
-so boundary maxima are exact.  Quadrature and sup norms both work on f 2^-e,
-with the largest coefficient component in [1/2, 1), and scale the result
-back by 2^e.
+polishes the rows of every job together, in chunks of at most _POLISH_ROWS
+rows that run one golden loop each, whatever mix of coefficient counts and
+row kinds they hold.  A round then costs one product per coefficient count
+and kind in the chunk plus a few shared numpy calls, however many functions
+are batched.  A row's arithmetic does not depend on the rows beside it.
+The radial endpoints are grid nodes, so boundary maxima are exact.
+Quadrature and sup norms both work on f 2^-e, with the largest coefficient
+component in [1/2, 1), and scale the result back by 2^e.
 
 The per-unit grid stage is pruned by the ball row.  No unit's weighted |f|
 at a point exceeds the bound w sqrt(s + 2|v|) there, beyond rounding.  Every
@@ -70,22 +72,22 @@ import os
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridTooCoarse, ViolationDetected
+from .errors import GridTooCoarse
 from .quadrature import (ANGULAR_CAP, RADIAL_CAP, QuadratureGrid)
 from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, UNIT_I,
-                         _qmul, _rows, default_sphere, orthonormal_partner)
-from .series import (ComplexSlicePolynomial, MultiMonomial, MultiPolynomial,
+                         _imaginary_rows, _qmul, _rows, _unit_rows,
+                         default_sphere, orthonormal_partner)
+from .series import (ComplexSlicePolynomial, MultiMonomial,
                      SliceSeries, derivative, dilate, split)
 
 __all__ = [
     "FockParams",
     "NormReport",
-    "NormEquivalenceReport",
-    "MonomialBoundReport",
     "DerivativeCriterionReport",
     "LittleSpaceReport",
     "slice_norm_p",
@@ -93,8 +95,6 @@ __all__ = [
     "sup_norm",
     "slice_sup_norm",
     "inner_product",
-    "norm_equivalence_check",
-    "monomial_bound_check",
     "dilation_convergence",
     "derivative_criterion",
     "little_space_profile",
@@ -154,28 +154,6 @@ class NormReport:
 
 
 @dataclass(frozen=True)
-class NormEquivalenceReport:
-    p: float
-    sandwich_constant: float        # 2^p on p-th powers of slice norms
-    pair_constant: float            # 2^{max(p,1)} on pairs of slices
-    sup_value: float
-    per_slice: tuple[tuple[ImaginaryUnit, float], ...]
-    worst_lower: float              # max_I slice^p / sup^p, <= 1
-    worst_upper: float              # max_I sup^p / slice^p, <= 2^p
-    worst_pair: float               # max_{I,J} slice_J^p / slice_I^p
-    passed: bool
-
-
-@dataclass(frozen=True)
-class MonomialBoundReport:
-    lhs: float
-    rhs: float
-    constant: float
-    vacuous: bool
-    passed: bool
-
-
-@dataclass(frozen=True)
 class DerivativeCriterionReport:
     order: int
     sup_ratio: float
@@ -195,11 +173,6 @@ class LittleSpaceReport:
 # ---------------------------------------------------------------------------
 # slice evaluation: f(x + yI) = A(z) + I B(z)
 # ---------------------------------------------------------------------------
-
-def _unit_rows(units) -> np.ndarray:
-    """Units as rows (x, y, z), shape (M, 3)."""
-    return np.array([[u.x, u.y, u.z] for u in units]).reshape(-1, 3)
-
 
 def _terms_table(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """cos(kt) and sin(kt) times components (w, x, y, z, x, y) of a_k, (2, 6, K, Nt).
@@ -254,7 +227,7 @@ def _ray_coeffs(coeffs: np.ndarray, units, theta: np.ndarray) -> np.ndarray:
     theta holds T angles, shared or one row per unit; the result has shape
     (M, 4, K, T), so radii[:, None] ** k @ result gives f on each slice.
     """
-    unit_q = np.hstack([np.zeros((len(units), 1)), _unit_rows(units)])[:, None]
+    unit_q = _imaginary_rows(_unit_rows(units))[:, None]
     i_times = _qmul(unit_q, coeffs).transpose(0, 2, 1)                # I a_k
     angle = np.arange(coeffs.shape[0])[:, None] * np.atleast_2d(theta)[:, None, :]
     return (np.cos(angle)[:, None] * coeffs.T[:, :, None]
@@ -527,26 +500,6 @@ def _chebyshev_radii(count: int, radius: float) -> np.ndarray:
     return 0.5 * radius * (1.0 - np.cos(math.pi * i / (count - 1)))
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 48) -> float:
-    """Maximum of a unimodal fn on [lo, hi]; endpoints are always checked."""
-    best = max(fn(lo), fn(hi))
-    a, b = lo, hi
-    c = b - _GOLDEN_RATIO_CONJ * (b - a)
-    d = a + _GOLDEN_RATIO_CONJ * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        best = max(best, fc, fd)
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN_RATIO_CONJ * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN_RATIO_CONJ * (b - a)
-            fd = fn(d)
-    return max(best, fc, fd)
-
-
 # interval ends (a, b) -> (a, c, d, b) with c = b - g (b - a), d = a + g (b - a)
 _GOLDEN_SPLIT = np.array([[1.0, _GOLDEN_RATIO_CONJ, 1.0 - _GOLDEN_RATIO_CONJ, 0.0],
                           [0.0, 1.0 - _GOLDEN_RATIO_CONJ, _GOLDEN_RATIO_CONJ, 1.0]])
@@ -720,31 +673,47 @@ def _row_chunks(sizes, limit: int):
 def _polish(pieces, alpha: float, weight_order: int) -> np.ndarray:
     """Golden-section max of the weight times |f| along the best ray of each row.
 
-    pieces holds (grid maxima, slice of its rows), either all unit rows or
-    all ball rows.  A unit row evaluates f on its slice; a ball row
-    evaluates A and B and takes s + 2|v|.  The rays' coefficients are built
-    here, so that only one chunk's are ever held.
+    pieces holds (grid maxima, slice of its rows), with the rows of one kind
+    (unit or ball) and coefficient count K adjacent.  One golden loop serves
+    the whole chunk; a round makes one r^k @ ray per run of rows of one kind
+    and K, one _s_and_v over the A and B of all ball rows, and one weight
+    for all rows.  A unit row evaluates f on its slice; a ball row evaluates
+    A and B and takes s + 2|v|.  All of it is elementwise or per item of a
+    stacked product, so a row's value does not depend on the rows beside it.
+    The rays' coefficients are built here, so that only one chunk's are
+    ever held.
     """
-    ball = pieces[0][0].units is None
-    if ball:
-        # (M, K, 12): r^k @ ray gives A then B as in _terms_table
-        ray = np.concatenate([_terms_table(stage.coeffs, stage.angles[rows])
-                              .transpose(3, 2, 0, 1) for stage, rows in pieces])
-        ray = ray.reshape(*ray.shape[:2], 12)
-    else:
-        ray = np.concatenate([_ray_coeffs(stage.coeffs, stage.units[rows],
-                                          stage.angles[rows, None])[..., 0]
-                              for stage, rows in pieces]).transpose(0, 2, 1)
+    runs, start = [], 0            # (rows of the chunk, ray (M, K, 4 or 12), ball)
+    for (_, ball), run in groupby(pieces, lambda piece: (len(piece[0].coeffs),
+                                                         piece[0].units is None)):
+        run = list(run)
+        if ball:
+            # (M, K, 12): r^k @ ray gives A then B as in _terms_table
+            ray = np.concatenate([_terms_table(stage.coeffs, stage.angles[rows])
+                                  .transpose(3, 2, 0, 1) for stage, rows in run])
+            ray = ray.reshape(*ray.shape[:2], 12)
+        else:
+            ray = np.concatenate([_ray_coeffs(stage.coeffs, stage.units[rows],
+                                              stage.angles[rows, None])[..., 0]
+                                  for stage, rows in run]).transpose(0, 2, 1)
+        runs.append((slice(start, start + len(ray)), ray, ball))
+        start += len(ray)
     brackets = np.concatenate([stage.brackets[rows] for stage, rows in pieces])
-    ks = np.arange(ray.shape[1])
 
     def weighted_sq(r):
-        vec = r[..., None] ** ks @ ray      # f, or A then B, on the ray (M, 2, .)
-        if ball:
-            sq = _ball_abs_sq(*_s_and_v(*np.moveaxis(vec, -1, 0).reshape(2, 6, -1)))
-            sq = sq.reshape(r.shape)
-        else:
-            sq = (vec * vec).sum(axis=-1)
+        sq, ball_rows, ball_parts = np.empty(r.shape), [], []
+        for rows, ray, ball in runs:
+            vec = r[rows, :, None] ** np.arange(ray.shape[1]) @ ray   # (M, 2, .)
+            if ball:
+                ball_rows.append(rows)
+                ball_parts.append(np.moveaxis(vec, -1, 0).reshape(2, 6, -1))
+            else:
+                sq[rows] = (vec * vec).sum(axis=-1)
+        if ball_parts:
+            ball_sq = _ball_abs_sq(*_s_and_v(*np.concatenate(ball_parts, axis=2)))
+            for rows in ball_rows:
+                count = 2 * (rows.stop - rows.start)
+                sq[rows], ball_sq = ball_sq[:count].reshape(-1, 2), ball_sq[count:]
         out = sq * np.exp(-alpha * r * r)
         return out / (1.0 + r) ** (2 * weight_order) if weight_order else out
 
@@ -761,10 +730,11 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
     exactly) times a uniform angle grid locate each maximum, one job at a
     time (see _sup_grid_stage).  The radial cells around the maxima of all
     jobs are then polished together by golden-section search along the best
-    rays, one row per unit and one per ball, grouped by row kind and
-    coefficient count K and in chunks of at most _POLISH_ROWS rows.  A row's
-    arithmetic does not depend on the other rows, so a batch gives what one
-    call per job gives, bit for bit.
+    rays, one row per unit and one per ball.  The rows are ordered by row
+    kind and coefficient count K, then cut into chunks of at most
+    _POLISH_ROWS rows across those groups, and each chunk runs one golden
+    loop (see _polish).  A row's arithmetic does not depend on the other
+    rows, so a batch gives what one call per job gives, bit for bit.
     """
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
@@ -774,13 +744,13 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
     groups = defaultdict(list)
     for j, rows in enumerate(sets):
         groups[len(rows.coeffs), rows.units is None].append((j, rows.angles.size))
+    sizes = [size for group in groups.values() for size in group]
+    polished = np.concatenate([np.empty(0)] + [
+        _polish([(sets[j], rows) for j, rows in chunk], alpha, weight_order)
+        for chunk in _row_chunks(sizes, _POLISH_ROWS)])
     refined = [None] * len(sets)
-    for sizes in groups.values():
-        polished = np.concatenate([
-            _polish([(sets[j], rows) for j, rows in chunk], alpha, weight_order)
-            for chunk in _row_chunks(sizes, _POLISH_ROWS)])
-        for j, rows in sizes:
-            refined[j], polished = polished[:rows], polished[rows:]
+    for j, rows in sizes:
+        refined[j], polished = polished[:rows], polished[rows:]
     found = iter(zip(sets, refined))
 
     def next_sups():
@@ -832,57 +802,6 @@ def slice_sup_norm(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
 # certified inequalities and profiles
 # ---------------------------------------------------------------------------
 
-def norm_equivalence_check(f: SliceSeries, params: FockParams,
-                           grid: QuadratureGrid | None = None, sphere=None, *,
-                           slack: float = 1e-9) -> NormEquivalenceReport:
-    """Certify the slice-norm sandwich and the pairwise slice bound.
-
-    For 1 < p < infinity and every sampled I, J:
-
-        ||f||_{p,I}^p <= ||f||_p^p <= 2^p ||f||_{p,I}^p
-        ||f||_{p,J}^p <= 2^{max(p,1)} ||f||_{p,I}^p
-
-    Ratios are measured with the given slack; any violation raises
-    ViolationDetected because it signals a bug, never expected behaviour.
-    """
-    if not (1.0 < params.p < math.inf):
-        raise ValueError("the sandwich constants require 1 < p < infinity; "
-                         f"got p = {params.p!r}")
-    report = fock_norm_p(f, params, grid, sphere)
-    units = [u for u, _ in report.per_slice]
-    values = np.array([v for _, v in report.per_slice])
-    p = params.p
-    sandwich_c = 2.0 ** p
-    pair_c = 2.0 ** max(p, 1.0)
-    powered = values ** p
-    sup_pow = float(powered.max())
-    if sup_pow < 1e-300:
-        # the zero function satisfies everything with ratio 1
-        per = tuple((u, float(v)) for u, v in zip(units, values))
-        return NormEquivalenceReport(p, sandwich_c, pair_c, report.value, per,
-                                     1.0, 1.0, 1.0, True)
-    lower = powered / sup_pow
-    upper = sup_pow / powered
-    worst_lower = float(lower.max())
-    worst_upper = float(upper.max())
-    pair_matrix = powered[None, :] / powered[:, None]
-    worst_pair = float(pair_matrix.max())
-    if worst_lower > 1.0 + slack or worst_upper > sandwich_c + slack:
-        bad = int(np.argmax(upper))
-        raise ViolationDetected(
-            f"slice sandwich failed: ratio {worst_upper!r} exceeds {sandwich_c!r}",
-            unit_i=units[bad], unit_j=None, ratio=worst_upper)
-    if worst_pair > pair_c + slack:
-        bad_j, bad_i = np.unravel_index(int(np.argmax(pair_matrix)),
-                                        pair_matrix.shape)
-        raise ViolationDetected(
-            f"pairwise slice bound failed: ratio {worst_pair!r} exceeds {pair_c!r}",
-            unit_i=units[bad_i], unit_j=units[bad_j], ratio=worst_pair)
-    return NormEquivalenceReport(p, sandwich_c, pair_c, report.value,
-                                 report.per_slice, worst_lower, worst_upper,
-                                 worst_pair, True)
-
-
 def _monomial_sup(mono: MultiMonomial, alpha: float, radius: float) -> float:
     """sup over the ball of |z^m a_m| e^{-a|z|^2/2} by radial reduction.
 
@@ -902,84 +821,6 @@ def _monomial_sup(mono: MultiMonomial, alpha: float, radius: float) -> float:
             direction *= (mk / total) ** (mk / 2.0)
     s = min(radius, math.sqrt(total / alpha))
     return a * direction * s ** total * math.exp(-0.5 * alpha * s * s)
-
-
-def _multi_slice_sup(poly: MultiPolynomial, unit: ImaginaryUnit, alpha: float,
-                     radius: float, samples: int = 4096) -> float:
-    """Sampled sup of |f| e^{-a|z|^2/2} over B_I^n for a multi-polynomial.
-
-    Deterministic Kronecker sampling of radii and angles plus a golden
-    polish along the best ray; a sampled lower bound of the true sup.
-    """
-    n = poly.n
-    dims = 2 * n + 1
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-    gammas = np.array([math.sqrt(primes[d % len(primes)] + d // len(primes))
-                       for d in range(dims)])
-    gammas = gammas - np.floor(gammas)
-    idx = np.arange(1, samples + 1)[:, None]
-    u = (idx * gammas[None, :]) % 1.0
-    scale = np.sqrt(u[:, 0])                      # overall radius fraction
-    weights = u[:, 1:n + 1] + 1e-9
-    weights = weights / weights.sum(axis=1, keepdims=True)
-    r = radius * scale[:, None] * np.sqrt(weights)   # (S, n), sum r^2 <= R^2
-    theta = 2.0 * np.pi * u[:, n + 1:2 * n + 1]
-    zs = r * np.exp(1j * theta)                      # (S, n)
-
-    iq = unit.as_quaternion()
-    comps = np.zeros((samples, 4))
-    for mono in poly.monomials:
-        prod = np.ones(samples, dtype=complex)
-        for k, mk in enumerate(mono.multi_index):
-            if mk:
-                prod = prod * zs[:, k] ** mk
-        a = mono.coeff
-        ia = iq * a
-        av = np.array([a.w, a.x, a.y, a.z])
-        iav = np.array([ia.w, ia.x, ia.y, ia.z])
-        comps += prod.real[:, None] * av[None, :] + prod.imag[:, None] * iav[None, :]
-    mags = np.sqrt((comps ** 2).sum(axis=1))
-    rsq = (r ** 2).sum(axis=1)
-    vals = mags * np.exp(-0.5 * alpha * rsq)
-    best = int(np.argmax(vals))
-
-    ray = zs[best]
-    ray_scale = math.sqrt(float(rsq[best]))
-    if ray_scale == 0.0:
-        return float(vals[best])
-    ray_dir = ray / ray_scale
-
-    def along(s):
-        pt = ray_dir * s
-        val = poly.slice_eval(list(pt), unit)
-        return val.modulus() * math.exp(-0.5 * alpha * s * s)
-
-    return max(float(vals[best]), _golden_max(along, 0.0, radius, iters=64))
-
-
-def monomial_bound_check(mono: MultiMonomial, f, params: FockParams,
-                         unit: ImaginaryUnit, *,
-                         radial_samples: int = DEFAULT_RADIAL_SAMPLES,
-                         slack: float = 1e-9) -> MonomialBoundReport:
-    """Check ||z^m a_m||_inf <= 2^{max(p,1)} prod_k sqrt(m_k/2) * slice sup of f.
-
-    Terms with any m_k = 0 make the right-hand side vanish and the bound
-    says nothing; they are reported as vacuous and skipped.
-    """
-    constant = 2.0 ** max(params.p, 1.0)
-    if min(mono.multi_index) == 0:
-        return MonomialBoundReport(0.0, 0.0, constant, True, True)
-    product = 1.0
-    for mk in mono.multi_index:
-        product *= math.sqrt(mk / 2.0)
-    lhs = _monomial_sup(mono, params.alpha, params.radius)
-    if isinstance(f, SliceSeries):
-        slice_sup = slice_sup_norm(f, unit, params, radial_samples)
-    else:
-        slice_sup = _multi_slice_sup(f, unit, params.alpha, params.radius)
-    rhs = constant * product * slice_sup
-    passed = lhs <= rhs + slack * max(1.0, rhs)
-    return MonomialBoundReport(float(lhs), float(rhs), constant, False, passed)
 
 
 def dilation_convergence(f: SliceSeries, params: FockParams, r_list,

@@ -143,34 +143,35 @@ def _star_exp_sum(q: Quaternion, w: Quaternion, alpha: float, trunc_degree: int,
 
 
 def _tail_bound(x: float, trunc_degree: int, log_damp: float = 0.0) -> float:
-    """(x^{N+1}/(N+1)!) e^{x + log_damp}; inf only where that overflows a float.
+    """min(x^{N+1}/(N+1)!, 1) e^{x + log_damp}; inf only where that overflows a float.
 
-    Where the product of floats is positive and finite it is the bound.
-    Elsewhere (e^x overflows, or the power underflows against it) the bound
-    is formed from its logarithm, so a damping factor enters before anything
-    overflows and an underflowed power never meets an infinite exponential
-    as 0 * inf.
+    The dropped tail sum_{n>N} x^n/n! is at most (x^{N+1}/(N+1)!) e^x
+    (Taylor's remainder) and at most e^x (all terms are positive), so the
+    smaller factor is taken.  Where the product of floats is positive and
+    finite it is the bound.  Elsewhere (e^x overflows, or the power
+    underflows against it) the bound is formed from its logarithm, so a
+    damping factor enters before anything overflows and an underflowed power
+    never meets an infinite exponential as 0 * inf.
     """
     lead = 1.0
     for n in range(1, trunc_degree + 2):
         lead *= x / n
     try:
-        bound = lead * math.exp(x) * math.exp(log_damp)
+        bound = min(lead, 1.0) * math.exp(x) * math.exp(log_damp)
     except OverflowError:
         bound = math.inf
     if 0.0 < bound < math.inf or x == 0.0:
         return bound
-    log_bound = ((trunc_degree + 1) * math.log(x)
-                 - math.lgamma(trunc_degree + 2) + x + log_damp)
+    log_lead = (trunc_degree + 1) * math.log(x) - math.lgamma(trunc_degree + 2)
     try:
-        return math.exp(log_bound)
+        return math.exp(min(log_lead, 0.0) + x + log_damp)
     except OverflowError:
         return math.inf
 
 
 def star_exp_tail_bound(q: Quaternion, w: Quaternion, alpha: float,
                         trunc_degree: int) -> float:
-    """Bound (a|q||w|)^{N+1}/(N+1)! e^{a|q||w|} on the dropped tail.
+    """Bound min((a|q||w|)^{N+1}/(N+1)!, 1) e^{a|q||w|} on the dropped tail.
 
     Never raises: a bound that overflows a float is inf (see _tail_bound).
     """

@@ -10,13 +10,17 @@ concurrent use requires no locking.
 
 A private array section at the end holds the package's one array kernel:
 quaternions as rows (w, x, y, z) on the last axis of a float64 array, a
-Hamilton product on such arrays and conversions to and from `Quaternion`.
-Hot loops in series, kernels and fock multiply whole tables at once through
-it.  Its product uses the same formula, term order and rounding as
-`Quaternion.__mul__`, so an array product equals the scalar one bit for bit.
+Hamilton product on such arrays, the modulus and inverse of every row, and
+conversions to and from `Quaternion`.  Hot loops in series, kernels, fock
+and verify work on whole tables at once through it.  Its product uses the
+same formula, term order and rounding as `Quaternion.__mul__`, so an array
+product equals the scalar one bit for bit.  The row moduli are taken with
+`math.hypot` row by row, as `Quaternion.modulus` takes them (numpy has no
+four-argument hypot, and a sum of squares rounds otherwise), and the row
+inverse divides by the modulus twice, as `Quaternion.inverse` does.
 
-Loops that must stay per point, the Horner evaluation and `extend` in
-series and the star exponential in kernels, run on plain floats instead of
+Loops that run one point at a time, the scalar Horner evaluation in series
+and the star exponential in kernels, run on plain floats instead of
 constructing one `Quaternion` per step: each step writes out the components
 of the `Quaternion` operators it replaces, term for term and in the same
 order, so the result equals the operator loop's bit for bit.  Only the
@@ -302,6 +306,7 @@ def default_sphere(count: int = 64) -> list[ImaginaryUnit]:
 
 # row-wise conjugation: multiply by these signs
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+_ONE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -312,13 +317,44 @@ def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    w = pw * qw - px * qx - py * qy - pz * qz
     # a fresh C-contiguous result: fock's BLAS products round by layout
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[..., 0] = pw * qw - px * qx - py * qy - pz * qz
+    out = np.empty(w.shape + (4,))
+    out[..., 0] = w
     out[..., 1] = pw * qx + px * qw + py * qz - pz * qy
     out[..., 2] = pw * qy - px * qz + py * qw + pz * qx
     out[..., 3] = pw * qz + px * qy - py * qx + pz * qw
     return out
+
+
+def _modulus_rows(rows: np.ndarray) -> np.ndarray:
+    """|q| of every row of a (..., 4) array, shape (...); math.hypot per row.
+
+    numpy has no four-argument hypot, and a sum of squares rounds otherwise,
+    so each modulus is `Quaternion.modulus` of its row bit for bit.
+    """
+    w, x, y, z = rows.reshape(-1, 4).T.tolist()
+    return np.fromiter(map(math.hypot, w, x, y, z), float, len(w)).reshape(rows.shape[:-1])
+
+
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """q^{-1} of every row, as `Quaternion.inverse` forms it: (w, -x, -y, -z) / m / m.
+
+    Rows of modulus below the inversion floor are not refused here: callers
+    mask them out, as the scalar callers skip them.
+    """
+    m = _modulus_rows(rows)[..., None]
+    return rows * _CONJ_SIGNS / m / m
+
+
+def _unit_rows(units) -> np.ndarray:
+    """Imaginary units as rows (x, y, z), shape (M, 3)."""
+    return np.array([[u.x, u.y, u.z] for u in units]).reshape(-1, 3)
+
+
+def _imaginary_rows(vectors: np.ndarray) -> np.ndarray:
+    """Vectors (..., 3) as purely imaginary quaternion rows (0, x, y, z), (..., 4)."""
+    return np.concatenate([np.zeros(vectors.shape[:-1] + (1,)), vectors], axis=-1)
 
 
 def _rows(quaternions) -> np.ndarray:

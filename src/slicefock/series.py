@@ -13,6 +13,15 @@ and (f * g)(q) = 0 whenever f(q) = 0.
 The module also provides the slice machinery: splitting a series into two
 complex polynomials along an orthogonal pair (I, J), the inverse extension,
 and evaluation anywhere in the ball from data on a single slice.
+
+Private row forms evaluate many points, units or pairs at once on
+quaternion rows (see quaternion.py): the Horner evaluation `_eval_rows`,
+the transformed point, the star reciprocal, the representation formula,
+and split/extend as `_split_rows`/`_extend_rows`.  Each row equals its
+scalar counterpart bit for bit.  split and extend are one-pair calls of
+their row forms; the scalar eval, transform_point, star_inverse_eval and
+rep_eval keep their own loops, because a numpy call costs more than the
+arithmetic at one point.
 """
 
 from __future__ import annotations
@@ -24,8 +33,9 @@ import numpy as np
 
 from .errors import (BadRadius, NotOrthogonal, SingularPoint, UnitMismatch,
                      ZeroValue)
-from .quaternion import (ImaginaryUnit, Quaternion, _from_rows, _qmul, _rows,
-                         decompose)
+from .quaternion import (_ONE_ROW, UNIT_I, ImaginaryUnit, Quaternion,
+                         _from_rows, _imaginary_rows, _inverse_rows,
+                         _modulus_rows, _qmul, _rows, _unit_rows, decompose)
 
 __all__ = [
     "SliceSeries",
@@ -268,52 +278,33 @@ def split(f: SliceSeries, unit_i: ImaginaryUnit, unit_j: ImaginaryUnit,
           ) -> tuple[ComplexSlicePolynomial, ComplexSlicePolynomial]:
     """Components f_1, f_2 with f = f_1 + f_2 * J and C_I coefficients.
 
-    Solves one 4x4 real linear system per coefficient in the orthogonal
-    basis {1, I, J, IJ}; extend() inverts this exactly up to rounding.
+    One pair of _split_rows: a single solve in the orthonormal basis
+    {1, I, J, IJ}, with one right-hand side per coefficient.  extend()
+    inverts it exactly up to rounding.
     """
     _check_orthogonal(unit_i, unit_j)
-    qi = unit_i.as_quaternion()
-    qj = unit_j.as_quaternion()
-    qk = qi * qj
-    basis = np.array([
-        [1.0, 0.0, qj.w, qk.w],
-        [0.0, unit_i.x, qj.x, qk.x],
-        [0.0, unit_i.y, qj.y, qk.y],
-        [0.0, unit_i.z, qj.z, qk.z],
-    ])
-    sol = np.linalg.solve(basis, _rows(f.coeffs).T)
-    c1 = tuple(complex(re, im) for re, im in zip(sol[0], sol[1]))
-    c2 = tuple(complex(re, im) for re, im in zip(sol[2], sol[3]))
-    return (ComplexSlicePolynomial(unit_i, c1), ComplexSlicePolynomial(unit_i, c2))
+    parts = _split_rows(_rows(f.coeffs), *_unit_rows([unit_i, unit_j]))
+    c1, c2 = np.ascontiguousarray(parts).view(complex).T.tolist()
+    return (ComplexSlicePolynomial(unit_i, tuple(c1)),
+            ComplexSlicePolynomial(unit_i, tuple(c2)))
 
 
 def extend(f1: ComplexSlicePolynomial, f2: ComplexSlicePolynomial,
            unit_j: ImaginaryUnit) -> SliceSeries:
     """Series with coefficients a_n = f1_n + f2_n * J, inverse of split().
 
-    Each coefficient is `embed_complex(a) + embed_complex(b) * J` written out
-    on floats in the terms and order of the `Quaternion` operators, so it is
-    the same bit for bit and only one `Quaternion` is built per coefficient.
+    One pair of _extend_rows; the shorter component is padded with zeros.
     """
     if (abs(f1.unit.x - f2.unit.x) > _UNIT_MATCH_TOL
             or abs(f1.unit.y - f2.unit.y) > _UNIT_MATCH_TOL
             or abs(f1.unit.z - f2.unit.z) > _UNIT_MATCH_TOL):
         raise UnitMismatch("component polynomials live on different slices")
     _check_orthogonal(f1.unit, unit_j)
-    ux, uy, uz = f1.unit.x, f1.unit.y, f1.unit.z
-    jw, jx, jy, jz = 0.0, unit_j.x, unit_j.y, unit_j.z      # J as a quaternion
-    width = max(len(f1.coeffs), len(f2.coeffs))
-    c1 = f1.coeffs + (0j,) * (width - len(f1.coeffs))
-    c2 = f2.coeffs + (0j,) * (width - len(f2.coeffs))
-    coeffs = []
-    for a, b in zip(c1, c2):
-        bw, bx, by, bz = b.real, b.imag * ux, b.imag * uy, b.imag * uz
-        coeffs.append(Quaternion(
-            a.real + (bw * jw - bx * jx - by * jy - bz * jz),
-            a.imag * ux + (bw * jx + bx * jw + by * jz - bz * jy),
-            a.imag * uy + (bw * jy - bx * jz + by * jw + bz * jx),
-            a.imag * uz + (bw * jz + bx * jy - by * jx + bz * jw)))
-    return SliceSeries(tuple(coeffs))
+    parts = np.zeros((max(len(f1.coeffs), len(f2.coeffs)), 2), complex)
+    parts[:len(f1.coeffs), 0] = f1.coeffs
+    parts[:len(f2.coeffs), 1] = f2.coeffs
+    out = _extend_rows(parts.view(float), *_unit_rows([f1.unit, unit_j]))
+    return SliceSeries(_from_rows(out))
 
 
 def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:
@@ -332,6 +323,114 @@ def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:
     prod = sc.unit.as_quaternion() * unit.as_quaternion()
     one = Quaternion(1.0)
     return 0.5 * ((one - prod) * f.eval(zp) + (one + prod) * f.eval(zm))
+
+
+# ---------------------------------------------------------------------------
+# row forms: many points, units or pairs at once, each row equal to its
+# scalar counterpart bit for bit
+# ---------------------------------------------------------------------------
+
+def _coeff_table(fs) -> np.ndarray:
+    """Coefficient rows of several series, zero-padded at the top, (len(fs), K, 4)."""
+    table = np.zeros((len(fs), max(len(f.coeffs) for f in fs), 4))
+    for row, f in zip(table, fs):
+        row[:len(f.coeffs)] = _rows(f.coeffs)
+    return table
+
+
+def _eval_rows(table: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """SliceSeries.eval on rows: coefficient tables (..., K, 4) at points (..., 4).
+
+    A left Horner, acc = q acc + a_k through _qmul: every step is eval's
+    `q * acc + a` in the same terms and order, so every value is the same
+    bit for bit.  The tables broadcast against the points.  Tables of
+    series of different degree are zero-padded at the top (_coeff_table);
+    a leading zero coefficient changes nothing, as q 0 + a = a up to the
+    sign of a zero.
+    """
+    shape = np.broadcast_shapes(table.shape[:-2] + (4,), points.shape)
+    acc = np.broadcast_to(table[..., -1, :], shape).copy()
+    for k in range(table.shape[-2] - 2, -1, -1):
+        acc = _qmul(points, acc)
+        acc += table[..., k, :]
+    return acc
+
+
+def _transform_rows(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """transform_point on rows, v^{-1} q v, from the values v = f(q).
+
+    Rows with v = 0 are not refused: callers mask them out.
+    """
+    return _qmul(_qmul(_inverse_rows(values), points), values)
+
+
+def _star_inverse_rows(sym: np.ndarray, fc: np.ndarray,
+                       points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_star_inverse_at on rows: (f^s(q))^{-1} f^c(q), and |f^s(q)|.
+
+    sym and fc are the coefficient tables of f^s and f^c.  A row whose
+    |f^s(q)| is below _SINGULAR_TOL, where the scalar form raises
+    SingularPoint, is left for the caller to mask.
+    """
+    s = _eval_rows(sym, points)
+    return _qmul(_inverse_rows(s), _eval_rows(fc, points)), _modulus_rows(s)
+
+
+def _rep_eval_rows(table: np.ndarray, units: np.ndarray,
+                   points: np.ndarray) -> np.ndarray:
+    """rep_eval on rows: coefficient tables (..., K, 4), units (..., 3), points (..., 4).
+
+    Slice coordinates as decompose forms them (a real point takes the unit
+    i), then the representation formula in rep_eval's terms and order.
+    """
+    re, vec = points[..., :1], points[..., 1:]
+    im = np.sqrt(vec[..., 0] * vec[..., 0] + vec[..., 1] * vec[..., 1]
+                 + vec[..., 2] * vec[..., 2])[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        point_unit = np.where(im == 0.0, _unit_rows([UNIT_I]), vec / im)
+    zp = np.concatenate([re, im * units], axis=-1)
+    zm = np.concatenate([re, -im * units], axis=-1)
+    prod = _qmul(_imaginary_rows(point_unit), _imaginary_rows(units))
+    return 0.5 * (_qmul(_ONE_ROW - prod, _eval_rows(table, zp))
+                  + _qmul(_ONE_ROW + prod, _eval_rows(table, zm)))
+
+
+def _split_rows(coeffs: np.ndarray, units_i: np.ndarray,
+                units_j: np.ndarray) -> np.ndarray:
+    """split on rows: components (re f1, im f1, re f2, im f2) per coefficient.
+
+    coeffs (..., K, 4) broadcasts against the units (..., 3) of the pairs;
+    the result has shape (..., K, 4).  One batched np.linalg.solve on the
+    (..., 4, 4) bases {1, I, J, IJ}, with K right-hand sides each.  LAPACK
+    solves each basis alone, so a pair's components are those of a
+    one-pair call bit for bit, as long as K is the same: the right-hand
+    side count changes the rounding, so tables are never padded here.
+    """
+    basis = np.zeros(np.broadcast_shapes(units_i.shape, units_j.shape)[:-1] + (4, 4))
+    basis[..., 0, 0] = 1.0
+    basis[..., 1:, 1] = units_i
+    basis[..., 1:, 2] = units_j
+    basis[..., :, 3] = _qmul(basis[..., :, 1], basis[..., :, 2])        # IJ
+    return np.linalg.solve(basis, np.swapaxes(coeffs, -1, -2)).swapaxes(-1, -2)
+
+
+# the columns (re, im, im, im) of the first and second component in a part row
+_FIRST, _SECOND = np.array([0, 1, 1, 1]), np.array([2, 3, 3, 3])
+
+
+def _extend_rows(parts: np.ndarray, units_i: np.ndarray,
+                 units_j: np.ndarray) -> np.ndarray:
+    """extend on rows, the inverse of _split_rows: a_n = f1_n + f2_n J, (..., K, 4).
+
+    Each coefficient is embed_complex(f1_n) + embed_complex(f2_n) * J in the
+    terms and order of the `Quaternion` operators.
+    """
+    # (re, im, im, im) (1, ux, uy, uz) = (re, im ux, im uy, im uz), as embed_complex
+    scale = np.ones(units_i.shape[:-1] + (1, 4))
+    scale[..., 0, 1:] = units_i
+    out = _qmul(parts[..., _SECOND] * scale, _imaginary_rows(units_j)[..., None, :])
+    out += parts[..., _FIRST] * scale
+    return out
 
 
 def derivative(f: SliceSeries, order: int = 1) -> SliceSeries:

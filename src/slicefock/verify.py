@@ -30,15 +30,16 @@ import numpy as np
 
 from .corpus import (random_ball_point, random_orthogonal_pair, random_unit,
                      rng_for, standard_corpus)
-from .errors import SingularPoint, ZeroValue
 from .fock import (DEFAULT_RADIAL_SAMPLES, DEFAULT_SUP_ANGULAR, FockParams,
                    _derivative_reports, _dilation_values, _monomial_sup,
                    _slice_norms_on_grid, _sup_over_rows)
 from .quadrature import QuadratureGrid
-from .quaternion import UNIT_I, Quaternion, default_sphere
-from .series import (MultiMonomial, SliceSeries, _star_inverse_at,
-                     regular_conjugate, rep_eval, split, extend, star_mul,
-                     transform_point, truncate)
+from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _modulus_rows, _qmul,
+                         _rows, _unit_rows, default_sphere)
+from .series import (_SINGULAR_TOL, MultiMonomial, SliceSeries, _coeff_table,
+                     _eval_rows, _extend_rows, _rep_eval_rows, _split_rows,
+                     _star_inverse_rows, _transform_rows, regular_conjugate,
+                     star_mul, truncate)
 
 __all__ = ["PropositionResult", "PROPOSITIONS", "run_verify",
            "format_text", "results_to_dicts", "format_csv"]
@@ -94,16 +95,21 @@ def _select(props) -> list[str]:
 # individual propositions
 # ---------------------------------------------------------------------------
 
+def _worst(values: np.ndarray, start: float = 0.0) -> float:
+    """max(start, *values) as a loop of builtin max makes it: NaN is passed over."""
+    return float(np.fmax.reduce(values, axis=None, initial=start))
+
+
 def _check_star(corpus, seed: int) -> PropositionResult:
     rng = rng_for(seed + 101)
     fs = [truncate(f, 8) for f in corpus]
-    worst_point = worst_zero = worst_real = worst_inverse = 0.0
-    instances = 0
+    worst_zero = worst_real = 0.0
+    functions, points = [], []                 # (f, g, f * g, f^c, f^s) per pair
     for i in range(100):
         f, g = fs[2 * i], fs[2 * i + 1]
-        fg = star_mul(f, g)
         fc = regular_conjugate(f)
         sym = star_mul(f, fc)                  # f^s, formed once per function
+        functions.append((f, g, star_mul(f, g), fc, sym))
         coeff_scale = max(1.0, max(c.modulus() for c in sym.coeffs))
         worst_real = max(worst_real,
                          max(c.imag_modulus() for c in sym.coeffs) / coeff_scale)
@@ -115,24 +121,26 @@ def _check_star(corpus, seed: int) -> PropositionResult:
         scale = max(1.0, sum(c.modulus() * z0.modulus() ** k
                              for k, c in enumerate(killed.coeffs)))
         worst_zero = max(worst_zero, killed.eval(z0).modulus() / scale)
+        points.append(_rows([random_ball_point(rng) for _ in range(20)]))
 
-        for _ in range(20):
-            q = random_ball_point(rng)
-            vf = f.eval(q)
-            if vf.modulus() <= 1e-6:
-                continue
-            moved = transform_point(f, q)
-            lhs = fg.eval(q)
-            rhs = vf * g.eval(moved)
-            denom = max(1.0, lhs.modulus(), rhs.modulus())
-            worst_point = max(worst_point, (lhs - rhs).modulus() / denom)
-            instances += 1
-            try:
-                recip = _star_inverse_at(sym, fc, moved)
-            except (SingularPoint, ZeroValue):
-                continue
-            worst_inverse = max(worst_inverse,
-                                (vf * recip - Quaternion(1.0)).modulus())
+    # every point of a function at once: one table row per function, (100, 1, K, 4)
+    f, g, fg, fc, sym = (_coeff_table(column)[:, None] for column in zip(*functions))
+    q = np.array(points)
+    # points where f(q) is small are skipped below; their rows may be inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vf = _eval_rows(f, q)
+        moved = _transform_rows(vf, q)
+        lhs = _eval_rows(fg, q)
+        rhs = _qmul(vf, _eval_rows(g, moved))
+        recip, sym_modulus = _star_inverse_rows(sym, fc, moved)
+        residual = _qmul(vf, recip) - _ONE_ROW
+    kept = ~(_modulus_rows(vf) <= 1e-6)
+    denom = np.fmax(np.fmax(1.0, _modulus_rows(lhs)), _modulus_rows(rhs))
+    worst_point = _worst(_modulus_rows(lhs - rhs)[kept] / denom[kept])
+    instances = int(kept.sum())
+    # the reciprocal is skipped where f^s vanishes (SingularPoint)
+    regular = kept & ~(sym_modulus < _SINGULAR_TOL)
+    worst_inverse = _worst(_modulus_rows(residual[regular]))
     worst = max(worst_point / 1e-10, worst_zero / 1e-10,
                 worst_real / 1e-12, worst_inverse / 1e-10)
     detail = (f"pointwise={worst_point:.2e} zero={worst_zero:.2e} "
@@ -142,30 +150,34 @@ def _check_star(corpus, seed: int) -> PropositionResult:
 
 def _check_split(corpus, seed: int) -> PropositionResult:
     rng = rng_for(seed + 102)
+    pairs = np.empty((len(corpus) * 20, 2, 3))           # (I, J) of each draw
+    for pair in pairs:
+        pair[:] = _unit_rows(random_orthogonal_pair(rng))
+    units_i, units_j = pairs[:, 0], pairs[:, 1]
+    widths = np.repeat([len(f.coeffs) for f in corpus], 20)
     worst = 0.0
-    instances = 0
-    for f in corpus:
-        for _ in range(20):
-            unit_i, unit_j = random_orthogonal_pair(rng)
-            f1, f2 = split(f, unit_i, unit_j)
-            back = extend(f1, f2, unit_j)
-            err = max((a - b).modulus() for a, b in zip(back.coeffs, f.coeffs))
-            worst = max(worst, err)
-            instances += 1
-    return PropositionResult("split", instances, worst, 1e-14, worst <= 1e-14)
+    # one solve per coefficient count: padding would change the rounding
+    for width in np.unique(widths):
+        at = np.flatnonzero(widths == width)
+        table = np.repeat([_rows(f.coeffs) for f in corpus if len(f.coeffs) == width],
+                          20, axis=0)
+        back = _extend_rows(_split_rows(table, units_i[at], units_j[at]),
+                            units_i[at], units_j[at])
+        worst = _worst(_modulus_rows(back - table), worst)
+    return PropositionResult("split", len(pairs), worst, 1e-14, worst <= 1e-14)
 
 
 def _check_rep_formula(corpus, seed: int) -> PropositionResult:
     rng = rng_for(seed + 103)
-    worst = 0.0
-    for idx in range(1000):
-        f = corpus[idx % len(corpus)]
-        unit = random_unit(rng)
-        q = random_ball_point(rng)
-        direct = f.eval(q)
-        viaslice = rep_eval(f, unit, q)
-        worst = max(worst, (viaslice - direct).modulus()
-                    / max(1.0, direct.modulus()))
+    draws = np.empty((1000, 7))                # unit (x, y, z), point (w, x, y, z)
+    for row in draws:
+        unit, q = random_unit(rng), random_ball_point(rng)
+        row[:] = unit.x, unit.y, unit.z, q.w, q.x, q.y, q.z
+    table = _coeff_table(corpus)[np.arange(1000) % len(corpus)]
+    direct = _eval_rows(table, draws[:, 3:])
+    viaslice = _rep_eval_rows(table, draws[:, :3], draws[:, 3:])
+    worst = _worst(_modulus_rows(viaslice - direct)
+                   / np.fmax(1.0, _modulus_rows(direct)))
     return PropositionResult("rep-formula", 1000, worst, 1e-11, worst <= 1e-11)
 
 

@@ -203,20 +203,30 @@ def test_norm_sup_overflow_exits_three(tmp_path, capsys, out):
 @pytest.mark.parametrize("extra", [[], ["--normalized"], ["--out", "json"]])
 def test_kernel_overflow_exits_three(capsys, extra):
     # alpha |q| |w| = 900: e^900 overflows a float, so the tail bound is inf;
-    # damped by e^{-alpha |w|^2 / 2} = e^{-450}, it is about e^615 and fits
+    # damped by e^{-alpha |w|^2 / 2} = e^{-450} it fits.  900^41/41! > 1, so
+    # the bound is e^900 (the whole series), not 900^41/41! e^900 = e^615
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, ["kernel", "--q", "30,0,0,0", "--w", "30,0,0,0",
                                       "--trunc", "40"] + extra)
     if extra == ["--normalized"]:
         assert code == 0 and err == ""
-        want = math.exp(41 * math.log(900.0) - math.lgamma(42) + 900.0 - 450.0)
+        want = math.exp(900.0 - 450.0)
         assert math.isclose(float(out.split("tail bound = ")[1]), want,
                             rel_tol=1e-12)
         return
     assert code == 3 and out == ""
     assert err.startswith("error: a value is not finite: kernel value = [")
     assert err.endswith("tail bound = inf\n")
+
+
+def test_kernel_tail_bound_of_a_representable_tail_is_finite(capsys):
+    # e^400 fits a float: the dropped tail of the sum at N = 300 is below it,
+    # although 400^301/301! e^400 is about e^783
+    code, out, err = run(capsys, ["kernel", "--q", "20,0,0,0", "--w", "20,0,0,0",
+                                  "--trunc", "300", "--out", "json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["tail_bound"] == math.exp(400.0)
 
 
 def test_missing_file_exits_two(capsys):

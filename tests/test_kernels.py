@@ -86,6 +86,52 @@ def test_tail_bound_never_raises_where_e_x_overflows(x, trunc):
         assert math.isclose(bound, math.exp(log_bound), rel_tol=1e-10)
 
 
+def _parent_tail_bound(x, trunc):
+    """(x^{N+1}/(N+1)!) e^x as the bound was formed before the e^x cap."""
+    lead = 1.0
+    for n in range(1, trunc + 2):
+        lead *= x / n
+    try:
+        bound = lead * math.exp(x) * math.exp(0.0)
+    except OverflowError:
+        bound = math.inf
+    if 0.0 < bound < math.inf or x == 0.0:
+        return bound
+    log_bound = (trunc + 1) * math.log(x) - math.lgamma(trunc + 2) + x + 0.0
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
+        return math.inf
+
+
+def test_tail_bound_at_n_300_is_finite_and_dominates_the_tail():
+    # x = alpha |q| |w| = 400: the tail sum_{n > 300} x^n/n! is close to e^400,
+    # which fits a float; summed in log space from its terms
+    x, trunc = 400.0, 300
+    bound = star_exp_tail_bound(Quaternion(20.0), Quaternion(20.0), 1.0, trunc)
+    logs = [n * math.log(x) - math.lgamma(n + 1) for n in range(trunc + 1, 3000)]
+    top = max(logs)
+    tail = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+    assert math.isfinite(bound)
+    assert tail <= bound
+    assert _parent_tail_bound(x, trunc) == math.inf
+
+
+@given(st.floats(0.0, 800.0), st.integers(0, 2500))
+@example(x=720.0, trunc=2000)      # e^720 overflows: the log branch, power 1e-20
+@example(x=1.0, trunc=0)           # the power is exactly 1
+@settings(max_examples=200, deadline=None)
+def test_tail_bound_unchanged_where_the_power_is_at_most_one(x, trunc):
+    lead = 1.0
+    for n in range(1, trunc + 2):
+        lead *= x / n
+    bound = star_exp_tail_bound(Quaternion(x), Quaternion(1.0), 1.0, trunc)
+    if lead <= 1.0:
+        assert bound == _parent_tail_bound(x, trunc)
+    else:
+        assert bound <= _parent_tail_bound(x, trunc)
+
+
 def test_slice_collapse_to_complex_exponential():
     rng = rng_for(82)
     for _ in range(100):

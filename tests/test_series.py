@@ -15,7 +15,9 @@ from slicefock import (UNIT_I, UNIT_J, UNIT_K, BadRadius, ComplexSlicePolynomial
                        transform_point, truncate)
 from slicefock.corpus import (random_ball_point, random_orthogonal_pair,
                               random_series, random_unit, rng_for)
-from slicefock.series import _star_inverse_at
+from slicefock.series import (_coeff_table, _eval_rows, _extend_rows,
+                              _rep_eval_rows, _split_rows, _star_inverse_at,
+                              _star_inverse_rows, _transform_rows)
 from slicefock.fock import FockParams
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
@@ -517,3 +519,127 @@ def test_multi_monomial_and_polynomial():
     assert qdist(v, expected + ONE) <= 1e-15
     with pytest.raises(ValueError):
         MultiPolynomial(3, (mono,))
+
+
+# --- row forms: many points or pairs at once, equal to the scalar forms ---
+
+def _row(q):
+    return [q.w, q.x, q.y, q.z]
+
+
+unit_coeffs = st.builds(Quaternion, *[st.floats(-1.0, 1.0)] * 4)
+scaled_series = st.tuples(st.lists(unit_coeffs, min_size=1, max_size=17),
+                          st.sampled_from([1e-200, 1.0, 1e200]))
+
+
+@given(st.lists(scaled_series, min_size=1, max_size=6),
+       st.lists(st.builds(Quaternion, *[st.floats(-1.5, 1.5)] * 4), min_size=1,
+                max_size=5))
+@example([([ONE], 1e-200), ([I] * 17, 1e200), ([J, K], 1.0)],
+         [Quaternion(), Quaternion(0.5), Quaternion(0.1, -0.2, 0.3, 0.4)])
+@settings(max_examples=100, deadline=None)
+def test_eval_rows_equal_eval_in_one_zero_padded_table(functions, points):
+    # degrees 0 to 16 in one table: the shorter series are zero-padded on top
+    fs = [series(*(c * scale for c in coeffs)) for coeffs, scale in functions]
+    got = _eval_rows(_coeff_table(fs)[:, None], np.array([_row(q) for q in points]))
+    assert got.tolist() == [[_row(f.eval(q)) for q in points] for f in fs]
+
+
+def _parent_split(f, unit_i, unit_j):
+    """split's body before the row form, kept as the reference: (K, 4) rows."""
+    qi = unit_i.as_quaternion()
+    qj = unit_j.as_quaternion()
+    qk = qi * qj
+    basis = np.array([
+        [1.0, 0.0, qj.w, qk.w],
+        [0.0, unit_i.x, qj.x, qk.x],
+        [0.0, unit_i.y, qj.y, qk.y],
+        [0.0, unit_i.z, qj.z, qk.z],
+    ])
+    return np.linalg.solve(basis, np.array([_row(a) for a in f.coeffs]).T).T
+
+
+def _parent_extend(f1, f2, unit_j):
+    """extend's float loop before the row form, kept as the reference."""
+    ux, uy, uz = f1.unit.x, f1.unit.y, f1.unit.z
+    jw, jx, jy, jz = 0.0, unit_j.x, unit_j.y, unit_j.z
+    width = max(len(f1.coeffs), len(f2.coeffs))
+    c1 = f1.coeffs + (0j,) * (width - len(f1.coeffs))
+    c2 = f2.coeffs + (0j,) * (width - len(f2.coeffs))
+    coeffs = []
+    for a, b in zip(c1, c2):
+        bw, bx, by, bz = b.real, b.imag * ux, b.imag * uy, b.imag * uz
+        coeffs.append([
+            a.real + (bw * jw - bx * jx - by * jy - bz * jz),
+            a.imag * ux + (bw * jx + bx * jw + by * jz - bz * jy),
+            a.imag * uy + (bw * jy - bx * jz + by * jw + bz * jx),
+            a.imag * uz + (bw * jz + bx * jy - by * jx + bz * jw)])
+    return coeffs
+
+
+def _unit_array(units):
+    return np.array([[u.x, u.y, u.z] for u in units])
+
+
+@given(st.integers(1, 13), st.integers(1, 4), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_split_and_extend_rows_equal_the_scalar_bodies(width, count, pairs, seed):
+    # count functions of one coefficient count, each against its own pairs
+    rng = rng_for(seed)
+    fs = [SliceSeries(tuple(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(width)))
+          for _ in range(count)]
+    drawn = [[random_orthogonal_pair(rng) for _ in range(pairs)] for _ in fs]
+    units_i = np.array([_unit_array(u for u, _ in row) for row in drawn])
+    units_j = np.array([_unit_array(v for _, v in row) for row in drawn])
+    parts = _split_rows(_coeff_table(fs)[:, None], units_i, units_j)
+    back = _extend_rows(parts, units_i, units_j)
+    for f, row, got, again in zip(fs, drawn, parts, back):
+        for (unit_i, unit_j), one, coeffs in zip(row, got, again):
+            assert one.tolist() == _parent_split(f, unit_i, unit_j).tolist()
+            f1, f2 = split(f, unit_i, unit_j)
+            assert coeffs.tolist() == _parent_extend(f1, f2, unit_j)
+            assert [_row(a) for a in extend(f1, f2, unit_j).coeffs] == coeffs.tolist()
+
+
+@given(st.lists(unit_coeffs, min_size=1, max_size=10),
+       st.lists(st.builds(Quaternion, *[st.floats(-0.9, 0.9)] * 4), min_size=1,
+                max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+@example([Quaternion(), ONE], [Quaternion()], 0)           # f(0) = 0, f^s(0) = 0
+@example([ONE, I], [Quaternion(0.5), Quaternion(-0.25)], 1)  # real points
+@example([ONE], [Quaternion(0.0, 0.0, 0.0, 7.607277396786046e-162)], 0)
+@settings(max_examples=100, deadline=None)
+def test_point_row_forms_equal_the_scalar_forms(coeffs, drawn, seed):
+    f = series(*coeffs)
+    fc = regular_conjugate(f)
+    rng = rng_for(seed)
+    units = [random_unit(rng) for _ in drawn]
+    # each point also as a real point and on the slice of its unit
+    points = drawn + [Quaternion(q.w) for q in drawn] + [
+        Quaternion(q.w, q.x * u.x, q.x * u.y, q.x * u.z) for q, u in zip(drawn, units)]
+    units = units * 3
+    q = np.array([_row(p) for p in points])
+    table = _coeff_table([f])[0]
+    # the rows where the scalar forms refuse may divide by zero or overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        moved = _transform_rows(_eval_rows(table, q), q)
+        recip, sym_modulus = _star_inverse_rows(_coeff_table([star_mul(f, fc)])[0],
+                                                _coeff_table([fc])[0], q)
+    via_slice = _rep_eval_rows(table, _unit_array(units), q)
+    for i, (p, unit) in enumerate(zip(points, units)):
+        try:
+            assert via_slice[i].tolist() == _row(rep_eval(f, unit, p))
+        except ValueError:
+            # a defect of the scalar form: decompose divides by an |Im q| whose
+            # square lost precision (|Im q| < 1.5e-154) and refuses the unit
+            assert p.imag_modulus() < 1.5e-154
+        if f.eval(p).modulus() >= 1e-12:
+            assert moved[i].tolist() == _row(transform_point(f, p))
+        try:
+            want = star_inverse_eval(f, p)
+        except SingularPoint:
+            assert sym_modulus[i] < 1e-12
+            continue
+        assert sym_modulus[i] == symmetrization(f).eval(p).modulus()
+        assert recip[i].tolist() == _row(want)

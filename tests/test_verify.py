@@ -93,19 +93,28 @@ def test_formatters_agree_with_results():
     assert "split" in text and "PASS" in text and "1/1 propositions passed" in text
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def _mask(report):
+    # only the rounding-residual grid-doubling figure may move when the
+    # order of the quadrature sums changes
+    return re.sub(r"grid-doubling-rel=[0-9.e+-]+", "grid-doubling-rel=*", report)
+
+
 def test_small_verify_report_matches_pinned_output():
-    # report pinned byte for byte; only the rounding-residual grid-doubling
-    # figure may move when the order of the quadrature sums changes.  The
-    # text rounds to 7 digits; the JSON carries every float in full, so it
-    # pins the numbers themselves.
-    data = Path(__file__).parent / "data"
+    # report pinned byte for byte.  The text rounds to 7 digits; the JSON
+    # carries every float in full, so it pins the numbers themselves.
     results = run_verify(0, sphere_count=8, radial=16, angular=32,
                          sup_radial=17, sup_angular=32)
-
-    def mask(report):
-        return re.sub(r"grid-doubling-rel=[0-9.e+-]+", "grid-doubling-rel=*", report)
-
     for name, got in (("verify_seed0_small.txt", format_text(results)),
                       ("verify_seed0_small.json",
                        dumps_canonical(results_to_dicts(results)))):
-        assert mask(got) == mask((data / name).read_text().rstrip("\n")), name
+        assert _mask(got) == _mask((DATA / name).read_text().rstrip("\n")), name
+
+
+def test_default_verify_report_matches_pinned_output():
+    # `slicefock verify --seed 0 --out json` with every default flag: the
+    # grids and sphere that users and the benchmark run, in full precision
+    got = dumps_canonical(results_to_dicts(run_verify(0)))
+    assert _mask(got) == _mask((DATA / "verify_seed0.json").read_text().rstrip("\n"))
