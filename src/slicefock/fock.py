@@ -45,8 +45,19 @@ Sabadini, Struppa, Adv. Math. 2009): with z = x + iy and z^k = u_k + i v_k,
 A = sum u_k a_k and B = sum v_k a_k do not depend on I, and
 |f|^2 = |A|^2 + |B|^2 + 2 <Im(A conj(B)), I>: one table of powers serves every
 unit at one 3-vector dot product per point.  At p = 2 the integrand is linear
-in |f|^2, so the sums over the points are taken before the units enter (the
-same quadrature rule, summed in another order).  At p != 2 the units x points
+in |f|^2 and no point is evaluated: with t_j = 2 pi j / M, the sum over j of
+sin(m t_j) is 0 for every m (t_j and 2 pi - t_j cancel), so the cross term
+sums to exactly 0, and that of cos(m t_j) is M [m = 0 mod M], so the grid's
+sum of |f|^2 e^{-a r^2} is
+
+    Q = 2 pi sum_{k = l mod M} <a_k, a_l> H_{k+l},
+    H_m = sum_i W_i r_i^{m+1} e^{-a r_i^2},
+
+over the Gauss-Legendre nodes (r_i, W_i): the same quadrature rule, summed
+in another order, and the same for every unit.  The mask k = l mod M keeps
+angular grids with fewer angles than coefficients exact.  (Zhu, Analysis on
+Fock Spaces, 2012, ch. 2, for the complex case; Alpay, Colombo, Sabadini,
+Salomon 2014 for the slice case.)  At p != 2 the units x points
 array of |f|^p is built and summed in blocks of radial rows holding a few
 thousand points each, so it stays cache-sized however fine the grid.  The
 blocks are dealt round-robin to lanes, one per usable core: the calling
@@ -366,18 +377,31 @@ def _grid_for(params: FockParams, grid: QuadratureGrid | None) -> QuadratureGrid
 
 def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
                          grid: QuadratureGrid) -> np.ndarray:
-    r, _ = grid.radial_arrays()
+    """Slice p-norm of f on every unit by the grid's quadrature rule, shape (M,).
+
+    At p = 2 the rule's sum comes from the radial moments H_m (module
+    docstring) and every unit gets the same bits; at p != 2 |f|^p is
+    evaluated in blocks of radial rows on the lanes.  A norm that overflows
+    is inf.
+    """
+    r, radial_w = grid.radial_arrays()
     (coeffs, exponent), theta = _scaled_rows(f), grid.angles()
     p = params.p
-    w = (grid.area_weights().reshape(r.size, -1)
-         * np.exp(-0.5 * params.alpha * p * r * r)[:, None]).ravel()
     if p == 2.0:
-        # linear in |f|^2 = s + 2 <v, I>: reduce over the points first
-        s, v = _slice_terms(_terms_table(coeffs, theta), r)
-        sums = s @ w + 2.0 * (_unit_rows(units) @ (v @ w))
+        # Q = 2 pi sum_{k = l mod M} <a_k, a_l> H_{k+l} (module docstring),
+        # the grid's sum of |f|^2 e^{-a r^2} on every unit
+        k = np.arange(len(coeffs))
+        moments = (radial_w * r * np.exp(-params.alpha * r * r)) @ (
+            r[:, None] ** np.arange(2 * k.size - 1))
+        aliased = (k[:, None] - k) % theta.size == 0
+        gram = coeffs @ coeffs.T
+        sums = np.full(len(units), 2.0 * math.pi * float(
+            (gram[aliased] * moments[(k[:, None] + k)[aliased]]).sum()))
     else:
         # blocks of radial rows keep the units x points array cache-sized;
         # their unit sums are added in block order, whatever lane made them
+        w = (grid.area_weights().reshape(r.size, -1)
+             * np.exp(-0.5 * params.alpha * p * r * r)[:, None]).ravel()
         evaluate = _abs_sq_evaluator(coeffs, units, theta)
         rows, nt = max(1, _BLOCK_POINTS // theta.size), theta.size
 
@@ -440,7 +464,11 @@ def fock_norm_p(f: SliceSeries, params: FockParams,
                 grid: QuadratureGrid | None = None, sphere=None, *,
                 radial_cap: int = RADIAL_CAP,
                 angular_cap: int = ANGULAR_CAP) -> NormReport:
-    """Supremum of the slice p-norms over the sampled sphere of units."""
+    """Supremum of the slice p-norms over the sampled sphere of units.
+
+    At p = 2 every slice norm is the same, so per_slice holds one value
+    for every unit.
+    """
     _require_quadrature_params(params)
     g = _grid_for(params, grid)
     units = list(sphere) if sphere is not None else default_sphere()

@@ -30,6 +30,7 @@ result is built as a `Quaternion`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,9 @@ __all__ = [
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # below this modulus an inverse is treated as a division by zero
 _INVERSION_FLOOR = 1e-300
+# an |Im q| whose square is below the smallest normal double is taken on
+# (x, y, z) 2^_IMAG_SCALE, where the squares keep their bits, and scaled back
+_IMAG_SCALE = 600
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -164,7 +168,11 @@ class Quaternion:
         return (self.x, self.y, self.z)
 
     def imag_modulus(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        sq = self.x * self.x + self.y * self.y + self.z * self.z
+        if not sq < sys.float_info.min:
+            return math.sqrt(sq)
+        x, y, z = (math.ldexp(c, _IMAG_SCALE) for c in (self.x, self.y, self.z))
+        return math.ldexp(math.sqrt(x * x + y * y + z * z), -_IMAG_SCALE)
 
 
 _SET_W, _SET_X, _SET_Y, _SET_Z = (Quaternion.__dict__[name].__set__
@@ -243,6 +251,10 @@ def decompose(q: Quaternion) -> SliceCoords:
     im = q.imag_modulus()
     if im == 0.0:
         return SliceCoords(q.w, 0.0, UNIT_I)
+    if im < sys.float_info.min:
+        # a subnormal im has lost bits: Im q 2^_IMAG_SCALE gives the unit
+        return SliceCoords(q.w, im, ImaginaryUnit.normalized(
+            *(math.ldexp(c, _IMAG_SCALE) for c in (q.x, q.y, q.z))))
     return SliceCoords(q.w, im, ImaginaryUnit(q.x / im, q.y / im, q.z / im))
 
 
@@ -350,6 +362,31 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
 def _unit_rows(units) -> np.ndarray:
     """Imaginary units as rows (x, y, z), shape (M, 3)."""
     return np.array([[u.x, u.y, u.z] for u in units]).reshape(-1, 3)
+
+
+def _decompose_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """decompose's im, shape (N, ...), and unit, (N, ..., 3), of rows (x, y, z).
+
+    Both are taken in the terms and order of `Quaternion.imag_modulus` and
+    decompose, so they equal the scalar forms bit for bit; a zero row takes
+    the unit i.
+    """
+    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
+    sq = x * x + y * y + z * z
+    im = np.sqrt(sq)
+    tiny = sq < sys.float_info.min
+    if tiny.any():
+        x, y, z = np.ldexp(vectors[tiny], _IMAG_SCALE).T
+        im[tiny] = np.ldexp(np.sqrt(x * x + y * y + z * z), -_IMAG_SCALE)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(im[..., None] == 0.0, _unit_rows([UNIT_I]),
+                        vectors / im[..., None])
+    sub = (im > 0.0) & (im < sys.float_info.min)
+    if sub.any():
+        scaled = np.ldexp(vectors[sub], _IMAG_SCALE)
+        x, y, z = scaled.T
+        unit[sub] = scaled / np.sqrt(x * x + y * y + z * z)[:, None]
+    return im, unit
 
 
 def _imaginary_rows(vectors: np.ndarray) -> np.ndarray:

@@ -33,9 +33,10 @@ import numpy as np
 
 from .errors import (BadRadius, NotOrthogonal, SingularPoint, UnitMismatch,
                      ZeroValue)
-from .quaternion import (_ONE_ROW, UNIT_I, ImaginaryUnit, Quaternion,
-                         _from_rows, _imaginary_rows, _inverse_rows,
-                         _modulus_rows, _qmul, _rows, _unit_rows, decompose)
+from .quaternion import (_ONE_ROW, ImaginaryUnit, Quaternion,
+                         _decompose_rows, _from_rows, _imaginary_rows,
+                         _inverse_rows, _modulus_rows, _qmul, _rows, _unit_rows,
+                         decompose)
 
 __all__ = [
     "SliceSeries",
@@ -383,11 +384,9 @@ def _rep_eval_rows(table: np.ndarray, units: np.ndarray,
     Slice coordinates as decompose forms them (a real point takes the unit
     i), then the representation formula in rep_eval's terms and order.
     """
-    re, vec = points[..., :1], points[..., 1:]
-    im = np.sqrt(vec[..., 0] * vec[..., 0] + vec[..., 1] * vec[..., 1]
-                 + vec[..., 2] * vec[..., 2])[..., None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        point_unit = np.where(im == 0.0, _unit_rows([UNIT_I]), vec / im)
+    re = points[..., :1]
+    im, point_unit = _decompose_rows(points[..., 1:])
+    im = im[..., None]
     zp = np.concatenate([re, im * units], axis=-1)
     zm = np.concatenate([re, -im * units], axis=-1)
     prod = _qmul(_imaginary_rows(point_unit), _imaginary_rows(units))

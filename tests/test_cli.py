@@ -56,6 +56,17 @@ def test_eval_json_and_outside_radius(tmp_path, capsys):
     assert "warning: point lies outside the nominal radius" in out
 
 
+def test_eval_at_a_tiny_imaginary_part(tmp_path, capsys):
+    # |Im q|^2 = 1e-320 is subnormal: the slice unit must still have norm 1
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 1.0, 0.0, 0.0)])
+    code, out, err = run(capsys, ["eval", path, "--point", "0,0,0,1e-160",
+                                  "--out", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["value"] == [1.0, 0.0, 1e-160, 0.0]       # 1 + (1e-160 k) i
+    assert payload["rep_residual"] <= 1e-15
+
+
 def test_eval_rejects_several_variable_files(tmp_path, capsys):
     poly = MultiPolynomial(2, (MultiMonomial((1, 0), Quaternion(1.0)),))
     path = tmp_path / "poly.json"

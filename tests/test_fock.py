@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
 from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
                        ImaginaryUnit, MultiMonomial,
@@ -613,6 +614,66 @@ def test_slice_norms_on_grid_match_split_reference(rows, p, alpha, count, shape)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
 
 
+# --- p = 2 from the grid's radial moments against the pointwise sum ---
+
+def _pointwise_p2_norms(f, units, params, grid):
+    """_slice_norms_on_grid at p = 2 as a sum of |f|^2 over the grid points.
+
+    s and v are evaluated at every point and weighted by the area weights
+    times e^{-a r^2}, then the units enter; kept as the reference of the
+    radial-moment form.
+    """
+    r, _ = grid.radial_arrays()
+    (coeffs, exponent), theta = _scaled_rows(f), grid.angles()
+    w = (grid.area_weights().reshape(r.size, -1)
+         * np.exp(-params.alpha * r * r)[:, None]).ravel()
+    s, v = _slice_terms(_terms_table(coeffs, theta), r)
+    sums = s @ w + 2.0 * (_unit_rows(units) @ (v @ w))
+    integrals = (params.alpha / math.pi) ** params.n / math.pi * sums
+    return np.ldexp(np.maximum(integrals, 0.0) ** 0.5, exponent)
+
+
+deep_rows = st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4), min_size=1,
+                     max_size=17)
+
+
+@given(deep_rows, st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 128]),
+       st.integers(1, 64), st.floats(0.2, 3.0), st.sampled_from([0.5, 1.0, 2.0]))
+# fewer angles than coefficients: k = l mod M pairs beyond the diagonal count
+@example(rows=[(0.5, -0.3, 0.2, 0.1), (0.4, 0.1, -0.7, 0.2), (-0.6, 0.3, 0.1, 0.5),
+               (0.2, 0.8, -0.1, -0.3)] * 4, angular=3, radial=24, alpha=1.0,
+         radius=1.0)
+@settings(max_examples=80, deadline=None)
+def test_p2_moment_form_equals_the_pointwise_sum(rows, angular, radial, alpha, radius):
+    f = _series_from(rows)
+    params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+    units = default_sphere(2)
+    grid = QuadratureGrid.build(radial, angular, radius)
+    got = _slice_norms_on_grid(f, units, params, grid)
+    want = _pointwise_p2_norms(f, units, params, grid)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(want, 1e-300))
+
+
+def test_p2_per_slice_values_are_bit_equal():
+    for f in standard_corpus(0)[:20]:
+        report = fock_norm_p(f, P2)
+        values = np.array([v for _, v in report.per_slice])
+        assert len(values) == 67
+        assert values.tobytes() == np.full(67, report.value).tobytes()
+
+
+@pytest.mark.parametrize("alpha, radius", [(1.0, 1.0), (0.5, 2.0), (2.5, 1.5)])
+def test_p2_norm_equals_the_incomplete_gamma_closed_form(alpha, radius):
+    # ||f||_2^2 = sum_k |a_k|^2 k! P(k + 1, a R^2) / (pi a^k)
+    params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+    for f in standard_corpus(0)[:60]:
+        want = math.sqrt(sum(
+            a.modulus_sq() * math.factorial(k) * gammainc(k + 1, alpha * radius ** 2)
+            / (math.pi * alpha ** k) for k, a in enumerate(f.coeffs)))
+        got = fock_norm_p(f, params).value
+        assert abs(got - want) <= 1e-13 * want
+
+
 @given(coeff_rows, st.integers(0, 3), st.sampled_from([1, 11]))
 # squared, a coefficient of 3.5e-203 underflows unless it is scaled first
 @example(rows=[(0.0, 0.0, 0.0, 3.543643236417232e-203)], order=0, sphere_count=1)
@@ -991,11 +1052,12 @@ def test_sup_grid_stage_holds_one_units_by_points_array():
 
 def test_p2_slice_terms_peak_stays_near_the_table():
     # s and v through scratch rows: the fresh-array terms peaked at 2.0 tables
-    f = _series_from([(0.3, -0.2, 0.5, 0.1)] * 13)
+    coeffs, _ = _scaled_rows(_series_from([(0.3, -0.2, 0.5, 0.1)] * 13))
     grid = QuadratureGrid.build(128, 256)
-    grid.radial_arrays()
+    r, _ = grid.radial_arrays()
+    table = _terms_table(coeffs, grid.angles())
     table_bytes = 2 * 6 * 128 * 256 * 8
-    peak = _traced_peak(lambda: _slice_norms_on_grid(f, default_sphere(), P2, grid))
+    peak = _traced_peak(lambda: _slice_terms(table, r))
     assert peak <= 1.8 * table_bytes
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import doctest
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import slicefock.quaternion
 from slicefock import (ONE, UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, Quaternion,
                        SliceCoords, ZeroDivisor, compose, decompose,
                        default_sphere, orthonormal_partner, sphere_sample)
-from slicefock.quaternion import _CONJ_SIGNS, _qmul
+from slicefock.quaternion import _CONJ_SIGNS, _decompose_rows, _qmul
 
 component = st.floats(min_value=-10.0, max_value=10.0,
                       allow_nan=False, allow_infinity=False)
@@ -122,6 +123,31 @@ def test_decompose_worked_examples():
     assert abs(c.im - math.sqrt(3.0)) <= 1e-15
     s = 1.0 / math.sqrt(3.0)
     assert max(abs(c.unit.x - s), abs(c.unit.y - s), abs(c.unit.z - s)) <= 1e-15
+
+
+@pytest.mark.parametrize("vec", [(0.0, 0.0, 1e-160), (3e-170, -4e-170, 0.0),
+                                 (5e-324, 0.0, 0.0), (1e-155, 2e-155, -2e-155)])
+def test_decompose_keeps_tiny_imaginary_parts(vec):
+    # the squares of these components are subnormal or 0
+    q = Quaternion(0.25, *vec)
+    c = decompose(q)
+    want = max(map(abs, vec)) * math.sqrt(sum((v / max(map(abs, vec))) ** 2
+                                              for v in vec))
+    assert abs(c.im - want) <= 1e-15 * want
+    assert qdist(compose(c), q) <= 4e-16 * c.im
+    im, unit = _decompose_rows(np.array([vec]))
+    assert (im[0], *unit[0]) == (c.im, c.unit.x, c.unit.y, c.unit.z)
+
+
+@given(quats)
+@settings(max_examples=100)
+def test_imag_modulus_of_normal_squares_is_the_plain_root(q):
+    sq = q.x * q.x + q.y * q.y + q.z * q.z
+    if sq >= sys.float_info.min:
+        assert q.imag_modulus() == math.sqrt(sq)
+    c = decompose(q)
+    im, unit = _decompose_rows(np.array([[q.x, q.y, q.z]]))
+    assert (im[0], *unit[0]) == (c.im, c.unit.x, c.unit.y, c.unit.z)
 
 
 def test_slice_coords_canonicalize_negative_im():
