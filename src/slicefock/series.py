@@ -19,9 +19,13 @@ quaternion rows (see quaternion.py): the Horner evaluation `_eval_rows`,
 the transformed point, the star reciprocal, the representation formula,
 and split/extend as `_split_rows`/`_extend_rows`.  Each row equals its
 scalar counterpart bit for bit.  split and extend are one-pair calls of
-their row forms; the scalar eval, transform_point, star_inverse_eval and
-rep_eval keep their own loops, because a numpy call costs more than the
-arithmetic at one point.
+their row forms.  The one-point forms eval, star_inverse_eval and rep_eval
+run the float Horner loops instead (_horner, _horner_rows), because a numpy
+call costs more than the arithmetic at one point: star_inverse_eval takes
+f^c and f^s as coefficient rows, from one sign flip and star_mul's
+convolution, and builds no series for them, and rep_eval writes the
+representation formula out on floats.  transform_point composes
+`Quaternion` operators on eval's value.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import (BadRadius, NotOrthogonal, SingularPoint, UnitMismatch,
                      ZeroValue)
-from .quaternion import (_ONE_ROW, ImaginaryUnit, Quaternion,
+from .quaternion import (_CONJ_SIGNS, _ONE_ROW, ImaginaryUnit, Quaternion,
                          _decompose_rows, _from_rows, _imaginary_rows,
                          _inverse_rows, _modulus_rows, _qmul, _rows, _unit_rows,
                          decompose)
@@ -93,20 +97,10 @@ class SliceSeries:
     def eval(self, q: Quaternion) -> Quaternion:
         """Left-Horner evaluation a_0 + q(a_1 + q(a_2 + ...)).
 
-        eval at q = 0 returns a_0 exactly.  The loop runs on floats: each
-        step is `q * acc + a` written out in the terms and order of
-        `Quaternion.__mul__` and `__add__`, so the value is the same bit for
-        bit and only the result is built as a `Quaternion`.
+        eval at q = 0 returns a_0 exactly.  The loop runs on floats (see
+        _horner), so only the result is built as a `Quaternion`.
         """
-        acc = self.coeffs[-1]
-        qw, qx, qy, qz = q.w, q.x, q.y, q.z
-        aw, ax, ay, az = acc.w, acc.x, acc.y, acc.z
-        for a in reversed(self.coeffs[:-1]):
-            aw, ax, ay, az = (qw * aw - qx * ax - qy * ay - qz * az + a.w,
-                              qw * ax + qx * aw + qy * az - qz * ay + a.x,
-                              qw * ay - qx * az + qy * aw + qz * ax + a.y,
-                              qw * az + qx * ay - qy * ax + qz * aw + a.z)
-        return Quaternion(aw, ax, ay, az)
+        return Quaternion(*_horner(self.coeffs, q.w, q.x, q.y, q.z))
 
     def scale_right(self, c: Quaternion) -> "SliceSeries":
         """Series of q -> f(q) c, i.e. every coefficient multiplied by c."""
@@ -211,19 +205,57 @@ def embed_complex(c: complex, unit: ImaginaryUnit) -> Quaternion:
     return Quaternion(c.real, c.imag * unit.x, c.imag * unit.y, c.imag * unit.z)
 
 
+# The scalar Horner loops: each step is `q * acc + a` written out in the terms
+# and order of `Quaternion.__mul__` and `__add__`, so a value is the operator
+# loop's bit for bit.  _horner reads `Quaternion` coefficients and
+# _horner_rows coefficient rows; one loop for both would have to turn one
+# kind into the other at every call, which costs eval about a quarter more.
+
+def _horner(coeffs, qw: float, qx: float, qy: float, qz: float):
+    """Components of sum_n q^n a_n for `Quaternion` coefficients a_n."""
+    acc = coeffs[-1]
+    aw, ax, ay, az = acc.w, acc.x, acc.y, acc.z
+    for a in reversed(coeffs[:-1]):
+        aw, ax, ay, az = (qw * aw - qx * ax - qy * ay - qz * az + a.w,
+                          qw * ax + qx * aw + qy * az - qz * ay + a.x,
+                          qw * ay - qx * az + qy * aw + qz * ax + a.y,
+                          qw * az + qx * ay - qy * ax + qz * aw + a.z)
+    return aw, ax, ay, az
+
+
+def _horner_rows(rows: list, qw: float, qx: float, qy: float, qz: float):
+    """_horner for coefficient rows [w, x, y, z] given as Python lists."""
+    aw, ax, ay, az = rows[-1]
+    for bw, bx, by, bz in reversed(rows[:-1]):
+        aw, ax, ay, az = (qw * aw - qx * ax - qy * ay - qz * az + bw,
+                          qw * ax + qx * aw + qy * az - qz * ay + bx,
+                          qw * ay - qx * az + qy * aw + qz * ax + by,
+                          qw * az + qx * ay - qy * ax + qz * aw + bz)
+    return aw, ax, ay, az
+
+
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the star product, c_n = sum_k a_k b_{n-k}, (K + L - 1, 4).
+
+    a (K, 4) and b (L, 4) are coefficient rows.  Each c_n sums its terms
+    over ascending k.
+    """
+    prod = _qmul(a[:, None], b)                                # a_k b_l
+    out = np.zeros((len(a) + len(b) - 1, 4))
+    # one row of products per k, added in ascending k: every c_n sums its
+    # terms in the order above.  A BLAS product or np.sum would reduce in a
+    # shape-dependent order and change the rounding.
+    for k, row in enumerate(prod):
+        out[k:k + len(b)] += row
+    return out
+
+
 def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     """Star product: coefficient convolution c_n = sum_k a_k b_{n-k}.
 
     The sum runs over ascending k so the reduction order is fixed.
     """
-    n, m = f.degree, g.degree
-    prod = _qmul(_rows(f.coeffs)[:, None], _rows(g.coeffs))    # a_k b_l
-    out = np.zeros((n + m + 1, 4))
-    # one row of products per k, added in ascending k: every c_n sums its
-    # terms in the order above.  A BLAS product or np.sum would reduce in a
-    # shape-dependent order and change the rounding.
-    for k in range(n + 1):
-        out[k:k + m + 1] += prod[k]
+    out = _convolve_rows(_rows(f.coeffs), _rows(g.coeffs))
     return SliceSeries(_from_rows(out), min(f.nominal_radius, g.nominal_radius))
 
 
@@ -241,20 +273,20 @@ def star_inverse_eval(f: SliceSeries, q: Quaternion) -> Quaternion:
     """Value of the star reciprocal, (f^s(q))^{-1} f^c(q).
 
     Only the pointwise value is formed; the reciprocal is not a polynomial
-    so no series object exists for it.  Raises SingularPoint at (numerical)
-    zeros of the symmetrization.
+    so no series object exists for it.  f^c and f^s are taken as coefficient
+    rows, f^s by star_mul's convolution, and evaluated by the float Horner
+    loop, so the value is that of symmetrization(f).eval(q).inverse() *
+    regular_conjugate(f).eval(q) bit for bit.  Raises SingularPoint at
+    (numerical) zeros of the symmetrization.
     """
-    fc = regular_conjugate(f)
-    return _star_inverse_at(star_mul(f, fc), fc, q)
-
-
-def _star_inverse_at(sym: SliceSeries, fc: SliceSeries, q: Quaternion) -> Quaternion:
-    """star_inverse_eval given f^s = sym and f^c = fc, formed once per function."""
-    s = sym.eval(q)
+    a = _rows(f.coeffs)
+    fc = a * _CONJ_SIGNS
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    s = Quaternion(*_horner_rows(_convolve_rows(a, fc).tolist(), qw, qx, qy, qz))
     if s.modulus() < _SINGULAR_TOL:
         raise SingularPoint(
             f"symmetrization vanishes at this point (|f^s(q)| = {s.modulus():.3e})")
-    return s.inverse() * fc.eval(q)
+    return s.inverse() * Quaternion(*_horner_rows(fc.tolist(), qw, qx, qy, qz))
 
 
 def transform_point(f: SliceSeries, q: Quaternion) -> Quaternion:
@@ -316,14 +348,32 @@ def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:
         f(q) = (1 - I_q I) f(x + yI) / 2 + (1 + I_q I) f(x - yI) / 2
 
     for q = x + y*I_q, which collapses to plain evaluation when q lies in
-    C_I and to f(x) when q is real.
+    C_I and to f(x) when q is real.  It runs on floats: the two Horner
+    evaluations, I_q I, 1 -+ I_q I, the two products, the sum and the 0.5
+    scale are written out in the terms and order of the `Quaternion`
+    operators, so the value is theirs bit for bit.
     """
     sc = decompose(q)
-    zp = Quaternion(sc.re, sc.im * unit.x, sc.im * unit.y, sc.im * unit.z)
-    zm = Quaternion(sc.re, -sc.im * unit.x, -sc.im * unit.y, -sc.im * unit.z)
-    prod = sc.unit.as_quaternion() * unit.as_quaternion()
-    one = Quaternion(1.0)
-    return 0.5 * ((one - prod) * f.eval(zp) + (one + prod) * f.eval(zm))
+    re, im, ux, uy, uz = sc.re, sc.im, unit.x, unit.y, unit.z
+    pw, px, py, pz = _horner(f.coeffs, re, im * ux, im * uy, im * uz)      # f(zp)
+    mw, mx, my, mz = _horner(f.coeffs, re, -im * ux, -im * uy, -im * uz)   # f(zm)
+    # I_q I as (0, I_q) * (0, I); the 0.0 * terms keep the signs of zeros
+    ix, iy, iz = sc.unit.x, sc.unit.y, sc.unit.z
+    cw = 0.0 * 0.0 - ix * ux - iy * uy - iz * uz
+    cx = 0.0 * ux + ix * 0.0 + iy * uz - iz * uy
+    cy = 0.0 * uy - ix * uz + iy * 0.0 + iz * ux
+    cz = 0.0 * uz + ix * uy - iy * ux + iz * 0.0
+    aw, ax, ay, az = 1.0 - cw, 0.0 - cx, 0.0 - cy, 0.0 - cz                # 1 - I_q I
+    bw, bx, by, bz = 1.0 + cw, 0.0 + cx, 0.0 + cy, 0.0 + cz                # 1 + I_q I
+    return Quaternion(
+        0.5 * ((aw * pw - ax * px - ay * py - az * pz)
+               + (bw * mw - bx * mx - by * my - bz * mz)),
+        0.5 * ((aw * px + ax * pw + ay * pz - az * py)
+               + (bw * mx + bx * mw + by * mz - bz * my)),
+        0.5 * ((aw * py - ax * pz + ay * pw + az * px)
+               + (bw * my - bx * mz + by * mw + bz * mx)),
+        0.5 * ((aw * pz + ax * py - ay * px + az * pw)
+               + (bw * mz + bx * my - by * mx + bz * mw)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +417,7 @@ def _transform_rows(values: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _star_inverse_rows(sym: np.ndarray, fc: np.ndarray,
                        points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_star_inverse_at on rows: (f^s(q))^{-1} f^c(q), and |f^s(q)|.
+    """star_inverse_eval on rows: (f^s(q))^{-1} f^c(q), and |f^s(q)|.
 
     sym and fc are the coefficient tables of f^s and f^c.  A row whose
     |f^s(q)| is below _SINGULAR_TOL, where the scalar form raises

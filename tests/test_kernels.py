@@ -327,6 +327,13 @@ def test_synthesis_rejects_off_slice_points():
                       1.0, 8)
     with pytest.raises(PointOffSlice):
         atomic_synthesis(data, UNIT_I)
+    # the first point off the slice is named, also where its distance is NaN:
+    # <Im z, I> overflows and inf * 0 enters the residual
+    huge = Quaternion(0.0, 1.7e308, 1.7e308, 1.7e308)
+    data = AtomicData((Quaternion(0.2), huge, Quaternion(0.0, 0.0, 0.5, 0.0)),
+                      (Quaternion(1.0),) * 3, 1.0, 8)
+    with pytest.raises(PointOffSlice, match="1.7e"):
+        atomic_synthesis(data, ImaginaryUnit(0.6, 0.8, 0.0))
 
 
 def test_atomic_data_validation():
@@ -337,6 +344,14 @@ def test_atomic_data_validation():
             AtomicData((Quaternion(),), (Quaternion(1.0),), alpha, 4)
     with pytest.raises(ValueError):
         AtomicData((Quaternion(),), (Quaternion(1.0),), 1.0, -1)
+    # non-finite points passed the slice check (dist > tol is False for NaN,
+    # and inf * 0 = NaN) and synthesized all-NaN coefficients
+    for bad in (Quaternion(0.1, math.nan, 0.0, 0.0), Quaternion(0.1, 0.0, math.inf, 0.0),
+                Quaternion(-math.inf)):
+        with pytest.raises(ValueError):
+            AtomicData((bad,), (Quaternion(1.0),), 1.0, 4)
+        with pytest.raises(ValueError):
+            AtomicData((Quaternion(0.1),), (bad,), 1.0, 4)
 
 
 # --- lattices ---

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,7 +13,7 @@ import slicefock.quaternion
 from slicefock import (ONE, UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, Quaternion,
                        SliceCoords, ZeroDivisor, compose, decompose,
                        default_sphere, orthonormal_partner, sphere_sample)
-from slicefock.quaternion import _CONJ_SIGNS, _decompose_rows, _qmul
+from slicefock.quaternion import _CONJ_SIGNS, _decompose_rows, _qmul, _qpowers
 
 component = st.floats(min_value=-10.0, max_value=10.0,
                       allow_nan=False, allow_infinity=False)
@@ -324,3 +324,30 @@ def test_qmul_equals_stacked_form_bit_for_bit(data, k, n):
         assert out.shape == ref.shape
         assert out.tobytes() == ref.tobytes()     # bits, so -0.0 != 0.0 too
         assert out.flags.c_contiguous
+
+
+special_floats = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     5e-324, -2.5e-320, 1e-310, 2.2250738585072014e-308]))
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(4)),
+                  elements=special_floats),
+       st.integers(0, 40))
+@example(np.array([[0.0, -0.0, math.inf, math.nan]]), 3)
+@example(np.array([[-0.0, 5e-324, -0.0, 0.0], [0.5, -1e-310, 2.0, -0.25]]), 40)
+@settings(max_examples=100, deadline=None)
+def test_qpowers_equal_repeated_qmul_bit_for_bit(q, count):
+    want = [np.broadcast_to([1.0, 0.0, 0.0, 0.0], q.shape)]
+    with np.errstate(all="ignore"):
+        for _ in range(count):
+            want.append(_qmul(want[-1], q))
+        got = _qpowers(q, count)
+    want = np.array(want)
+    assert got.shape == want.shape
+    # bits, so -0.0 != 0.0 too; only which NaN survives where two meet is
+    # left open by IEEE 754, so a NaN matches any NaN
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from slicefock import (UNIT_I, UNIT_J, UNIT_K, BadRadius, ComplexSlicePolynomial,
                        ImaginaryUnit, MultiMonomial, MultiPolynomial,
                        NotOrthogonal, Quaternion, SingularPoint, SliceSeries,
-                       UnitMismatch, ZeroValue, derivative, dilate,
+                       UnitMismatch, ZeroValue, decompose, derivative, dilate,
                        embed_complex, extend, orthonormal_partner,
                        regular_conjugate, rep_eval, split, star_inverse_eval,
                        star_mul, sup_norm, symmetrization, tail_bound,
@@ -16,8 +16,8 @@ from slicefock import (UNIT_I, UNIT_J, UNIT_K, BadRadius, ComplexSlicePolynomial
 from slicefock.corpus import (random_ball_point, random_orthogonal_pair,
                               random_series, random_unit, rng_for)
 from slicefock.series import (_coeff_table, _eval_rows, _extend_rows,
-                              _rep_eval_rows, _split_rows, _star_inverse_at,
-                              _star_inverse_rows, _transform_rows)
+                              _rep_eval_rows, _split_rows, _star_inverse_rows,
+                              _transform_rows)
 from slicefock.fock import FockParams
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
@@ -204,18 +204,14 @@ ball_quats = st.builds(Quaternion, *[st.floats(-0.6, 0.6)] * 4)
 @settings(max_examples=150, deadline=None)
 def test_star_inverse_at_equals_star_inverse_eval(a, q):
     f = series(*a)
-    fc = regular_conjugate(f)
     try:
         want = _reference_star_inverse(f, q)
     except SingularPoint as exc:
-        for call in (lambda: star_inverse_eval(f, q),
-                     lambda: _star_inverse_at(star_mul(f, fc), fc, q)):
-            with pytest.raises(SingularPoint) as raised:
-                call()
-            assert str(raised.value) == str(exc)
+        with pytest.raises(SingularPoint) as raised:
+            star_inverse_eval(f, q)
+        assert str(raised.value) == str(exc)
         return
     assert bits(star_inverse_eval(f, q)) == bits(want)
-    assert bits(_star_inverse_at(star_mul(f, fc), fc, q)) == bits(want)
 
 
 def test_transform_point_worked_examples():
@@ -402,6 +398,39 @@ def test_rep_eval_matches_direct():
         direct = f.eval(q)
         assert qdist(rep_eval(f, unit, q), direct) \
             <= 1e-11 * max(1.0, direct.modulus())
+
+
+def _operator_rep_eval(f, unit, q):
+    """rep_eval as a composition of Quaternion operators, kept as the reference."""
+    sc = decompose(q)
+    zp = Quaternion(sc.re, sc.im * unit.x, sc.im * unit.y, sc.im * unit.z)
+    zm = Quaternion(sc.re, -sc.im * unit.x, -sc.im * unit.y, -sc.im * unit.z)
+    prod = sc.unit.as_quaternion() * unit.as_quaternion()
+    one = Quaternion(1.0)
+    return 0.5 * ((one - prod) * f.eval(zp) + (one + prod) * f.eval(zm))
+
+
+unit_directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: sum(c * c for c in v) > 1e-2)
+
+
+@given(coeff_lists, quats, unit_directions, st.floats(-1.0, 1.0),
+       st.sampled_from([5e-324, -2.5e-320, 1e-310, 3e-160]))
+@example([SIGNED_ZEROS, I], Quaternion(-0.0, 0.0, -0.0, 0.0), (1.0, 0.0, 0.0), 0.0,
+         5e-324)
+@example([ONE, I, J, K], Quaternion(0.3, -1.25, 0.5, 2.0), (0.0, -1.0, 0.0), -0.5,
+         -2.5e-320)
+@settings(max_examples=150, deadline=None)
+def test_rep_eval_equals_operator_form_bit_for_bit(a, q, direction, t, tiny):
+    f = series(*a)
+    unit = ImaginaryUnit.normalized(*direction)
+    points = [q,
+              Quaternion(q.w),                                      # real
+              Quaternion(q.w, t * unit.x, t * unit.y, t * unit.z),  # C_I, C_{-I}
+              Quaternion(q.w, tiny, 0.0, 0.0),                      # subnormal |Im q|
+              Quaternion(q.w, 0.0, tiny * unit.y, tiny)]
+    for p in points:
+        assert bits(rep_eval(f, unit, p)) == bits(_operator_rep_eval(f, unit, p))
 
 
 # --- calculus helpers ---
