@@ -10,10 +10,37 @@ over the sampled sphere of imaginary units, and for p = infinity
     ||f||_inf = sup |f(q)| e^{-a|q|^2/2}
 
 over the ball.  The inner product pairs f against the conjugate of g
-with weight (a/pi)^n e^{-a|z|^2}.  Quadrature is polar Gauss-Legendre times
-trapezoid (see quadrature.py) with automatic refinement: the grid is doubled
-until successive values agree to 1e-8 relative or the 512 x 1024 cap, and a
+with weight (a/pi)^n e^{-a|z|^2}.  At p = 2 the norm and the inner product
+are closed forms in the moments m_k below, and no grid is built.  At
+p != 2 quadrature is polar Gauss-Legendre times trapezoid (see
+quadrature.py) with automatic refinement: the grid is doubled until
+successive values agree to 1e-8 relative or the 512 x 1024 cap, and a
 residual disagreement above 1e-6, or a non-finite value, raises GridTooCoarse.
+
+p = 2.  On C_I write f(z) = sum z^k a_k and z = r e^{I t}, and split a
+quaternion c into pi_I(c), its projection onto C_I, which commutes with I,
+and the rest c', which anticommutes with I.  Then z^k c conj(z)^l =
+r^{k+l} (pi_I(c) e^{I(k-l)t} + c' e^{-I(k+l)t}), whose angular integral
+keeps pi_I(c) when k = l, c' only when k = l = 0, and nothing else.
+Hence, with the weight above (n = 1),
+
+    ||f||_{2,I}^2 = sum_k |a_k|^2 m_k,
+    <f, g>_I = a_0 conj(b_0) m_0 + sum_{k >= 1} pi_I(a_k conj(b_k)) m_k,
+    m_k = (a/pi^2) integral_{|z| < R} |z|^{2k} e^{-a|z|^2} dx dy
+        = (2a/pi) integral_0^R r^{2k+1} e^{-a r^2} dr = k! P(k + 1, x) / (pi a^k),
+
+with x = a R^2 and P the regularized lower incomplete gamma function.  The
+norm is the same on every slice.  (Zhu, Analysis on Fock Spaces, 2012,
+ch. 2, for the complex case; Alpay, Colombo, Sabadini, Salomon 2014 for
+the slice case.)  _moments takes m_k in log space in two regimes.  Where
+k + 1 > x, P = e^{-x} x^{k+1}/k! S_k with S_{k-1} = (x S_k + 1)/k, run
+downward from S = 0 at index count + 2x + 60 (above 2x each step damps the
+start's error by x/k < 1/2); then m_k = e^{-x} a R^{2k+2} S_k / pi.  Where k + 1 <= x,
+P = 1 - e^{-x} x^k/k! U_k with U_k = 1 + k U_{k-1}/x from U_0 = 1, and the
+subtracted tail is at most about 1/2.  Each recurrence runs the way its
+factor x/k or k/x is at most 1, so rounding does not grow; a single
+downward recurrence would underflow e^{-x} beyond x = 745, and a Poisson
+tail normalized by k! would overflow near k = 170.
 
 Suprema.  On C_I, |f(x + yI)|^2 = s + 2 <v, I> with s and v independent of I
 (below), so max_I |f|^2 = s + 2|v| exactly: the ball sup is exact over the
@@ -44,20 +71,7 @@ Evaluation on a slice uses f(x + yI) = A(z) + I B(z) (Colombo, Gentili,
 Sabadini, Struppa, Adv. Math. 2009): with z = x + iy and z^k = u_k + i v_k,
 A = sum u_k a_k and B = sum v_k a_k do not depend on I, and
 |f|^2 = |A|^2 + |B|^2 + 2 <Im(A conj(B)), I>: one table of powers serves every
-unit at one 3-vector dot product per point.  At p = 2 the integrand is linear
-in |f|^2 and no point is evaluated: with t_j = 2 pi j / M, the sum over j of
-sin(m t_j) is 0 for every m (t_j and 2 pi - t_j cancel), so the cross term
-sums to exactly 0, and that of cos(m t_j) is M [m = 0 mod M], so the grid's
-sum of |f|^2 e^{-a r^2} is
-
-    Q = 2 pi sum_{k = l mod M} <a_k, a_l> H_{k+l},
-    H_m = sum_i W_i r_i^{m+1} e^{-a r_i^2},
-
-over the Gauss-Legendre nodes (r_i, W_i): the same quadrature rule, summed
-in another order, and the same for every unit.  The mask k = l mod M keeps
-angular grids with fewer angles than coefficients exact.  (Zhu, Analysis on
-Fock Spaces, 2012, ch. 2, for the complex case; Alpay, Colombo, Sabadini,
-Salomon 2014 for the slice case.)  At p != 2 the units x points
+unit at one 3-vector dot product per point.  At p != 2 the units x points
 array of |f|^p is built and summed in blocks of radial rows holding a few
 thousand points each, so it stays cache-sized however fine the grid.  The
 blocks are dealt round-robin to lanes, one per usable core: the calling
@@ -356,7 +370,7 @@ def _in_lanes(fn, items) -> list:
 
 
 # ---------------------------------------------------------------------------
-# p-norms by quadrature with automatic refinement
+# p-norms: closed form at p = 2, quadrature with refinement otherwise
 # ---------------------------------------------------------------------------
 
 def _require_quadrature_params(params: FockParams) -> None:
@@ -375,64 +389,86 @@ def _grid_for(params: FockParams, grid: QuadratureGrid | None) -> QuadratureGrid
     return grid
 
 
+def _moments(count: int, alpha: float, radius: float) -> np.ndarray:
+    """m_k = k! P(k + 1, a R^2) / (pi a^k) for k < count; see module docstring."""
+    # e^{-x} x^k is 0 long before x = 1e300, and inf has no int
+    x, log_r2 = min(alpha * radius * radius, 1e300), 2.0 * math.log(radius)
+    logs, u = [], 1.0
+    for k in range(min(count, int(x))):         # k + 1 <= x
+        u = 1.0 + k * u / x
+        tail = math.exp(k * math.log(x) - x - math.lgamma(k + 1) + math.log(u))
+        logs.append(math.lgamma(k + 1) - k * math.log(alpha) + math.log1p(-tail))
+    upper, s = [], 0.0                          # k + 1 > x, downward from far above
+    for k in range(int(count + 2.0 * x) + 60, len(logs), -1):
+        s = (x * s + 1.0) / k                   # S_{k-1}
+        if k <= count:
+            upper.append(k * log_r2 + math.log(alpha) + math.log(s) - x)
+    # a moment that overflows is inf, as is the norm it makes
+    with np.errstate(over="ignore"):
+        return np.exp(np.array(logs + upper[::-1]) - math.log(math.pi))
+
+
+def _p2_norm(f: SliceSeries, params: FockParams) -> float:
+    """||f||_{2,I} = sqrt(sum_k |a_k|^2 m_k), the same on every slice C_I."""
+    coeffs, exponent = _scaled_rows(f)
+    total = float((coeffs * coeffs).sum(axis=1)
+                  @ _moments(len(coeffs), params.alpha, params.radius))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(total), exponent))
+
+
 def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
                          grid: QuadratureGrid) -> np.ndarray:
     """Slice p-norm of f on every unit by the grid's quadrature rule, shape (M,).
 
-    At p = 2 the rule's sum comes from the radial moments H_m (module
-    docstring) and every unit gets the same bits; at p != 2 |f|^p is
-    evaluated in blocks of radial rows on the lanes.  A norm that overflows
-    is inf.
+    At p = 2 the norm is the closed form _p2_norm, which reads nothing from
+    the grid; at p != 2 |f|^p is evaluated in blocks of radial rows on the
+    lanes.  A norm that overflows is inf.
     """
-    r, radial_w = grid.radial_arrays()
-    (coeffs, exponent), theta = _scaled_rows(f), grid.angles()
     p = params.p
     if p == 2.0:
-        # Q = 2 pi sum_{k = l mod M} <a_k, a_l> H_{k+l} (module docstring),
-        # the grid's sum of |f|^2 e^{-a r^2} on every unit
-        k = np.arange(len(coeffs))
-        moments = (radial_w * r * np.exp(-params.alpha * r * r)) @ (
-            r[:, None] ** np.arange(2 * k.size - 1))
-        aliased = (k[:, None] - k) % theta.size == 0
-        gram = coeffs @ coeffs.T
-        sums = np.full(len(units), 2.0 * math.pi * float(
-            (gram[aliased] * moments[(k[:, None] + k)[aliased]]).sum()))
-    else:
-        # blocks of radial rows keep the units x points array cache-sized;
-        # their unit sums are added in block order, whatever lane made them
-        w = (grid.area_weights().reshape(r.size, -1)
-             * np.exp(-0.5 * params.alpha * p * r * r)[:, None]).ravel()
-        evaluate = _abs_sq_evaluator(coeffs, units, theta)
-        rows, nt = max(1, _BLOCK_POINTS // theta.size), theta.size
+        return np.full(len(units), _p2_norm(f, params))
+    r, _ = grid.radial_arrays()
+    (coeffs, exponent), theta = _scaled_rows(f), grid.angles()
+    # blocks of radial rows keep the units x points array cache-sized;
+    # their unit sums are added in block order, whatever lane made them
+    w = (grid.area_weights().reshape(r.size, -1)
+         * np.exp(-0.5 * params.alpha * p * r * r)[:, None]).ravel()
+    evaluate = _abs_sq_evaluator(coeffs, units, theta)
+    rows, nt = max(1, _BLOCK_POINTS // theta.size), theta.size
 
-        def block_sum(i):
-            powered = evaluate(r[i:i + rows])
-            return np.power(powered, p / 2.0, out=powered) @ w[i * nt:(i + rows) * nt]
+    def block_sum(i):
+        powered = evaluate(r[i:i + rows])
+        return np.power(powered, p / 2.0, out=powered) @ w[i * nt:(i + rows) * nt]
 
-        sums = np.zeros(len(units))
-        for part in _in_lanes(block_sum, range(0, r.size, rows)):
-            sums += part
+    sums = np.zeros(len(units))
+    for part in _in_lanes(block_sum, range(0, r.size, rows)):
+        sums += part
     integrals = (params.alpha / math.pi) ** params.n / math.pi * sums
-    # a norm that overflows is inf, which _refine refuses; numpy need not warn
+    # a norm that overflows is inf, which _refine_norms refuses; numpy need not warn
     with np.errstate(over="ignore"):
         return np.ldexp(np.maximum(integrals, 0.0) ** (1.0 / p), exponent)
 
 
-def _refine(compute, gap, grid, radial_cap, angular_cap):
-    """Double the grid until gap(finer, coarser) <= 1e-8; see module docstring.
+def _refine_norms(f, units, params, grid, radial_cap, angular_cap):
+    """Per-slice norms on the first grid that agrees with its coarser one.
 
-    Returns (values, grid, trace, refinements).  A start grid at the cap is
-    accepted; a non-finite value never stabilizes and raises at once.
+    The grid is doubled until successive values agree to 1e-8 relative (see
+    module docstring).  Returns (values, grid, trace, refinements).  A start
+    grid at the cap is accepted; a non-finite value never stabilizes and
+    raises at once.
     """
     trace, coarser = [], None
     while True:
-        values = compute(grid)
+        values = _slice_norms_on_grid(f, units, params, grid)
         trace.append((grid.describe(), [float(v) for v in values]))
         if not np.all(np.isfinite(values)):
             raise GridTooCoarse("a value is not finite on grid "
                                 f"{grid.radial_count} x {grid.angular_count}", trace)
         at_cap = grid.radial_count >= radial_cap or grid.angular_count >= angular_cap
-        rel = gap(values, coarser) if coarser is not None else 0.0 if at_cap else math.inf
+        rel = (float(np.max(np.abs(values - coarser)
+                            / np.maximum(np.abs(values), 1e-300)))
+               if coarser is not None else 0.0 if at_cap else math.inf)
         if rel <= REFINE_TOL or (at_cap and rel <= COARSE_TOL):
             return values, grid, trace, len(trace) - 1
         if at_cap:
@@ -441,12 +477,22 @@ def _refine(compute, gap, grid, radial_cap, angular_cap):
         coarser, grid = values, grid.doubled()
 
 
-def _refine_norms(f, units, params, grid, radial_cap, angular_cap):
-    """Per-slice norms on the first grid that agrees with its coarser one."""
-    return _refine(lambda g: _slice_norms_on_grid(f, units, params, g),
-                   lambda finer, coarser: float(np.max(
-                       np.abs(finer - coarser) / np.maximum(np.abs(finer), 1e-300))),
-                   grid, radial_cap, angular_cap)
+def _norms(f, units, params, grid, radial_cap, angular_cap) -> tuple[np.ndarray, dict]:
+    """Slice norms of f on every unit and their grid spec, without the sphere.
+
+    At p = 2 the closed form, with no grid built (a passed one is still
+    checked); otherwise the refined quadrature.
+    """
+    _require_quadrature_params(params)
+    if params.p == 2.0:
+        if grid is not None:
+            _grid_for(params, grid)
+        return (np.full(len(units), _p2_norm(f, params)),
+                {"rule": "closed form", "radius": params.radius})
+    values, final_grid, _, refinements = _refine_norms(
+        f, units, params, _grid_for(params, grid), radial_cap, angular_cap)
+    return values, {**final_grid.describe(), "rule": "gauss-legendre x trapezoid",
+                    "refinements": refinements}
 
 
 def slice_norm_p(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
@@ -454,9 +500,7 @@ def slice_norm_p(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
                  radial_cap: int = RADIAL_CAP,
                  angular_cap: int = ANGULAR_CAP) -> float:
     """p-norm of f restricted to the slice C_I, 0 < p < infinity."""
-    _require_quadrature_params(params)
-    g = _grid_for(params, grid)
-    values, _, _, _ = _refine_norms(f, [unit], params, g, radial_cap, angular_cap)
+    values, _ = _norms(f, [unit], params, grid, radial_cap, angular_cap)
     return float(values[0])
 
 
@@ -467,54 +511,30 @@ def fock_norm_p(f: SliceSeries, params: FockParams,
     """Supremum of the slice p-norms over the sampled sphere of units.
 
     At p = 2 every slice norm is the same, so per_slice holds one value
-    for every unit.
+    for every unit, and a norm that overflows is inf.
     """
-    _require_quadrature_params(params)
-    g = _grid_for(params, grid)
     units = list(sphere) if sphere is not None else default_sphere()
-    values, final_grid, _, refinements = _refine_norms(
-        f, units, params, g, radial_cap, angular_cap)
+    values, spec = _norms(f, units, params, grid, radial_cap, angular_cap)
     per_slice = tuple((u, float(v)) for u, v in zip(units, values))
-    spec = final_grid.describe()
-    spec.update({"rule": "gauss-legendre x trapezoid", "refinements": refinements,
-                 "sphere": len(units)})
-    return NormReport(float(values.max()), per_slice, spec)
+    return NormReport(float(values.max()), per_slice, {**spec, "sphere": len(units)})
 
 
 def inner_product(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
-                  params: FockParams, grid: QuadratureGrid | None = None, *,
-                  radial_cap: int = RADIAL_CAP,
-                  angular_cap: int = ANGULAR_CAP) -> Quaternion:
+                  params: FockParams) -> Quaternion:
     """Quaternion-valued pairing integral_{B_I} f(z) conj(g(z)) dlambda_I(z).
 
     The weight is (a/pi)^n e^{-a|z|^2} dA_I.  Linear in f; conjugate-linear
-    in g only for slice-valued g, which tests keep visible.
+    in g only for slice-valued g, which tests keep visible.  In closed form
+    it is a_0 conj(b_0) m_0 + sum_{k >= 1} pi_I(a_k conj(b_k)) m_k, with
+    pi_I the projection onto C_I (module docstring).
     """
     _require_quadrature_params(FockParams(params.alpha, 2.0, params.n, params.radius))
-    quad = _grid_for(params, grid)
-    coeff_f, coeff_g = _rows(f.coeffs), _rows(g.coeffs)
-    prefactor = (params.alpha / math.pi) ** params.n / math.pi
-
-    def compute(quad_grid):
-        """The pairing's components, then the Cauchy-Schwarz bound as floor."""
-        r, _ = quad_grid.radial_arrays()
-        fv, gv = ((r[:, None] ** np.arange(len(c))
-                   @ _ray_coeffs(c, [unit], quad_grid.angles())).reshape(4, -1)
-                  for c in (coeff_f, coeff_g))
-        # kept row-major (4, N): BLAS rounds the transposed product differently
-        prod = np.ascontiguousarray(_qmul(fv.T, gv.T * _CONJ_SIGNS).T)
-        weight = (quad_grid.area_weights().reshape(r.size, -1)
-                  * np.exp(-params.alpha * r * r)[:, None]).ravel()
-        bound = math.sqrt(float((fv * fv).sum(axis=0) @ weight)
-                          * float((gv * gv).sum(axis=0) @ weight))
-        return prefactor * np.append(prod @ weight, bound)
-
-    def gap(finer, coarser):
-        delta = float(np.linalg.norm(finer[:4] - coarser[:4]))
-        return delta / max(float(np.linalg.norm(finer[:4])), finer[4], 1e-300)
-
-    values, _, _, _ = _refine(compute, gap, quad, radial_cap, angular_cap)
-    return Quaternion(*(float(c) for c in values[:4]))
+    count = min(len(f.coeffs), len(g.coeffs))
+    pairs = _qmul(_rows(f.coeffs[:count]), _rows(g.coeffs[:count]) * _CONJ_SIGNS)
+    unit_row = _unit_rows([unit])[0]
+    pairs[1:, 1:] = (pairs[1:, 1:] @ unit_row)[:, None] * unit_row
+    return Quaternion(*(float(c) for c in
+                        _moments(count, params.alpha, params.radius) @ pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Polar quadrature on a slice disk: Gauss-Legendre radius, trapezoid angle.
 
+fock integrates on these grids only at p != 2; at p = 2 its norms and inner
+products are closed forms that read no grid.
+
 The disk B_I(0, R) is parametrized by z = r e^{I t}; integrals of smooth
 integrands against dx dy are computed as
 

@@ -114,7 +114,7 @@ def test_norm_json_payload(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["p"] == 2.0 and payload["alpha"] == 1.0
-    assert payload["grid"]["rule"] == "gauss-legendre x trapezoid"
+    assert payload["grid"]["rule"] == "closed form"
     assert len(payload["per_slice"]) == 5  # sphere 2 plus the i, j, k tail
     assert "tail_bound" not in payload
 
@@ -207,6 +207,18 @@ def test_norm_sup_overflow_exits_three(tmp_path, capsys, out):
         warnings.simplefilter("error")
         code, stdout, err = run(capsys, ["norm", path, "--p", "inf", "--radius", "10",
                                          "--alpha", "0.001", "--out", out])
+    assert code == 3 and stdout == ""
+    assert err == "error: a value is not finite: norm = inf\n"
+
+
+def test_norm_p2_overflow_exits_three(tmp_path, capsys):
+    # f = 1e308 (1 + q): the p = 2 norm on the ball of radius 30 is about
+    # 8.5e308, an inf from the closed form with no grid to refuse it
+    path = write_series(tmp_path, [Quaternion(1e308), Quaternion(1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, ["norm", path, "--p", "2", "--radius", "30",
+                                         "--alpha", "0.001"])
     assert code == 3 and stdout == ""
     assert err == "error: a value is not finite: norm = inf\n"
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc
+from scipy.integrate import quad
+from scipy.special import gammainc, gammaln
 
 from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
                        ImaginaryUnit, MultiMonomial,
@@ -33,7 +34,7 @@ from slicefock.fock import (_BLOCK_POINTS, _POLISH_ROWS, _abs_sq_rows,
                             _scaled_rows, _slice_norms_on_grid, _slice_terms,
                             _sup_over_rows, _terms_table, _unit_rows)
 from slicefock.quadrature import ANGULAR_CAP, RADIAL_CAP
-from slicefock.quaternion import _rows
+from slicefock.quaternion import _CONJ_SIGNS, _qmul, _rows
 from slicefock.serialize import save_function
 
 P2 = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
@@ -218,6 +219,71 @@ def test_inner_product_left_linear_in_first_argument():
     assert (left - right).modulus() <= 1e-10
 
 
+def _pointwise_pairing(f, g, unit, params, grid):
+    """integral f conj(g) dlambda_I as a grid sum, the closed form's reference."""
+    r, _ = grid.radial_arrays()
+    fv, gv = ((r[:, None] ** np.arange(len(c.coeffs))
+               @ _ray_coeffs(_rows(c.coeffs), [unit], grid.angles())).reshape(4, -1).T
+              for c in (f, g))
+    weight = (grid.area_weights().reshape(r.size, -1)
+              * np.exp(-params.alpha * r * r)[:, None]).ravel()
+    pairs = _qmul(fv, gv * _CONJ_SIGNS)
+    return Quaternion(*(params.alpha / math.pi ** 2 * (weight @ pairs)))
+
+
+@pytest.mark.parametrize("unit", [UNIT_I, default_sphere()[9]])
+def test_inner_product_equals_the_pointwise_quadrature(unit):
+    # general quaternion coefficients: the part of a_k conj(b_k) off C_I
+    # averages out for k >= 1 and stays for k = 0
+    rng = rng_for(67)
+    for alpha, radius in ((1.0, 1.0), (0.5, 2.0), (2.5, 1.5)):
+        params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+        for _ in range(5):
+            f = random_series(rng, max_degree=8)
+            g = random_series(rng, max_degree=8)
+            angular = 2 * max(len(f.coeffs), len(g.coeffs))
+            want = _pointwise_pairing(f, g, unit, params,
+                                      QuadratureGrid.build(64, angular, radius))
+            got = inner_product(f, g, unit, params)
+            bound = slice_norm_p(f, unit, params) * slice_norm_p(g, unit, params)
+            assert (got - want).modulus() <= 1e-13 * bound
+
+
+def test_inner_product_of_a_scaled_pair_keeps_its_value():
+    # |1e160 f|^2 overflows although the pairing of 1e160 f with 1e-160 g
+    # is that of f with g, about (0.1006, 0.0421, -0.0402, 0)
+    f = SliceSeries((Quaternion(1.0), Quaternion(0.0, 0.5, 0.0, 0.0)))
+    g = SliceSeries((Quaternion(0.5, 0.0, 0.2, 0.0), Quaternion(1.0)))
+    want = inner_product(f, g, UNIT_I, P2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = inner_product(f.scale_right(Quaternion(1e160)),
+                            g.scale_right(Quaternion(1e-160)), UNIT_I, P2)
+    assert (got - want).modulus() <= 1e-14 * want.modulus()
+    assert abs(want.w - 0.1006) <= 1e-4 and abs(want.z) <= 1e-15
+
+
+def test_p2_builds_and_evaluates_no_grid():
+    f = random_series(rng_for(68), max_degree=7)
+    grid = QuadratureGrid.build(16, 32)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature grid is used at p = 2")
+
+    with unittest.mock.patch.multiple(QuadratureGrid, build=refuse, doubled=refuse,
+                                      radial_arrays=refuse, angles=refuse,
+                                      points=refuse, area_weights=refuse):
+        report = fock_norm_p(f, P2, sphere=small_sphere())
+        # a passed grid is still checked against the radius, then left unused
+        assert fock_norm_p(f, P2, grid, small_sphere()) == report
+        value = slice_norm_p(f, UNIT_J, P2, grid)
+        pairing = inner_product(f, f, UNIT_I, P2)
+    assert report.grid_spec == {"rule": "closed form", "radius": 1.0,
+                                "sphere": len(small_sphere())}
+    assert value == report.value
+    assert abs(pairing.w - value ** 2) <= 1e-14 * value ** 2
+
+
 # --- sup norms ---
 
 def test_sup_norm_constant():
@@ -343,16 +409,20 @@ def test_cusp_integrand_hits_grid_cap():
     assert "cap" in str(err.value)
 
 
+# refinement exists only at p != 2; p = 2 is a closed form
+P15 = FockParams(alpha=1.0, p=1.5, n=1, radius=1.0)
+
+
 def test_cap_start_grid_is_accepted():
     grid = QuadratureGrid.build(8, 16, 1.0)
-    report = fock_norm_p(ONE_F, P2, grid, small_sphere(),
+    report = fock_norm_p(ONE_F, P15, grid, small_sphere(),
                          radial_cap=8, angular_cap=16)
     assert report.grid_spec["refinements"] == 0
     assert report.value > 0.0
 
 
 def test_refinement_count_reported():
-    report = fock_norm_p(Q_F, P2, sphere=small_sphere())
+    report = fock_norm_p(Q_F, P15, sphere=small_sphere())
     assert report.grid_spec["refinements"] >= 1
     assert report.grid_spec["rule"] == "gauss-legendre x trapezoid"
 
@@ -614,14 +684,14 @@ def test_slice_norms_on_grid_match_split_reference(rows, p, alpha, count, shape)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
 
 
-# --- p = 2 from the grid's radial moments against the pointwise sum ---
+# --- p = 2 in closed form against the pointwise grid sum and gamma ---
 
 def _pointwise_p2_norms(f, units, params, grid):
-    """_slice_norms_on_grid at p = 2 as a sum of |f|^2 over the grid points.
+    """The p = 2 slice norms as a sum of |f|^2 over the grid points.
 
     s and v are evaluated at every point and weighted by the area weights
-    times e^{-a r^2}, then the units enter; kept as the reference of the
-    radial-moment form.
+    times e^{-a r^2}, then the units enter; kept as the quadrature reference
+    of the closed form.
     """
     r, _ = grid.radial_arrays()
     (coeffs, exponent), theta = _scaled_rows(f), grid.angles()
@@ -637,21 +707,68 @@ deep_rows = st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4), min_size=1,
                      max_size=17)
 
 
-@given(deep_rows, st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 128]),
-       st.integers(1, 64), st.floats(0.2, 3.0), st.sampled_from([0.5, 1.0, 2.0]))
-# fewer angles than coefficients: k = l mod M pairs beyond the diagonal count
-@example(rows=[(0.5, -0.3, 0.2, 0.1), (0.4, 0.1, -0.7, 0.2), (-0.6, 0.3, 0.1, 0.5),
-               (0.2, 0.8, -0.1, -0.3)] * 4, angular=3, radial=24, alpha=1.0,
-         radius=1.0)
+@given(deep_rows, st.integers(0, 3), st.integers(64, 96), st.floats(0.2, 3.0),
+       st.sampled_from([0.5, 1.0, 2.0]))
 @settings(max_examples=80, deadline=None)
-def test_p2_moment_form_equals_the_pointwise_sum(rows, angular, radial, alpha, radius):
+def test_p2_closed_form_equals_the_pointwise_sum_on_converged_grids(
+        rows, extra_angles, radial, alpha, radius):
+    # at least 64 radii and 2K angles: the trapezoid sum of |f|^2, a
+    # trigonometric polynomial of degree 2K - 2, is exact, and Gauss-Legendre
+    # has converged for these weights.  The grid sum carries the rounding of
+    # its many terms: 1.2e-14 on the norm of z^3 at R = 0.5, where the
+    # closed form's m_3 is within 4e-16 of a 40-digit value
     f = _series_from(rows)
     params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
     units = default_sphere(2)
-    grid = QuadratureGrid.build(radial, angular, radius)
+    grid = QuadratureGrid.build(radial, 2 * len(rows) + extra_angles, radius)
     got = _slice_norms_on_grid(f, units, params, grid)
     want = _pointwise_p2_norms(f, units, params, grid)
-    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(want, 1e-300))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
+
+
+# a R^2 from far below the first moment's peak to far above the last one's
+MOMENT_CASES = [(x, alpha) for x in (9e-5, 1.0, 4.5, 180.0, 900.0, 18000.0)
+                for alpha in (9e-5, 0.25, 1.0, 4.0)]
+
+
+def _normal(values):
+    return np.isfinite(values) & (np.abs(values) >= np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("x, alpha", MOMENT_CASES)
+def test_moments_equal_the_incomplete_gamma_function(x, alpha):
+    # m_k = k! P(k + 1, x) / (pi a^k), joined in log space where P is normal
+    k = np.arange(200)
+    got = fock._moments(200, alpha, math.sqrt(x / alpha))
+    assert got.shape == (200,)
+    gamma = gammainc(k + 1, x)
+    with np.errstate(divide="ignore", over="ignore"):
+        want = np.exp(gammaln(k + 1) + np.log(gamma) - k * math.log(alpha)
+                      - math.log(math.pi))
+    normal = _normal(gamma) & _normal(want)
+    assert normal.sum() >= 50
+    assert np.all(np.abs(got[normal] - want[normal]) <= 1e-12 * want[normal])
+    # past the normal range the table overflows to inf or underflows to 0
+    assert np.all(np.isinf(got[np.isinf(want)]))
+
+
+@pytest.mark.parametrize("x, alpha", MOMENT_CASES)
+def test_moments_equal_the_radial_integral(x, alpha):
+    # m_k = (2a/pi) integral_0^R r^{2k+1} e^{-a r^2} dr.  With u = a r^2 it
+    # is integral_0^x u^k e^{-u} du / (pi a^k); the integrand is taken
+    # relative to its peak at u = min(k, x) so that it stays representable
+    got = fock._moments(200, alpha, math.sqrt(x / alpha))
+    for k in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 199):
+        top = min(float(k), x)
+        peak = k * math.log(top) - top if k else 0.0
+        scaled, _ = quad(lambda u: math.exp(k * math.log(u) - u - peak) if u else
+                         float(k == 0), 0.0, x, points=[top] if 0.0 < top < x else None,
+                         epsabs=0.0, epsrel=2e-14, limit=200)
+        with np.errstate(over="ignore"):
+            want = np.exp(math.log(scaled) + peak - k * math.log(alpha)
+                          - math.log(math.pi))
+        if _normal(want):
+            assert abs(got[k] - want) <= 1e-12 * want, k
 
 
 def test_p2_per_slice_values_are_bit_equal():
@@ -917,11 +1034,16 @@ def test_p2_sup_and_verify_start_no_thread():
 # --- refinement refuses non-finite values ---
 
 def test_refinement_refuses_non_finite_values():
-    # the norm of 1 + q is 8.52 here, so that of 1e308 (1 + q) overflows
+    # the norms of 1 + q are 8.52 (p = 2) and 6.81 (p = 1.5) here, so those
+    # of 1e308 (1 + q) overflow
     huge = SliceSeries((Quaternion(1e308), Quaternion(1e308)))
-    params = FockParams(alpha=0.001, p=2.0, n=1, radius=30.0)
+    params = FockParams(alpha=0.001, p=1.5, n=1, radius=30.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # p = 2 refines nothing: the closed form overflows to inf, as sup_norm does
+        p2 = FockParams(alpha=0.001, p=2.0, n=1, radius=30.0)
+        assert fock_norm_p(huge, p2, sphere=small_sphere()).value == math.inf
+        assert slice_norm_p(huge, UNIT_I, p2) == math.inf
         with pytest.raises(GridTooCoarse, match="not finite"):
             fock_norm_p(huge, params, sphere=small_sphere())
         # also when the start grid already sits at the cap

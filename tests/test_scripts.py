@@ -17,7 +17,7 @@ def load_script(name):
 
 
 def test_norm_sweep_rows(tmp_path, capsys):
-    # p = 1.5 takes the blocked p != 2 quadrature, p = 2 the point-first sum
+    # p = 1.5 takes the blocked p != 2 quadrature, p = 2 the closed form
     out_path = tmp_path / "sweep.csv"
     code = load_script("norm_sweep").main(
         ["--degrees", "0,2", "--alphas", "1.0", "--p", "1.5,2", "--sphere", "2",

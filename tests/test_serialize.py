@@ -125,7 +125,7 @@ def test_norm_report_serialization():
     payload = norm_report_to_dict(report)
     assert payload["value"] == report.value
     assert len(payload["per_slice"]) == 2
-    assert payload["grid"]["rule"] == "gauss-legendre x trapezoid"
+    assert payload["grid"]["rule"] == "closed form"
 
     rows = norm_report_csv_rows("f.json", 2.0, 1.0, 1.0, report)
     assert rows == [f"f.json,2.0,1.0,1.0,{report.value!r}"]
