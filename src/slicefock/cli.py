@@ -159,7 +159,9 @@ def cmd_norm(args) -> int:
     if p == math.inf:
         report = fock.sup_norm(f, params, sphere)
     else:
-        grid = QuadratureGrid.build(args.radial, args.angular, args.radius)
+        # p = 2 is in closed form and reads no grid
+        grid = (None if p == 2.0 else
+                QuadratureGrid.build(args.radial, args.angular, args.radius))
         report = fock.fock_norm_p(f, params, grid, sphere)
     if not math.isfinite(report.value):
         sys.stderr.write(f"error: a value is not finite: norm = {report.value!r}\n")
@@ -299,9 +301,11 @@ def _add_common(sub, *, with_p=True, with_grid=True, with_sphere=True):
                          help="imaginary units sampled on the sphere (default 64)")
     if with_grid:
         sub.add_argument("--radial", type=int, default=DEFAULT_RADIAL,
-                         help=f"radial quadrature nodes (default {DEFAULT_RADIAL})")
+                         help=f"radial quadrature nodes at p != 2 "
+                              f"(default {DEFAULT_RADIAL})")
         sub.add_argument("--angular", type=int, default=DEFAULT_ANGULAR,
-                         help=f"angular quadrature nodes (default {DEFAULT_ANGULAR})")
+                         help=f"angular quadrature nodes at p != 2 "
+                              f"(default {DEFAULT_ANGULAR})")
 
 
 def build_parser() -> argparse.ArgumentParser:

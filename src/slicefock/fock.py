@@ -32,15 +32,19 @@ Hence, with the weight above (n = 1),
 with x = a R^2 and P the regularized lower incomplete gamma function.  The
 norm is the same on every slice.  (Zhu, Analysis on Fock Spaces, 2012,
 ch. 2, for the complex case; Alpay, Colombo, Sabadini, Salomon 2014 for
-the slice case.)  _moments takes m_k in log space in two regimes.  Where
+the slice case.)  _log_moments takes log m_k in two regimes.  Where
 k + 1 > x, P = e^{-x} x^{k+1}/k! S_k with S_{k-1} = (x S_k + 1)/k, run
 downward from S = 0 at index count + 2x + 60 (above 2x each step damps the
-start's error by x/k < 1/2); then m_k = e^{-x} a R^{2k+2} S_k / pi.  Where k + 1 <= x,
-P = 1 - e^{-x} x^k/k! U_k with U_k = 1 + k U_{k-1}/x from U_0 = 1, and the
-subtracted tail is at most about 1/2.  Each recurrence runs the way its
-factor x/k or k/x is at most 1, so rounding does not grow; a single
-downward recurrence would underflow e^{-x} beyond x = 745, and a Poisson
-tail normalized by k! would overflow near k = 170.
+start's error by x/k < 1/2), and only where x < count, so it takes fewer
+than 3 count + 60 steps; then m_k = e^{-x} a R^{2k+2} S_k / pi.  Where
+k + 1 <= x, P = 1 - e^{-x} x^k/k! U_k with U_k = 1 + k U_{k-1}/x from
+U_0 = 1, and the subtracted tail is at most about 1/2.  Each recurrence
+runs the way its factor x/k or k/x is at most 1, so rounding does not
+grow; a single downward recurrence would underflow e^{-x} beyond x = 745,
+and a Poisson tail normalized by k! would overflow near k = 170.
+_pairing splits every term m_k a_k conj(b_k) into mantissas and powers of
+two, so a norm or pairing within the float range is finite even where a
+moment or a square alone is not, and one beyond it is inf, never NaN.
 
 Suprema.  On C_I, |f(x + yI)|^2 = s + 2 <v, I> with s and v independent of I
 (below), so max_I |f|^2 = s + 2|v| exactly: the ball sup is exact over the
@@ -389,8 +393,8 @@ def _grid_for(params: FockParams, grid: QuadratureGrid | None) -> QuadratureGrid
     return grid
 
 
-def _moments(count: int, alpha: float, radius: float) -> np.ndarray:
-    """m_k = k! P(k + 1, a R^2) / (pi a^k) for k < count; see module docstring."""
+def _log_moments(count: int, alpha: float, radius: float) -> np.ndarray:
+    """log m_k for k < count, m_k = k! P(k + 1, a R^2) / (pi a^k); see module docstring."""
     # e^{-x} x^k is 0 long before x = 1e300, and inf has no int
     x, log_r2 = min(alpha * radius * radius, 1e300), 2.0 * math.log(radius)
     logs, u = [], 1.0
@@ -398,23 +402,62 @@ def _moments(count: int, alpha: float, radius: float) -> np.ndarray:
         u = 1.0 + k * u / x
         tail = math.exp(k * math.log(x) - x - math.lgamma(k + 1) + math.log(u))
         logs.append(math.lgamma(k + 1) - k * math.log(alpha) + math.log1p(-tail))
-    upper, s = [], 0.0                          # k + 1 > x, downward from far above
-    for k in range(int(count + 2.0 * x) + 60, len(logs), -1):
+    # k + 1 > x, downward from far above; none left once x >= count, so the
+    # start count + 2x + 60 stays below 3 count + 60
+    upper, s = [], 0.0
+    start = int(count + 2.0 * x) + 60 if len(logs) < count else count
+    for k in range(start, len(logs), -1):
         s = (x * s + 1.0) / k                   # S_{k-1}
         if k <= count:
             upper.append(k * log_r2 + math.log(alpha) + math.log(s) - x)
-    # a moment that overflows is inf, as is the norm it makes
+    return np.array(logs + upper[::-1]) - math.log(math.pi)
+
+
+def _moments(count: int, alpha: float, radius: float) -> np.ndarray:
+    """m_k = k! P(k + 1, a R^2) / (pi a^k) for k < count; one that overflows is inf."""
     with np.errstate(over="ignore"):
-        return np.exp(np.array(logs + upper[::-1]) - math.log(math.pi))
+        return np.exp(_log_moments(count, alpha, radius))
+
+
+def _row_exponents(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rows 2^-e_k with each row's largest component in [1/2, 1), and e_k; 0 stays 0."""
+    exps = np.frexp(np.abs(rows).max(axis=1))[1]
+    return np.ldexp(rows, -exps[:, None]), exps
+
+
+def _pairing(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
+             params: FockParams) -> tuple[np.ndarray, int]:
+    """(sums, shift) with <f, g>_I = sums 2^shift and shift even.
+
+    Every row a_k conj(b_k) m_k is split into a mantissa and a power of two,
+    and the powers are taken relative to the largest, so no moment,
+    coefficient or product over- or underflows on its own and np.ldexp(sums,
+    shift) is inf only where the pairing leaves the float range.  Where m_k
+    is a normal float the scaling is by powers of two alone, so the terms
+    are those of the plain sum of m_k a_k conj(b_k), scaled exactly.
+    """
+    count = min(len(f.coeffs), len(g.coeffs))
+    (a, exp_a), (b, exp_b) = (_row_exponents(_rows(h.coeffs[:count])) for h in (f, g))
+    pairs = _qmul(a, b * _CONJ_SIGNS)
+    unit_row = _unit_rows([unit])[0]
+    pairs[1:, 1:] = (pairs[1:, 1:] @ unit_row)[:, None] * unit_row
+    logs = _log_moments(count, params.alpha, params.radius)
+    # m_k = mant 2^(n + exp_m); n = 0 wherever e^logs is a normal float, so
+    # that there mant 2^exp_m is the float m_k exactly
+    n = np.where(np.abs(logs) < 700.0, 0, np.rint(logs / math.log(2.0))).astype(int)
+    mant, exp_m = np.frexp(np.exp(logs - n * math.log(2.0)))
+    exps, live = n + exp_m + exp_a + exp_b, pairs.any(axis=1)
+    shift = int(exps[live].max() + exps[live].max() % 2) if live.any() else 0   # even
+    with np.errstate(over="ignore"):
+        weights = np.where(live, np.ldexp(mant, exps - shift), 0.0)
+    return weights @ pairs, shift
 
 
 def _p2_norm(f: SliceSeries, params: FockParams) -> float:
-    """||f||_{2,I} = sqrt(sum_k |a_k|^2 m_k), the same on every slice C_I."""
-    coeffs, exponent = _scaled_rows(f)
-    total = float((coeffs * coeffs).sum(axis=1)
-                  @ _moments(len(coeffs), params.alpha, params.radius))
+    """||f||_{2,I} = sqrt(<f, f>_I) = sqrt(sum_k |a_k|^2 m_k), the same on every slice."""
+    sums, shift = _pairing(f, f, UNIT_I, params)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(math.sqrt(total), exponent))
+        return float(np.ldexp(math.sqrt(sums[0]), shift // 2))
 
 
 def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
@@ -529,12 +572,9 @@ def inner_product(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
     pi_I the projection onto C_I (module docstring).
     """
     _require_quadrature_params(FockParams(params.alpha, 2.0, params.n, params.radius))
-    count = min(len(f.coeffs), len(g.coeffs))
-    pairs = _qmul(_rows(f.coeffs[:count]), _rows(g.coeffs[:count]) * _CONJ_SIGNS)
-    unit_row = _unit_rows([unit])[0]
-    pairs[1:, 1:] = (pairs[1:, 1:] @ unit_row)[:, None] * unit_row
-    return Quaternion(*(float(c) for c in
-                        _moments(count, params.alpha, params.radius) @ pairs))
+    sums, shift = _pairing(f, g, unit, params)
+    with np.errstate(over="ignore"):
+        return Quaternion(*(float(c) for c in np.ldexp(sums, shift)))
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,19 @@ def test_norm_p2_overflow_exits_three(tmp_path, capsys):
     assert err == "error: a value is not finite: norm = inf\n"
 
 
+def test_norm_p2_builds_no_grid(tmp_path, capsys, monkeypatch):
+    # --radial and --angular apply at p != 2 only: the closed form reads no grid
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 0.5, 0.0, 0.0)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built at p = 2")
+
+    monkeypatch.setattr("slicefock.quadrature.QuadratureGrid.build", refuse)
+    code, out, _ = run(capsys, ["norm", path, "--p", "2", "--radial", "3",
+                                "--out", "json"])
+    assert code == 0 and json.loads(out)["grid"]["rule"] == "closed form"
+
+
 @pytest.mark.parametrize("extra", [[], ["--normalized"], ["--out", "json"]])
 def test_kernel_overflow_exits_three(capsys, extra):
     # alpha |q| |w| = 900: e^900 overflows a float, so the tail bound is inf;

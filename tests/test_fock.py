@@ -791,6 +791,94 @@ def test_p2_norm_equals_the_incomplete_gamma_closed_form(alpha, radius):
         assert abs(got - want) <= 1e-13 * want
 
 
+def test_moments_take_no_downward_run_past_the_table():
+    # with a R^2 = 9e6, 1e12 and 1e600 every m_k is k!/(pi a^k): the table
+    # is filled upward in count steps and the downward recurrence, which
+    # would start at 2 a R^2, never starts
+    for radius in (3e3, 1e6, 1e300):
+        start = time.perf_counter()
+        got = fock._moments(200, 1.0, radius)
+        assert time.perf_counter() - start < 1.0
+        k = np.arange(200)
+        with np.errstate(over="ignore"):
+            want = np.exp(gammaln(k + 1) - math.log(math.pi))
+        fits = np.isfinite(want)
+        assert fits.sum() == 171 and np.all(np.isinf(got[~fits]))
+        assert np.all(np.abs(got[fits] - want[fits]) <= 1e-12 * want[fits])
+
+
+@pytest.mark.parametrize("radius", [1e5, 1e6])
+def test_p2_norm_on_a_huge_ball_is_the_full_space_norm(radius):
+    # ||f||_2^2 = sum_k |a_k|^2 k! / (pi a^k) once e^{-a R^2} is 0
+    params = FockParams(alpha=1.0, p=2.0, n=1, radius=radius)
+    for f in standard_corpus(0)[:10]:
+        want = math.sqrt(sum(a.modulus_sq() * math.factorial(k) / math.pi
+                             for k, a in enumerate(f.coeffs)))
+        start = time.perf_counter()
+        got = fock_norm_p(f, params, sphere=small_sphere()).value
+        assert time.perf_counter() - start < 1.0
+        assert abs(got - want) <= 1e-13 * want
+
+
+def _sparse(**coeffs):
+    """The series with coefficient coeffs["a<k>"] (real) at q^k."""
+    top = max(int(key[1:]) for key in coeffs)
+    return SliceSeries(tuple(Quaternion(coeffs.get(f"a{k}", 0.0))
+                             for k in range(top + 1)))
+
+
+@pytest.mark.parametrize("alpha, radius, coeff", [(1e-3, 1e3, 1e-200),
+                                                  (0.1, 100.0, 1e-200),
+                                                  (0.5, 40.0, 1e-100)])
+def test_p2_norm_past_an_overflowing_moment_is_finite(alpha, radius, coeff):
+    # m_200 is about 1e974, 1e574 and 1e434: it overflows, while its
+    # coefficient brings the norm of 1 + coeff q^200 to about 1e287, 1e87
+    # and 1e117.  The square of 1e-200 underflows; that of 1e-100 does not
+    f = _sparse(a0=1.0, a200=coeff)
+    params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+    assert np.isinf(fock._moments(201, alpha, radius)[200])
+    x = alpha * radius * radius
+    log_sq = (2.0 * math.log(coeff) + gammaln(201) + math.log(gammainc(201, x))
+              - 200 * math.log(alpha) - math.log(math.pi))
+    want = math.exp(0.5 * np.logaddexp(log_sq, math.log(gammainc(1, x) / math.pi)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fock_norm_p(f, params, sphere=small_sphere()).value
+        pairing = inner_product(f, f, UNIT_I, params)
+    assert abs(got - want) <= 1e-12 * want
+    # <f, f> = ||f||^2 fits or overflows to inf, never NaN
+    assert (pairing.x, pairing.y, pairing.z) == (0.0, 0.0, 0.0)
+    if want < 1e154:
+        assert abs(pairing.w - want * want) <= 1e-12 * want * want
+    else:
+        assert pairing.w == math.inf
+
+
+def test_inner_product_past_an_overflowing_moment_is_finite():
+    # m_200 (about 1e434) overflows, 0 m_200 is NaN, but the pairing of
+    # 1 + 1e-100 q^200 with 1 + 1e-100 j q^200 is about m_0 - 1e234 j on C_j
+    alpha, radius = 0.5, 40.0
+    params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+    f = _sparse(a0=1.0, a200=1e-100)
+    g = SliceSeries(f.coeffs[:200] + (Quaternion(0.0, 0.0, 1e-100, 0.0),))
+    assert np.isinf(fock._moments(201, alpha, radius)[200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit_j = inner_product(f, g, UNIT_J, params)
+        unit_i = inner_product(f, g, UNIT_I, params)
+    x = alpha * radius * radius
+    m0 = gammainc(1, x) / math.pi
+    pair = -math.exp(2.0 * math.log(1e-100) + gammaln(201)
+                     + math.log(gammainc(201, x)) - 200 * math.log(alpha)
+                     - math.log(math.pi))
+    # terms are taken relative to the largest, 1e234, in log space
+    assert abs(unit_j.y - pair) <= 1e-12 * abs(pair)
+    assert abs(unit_j.w - m0) <= 1e-12 * m0 and unit_j.x == unit_j.z == 0.0
+    # on C_i the j part of a_200 conj(b_200) is projected away
+    assert abs(unit_i.w - m0) <= 1e-12 * m0
+    assert unit_i.x == unit_i.y == unit_i.z == 0.0
+
+
 @given(coeff_rows, st.integers(0, 3), st.sampled_from([1, 11]))
 # squared, a coefficient of 3.5e-203 underflows unless it is scaled first
 @example(rows=[(0.0, 0.0, 0.0, 3.543643236417232e-203)], order=0, sphere_count=1)
