@@ -109,7 +109,7 @@ import numpy as np
 from .errors import GridTooCoarse
 from .quadrature import (ANGULAR_CAP, RADIAL_CAP, QuadratureGrid)
 from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, UNIT_I,
-                         _imaginary_rows, _qmul, _rows, _unit_rows,
+                         _imaginary_rows, _qmul, _unit_rows,
                          default_sphere, orthonormal_partner)
 from .series import (ComplexSlicePolynomial, MultiMonomial,
                      SliceSeries, derivative, dilate, split)
@@ -296,7 +296,7 @@ def _scaled_rows(f: SliceSeries) -> tuple[np.ndarray, int]:
     |f| = 2^e |f 2^-e| exactly; with the largest coefficient component in
     [1/2, 1) the squares of tiny or huge coefficients stay representable.
     """
-    coeffs = _rows(f.coeffs)
+    coeffs = f._coeff_rows
     exponent = math.frexp(float(np.abs(coeffs).max()))[1]
     return np.ldexp(coeffs, -exponent), exponent
 
@@ -437,7 +437,7 @@ def _pairing(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
     are those of the plain sum of m_k a_k conj(b_k), scaled exactly.
     """
     count = min(len(f.coeffs), len(g.coeffs))
-    (a, exp_a), (b, exp_b) = (_row_exponents(_rows(h.coeffs[:count])) for h in (f, g))
+    (a, exp_a), (b, exp_b) = (_row_exponents(h._coeff_rows[:count]) for h in (f, g))
     pairs = _qmul(a, b * _CONJ_SIGNS)
     unit_row = _unit_rows([unit])[0]
     pairs[1:, 1:] = (pairs[1:, 1:] @ unit_row)[:, None] * unit_row

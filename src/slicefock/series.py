@@ -14,24 +14,30 @@ The module also provides the slice machinery: splitting a series into two
 complex polynomials along an orthogonal pair (I, J), the inverse extension,
 and evaluation anywhere in the ball from data on a single slice.
 
+A SliceSeries builds its coefficient tables once, on first use, from its
+coefficients alone: the float rows the Horner loop reads, the read-only
+(N, 4) array the row forms and fock read, and the rows of f^c and of
+f^s = f * f^c.  The tables are read-only and take no part in ==, hash,
+repr or pickling.
+
 Private row forms evaluate many points, units or pairs at once on
 quaternion rows (see quaternion.py): the Horner evaluation `_eval_rows`,
 the transformed point, the star reciprocal, the representation formula,
 and split/extend as `_split_rows`/`_extend_rows`.  Each row equals its
 scalar counterpart bit for bit.  split and extend are one-pair calls of
 their row forms.  The one-point forms eval, star_inverse_eval and rep_eval
-run the float Horner loops instead (_horner, _horner_rows), because a numpy
-call costs more than the arithmetic at one point: star_inverse_eval takes
-f^c and f^s as coefficient rows, from one sign flip and star_mul's
-convolution, and builds no series for them, and rep_eval writes the
-representation formula out on floats.  transform_point composes
-`Quaternion` operators on eval's value.
+run the one float Horner loop `_horner_rows` on the cached rows instead,
+because a numpy call costs more than the arithmetic at one point:
+star_inverse_eval reads the f^c and f^s tables and builds no series for
+them, and rep_eval writes the representation formula out on floats.
+transform_point composes `Quaternion` operators on eval's value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,13 +100,46 @@ class SliceSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def __getstate__(self):
+        # the cached tables are not state: a copy builds its own, read-only
+        return {"coeffs": self.coeffs, "nominal_radius": self.nominal_radius}
+
+    # The coefficient tables.  cached_property stores each in the instance
+    # __dict__ past the frozen __setattr__, on first use.  Building one calls
+    # no public function and no `Quaternion` operator, so what a call counts
+    # does not depend on whether the tables are already built.
+
+    @cached_property
+    def _float_rows(self) -> tuple:
+        """Coefficients as (w, x, y, z) tuples, sharing the coefficients' floats."""
+        return tuple((a.w, a.x, a.y, a.z) for a in self.coeffs)
+
+    @cached_property
+    def _coeff_rows(self) -> np.ndarray:
+        """Coefficient rows, (N, 4) and read-only.
+
+        Built from coeffs, not from _float_rows, so a series that only needs
+        the array holds no tuples.
+        """
+        return _read_only(_rows(self.coeffs))
+
+    @cached_property
+    def _conj_rows(self) -> np.ndarray:
+        """Rows of f^c, (N, 4) and read-only; regular_conjugate's bit for bit."""
+        return _read_only(self._coeff_rows * _CONJ_SIGNS)
+
+    @cached_property
+    def _sym_rows(self) -> np.ndarray:
+        """Rows of f^s = f * f^c, (2N - 1, 4) and read-only; star_mul's bit for bit."""
+        return _read_only(_convolve_rows(self._coeff_rows, self._conj_rows))
+
     def eval(self, q: Quaternion) -> Quaternion:
         """Left-Horner evaluation a_0 + q(a_1 + q(a_2 + ...)).
 
         eval at q = 0 returns a_0 exactly.  The loop runs on floats (see
-        _horner), so only the result is built as a `Quaternion`.
+        _horner_rows), so only the result is built as a `Quaternion`.
         """
-        return Quaternion(*_horner(self.coeffs, q.w, q.x, q.y, q.z))
+        return Quaternion(*_horner_rows(self._float_rows, q.w, q.x, q.y, q.z))
 
     def scale_right(self, c: Quaternion) -> "SliceSeries":
         """Series of q -> f(q) c, i.e. every coefficient multiplied by c."""
@@ -205,26 +244,19 @@ def embed_complex(c: complex, unit: ImaginaryUnit) -> Quaternion:
     return Quaternion(c.real, c.imag * unit.x, c.imag * unit.y, c.imag * unit.z)
 
 
-# The scalar Horner loops: each step is `q * acc + a` written out in the terms
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    rows.flags.writeable = False
+    return rows
+
+
+# The scalar Horner loop: each step is `q * acc + a` written out in the terms
 # and order of `Quaternion.__mul__` and `__add__`, so a value is the operator
-# loop's bit for bit.  _horner reads `Quaternion` coefficients and
-# _horner_rows coefficient rows; one loop for both would have to turn one
-# kind into the other at every call, which costs eval about a quarter more.
+# loop's bit for bit.  It reads coefficient rows as Python sequences of
+# floats, which every series caches once (SliceSeries._float_rows), so no
+# call turns `Quaternion` coefficients into rows.
 
-def _horner(coeffs, qw: float, qx: float, qy: float, qz: float):
-    """Components of sum_n q^n a_n for `Quaternion` coefficients a_n."""
-    acc = coeffs[-1]
-    aw, ax, ay, az = acc.w, acc.x, acc.y, acc.z
-    for a in reversed(coeffs[:-1]):
-        aw, ax, ay, az = (qw * aw - qx * ax - qy * ay - qz * az + a.w,
-                          qw * ax + qx * aw + qy * az - qz * ay + a.x,
-                          qw * ay - qx * az + qy * aw + qz * ax + a.y,
-                          qw * az + qx * ay - qy * ax + qz * aw + a.z)
-    return aw, ax, ay, az
-
-
-def _horner_rows(rows: list, qw: float, qx: float, qy: float, qz: float):
-    """_horner for coefficient rows [w, x, y, z] given as Python lists."""
+def _horner_rows(rows, qw: float, qx: float, qy: float, qz: float):
+    """Components of sum_n q^n a_n for coefficient rows (w, x, y, z) of floats."""
     aw, ax, ay, az = rows[-1]
     for bw, bx, by, bz in reversed(rows[:-1]):
         aw, ax, ay, az = (qw * aw - qx * ax - qy * ay - qz * az + bw,
@@ -255,7 +287,7 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
 
     The sum runs over ascending k so the reduction order is fixed.
     """
-    out = _convolve_rows(_rows(f.coeffs), _rows(g.coeffs))
+    out = _convolve_rows(f._coeff_rows, g._coeff_rows)
     return SliceSeries(_from_rows(out), min(f.nominal_radius, g.nominal_radius))
 
 
@@ -265,28 +297,30 @@ def regular_conjugate(f: SliceSeries) -> SliceSeries:
 
 
 def symmetrization(f: SliceSeries) -> SliceSeries:
-    """f^s = f * f^c; its coefficients are real up to rounding."""
-    return star_mul(f, regular_conjugate(f))
+    """f^s = f * f^c; its coefficients are real up to rounding.
+
+    Read from the series' f^s table, so it equals
+    star_mul(f, regular_conjugate(f)) bit for bit.
+    """
+    return SliceSeries(_from_rows(f._sym_rows), f.nominal_radius)
 
 
 def star_inverse_eval(f: SliceSeries, q: Quaternion) -> Quaternion:
     """Value of the star reciprocal, (f^s(q))^{-1} f^c(q).
 
     Only the pointwise value is formed; the reciprocal is not a polynomial
-    so no series object exists for it.  f^c and f^s are taken as coefficient
-    rows, f^s by star_mul's convolution, and evaluated by the float Horner
-    loop, so the value is that of symmetrization(f).eval(q).inverse() *
-    regular_conjugate(f).eval(q) bit for bit.  Raises SingularPoint at
-    (numerical) zeros of the symmetrization.
+    so no series object exists for it.  The series' f^c and f^s tables are
+    evaluated by the float Horner loop, so the value is that of
+    symmetrization(f).eval(q).inverse() * regular_conjugate(f).eval(q) bit
+    for bit.  Raises SingularPoint at (numerical) zeros of the
+    symmetrization.
     """
-    a = _rows(f.coeffs)
-    fc = a * _CONJ_SIGNS
     qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    s = Quaternion(*_horner_rows(_convolve_rows(a, fc).tolist(), qw, qx, qy, qz))
+    s = Quaternion(*_horner_rows(f._sym_rows.tolist(), qw, qx, qy, qz))
     if s.modulus() < _SINGULAR_TOL:
         raise SingularPoint(
             f"symmetrization vanishes at this point (|f^s(q)| = {s.modulus():.3e})")
-    return s.inverse() * Quaternion(*_horner_rows(fc.tolist(), qw, qx, qy, qz))
+    return s.inverse() * Quaternion(*_horner_rows(f._conj_rows.tolist(), qw, qx, qy, qz))
 
 
 def transform_point(f: SliceSeries, q: Quaternion) -> Quaternion:
@@ -316,7 +350,7 @@ def split(f: SliceSeries, unit_i: ImaginaryUnit, unit_j: ImaginaryUnit,
     inverts it exactly up to rounding.
     """
     _check_orthogonal(unit_i, unit_j)
-    parts = _split_rows(_rows(f.coeffs), *_unit_rows([unit_i, unit_j]))
+    parts = _split_rows(f._coeff_rows, *_unit_rows([unit_i, unit_j]))
     c1, c2 = np.ascontiguousarray(parts).view(complex).T.tolist()
     return (ComplexSlicePolynomial(unit_i, tuple(c1)),
             ComplexSlicePolynomial(unit_i, tuple(c2)))
@@ -355,8 +389,9 @@ def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:
     """
     sc = decompose(q)
     re, im, ux, uy, uz = sc.re, sc.im, unit.x, unit.y, unit.z
-    pw, px, py, pz = _horner(f.coeffs, re, im * ux, im * uy, im * uz)      # f(zp)
-    mw, mx, my, mz = _horner(f.coeffs, re, -im * ux, -im * uy, -im * uz)   # f(zm)
+    rows = f._float_rows
+    pw, px, py, pz = _horner_rows(rows, re, im * ux, im * uy, im * uz)      # f(zp)
+    mw, mx, my, mz = _horner_rows(rows, re, -im * ux, -im * uy, -im * uz)   # f(zm)
     # I_q I as (0, I_q) * (0, I); the 0.0 * terms keep the signs of zeros
     ix, iy, iz = sc.unit.x, sc.unit.y, sc.unit.z
     cw = 0.0 * 0.0 - ix * ux - iy * uy - iz * uz
@@ -385,7 +420,7 @@ def _coeff_table(fs) -> np.ndarray:
     """Coefficient rows of several series, zero-padded at the top, (len(fs), K, 4)."""
     table = np.zeros((len(fs), max(len(f.coeffs) for f in fs), 4))
     for row, f in zip(table, fs):
-        row[:len(f.coeffs)] = _rows(f.coeffs)
+        row[:len(f.coeffs)] = f._coeff_rows
     return table
 
 

@@ -159,7 +159,7 @@ def _check_split(corpus, seed: int) -> PropositionResult:
     # one solve per coefficient count: padding would change the rounding
     for width in np.unique(widths):
         at = np.flatnonzero(widths == width)
-        table = np.repeat([_rows(f.coeffs) for f in corpus if len(f.coeffs) == width],
+        table = np.repeat([f._coeff_rows for f in corpus if len(f.coeffs) == width],
                           20, axis=0)
         back = _extend_rows(_split_rows(table, units_i[at], units_j[at]),
                             units_i[at], units_j[at])

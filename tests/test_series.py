@@ -1,4 +1,8 @@
+import collections
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +22,9 @@ from slicefock.corpus import (random_ball_point, random_orthogonal_pair,
 from slicefock.series import (_coeff_table, _eval_rows, _extend_rows,
                               _rep_eval_rows, _split_rows, _star_inverse_rows,
                               _transform_rows)
+import slicefock.series as series_module
 from slicefock.fock import FockParams
+from slicefock.quaternion import _rows
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -186,8 +192,12 @@ def test_star_inverse_worked_examples():
 
 
 def _reference_star_inverse(f, q):
-    """star_inverse_eval as it formed f^s at every point, kept as the reference."""
-    s = symmetrization(f).eval(q)
+    """star_inverse_eval as it formed f^s at every point, kept as the reference.
+
+    f^s comes from the scalar convolution, not from symmetrization, which
+    reads the series' cached f^s table under test.
+    """
+    s = SliceSeries(_scalar_star_mul(f, regular_conjugate(f))).eval(q)
     if s.modulus() < 1e-12:
         raise SingularPoint(
             f"symmetrization vanishes at this point (|f^s(q)| = {s.modulus():.3e})")
@@ -212,6 +222,129 @@ def test_star_inverse_at_equals_star_inverse_eval(a, q):
         assert str(raised.value) == str(exc)
         return
     assert bits(star_inverse_eval(f, q)) == bits(want)
+
+
+# --- cached coefficient tables ---
+
+def _table_bits(rows):
+    return np.ascontiguousarray(rows).tobytes()
+
+
+@given(coeff_lists)
+@example([SIGNED_ZEROS])
+@example([Quaternion(1.5, -0.0, 0.0, -2.0), SIGNED_ZEROS, I])
+@settings(max_examples=100, deadline=None)
+def test_cached_tables_equal_their_conversions_and_are_read_only(a):
+    f = series(*a)
+    fc = regular_conjugate(f)
+    assert _table_bits(f._coeff_rows) == _table_bits(_rows(f.coeffs))
+    assert _table_bits(f._conj_rows) == _table_bits(_rows(fc.coeffs))
+    assert _table_bits(f._sym_rows) == _table_bits(_rows(_scalar_star_mul(f, fc)))
+    for rows in (f._coeff_rows, f._conj_rows, f._sym_rows):
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+
+def _warm(f):
+    """f with every table built, through the calls that read them."""
+    f.eval(Quaternion(0.1))
+    split(f, UNIT_I, UNIT_J)
+    symmetrization(f)
+    star_mul(f, f)
+    return f
+
+
+def test_warm_tables_take_no_part_in_equality_hash_or_repr():
+    a = (Quaternion(0.3, -1.0, 2.0, 0.5), I, J)
+    warm, cold = _warm(series(*a)), series(*a)
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+
+
+def _values(f, q):
+    unit = ImaginaryUnit(0.6, 0.0, 0.8)
+    return (bits(f.eval(q)), bits(rep_eval(f, unit, q)), bits(star_inverse_eval(f, q)))
+
+
+@pytest.mark.parametrize("clone", [lambda f: pickle.loads(pickle.dumps(f)),
+                                   copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_copies_keep_the_values_and_build_read_only_tables(clone):
+    rng = rng_for(5)
+    f = _warm(random_series(rng, max_degree=9))
+    twin = clone(f)
+    assert twin == f
+    for _ in range(5):
+        q = random_ball_point(rng)
+        assert _values(twin, q) == _values(f, q)
+    for rows in (twin._coeff_rows, twin._conj_rows, twin._sym_rows):
+        assert not rows.flags.writeable
+
+
+def test_replace_builds_fresh_tables():
+    f = _warm(series(ONE, I, J))
+    g = dataclasses.replace(f, coeffs=(K, ONE))
+    fresh = series(K, ONE)
+    q = Quaternion(0.1, -0.2, 0.3, 0.05)
+    assert _table_bits(g._coeff_rows) == _table_bits(fresh._coeff_rows)
+    assert _table_bits(g._sym_rows) == _table_bits(fresh._sym_rows)
+    assert _values(g, q) == _values(fresh, q)
+
+
+def test_repeated_star_inverse_calls_return_the_first_bits():
+    f = series(Quaternion(), ONE, Quaternion(0.25, 0.0, -0.5, 0.0))
+    points = [Quaternion(), Quaternion(0.3, 0.1, -0.2, 0.4), Quaternion(-0.5)]
+
+    def outcomes(g):
+        out = []
+        for q in points:
+            try:
+                out.append(bits(star_inverse_eval(g, q)))
+            except SingularPoint as exc:      # f^s(0) = 0
+                out.append(str(exc))
+        return out
+
+    first = outcomes(f)
+    assert first[0].startswith("symmetrization vanishes")
+    assert outcomes(f) == first
+    assert outcomes(series(*f.coeffs)) == first
+
+
+def test_first_call_makes_the_same_counted_calls_as_later_ones(monkeypatch):
+    """Building a table calls no public series function and no Quaternion
+    product, inverse or SliceSeries.eval, so per-call counts do not depend
+    on whether a series' tables are warm."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in series_module.__all__:
+        fn = getattr(series_module, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(series_module, name, counting(name, fn))
+    for cls, name in ((Quaternion, "__mul__"), (Quaternion, "inverse"),
+                      (SliceSeries, "eval")):
+        monkeypatch.setattr(cls, name, counting(name, cls.__dict__[name]))
+
+    f, g = random_series(rng_for(8), max_degree=7), series(ONE, I)
+    q = Quaternion(0.1, 0.2, -0.3, 0.05)
+
+    def counted_calls():
+        calls.clear()
+        series_module.star_mul(f, g)
+        series_module.symmetrization(f)
+        series_module.star_inverse_eval(f, q)
+        series_module.rep_eval(f, UNIT_J, q)
+        series_module.split(f, UNIT_I, UNIT_J)
+        f.eval(q)
+        return dict(calls)
+
+    first = counted_calls()
+    assert first == counted_calls()
+    assert first["star_mul"] == 1          # symmetrization reads its table
 
 
 def test_transform_point_worked_examples():
