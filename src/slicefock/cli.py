@@ -10,10 +10,12 @@ Subcommands:
     synth     build a function from kernel atoms and store it
     profile   boundary decay profile M(rho) and the vanishing verdict
 
-Exit codes: 0 success, 1 a verified proposition failed, 2 bad input,
-3 a computed value is not finite or quadrature failed to stabilize at the
-resolution cap.  Output carries no timing or environment data, so a command
-line is reproducible byte for byte.
+Each subcommand returns its result in every output format; main alone writes
+the one --out asks for and maps errors to exit codes.  Exit codes: 0 success,
+1 a verified proposition failed, 2 bad input, 3 a computed value is not
+finite (nothing is written then, not even synth's file) or quadrature failed
+to stabilize at the resolution cap.  Output carries no timing or environment
+data, so a command line is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import fock, kernels, serialize, verify
 from .errors import GridTooCoarse, SliceFockError
@@ -76,85 +80,95 @@ def _parse_p(text: str) -> float:
         raise ValueError(f"--p expects a number or 'inf', got {text!r}") from exc
 
 
-def _quat_str(q: Quaternion) -> str:
-    return f"[{q.w!r}, {q.x!r}, {q.y!r}, {q.z!r}]"
+def _shown(value) -> str:
+    """A float as its repr, a Quaternion as [w, x, y, z] of reprs."""
+    if isinstance(value, Quaternion):
+        return f"[{value.w!r}, {value.x!r}, {value.y!r}, {value.z!r}]"
+    return repr(value)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _spaced(q: Quaternion) -> str:
+    return " ".join(map(repr, serialize.quaternion_to_list(q)))
 
 
-def _params_from(args, p: float | None = None) -> fock.FockParams:
-    return fock.FockParams(alpha=args.alpha,
-                           p=args.p if p is None else p,
-                           n=getattr(args, "n", 1),
-                           radius=args.radius)
+class _NotFinite(Exception):
+    """A computed value is not finite; main refuses it with exit code 3."""
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
+class _Result(NamedTuple):
+    """A subcommand's result: one maker per output format, and the exit code.
 
-def cmd_eval(args) -> int:
-    f = serialize.load_function(args.function)
+    main calls only the maker of the format it writes, so no formatter runs
+    for output that is not written.
+    """
+
+    json: Callable[[], object]  # the payload main writes as canonical JSON
+    csv: Callable[[], str]
+    text: Callable[[], str]
+    code: int = 0
+
+
+def _finite(value) -> bool:
+    """Whether a float, or every component of a Quaternion, is finite."""
+    if isinstance(value, Quaternion):
+        return all(map(math.isfinite, serialize.quaternion_to_list(value)))
+    return math.isfinite(value)
+
+
+def _require_finite(*shown) -> None:
+    """Raise _NotFinite naming every (label, value) pair unless all are finite."""
+    if not all(_finite(value) for _, value in shown):
+        raise _NotFinite(", ".join(f"{label} = {_shown(value)}" for label, value in shown))
+
+
+def _load_series(path: str, refusal: str):
+    f = serialize.load_function(path)
     if isinstance(f, MultiPolynomial):
-        raise ValueError("eval handles one-variable functions; evaluate "
-                         "several-variable polynomials through the library")
+        raise ValueError(refusal)
+    return f
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each returns a _Result, which main writes in the --out format
+# ---------------------------------------------------------------------------
+
+def cmd_eval(args) -> _Result:
+    f = _load_series(args.function, "eval handles one-variable functions; "
+                     "evaluate several-variable polynomials through the library")
     q = _parse_quaternion(args.point, "--point")
     unit = _parse_unit(args.slice_unit, "--slice-unit")
     value = f.eval(q)
-    reconstructed = rep_eval(f, unit, q)
-    residual = (value - reconstructed).modulus()
-    if not all(map(math.isfinite, (value.w, value.x, value.y, value.z, residual))):
-        sys.stderr.write(f"error: a value is not finite: f(q) = {_quat_str(value)}, "
-                         f"rep-formula residual = {residual!r}\n")
-        return 3
-    outside = q.modulus() > f.nominal_radius + 1e-12
+    residual = (value - rep_eval(f, unit, q)).modulus()
+    _require_finite(("f(q)", value), ("rep-formula residual", residual))
     payload = {"point": serialize.quaternion_to_list(q),
                "value": serialize.quaternion_to_list(value),
                "modulus": value.modulus(),
                "rep_residual": residual,
-               "outside_radius": outside}
-    extra_lines = []
+               "outside_radius": q.modulus() > f.nominal_radius + 1e-12}
+    lines = [f"value = {_shown(value)}",
+             f"|value| = {value.modulus()!r}",
+             f"rep-formula residual = {residual!r}"]
     if args.truncate is not None:
         approx = truncate(f, args.truncate).eval(q)
         bound = tail_bound(f, q.modulus(), args.truncate)
-        if not all(map(math.isfinite, (approx.w, approx.x, approx.y, approx.z,
-                                       bound))):
-            sys.stderr.write(f"error: a value is not finite: truncated("
-                             f"{args.truncate}) = {_quat_str(approx)}, "
-                             f"tail bound = {bound!r}\n")
-            return 3
+        _require_finite((f"truncated({args.truncate})", approx), ("tail bound", bound))
         payload["truncated"] = serialize.quaternion_to_list(approx)
         payload["tail_bound"] = bound
-        extra_lines.append(f"truncated({args.truncate}) = {_quat_str(approx)}")
-        extra_lines.append(f"tail bound = {bound!r}")
-    if args.out == "json":
-        _emit(serialize.dumps_canonical(payload))
-    elif args.out == "csv":
-        _emit("point,value,rep_residual\n"
-              f"{' '.join(repr(v) for v in payload['point'])},"
-              f"{' '.join(repr(v) for v in payload['value'])},{residual!r}")
-    else:
-        lines = [f"value = {_quat_str(value)}",
-                 f"|value| = {value.modulus()!r}",
-                 f"rep-formula residual = {residual!r}"]
-        lines += extra_lines
-        if outside:
-            lines.append("warning: point lies outside the nominal radius")
-        _emit("\n".join(lines))
-    return 0
+        lines += [f"truncated({args.truncate}) = {_shown(approx)}",
+                  f"tail bound = {bound!r}"]
+    if payload["outside_radius"]:
+        lines.append("warning: point lies outside the nominal radius")
+    return _Result(lambda: payload,
+                   lambda: f"point,value,rep_residual\n{_spaced(q)},{_spaced(value)},"
+                           f"{residual!r}",
+                   lambda: "\n".join(lines))
 
 
-def cmd_norm(args) -> int:
-    f = serialize.load_function(args.function)
-    if isinstance(f, MultiPolynomial):
-        raise ValueError("norm handles one-variable functions; use the "
-                         "library for slice suprema in several variables")
+def cmd_norm(args) -> _Result:
+    f = _load_series(args.function, "norm handles one-variable functions; use the "
+                     "library for slice suprema in several variables")
     p = _parse_p(args.p)
-    params = _params_from(args, p)
+    params = fock.FockParams(args.alpha, p, radius=args.radius)
     sphere = default_sphere(args.sphere)
     if p == math.inf:
         report = fock.sup_norm(f, params, sphere)
@@ -163,47 +177,33 @@ def cmd_norm(args) -> int:
         grid = (None if p == 2.0 else
                 QuadratureGrid.build(args.radial, args.angular, args.radius))
         report = fock.fock_norm_p(f, params, grid, sphere)
-    if not math.isfinite(report.value):
-        sys.stderr.write(f"error: a value is not finite: norm = {report.value!r}\n")
-        return 3
-    if args.out == "json":
-        payload = serialize.norm_report_to_dict(report)
-        payload.update({"p": "inf" if p == math.inf else p,
-                        "alpha": args.alpha, "radius": args.radius})
-        _emit(serialize.dumps_canonical(payload))
-    elif args.out == "csv":
-        rows = serialize.norm_report_csv_rows(args.function, p, args.alpha,
-                                              args.radius, report)
-        _emit("\n".join(["function-id,p,alpha,R,value"] + rows))
-    else:
-        worst = max(report.per_slice, key=lambda uv: uv[1])
-        lines = [f"norm = {report.value!r}",
-                 f"p = {'inf' if p == math.inf else repr(p)} "
-                 f"alpha = {args.alpha!r} radius = {args.radius!r}",
-                 "grid: " + " ".join(f"{k}={v}" for k, v
-                                     in sorted(report.grid_spec.items())),
-                 f"worst slice unit = [{worst[0].x!r}, {worst[0].y!r}, "
-                 f"{worst[0].z!r}]"]
-        _emit("\n".join(lines))
-    return 0
+    _require_finite(("norm", report.value))
+    shown_p = "inf" if p == math.inf else p
+    worst = max(report.per_slice, key=lambda uv: uv[1])[0]
+    lines = [f"norm = {report.value!r}",
+             f"p = {shown_p} alpha = {args.alpha!r} radius = {args.radius!r}",
+             "grid: " + " ".join(f"{k}={v}" for k, v in sorted(report.grid_spec.items())),
+             f"worst slice unit = [{worst.x!r}, {worst.y!r}, {worst.z!r}]"]
+    return _Result(lambda: {**serialize.norm_report_to_dict(report), "p": shown_p,
+                            "alpha": args.alpha, "radius": args.radius},
+                   lambda: "function-id,p,alpha,R,value\n" + "\n".join(
+                       serialize.norm_report_csv_rows(args.function, p, args.alpha,
+                                                      args.radius, report)),
+                   lambda: "\n".join(lines))
 
 
-def cmd_verify(args) -> int:
-    props = args.props if args.props else None
-    results = verify.run_verify(seed=args.seed, props=props, alpha=args.alpha,
-                                p=_parse_p(args.p), radius=args.radius,
-                                sphere_count=args.sphere, radial=args.radial,
-                                angular=args.angular)
-    if args.out == "json":
-        _emit(serialize.dumps_canonical(verify.results_to_dicts(results)))
-    elif args.out == "csv":
-        _emit(verify.format_csv(results))
-    else:
-        _emit(verify.format_text(results))
-    return 0 if all(r.passed for r in results) else 1
+def cmd_verify(args) -> _Result:
+    results = verify.run_verify(seed=args.seed, props=args.props or None,
+                                alpha=args.alpha, p=_parse_p(args.p),
+                                radius=args.radius, sphere_count=args.sphere,
+                                radial=args.radial, angular=args.angular)
+    return _Result(partial(verify.results_to_dicts, results),
+                   partial(verify.format_csv, results),
+                   partial(verify.format_text, results),
+                   0 if all(r.passed for r in results) else 1)
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> _Result:
     q = _parse_quaternion(args.q, "--q")
     w = _parse_quaternion(args.w, "--w")
     if args.normalized:
@@ -212,74 +212,48 @@ def cmd_kernel(args) -> int:
     else:
         value = kernels.star_exp_eval(q, w, args.alpha, args.trunc)
         tail = kernels.star_exp_tail_bound(q, w, args.alpha, args.trunc)
-    if not all(map(math.isfinite, (value.w, value.x, value.y, value.z, tail))):
-        sys.stderr.write(f"error: a value is not finite: kernel value = "
-                         f"{_quat_str(value)}, tail bound = {tail!r}\n")
-        return 3
+    _require_finite(("kernel value", value), ("tail bound", tail))
     payload = {"value": serialize.quaternion_to_list(value),
                "tail_bound": tail, "alpha": args.alpha, "N": args.trunc,
                "normalized": bool(args.normalized)}
-    if args.out == "json":
-        _emit(serialize.dumps_canonical(payload))
-    elif args.out == "csv":
-        _emit("value,tail_bound\n"
-              f"{' '.join(repr(v) for v in payload['value'])},{tail!r}")
-    else:
-        _emit(f"kernel value = {_quat_str(value)}\ntail bound = {tail!r}")
-    return 0
+    return _Result(lambda: payload, lambda: f"value,tail_bound\n{_spaced(value)},{tail!r}",
+                   lambda: f"kernel value = {_shown(value)}\ntail bound = {tail!r}")
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> _Result:
     data, unit = serialize.load_atomic(args.atoms)
     series = kernels.atomic_synthesis(data, unit)
+    # refused before the file is written
+    _require_finite(*[(f"coefficient {k}", c) for k, c in enumerate(series.coeffs)
+                      if not _finite(c)])
     serialize.save_function(series, args.output)
-    payload = {"output": args.output, "degree": series.degree,
-               "atoms": len(data.points)}
-    if args.out == "json":
-        _emit(serialize.dumps_canonical(payload))
-    elif args.out == "csv":
-        _emit("output,degree,atoms\n"
-              f"{args.output},{series.degree},{len(data.points)}")
-    else:
-        _emit(f"wrote degree {series.degree} function from "
-              f"{len(data.points)} atoms to {args.output}")
-    return 0
+    atoms, degree = len(data.points), series.degree
+    return _Result(lambda: {"output": args.output, "degree": degree, "atoms": atoms},
+                   lambda: f"output,degree,atoms\n{args.output},{degree},{atoms}",
+                   lambda: f"wrote degree {degree} function from {atoms} atoms "
+                           f"to {args.output}")
 
 
-def cmd_profile(args) -> int:
-    f = serialize.load_function(args.function)
-    if isinstance(f, MultiPolynomial):
-        raise ValueError("profile handles one-variable functions")
-    params = _params_from(args, 2.0)
+def cmd_profile(args) -> _Result:
+    f = _load_series(args.function, "profile handles one-variable functions")
+    params = fock.FockParams(args.alpha, 2.0, radius=args.radius)
     rhos = _parse_floats(args.rho, "--rho")
     if not rhos:
         raise ValueError("--rho expects at least one radius")
     report = fock.little_space_profile(f, params, rhos,
                                        angular_count=args.angular,
                                        tolerance=args.tolerance)
-    if not all(map(math.isfinite, report.values)):
-        shown = ", ".join(f"M({r!r}) = {v!r}"
-                          for r, v in zip(report.rhos, report.values)
-                          if not math.isfinite(v))
-        sys.stderr.write(f"error: a value is not finite: {shown}\n")
-        return 3
-    if args.out == "json":
-        payload = {"rhos": list(report.rhos), "values": list(report.values),
-                   "decreasing_tail": report.decreasing_tail,
-                   "member": report.member, "tolerance": report.tolerance}
-        _emit(serialize.dumps_canonical(payload))
-    elif args.out == "csv":
-        lines = ["rho,value"]
-        lines += [f"{r!r},{v!r}" for r, v in zip(report.rhos, report.values)]
-        _emit("\n".join(lines))
-    else:
-        lines = [f"rho = {r!r}  M = {v!r}"
-                 for r, v in zip(report.rhos, report.values)]
-        verdict = "yes" if report.member else "no"
-        lines.append(f"vanishes at the boundary (tolerance {report.tolerance!r}): "
-                     f"{verdict}")
-        _emit("\n".join(lines))
-    return 0
+    pairs = list(zip(report.rhos, report.values))
+    _require_finite(*[(f"M({r!r})", v) for r, v in pairs if not _finite(v)])
+    payload = {"rhos": list(report.rhos), "values": list(report.values),
+               "decreasing_tail": report.decreasing_tail,
+               "member": report.member, "tolerance": report.tolerance}
+    lines = [f"rho = {r!r}  M = {v!r}" for r, v in pairs]
+    lines.append(f"vanishes at the boundary (tolerance {report.tolerance!r}): "
+                 f"{'yes' if report.member else 'no'}")
+    return _Result(lambda: payload,
+                   lambda: "\n".join(["rho,value"] + [f"{r!r},{v!r}" for r, v in pairs]),
+                   lambda: "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +265,6 @@ def _add_common(sub, *, with_p=True, with_grid=True, with_sphere=True):
                      help="Gaussian weight parameter (default 1.0)")
     sub.add_argument("--radius", type=float, default=1.0,
                      help="ball radius R (default 1.0)")
-    sub.add_argument("--out", choices=("text", "json", "csv"), default="text",
-                     help="output format (default text)")
     if with_p:
         sub.add_argument("--p", default="2.0",
                          help="norm exponent, a number or 'inf' (default 2.0)")
@@ -313,9 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="slicefock",
         description="Slice-regular functions with Gaussian-weighted norms "
                     "on the quaternionic unit ball.")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", choices=("text", "json", "csv"), default="text",
+                        help="output format (default text)")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("eval", help="evaluate a stored function at a point")
+    def add(name, handler, help_text):
+        sub = subs.add_parser(name, parents=[shared], help=help_text)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    sub = add("eval", cmd_eval, "evaluate a stored function at a point")
     sub.add_argument("function", help="JSON function file")
     sub.add_argument("--point", required=True, help="quaternion 'w,x,y,z'")
     sub.add_argument("--slice-unit", default="1,0,0",
@@ -324,26 +304,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--truncate", type=int, default=None,
                      help="also evaluate the truncation at this degree with "
                           "a tail bound")
-    sub.add_argument("--out", choices=("text", "json", "csv"), default="text")
-    sub.set_defaults(handler=cmd_eval)
 
-    sub = subs.add_parser("norm", help="weighted p-norm or sup norm of a function")
+    sub = add("norm", cmd_norm, "weighted p-norm or sup norm of a function")
     sub.add_argument("function", help="JSON function file")
     _add_common(sub)
-    sub.set_defaults(handler=cmd_norm)
 
-    sub = subs.add_parser("verify",
-                          help="run the proposition suite on the seeded corpus")
+    sub = add("verify", cmd_verify, "run the proposition suite on the seeded corpus")
     _add_common(sub)
     sub.add_argument("--seed", type=int, default=0,
                      help="corpus seed (default 0)")
     sub.add_argument("--props", default=None,
                      help="comma separated proposition names (default all): "
                           + ",".join(verify.PROPOSITIONS))
-    sub.set_defaults(handler=cmd_verify)
 
-    sub = subs.add_parser("kernel",
-                          help="truncated exponential kernel value and tail bound")
+    sub = add("kernel", cmd_kernel, "truncated exponential kernel value and tail bound")
     sub.add_argument("--q", required=True, help="evaluation point 'w,x,y,z'")
     sub.add_argument("--w", required=True, help="kernel point 'w,x,y,z'")
     sub.add_argument("--alpha", type=float, default=1.0)
@@ -351,17 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="truncation degree N (default 32)")
     sub.add_argument("--normalized", action="store_true",
                      help="multiply by e^{-alpha |w|^2 / 2}")
-    sub.add_argument("--out", choices=("text", "json", "csv"), default="text")
-    sub.set_defaults(handler=cmd_kernel)
 
-    sub = subs.add_parser("synth",
-                          help="synthesize a function from kernel atoms")
+    sub = add("synth", cmd_synth, "synthesize a function from kernel atoms")
     sub.add_argument("atoms", help="JSON synthesis file")
     sub.add_argument("--output", required=True, help="function file to write")
-    sub.add_argument("--out", choices=("text", "json", "csv"), default="text")
-    sub.set_defaults(handler=cmd_synth)
 
-    sub = subs.add_parser("profile", help="boundary decay profile M(rho)")
+    sub = add("profile", cmd_profile, "boundary decay profile M(rho)")
     sub.add_argument("function", help="JSON function file")
     _add_common(sub, with_p=False, with_grid=False, with_sphere=False)
     sub.add_argument("--angular", type=int, default=256,
@@ -370,15 +339,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma separated radii, strictly increasing in (0, R]")
     sub.add_argument("--tolerance", type=float, default=1e-3,
                      help="membership threshold on M(rho_max) (default 1e-3)")
-    sub.set_defaults(handler=cmd_profile)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        text = getattr(result, args.out)()
+        if args.out == "json":
+            text = serialize.dumps_canonical(text)
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return result.code
+    except _NotFinite as exc:
+        sys.stderr.write(f"error: a value is not finite: {exc}\n")
+        return 3
     except GridTooCoarse as exc:
         sys.stderr.write(f"error: {exc}\n")
         for spec, values in exc.trace:

@@ -134,6 +134,7 @@ COARSE_TOL = 1e-6
 DEFAULT_RADIAL_SAMPLES = 129
 DEFAULT_SUP_ANGULAR = 256
 _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 48             # golden-section rounds of the sup polish
 # grid points per block of the p != 2 quadrature sum: 67 units x 4096 points
 # of float64 is 2.2 MB, which stays in cache.  With two lanes on 2 cores,
 # 2048 and 4096 measured alike at the 512 x 1024 cap (158 ms a call) and
@@ -299,12 +300,6 @@ def _scaled_rows(f: SliceSeries) -> tuple[np.ndarray, int]:
     coeffs = f._coeff_rows
     exponent = math.frexp(float(np.abs(coeffs).max()))[1]
     return np.ldexp(coeffs, -exponent), exponent
-
-
-def _abs_sq_rows(coeffs: np.ndarray, units, radii: np.ndarray,
-                 theta: np.ndarray) -> np.ndarray:
-    """|f|^2 on the polar grid of every slice C_I, shape (M, Nr * Nt)."""
-    return _abs_sq_evaluator(coeffs, units, theta)(radii)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +588,7 @@ _GOLDEN_SPLIT = np.array([[1.0, _GOLDEN_RATIO_CONJ, 1.0 - _GOLDEN_RATIO_CONJ, 0.
                           [0.0, 1.0 - _GOLDEN_RATIO_CONJ, _GOLDEN_RATIO_CONJ, 1.0]])
 
 
-def _golden_max_rows(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 48) -> np.ndarray:
+def _golden_max_rows(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """_golden_max for every row at once; fn maps (M, 2) abscissae to values.
 
     A round evaluates both interior points of every row in one call, so it
@@ -604,7 +599,7 @@ def _golden_max_rows(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 48) -> np.
     """
     ends = np.stack([lo, hi], axis=1)
     best = fn(ends).max(axis=1)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         cuts = ends[:, :1] * _GOLDEN_SPLIT[0] + ends[:, 1:] * _GOLDEN_SPLIT[1]
         vals = fn(cuts[:, 1:3])
         np.maximum(best, vals.max(axis=1), out=best)
@@ -725,7 +720,7 @@ def _sup_grid_stage(f: SliceSeries, units, ball: bool, radii: np.ndarray,
         flat, grid_max = _pruned_unit_maxima(s, v, bound, units, w)
         out.append(_grid_maxima(coeffs, units, exponent, flat, grid_max, radii, theta))
     elif units:
-        vals = _abs_sq_rows(coeffs, units, radii, theta)
+        vals = _abs_sq_evaluator(coeffs, units, theta)(radii)
         np.sqrt(vals, out=vals)
         cells = vals.reshape(len(units), radii.size, theta.size)   # a view
         cells *= weight[:, None]

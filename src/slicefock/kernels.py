@@ -244,19 +244,22 @@ def atomic_synthesis(data: AtomicData, unit: ImaginaryUnit) -> SliceSeries:
                             f"{dist[k]:.3e} away from the slice")
     # math.exp, not np.exp: the two may round differently
     damps = np.array([math.exp(-0.5 * data.alpha * m) for m in modulus_sq.tolist()])
-    conj_powers = _qpowers(points * _CONJ_SIGNS, data.trunc_degree)
     scales = [1.0]
     for n in range(1, data.trunc_degree + 1):
         # scale * (alpha / n), not (scale * alpha) / n, which rounds otherwise
         scales.append(scales[-1] * (data.alpha / n))
-    terms = _qmul(conj_powers, _rows(data.coeffs)) * (
-        np.array(scales)[:, None] * damps)[..., None]
-    # add the atoms one by one in storage order; a BLAS product or np.sum
-    # over k would reduce in a shape-dependent order, so a coefficient could
-    # change with the truncation degree
-    coeffs = np.zeros((data.trunc_degree + 1, 4))
-    for k in range(len(data.points)):
-        coeffs += terms[:, k]
+    # a coefficient that overflows comes back inf or NaN, quietly; the
+    # caller decides whether to refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        conj_powers = _qpowers(points * _CONJ_SIGNS, data.trunc_degree)
+        terms = _qmul(conj_powers, _rows(data.coeffs)) * (
+            np.array(scales)[:, None] * damps)[..., None]
+        # add the atoms one by one in storage order; a BLAS product or np.sum
+        # over k would reduce in a shape-dependent order, so a coefficient
+        # could change with the truncation degree
+        coeffs = np.zeros((data.trunc_degree + 1, 4))
+        for k in range(len(data.points)):
+            coeffs += terms[:, k]
     return SliceSeries(_from_rows(coeffs))
 
 

@@ -416,12 +416,17 @@ def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:
 # scalar counterpart bit for bit
 # ---------------------------------------------------------------------------
 
+def _row_table(tables) -> np.ndarray:
+    """Row tables (N_j, 4) of several series, zero-padded at the top, (len, K, 4)."""
+    out = np.zeros((len(tables), max(map(len, tables)), 4))
+    for row, table in zip(out, tables):
+        row[:len(table)] = table
+    return out
+
+
 def _coeff_table(fs) -> np.ndarray:
     """Coefficient rows of several series, zero-padded at the top, (len(fs), K, 4)."""
-    table = np.zeros((len(fs), max(len(f.coeffs) for f in fs), 4))
-    for row, f in zip(table, fs):
-        row[:len(f.coeffs)] = f._coeff_rows
-    return table
+    return _row_table([f._coeff_rows for f in fs])
 
 
 def _eval_rows(table: np.ndarray, points: np.ndarray) -> np.ndarray:

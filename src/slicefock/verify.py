@@ -34,12 +34,12 @@ from .fock import (DEFAULT_RADIAL_SAMPLES, DEFAULT_SUP_ANGULAR, FockParams,
                    _derivative_reports, _dilation_values, _monomial_sup,
                    _slice_norms_on_grid, _sup_over_rows)
 from .quadrature import QuadratureGrid
-from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _modulus_rows, _qmul,
-                         _rows, _unit_rows, default_sphere)
+from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _decompose_rows,
+                         _modulus_rows, _qmul, _rows, _unit_rows, default_sphere)
 from .series import (_SINGULAR_TOL, MultiMonomial, SliceSeries, _coeff_table,
-                     _eval_rows, _extend_rows, _rep_eval_rows, _split_rows,
-                     _star_inverse_rows, _transform_rows, regular_conjugate,
-                     star_mul, truncate)
+                     _eval_rows, _extend_rows, _rep_eval_rows, _row_table,
+                     _split_rows, _star_inverse_rows, _transform_rows, star_mul,
+                     truncate)
 
 __all__ = ["PropositionResult", "PROPOSITIONS", "run_verify",
            "format_text", "results_to_dicts", "format_csv"]
@@ -103,16 +103,15 @@ def _worst(values: np.ndarray, start: float = 0.0) -> float:
 def _check_star(corpus, seed: int) -> PropositionResult:
     rng = rng_for(seed + 101)
     fs = [truncate(f, 8) for f in corpus]
+    firsts, seconds = fs[0:200:2], fs[1:200:2]
     worst_zero = worst_real = 0.0
-    functions, points = [], []                 # (f, g, f * g, f^c, f^s) per pair
-    for i in range(100):
-        f, g = fs[2 * i], fs[2 * i + 1]
-        fc = regular_conjugate(f)
-        sym = star_mul(f, fc)                  # f^s, formed once per function
-        functions.append((f, g, star_mul(f, g), fc, sym))
-        coeff_scale = max(1.0, max(c.modulus() for c in sym.coeffs))
-        worst_real = max(worst_real,
-                         max(c.imag_modulus() for c in sym.coeffs) / coeff_scale)
+    products, points = [], []
+    for f, g in zip(firsts, seconds):
+        products.append(star_mul(f, g))
+        # f^s from the series' table: |c| and |Im c| as modulus and imag_modulus
+        coeff_scale = max(1.0, max(_modulus_rows(f._sym_rows).tolist()))
+        imag = _decompose_rows(f._sym_rows[:, 1:])[0]
+        worst_real = max(worst_real, max(imag.tolist()) / coeff_scale)
 
         # a zero of the left factor must kill the star product
         z0 = random_ball_point(rng)
@@ -124,7 +123,9 @@ def _check_star(corpus, seed: int) -> PropositionResult:
         points.append(_rows([random_ball_point(rng) for _ in range(20)]))
 
     # every point of a function at once: one table row per function, (100, 1, K, 4)
-    f, g, fg, fc, sym = (_coeff_table(column)[:, None] for column in zip(*functions))
+    f, g, fg = (_coeff_table(column)[:, None] for column in (firsts, seconds, products))
+    fc = _row_table([h._conj_rows for h in firsts])[:, None]
+    sym = _row_table([h._sym_rows for h in firsts])[:, None]
     q = np.array(points)
     # points where f(q) is small are skipped below; their rows may be inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

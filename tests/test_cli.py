@@ -420,6 +420,31 @@ def test_synth_rejects_infinite_alpha(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("point, coeff, shown", [
+    # |z|^2 overflows, so the damping is 0 and 0 * z^n = NaN once z^n is inf
+    ("1e200", "1.0", "coefficient 2 = [nan, nan, nan, nan], "
+                     "coefficient 3 = [nan, nan, nan, nan]"),
+    # z^3 a = 27e307 overflows before it is damped
+    ("3.0", "1e307", "coefficient 3 = [inf, 0.0, 0.0, 0.0]"),
+], ids=["nan", "inf"])
+def test_synth_refuses_a_non_finite_series(tmp_path, capsys, point, coeff, shown):
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text('{"alpha": 1.0, "N": 3, "slice": [1.0, 0.0, 0.0], '
+                     f'"points": [[{point}, 0, 0, 0]], "coeffs": [[{coeff}, 0, 0, 0]]}}\n')
+    out_path = tmp_path / "h.json"
+    argv = ["synth", str(atoms), "--output", str(out_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == f"error: a value is not finite: {shown}\n"
+        assert not out_path.exists()
+        # nor is an existing file overwritten
+        out_path.write_text("kept\n")
+        assert run(capsys, argv) == (3, "", err)
+        assert out_path.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("argv, field", [
     (["--p", "inf", "--radius", "inf"], "radius"),
     (["--p", "inf", "--alpha", "inf"], "alpha"),
@@ -468,3 +493,56 @@ def test_profile_has_no_sphere_flag(capsys):
         build_parser().parse_args(["profile", "f.json", "--rho", "1", "--sphere", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# --- every subcommand's stdout, stderr and exit code, pinned byte for byte ---
+
+OUTPUTS = Path(__file__).resolve().parent / "data" / "cli_outputs.json"
+
+# f = 1 + q 0.5i + q^2 (0.25 - 0.5j + 0.125k); huge = 1e308 (1 + q)
+_MATRIX_FILES = {
+    "f.json": '{"n": 1, "radius": 1.0, "coeffs": [[1.0, 0.0, 0.0, 0.0], '
+              '[0.0, 0.5, 0.0, 0.0], [0.25, 0.0, -0.5, 0.125]]}',
+    "huge.json": '{"n": 1, "radius": 1.0, "coeffs": [[1e308, 0.0, 0.0, 0.0], '
+                 '[1e308, 0.0, 0.0, 0.0]]}',
+    "poly.json": dumps_canonical(function_to_dict(
+        MultiPolynomial(2, (MultiMonomial((1, 0), Quaternion(1.0)),)))),
+    "atoms.json": '{"alpha": 1.0, "N": 6, "slice": [1.0, 0.0, 0.0], '
+                  '"points": [[0.1, 0.2, 0.0, 0.0], [-0.3, 0.1, 0.0, 0.0]], '
+                  '"coeffs": [[1.0, 0.0, 0.5, 0.0], [0.0, -0.25, 0.0, 1.0]]}',
+}
+
+MATRIX = {
+    "eval": "eval f.json --point 0.1,0.2,0.3,0.1",
+    "eval-truncate": "eval f.json --point 0.1,0.2,0.3,0.1 --truncate 1",
+    "eval-overflow": "eval f.json --point 1e300,0,0,0",
+    "eval-several-variables": "eval poly.json --point 0,0,0,0",
+    "eval-bad-point": "eval f.json --point 1,2,3",
+    "norm-p2": "norm f.json --p 2 --sphere 2",
+    "norm-p1.5": "norm f.json --p 1.5 --sphere 2",
+    "norm-inf": "norm f.json --p inf --sphere 2",
+    "norm-p2-overflow": "norm huge.json --p 2 --radius 30 --alpha 0.001 --sphere 2",
+    "verify": "verify --props star,split",
+    "kernel": "kernel --q 0.1,0.2,0.3,0 --w 0.5,0,0.25,0 --trunc 12",
+    "kernel-normalized": "kernel --q 0.1,0.2,0.3,0 --w 0.5,0,0.25,0 --normalized",
+    "kernel-overflow": "kernel --q 30,0,0,0 --w 30,0,0,0 --trunc 40",
+    "synth": "synth atoms.json --output g.json",
+    "profile": "profile f.json --rho 0.25,0.5,1.0",
+    "profile-overflow": "profile huge.json --radius 10 --alpha 0.001 --rho 0.5,10",
+}
+
+
+def matrix_output(capsys, case: str, out: str) -> dict:
+    """Exit code, stdout and stderr of one matrix command, run in the cwd."""
+    for name, text in _MATRIX_FILES.items():
+        Path(name).write_text(text + "\n")
+    code, stdout, err = run(capsys, shlex.split(MATRIX[case]) + ["--out", out])
+    return {"code": code, "out": stdout, "err": err}
+
+
+@pytest.mark.parametrize("out", ["text", "json", "csv"])
+@pytest.mark.parametrize("case", list(MATRIX))
+def test_output_matrix(tmp_path, capsys, monkeypatch, case, out):
+    monkeypatch.chdir(tmp_path)
+    want = json.loads(OUTPUTS.read_text())[case][out]
+    assert matrix_output(capsys, case, out) == want

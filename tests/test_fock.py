@@ -28,7 +28,7 @@ from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
                        split, sup_norm)
 from slicefock import fock
 from slicefock.corpus import random_series, rng_for, standard_corpus
-from slicefock.fock import (_BLOCK_POINTS, _POLISH_ROWS, _abs_sq_rows,
+from slicefock.fock import (_BLOCK_POINTS, _POLISH_ROWS, _abs_sq_evaluator,
                             _GOLDEN_RATIO_CONJ, _chebyshev_radii, _golden_max_rows,
                             _ray_coeffs,
                             _scaled_rows, _slice_norms_on_grid, _slice_terms,
@@ -567,7 +567,7 @@ def test_little_space_profile_is_exact_over_the_units():
     for _ in range(5):
         f = random_series(rng, max_degree=10)
         report = little_space_profile(f, P2, rhos, angular_count=64)
-        absq = _abs_sq_rows(_rows(f.coeffs), units, np.array(rhos), theta)
+        absq = _abs_sq_evaluator(_rows(f.coeffs), units, theta)(np.array(rhos))
         sampled = np.sqrt(absq.reshape(len(units), len(rhos), -1).max(axis=(0, 2)))
         for rho, value, low in zip(rhos, report.values, sampled):
             weighted = low * math.exp(-0.5 * rho * rho)
@@ -589,7 +589,7 @@ def test_zero_on_a_grid_node_gives_finite_norms():
     unit = default_sphere()[9]
     f = SliceSeries((-unit.as_quaternion(), Quaternion(1.0)))
     theta = 2.0 * np.pi * np.arange(256) / 256
-    absq = _abs_sq_rows(_rows(f.coeffs), default_sphere(), np.array([1.0]), theta)
+    absq = _abs_sq_evaluator(_rows(f.coeffs), default_sphere(), theta)(np.array([1.0]))
     assert absq.min() >= 0.0
     assert absq[9, 64] <= 1e-15
     sup = sup_norm(f, P2)
@@ -621,7 +621,7 @@ def test_abs_sq_rows_matches_quaternion_horner(rows, dirs, radii, angles):
     f = _series_from(rows)
     units = [ImaginaryUnit.normalized(*d) for d in dirs]
     radii, theta = np.array(radii), np.array(angles)
-    absq = _abs_sq_rows(_rows(f.coeffs), units, radii, theta)
+    absq = _abs_sq_evaluator(_rows(f.coeffs), units, theta)(radii)
     assert absq.shape == (len(units), radii.size * theta.size)
     for m, unit in enumerate(units):
         for i, r in enumerate(radii):
@@ -985,9 +985,9 @@ def test_helper_lanes_keep_the_callers_error_state():
     coeffs, _ = _scaled_rows(f)
     params = FockParams(alpha=1.0, p=1.5, n=1, radius=radius)
     with np.errstate(over="raise"):
-        _abs_sq_rows(coeffs, units, r[:64], grid.angles())
+        _abs_sq_evaluator(coeffs, units, grid.angles())(r[:64])
         with pytest.raises(FloatingPointError):
-            _abs_sq_rows(coeffs, units, r[64:], grid.angles())
+            _abs_sq_evaluator(coeffs, units, grid.angles())(r[64:])
         with pytest.raises(FloatingPointError):
             _serial_slice_norms(f, units, params, grid)
         with unittest.mock.patch.object(fock, "_usable_cores", lambda: 2):
@@ -1160,7 +1160,7 @@ def _reference_sup_over_rows(f, units, alpha, radius, radial_samples,
     coeffs, exponent = _scaled_rows(f)
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
-    mags = np.sqrt(_abs_sq_rows(coeffs, units, radii, theta))
+    mags = np.sqrt(_abs_sq_evaluator(coeffs, units, theta)(radii))
     weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
     vals = (mags.reshape(-1, radial_samples, angular_count)
             * weight[None, :, None]).reshape(len(units), -1)
