@@ -51,11 +51,10 @@ def main(argv=None) -> int:
     for n in degrees:
         f = monomial(n)
         for alpha in alphas:
-            sup_params = FockParams(alpha=alpha, p=2.0, n=1,
-                                    radius=args.radius)
+            sup_params = FockParams(alpha=alpha, p=2.0, radius=args.radius)
             sup = sup_norm(f, sup_params, sphere).value
             for p in exponents:
-                params = FockParams(alpha=alpha, p=p, n=1, radius=args.radius)
+                params = FockParams(alpha=alpha, p=p, radius=args.radius)
                 on_slice = slice_norm_p(f, UNIT_I, params, grid)
                 ball = fock_norm_p(f, params, grid, sphere).value
                 lines.append(f"{n},{alpha!r},{p!r},{on_slice!r},{ball!r},"

@@ -148,6 +148,8 @@ def cmd_eval(args) -> _Result:
     lines = [f"value = {_shown(value)}",
              f"|value| = {value.modulus()!r}",
              f"rep-formula residual = {residual!r}"]
+    header = "point,value,rep_residual"
+    row = f"{_spaced(q)},{_spaced(value)},{residual!r}"
     if args.truncate is not None:
         approx = truncate(f, args.truncate).eval(q)
         bound = tail_bound(f, q.modulus(), args.truncate)
@@ -156,12 +158,11 @@ def cmd_eval(args) -> _Result:
         payload["tail_bound"] = bound
         lines += [f"truncated({args.truncate}) = {_shown(approx)}",
                   f"tail bound = {bound!r}"]
+        header += ",truncated,tail_bound"
+        row += f",{_spaced(approx)},{bound!r}"
     if payload["outside_radius"]:
         lines.append("warning: point lies outside the nominal radius")
-    return _Result(lambda: payload,
-                   lambda: f"point,value,rep_residual\n{_spaced(q)},{_spaced(value)},"
-                           f"{residual!r}",
-                   lambda: "\n".join(lines))
+    return _Result(lambda: payload, lambda: f"{header}\n{row}", lambda: "\n".join(lines))
 
 
 def cmd_norm(args) -> _Result:
@@ -260,18 +261,17 @@ def cmd_profile(args) -> _Result:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, with_p=True, with_grid=True, with_sphere=True):
+def _add_common(sub, *, norm_flags=True):
+    """--alpha and --radius; with norm_flags also --p, --sphere and the grid sizes."""
     sub.add_argument("--alpha", type=float, default=1.0,
                      help="Gaussian weight parameter (default 1.0)")
     sub.add_argument("--radius", type=float, default=1.0,
                      help="ball radius R (default 1.0)")
-    if with_p:
+    if norm_flags:
         sub.add_argument("--p", default="2.0",
                          help="norm exponent, a number or 'inf' (default 2.0)")
-    if with_sphere:
         sub.add_argument("--sphere", type=int, default=64,
                          help="imaginary units sampled on the sphere (default 64)")
-    if with_grid:
         sub.add_argument("--radial", type=int, default=DEFAULT_RADIAL,
                          help=f"radial quadrature nodes at p != 2 "
                               f"(default {DEFAULT_RADIAL})")
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("profile", cmd_profile, "boundary decay profile M(rho)")
     sub.add_argument("function", help="JSON function file")
-    _add_common(sub, with_p=False, with_grid=False, with_sphere=False)
+    _add_common(sub, norm_flags=False)
     sub.add_argument("--angular", type=int, default=256,
                      help="angular samples per circle (default 256)")
     sub.add_argument("--rho", required=True,

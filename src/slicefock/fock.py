@@ -2,15 +2,18 @@
 
 Conventions.  For 0 < p < infinity the slice norm on C_I is
 
-    ||f||_{p,I} = ( (a/pi)^n  integral_{B_I} |f(z) e^{-a|z|^2/2}|^p dA_I(z) )^{1/p}
+    ||f||_{p,I} = ( (a/pi)  integral_{B_I} |f(z) e^{-a|z|^2/2}|^p dA_I(z) )^{1/p}
 
-with dA_I = dx dy / pi, the global norm is the supremum of the slice norms
-over the sampled sphere of imaginary units, and for p = infinity
+with dA_I = dx dy / pi.  This is the paper's (a/pi)^n at n = 1: the norms
+are of one-variable series, and a function's dimension is its own
+(MultiPolynomial.n), not a setting of the norm.  The global norm is the
+supremum of the slice norms over the sampled sphere of imaginary units,
+and for p = infinity
 
     ||f||_inf = sup |f(q)| e^{-a|q|^2/2}
 
 over the ball.  The inner product pairs f against the conjugate of g
-with weight (a/pi)^n e^{-a|z|^2}.  At p = 2 the norm and the inner product
+with weight (a/pi) e^{-a|z|^2}.  At p = 2 the norm and the inner product
 are closed forms in the moments m_k below, and no grid is built.  At
 p != 2 quadrature is polar Gauss-Legendre times trapezoid (see
 quadrature.py) with automatic refinement: the grid is doubled until
@@ -22,7 +25,7 @@ quaternion c into pi_I(c), its projection onto C_I, which commutes with I,
 and the rest c', which anticommutes with I.  Then z^k c conj(z)^l =
 r^{k+l} (pi_I(c) e^{I(k-l)t} + c' e^{-I(k+l)t}), whose angular integral
 keeps pi_I(c) when k = l, c' only when k = l = 0, and nothing else.
-Hence, with the weight above (n = 1),
+Hence, with the weight above,
 
     ||f||_{2,I}^2 = sum_k |a_k|^2 m_k,
     <f, g>_I = a_0 conj(b_0) m_0 + sum_{k >= 1} pi_I(a_k conj(b_k)) m_k,
@@ -107,7 +110,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridTooCoarse
-from .quadrature import (ANGULAR_CAP, RADIAL_CAP, QuadratureGrid)
+from .quadrature import ANGULAR_CAP, RADIAL_CAP, QuadratureGrid
 from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, UNIT_I,
                          _imaginary_rows, _qmul, _unit_rows,
                          default_sphere, orthonormal_partner)
@@ -135,6 +138,7 @@ DEFAULT_RADIAL_SAMPLES = 129
 DEFAULT_SUP_ANGULAR = 256
 _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 48             # golden-section rounds of the sup polish
+SLACK = 1e-9                   # rounding allowance of derivative_criterion's test
 # grid points per block of the p != 2 quadrature sum: 67 units x 4096 points
 # of float64 is 2.2 MB, which stays in cache.  With two lanes on 2 cores,
 # 2048 and 4096 measured alike at the 512 x 1024 cap (158 ms a call) and
@@ -156,11 +160,10 @@ _BOUND_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class FockParams:
-    """Finite weight alpha > 0, exponent p, dimension n, finite ball radius."""
+    """Finite weight alpha > 0, exponent p, finite ball radius."""
 
     alpha: float
     p: float = 2.0
-    n: int = 1
     radius: float = 1.0
 
     def __post_init__(self):
@@ -168,8 +171,6 @@ class FockParams:
             raise ValueError("alpha must be positive and finite")
         if not (self.p > 0.0 or self.p == math.inf):
             raise ValueError("p must be positive or infinity")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
         if not 0.0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
 
@@ -372,14 +373,6 @@ def _in_lanes(fn, items) -> list:
 # p-norms: closed form at p = 2, quadrature with refinement otherwise
 # ---------------------------------------------------------------------------
 
-def _require_quadrature_params(params: FockParams) -> None:
-    if params.p == math.inf:
-        raise ValueError("p = infinity has no quadrature norm; use sup_norm")
-    if params.n != 1:
-        raise ValueError("quadrature norms are implemented for n = 1 only; "
-                         "several variables are restricted to slice suprema")
-
-
 def _grid_for(params: FockParams, grid: QuadratureGrid | None) -> QuadratureGrid:
     if grid is None:
         return QuadratureGrid.build(radius=params.radius)
@@ -482,19 +475,19 @@ def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
     sums = np.zeros(len(units))
     for part in _in_lanes(block_sum, range(0, r.size, rows)):
         sums += part
-    integrals = (params.alpha / math.pi) ** params.n / math.pi * sums
+    integrals = params.alpha / math.pi / math.pi * sums
     # a norm that overflows is inf, which _refine_norms refuses; numpy need not warn
     with np.errstate(over="ignore"):
         return np.ldexp(np.maximum(integrals, 0.0) ** (1.0 / p), exponent)
 
 
-def _refine_norms(f, units, params, grid, radial_cap, angular_cap):
+def _refine_norms(f, units, params, grid):
     """Per-slice norms on the first grid that agrees with its coarser one.
 
-    The grid is doubled until successive values agree to 1e-8 relative (see
-    module docstring).  Returns (values, grid, trace, refinements).  A start
-    grid at the cap is accepted; a non-finite value never stabilizes and
-    raises at once.
+    The grid is doubled until successive values agree to 1e-8 relative or
+    it reaches RADIAL_CAP x ANGULAR_CAP (see module docstring).  Returns
+    (values, grid, trace, refinements).  A start grid at the cap is
+    accepted; a non-finite value never stabilizes and raises at once.
     """
     trace, coarser = [], None
     while True:
@@ -503,7 +496,7 @@ def _refine_norms(f, units, params, grid, radial_cap, angular_cap):
         if not np.all(np.isfinite(values)):
             raise GridTooCoarse("a value is not finite on grid "
                                 f"{grid.radial_count} x {grid.angular_count}", trace)
-        at_cap = grid.radial_count >= radial_cap or grid.angular_count >= angular_cap
+        at_cap = grid.radial_count >= RADIAL_CAP or grid.angular_count >= ANGULAR_CAP
         rel = (float(np.max(np.abs(values - coarser)
                             / np.maximum(np.abs(values), 1e-300)))
                if coarser is not None else 0.0 if at_cap else math.inf)
@@ -511,48 +504,45 @@ def _refine_norms(f, units, params, grid, radial_cap, angular_cap):
             return values, grid, trace, len(trace) - 1
         if at_cap:
             raise GridTooCoarse("grid refinements disagree beyond 1e-6 relative at the "
-                                f"resolution cap {radial_cap} x {angular_cap}", trace)
+                                f"resolution cap {RADIAL_CAP} x {ANGULAR_CAP}", trace)
         coarser, grid = values, grid.doubled()
 
 
-def _norms(f, units, params, grid, radial_cap, angular_cap) -> tuple[np.ndarray, dict]:
+def _norms(f, units, params, grid) -> tuple[np.ndarray, dict]:
     """Slice norms of f on every unit and their grid spec, without the sphere.
 
     At p = 2 the closed form, with no grid built (a passed one is still
     checked); otherwise the refined quadrature.
     """
-    _require_quadrature_params(params)
+    if params.p == math.inf:
+        raise ValueError("p = infinity has no quadrature norm; use sup_norm")
     if params.p == 2.0:
         if grid is not None:
             _grid_for(params, grid)
         return (np.full(len(units), _p2_norm(f, params)),
                 {"rule": "closed form", "radius": params.radius})
     values, final_grid, _, refinements = _refine_norms(
-        f, units, params, _grid_for(params, grid), radial_cap, angular_cap)
+        f, units, params, _grid_for(params, grid))
     return values, {**final_grid.describe(), "rule": "gauss-legendre x trapezoid",
                     "refinements": refinements}
 
 
 def slice_norm_p(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
-                 grid: QuadratureGrid | None = None, *,
-                 radial_cap: int = RADIAL_CAP,
-                 angular_cap: int = ANGULAR_CAP) -> float:
+                 grid: QuadratureGrid | None = None) -> float:
     """p-norm of f restricted to the slice C_I, 0 < p < infinity."""
-    values, _ = _norms(f, [unit], params, grid, radial_cap, angular_cap)
+    values, _ = _norms(f, [unit], params, grid)
     return float(values[0])
 
 
 def fock_norm_p(f: SliceSeries, params: FockParams,
-                grid: QuadratureGrid | None = None, sphere=None, *,
-                radial_cap: int = RADIAL_CAP,
-                angular_cap: int = ANGULAR_CAP) -> NormReport:
+                grid: QuadratureGrid | None = None, sphere=None) -> NormReport:
     """Supremum of the slice p-norms over the sampled sphere of units.
 
     At p = 2 every slice norm is the same, so per_slice holds one value
     for every unit, and a norm that overflows is inf.
     """
     units = list(sphere) if sphere is not None else default_sphere()
-    values, spec = _norms(f, units, params, grid, radial_cap, angular_cap)
+    values, spec = _norms(f, units, params, grid)
     per_slice = tuple((u, float(v)) for u, v in zip(units, values))
     return NormReport(float(values.max()), per_slice, {**spec, "sphere": len(units)})
 
@@ -561,12 +551,11 @@ def inner_product(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
                   params: FockParams) -> Quaternion:
     """Quaternion-valued pairing integral_{B_I} f(z) conj(g(z)) dlambda_I(z).
 
-    The weight is (a/pi)^n e^{-a|z|^2} dA_I.  Linear in f; conjugate-linear
+    The weight is (a/pi) e^{-a|z|^2} dA_I.  Linear in f; conjugate-linear
     in g only for slice-valued g, which tests keep visible.  In closed form
     it is a_0 conj(b_0) m_0 + sum_{k >= 1} pi_I(a_k conj(b_k)) m_k, with
     pi_I the projection onto C_I (module docstring).
     """
-    _require_quadrature_params(FockParams(params.alpha, 2.0, params.n, params.radius))
     sums, shift = _pairing(f, g, unit, params)
     with np.errstate(over="ignore"):
         return Quaternion(*(float(c) for c in np.ldexp(sums, shift)))
@@ -589,7 +578,7 @@ _GOLDEN_SPLIT = np.array([[1.0, _GOLDEN_RATIO_CONJ, 1.0 - _GOLDEN_RATIO_CONJ, 0.
 
 
 def _golden_max_rows(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """_golden_max for every row at once; fn maps (M, 2) abscissae to values.
+    """Golden-section max of every row on [lo, hi]; fn maps (M, 2) abscissae to values.
 
     A round evaluates both interior points of every row in one call, so it
     costs a few numpy calls however many rows there are.  The cuts are
@@ -933,26 +922,25 @@ def _dilation_values(fs, params: FockParams, r_list, radial_samples: int,
 
 def derivative_criterion(f: SliceSeries, order: int, params: FockParams,
                          radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
-                         angular_count: int = DEFAULT_SUP_ANGULAR,
-                         slack: float = 1e-9) -> DerivativeCriterionReport:
+                         angular_count: int = DEFAULT_SUP_ANGULAR
+                         ) -> DerivativeCriterionReport:
     """Weighted sup of the t-th slice derivative against its split components.
 
     Computes  sup |d^t f(q)| e^{-a|q|^2/2} / (1+|q|)^t  over the ball, exact
     over the units, and the matching suprema of the two split components on
     C_i, then checks
 
-        sup(f) <= sup(f_1) + sup(f_2) + slack.
+        sup(f) <= sup(f_1) + sup(f_2) + SLACK.
 
     The argmax of the left side (and its conjugate) is re-evaluated on the
     component side so discretization cannot break the comparison.
     """
     return _derivative_reports([f], order, params, radial_samples,
-                               angular_count, slack)[0]
+                               angular_count)[0]
 
 
 def _derivative_reports(fs, order: int, params: FockParams, radial_samples: int,
-                        angular_count: int,
-                        slack: float) -> list[DerivativeCriterionReport]:
+                        angular_count: int) -> list[DerivativeCriterionReport]:
     """derivative_criterion for each f in fs, with one sup call for all of them.
 
     The call polishes the ball row of d^t f and its two split parts on i.
@@ -978,7 +966,7 @@ def _derivative_reports(fs, order: int, params: FockParams, radial_samples: int,
         s1 = max(float(part1.sups[0]), ratio_at(f1, zstar), ratio_at(f1, zstar.conjugate()))
         s2 = max(float(part2.sups[0]), ratio_at(f2, zstar), ratio_at(f2, zstar.conjugate()))
         reports.append(DerivativeCriterionReport(order, left.ball, (s1, s2),
-                                                 left.ball <= s1 + s2 + slack))
+                                                 left.ball <= s1 + s2 + SLACK))
     return reports
 
 

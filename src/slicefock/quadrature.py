@@ -20,6 +20,7 @@ once per count and shared, read-only, by every grid of that count.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,43 +46,33 @@ def _legendre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
 class QuadratureGrid:
     """Positive-weight polar grid for one slice disk of the given radius."""
 
-    radial_nodes: tuple[tuple[float, float], ...]
+    radial_count: int
     angular_count: int
     radius: float
 
     def __post_init__(self):
+        if self.radial_count < 1:
+            raise ValueError("radial_count must be positive")
         if self.angular_count < 1:
             raise ValueError("angular_count must be positive")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        for r, w in self.radial_nodes:
-            if not (0.0 <= r <= self.radius and w > 0.0):
-                raise ValueError("radial nodes must lie in [0, R] with positive weights")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
 
     @classmethod
     def build(cls, radial_count: int = DEFAULT_RADIAL,
               angular_count: int = DEFAULT_ANGULAR,
               radius: float = 1.0) -> "QuadratureGrid":
-        if radial_count < 1:
-            raise ValueError("radial_count must be positive")
-        xs, ws = _legendre_nodes(radial_count)
-        r = 0.5 * radius * (xs + 1.0)
-        w = 0.5 * radius * ws
-        nodes = tuple((float(a), float(b)) for a, b in zip(r, w))
-        return cls(nodes, int(angular_count), float(radius))
-
-    @property
-    def radial_count(self) -> int:
-        return len(self.radial_nodes)
+        # a float radial count is refused (leggauss takes no float), not truncated
+        return cls(operator.index(radial_count), int(angular_count), float(radius))
 
     def doubled(self) -> "QuadratureGrid":
         return QuadratureGrid.build(2 * self.radial_count,
                                     2 * self.angular_count, self.radius)
 
     def radial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        r = np.array([n[0] for n in self.radial_nodes])
-        w = np.array([n[1] for n in self.radial_nodes])
-        return r, w
+        """Gauss-Legendre nodes r = R (x + 1) / 2 on [0, R] and weights R w / 2."""
+        xs, ws = _legendre_nodes(self.radial_count)
+        return 0.5 * self.radius * (xs + 1.0), 0.5 * self.radius * ws
 
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count

@@ -30,7 +30,7 @@ import numpy as np
 
 from .corpus import (random_ball_point, random_orthogonal_pair, random_unit,
                      rng_for, standard_corpus)
-from .fock import (DEFAULT_RADIAL_SAMPLES, DEFAULT_SUP_ANGULAR, FockParams,
+from .fock import (DEFAULT_RADIAL_SAMPLES, DEFAULT_SUP_ANGULAR, SLACK, FockParams,
                    _derivative_reports, _dilation_values, _monomial_sup,
                    _slice_norms_on_grid, _sup_over_rows)
 from .quadrature import QuadratureGrid
@@ -43,8 +43,6 @@ from .series import (_SINGULAR_TOL, MultiMonomial, SliceSeries, _coeff_table,
 
 __all__ = ["PropositionResult", "PROPOSITIONS", "run_verify",
            "format_text", "results_to_dicts", "format_csv"]
-
-SLACK = 1e-9
 
 PROPOSITIONS = (
     "derivative",
@@ -264,7 +262,7 @@ def _check_derivative(corpus, params: FockParams, radial_samples: int,
     margins, vacuous = [], 0
     for order in orders:
         reports = _derivative_reports(subset, order, params, radial_samples,
-                                      angular_count, SLACK)
+                                      angular_count)
         for f, rep in zip(subset, reports):
             if order > f.degree:
                 vacuous += 1
@@ -317,7 +315,7 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     if not math.isfinite(p):
         raise ValueError(f"verify needs a finite p, got {p!r}")
     selected = _select(props)
-    params = FockParams(alpha=alpha, p=p, n=1, radius=radius)
+    params = FockParams(alpha=alpha, p=p, radius=radius)
     corpus = standard_corpus(seed)
     units = default_sphere(sphere_count)
     grid = QuadratureGrid.build(radial, angular, radius)

@@ -26,7 +26,7 @@ from slicefock.fock import _slice_norms_on_grid
 from slicefock.verify import run_verify
 
 COUNT = 10_000
-PARAMS = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
+PARAMS = FockParams(alpha=1.0, p=2.0, radius=1.0)
 
 
 @pytest.fixture(scope="module")

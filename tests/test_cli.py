@@ -41,6 +41,19 @@ def test_eval_text_with_truncation(tmp_path, capsys):
     assert "warning" not in out
 
 
+def test_eval_csv_carries_the_truncation(tmp_path, capsys):
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 0.5),
+                                   Quaternion(0.25, 0.0, -0.5, 0.125)])
+    argv = ["eval", path, "--point", "0.1,0.2,0.3,0.1", "--truncate", "1", "--out"]
+    _, csv_out, _ = run(capsys, argv + ["csv"])
+    _, json_out, _ = run(capsys, argv + ["json"])
+    header, row = csv_out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    payload = json.loads(json_out)
+    assert float(fields["tail_bound"]) == payload["tail_bound"] > 0.0
+    assert [float(v) for v in fields["truncated"].split()] == payload["truncated"]
+
+
 def test_eval_json_and_outside_radius(tmp_path, capsys):
     path = write_series(tmp_path, [Quaternion(0.0, 0.0, 0.0, 1.0)])
     code, out, err = run(capsys, ["eval", path, "--point", "2,0,0,0",
@@ -477,6 +490,14 @@ def test_readme_examples_parse():
         args = build_parser().parse_args(shlex.split(line)[1:])
         commands.add(args.command)
     assert commands == {"eval", "norm", "verify", "kernel", "synth", "profile"}
+
+
+def test_readme_python_quick_start_runs(capsys):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [float(v) for v in capsys.readouterr().out.split()]
+    assert len(printed) == 2 and all(0.0 < v < math.inf for v in printed)
 
 
 def test_verify_has_no_worker_flag(capsys):

@@ -37,7 +37,7 @@ from slicefock.quadrature import ANGULAR_CAP, RADIAL_CAP
 from slicefock.quaternion import _CONJ_SIGNS, _qmul, _rows
 from slicefock.serialize import save_function
 
-P2 = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
+P2 = FockParams(alpha=1.0, p=2.0, radius=1.0)
 ONE_F = SliceSeries((Quaternion(1.0),))
 Q_F = SliceSeries((Quaternion(), Quaternion(1.0)))
 
@@ -77,14 +77,14 @@ def monomial_series(n):
 # --- closed-form oracles ---
 
 def test_params_validation():
-    for bad in (dict(alpha=0.0), dict(p=0.0), dict(n=0), dict(radius=0.0),
+    for bad in (dict(alpha=0.0), dict(p=0.0), dict(radius=0.0),
                 dict(alpha=math.inf), dict(radius=math.inf),
                 dict(alpha=math.nan), dict(radius=math.nan)):
-        kwargs = dict(alpha=1.0, p=2.0, n=1, radius=1.0)
+        kwargs = dict(alpha=1.0, p=2.0, radius=1.0)
         kwargs.update(bad)
         with pytest.raises(ValueError):
             FockParams(**kwargs)
-    assert FockParams(alpha=1.0, p=math.inf, n=1, radius=1.0).p == math.inf
+    assert FockParams(alpha=1.0, p=math.inf, radius=1.0).p == math.inf
 
 
 def test_constant_norm_closed_form():
@@ -107,9 +107,7 @@ def test_zero_function_norm():
 
 def test_quadrature_norm_refusals():
     with pytest.raises(ValueError, match="sup_norm"):
-        fock_norm_p(Q_F, FockParams(alpha=1.0, p=math.inf, n=1, radius=1.0))
-    with pytest.raises(ValueError, match="slice"):
-        fock_norm_p(Q_F, FockParams(alpha=1.0, p=2.0, n=2, radius=1.0))
+        fock_norm_p(Q_F, FockParams(alpha=1.0, p=math.inf, radius=1.0))
 
 
 def test_grid_radius_must_match_params():
@@ -119,7 +117,7 @@ def test_grid_radius_must_match_params():
 
 
 def test_small_p_norm_is_computable():
-    params = FockParams(alpha=1.0, p=0.5, n=1, radius=1.0)
+    params = FockParams(alpha=1.0, p=0.5, radius=1.0)
     assert slice_norm_p(ONE_F, UNIT_I, params) > 0.0
 
 
@@ -157,7 +155,7 @@ def test_norm_monotone_in_radius():
     f = random_series(rng, max_degree=6)
     values = []
     for radius in (0.5, 1.0, 1.5):
-        params = FockParams(alpha=1.0, p=2.0, n=1, radius=radius)
+        params = FockParams(alpha=1.0, p=2.0, radius=radius)
         values.append(slice_norm_p(f, UNIT_I, params))
     assert values[0] <= values[1] <= values[2]
 
@@ -237,7 +235,7 @@ def test_inner_product_equals_the_pointwise_quadrature(unit):
     # averages out for k >= 1 and stays for k = 0
     rng = rng_for(67)
     for alpha, radius in ((1.0, 1.0), (0.5, 2.0), (2.5, 1.5)):
-        params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+        params = FockParams(alpha=alpha, p=2.0, radius=radius)
         for _ in range(5):
             f = random_series(rng, max_degree=8)
             g = random_series(rng, max_degree=8)
@@ -298,7 +296,7 @@ def test_sup_norm_linear_oracle():
 
 
 def test_sup_norm_interior_maximum():
-    params = FockParams(alpha=4.0, p=2.0, n=1, radius=1.0)
+    params = FockParams(alpha=4.0, p=2.0, radius=1.0)
     value = sup_norm(Q_F, params, small_sphere()).value
     assert abs(value - 0.5 * math.exp(-0.5)) <= 1e-9
 
@@ -385,7 +383,7 @@ def test_norm_equivalence_p2_ratios_are_unit():
 
 def test_norm_equivalence_p3_within_bounds():
     rng = rng_for(74)
-    params = FockParams(alpha=1.0, p=3.0, n=1, radius=1.0)
+    params = FockParams(alpha=1.0, p=3.0, radius=1.0)
     f = random_series(rng, max_degree=6)
     ratio = _sandwich_ratio(fock_norm_p(f, params, sphere=small_sphere()), 3.0)
     assert 1.0 <= ratio <= 8.0 + 1e-9
@@ -399,24 +397,27 @@ def test_norm_equivalence_zero_function():
 
 # --- refinement control ---
 
-def test_cusp_integrand_hits_grid_cap():
-    params = FockParams(alpha=1.0, p=0.4, n=1, radius=1.0)
+def test_cusp_integrand_hits_grid_cap(monkeypatch):
+    monkeypatch.setattr(fock, "RADIAL_CAP", 8)
+    monkeypatch.setattr(fock, "ANGULAR_CAP", 16)
+    params = FockParams(alpha=1.0, p=0.4, radius=1.0)
     f = SliceSeries((Quaternion(-0.3), Quaternion(1.0)))  # zero inside the disk
     grid = QuadratureGrid.build(4, 8, 1.0)
     with pytest.raises(GridTooCoarse) as err:
-        slice_norm_p(f, UNIT_I, params, grid, radial_cap=8, angular_cap=16)
+        slice_norm_p(f, UNIT_I, params, grid)
     assert len(err.value.trace) >= 2
     assert "cap" in str(err.value)
 
 
 # refinement exists only at p != 2; p = 2 is a closed form
-P15 = FockParams(alpha=1.0, p=1.5, n=1, radius=1.0)
+P15 = FockParams(alpha=1.0, p=1.5, radius=1.0)
 
 
-def test_cap_start_grid_is_accepted():
+def test_cap_start_grid_is_accepted(monkeypatch):
+    monkeypatch.setattr(fock, "RADIAL_CAP", 8)
+    monkeypatch.setattr(fock, "ANGULAR_CAP", 16)
     grid = QuadratureGrid.build(8, 16, 1.0)
-    report = fock_norm_p(ONE_F, P15, grid, small_sphere(),
-                         radial_cap=8, angular_cap=16)
+    report = fock_norm_p(ONE_F, P15, grid, small_sphere())
     assert report.grid_spec["refinements"] == 0
     assert report.value > 0.0
 
@@ -524,7 +525,7 @@ def test_derivative_criterion_split_inequality_random():
 # --- boundary decay profile ---
 
 def test_little_space_profile_fast_weight():
-    params = FockParams(alpha=20.0, p=2.0, n=1, radius=3.0)
+    params = FockParams(alpha=20.0, p=2.0, radius=3.0)
     report = little_space_profile(ONE_F, params, (1.0, 2.0, 3.0))
     for rho, value in zip(report.rhos, report.values):
         assert abs(value - math.exp(-10.0 * rho * rho)) <= 1e-12
@@ -594,7 +595,7 @@ def test_zero_on_a_grid_node_gives_finite_norms():
     assert absq[9, 64] <= 1e-15
     sup = sup_norm(f, P2)
     assert math.isfinite(sup.value) and sup.value > 0.0
-    norm = fock_norm_p(f, FockParams(alpha=1.0, p=1.5, n=1, radius=1.0))
+    norm = fock_norm_p(f, FockParams(alpha=1.0, p=1.5, radius=1.0))
     assert math.isfinite(norm.value) and norm.value > 0.0
     profile = little_space_profile(f, P2, (0.5, 0.75, 1.0))
     assert all(math.isfinite(v) for v in profile.values)
@@ -676,7 +677,7 @@ BLOCK_GRIDS = [(16, 32), (2 * (_BLOCK_POINTS // 64) + 3, 64)]
 def test_slice_norms_on_grid_match_split_reference(rows, p, alpha, count, shape):
     # default_sphere(1) is i, j, k: at p != 2 it takes the few-unit route
     f = _series_from(rows)
-    params = FockParams(alpha=alpha, p=p, n=1, radius=1.0)
+    params = FockParams(alpha=alpha, p=p, radius=1.0)
     units = default_sphere(count)
     grid = QuadratureGrid.build(*shape)
     got = _slice_norms_on_grid(f, units, params, grid)
@@ -699,7 +700,7 @@ def _pointwise_p2_norms(f, units, params, grid):
          * np.exp(-params.alpha * r * r)[:, None]).ravel()
     s, v = _slice_terms(_terms_table(coeffs, theta), r)
     sums = s @ w + 2.0 * (_unit_rows(units) @ (v @ w))
-    integrals = (params.alpha / math.pi) ** params.n / math.pi * sums
+    integrals = params.alpha / math.pi / math.pi * sums
     return np.ldexp(np.maximum(integrals, 0.0) ** 0.5, exponent)
 
 
@@ -718,7 +719,7 @@ def test_p2_closed_form_equals_the_pointwise_sum_on_converged_grids(
     # its many terms: 1.2e-14 on the norm of z^3 at R = 0.5, where the
     # closed form's m_3 is within 4e-16 of a 40-digit value
     f = _series_from(rows)
-    params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+    params = FockParams(alpha=alpha, p=2.0, radius=radius)
     units = default_sphere(2)
     grid = QuadratureGrid.build(radial, 2 * len(rows) + extra_angles, radius)
     got = _slice_norms_on_grid(f, units, params, grid)
@@ -782,7 +783,7 @@ def test_p2_per_slice_values_are_bit_equal():
 @pytest.mark.parametrize("alpha, radius", [(1.0, 1.0), (0.5, 2.0), (2.5, 1.5)])
 def test_p2_norm_equals_the_incomplete_gamma_closed_form(alpha, radius):
     # ||f||_2^2 = sum_k |a_k|^2 k! P(k + 1, a R^2) / (pi a^k)
-    params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+    params = FockParams(alpha=alpha, p=2.0, radius=radius)
     for f in standard_corpus(0)[:60]:
         want = math.sqrt(sum(
             a.modulus_sq() * math.factorial(k) * gammainc(k + 1, alpha * radius ** 2)
@@ -810,7 +811,7 @@ def test_moments_take_no_downward_run_past_the_table():
 @pytest.mark.parametrize("radius", [1e5, 1e6])
 def test_p2_norm_on_a_huge_ball_is_the_full_space_norm(radius):
     # ||f||_2^2 = sum_k |a_k|^2 k! / (pi a^k) once e^{-a R^2} is 0
-    params = FockParams(alpha=1.0, p=2.0, n=1, radius=radius)
+    params = FockParams(alpha=1.0, p=2.0, radius=radius)
     for f in standard_corpus(0)[:10]:
         want = math.sqrt(sum(a.modulus_sq() * math.factorial(k) / math.pi
                              for k, a in enumerate(f.coeffs)))
@@ -835,7 +836,7 @@ def test_p2_norm_past_an_overflowing_moment_is_finite(alpha, radius, coeff):
     # coefficient brings the norm of 1 + coeff q^200 to about 1e287, 1e87
     # and 1e117.  The square of 1e-200 underflows; that of 1e-100 does not
     f = _sparse(a0=1.0, a200=coeff)
-    params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+    params = FockParams(alpha=alpha, p=2.0, radius=radius)
     assert np.isinf(fock._moments(201, alpha, radius)[200])
     x = alpha * radius * radius
     log_sq = (2.0 * math.log(coeff) + gammaln(201) + math.log(gammainc(201, x))
@@ -858,7 +859,7 @@ def test_inner_product_past_an_overflowing_moment_is_finite():
     # m_200 (about 1e434) overflows, 0 m_200 is NaN, but the pairing of
     # 1 + 1e-100 q^200 with 1 + 1e-100 j q^200 is about m_0 - 1e234 j on C_j
     alpha, radius = 0.5, 40.0
-    params = FockParams(alpha=alpha, p=2.0, n=1, radius=radius)
+    params = FockParams(alpha=alpha, p=2.0, radius=radius)
     f = _sparse(a0=1.0, a200=1e-100)
     g = SliceSeries(f.coeffs[:200] + (Quaternion(0.0, 0.0, 1e-100, 0.0),))
     assert np.isinf(fock._moments(201, alpha, radius)[200])
@@ -953,7 +954,7 @@ def _serial_slice_norms(f, units, params, grid):
     sums = np.zeros(len(units))
     for i, powered in _serial_abs_sq_blocks(coeffs, units, r, theta, rows):
         sums += np.power(powered, p / 2.0, out=powered) @ w[i * nt:(i + rows) * nt]
-    integrals = (params.alpha / math.pi) ** params.n / math.pi * sums
+    integrals = params.alpha / math.pi / math.pi * sums
     with np.errstate(over="ignore"):
         return np.ldexp(np.maximum(integrals, 0.0) ** (1.0 / p), exponent)
 
@@ -968,7 +969,7 @@ def test_lanes_equal_the_serial_block_loop_bit_for_bit(rows, p, count, shape,
                                                        scale, lanes):
     f = _series_from(rows).scale_right(Quaternion(scale))
     units = default_sphere()[:count]
-    params = FockParams(alpha=1.3, p=p, n=1, radius=1.2)
+    params = FockParams(alpha=1.3, p=p, radius=1.2)
     grid = QuadratureGrid.build(*shape, 1.2)
     with unittest.mock.patch.object(fock, "_usable_cores", lambda: lanes):
         got = _slice_norms_on_grid(f, units, params, grid)
@@ -983,7 +984,7 @@ def test_helper_lanes_keep_the_callers_error_state():
     units = default_sphere()
     r, _ = grid.radial_arrays()
     coeffs, _ = _scaled_rows(f)
-    params = FockParams(alpha=1.0, p=1.5, n=1, radius=radius)
+    params = FockParams(alpha=1.0, p=1.5, radius=radius)
     with np.errstate(over="raise"):
         _abs_sq_evaluator(coeffs, units, grid.angles())(r[:64])
         with pytest.raises(FloatingPointError):
@@ -1121,23 +1122,25 @@ def test_p2_sup_and_verify_start_no_thread():
 
 # --- refinement refuses non-finite values ---
 
-def test_refinement_refuses_non_finite_values():
+def test_refinement_refuses_non_finite_values(monkeypatch):
     # the norms of 1 + q are 8.52 (p = 2) and 6.81 (p = 1.5) here, so those
     # of 1e308 (1 + q) overflow
     huge = SliceSeries((Quaternion(1e308), Quaternion(1e308)))
-    params = FockParams(alpha=0.001, p=1.5, n=1, radius=30.0)
+    params = FockParams(alpha=0.001, p=1.5, radius=30.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # p = 2 refines nothing: the closed form overflows to inf, as sup_norm does
-        p2 = FockParams(alpha=0.001, p=2.0, n=1, radius=30.0)
+        p2 = FockParams(alpha=0.001, p=2.0, radius=30.0)
         assert fock_norm_p(huge, p2, sphere=small_sphere()).value == math.inf
         assert slice_norm_p(huge, UNIT_I, p2) == math.inf
         with pytest.raises(GridTooCoarse, match="not finite"):
             fock_norm_p(huge, params, sphere=small_sphere())
         # also when the start grid already sits at the cap
+        monkeypatch.setattr(fock, "RADIAL_CAP", 8)
+        monkeypatch.setattr(fock, "ANGULAR_CAP", 16)
         with pytest.raises(GridTooCoarse, match="not finite"):
             fock_norm_p(huge, params, QuadratureGrid.build(8, 16, 30.0),
-                        small_sphere(), radial_cap=8, angular_cap=16)
+                        small_sphere())
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -1145,7 +1148,7 @@ def test_refinement_refuses_non_finite_values():
 def test_quadrature_norm_scales_tiny_and_huge_coefficients(p, scale):
     # squared unscaled, 3.5e-203 underflows to 0 and 1e200 overflows to inf
     f = random_series(rng_for(19), max_degree=6)
-    params = FockParams(alpha=1.0, p=p, n=1, radius=1.0)
+    params = FockParams(alpha=1.0, p=p, radius=1.0)
     want = fock_norm_p(f, params, sphere=small_sphere()).value * scale
     got = fock_norm_p(f.scale_right(Quaternion(scale)), params,
                       sphere=small_sphere()).value
@@ -1354,7 +1357,7 @@ def test_polish_runs_one_golden_loop_per_chunk():
 
     subset = standard_corpus(0)[:50]
     with unittest.mock.patch.object(fock, "_golden_max_rows", counted):
-        reports = fock._derivative_reports(subset, 2, P2, 33, 64, 1e-9)
+        reports = fock._derivative_reports(subset, 2, P2, 33, 64)
     assert loops == [150]
     for f, report in zip(subset[:3], reports):
         assert report == derivative_criterion(f, 2, P2, 33, angular_count=64)
@@ -1399,7 +1402,7 @@ def _parent_derivative_criterion(f, order, params, radial_samples,
 
 def test_derivative_and_dilation_equal_their_unbatched_bodies():
     rng = rng_for(29)
-    params = FockParams(alpha=1.3, p=2.0, n=1, radius=1.2)
+    params = FockParams(alpha=1.3, p=2.0, radius=1.2)
     for degree in (2, 5, 12):
         f = random_series(rng, max_degree=degree)
         got = dilation_convergence(f, params, (0.5, 0.9, 0.99), 17, angular_count=32)
@@ -1415,7 +1418,7 @@ def test_derivative_and_dilation_equal_their_unbatched_bodies():
 def test_dilation_values_of_a_batch_equal_one_call_per_function():
     # verify's dilation row: mixed coefficient counts, a constant among them
     rng = rng_for(31)
-    params = FockParams(alpha=1.3, p=2.0, n=1, radius=1.2)
+    params = FockParams(alpha=1.3, p=2.0, radius=1.2)
     fs = [random_series(rng, max_degree=d) for d in (2, 12, 5, 12)] + [ONE_F]
     factors = (0.5, 0.9, 0.99)
     got = fock._dilation_values(fs, params, factors, 17, 32)

@@ -184,7 +184,7 @@ def test_normalized_kernel_ball_norm_below_one():
     z = embed_complex(0.5 + 0.1j, UNIT_I)
     damp = math.exp(-0.5 * z.modulus_sq())
     series = kernel_series(z, 1.0, 40).scale_right(Quaternion(damp))
-    params = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
+    params = FockParams(alpha=1.0, p=2.0, radius=1.0)
     report = fock_norm_p(series, params, sphere=[UNIT_I, UNIT_J])
     assert 0.0 < report.value < 1.0
 

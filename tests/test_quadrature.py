@@ -32,8 +32,9 @@ def test_build_validation():
         QuadratureGrid.build(0, 8, 1.0)
     with pytest.raises(ValueError):
         QuadratureGrid.build(8, 0, 1.0)
-    with pytest.raises(ValueError):
-        QuadratureGrid.build(8, 8, 0.0)
+    for radius in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureGrid.build(8, 8, radius)
 
 
 def test_weights_sum_to_disk_area():

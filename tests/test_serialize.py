@@ -119,7 +119,7 @@ def test_atomic_from_dict_rejects_malformed():
 
 
 def test_norm_report_serialization():
-    params = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
+    params = FockParams(alpha=1.0, p=2.0, radius=1.0)
     report = fock_norm_p(SliceSeries((Quaternion(1.0),)), params,
                          sphere=[UNIT_I, UNIT_J])
     payload = norm_report_to_dict(report)

@@ -627,7 +627,7 @@ def test_truncate_and_tail_bound():
 def test_truncated_dilation_error_shrinks():
     rng = rng_for(43)
     f = random_series(rng, max_degree=6)
-    params = FockParams(alpha=1.0, p=2.0, n=1, radius=1.0)
+    params = FockParams(alpha=1.0, p=2.0, radius=1.0)
     sphere = [UNIT_I]
 
     def err(r, k):
