@@ -273,11 +273,11 @@ def _add_common(sub, *, norm_flags=True):
         sub.add_argument("--sphere", type=int, default=64,
                          help="imaginary units sampled on the sphere (default 64)")
         sub.add_argument("--radial", type=int, default=DEFAULT_RADIAL,
-                         help=f"radial quadrature nodes at p != 2 "
-                              f"(default {DEFAULT_RADIAL})")
+                         help=f"radial quadrature nodes, read at finite p != 2 "
+                              f"only (default {DEFAULT_RADIAL})")
         sub.add_argument("--angular", type=int, default=DEFAULT_ANGULAR,
-                         help=f"angular quadrature nodes at p != 2 "
-                              f"(default {DEFAULT_ANGULAR})")
+                         help=f"angular quadrature nodes, read at finite p != 2 "
+                              f"only (default {DEFAULT_ANGULAR})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("profile", cmd_profile, "boundary decay profile M(rho)")
     sub.add_argument("function", help="JSON function file")
     _add_common(sub, norm_flags=False)
-    sub.add_argument("--angular", type=int, default=256,
-                     help="angular samples per circle (default 256)")
+    sub.add_argument("--angular", type=int, default=fock.SUP_ANGULAR,
+                     help=f"angular samples per circle (default {fock.SUP_ANGULAR})")
     sub.add_argument("--rho", required=True,
                      help="comma separated radii, strictly increasing in (0, R]")
     sub.add_argument("--tolerance", type=float, default=1e-3,

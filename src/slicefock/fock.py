@@ -53,16 +53,18 @@ Suprema.  On C_I, |f(x + yI)|^2 = s + 2 <v, I> with s and v independent of I
 (below), so max_I |f|^2 = s + 2|v| exactly: the ball sup is exact over the
 units, and only the disk is sampled.  A per-slice sup is a sampled lower
 bound over the disk B_I.  Both are discretized on Chebyshev radii times a
-uniform angle grid, then the best radial cell of every row is polished by
-golden-section search along its best ray: a unit row evaluates f on its
-slice, the ball row evaluates A and B and takes s + 2|v|.  One call takes a
-list of jobs (f, units, ball): it finds the grid maxima job by job, then
-polishes the rows of every job together, in chunks of at most _POLISH_ROWS
-rows that run one golden loop each, whatever mix of coefficient counts and
-row kinds they hold.  A round then costs one product per coefficient count
-and kind in the chunk plus a few shared numpy calls, however many functions
-are batched.  A row's arithmetic does not depend on the rows beside it.
-The radial endpoints are grid nodes, so boundary maxima are exact.
+uniform angle grid, SUP_RADIAL x SUP_ANGULAR in the public sup functions
+(not a parameter: the sup is one number per f, a and R), then the best
+radial cell of every row is polished by golden-section search along its
+best ray: a unit row evaluates f on its slice, the ball row evaluates A and
+B and takes s + 2|v|.  One call takes a list of jobs (f, units, ball): it
+finds the grid maxima job by job, then polishes the rows of every job
+together, in chunks of at most _POLISH_ROWS rows that run one golden loop
+each, whatever mix of coefficient counts and row kinds they hold.  A round
+then costs one product per coefficient count and kind in the chunk plus a
+few shared numpy calls, however many functions are batched.  A row's
+arithmetic does not depend on the rows beside it.  The radial endpoints are
+grid nodes, so boundary maxima are exact.
 Quadrature and sup norms both work on f 2^-e, with the largest coefficient
 component in [1/2, 1), and scale the result back by 2^e.
 
@@ -90,10 +92,10 @@ order, as a serial loop adds them, so every norm is the same bit for bit on
 any number of cores.
 
 Grid stages work in place.  s and v are written through two scratch rows,
-and under five units the sup search takes the root and the radial weight in
-place in the units x points array of |f|^2; both keep every term and its
-order, so the values are those of the fresh-array expressions bit for bit,
-without the page faults of a new multi-megabyte temporary per call.
+and under _FEW_UNITS units the sup search takes the root and the radial
+weight in place in the units x points array of |f|^2; both keep every term
+and its order, so the values are those of the fresh-array expressions bit
+for bit, without the page faults of a new multi-megabyte temporary per call.
 """
 
 from __future__ import annotations
@@ -134,8 +136,10 @@ __all__ = [
 
 REFINE_TOL = 1e-8
 COARSE_TOL = 1e-6
-DEFAULT_RADIAL_SAMPLES = 129
-DEFAULT_SUP_ANGULAR = 256
+# the sup search's grid: Chebyshev radii times uniform angles; the public sup
+# functions read these at each call
+SUP_RADIAL = 129
+SUP_ANGULAR = 256
 _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 48             # golden-section rounds of the sup polish
 SLACK = 1e-9                   # rounding allowance of derivative_criterion's test
@@ -156,6 +160,9 @@ _PRUNE_BLOCK = 16
 # relative allowance for rounding in "a unit's weighted |f| never exceeds the
 # bound at the same point"; the rounding itself is a few ulps
 _BOUND_SLACK = 1e-12
+# under this many units a slice is evaluated as |A + I B|^2, from this many on
+# as s + 2 <v, I> with s and v shared by the units
+_FEW_UNITS = 5
 
 
 @dataclass(frozen=True)
@@ -271,11 +278,11 @@ def _abs_sq_evaluator(coeffs: np.ndarray, units, theta: np.ndarray):
     The angle table is built here, once for every block of radial rows; the
     evaluator only reads it and makes its own arrays, so several threads
     may call it at once.  Many units share s and v; s + 2 <v, I> can land a
-    few ulps below 0 at a zero of f, so it is clamped.  Under five units
-    |A + I B|^2 is cheaper; it is squared in place, as a second temporary
-    re-faults the heap each call.
+    few ulps below 0 at a zero of f, so it is clamped.  Under _FEW_UNITS
+    units |A + I B|^2 is cheaper; it is squared in place, as a second
+    temporary re-faults the heap each call.
     """
-    if len(units) < 5:
+    if len(units) < _FEW_UNITS:
         ks, table = np.arange(len(coeffs)), _ray_coeffs(coeffs, units, theta)
 
         def few(radii):
@@ -399,12 +406,6 @@ def _log_moments(count: int, alpha: float, radius: float) -> np.ndarray:
         if k <= count:
             upper.append(k * log_r2 + math.log(alpha) + math.log(s) - x)
     return np.array(logs + upper[::-1]) - math.log(math.pi)
-
-
-def _moments(count: int, alpha: float, radius: float) -> np.ndarray:
-    """m_k = k! P(k + 1, a R^2) / (pi a^k) for k < count; one that overflows is inf."""
-    with np.errstate(over="ignore"):
-        return np.exp(_log_moments(count, alpha, radius))
 
 
 def _row_exponents(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,9 +540,12 @@ def fock_norm_p(f: SliceSeries, params: FockParams,
     """Supremum of the slice p-norms over the sampled sphere of units.
 
     At p = 2 every slice norm is the same, so per_slice holds one value
-    for every unit, and a norm that overflows is inf.
+    for every unit, and a norm that overflows is inf.  The sphere must hold
+    a unit: a supremum over none has no value.
     """
     units = list(sphere) if sphere is not None else default_sphere()
+    if not units:
+        raise ValueError("sphere must hold at least one unit")
     values, spec = _norms(f, units, params, grid)
     per_slice = tuple((u, float(v)) for u, v in zip(units, values))
     return NormReport(float(values.max()), per_slice, {**spec, "sphere": len(units)})
@@ -609,7 +613,7 @@ class _GridMaxima(NamedTuple):
     angles: np.ndarray          # angle of each row's best ray, (M,)
     brackets: np.ndarray        # radial cell around each maximum, (M, 2)
     grid_max: np.ndarray
-    points: np.ndarray          # complex grid argmax of each row
+    ball_point: complex | None  # complex grid argmax of the ball row; None: units
     exponent: int
 
 
@@ -617,7 +621,6 @@ class _Sups(NamedTuple):
     """One job's weighted suprema."""
 
     sups: np.ndarray            # on each unit's slice disk, (M,)
-    points: np.ndarray          # complex grid argmax of each unit
     ball: float | None          # over the ball, exact over the units; None if not asked
     ball_point: complex | None  # complex grid argmax of the ball row
 
@@ -625,10 +628,12 @@ class _Sups(NamedTuple):
 def _grid_maxima(coeffs, units, exponent, flat, grid_max, radii, theta) -> _GridMaxima:
     """_GridMaxima of rows whose grid maxima sit at the flat indices flat."""
     ri, ti = np.divmod(flat, theta.size)
+    point = None if units is not None else \
+        complex(radii[ri[0]] * np.exp(1j * theta[ti[0]]))
     return _GridMaxima(coeffs, units, theta[ti],
                        np.stack([radii[np.maximum(ri - 1, 0)],
                                  radii[np.minimum(ri + 1, radii.size - 1)]], axis=1),
-                       grid_max, radii[ri] * np.exp(1j * theta[ti]), exponent)
+                       grid_max, point, exponent)
 
 
 def _ball_abs_sq(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -692,20 +697,20 @@ def _sup_grid_stage(f: SliceSeries, units, ball: bool, radii: np.ndarray,
                     theta: np.ndarray, weight: np.ndarray) -> list[_GridMaxima]:
     """Grid maxima of one job: its unit rows if it has units, then its ball row.
 
-    Five units or more and the ball row share one s and v.  Under five
-    units the root and the radial weight are taken in place in the units x
-    points array of |f|^2.  Every grid array is released on return, before
-    the next job's is built.
+    _FEW_UNITS units or more and the ball row share one s and v.  Under
+    _FEW_UNITS units the root and the radial weight are taken in place in
+    the units x points array of |f|^2.  Every grid array is released on
+    return, before the next job's is built.
     """
     coeffs, exponent = _scaled_rows(f)
     out = []
-    if ball or len(units) >= 5:
+    if ball or len(units) >= _FEW_UNITS:
         s, v = _slice_terms(_terms_table(coeffs, theta), radii)
         w = np.repeat(weight, theta.size)
         bound = _ball_abs_sq(s, v)
         np.sqrt(bound, out=bound)
         bound *= w
-    if len(units) >= 5:
+    if len(units) >= _FEW_UNITS:
         flat, grid_max = _pruned_unit_maxima(s, v, bound, units, w)
         out.append(_grid_maxima(coeffs, units, exponent, flat, grid_max, radii, theta))
     elif units:
@@ -823,50 +828,39 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
     refined = [None] * len(sets)
     for j, rows in sizes:
         refined[j], polished = polished[:rows], polished[rows:]
-    found = iter(zip(sets, refined))
-
-    def next_sups():
-        rows, best = next(found)
-        # a sup that overflows is inf, which callers refuse; numpy need not warn
-        with np.errstate(over="ignore"):
-            return np.ldexp(np.maximum(best, rows.grid_max), rows.exponent), rows.points
-
+    # a sup that overflows is inf, which callers refuse; numpy need not warn
+    with np.errstate(over="ignore"):
+        found = iter([(np.ldexp(np.maximum(best, rows.grid_max), rows.exponent),
+                       rows.ball_point) for rows, best in zip(sets, refined)])
     results = []
     for _, units, ball in jobs:
-        sups, points = next_sups() if units else (np.empty(0), np.empty(0, complex))
-        top = top_point = None
-        if ball:
-            values, ball_points = next_sups()
-            top, top_point = float(values[0]), complex(ball_points[0])
-        results.append(_Sups(sups, points, top, top_point))
+        sups = next(found)[0] if units else np.empty(0)
+        top, point = next(found) if ball else (None, None)
+        results.append(_Sups(sups, None if top is None else float(top[0]), point))
     return results
 
 
-def sup_norm(f: SliceSeries, params: FockParams, sphere=None,
-             radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
-             angular_count: int = DEFAULT_SUP_ANGULAR) -> NormReport:
+def sup_norm(f: SliceSeries, params: FockParams, sphere=None) -> NormReport:
     """sup of |f(q)| e^{-a|q|^2/2} over the ball of radius R, exact over the units.
 
     per_slice holds the sup on the slice disk of each sampled unit, a lower
     bound of the value.  The value is the ball row's sup, or the largest
-    slice sup where rounding or the polish puts one above it.
+    slice sup where rounding or the polish puts one above it.  The search
+    grid is SUP_RADIAL x SUP_ANGULAR.
     """
     units = list(sphere) if sphere is not None else default_sphere()
     [found] = _sup_over_rows([(f, units, True)], params.alpha, params.radius,
-                             radial_samples, angular_count)
+                             SUP_RADIAL, SUP_ANGULAR)
     per_slice = tuple((u, float(v)) for u, v in zip(units, found.sups))
-    spec = {"rule": "chebyshev x trapezoid + golden", "radial": radial_samples,
-            "angular": angular_count, "radius": params.radius,
-            "sphere": len(units)}
+    spec = {"rule": "chebyshev x trapezoid + golden", "radial": SUP_RADIAL,
+            "angular": SUP_ANGULAR, "radius": params.radius, "sphere": len(units)}
     return NormReport(float(np.append(found.sups, found.ball).max()), per_slice, spec)
 
 
-def slice_sup_norm(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
-                   radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
-                   angular_count: int = DEFAULT_SUP_ANGULAR) -> float:
+def slice_sup_norm(f: SliceSeries, unit: ImaginaryUnit, params: FockParams) -> float:
     """sup of |f(z)| e^{-a|z|^2/2} over the single slice disk B_I."""
     [found] = _sup_over_rows([(f, [unit], False)], params.alpha, params.radius,
-                             radial_samples, angular_count)
+                             SUP_RADIAL, SUP_ANGULAR)
     return float(found.sups[0])
 
 
@@ -895,16 +889,14 @@ def _monomial_sup(mono: MultiMonomial, alpha: float, radius: float) -> float:
     return a * direction * s ** total * math.exp(-0.5 * alpha * s * s)
 
 
-def dilation_convergence(f: SliceSeries, params: FockParams, r_list,
-                         radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
-                         angular_count: int = DEFAULT_SUP_ANGULAR) -> list[float]:
+def dilation_convergence(f: SliceSeries, params: FockParams, r_list) -> list[float]:
     """Values ||f_r - f||_inf for each dilation factor in r_list.
 
     Each value is the sup over the ball, exact over the units.  r_list must
     be strictly increasing inside (0, 1); for a polynomial the values
     decrease to 0 as r -> 1.
     """
-    return _dilation_values([f], params, r_list, radial_samples, angular_count)[0]
+    return _dilation_values([f], params, r_list, SUP_RADIAL, SUP_ANGULAR)[0]
 
 
 def _dilation_values(fs, params: FockParams, r_list, radial_samples: int,
@@ -920,10 +912,8 @@ def _dilation_values(fs, params: FockParams, r_list, radial_samples: int,
     return [sups[i * len(rs):(i + 1) * len(rs)] for i in range(len(fs))]
 
 
-def derivative_criterion(f: SliceSeries, order: int, params: FockParams,
-                         radial_samples: int = DEFAULT_RADIAL_SAMPLES, *,
-                         angular_count: int = DEFAULT_SUP_ANGULAR
-                         ) -> DerivativeCriterionReport:
+def derivative_criterion(f: SliceSeries, order: int,
+                         params: FockParams) -> DerivativeCriterionReport:
     """Weighted sup of the t-th slice derivative against its split components.
 
     Computes  sup |d^t f(q)| e^{-a|q|^2/2} / (1+|q|)^t  over the ball, exact
@@ -935,8 +925,7 @@ def derivative_criterion(f: SliceSeries, order: int, params: FockParams,
     The argmax of the left side (and its conjugate) is re-evaluated on the
     component side so discretization cannot break the comparison.
     """
-    return _derivative_reports([f], order, params, radial_samples,
-                               angular_count)[0]
+    return _derivative_reports([f], order, params, SUP_RADIAL, SUP_ANGULAR)[0]
 
 
 def _derivative_reports(fs, order: int, params: FockParams, radial_samples: int,
@@ -971,7 +960,7 @@ def _derivative_reports(fs, order: int, params: FockParams, radial_samples: int,
 
 
 def little_space_profile(f: SliceSeries, params: FockParams, rho_list, *,
-                         angular_count: int = DEFAULT_SUP_ANGULAR,
+                         angular_count: int = SUP_ANGULAR,
                          tolerance: float = 1e-3) -> LittleSpaceReport:
     """Boundary decay profile M(rho) = max_{|q| = rho} |f(q)| e^{-a rho^2/2}.
 
@@ -980,6 +969,8 @@ def little_space_profile(f: SliceSeries, params: FockParams, rho_list, *,
     last three entries that also drops below the tolerance is reported as
     membership in the vanishing-at-the-boundary subspace.
     """
+    if angular_count < 1:
+        raise ValueError(f"angular_count must be at least 1, got {angular_count!r}")
     rhos = [float(r) for r in rho_list]
     if any(not 0.0 < r <= params.radius for r in rhos) \
             or any(b <= a for a, b in zip(rhos, rhos[1:])):

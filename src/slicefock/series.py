@@ -36,6 +36,7 @@ transform_point composes `Quaternion` operators on eval's value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,8 +90,8 @@ class SliceSeries:
         if not cs:
             cs = (Quaternion(),)
         object.__setattr__(self, "coeffs", cs)
-        if not self.nominal_radius > 0.0:
-            raise ValueError("nominal_radius must be positive")
+        if not 0.0 < self.nominal_radius < math.inf:
+            raise ValueError("nominal_radius must be positive and finite")
 
     @classmethod
     def from_reals(cls, values, radius: float = 1.0) -> "SliceSeries":
@@ -174,6 +175,7 @@ class ComplexSlicePolynomial:
         return acc
 
     def derivative(self, order: int = 1) -> "ComplexSlicePolynomial":
+        order = operator.index(order)
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
         if order == 0:
@@ -523,7 +525,12 @@ def _extend_rows(parts: np.ndarray, units_i: np.ndarray,
 
 
 def derivative(f: SliceSeries, order: int = 1) -> SliceSeries:
-    """Slice derivative of the given order: b_k = (k+t)!/k! * a_{k+t}."""
+    """Slice derivative of the given order: b_k = (k+t)!/k! * a_{k+t}.
+
+    The order is an integer (operator.index): a float is refused, not
+    rounded or taken as an order past the degree.
+    """
+    order = operator.index(order)
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     if order == 0:

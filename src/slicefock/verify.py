@@ -30,9 +30,9 @@ import numpy as np
 
 from .corpus import (random_ball_point, random_orthogonal_pair, random_unit,
                      rng_for, standard_corpus)
-from .fock import (DEFAULT_RADIAL_SAMPLES, DEFAULT_SUP_ANGULAR, SLACK, FockParams,
-                   _derivative_reports, _dilation_values, _monomial_sup,
-                   _slice_norms_on_grid, _sup_over_rows)
+from . import fock
+from .fock import (SLACK, FockParams, _derivative_reports, _dilation_values,
+                   _monomial_sup, _slice_norms_on_grid, _sup_over_rows)
 from .quadrature import QuadratureGrid
 from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _decompose_rows,
                          _modulus_rows, _qmul, _rows, _unit_rows, default_sphere)
@@ -55,6 +55,11 @@ PROPOSITIONS = (
     "split",
     "star",
 )
+
+# sup search grids (Chebyshev radii, uniform angles) of the rows that take
+# one; monomial takes fock's SUP_RADIAL x SUP_ANGULAR
+SANDWICH_SUP_GRID = (65, 128)       # norm-sandwich-sup
+CRITERIA_SUP_GRID = (33, 64)        # dilation and derivative
 
 
 @dataclass(frozen=True)
@@ -216,8 +221,7 @@ def _check_p_norms(corpus, params: FockParams, grid: QuadratureGrid,
     return sandwich, pair
 
 
-def _check_sup_norms(corpus, params: FockParams, units, radial_samples: int,
-                     angular_count: int) -> PropositionResult:
+def _check_sup_norms(corpus, params: FockParams, units) -> PropositionResult:
     def one(found):
         # the ball sup is exact over the units, so lower tests the sampled
         # slice sups against an independent computation
@@ -227,7 +231,7 @@ def _check_sup_norms(corpus, params: FockParams, units, radial_samples: int,
         return float(found.sups.max() / top), top / float(found.sups.min())
 
     results = _sup_over_rows([(f, units, True) for f in corpus], params.alpha,
-                             params.radius, radial_samples, angular_count)
+                             params.radius, *SANDWICH_SUP_GRID)
     rows = [one(found) for found in results]
     worst_lower = max(r[0] for r in rows)
     worst_upper = max(r[1] for r in rows)
@@ -237,8 +241,7 @@ def _check_sup_norms(corpus, params: FockParams, units, radial_samples: int,
                              ok, f"lower={worst_lower:.12f}")
 
 
-def _check_dilation(corpus, params: FockParams, radial_samples: int,
-                    angular_count: int) -> PropositionResult:
+def _check_dilation(corpus, params: FockParams) -> PropositionResult:
     subset = corpus[::10][:20]
     factors = (0.5, 0.9, 0.99)
 
@@ -248,21 +251,19 @@ def _check_dilation(corpus, params: FockParams, radial_samples: int,
         return max(b - a for a, b in zip(vals, vals[1:]))
 
     worst = max(one(vals) for vals in _dilation_values(
-        subset, params, factors, radial_samples, angular_count))
+        subset, params, factors, *CRITERIA_SUP_GRID))
     return PropositionResult("dilation", len(subset) * len(factors), worst,
                              0.0, worst < 0.0)
 
 
-def _check_derivative(corpus, params: FockParams, radial_samples: int,
-                      angular_count: int) -> PropositionResult:
+def _check_derivative(corpus, params: FockParams) -> PropositionResult:
     # d^t f vanishes for degree < t, and 0 <= 0 + 0 certifies nothing: such
     # instances are counted as vacuous and kept out of the worst margin
     subset = corpus[:50]
     orders = (1, 2, 3)
     margins, vacuous = [], 0
     for order in orders:
-        reports = _derivative_reports(subset, order, params, radial_samples,
-                                      angular_count)
+        reports = _derivative_reports(subset, order, params, *CRITERIA_SUP_GRID)
         for f, rep in zip(subset, reports):
             if order > f.degree:
                 vacuous += 1
@@ -280,8 +281,8 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
     instances = 0
     lows = [truncate(f, 5) for f in subset]
     results = _sup_over_rows([(low, [UNIT_I], False) for low in lows],
-                             params.alpha, params.radius, DEFAULT_RADIAL_SAMPLES,
-                             DEFAULT_SUP_ANGULAR)
+                             params.alpha, params.radius, fock.SUP_RADIAL,
+                             fock.SUP_ANGULAR)
     for low, found in zip(lows, results):
         ssup = float(found.sups[0])
         if ssup < 1e-300:
@@ -302,15 +303,16 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
 
 def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
                radius: float = 1.0, sphere_count: int = 64, radial: int = 64,
-               angular: int = 128, sup_radial: int = 65,
-               sup_angular: int = 128) -> list[PropositionResult]:
+               angular: int = 128) -> list[PropositionResult]:
     """Run the selected propositions on the seeded corpus.
 
     Norm propositions use a Gauss-Legendre x trapezoid grid of the given
     size (plus one doubling for the stability figure); sup propositions use
-    Chebyshev radii with golden-section polish.  The same seed and flags
-    always produce the same results.  p must be finite: the p-sandwich
-    integrates |f|^p, and the sup norms have their own proposition.
+    Chebyshev radii with golden-section polish on SANDWICH_SUP_GRID,
+    CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR.  The same seed
+    and flags always produce the same results.  p must be finite: the
+    p-sandwich integrates |f|^p, and the sup norms have their own
+    proposition.
     """
     if not math.isfinite(p):
         raise ValueError(f"verify needs a finite p, got {p!r}")
@@ -328,8 +330,7 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
         if "slice-pair" in selected:
             results.append(pair)
     if "norm-sandwich-sup" in selected:
-        results.append(_check_sup_norms(corpus, params, units, sup_radial,
-                                        sup_angular))
+        results.append(_check_sup_norms(corpus, params, units))
     if "star" in selected:
         results.append(_check_star(corpus, seed))
     if "split" in selected:
@@ -337,9 +338,9 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     if "rep-formula" in selected:
         results.append(_check_rep_formula(corpus, seed))
     if "dilation" in selected:
-        results.append(_check_dilation(corpus, params, 33, 64))
+        results.append(_check_dilation(corpus, params))
     if "derivative" in selected:
-        results.append(_check_derivative(corpus, params, 33, 64))
+        results.append(_check_derivative(corpus, params))
     if "monomial" in selected:
         results.append(_check_monomial(corpus, params))
     return sorted(results, key=lambda r: r.name)

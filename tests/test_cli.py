@@ -199,6 +199,18 @@ def test_profile_member_verdict(tmp_path, capsys):
     assert payload["decreasing_tail"] is True
 
 
+@pytest.mark.parametrize("angular", ["0", "-3"])
+def test_profile_refuses_fewer_than_one_angle(tmp_path, capsys, angular):
+    # numpy's "zero-size array to reduction operation maximum" leaked here
+    path = write_series(tmp_path, [Quaternion(1.0)])
+    code, out, err = run(capsys, ["profile", path, "--rho", "0.5",
+                                  "--angular", angular])
+    assert code == 2 and out == ""
+    assert err == f"error: angular_count must be at least 1, got {angular}\n"
+    # the default is the sup search's angle count
+    assert build_parser().parse_args(["profile", path, "--rho", "0.5"]).angular == 256
+
+
 @pytest.mark.parametrize("out", ["text", "json", "csv"])
 def test_profile_overflow_exits_three(tmp_path, capsys, out):
     # f = 1e308 (1 + q): the weighted peak at rho = 10 is about 1e309

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import json
 import math
 import os
@@ -68,6 +69,11 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 48) -> float:
 
 def small_sphere():
     return default_sphere(8)
+
+
+def sup_grid(radial, angular):
+    """fock's sup search grid patched to radial x angular inside a with block."""
+    return unittest.mock.patch.multiple(fock, SUP_RADIAL=radial, SUP_ANGULAR=angular)
 
 
 def monomial_series(n):
@@ -327,11 +333,11 @@ def test_ball_sup_is_exact_over_the_units():
     many = default_sphere(4000)
     for _ in range(20):
         f = random_series(rng, max_degree=12)
-        report = sup_norm(f, P2, None, 33, angular_count=64)
-        assert report.value >= max(v for _, v in report.per_slice)
-        sampled = max(v for i in range(0, len(many), 1000)
-                      for _, v in sup_norm(f, P2, many[i:i + 1000], 33,
-                                           angular_count=64).per_slice)
+        with sup_grid(33, 64):
+            report = sup_norm(f, P2, None)
+            assert report.value >= max(v for _, v in report.per_slice)
+            sampled = max(v for i in range(0, len(many), 1000)
+                          for _, v in sup_norm(f, P2, many[i:i + 1000]).per_slice)
         assert report.value >= sampled
 
 
@@ -348,15 +354,47 @@ def test_sup_norm_reaches_the_best_unit_off_the_sample():
     assert max(v for _, v in report.per_slice) < oracle * (1.0 - 1e-6)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_fock_norm_p_refuses_an_empty_sphere(p):
+    # numpy refused it at the parent: a reshape of size 0 at p = 1.5 and a
+    # zero-size maximum at p = 2
+    with pytest.raises(ValueError, match="sphere must hold at least one unit"):
+        fock_norm_p(Q_F, FockParams(alpha=1.0, p=p), sphere=[])
+
+
+def test_sup_functions_own_their_grid():
+    # no public sup function takes a grid size; each reads SUP_RADIAL and
+    # SUP_ANGULAR when it is called, and sup_norm reports them
+    for fn in (sup_norm, slice_sup_norm, dilation_convergence, derivative_criterion):
+        assert not {"radial_samples", "angular_count"} & \
+            set(inspect.signature(fn).parameters), fn.__name__
+    spec = sup_norm(Q_F, P2).grid_spec
+    assert (spec["radial"], spec["angular"]) == (fock.SUP_RADIAL, fock.SUP_ANGULAR) \
+        == (129, 256)
+    with sup_grid(17, 32):
+        spec = sup_norm(Q_F, P2).grid_spec
+        [found] = _sup_over_rows([(Q_F, [UNIT_I], False)], 1.0, 1.0, 17, 32)
+        assert slice_sup_norm(Q_F, UNIT_I, P2) == float(found.sups[0])
+    assert (spec["radial"], spec["angular"]) == (17, 32)
+
+
+def test_derivative_criterion_refuses_a_fractional_order():
+    # at the parent order 1.5 passed with zero sups on a degree-4 series
+    f = SliceSeries(tuple(Quaternion(float(k + 1)) for k in range(5)))
+    for order in (1.5, 7.5):
+        with pytest.raises(TypeError):
+            derivative_criterion(f, order, P2)
+
+
 def test_ball_row_alone_gives_the_sup_norm_value():
     rng = rng_for(84)
     for _ in range(5):
         f = random_series(rng, max_degree=9)
         [found] = _sup_over_rows([(f, [], True)], 1.0, 1.0, 65, 128)
         assert found.sups.size == 0
-        assert found.ball == sup_norm(f, P2, [], 65, angular_count=128).value
-        assert found.ball >= sup_norm(f, P2, None, 65, angular_count=128).value \
-            * (1.0 - 1e-12)
+        with sup_grid(65, 128):
+            assert found.ball == sup_norm(f, P2, []).value
+            assert found.ball >= sup_norm(f, P2, None).value * (1.0 - 1e-12)
 
 
 # --- norm equivalence: the slice sandwich on fock_norm_p's slice norms ---
@@ -466,12 +504,14 @@ def test_monomial_sup_closed_form_matches_a_golden_search(m, alpha, radius):
 # --- dilation and derivative criteria ---
 
 def test_dilation_constant_gives_zeros():
-    values = dilation_convergence(ONE_F, P2, (0.5, 0.9), 33, angular_count=64)
+    with sup_grid(33, 64):
+        values = dilation_convergence(ONE_F, P2, (0.5, 0.9))
     assert values == [0.0, 0.0]
 
 
 def test_dilation_linear_closed_form():
-    values = dilation_convergence(Q_F, P2, (0.5, 0.9, 0.99), 65, angular_count=64)
+    with sup_grid(65, 64):
+        values = dilation_convergence(Q_F, P2, (0.5, 0.9, 0.99))
     for r, v in zip((0.5, 0.9, 0.99), values):
         assert abs(v - (1.0 - r) * math.exp(-0.5)) <= 1e-9
 
@@ -480,8 +520,8 @@ def test_dilation_strictly_decreasing_random():
     rng = rng_for(76)
     for _ in range(5):
         f = random_series(rng, max_degree=6)
-        values = dilation_convergence(f, P2, (0.5, 0.9, 0.99), 33,
-                                      angular_count=64)
+        with sup_grid(33, 64):
+            values = dilation_convergence(f, P2, (0.5, 0.9, 0.99))
         if max(values) < 1e-12:
             continue
         assert values[0] > values[1] > values[2]
@@ -490,21 +530,23 @@ def test_dilation_strictly_decreasing_random():
 def test_dilation_validates_factors():
     for bad in ((0.9, 0.5), (0.0, 0.5), (0.5, 1.0)):
         with pytest.raises(ValueError):
-            dilation_convergence(Q_F, P2, bad, 17, angular_count=32)
+            dilation_convergence(Q_F, P2, bad)
 
 
 def test_derivative_criterion_order_zero_is_sup_norm():
     rng = rng_for(77)
     f = random_series(rng, max_degree=7)
-    rep = derivative_criterion(f, 0, P2, 65, angular_count=128)
-    sup = sup_norm(f, P2, small_sphere(), 65, angular_count=128).value
+    with sup_grid(65, 128):
+        rep = derivative_criterion(f, 0, P2)
+        sup = sup_norm(f, P2, small_sphere()).value
     assert abs(rep.sup_ratio - sup) <= 1e-12 * max(1.0, sup)
 
 
 def test_derivative_criterion_square_oracle():
     # d(q^2) = 2q; maximize 2r e^{-r^2/2} / (1+r): stationary at r^3+r^2 = 1
     f = SliceSeries((Quaternion(), Quaternion(), Quaternion(1.0)))
-    rep = derivative_criterion(f, 1, P2, 129, angular_count=64)
+    with sup_grid(129, 64):
+        rep = derivative_criterion(f, 1, P2)
     roots = np.roots([1.0, 1.0, 0.0, -1.0])
     r = float(roots[np.isreal(roots)].real.max())
     oracle = 2.0 * r * math.exp(-0.5 * r * r) / (1.0 + r)
@@ -517,7 +559,8 @@ def test_derivative_criterion_split_inequality_random():
     for _ in range(10):
         f = random_series(rng, max_degree=9)
         for order in (1, 2, 3):
-            rep = derivative_criterion(f, order, P2, 33, angular_count=64)
+            with sup_grid(33, 64):
+                rep = derivative_criterion(f, order, P2)
             assert rep.passed
             assert rep.sup_ratio <= sum(rep.component_sups) + 1e-9
 
@@ -574,6 +617,13 @@ def test_little_space_profile_is_exact_over_the_units():
             weighted = low * math.exp(-0.5 * rho * rho)
             assert weighted <= value * (1.0 + 1e-12)
             assert value <= weighted * (1.0 + 1e-3)
+
+
+def test_little_space_profile_refuses_fewer_than_one_angle():
+    # at the parent numpy's zero-size maximum refused 0 and -3 angles
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="angular_count must be at least 1"):
+            little_space_profile(ONE_F, P2, (0.5, 1.0), angular_count=bad)
 
 
 def test_little_space_profile_validates_rhos():
@@ -740,7 +790,8 @@ def _normal(values):
 def test_moments_equal_the_incomplete_gamma_function(x, alpha):
     # m_k = k! P(k + 1, x) / (pi a^k), joined in log space where P is normal
     k = np.arange(200)
-    got = fock._moments(200, alpha, math.sqrt(x / alpha))
+    with np.errstate(over="ignore"):
+        got = np.exp(fock._log_moments(200, alpha, math.sqrt(x / alpha)))
     assert got.shape == (200,)
     gamma = gammainc(k + 1, x)
     with np.errstate(divide="ignore", over="ignore"):
@@ -758,7 +809,8 @@ def test_moments_equal_the_radial_integral(x, alpha):
     # m_k = (2a/pi) integral_0^R r^{2k+1} e^{-a r^2} dr.  With u = a r^2 it
     # is integral_0^x u^k e^{-u} du / (pi a^k); the integrand is taken
     # relative to its peak at u = min(k, x) so that it stays representable
-    got = fock._moments(200, alpha, math.sqrt(x / alpha))
+    with np.errstate(over="ignore"):
+        got = np.exp(fock._log_moments(200, alpha, math.sqrt(x / alpha)))
     for k in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 199):
         top = min(float(k), x)
         peak = k * math.log(top) - top if k else 0.0
@@ -798,7 +850,8 @@ def test_moments_take_no_downward_run_past_the_table():
     # would start at 2 a R^2, never starts
     for radius in (3e3, 1e6, 1e300):
         start = time.perf_counter()
-        got = fock._moments(200, 1.0, radius)
+        with np.errstate(over="ignore"):
+            got = np.exp(fock._log_moments(200, 1.0, radius))
         assert time.perf_counter() - start < 1.0
         k = np.arange(200)
         with np.errstate(over="ignore"):
@@ -837,7 +890,8 @@ def test_p2_norm_past_an_overflowing_moment_is_finite(alpha, radius, coeff):
     # and 1e117.  The square of 1e-200 underflows; that of 1e-100 does not
     f = _sparse(a0=1.0, a200=coeff)
     params = FockParams(alpha=alpha, p=2.0, radius=radius)
-    assert np.isinf(fock._moments(201, alpha, radius)[200])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(fock._log_moments(201, alpha, radius))[200])
     x = alpha * radius * radius
     log_sq = (2.0 * math.log(coeff) + gammaln(201) + math.log(gammainc(201, x))
               - 200 * math.log(alpha) - math.log(math.pi))
@@ -862,7 +916,8 @@ def test_inner_product_past_an_overflowing_moment_is_finite():
     params = FockParams(alpha=alpha, p=2.0, radius=radius)
     f = _sparse(a0=1.0, a200=1e-100)
     g = SliceSeries(f.coeffs[:200] + (Quaternion(0.0, 0.0, 1e-100, 0.0),))
-    assert np.isinf(fock._moments(201, alpha, radius)[200])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(fock._log_moments(201, alpha, radius))[200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         unit_j = inner_product(f, g, UNIT_J, params)
@@ -888,18 +943,20 @@ def test_lockstep_polish_matches_scalar_golden(rows, order, sphere_count):
     f = _series_from(rows)
     units = default_sphere(sphere_count)
     radial, angular = 17, 32
-    [(sups, points, _, _)] = _sup_over_rows([(f, units, False)], 1.0, 1.0, radial,
-                                            angular, weight_order=order)
+    [(sups, _, _)] = _sup_over_rows([(f, units, False)], 1.0, 1.0, radial,
+                                    angular, weight_order=order)
     radii = _chebyshev_radii(radial, 1.0)
     theta = 2.0 * np.pi * np.arange(angular) / angular
-    for unit, sup, point in zip(units, sups, points):
+    for unit, sup in zip(units, sups):
         def weighted(z):
             q = Quaternion(z.real, z.imag * unit.x, z.imag * unit.y, z.imag * unit.z)
             return f.eval(q).modulus() * math.exp(-0.5 * abs(z) ** 2) \
                 / (1.0 + abs(z)) ** order
 
-        grid_max = max(weighted(r * complex(math.cos(t), math.sin(t)))
-                       for r in radii for t in theta)
+        # the first grid max in radius-major order, as argmax takes it
+        grid_max, point = max(((weighted(z), z) for r in radii for t in theta
+                               for z in [r * complex(math.cos(t), math.sin(t))]),
+                              key=lambda vz: vz[0])
         assert sup >= grid_max * (1.0 - 1e-13)
         ri = int(np.argmin(np.abs(radii - abs(point))))
         phase = point / abs(point) if abs(point) > 0.0 else 1.0 + 0.0j
@@ -1107,8 +1164,7 @@ from slicefock.verify import run_verify
 f = SliceSeries((Quaternion(1.0), Quaternion(0.0, 0.5, 0.2, 0.1), Quaternion(0.3)))
 fock_norm_p(f, FockParams(alpha=1.0, p=2.0))
 sup_norm(f, FockParams(alpha=1.0))
-run_verify(seed=0, sphere_count=4, radial=16, angular=32, sup_radial=17,
-           sup_angular=32)
+run_verify(seed=0, sphere_count=4, radial=16, angular=32)
 assert threading.active_count() == 1, threading.enumerate()
 assert "concurrent.futures" not in sys.modules
 """
@@ -1180,8 +1236,7 @@ def _reference_sup_over_rows(f, units, alpha, radius, radial_samples,
 
     refined = np.sqrt(_golden_max_rows(weighted_sq, radii[np.maximum(ri - 1, 0)],
                                        radii[np.minimum(ri + 1, radial_samples - 1)]))
-    points = radii[ri] * np.exp(1j * theta[ti])
-    return np.ldexp(np.maximum(refined, grid_max), exponent), points
+    return np.ldexp(np.maximum(refined, grid_max), exponent)
 
 
 def _reference_slice_terms(table, radii):
@@ -1214,8 +1269,7 @@ def test_sup_over_rows_equals_reference_bit_for_bit(sphere, order, scale):
                                    order)
             want = _reference_sup_over_rows(f, sphere, 1.3, 1.2, radial, angular,
                                             order)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+            assert got.sups.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("sphere", [default_sphere(1) + [UNIT_I, UNIT_J],
@@ -1228,9 +1282,8 @@ def test_sup_over_rows_equals_reference_bit_for_bit_on_overflow(sphere, alpha):
     with np.errstate(all="ignore"):
         [got] = _sup_over_rows([(f, sphere, False)], alpha, 1e30, 65, 128)
         want = _reference_sup_over_rows(f, sphere, alpha, 1e30, 65, 128)
-    assert not np.all(np.isfinite(want[0]))
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    assert not np.all(np.isfinite(want))
+    assert got.sups.tobytes() == want.tobytes()
 
 
 @given(coeff_rows, st.lists(st.floats(0.0, 1.5), min_size=1, max_size=9),
@@ -1286,7 +1339,7 @@ def _sups_bytes(found):
     """A _Sups as bytes, so == also tells -0.0 from 0.0 and NaN from NaN."""
     ball = None if found.ball is None else \
         np.array([found.ball, found.ball_point]).tobytes()
-    return found.sups.tobytes(), found.points.tobytes(), ball
+    return found.sups.tobytes(), ball
 
 
 # a chunk of 3 rows splits jobs and coefficient groups across chunks
@@ -1360,7 +1413,8 @@ def test_polish_runs_one_golden_loop_per_chunk():
         reports = fock._derivative_reports(subset, 2, P2, 33, 64)
     assert loops == [150]
     for f, report in zip(subset[:3], reports):
-        assert report == derivative_criterion(f, 2, P2, 33, angular_count=64)
+        with sup_grid(33, 64):
+            assert report == derivative_criterion(f, 2, P2)
 
 
 def _parent_dilation_convergence(f, params, r_list, radial_samples, angular_count):
@@ -1370,8 +1424,8 @@ def _parent_dilation_convergence(f, params, r_list, radial_samples, angular_coun
         diff = SliceSeries(tuple(a - b for a, b in
                                  zip(dilate(f, r).coeffs, f.coeffs)),
                            f.nominal_radius)
-        report = sup_norm(diff, params, [], radial_samples,
-                          angular_count=angular_count)
+        with sup_grid(radial_samples, angular_count):
+            report = sup_norm(diff, params, [])
         out.append(report.value)
     return out
 
@@ -1405,11 +1459,13 @@ def test_derivative_and_dilation_equal_their_unbatched_bodies():
     params = FockParams(alpha=1.3, p=2.0, radius=1.2)
     for degree in (2, 5, 12):
         f = random_series(rng, max_degree=degree)
-        got = dilation_convergence(f, params, (0.5, 0.9, 0.99), 17, angular_count=32)
+        with sup_grid(17, 32):
+            got = dilation_convergence(f, params, (0.5, 0.9, 0.99))
         want = _parent_dilation_convergence(f, params, (0.5, 0.9, 0.99), 17, 32)
         assert got == want
         for order in range(4):
-            rep = derivative_criterion(f, order, params, 17, angular_count=32)
+            with sup_grid(17, 32):
+                rep = derivative_criterion(f, order, params)
             assert rep.order == order
             assert (rep.sup_ratio, rep.component_sups, rep.passed) == \
                 _parent_derivative_criterion(f, order, params, 17, 32)
@@ -1422,8 +1478,8 @@ def test_dilation_values_of_a_batch_equal_one_call_per_function():
     fs = [random_series(rng, max_degree=d) for d in (2, 12, 5, 12)] + [ONE_F]
     factors = (0.5, 0.9, 0.99)
     got = fock._dilation_values(fs, params, factors, 17, 32)
-    assert got == [dilation_convergence(f, params, factors, 17, angular_count=32)
-                   for f in fs]
+    with sup_grid(17, 32):
+        assert got == [dilation_convergence(f, params, factors) for f in fs]
 
 
 def test_batched_sup_call_holds_one_grid_buffer_at_a_time():

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from slicefock.series import (_coeff_table, _eval_rows, _extend_rows,
                               _rep_eval_rows, _split_rows, _star_inverse_rows,
                               _transform_rows)
 import slicefock.series as series_module
+from slicefock import fock
 from slicefock.fock import FockParams
 from slicefock.quaternion import _rows
 
@@ -72,6 +74,14 @@ def test_empty_coeffs_become_zero_series():
 def test_nominal_radius_validation():
     with pytest.raises(ValueError):
         SliceSeries((ONE,), 0.0)
+
+
+def test_nominal_radius_must_be_finite():
+    # an infinite radius was accepted, saved as "radius":Infinity and then
+    # refused by load_function
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SliceSeries((ONE,), bad)
 
 
 def test_from_reals_and_scale_right():
@@ -578,6 +588,20 @@ def test_derivative_worked_examples():
         derivative(f, -1)
 
 
+def test_derivative_order_must_be_an_integer():
+    # a float order read as past the degree gave the zero series (7.5), and
+    # one inside it failed in math.perm (1.5)
+    f = series(*(Quaternion(float(k + 1)) for k in range(5)))
+    poly = ComplexSlicePolynomial(UNIT_I, (1.0, 2j, 3.0, 0.5j, 1.0))
+    for order in (1.5, 7.5, 2.0):
+        with pytest.raises(TypeError):
+            derivative(f, order)
+        with pytest.raises(TypeError):
+            poly.derivative(order)
+    assert derivative(f, np.int64(2)) == derivative(f, 2)
+    assert poly.derivative(np.int64(2)) == poly.derivative(2)
+
+
 def test_derivative_central_difference():
     rng = rng_for(41)
     h = 1e-5
@@ -634,7 +658,8 @@ def test_truncated_dilation_error_shrinks():
         g = truncate(dilate(f, r), k)
         diff = SliceSeries(tuple(a - b for a, b in zip(
             g.coeffs + (Quaternion(),) * (f.degree - g.degree), f.coeffs)))
-        return sup_norm(diff, params, sphere, 65, angular_count=64).value
+        with unittest.mock.patch.multiple(fock, SUP_RADIAL=65, SUP_ANGULAR=64):
+            return sup_norm(diff, params, sphere).value
 
     errors_k = [err(0.9, k) for k in (1, 3, 6)]
     assert errors_k[0] >= errors_k[1] >= errors_k[2]

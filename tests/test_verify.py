@@ -1,8 +1,11 @@
+import inspect
 import re
+import unittest.mock
 from pathlib import Path
 
 import pytest
 
+from slicefock import verify
 from slicefock.corpus import rng_for, standard_corpus
 from slicefock.serialize import dumps_canonical
 from slicefock.verify import (PROPOSITIONS, _select, format_csv, format_text,
@@ -71,15 +74,22 @@ def test_dilation_and_derivative_pass_on_seed_2():
 
 
 def test_norm_propositions_on_coarse_setup():
-    results = run_verify(seed=1, props="norm-sandwich-p,slice-pair,norm-sandwich-sup,monomial",
-                         sphere_count=8, radial=24, angular=48,
-                         sup_radial=33, sup_angular=64)
+    with unittest.mock.patch.object(verify, "SANDWICH_SUP_GRID", (33, 64)):
+        results = run_verify(
+            seed=1, props="norm-sandwich-p,slice-pair,norm-sandwich-sup,monomial",
+            sphere_count=8, radial=24, angular=48)
     assert [r.name for r in results] == ["monomial", "norm-sandwich-p",
                                          "norm-sandwich-sup", "slice-pair"]
     assert all(r.passed for r in results)
     sandwich = results[1]
     assert "grid-doubling-rel" in sandwich.detail
     assert results[3].worst <= 1.0 + 1e-9  # pair ratio at p=2 is exactly one
+
+
+def test_run_verify_takes_no_sup_grid_size():
+    # its sup grids are verify's constants and fock's; none is a keyword
+    keywords = set(inspect.signature(run_verify).parameters)
+    assert not {"sup_radial", "sup_angular"} & keywords
 
 
 def test_formatters_agree_with_results():
@@ -105,8 +115,8 @@ def _mask(report):
 def test_small_verify_report_matches_pinned_output():
     # report pinned byte for byte.  The text rounds to 7 digits; the JSON
     # carries every float in full, so it pins the numbers themselves.
-    results = run_verify(0, sphere_count=8, radial=16, angular=32,
-                         sup_radial=17, sup_angular=32)
+    with unittest.mock.patch.object(verify, "SANDWICH_SUP_GRID", (17, 32)):
+        results = run_verify(0, sphere_count=8, radial=16, angular=32)
     for name, got in (("verify_seed0_small.txt", format_text(results)),
                       ("verify_seed0_small.json",
                        dumps_canonical(results_to_dicts(results)))):
