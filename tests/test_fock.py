@@ -379,7 +379,7 @@ def test_sup_functions_own_their_grid():
 
 
 def test_derivative_criterion_refuses_a_fractional_order():
-    # at the parent order 1.5 passed with zero sups on a degree-4 series
+    # at the parent order 7.5 passed with zero sups on a degree-4 series
     f = SliceSeries(tuple(Quaternion(float(k + 1)) for k in range(5)))
     for order in (1.5, 7.5):
         with pytest.raises(TypeError):
