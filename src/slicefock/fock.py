@@ -14,11 +14,13 @@ and for p = infinity
 
 over the ball.  The inner product pairs f against the conjugate of g
 with weight (a/pi) e^{-a|z|^2}.  At p = 2 the norm and the inner product
-are closed forms in the moments m_k below, and no grid is built.  At
-p != 2 quadrature is polar Gauss-Legendre times trapezoid (see
-quadrature.py) with automatic refinement: the grid is doubled until
-successive values agree to 1e-8 relative or the 512 x 1024 cap, and a
-residual disagreement above 1e-6, or a non-finite value, raises GridTooCoarse.
+are closed forms in the moments m_k below, and no grid is built; _norms
+is the one place that picks the closed form for a norm.  The quadrature
+rule itself, polar Gauss-Legendre times trapezoid (see quadrature.py),
+takes any finite p, p = 2 included; the norms use it at p != 2 with
+automatic refinement: the grid is doubled until successive values agree
+to 1e-8 relative or the 512 x 1024 cap, and a residual disagreement above
+1e-6, or a non-finite value, raises GridTooCoarse.
 
 p = 2.  On C_I write f(z) = sum z^k a_k and z = r e^{I t}, and split a
 quaternion c into pi_I(c), its projection onto C_I, which commutes with I,
@@ -193,10 +195,13 @@ class NormReport:
 
 @dataclass(frozen=True)
 class DerivativeCriterionReport:
+    """vacuous: d^t f is the zero series, so 0 <= 0 + 0 certifies nothing."""
+
     order: int
     sup_ratio: float
     component_sups: tuple[float, float]
     passed: bool
+    vacuous: bool
 
 
 @dataclass(frozen=True)
@@ -380,14 +385,6 @@ def _in_lanes(fn, items) -> list:
 # p-norms: closed form at p = 2, quadrature with refinement otherwise
 # ---------------------------------------------------------------------------
 
-def _grid_for(params: FockParams, grid: QuadratureGrid | None) -> QuadratureGrid:
-    if grid is None:
-        return QuadratureGrid.build(radius=params.radius)
-    if abs(grid.radius - params.radius) > 1e-12:
-        raise ValueError("grid radius does not match params.radius")
-    return grid
-
-
 def _log_moments(count: int, alpha: float, radius: float) -> np.ndarray:
     """log m_k for k < count, m_k = k! P(k + 1, a R^2) / (pi a^k); see module docstring."""
     # e^{-x} x^k is 0 long before x = 1e300, and inf has no int
@@ -453,13 +450,11 @@ def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
                          grid: QuadratureGrid) -> np.ndarray:
     """Slice p-norm of f on every unit by the grid's quadrature rule, shape (M,).
 
-    At p = 2 the norm is the closed form _p2_norm, which reads nothing from
-    the grid; at p != 2 |f|^p is evaluated in blocks of radial rows on the
-    lanes.  A norm that overflows is inf.
+    A plain quadrature rule at any finite p, p = 2 included: |f|^p is
+    evaluated in blocks of radial rows on the lanes.  A norm that overflows
+    is inf.
     """
     p = params.p
-    if p == 2.0:
-        return np.full(len(units), _p2_norm(f, params))
     r, _ = grid.radial_arrays()
     (coeffs, exponent), theta = _scaled_rows(f), grid.angles()
     # blocks of radial rows keep the units x points array cache-sized;
@@ -487,8 +482,10 @@ def _refine_norms(f, units, params, grid):
 
     The grid is doubled until successive values agree to 1e-8 relative or
     it reaches RADIAL_CAP x ANGULAR_CAP (see module docstring).  Returns
-    (values, grid, trace, refinements).  A start grid at the cap is
-    accepted; a non-finite value never stabilizes and raises at once.
+    (values, grid, rel, refinements), rel the last relative change between
+    successive grids.  A start grid at the cap is accepted without a
+    comparison, and its rel is 0.  A non-finite value never stabilizes and
+    raises at once; GridTooCoarse carries every grid's values.
     """
     trace, coarser = [], None
     while True:
@@ -502,36 +499,41 @@ def _refine_norms(f, units, params, grid):
                             / np.maximum(np.abs(values), 1e-300)))
                if coarser is not None else 0.0 if at_cap else math.inf)
         if rel <= REFINE_TOL or (at_cap and rel <= COARSE_TOL):
-            return values, grid, trace, len(trace) - 1
+            return values, grid, rel, len(trace) - 1
         if at_cap:
             raise GridTooCoarse("grid refinements disagree beyond 1e-6 relative at the "
                                 f"resolution cap {RADIAL_CAP} x {ANGULAR_CAP}", trace)
         coarser, grid = values, grid.doubled()
 
 
-def _norms(f, units, params, grid) -> tuple[np.ndarray, dict]:
-    """Slice norms of f on every unit and their grid spec, without the sphere.
+def _norms(f, units, params, grid) -> tuple[np.ndarray, dict, float]:
+    """Slice norms of f on every unit, their grid spec and their relative change.
 
-    At p = 2 the closed form, with no grid built (a passed one is still
-    checked); otherwise the refined quadrature.
+    The one place that picks how a p-norm is taken.  At p = 2 the closed
+    form, exact and with no grid built, so the relative change is 0.0.  At
+    any other finite p the quadrature refined from grid (default
+    DEFAULT_RADIAL x DEFAULT_ANGULAR) by _refine_norms, and the relative
+    change is that of its last doubling; a start grid at the cap is
+    accepted without a comparison, and then it reads 0.  A passed grid's
+    radius is checked at every p.
     """
     if params.p == math.inf:
         raise ValueError("p = infinity has no quadrature norm; use sup_norm")
+    if grid is not None and abs(grid.radius - params.radius) > 1e-12:
+        raise ValueError("grid radius does not match params.radius")
     if params.p == 2.0:
-        if grid is not None:
-            _grid_for(params, grid)
         return (np.full(len(units), _p2_norm(f, params)),
-                {"rule": "closed form", "radius": params.radius})
-    values, final_grid, _, refinements = _refine_norms(
-        f, units, params, _grid_for(params, grid))
+                {"rule": "closed form", "radius": params.radius}, 0.0)
+    values, final_grid, rel, refinements = _refine_norms(
+        f, units, params, grid or QuadratureGrid.build(radius=params.radius))
     return values, {**final_grid.describe(), "rule": "gauss-legendre x trapezoid",
-                    "refinements": refinements}
+                    "refinements": refinements}, rel
 
 
 def slice_norm_p(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
                  grid: QuadratureGrid | None = None) -> float:
     """p-norm of f restricted to the slice C_I, 0 < p < infinity."""
-    values, _ = _norms(f, [unit], params, grid)
+    values, _, _ = _norms(f, [unit], params, grid)
     return float(values[0])
 
 
@@ -546,7 +548,7 @@ def fock_norm_p(f: SliceSeries, params: FockParams,
     units = list(sphere) if sphere is not None else default_sphere()
     if not units:
         raise ValueError("sphere must hold at least one unit")
-    values, spec = _norms(f, units, params, grid)
+    values, spec, _ = _norms(f, units, params, grid)
     per_slice = tuple((u, float(v)) for u, v in zip(units, values))
     return NormReport(float(values.max()), per_slice, {**spec, "sphere": len(units)})
 
@@ -923,7 +925,9 @@ def derivative_criterion(f: SliceSeries, order: int,
         sup(f) <= sup(f_1) + sup(f_2) + SLACK.
 
     The argmax of the left side (and its conjugate) is re-evaluated on the
-    component side so discretization cannot break the comparison.
+    component side so discretization cannot break the comparison.  Where
+    d^t f is the zero series (t above the degree, or zero top coefficients)
+    the report is vacuous: it passes, and certifies nothing.
     """
     return _derivative_reports([f], order, params, SUP_RADIAL, SUP_ANGULAR)[0]
 
@@ -955,7 +959,8 @@ def _derivative_reports(fs, order: int, params: FockParams, radial_samples: int,
         s1 = max(float(part1.sups[0]), ratio_at(f1, zstar), ratio_at(f1, zstar.conjugate()))
         s2 = max(float(part2.sups[0]), ratio_at(f2, zstar), ratio_at(f2, zstar.conjugate()))
         reports.append(DerivativeCriterionReport(order, left.ball, (s1, s2),
-                                                 left.ball <= s1 + s2 + SLACK))
+                                                 left.ball <= s1 + s2 + SLACK,
+                                                 not ders[i]._coeff_rows.any()))
     return reports
 
 
@@ -965,13 +970,15 @@ def little_space_profile(f: SliceSeries, params: FockParams, rho_list, *,
     """Boundary decay profile M(rho) = max_{|q| = rho} |f(q)| e^{-a rho^2/2}.
 
     The max is exact over the units and taken over angular_count angles.
-    rho_list must increase inside (0, R].  A non-increasing tail over the
-    last three entries that also drops below the tolerance is reported as
-    membership in the vanishing-at-the-boundary subspace.
+    rho_list must be non-empty and increase inside (0, R].  A non-increasing
+    tail over the last three entries that also drops below the tolerance is
+    reported as membership in the vanishing-at-the-boundary subspace.
     """
     if angular_count < 1:
         raise ValueError(f"angular_count must be at least 1, got {angular_count!r}")
     rhos = [float(r) for r in rho_list]
+    if not rhos:
+        raise ValueError("rho_list must hold at least one radius")
     if any(not 0.0 < r <= params.radius for r in rhos) \
             or any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rho_list must be strictly increasing inside (0, R]")

@@ -23,6 +23,7 @@ from points z_k on a common slice and quaternion coefficients a_k.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,8 @@ class AtomicData:
         if not self.points:
             raise ValueError("need at least one synthesis point")
         _require_alpha(self.alpha)
+        # a float degree is refused here, not inside atomic_synthesis' range
+        object.__setattr__(self, "trunc_degree", operator.index(self.trunc_degree))
         if self.trunc_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
         if not all(math.isfinite(a.w) and math.isfinite(a.x) and math.isfinite(a.y)

@@ -1,6 +1,7 @@
 """Polar quadrature on a slice disk: Gauss-Legendre radius, trapezoid angle.
 
-fock integrates on these grids only at p != 2; at p = 2 its norms and inner
+fock's norms integrate on these grids only at p != 2, although its rule on
+them (_slice_norms_on_grid) takes any finite p; at p = 2 its norms and inner
 products are closed forms that read no grid.
 
 The disk B_I(0, R) is parametrized by z = r e^{I t}; integrals of smooth
@@ -51,6 +52,9 @@ class QuadratureGrid:
     radius: float
 
     def __post_init__(self):
+        # counts are integers (operator.index): a float is refused, not truncated
+        for name in ("radial_count", "angular_count"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.radial_count < 1:
             raise ValueError("radial_count must be positive")
         if self.angular_count < 1:
@@ -62,8 +66,7 @@ class QuadratureGrid:
     def build(cls, radial_count: int = DEFAULT_RADIAL,
               angular_count: int = DEFAULT_ANGULAR,
               radius: float = 1.0) -> "QuadratureGrid":
-        # a float radial count is refused (leggauss takes no float), not truncated
-        return cls(operator.index(radial_count), int(angular_count), float(radius))
+        return cls(radial_count, angular_count, float(radius))
 
     def doubled(self) -> "QuadratureGrid":
         return QuadratureGrid.build(2 * self.radial_count,

@@ -567,9 +567,11 @@ def tail_bound(f: SliceSeries, point_modulus: float, degree: int) -> float:
     """Bound sum_{k > degree} |q|^k |a_k| on |f(q) - truncate(f, degree)(q)|.
 
     The terms are summed on a power-of-two scale, so a representable bound
-    is returned even where |q|^k alone overflows or underflows.  Never
-    raises: a bound that overflows a float is inf.
+    is returned even where |q|^k alone overflows or underflows.  The degree
+    is an integer (operator.index), as truncate's is.  A bound that
+    overflows a float is inf.
     """
+    degree = operator.index(degree)
     if degree >= f.degree:
         return 0.0
     mant, step = math.frexp(point_modulus)

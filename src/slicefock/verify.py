@@ -5,7 +5,10 @@ coefficients uniform in [-1, 1]^4), measures every certified identity and
 inequality on it, and reports one line per proposition: name, number of
 instances, worst observed ratio or residual, allowed bound, PASS or FAIL.
 Runs with the same seed and flags produce byte-identical reports; the
-output ordering is canonical (sorted by proposition name).
+output ordering is canonical (sorted by proposition name).  The p rows
+take every slice norm as `norm` takes it, through fock's one p-norm path:
+the closed form at p = 2, the refined quadrature at any other finite p,
+so their values are certified or the run raises GridTooCoarse.
 
 Propositions:
 
@@ -32,7 +35,10 @@ from .corpus import (random_ball_point, random_orthogonal_pair, random_unit,
                      rng_for, standard_corpus)
 from . import fock
 from .fock import (SLACK, FockParams, _derivative_reports, _dilation_values,
-                   _monomial_sup, _slice_norms_on_grid, _sup_over_rows)
+                   _monomial_sup, _norms, _sup_over_rows)
+# not called here: perfbench's test_tracer_counts_the_grid_evaluations_verify_makes
+# reads verify._slice_norms_on_grid
+from .fock import _slice_norms_on_grid  # noqa: F401
 from .quadrature import QuadratureGrid
 from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _decompose_rows,
                          _modulus_rows, _qmul, _rows, _unit_rows, default_sphere)
@@ -188,18 +194,14 @@ def _check_rep_formula(corpus, seed: int) -> PropositionResult:
 def _check_p_norms(corpus, params: FockParams, grid: QuadratureGrid,
                    units) -> tuple[PropositionResult, PropositionResult]:
     p = params.p
-    fine = grid.doubled()
 
     def one(f):
-        coarse_vals = _slice_norms_on_grid(f, units, params, grid)
-        vals = _slice_norms_on_grid(f, units, params, fine)
-        stability = float(np.max(np.abs(vals - coarse_vals)
-                                 / np.maximum(np.abs(vals), 1e-300)))
+        vals, _, rel = _norms(f, units, params, grid)
         powered = vals ** p
         top = float(powered.max())
         if top < 1e-300:
-            return stability, 1.0, 1.0, 1.0
-        return (stability, float((powered / top).max()),
+            return rel, 1.0, 1.0, 1.0
+        return (rel, float((powered / top).max()),
                 float((top / powered).max()),
                 float(powered.max() / powered.min()))
 
@@ -257,15 +259,14 @@ def _check_dilation(corpus, params: FockParams) -> PropositionResult:
 
 
 def _check_derivative(corpus, params: FockParams) -> PropositionResult:
-    # d^t f vanishes for degree < t, and 0 <= 0 + 0 certifies nothing: such
+    # where d^t f is the zero series, 0 <= 0 + 0 certifies nothing: such
     # instances are counted as vacuous and kept out of the worst margin
     subset = corpus[:50]
     orders = (1, 2, 3)
     margins, vacuous = [], 0
     for order in orders:
-        reports = _derivative_reports(subset, order, params, *CRITERIA_SUP_GRID)
-        for f, rep in zip(subset, reports):
-            if order > f.degree:
+        for rep in _derivative_reports(subset, order, params, *CRITERIA_SUP_GRID):
+            if rep.vacuous:
                 vacuous += 1
             else:
                 margins.append(rep.sup_ratio - sum(rep.component_sups))
@@ -306,8 +307,12 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
                angular: int = 128) -> list[PropositionResult]:
     """Run the selected propositions on the seeded corpus.
 
-    Norm propositions use a Gauss-Legendre x trapezoid grid of the given
-    size (plus one doubling for the stability figure); sup propositions use
+    The p rows take each function's slice norms as `norm` does: the closed
+    form at p = 2, and at any other finite p Gauss-Legendre x trapezoid
+    quadrature refined, as `norm` refines it, from the radial x angular
+    start grid (read at finite p != 2 only).  grid-doubling-rel is the
+    largest relative change of a last doubling, and a function whose
+    values do not stabilize raises GridTooCoarse.  Sup propositions use
     Chebyshev radii with golden-section polish on SANDWICH_SUP_GRID,
     CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR.  The same seed
     and flags always produce the same results.  p must be finite: the

@@ -319,6 +319,18 @@ def test_grid_too_coarse_exits_three(tmp_path, capsys, monkeypatch):
     assert "grid {'radial': 4, 'angular': 8}: [1.0, 1.5]" in err
 
 
+def test_verify_that_does_not_stabilize_exits_three(capsys, monkeypatch):
+    # the p rows refine as norm does; at a cap of 8 x 16 a degree-12
+    # function at p = 0.4 disagrees beyond 1e-6
+    monkeypatch.setattr("slicefock.fock.RADIAL_CAP", 8)
+    monkeypatch.setattr("slicefock.fock.ANGULAR_CAP", 16)
+    code, out, err = run(capsys, ["verify", "--props", "norm-sandwich-p", "--p", "0.4",
+                                  "--sphere", "1", "--radial", "4", "--angular", "8"])
+    assert code == 3 and out == ""
+    assert "resolution cap 8 x 16" in err
+    assert "grid {'radial': 4, 'angular': 8" in err
+
+
 def test_argparse_errors_raise_system_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["norm", "f.json", "--out", "xml"])

@@ -466,6 +466,20 @@ def test_refinement_count_reported():
     assert report.grid_spec["rule"] == "gauss-legendre x trapezoid"
 
 
+def test_norms_return_the_last_relative_change(monkeypatch):
+    units = small_sphere()
+    values, spec, rel = fock._norms(Q_F, units, P15, None)
+    assert 0.0 < rel <= fock.REFINE_TOL
+    assert values.tolist() == [v for _, v in fock_norm_p(Q_F, P15, sphere=units).per_slice]
+    # the closed form is exact and reads no grid
+    assert fock._norms(Q_F, units, P2, QuadratureGrid.build(4, 8))[2] == 0.0
+    # a start grid at the cap is accepted without a comparison
+    monkeypatch.setattr(fock, "RADIAL_CAP", 8)
+    monkeypatch.setattr(fock, "ANGULAR_CAP", 16)
+    _, spec, rel = fock._norms(Q_F, units, P15, QuadratureGrid.build(8, 16))
+    assert (spec["refinements"], rel) == (0, 0.0)
+
+
 # --- monomial bound: ||z^k a_k||_inf <= 2^{max(p,1)} sqrt(k/2) slice sup of f ---
 
 def test_monomial_bound_single_variable_example():
@@ -554,6 +568,18 @@ def test_derivative_criterion_square_oracle():
     assert rep.passed
 
 
+def test_derivative_criterion_flags_a_vacuous_instance():
+    # d^t f = 0 when t passes the degree or the top coefficients are zero
+    zero_top = SliceSeries((Quaternion(1.0), Quaternion(), Quaternion()))
+    with sup_grid(17, 32):
+        reports = [derivative_criterion(Q_F, 2, P2),
+                   derivative_criterion(zero_top, 1, P2),
+                   derivative_criterion(monomial_series(2), 1, P2)]
+    assert [rep.vacuous for rep in reports] == [True, True, False]
+    assert reports[0].component_sups == (0.0, 0.0) and reports[0].passed
+    assert reports[2].sup_ratio > 0.0
+
+
 def test_derivative_criterion_split_inequality_random():
     rng = rng_for(78)
     for _ in range(10):
@@ -624,6 +650,12 @@ def test_little_space_profile_refuses_fewer_than_one_angle():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="angular_count must be at least 1"):
             little_space_profile(ONE_F, P2, (0.5, 1.0), angular_count=bad)
+
+
+def test_little_space_profile_refuses_an_empty_rho_list():
+    # an empty list used to fail with IndexError at values[-1]
+    with pytest.raises(ValueError, match="rho_list"):
+        little_space_profile(ONE_F, P2, [])
 
 
 def test_little_space_profile_validates_rhos():
@@ -772,9 +804,22 @@ def test_p2_closed_form_equals_the_pointwise_sum_on_converged_grids(
     params = FockParams(alpha=alpha, p=2.0, radius=radius)
     units = default_sphere(2)
     grid = QuadratureGrid.build(radial, 2 * len(rows) + extra_angles, radius)
-    got = _slice_norms_on_grid(f, units, params, grid)
+    got = np.array([slice_norm_p(f, unit, params) for unit in units])
     want = _pointwise_p2_norms(f, units, params, grid)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
+
+
+def test_slice_norms_on_grid_at_p2_is_the_grid_sum():
+    # a plain quadrature rule at p = 2 too: on a 4 x 8 grid it is the grid
+    # sum, far from the closed form that the norms take
+    f = random_series(rng_for(70), max_degree=7)
+    units = small_sphere()
+    grid = QuadratureGrid.build(4, 8)
+    got = _slice_norms_on_grid(f, units, P2, grid)
+    want = _pointwise_p2_norms(f, units, P2, grid)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    closed = slice_norm_p(f, UNIT_I, P2)
+    assert np.all(np.abs(got - closed) > 1e-6 * closed)
 
 
 # a R^2 from far below the first moment's peak to far above the last one's

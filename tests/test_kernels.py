@@ -199,6 +199,12 @@ def test_synthesis_single_point_at_origin():
     assert all(a.modulus() == 0.0 for a in f.coeffs[1:])
 
 
+def test_synthesis_degree_must_be_an_integer():
+    # 2.5 was accepted here and failed later inside atomic_synthesis' range
+    with pytest.raises(TypeError):
+        AtomicData((Quaternion(),), (Quaternion(1.0),), 1.0, 2.5)
+
+
 def test_synthesis_two_point_parity():
     alpha = 1.0
     data = AtomicData((Quaternion(0.5), Quaternion(-0.5)),

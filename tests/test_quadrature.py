@@ -37,6 +37,17 @@ def test_build_validation():
             QuadratureGrid.build(8, 8, radius)
 
 
+def test_counts_must_be_integers():
+    # the angular count went through int(): 16.7 silently built 16 angles
+    for counts in ((8, 16.7), (8.0, 16)):
+        with pytest.raises(TypeError):
+            QuadratureGrid.build(*counts)
+        with pytest.raises(TypeError):
+            QuadratureGrid(*counts, 1.0)
+    grid = QuadratureGrid(np.int64(8), np.int64(16), 1.0)
+    assert type(grid.radial_count) is type(grid.angular_count) is int
+
+
 def test_weights_sum_to_disk_area():
     for radius in (1.0, 0.35, 2.5):
         g = QuadratureGrid.build(32, 64, radius)

@@ -648,6 +648,14 @@ def test_truncate_and_tail_bound():
         assert qdist(f.eval(q), truncate(f, k).eval(q)) <= bounds[k] + 1e-15
 
 
+def test_tail_bound_degree_must_be_an_integer():
+    # 0.5 gave the degree-0 bound, while truncate(f, 0.5) raises
+    f = SliceSeries((Quaternion(1.0), Quaternion(0.0, 0.5)))
+    for degree in (0.5, 1.0):
+        with pytest.raises(TypeError):
+            tail_bound(f, 0.5, degree)
+
+
 def test_truncated_dilation_error_shrinks():
     rng = rng_for(43)
     f = random_series(rng, max_degree=6)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from slicefock import verify
+from slicefock import fock, verify
 from slicefock.corpus import rng_for, standard_corpus
 from slicefock.serialize import dumps_canonical
 from slicefock.verify import (PROPOSITIONS, _select, format_csv, format_text,
@@ -84,6 +84,29 @@ def test_norm_propositions_on_coarse_setup():
     sandwich = results[1]
     assert "grid-doubling-rel" in sandwich.detail
     assert results[3].worst <= 1.0 + 1e-9  # pair ratio at p=2 is exactly one
+
+
+def _doubling_rel(result):
+    return float(re.search(r"grid-doubling-rel=(\S+)", result.detail).group(1))
+
+
+def test_p_rows_refine_from_a_coarse_start_grid():
+    # one doubling of 8 x 16, compared without refinement, read 4.57e-3
+    [sandwich] = run_verify(0, props="norm-sandwich-p", p=1.5, sphere_count=2,
+                            radial=8, angular=16)
+    assert sandwich.passed
+    assert _doubling_rel(sandwich) <= 1e-6
+
+
+def test_p2_rows_take_the_closed_form_once_per_function():
+    # a coarse and a doubled grid per function made 400 calls of each
+    with unittest.mock.patch.object(fock, "_p2_norm", wraps=fock._p2_norm) as p2, \
+            unittest.mock.patch.object(fock, "_slice_norms_on_grid") as on_grid, \
+            unittest.mock.patch.object(verify, "_slice_norms_on_grid", on_grid):
+        [sandwich] = run_verify(0, props="norm-sandwich-p", sphere_count=2)
+    assert p2.call_count == len(standard_corpus(0))
+    assert on_grid.call_count == 0
+    assert sandwich.passed and _doubling_rel(sandwich) == 0.0
 
 
 def test_run_verify_takes_no_sup_grid_size():
