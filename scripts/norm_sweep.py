@@ -16,9 +16,8 @@ Example:
 import argparse
 import sys
 
-from slicefock import (UNIT_I, FockParams, Quaternion, QuadratureGrid,
-                       SliceSeries, default_sphere, fock_norm_p, slice_norm_p,
-                       sup_norm)
+from slicefock import (UNIT_I, FockParams, Quaternion, SliceSeries,
+                       default_sphere, fock_norm_p, slice_norm_p, sup_norm)
 
 
 def monomial(n: int) -> SliceSeries:
@@ -26,14 +25,13 @@ def monomial(n: int) -> SliceSeries:
 
 
 def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     parser.add_argument("--degrees", default="0,1,2,3,4")
     parser.add_argument("--alphas", default="0.5,1.0,2.0")
     parser.add_argument("--p", default="2.0,3.0")
     parser.add_argument("--radius", type=float, default=1.0)
     parser.add_argument("--sphere", type=int, default=8)
-    parser.add_argument("--radial", type=int, default=64)
-    parser.add_argument("--angular", type=int, default=128)
     parser.add_argument("--output", default=None,
                         help="CSV file to write (default stdout)")
     return parser.parse_args(argv)
@@ -45,7 +43,6 @@ def main(argv=None) -> int:
     alphas = [float(s) for s in args.alphas.split(",") if s]
     exponents = [float(s) for s in args.p.split(",") if s]
     sphere = default_sphere(args.sphere)
-    grid = QuadratureGrid.build(args.radial, args.angular, args.radius)
 
     lines = ["n,alpha,p,slice_norm,ball_norm,ball_over_slice,sup_norm"]
     for n in degrees:
@@ -55,8 +52,8 @@ def main(argv=None) -> int:
             sup = sup_norm(f, sup_params, sphere).value
             for p in exponents:
                 params = FockParams(alpha=alpha, p=p, radius=args.radius)
-                on_slice = slice_norm_p(f, UNIT_I, params, grid)
-                ball = fock_norm_p(f, params, grid, sphere).value
+                on_slice = slice_norm_p(f, UNIT_I, params)
+                ball = fock_norm_p(f, params, sphere=sphere).value
                 lines.append(f"{n},{alpha!r},{p!r},{on_slice!r},{ball!r},"
                              f"{ball / on_slice!r},{sup!r}")
 

@@ -19,7 +19,8 @@ from slicefock.verify import format_text, run_verify
 
 
 def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     parser.add_argument("--seeds", default="0,1,2",
                         help="comma separated corpus seeds (default 0,1,2)")
     parser.add_argument("--p", default="2.0,3.0",
@@ -28,8 +29,6 @@ def parse_args(argv=None):
     parser.add_argument("--sphere", type=int, default=16,
                         help="imaginary units per run (default 16; the "
                              "acceptance gate uses 64)")
-    parser.add_argument("--radial", type=int, default=48)
-    parser.add_argument("--angular", type=int, default=96)
     parser.add_argument("--props", default=None,
                         help="comma separated proposition subset (default all)")
     return parser.parse_args(argv)
@@ -46,8 +45,7 @@ def main(argv=None) -> int:
         for p in exponents:
             start = time.monotonic()
             results = run_verify(seed=seed, props=args.props, alpha=args.alpha,
-                                 p=p, sphere_count=args.sphere,
-                                 radial=args.radial, angular=args.angular)
+                                 p=p, sphere_count=args.sphere)
             elapsed = time.monotonic() - start
             print(f"== seed={seed} p={p} alpha={args.alpha} "
                   f"({elapsed:.1f} s) ==")

@@ -8,7 +8,7 @@ Subcommands:
     verify    run the proposition suite on the seeded corpus
     kernel    truncated exponential kernel value and tail bound
     synth     build a function from kernel atoms and store it
-    profile   boundary decay profile M(rho) and the vanishing verdict
+    profile   boundary decay profile M(rho)
 
 Each subcommand returns its result in every output format; main alone writes
 the one --out asks for and maps errors to exit codes.  Exit codes: 0 success,
@@ -28,7 +28,6 @@ from typing import Callable, NamedTuple
 
 from . import fock, kernels, serialize, verify
 from .errors import GridTooCoarse, SliceFockError
-from .quadrature import DEFAULT_ANGULAR, DEFAULT_RADIAL, QuadratureGrid
 from .quaternion import ImaginaryUnit, Quaternion, default_sphere
 from .series import MultiPolynomial, rep_eval, tail_bound, truncate
 
@@ -171,13 +170,8 @@ def cmd_norm(args) -> _Result:
     p = _parse_p(args.p)
     params = fock.FockParams(args.alpha, p, radius=args.radius)
     sphere = default_sphere(args.sphere)
-    if p == math.inf:
-        report = fock.sup_norm(f, params, sphere)
-    else:
-        # p = 2 is in closed form and reads no grid
-        grid = (None if p == 2.0 else
-                QuadratureGrid.build(args.radial, args.angular, args.radius))
-        report = fock.fock_norm_p(f, params, grid, sphere)
+    norm = fock.sup_norm if p == math.inf else fock.fock_norm_p
+    report = norm(f, params, sphere=sphere)
     _require_finite(("norm", report.value))
     shown_p = "inf" if p == math.inf else p
     worst = max(report.per_slice, key=lambda uv: uv[1])[0]
@@ -196,8 +190,7 @@ def cmd_norm(args) -> _Result:
 def cmd_verify(args) -> _Result:
     results = verify.run_verify(seed=args.seed, props=args.props or None,
                                 alpha=args.alpha, p=_parse_p(args.p),
-                                radius=args.radius, sphere_count=args.sphere,
-                                radial=args.radial, angular=args.angular)
+                                radius=args.radius, sphere_count=args.sphere)
     return _Result(partial(verify.results_to_dicts, results),
                    partial(verify.format_csv, results),
                    partial(verify.format_text, results),
@@ -241,17 +234,11 @@ def cmd_profile(args) -> _Result:
     rhos = _parse_floats(args.rho, "--rho")
     if not rhos:
         raise ValueError("--rho expects at least one radius")
-    report = fock.little_space_profile(f, params, rhos,
-                                       angular_count=args.angular,
-                                       tolerance=args.tolerance)
+    report = fock.little_space_profile(f, params, rhos)
     pairs = list(zip(report.rhos, report.values))
     _require_finite(*[(f"M({r!r})", v) for r, v in pairs if not _finite(v)])
-    payload = {"rhos": list(report.rhos), "values": list(report.values),
-               "decreasing_tail": report.decreasing_tail,
-               "member": report.member, "tolerance": report.tolerance}
+    payload = {"rhos": list(report.rhos), "values": list(report.values)}
     lines = [f"rho = {r!r}  M = {v!r}" for r, v in pairs]
-    lines.append(f"vanishes at the boundary (tolerance {report.tolerance!r}): "
-                 f"{'yes' if report.member else 'no'}")
     return _Result(lambda: payload,
                    lambda: "\n".join(["rho,value"] + [f"{r!r},{v!r}" for r, v in pairs]),
                    lambda: "\n".join(lines))
@@ -262,7 +249,7 @@ def cmd_profile(args) -> _Result:
 # ---------------------------------------------------------------------------
 
 def _add_common(sub, *, norm_flags=True):
-    """--alpha and --radius; with norm_flags also --p, --sphere and the grid sizes."""
+    """--alpha and --radius; with norm_flags also --p and --sphere."""
     sub.add_argument("--alpha", type=float, default=1.0,
                      help="Gaussian weight parameter (default 1.0)")
     sub.add_argument("--radius", type=float, default=1.0,
@@ -272,26 +259,23 @@ def _add_common(sub, *, norm_flags=True):
                          help="norm exponent, a number or 'inf' (default 2.0)")
         sub.add_argument("--sphere", type=int, default=64,
                          help="imaginary units sampled on the sphere (default 64)")
-        sub.add_argument("--radial", type=int, default=DEFAULT_RADIAL,
-                         help=f"radial quadrature nodes, read at finite p != 2 "
-                              f"only (default {DEFAULT_RADIAL})")
-        sub.add_argument("--angular", type=int, default=DEFAULT_ANGULAR,
-                         help=f"angular quadrature nodes, read at finite p != 2 "
-                              f"only (default {DEFAULT_ANGULAR})")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no flag may be abbreviated: a prefix such as --rad would otherwise be
+    # read as whichever one flag it starts (--radius), not refused
     parser = argparse.ArgumentParser(
-        prog="slicefock",
+        prog="slicefock", allow_abbrev=False,
         description="Slice-regular functions with Gaussian-weighted norms "
                     "on the quaternionic unit ball.")
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     shared.add_argument("--out", choices=("text", "json", "csv"), default="text",
                         help="output format (default text)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text):
-        sub = subs.add_parser(name, parents=[shared], help=help_text)
+        sub = subs.add_parser(name, parents=[shared], help=help_text,
+                              allow_abbrev=False)
         sub.set_defaults(handler=handler)
         return sub
 
@@ -333,12 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("profile", cmd_profile, "boundary decay profile M(rho)")
     sub.add_argument("function", help="JSON function file")
     _add_common(sub, norm_flags=False)
-    sub.add_argument("--angular", type=int, default=fock.SUP_ANGULAR,
-                     help=f"angular samples per circle (default {fock.SUP_ANGULAR})")
     sub.add_argument("--rho", required=True,
                      help="comma separated radii, strictly increasing in (0, R]")
-    sub.add_argument("--tolerance", type=float, default=1e-3,
-                     help="membership threshold on M(rho_max) (default 1e-3)")
     return parser
 
 

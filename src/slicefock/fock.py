@@ -18,9 +18,11 @@ are closed forms in the moments m_k below, and no grid is built; _norms
 is the one place that picks the closed form for a norm.  The quadrature
 rule itself, polar Gauss-Legendre times trapezoid (see quadrature.py),
 takes any finite p, p = 2 included; the norms use it at p != 2 with
-automatic refinement: the grid is doubled until successive values agree
-to 1e-8 relative or the 512 x 1024 cap, and a residual disagreement above
-1e-6, or a non-finite value, raises GridTooCoarse.
+automatic refinement: from the library's 64 x 128 start grid (no norm takes
+a grid), the grid is doubled until successive values agree to 1e-8
+relative or the 512 x 1024 cap, and a residual disagreement above 1e-6, or
+a non-finite value, raises GridTooCoarse.  Every value is compared with a
+coarser grid's: one grid alone certifies nothing.
 
 p = 2.  On C_I write f(z) = sum z^k a_k and z = r e^{I t}, and split a
 quaternion c into pi_I(c), its projection onto C_I, which commutes with I,
@@ -206,11 +208,10 @@ class DerivativeCriterionReport:
 
 @dataclass(frozen=True)
 class LittleSpaceReport:
+    """M(rho) at each rho of little_space_profile."""
+
     rhos: tuple[float, ...]
     values: tuple[float, ...]
-    decreasing_tail: bool
-    member: bool
-    tolerance: float
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +484,10 @@ def _refine_norms(f, units, params, grid):
     The grid is doubled until successive values agree to 1e-8 relative or
     it reaches RADIAL_CAP x ANGULAR_CAP (see module docstring).  Returns
     (values, grid, rel, refinements), rel the last relative change between
-    successive grids.  A start grid at the cap is accepted without a
-    comparison, and its rel is 0.  A non-finite value never stabilizes and
-    raises at once; GridTooCoarse carries every grid's values.
+    successive grids.  A single grid certifies nothing, so a start grid at
+    the cap raises, as a residual disagreement there does.  A non-finite
+    value never stabilizes and raises at once; GridTooCoarse carries every
+    grid's values.
     """
     trace, coarser = [], None
     while True:
@@ -497,48 +499,43 @@ def _refine_norms(f, units, params, grid):
         at_cap = grid.radial_count >= RADIAL_CAP or grid.angular_count >= ANGULAR_CAP
         rel = (float(np.max(np.abs(values - coarser)
                             / np.maximum(np.abs(values), 1e-300)))
-               if coarser is not None else 0.0 if at_cap else math.inf)
+               if coarser is not None else math.inf)
         if rel <= REFINE_TOL or (at_cap and rel <= COARSE_TOL):
             return values, grid, rel, len(trace) - 1
         if at_cap:
-            raise GridTooCoarse("grid refinements disagree beyond 1e-6 relative at the "
-                                f"resolution cap {RADIAL_CAP} x {ANGULAR_CAP}", trace)
+            raise GridTooCoarse("no grid agrees with a coarser one within 1e-6 relative "
+                                f"up to the resolution cap {RADIAL_CAP} x {ANGULAR_CAP}",
+                                trace)
         coarser, grid = values, grid.doubled()
 
 
-def _norms(f, units, params, grid) -> tuple[np.ndarray, dict, float]:
+def _norms(f, units, params) -> tuple[np.ndarray, dict, float]:
     """Slice norms of f on every unit, their grid spec and their relative change.
 
     The one place that picks how a p-norm is taken.  At p = 2 the closed
     form, exact and with no grid built, so the relative change is 0.0.  At
-    any other finite p the quadrature refined from grid (default
-    DEFAULT_RADIAL x DEFAULT_ANGULAR) by _refine_norms, and the relative
-    change is that of its last doubling; a start grid at the cap is
-    accepted without a comparison, and then it reads 0.  A passed grid's
-    radius is checked at every p.
+    any other finite p the quadrature refined by _refine_norms from the
+    library's start grid, quadrature's DEFAULT_RADIAL x DEFAULT_ANGULAR
+    (64 x 128), and the relative change is that of its last doubling.
     """
     if params.p == math.inf:
         raise ValueError("p = infinity has no quadrature norm; use sup_norm")
-    if grid is not None and abs(grid.radius - params.radius) > 1e-12:
-        raise ValueError("grid radius does not match params.radius")
     if params.p == 2.0:
         return (np.full(len(units), _p2_norm(f, params)),
                 {"rule": "closed form", "radius": params.radius}, 0.0)
     values, final_grid, rel, refinements = _refine_norms(
-        f, units, params, grid or QuadratureGrid.build(radius=params.radius))
+        f, units, params, QuadratureGrid.build(radius=params.radius))
     return values, {**final_grid.describe(), "rule": "gauss-legendre x trapezoid",
                     "refinements": refinements}, rel
 
 
-def slice_norm_p(f: SliceSeries, unit: ImaginaryUnit, params: FockParams,
-                 grid: QuadratureGrid | None = None) -> float:
+def slice_norm_p(f: SliceSeries, unit: ImaginaryUnit, params: FockParams) -> float:
     """p-norm of f restricted to the slice C_I, 0 < p < infinity."""
-    values, _, _ = _norms(f, [unit], params, grid)
+    values, _, _ = _norms(f, [unit], params)
     return float(values[0])
 
 
-def fock_norm_p(f: SliceSeries, params: FockParams,
-                grid: QuadratureGrid | None = None, sphere=None) -> NormReport:
+def fock_norm_p(f: SliceSeries, params: FockParams, *, sphere=None) -> NormReport:
     """Supremum of the slice p-norms over the sampled sphere of units.
 
     At p = 2 every slice norm is the same, so per_slice holds one value
@@ -548,7 +545,7 @@ def fock_norm_p(f: SliceSeries, params: FockParams,
     units = list(sphere) if sphere is not None else default_sphere()
     if not units:
         raise ValueError("sphere must hold at least one unit")
-    values, spec, _ = _norms(f, units, params, grid)
+    values, spec, _ = _norms(f, units, params)
     per_slice = tuple((u, float(v)) for u, v in zip(units, values))
     return NormReport(float(values.max()), per_slice, {**spec, "sphere": len(units)})
 
@@ -964,34 +961,26 @@ def _derivative_reports(fs, order: int, params: FockParams, radial_samples: int,
     return reports
 
 
-def little_space_profile(f: SliceSeries, params: FockParams, rho_list, *,
-                         angular_count: int = SUP_ANGULAR,
-                         tolerance: float = 1e-3) -> LittleSpaceReport:
+def little_space_profile(f: SliceSeries, params: FockParams,
+                         rho_list) -> LittleSpaceReport:
     """Boundary decay profile M(rho) = max_{|q| = rho} |f(q)| e^{-a rho^2/2}.
 
-    The max is exact over the units and taken over angular_count angles.
-    rho_list must be non-empty and increase inside (0, R].  A non-increasing
-    tail over the last three entries that also drops below the tolerance is
-    reported as membership in the vanishing-at-the-boundary subspace.
+    The max is exact over the units and sampled over SUP_ANGULAR angles, so
+    M(rho) is a lower bound.  rho_list must be non-empty and increase
+    inside (0, R].
     """
-    if angular_count < 1:
-        raise ValueError(f"angular_count must be at least 1, got {angular_count!r}")
     rhos = [float(r) for r in rho_list]
     if not rhos:
         raise ValueError("rho_list must hold at least one radius")
     if any(not 0.0 < r <= params.radius for r in rhos) \
             or any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rho_list must be strictly increasing inside (0, R]")
-    theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
+    theta = 2.0 * np.pi * np.arange(SUP_ANGULAR) / SUP_ANGULAR
     coeffs, exponent = _scaled_rows(f)
     s, v = _slice_terms(_terms_table(coeffs, theta), np.array(rhos))
-    peaks = np.sqrt(_ball_abs_sq(s, v).reshape(len(rhos), angular_count).max(axis=1))
+    peaks = np.sqrt(_ball_abs_sq(s, v).reshape(len(rhos), SUP_ANGULAR).max(axis=1))
     # an M that overflows is inf, which callers refuse; numpy need not warn
     with np.errstate(over="ignore"):
         values = [float(np.ldexp(m * math.exp(-0.5 * params.alpha * rho * rho),
                                  exponent)) for m, rho in zip(peaks, rhos)]
-    tail = values[-3:] if len(values) >= 3 else values
-    decreasing = all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
-    member = decreasing and values[-1] <= tolerance
-    return LittleSpaceReport(tuple(rhos), tuple(values), decreasing, member,
-                             tolerance)
+    return LittleSpaceReport(tuple(rhos), tuple(values))

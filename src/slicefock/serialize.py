@@ -40,8 +40,11 @@ def quaternion_to_list(q: Quaternion) -> list[float]:
 
 def _is_number(value: Any) -> bool:
     """A finite JSON number; true and false are ints to Python, not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:       # an integer too large for a float
+        return False
 
 
 def _is_integer(value: Any) -> bool:

@@ -39,7 +39,6 @@ from .fock import (SLACK, FockParams, _derivative_reports, _dilation_values,
 # not called here: perfbench's test_tracer_counts_the_grid_evaluations_verify_makes
 # reads verify._slice_norms_on_grid
 from .fock import _slice_norms_on_grid  # noqa: F401
-from .quadrature import QuadratureGrid
 from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _decompose_rows,
                          _modulus_rows, _qmul, _rows, _unit_rows, default_sphere)
 from .series import (_SINGULAR_TOL, MultiMonomial, SliceSeries, _coeff_table,
@@ -191,12 +190,12 @@ def _check_rep_formula(corpus, seed: int) -> PropositionResult:
     return PropositionResult("rep-formula", 1000, worst, 1e-11, worst <= 1e-11)
 
 
-def _check_p_norms(corpus, params: FockParams, grid: QuadratureGrid,
+def _check_p_norms(corpus, params: FockParams,
                    units) -> tuple[PropositionResult, PropositionResult]:
     p = params.p
 
     def one(f):
-        vals, _, rel = _norms(f, units, params, grid)
+        vals, _, rel = _norms(f, units, params)
         powered = vals ** p
         top = float(powered.max())
         if top < 1e-300:
@@ -303,16 +302,15 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
 # ---------------------------------------------------------------------------
 
 def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
-               radius: float = 1.0, sphere_count: int = 64, radial: int = 64,
-               angular: int = 128) -> list[PropositionResult]:
+               radius: float = 1.0, sphere_count: int = 64) -> list[PropositionResult]:
     """Run the selected propositions on the seeded corpus.
 
     The p rows take each function's slice norms as `norm` does: the closed
     form at p = 2, and at any other finite p Gauss-Legendre x trapezoid
-    quadrature refined, as `norm` refines it, from the radial x angular
-    start grid (read at finite p != 2 only).  grid-doubling-rel is the
-    largest relative change of a last doubling, and a function whose
-    values do not stabilize raises GridTooCoarse.  Sup propositions use
+    quadrature refined, as `norm` refines it, from fock's start grid.
+    grid-doubling-rel is the largest relative change of a last doubling
+    (0 at p = 2, where no grid is built), and a function whose values do
+    not stabilize raises GridTooCoarse.  Sup propositions use
     Chebyshev radii with golden-section polish on SANDWICH_SUP_GRID,
     CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR.  The same seed
     and flags always produce the same results.  p must be finite: the
@@ -325,11 +323,10 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     params = FockParams(alpha=alpha, p=p, radius=radius)
     corpus = standard_corpus(seed)
     units = default_sphere(sphere_count)
-    grid = QuadratureGrid.build(radial, angular, radius)
 
     results: list[PropositionResult] = []
     if "norm-sandwich-p" in selected or "slice-pair" in selected:
-        sandwich, pair = _check_p_norms(corpus, params, grid, units)
+        sandwich, pair = _check_p_norms(corpus, params, units)
         if "norm-sandwich-p" in selected:
             results.append(sandwich)
         if "slice-pair" in selected:

@@ -4,6 +4,7 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slicefock import (UNIT_I, AtomicData, FockParams, MultiMonomial,
@@ -182,33 +183,22 @@ def test_synth_writes_loadable_function(tmp_path, capsys):
     assert (f.eval(Quaternion(0.3, 0.1, 0.0, 0.0)) - Quaternion(2.0)).modulus() <= 1e-12
 
 
-def test_profile_member_verdict(tmp_path, capsys):
+def test_profile_lists_m_of_rho(tmp_path, capsys):
+    # M(rho) alone: a polynomial lies in the little Fock space whatever R,
+    # alpha or a threshold say, so no verdict is printed
     path = write_series(tmp_path, [Quaternion(1.0)])
     code, out, _ = run(capsys, ["profile", path, "--alpha", "20",
                                 "--rho", "0.5,0.75,1.0"])
     assert code == 0
-    assert "vanishes at the boundary (tolerance 0.001): yes" in out
-    values = [float(line.split("M =")[1]) for line in out.splitlines()[:-1]]
+    lines = out.splitlines()
+    assert len(lines) == 3 and all(line.startswith("rho = ") for line in lines)
+    values = [float(line.split("M =")[1]) for line in lines]
     assert values == sorted(values, reverse=True)
     assert math.isclose(values[-1], math.exp(-10.0), rel_tol=1e-9)
 
     code, out, _ = run(capsys, ["profile", path, "--rho", "0.5,0.75,1.0",
                                 "--out", "json"])
-    payload = json.loads(out)
-    assert payload["member"] is False  # e^{-rho^2/2} stays order one
-    assert payload["decreasing_tail"] is True
-
-
-@pytest.mark.parametrize("angular", ["0", "-3"])
-def test_profile_refuses_fewer_than_one_angle(tmp_path, capsys, angular):
-    # numpy's "zero-size array to reduction operation maximum" leaked here
-    path = write_series(tmp_path, [Quaternion(1.0)])
-    code, out, err = run(capsys, ["profile", path, "--rho", "0.5",
-                                  "--angular", angular])
-    assert code == 2 and out == ""
-    assert err == f"error: angular_count must be at least 1, got {angular}\n"
-    # the default is the sup search's angle count
-    assert build_parser().parse_args(["profile", path, "--rho", "0.5"]).angular == 256
+    assert set(json.loads(out)) == {"rhos", "values"}
 
 
 @pytest.mark.parametrize("out", ["text", "json", "csv"])
@@ -249,15 +239,14 @@ def test_norm_p2_overflow_exits_three(tmp_path, capsys):
 
 
 def test_norm_p2_builds_no_grid(tmp_path, capsys, monkeypatch):
-    # --radial and --angular apply at p != 2 only: the closed form reads no grid
+    # the closed form reads no grid
     path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 0.5, 0.0, 0.0)])
 
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was built at p = 2")
 
     monkeypatch.setattr("slicefock.quadrature.QuadratureGrid.build", refuse)
-    code, out, _ = run(capsys, ["norm", path, "--p", "2", "--radial", "3",
-                                "--out", "json"])
+    code, out, _ = run(capsys, ["norm", path, "--p", "2", "--out", "json"])
     assert code == 0 and json.loads(out)["grid"]["rule"] == "closed form"
 
 
@@ -320,15 +309,80 @@ def test_grid_too_coarse_exits_three(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_that_does_not_stabilize_exits_three(capsys, monkeypatch):
-    # the p rows refine as norm does; at a cap of 8 x 16 a degree-12
-    # function at p = 0.4 disagrees beyond 1e-6
-    monkeypatch.setattr("slicefock.fock.RADIAL_CAP", 8)
-    monkeypatch.setattr("slicefock.fock.ANGULAR_CAP", 16)
+    # the p rows refine as norm does, from fock's 64 x 128 start grid; at a
+    # cap of 128 x 256 a corpus function at p = 0.4 disagrees beyond 1e-6
+    monkeypatch.setattr("slicefock.fock.RADIAL_CAP", 128)
+    monkeypatch.setattr("slicefock.fock.ANGULAR_CAP", 256)
     code, out, err = run(capsys, ["verify", "--props", "norm-sandwich-p", "--p", "0.4",
-                                  "--sphere", "1", "--radial", "4", "--angular", "8"])
+                                  "--sphere", "1"])
     assert code == 3 and out == ""
-    assert "resolution cap 8 x 16" in err
-    assert "grid {'radial': 4, 'angular': 8" in err
+    assert "resolution cap 128 x 256" in err
+    assert "grid {'radial': 64, 'angular': 128" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "f.json", "--rad", "2"],
+    ["norm", "f.json", "--radial", "8"],
+    ["verify", "--angular", "32"],
+    ["profile", "f.json", "--rho", "0.5", "--tolerance", "0.1"],
+])
+def test_removed_and_abbreviated_flags_exit_two(capsys, argv):
+    # no flag takes a grid size or a threshold, and no prefix stands for a
+    # flag: --rad would otherwise be read as --radius
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, field", [
+    ("f.json", '{"n": 1, "coeffs": [[1%s, 0, 0, 0]]}', "coeffs[0]"),
+    ("f.json", '{"n": 1, "radius": 1%s, "coeffs": [[1, 0, 0, 0]]}', "'radius'"),
+    ("atoms.json", '{"alpha": 1%s, "N": 4, "slice": [1, 0, 0], '
+     '"points": [[0.1, 0.2, 0, 0]], "coeffs": [[1, 0, 0, 0]]}', "'alpha'"),
+    ("atoms.json", '{"alpha": 1.0, "N": 4, "slice": [1, 0, 0], '
+     '"points": [[1%s, 0, 0, 0]], "coeffs": [[1, 0, 0, 0]]}', "points[0]"),
+])
+def test_integer_too_large_for_a_float_exits_two(tmp_path, capsys, name, text, field):
+    # math.isfinite raised OverflowError on a 401-digit integer, and the
+    # traceback exited 1, the code of a failed proposition
+    path = tmp_path / name
+    path.write_text(text % ("0" * 400) + "\n")
+    argv = (["synth", str(path), "--output", str(tmp_path / "g.json")]
+            if name == "atoms.json" else ["norm", str(path)])
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err
+
+
+NORM_REFINE_SHAPES = ([((), d) for d in (2, 4, 6, 8, 10, 12)]
+                      + [((0.3,), d) for d in range(2, 12)]
+                      + [((0.97, -0.97), d) for d in (4, 8)])
+
+
+def _zero_template(rng, zeros, degree):
+    """prod_x (q - x) (c + sum_k q^k b_k): |c| = 1, the b_k total at most 0.5."""
+    c = rng.uniform(-1.0, 1.0, 4)
+    coeffs = np.vstack([c / np.linalg.norm(c),
+                        rng.uniform(-0.5 / degree, 0.5 / degree, (degree, 4))])
+    for x in zeros:
+        shifted = np.vstack([np.zeros(4), coeffs])
+        shifted[:-1] -= x * coeffs
+        coeffs = shifted
+    return coeffs
+
+
+def test_every_rough_norm_is_refined(tmp_path, capsys):
+    # the benchmark's norm-refine functions, one or two real zeros or none:
+    # each value at p = 1.5 is certified against a coarser grid
+    rng = np.random.default_rng(0)
+    for i, (zeros, degree) in enumerate(NORM_REFINE_SHAPES):
+        coeffs = _zero_template(rng, zeros, degree)
+        path = write_series(tmp_path, [Quaternion(*row) for row in coeffs],
+                            name=f"f{i:02d}.json")
+        code, out, err = run(capsys, ["norm", path, "--p", "1.5", "--out", "json"])
+        assert code == 0, err
+        assert json.loads(out)["grid"]["refinements"] >= 1, (zeros, degree)
 
 
 def test_argparse_errors_raise_system_exit(capsys):

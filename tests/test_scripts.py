@@ -21,7 +21,7 @@ def test_norm_sweep_rows(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code = load_script("norm_sweep").main(
         ["--degrees", "0,2", "--alphas", "1.0", "--p", "1.5,2", "--sphere", "2",
-         "--radial", "8", "--angular", "16", "--output", str(out_path)])
+         "--output", str(out_path)])
     assert code == 0
     assert f"wrote 4 rows to {out_path}" in capsys.readouterr().out
     header, *rows = out_path.read_text().splitlines()
@@ -39,8 +39,8 @@ def test_norm_sweep_rows(tmp_path, capsys):
 
 def test_run_verification_one_cell(capsys):
     code = load_script("run_verification").main(
-        ["--seeds", "0", "--p", "1.5", "--sphere", "2", "--radial", "8",
-         "--angular", "16", "--props", "norm-sandwich-p,star"])
+        ["--seeds", "0", "--p", "1.5", "--sphere", "2",
+         "--props", "norm-sandwich-p,star"])
     out = capsys.readouterr().out
     assert code == 0
     assert "== seed=0 p=1.5 alpha=1.0" in out

@@ -656,6 +656,16 @@ def test_tail_bound_degree_must_be_an_integer():
             tail_bound(f, 0.5, degree)
 
 
+def test_tail_bound_refuses_a_negative_or_nan_modulus():
+    # -0.5 gave -0.25, a negative bound on a sum of moduli, and NaN gave NaN
+    f = SliceSeries((Quaternion(1.0), Quaternion(0.0, 0.5)))
+    for bad in (-0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="point_modulus"):
+            tail_bound(f, bad, 0)
+    assert tail_bound(f, math.inf, 0) == math.inf
+    assert tail_bound(f, 0.0, 0) == 0.0
+
+
 def test_truncated_dilation_error_shrinks():
     rng = rng_for(43)
     f = random_series(rng, max_degree=6)

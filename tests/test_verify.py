@@ -7,12 +7,13 @@ import pytest
 
 from slicefock import fock, verify
 from slicefock.corpus import rng_for, standard_corpus
+from slicefock.quadrature import QuadratureGrid
 from slicefock.serialize import dumps_canonical
 from slicefock.verify import (PROPOSITIONS, _select, format_csv, format_text,
                               results_to_dicts, run_verify)
 
 # algebra-only subset runs in well under a second; norm subsets get a small
-# sphere and coarse grid so the whole file stays fast
+# sphere so the whole file stays fast
 
 
 def test_proposition_names_sorted_unique():
@@ -77,7 +78,7 @@ def test_norm_propositions_on_coarse_setup():
     with unittest.mock.patch.object(verify, "SANDWICH_SUP_GRID", (33, 64)):
         results = run_verify(
             seed=1, props="norm-sandwich-p,slice-pair,norm-sandwich-sup,monomial",
-            sphere_count=8, radial=24, angular=48)
+            sphere_count=8)
     assert [r.name for r in results] == ["monomial", "norm-sandwich-p",
                                          "norm-sandwich-sup", "slice-pair"]
     assert all(r.passed for r in results)
@@ -91,9 +92,12 @@ def _doubling_rel(result):
 
 
 def test_p_rows_refine_from_a_coarse_start_grid():
-    # one doubling of 8 x 16, compared without refinement, read 4.57e-3
-    [sandwich] = run_verify(0, props="norm-sandwich-p", p=1.5, sphere_count=2,
-                            radial=8, angular=16)
+    # fock's 64 x 128 start grid against one doubling, compared without
+    # refinement, read 1.03e-6 here (and 8 x 16 read 4.57e-3)
+    with unittest.mock.patch.object(fock, "_refine_norms",
+                                    wraps=fock._refine_norms) as refine:
+        [sandwich] = run_verify(0, props="norm-sandwich-p", p=1.5, sphere_count=2)
+    assert refine.call_count == len(standard_corpus(0))
     assert sandwich.passed
     assert _doubling_rel(sandwich) <= 1e-6
 
@@ -102,10 +106,11 @@ def test_p2_rows_take_the_closed_form_once_per_function():
     # a coarse and a doubled grid per function made 400 calls of each
     with unittest.mock.patch.object(fock, "_p2_norm", wraps=fock._p2_norm) as p2, \
             unittest.mock.patch.object(fock, "_slice_norms_on_grid") as on_grid, \
-            unittest.mock.patch.object(verify, "_slice_norms_on_grid", on_grid):
+            unittest.mock.patch.object(verify, "_slice_norms_on_grid", on_grid), \
+            unittest.mock.patch.object(QuadratureGrid, "build") as build:
         [sandwich] = run_verify(0, props="norm-sandwich-p", sphere_count=2)
     assert p2.call_count == len(standard_corpus(0))
-    assert on_grid.call_count == 0
+    assert on_grid.call_count == build.call_count == 0
     assert sandwich.passed and _doubling_rel(sandwich) == 0.0
 
 
@@ -113,6 +118,13 @@ def test_run_verify_takes_no_sup_grid_size():
     # its sup grids are verify's constants and fock's; none is a keyword
     keywords = set(inspect.signature(run_verify).parameters)
     assert not {"sup_radial", "sup_angular"} & keywords
+
+
+def test_run_verify_takes_no_quadrature_grid_size():
+    # the p rows refine from fock's start grid, as norm does
+    keywords = set(inspect.signature(run_verify).parameters)
+    assert not {"grid", "radial", "angular"} & keywords
+    assert "grid" not in inspect.signature(verify._check_p_norms).parameters
 
 
 def test_formatters_agree_with_results():
@@ -139,7 +151,7 @@ def test_small_verify_report_matches_pinned_output():
     # report pinned byte for byte.  The text rounds to 7 digits; the JSON
     # carries every float in full, so it pins the numbers themselves.
     with unittest.mock.patch.object(verify, "SANDWICH_SUP_GRID", (17, 32)):
-        results = run_verify(0, sphere_count=8, radial=16, angular=32)
+        results = run_verify(0, sphere_count=8)
     for name, got in (("verify_seed0_small.txt", format_text(results)),
                       ("verify_seed0_small.json",
                        dumps_canonical(results_to_dicts(results)))):
