@@ -44,8 +44,13 @@ def main(argv=None) -> int:
     for seed in seeds:
         for p in exponents:
             start = time.monotonic()
-            results = run_verify(seed=seed, props=args.props, alpha=args.alpha,
-                                 p=p, sphere_count=args.sphere)
+            try:
+                results = run_verify(seed=seed, props=args.props,
+                                     alpha=args.alpha, p=p,
+                                     sphere_count=args.sphere)
+            except ValueError as exc:       # an empty or unknown --props, a bad p
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             elapsed = time.monotonic() - start
             print(f"== seed={seed} p={p} alpha={args.alpha} "
                   f"({elapsed:.1f} s) ==")

@@ -188,7 +188,7 @@ def cmd_norm(args) -> _Result:
 
 
 def cmd_verify(args) -> _Result:
-    results = verify.run_verify(seed=args.seed, props=args.props or None,
+    results = verify.run_verify(seed=args.seed, props=args.props,
                                 alpha=args.alpha, p=_parse_p(args.p),
                                 radius=args.radius, sphere_count=args.sphere)
     return _Result(partial(verify.results_to_dicts, results),

@@ -161,6 +161,9 @@ _POLISH_ROWS = 1024
 # consecutive points (see _pruned_unit_maxima)
 _TOP_POINTS = 64
 _PRUNE_BLOCK = 16
+# m n k of the largest product _unit_values forms at once: OpenBLAS threads a
+# dgemm above 65536 x 4
+_SERIAL_PRODUCT = 1 << 18
 # relative allowance for rounding in "a unit's weighted |f| never exceeds the
 # bound at the same point"; the rounding itself is a few ulps
 _BOUND_SLACK = 1e-12
@@ -649,8 +652,27 @@ def _unit_values(s, v, unit_rows, w, cols) -> np.ndarray:
     The many-unit evaluator's terms in its order, then the root and the
     weight, so where BLAS rounds the product alike (see _pruned_unit_maxima)
     each value is the one a full units x points array holds, bit for bit.
+
+    The product is formed in column blocks of at most _SERIAL_PRODUCT / (3M)
+    points.  OpenBLAS runs a dgemm whose m n k exceeds that size on helper
+    threads that spin between calls, and a spinning helper takes the core
+    that verify's sup worker runs on; a block keeps each product on the
+    calling thread.  Blocks hold whole multiples of _PRUNE_BLOCK columns, so
+    every column keeps its place modulo the kernel width: the values are
+    those of one product, bit for bit.  A column count that is not such a
+    multiple (the whole grid of an odd size) is formed as one product, since
+    how OpenBLAS rounds a partial trailing group depends on the size of the
+    whole product (measured: at 67 units, 36 of 88 such sizes moved).
     """
-    out = unit_rows @ (2.0 * v[:, cols])
+    width = _SERIAL_PRODUCT // (v.shape[0] * len(unit_rows))
+    width = max(_PRUNE_BLOCK, width - width % _PRUNE_BLOCK)
+    if cols.size % _PRUNE_BLOCK or cols.size <= width:
+        out = unit_rows @ (2.0 * v[:, cols])
+    else:
+        out = np.empty((len(unit_rows), cols.size))
+        for start in range(0, cols.size, width):
+            part = cols[start:start + width]
+            out[:, start:start + part.size] = unit_rows @ (2.0 * v[:, part])
     out += s[cols]
     np.maximum(out, 0.0, out=out)
     np.sqrt(out, out=out)

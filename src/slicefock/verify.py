@@ -10,6 +10,16 @@ take every slice norm as `norm` takes it, through fock's one p-norm path:
 the closed form at p = 2, the refined quadrature at any other finite p,
 so their values are certified or the run raises GridTooCoarse.
 
+The sup search is about 0.6 s of a 1 s default run and, alone, close to
+its bit-identical floor.  So when norm-sandwich-sup is selected with other
+rows, the system has fork and two cores are usable, run_verify forks one
+worker for that row and runs the others meanwhile.  The worker computes
+the same row from the same corpus in a copy of the process, so the report
+is the same bit for bit; its exception is raised again in the caller, and
+the worker is reaped on every path (killed first if the caller raises).
+A thread would not help: the search is many small numpy calls that hold
+the GIL.  Otherwise, and with one usable core, every row runs serially.
+
 Propositions:
 
     derivative          weighted sup of d^t f against its split components
@@ -27,6 +37,9 @@ Propositions:
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +95,9 @@ def _select(props) -> list[str]:
         return list(PROPOSITIONS)
     if isinstance(props, str):
         props = [tok for tok in props.split(",") if tok]
+    if not props:
+        raise ValueError("no proposition selected; choose from "
+                         + ", ".join(PROPOSITIONS))
     chosen = []
     for token in props:
         if token in PROPOSITIONS:
@@ -301,30 +317,60 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
 # runner and report formatting
 # ---------------------------------------------------------------------------
 
-def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
-               radius: float = 1.0, sphere_count: int = 64) -> list[PropositionResult]:
-    """Run the selected propositions on the seeded corpus.
+class _Worker:
+    """task() in a forked child, whose result() returns or raises here.
 
-    The p rows take each function's slice norms as `norm` does: the closed
-    form at p = 2, and at any other finite p Gauss-Legendre x trapezoid
-    quadrature refined, as `norm` refines it, from fock's start grid.
-    grid-doubling-rel is the largest relative change of a last doubling
-    (0 at p = 2, where no grid is built), and a function whose values do
-    not stabilize raises GridTooCoarse.  Sup propositions use
-    Chebyshev radii with golden-section polish on SANDWICH_SUP_GRID,
-    CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR.  The same seed
-    and flags always produce the same results.  p must be finite: the
-    p-sandwich integrates |f|^p, and the sup norms have their own
-    proposition.
+    The child sends its pickled outcome, a result or an exception, through
+    a pipe and leaves with os._exit, so it runs no exit handler and flushes
+    none of the output buffers it inherited.  close() reaps the child on
+    every path; a child whose result was not read is killed first.
     """
-    if not math.isfinite(p):
-        raise ValueError(f"verify needs a finite p, got {p!r}")
-    selected = _select(props)
-    params = FockParams(alpha=alpha, p=p, radius=radius)
-    corpus = standard_corpus(seed)
-    units = default_sphere(sphere_count)
 
-    results: list[PropositionResult] = []
+    def __init__(self, task):
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    outcome = task()
+                except BaseException as exc:     # raised again by result()
+                    outcome = exc
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(outcome))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.read = read
+
+    def result(self):
+        with open(self.read, "rb") as pipe:
+            self.read = None
+            payload = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not payload:
+            raise RuntimeError("verify's worker sent no result (exit code "
+                               f"{os.waitstatus_to_exitcode(status)})")
+        outcome = pickle.loads(payload)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def close(self) -> None:
+        if self.read is not None:
+            os.close(self.read)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+def _run_rows(selected, corpus, params: FockParams, units,
+              seed: int) -> list[PropositionResult]:
+    """The selected rows, one after another in this process."""
+    results = []
     if "norm-sandwich-p" in selected or "slice-pair" in selected:
         sandwich, pair = _check_p_norms(corpus, params, units)
         if "norm-sandwich-p" in selected:
@@ -345,6 +391,45 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
         results.append(_check_derivative(corpus, params))
     if "monomial" in selected:
         results.append(_check_monomial(corpus, params))
+    return results
+
+
+def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
+               radius: float = 1.0, sphere_count: int = 64) -> list[PropositionResult]:
+    """Run the selected propositions on the seeded corpus.
+
+    The p rows take each function's slice norms as `norm` does: the closed
+    form at p = 2, and at any other finite p Gauss-Legendre x trapezoid
+    quadrature refined, as `norm` refines it, from fock's start grid.
+    grid-doubling-rel is the largest relative change of a last doubling
+    (0 at p = 2, where no grid is built), and a function whose values do
+    not stabilize raises GridTooCoarse.  Sup propositions use
+    Chebyshev radii with golden-section polish on SANDWICH_SUP_GRID,
+    CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR.  The same seed
+    and flags always produce the same results, whether norm-sandwich-sup
+    runs in its forked worker or in this process (see the module
+    docstring).  p must be finite: the p-sandwich integrates |f|^p, and the
+    sup norms have their own proposition.  An empty selection raises
+    ValueError.
+    """
+    if not math.isfinite(p):
+        raise ValueError(f"verify needs a finite p, got {p!r}")
+    selected = _select(props)
+    params = FockParams(alpha=alpha, p=p, radius=radius)
+    corpus = standard_corpus(seed)
+    units = default_sphere(sphere_count)
+
+    if ("norm-sandwich-sup" in selected and len(selected) > 1
+            and hasattr(os, "fork") and fock._usable_cores() >= 2):
+        selected.remove("norm-sandwich-sup")
+        worker = _Worker(lambda: _check_sup_norms(corpus, params, units))
+        try:
+            results = _run_rows(selected, corpus, params, units, seed)
+            results.append(worker.result())
+        finally:
+            worker.close()
+    else:
+        results = _run_rows(selected, corpus, params, units, seed)
     return sorted(results, key=lambda r: r.name)
 
 

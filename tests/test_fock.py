@@ -10,7 +10,6 @@ import time
 import tracemalloc
 import unittest.mock
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1150,13 +1149,6 @@ def test_concurrent_callers_make_one_pool_and_equal_results():
     assert got == [want] * 6
 
 
-def _src_env():
-    """Environment of a child process that imports this checkout's slicefock."""
-    src = str(Path(fock.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
-
-
 FORK_SCRIPT = """
 import os, sys, time
 from slicefock import FockParams, SliceSeries, Quaternion, fock_norm_p
@@ -1179,13 +1171,13 @@ sys.exit("the forked child hung")
 """
 
 
-def test_forked_child_computes_with_a_fresh_pool():
-    done = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=_src_env(),
+def test_forked_child_computes_with_a_fresh_pool(src_env):
+    done = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
-def test_norm_output_does_not_depend_on_the_core_count(tmp_path):
+def test_norm_output_does_not_depend_on_the_core_count(tmp_path, src_env):
     cores = sorted(os.sched_getaffinity(0))
     if len(cores) < 2:
         pytest.skip("needs two usable cores")
@@ -1195,8 +1187,8 @@ def test_norm_output_does_not_depend_on_the_core_count(tmp_path):
                   str(path))
     argv = [sys.executable, "-m", "slicefock", "norm", str(path), "--p", "1.5",
             "--out", "json"]
-    free = subprocess.run(argv, env=_src_env(), capture_output=True, timeout=120)
-    pinned = subprocess.run(argv, env=_src_env(), capture_output=True, timeout=120,
+    free = subprocess.run(argv, env=src_env, capture_output=True, timeout=120)
+    pinned = subprocess.run(argv, env=src_env, capture_output=True, timeout=120,
                             preexec_fn=lambda: os.sched_setaffinity(0, cores[:1]))
     assert free.returncode == pinned.returncode == 0, free.stderr + pinned.stderr
     assert json.loads(free.stdout)["grid"]["refinements"] >= 1
@@ -1216,8 +1208,8 @@ assert "concurrent.futures" not in sys.modules
 """
 
 
-def test_p2_sup_and_verify_start_no_thread():
-    done = subprocess.run([sys.executable, "-c", NO_POOL_SCRIPT], env=_src_env(),
+def test_p2_sup_and_verify_start_no_thread(src_env):
+    done = subprocess.run([sys.executable, "-c", NO_POOL_SCRIPT], env=src_env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
 

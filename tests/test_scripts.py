@@ -46,3 +46,11 @@ def test_run_verification_one_cell(capsys):
     assert "== seed=0 p=1.5 alpha=1.0" in out
     assert "norm-sandwich-p" in out and "star" in out
     assert out.rstrip().endswith("all cells passed")
+
+
+@pytest.mark.parametrize("props", ["", ","])
+def test_run_verification_refuses_an_empty_selection(props, capsys):
+    code = load_script("run_verification").main(["--seeds", "0", "--props", props])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: no proposition selected")

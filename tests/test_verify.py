@@ -1,12 +1,18 @@
 import inspect
+import os
 import re
+import subprocess
+import sys
 import unittest.mock
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slicefock import fock, verify
+from slicefock.cli import main
 from slicefock.corpus import rng_for, standard_corpus
+from slicefock.errors import GridTooCoarse
 from slicefock.quadrature import QuadratureGrid
 from slicefock.serialize import dumps_canonical
 from slicefock.verify import (PROPOSITIONS, _select, format_csv, format_text,
@@ -30,6 +36,18 @@ def test_select_exact_prefix_and_errors():
         _select(["holomorphy"])
     with pytest.raises(ValueError, match="ambiguous"):
         _select(["norm-sandwich"])
+
+
+@pytest.mark.parametrize("props", ["", ",", ",,", []])
+def test_an_empty_selection_is_refused(props, capsys):
+    with pytest.raises(ValueError, match="no proposition selected; choose from derivative"):
+        _select(props)
+    with pytest.raises(ValueError, match="no proposition selected"):
+        run_verify(seed=0, props=props)
+    if isinstance(props, str):
+        assert main(["verify", "--props", props]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: no proposition selected")
 
 
 def test_corpus_determinism_and_shape():
@@ -163,3 +181,112 @@ def test_default_verify_report_matches_pinned_output():
     # grids and sphere that users and the benchmark run, in full precision
     got = dumps_canonical(results_to_dicts(run_verify(0)))
     assert _mask(got) == _mask((DATA / "verify_seed0.json").read_text().rstrip("\n"))
+
+
+# --- the sup row's worker ---
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("extra", [[], ["--p", "1.5", "--sphere", "2"]])
+def test_verify_output_does_not_depend_on_the_core_count(extra, src_env):
+    # with two cores the sup row runs in a forked worker beside the others
+    cores = sorted(os.sched_getaffinity(0))
+    if len(cores) < 2:
+        pytest.skip("needs two usable cores")
+    argv = [sys.executable, "-m", "slicefock", "verify", "--seed", "0",
+            "--out", "json", *extra]
+    free = subprocess.run(argv, env=src_env, capture_output=True, timeout=300)
+    pinned = subprocess.run(argv, env=src_env, capture_output=True, timeout=300,
+                            preexec_fn=lambda: os.sched_setaffinity(0, cores[:1]))
+    assert free.returncode == pinned.returncode == 0, free.stderr + pinned.stderr
+    assert free.stdout == pinned.stdout
+
+
+def _raise_grid_too_coarse(corpus, params, units):
+    raise GridTooCoarse("no stable sup at the resolution cap",
+                        [({"radial": 65, "angular": 128}, [1.0, 1.5])])
+
+
+def test_an_exception_in_the_worker_reaches_the_caller(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_check_sup_norms", _raise_grid_too_coarse)
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(1) or fork())
+    with pytest.raises(GridTooCoarse) as raised:
+        run_verify(seed=0, props="norm-sandwich-sup,split", sphere_count=4)
+    assert forks == ([1] if fock._usable_cores() >= 2 else [])
+    assert type(raised.value) is GridTooCoarse
+    assert str(raised.value) == "no stable sup at the resolution cap"
+    assert raised.value.trace == [({"radial": 65, "angular": 128}, [1.0, 1.5])]
+    _no_child_left()
+
+    argv = ["verify", "--props", "norm-sandwich-sup,split", "--sphere", "4"]
+    assert main(argv) == 3
+    forked = capsys.readouterr()
+    monkeypatch.setattr(fock, "_usable_cores", lambda: 1)
+    assert main(argv) == 3
+    serial = capsys.readouterr()
+    assert forked.out == serial.out == ""
+    assert forked.err == serial.err
+    assert "grid {'radial': 65, 'angular': 128}: [1.0, 1.5]" in forked.err
+    _no_child_left()
+
+
+def test_no_worker_is_left_behind(monkeypatch):
+    results = run_verify(seed=0, props="norm-sandwich-sup,split", sphere_count=4)
+    assert [r.name for r in results] == ["norm-sandwich-sup", "split"]
+    _no_child_left()
+
+    def fail(corpus, seed):
+        raise RuntimeError("the parent's row failed")
+
+    # the parent raises while the worker still searches: it is killed and reaped
+    monkeypatch.setattr(verify, "_check_split", fail)
+    with pytest.raises(RuntimeError, match="the parent's row failed"):
+        run_verify(seed=0, props="norm-sandwich-sup,split", sphere_count=4)
+    _no_child_left()
+
+
+def test_a_worker_that_dies_is_reported(monkeypatch):
+    if fock._usable_cores() < 2:
+        pytest.skip("with one usable core the sup row runs in this process")
+    # a worker killed from outside (say, for memory) sends nothing
+    monkeypatch.setattr(verify, "_check_sup_norms", lambda *args: os._exit(7))
+    with pytest.raises(RuntimeError, match=r"sent no result \(exit code 7\)"):
+        run_verify(seed=0, props="norm-sandwich-sup,split", sphere_count=4)
+    _no_child_left()
+
+
+def test_verify_prints_its_report_once(src_env):
+    done = subprocess.run([sys.executable, "-m", "slicefock", "verify", "--seed", "0"],
+                          env=src_env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(PROPOSITIONS) + 1
+    assert [line.split()[0] for line in lines[:-1]] == list(PROPOSITIONS)
+    assert lines[-1] == "9/9 propositions passed"
+
+
+@pytest.mark.parametrize("count", [1, 4, 67, 200])
+def test_blocked_unit_values_equal_one_product(count):
+    # a product of more than 2^18 / 3 units x points is cut into blocks of
+    # whole 16-column groups; the whole grid of an odd size is one product
+    rng = np.random.default_rng(count)
+    unit_rows = rng.normal(size=(count, 3))
+    unit_rows /= np.linalg.norm(unit_rows, axis=1, keepdims=True)
+    size = (1 << 18) // (3 * count) * 3 + 7
+    v = rng.normal(size=(3, size))
+    s = 2.0 * np.sqrt((v * v).sum(axis=0)) + rng.uniform(0.0, 1.0, size)
+    w = rng.uniform(0.1, 1.0, size)
+    whole = np.arange(size)                      # not a multiple of 16
+    assert size % fock._PRUNE_BLOCK
+    blocks = np.flatnonzero(np.repeat(rng.uniform(size=size // 16) < 0.7, 16))
+    for cols in (whole, blocks):
+        want = unit_rows @ (2.0 * v[:, cols])
+        want += s[cols]
+        want = np.sqrt(np.maximum(want, 0.0)) * w[cols]
+        got = fock._unit_values(s, v, unit_rows, w, cols)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
