@@ -659,14 +659,11 @@ def _unit_values(s, v, unit_rows, w, cols) -> np.ndarray:
     that verify's sup worker runs on; a block keeps each product on the
     calling thread.  Blocks hold whole multiples of _PRUNE_BLOCK columns, so
     every column keeps its place modulo the kernel width: the values are
-    those of one product, bit for bit.  A column count that is not such a
-    multiple (the whole grid of an odd size) is formed as one product, since
-    how OpenBLAS rounds a partial trailing group depends on the size of the
-    whole product (measured: at 67 units, 36 of 88 such sizes moved).
+    those of one product, bit for bit, on every grid the library searches.
     """
     width = _SERIAL_PRODUCT // (v.shape[0] * len(unit_rows))
     width = max(_PRUNE_BLOCK, width - width % _PRUNE_BLOCK)
-    if cols.size % _PRUNE_BLOCK or cols.size <= width:
+    if cols.size <= width:
         out = unit_rows @ (2.0 * v[:, cols])
     else:
         out = np.empty((len(unit_rows), cols.size))

@@ -13,12 +13,17 @@ so their values are certified or the run raises GridTooCoarse.
 The sup search is about 0.6 s of a 1 s default run and, alone, close to
 its bit-identical floor.  So when norm-sandwich-sup is selected with other
 rows, the system has fork and two cores are usable, run_verify forks one
-worker for that row and runs the others meanwhile.  The worker computes
-the same row from the same corpus in a copy of the process, so the report
-is the same bit for bit; its exception is raised again in the caller, and
-the worker is reaped on every path (killed first if the caller raises).
-A thread would not help: the search is many small numpy calls that hold
-the GIL.  Otherwise, and with one usable core, every row runs serially.
+worker for that row and runs the others meanwhile on the second core.
+The worker computes the same row from the same corpus in a copy of the
+process, so the report is the same bit for bit.  Its exception is raised
+again in the caller, caused by the worker's traceback, and before that of
+any row a serial run takes after the sup row; the worker is reaped on
+every path (killed first if the caller raises).  A thread would not help:
+the search is many small numpy calls that hold the GIL.  At p != 2 the p
+rows already take every core (fock._in_lanes), and beside them the worker
+gained less than the spread of timed runs, so there it forks only when no
+p row is selected.  Otherwise, and with one usable core, every row runs
+serially.
 
 Propositions:
 
@@ -40,6 +45,8 @@ import math
 import os
 import pickle
 import signal
+import traceback
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +85,9 @@ PROPOSITIONS = (
 # one; monomial takes fock's SUP_RADIAL x SUP_ANGULAR
 SANDWICH_SUP_GRID = (65, 128)       # norm-sandwich-sup
 CRITERIA_SUP_GRID = (33, 64)        # dilation and derivative
+
+# the rows a serial run takes before norm-sandwich-sup
+_P_ROWS = ("norm-sandwich-p", "slice-pair")
 
 
 @dataclass(frozen=True)
@@ -317,28 +327,57 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
 # runner and report formatting
 # ---------------------------------------------------------------------------
 
+class _RemoteTraceback(Exception):
+    """The worker's formatted traceback, the cause of the exception it sent."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _payload(outcome, trace: str) -> bytes:
+    """outcome and trace pickled; an exception that does not come back as
+    itself through pickle is sent as a RuntimeError naming it."""
+    try:
+        payload = pickle.dumps((outcome, trace))
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps((RuntimeError(f"verify's worker raised {outcome!r}"),
+                             trace))
+
+
 class _Worker:
     """task() in a forked child, whose result() returns or raises here.
 
-    The child sends its pickled outcome, a result or an exception, through
-    a pipe and leaves with os._exit, so it runs no exit handler and flushes
-    none of the output buffers it inherited.  close() reaps the child on
-    every path; a child whose result was not read is killed first.
+    The child sends its pickled outcome, a result or an exception with its
+    formatted traceback, through a pipe and leaves with os._exit, so it
+    runs no exit handler and flushes none of the output buffers it
+    inherited.  result() raises the child's exception again, caused by a
+    _RemoteTraceback that shows where the child raised it.  close() reaps
+    the child on every path; a child whose result was not read is killed
+    first.
     """
 
     def __init__(self, task):
         read, write = os.pipe()
-        self.pid = os.fork()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns at a fork beside other threads.  Here they
+            # are OpenBLAS's, which it stops before a fork, and fock's lane
+            # pool, which the child forgets; the child takes no lock they hold.
+            warnings.filterwarnings("ignore", r".*multi-threaded.*fork",
+                                    DeprecationWarning)
+            self.pid = os.fork()
         if self.pid == 0:
             status = 1
             try:
                 os.close(read)
+                trace = ""
                 try:
                     outcome = task()
                 except BaseException as exc:     # raised again by result()
-                    outcome = exc
+                    outcome, trace = exc, traceback.format_exc()
                 with open(write, "wb") as pipe:
-                    pipe.write(pickle.dumps(outcome))
+                    pipe.write(_payload(outcome, trace))
                 status = 0
             finally:
                 os._exit(status)
@@ -354,9 +393,9 @@ class _Worker:
         if not payload:
             raise RuntimeError("verify's worker sent no result (exit code "
                                f"{os.waitstatus_to_exitcode(status)})")
-        outcome = pickle.loads(payload)
+        outcome, trace = pickle.loads(payload)
         if isinstance(outcome, BaseException):
-            raise outcome
+            raise outcome from _RemoteTraceback(trace)
         return outcome
 
     def close(self) -> None:
@@ -419,12 +458,21 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     corpus = standard_corpus(seed)
     units = default_sphere(sphere_count)
 
-    if ("norm-sandwich-sup" in selected and len(selected) > 1
+    # at p != 2 the p rows already run on every core (fock._in_lanes)
+    lanes = p != 2.0 and any(name in _P_ROWS for name in selected)
+    if ("norm-sandwich-sup" in selected and len(selected) > 1 and not lanes
             and hasattr(os, "fork") and fock._usable_cores() >= 2):
-        selected.remove("norm-sandwich-sup")
         worker = _Worker(lambda: _check_sup_norms(corpus, params, units))
         try:
-            results = _run_rows(selected, corpus, params, units, seed)
+            results = _run_rows([name for name in selected if name in _P_ROWS],
+                                corpus, params, units, seed)
+            try:
+                results += _run_rows([name for name in selected
+                                      if name not in _P_ROWS + ("norm-sandwich-sup",)],
+                                     corpus, params, units, seed)
+            except Exception:
+                worker.result()     # a serial run raises the sup row's first
+                raise
             results.append(worker.result())
         finally:
             worker.close()

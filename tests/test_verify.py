@@ -220,6 +220,9 @@ def test_an_exception_in_the_worker_reaches_the_caller(monkeypatch, capsys):
     assert type(raised.value) is GridTooCoarse
     assert str(raised.value) == "no stable sup at the resolution cap"
     assert raised.value.trace == [({"radial": 65, "angular": 128}, [1.0, 1.5])]
+    if forks:
+        # where the worker raised it, in the worker's traceback
+        assert "_raise_grid_too_coarse" in str(raised.value.__cause__)
     _no_child_left()
 
     argv = ["verify", "--props", "norm-sandwich-sup,split", "--sphere", "4"]
@@ -249,6 +252,63 @@ def test_no_worker_is_left_behind(monkeypatch):
     _no_child_left()
 
 
+def test_an_exception_pickle_cannot_carry_is_named(monkeypatch):
+    if fock._usable_cores() < 2:
+        pytest.skip("with one usable core the sup row runs in this process")
+
+    class Local(Exception):                     # pickle finds no local class
+        pass
+
+    def fail(corpus, params, units):
+        raise Local("lost on the way")
+
+    monkeypatch.setattr(verify, "_check_sup_norms", fail)
+    with pytest.raises(RuntimeError, match=r"worker raised .*lost on the way") as raised:
+        run_verify(seed=0, props="norm-sandwich-sup,split", sphere_count=4)
+    assert "in fail" in str(raised.value.__cause__)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_exceptions_reach_the_caller_in_serial_order(monkeypatch, cores):
+    # the p rows run before the sup row, the others after it
+    monkeypatch.setattr(fock, "_usable_cores", lambda: cores)
+
+    def fail(*args):
+        raise RuntimeError("a parent row failed")
+
+    props = "norm-sandwich-sup,slice-pair,split"
+    monkeypatch.setattr(verify, "_check_sup_norms", _raise_grid_too_coarse)
+    monkeypatch.setattr(verify, "_check_split", fail)
+    with pytest.raises(GridTooCoarse, match="no stable sup"):
+        run_verify(seed=0, props=props, sphere_count=4)
+    _no_child_left()
+    monkeypatch.setattr(verify, "_check_p_norms", fail)
+    with pytest.raises(RuntimeError, match="a parent row failed"):
+        run_verify(seed=0, props=props, sphere_count=4)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("p, props, forked", [
+    (2.0, "norm-sandwich-sup,slice-pair", True),
+    (3.0, "norm-sandwich-sup,slice-pair", False),    # the p rows take every core
+    (3.0, "norm-sandwich-sup,split", True),
+    (3.0, "norm-sandwich-sup", False)])
+def test_the_worker_forks_only_beside_a_spare_core(monkeypatch, p, props, forked):
+    monkeypatch.setattr(fock, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(verify, "_check_p_norms", lambda *args: (
+        verify.PropositionResult("norm-sandwich-p", 0, 0.0, 1.0, True),
+        verify.PropositionResult("slice-pair", 0, 0.0, 1.0, True)))
+    monkeypatch.setattr(verify, "_check_sup_norms", lambda *args: (
+        verify.PropositionResult("norm-sandwich-sup", 0, 0.0, 2.0, True)))
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(1) or fork())
+    results = run_verify(seed=0, props=props, p=p, sphere_count=2)
+    assert [r.name for r in results] == _select(props)
+    assert forks == ([1] if forked else [])
+    _no_child_left()
+
+
 def test_a_worker_that_dies_is_reported(monkeypatch):
     if fock._usable_cores() < 2:
         pytest.skip("with one usable core the sup row runs in this process")
@@ -272,16 +332,16 @@ def test_verify_prints_its_report_once(src_env):
 @pytest.mark.parametrize("count", [1, 4, 67, 200])
 def test_blocked_unit_values_equal_one_product(count):
     # a product of more than 2^18 / 3 units x points is cut into blocks of
-    # whole 16-column groups; the whole grid of an odd size is one product
+    # whole 16-column groups, on a whole grid and on the pruned blocks of one
     rng = np.random.default_rng(count)
     unit_rows = rng.normal(size=(count, 3))
     unit_rows /= np.linalg.norm(unit_rows, axis=1, keepdims=True)
-    size = (1 << 18) // (3 * count) * 3 + 7
+    size = (1 << 18) // (3 * count) // 16 * 48 + 16 * 7
     v = rng.normal(size=(3, size))
     s = 2.0 * np.sqrt((v * v).sum(axis=0)) + rng.uniform(0.0, 1.0, size)
     w = rng.uniform(0.1, 1.0, size)
-    whole = np.arange(size)                      # not a multiple of 16
-    assert size % fock._PRUNE_BLOCK
+    whole = np.arange(size)
+    assert size % fock._PRUNE_BLOCK == 0
     blocks = np.flatnonzero(np.repeat(rng.uniform(size=size // 16) < 0.7, 16))
     for cols in (whole, blocks):
         want = unit_rows @ (2.0 * v[:, cols])
