@@ -16,8 +16,9 @@ Example:
 import argparse
 import sys
 
-from slicefock import (UNIT_I, FockParams, Quaternion, SliceSeries,
-                       default_sphere, fock_norm_p, slice_norm_p, sup_norm)
+from slicefock import (UNIT_I, FockParams, GridTooCoarse, Quaternion,
+                       SliceSeries, default_sphere, fock_norm_p, slice_norm_p,
+                       sup_norm)
 
 
 def monomial(n: int) -> SliceSeries:
@@ -45,17 +46,21 @@ def main(argv=None) -> int:
     sphere = default_sphere(args.sphere)
 
     lines = ["n,alpha,p,slice_norm,ball_norm,ball_over_slice,sup_norm"]
-    for n in degrees:
-        f = monomial(n)
-        for alpha in alphas:
-            sup_params = FockParams(alpha=alpha, p=2.0, radius=args.radius)
-            sup = sup_norm(f, sup_params, sphere).value
-            for p in exponents:
-                params = FockParams(alpha=alpha, p=p, radius=args.radius)
-                on_slice = slice_norm_p(f, UNIT_I, params)
-                ball = fock_norm_p(f, params, sphere=sphere).value
-                lines.append(f"{n},{alpha!r},{p!r},{on_slice!r},{ball!r},"
-                             f"{ball / on_slice!r},{sup!r}")
+    try:
+        for n in degrees:
+            f = monomial(n)
+            for alpha in alphas:
+                sup_params = FockParams(alpha=alpha, p=2.0, radius=args.radius)
+                sup = sup_norm(f, sup_params, sphere).value
+                for p in exponents:
+                    params = FockParams(alpha=alpha, p=p, radius=args.radius)
+                    on_slice = slice_norm_p(f, UNIT_I, params)
+                    ball = fock_norm_p(f, params, sphere=sphere).value
+                    lines.append(f"{n},{alpha!r},{p!r},{on_slice!r},{ball!r},"
+                                 f"{ball / on_slice!r},{sup!r}")
+    except GridTooCoarse as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     text = "\n".join(lines) + "\n"
     if args.output:

@@ -15,6 +15,7 @@ import argparse
 import sys
 import time
 
+from slicefock import GridTooCoarse
 from slicefock.verify import format_text, run_verify
 
 
@@ -51,6 +52,9 @@ def main(argv=None) -> int:
             except ValueError as exc:       # an empty or unknown --props, a bad p
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
+            except GridTooCoarse as exc:    # exit 1 is a failed cell
+                print(f"error: {exc}", file=sys.stderr)
+                return 3
             elapsed = time.monotonic() - start
             print(f"== seed={seed} p={p} alpha={args.alpha} "
                   f"({elapsed:.1f} s) ==")

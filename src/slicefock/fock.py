@@ -63,10 +63,11 @@ radial cell of every row is polished by golden-section search along its
 best ray: a unit row evaluates f on its slice, the ball row evaluates A and
 B and takes s + 2|v|.  One call takes a list of jobs (f, units, ball): it
 finds the grid maxima job by job, then polishes the rows of every job
-together, in chunks of at most _POLISH_ROWS rows that run one golden loop
-each, whatever mix of coefficient counts and row kinds they hold.  A round
-then costs one product per coefficient count and kind in the chunk plus a
-few shared numpy calls, however many functions are batched.  A row's
+together, in chunks of whole row sets (a job's unit rows, or its ball row)
+that run one golden loop each, whatever mix of coefficient counts and row
+kinds they hold.  A chunk is closed once it holds _POLISH_ROWS rows.  A
+round then costs one product per coefficient count and kind in the chunk
+plus a few shared numpy calls, however many functions are batched.  A row's
 arithmetic does not depend on the rows beside it.  The radial endpoints are
 grid nodes, so boundary maxima are exact.
 Quadrature and sup norms both work on f 2^-e, with the largest coefficient
@@ -108,7 +109,6 @@ import contextvars
 import math
 import os
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
@@ -153,8 +153,11 @@ SLACK = 1e-9                   # rounding allowance of derivative_criterion's te
 # 8192 took twice as long (320 ms).  The block size sets the grouping of the
 # sums, so changing it moves the last bits of the norms.
 _BLOCK_POINTS = 4096
-# rows per golden polish call: a chunk's (rows, 2, K) powers and values stay
-# small however many jobs one sup call batches (1024 and 2048 measured alike)
+# rows after which a golden polish chunk is closed: a chunk's (rows, 2, K)
+# powers and values stay small however many jobs one sup call batches (1024
+# and 2048 measured alike).  A chunk holds fewer rows than this plus one
+# set's, and a set has no more rows than its job has units, whose units x
+# points array the grid stage already held.
 _POLISH_ROWS = 1024
 # the per-unit grid stage first evaluates every unit on this many points of
 # largest bound w sqrt(s + 2|v|), then on whole blocks of _PRUNE_BLOCK
@@ -611,7 +614,7 @@ class _GridMaxima(NamedTuple):
     """
 
     coeffs: np.ndarray          # f 2^-exponent as rows (K, 4)
-    units: list | None          # sliced per chunk by the polish; None: ball row
+    units: list | None          # None: ball row
     angles: np.ndarray          # angle of each row's best ray, (M,)
     brackets: np.ndarray        # radial cell around each maximum, (M, 2)
     grid_max: np.ndarray
@@ -745,55 +748,35 @@ def _sup_grid_stage(f: SliceSeries, units, ball: bool, radii: np.ndarray,
     return out
 
 
-def _row_chunks(sizes, limit: int):
-    """Cut the rows of consecutive jobs into chunks of at most limit rows.
-
-    sizes holds (job, rows) pairs; yields lists of (job, slice of its rows).
-    """
-    chunk, room = [], limit
-    for job, rows in sizes:
-        start = 0
-        while start < rows:
-            stop = min(rows, start + room)
-            chunk.append((job, slice(start, stop)))
-            room -= stop - start
-            start = stop
-            if not room:
-                yield chunk
-                chunk, room = [], limit
-    if chunk:
-        yield chunk
-
-
-def _polish(pieces, alpha: float, weight_order: int) -> np.ndarray:
+def _polish(sets, alpha: float, weight_order: int) -> list[np.ndarray]:
     """Golden-section max of the weight times |f| along the best ray of each row.
 
-    pieces holds (grid maxima, slice of its rows), with the rows of one kind
-    (unit or ball) and coefficient count K adjacent.  One golden loop serves
-    the whole chunk; a round makes one r^k @ ray per run of rows of one kind
-    and K, one _s_and_v over the A and B of all ball rows, and one weight
-    for all rows.  A unit row evaluates f on its slice; a ball row evaluates
-    A and B and takes s + 2|v|.  All of it is elementwise or per item of a
-    stacked product, so a row's value does not depend on the rows beside it.
-    The rays' coefficients are built here, so that only one chunk's are
-    ever held.
+    sets holds whole _GridMaxima, with those of one kind (unit or ball) and
+    coefficient count K adjacent; returns each set's polished rows.  One
+    golden loop serves the whole chunk; a round makes one r^k @ ray per run
+    of sets of one kind and K, one _s_and_v over the A and B of all ball
+    rows, and one weight for all rows.  A unit row evaluates f on its slice;
+    a ball row evaluates A and B and takes s + 2|v|.  All of it is
+    elementwise or per item of a stacked product, so a row's value does not
+    depend on the rows beside it.  The rays' coefficients are built here, so
+    that only one chunk's are ever held.
     """
     runs, start = [], 0            # (rows of the chunk, ray (M, K, 4 or 12), ball)
-    for (_, ball), run in groupby(pieces, lambda piece: (len(piece[0].coeffs),
-                                                         piece[0].units is None)):
+    for (_, ball), run in groupby(sets, lambda rows: (len(rows.coeffs),
+                                                      rows.units is None)):
         run = list(run)
         if ball:
             # (M, K, 12): r^k @ ray gives A then B as in _terms_table
-            ray = np.concatenate([_terms_table(stage.coeffs, stage.angles[rows])
-                                  .transpose(3, 2, 0, 1) for stage, rows in run])
+            ray = np.concatenate([_terms_table(rows.coeffs, rows.angles)
+                                  .transpose(3, 2, 0, 1) for rows in run])
             ray = ray.reshape(*ray.shape[:2], 12)
         else:
-            ray = np.concatenate([_ray_coeffs(stage.coeffs, stage.units[rows],
-                                              stage.angles[rows, None])[..., 0]
-                                  for stage, rows in run]).transpose(0, 2, 1)
+            ray = np.concatenate([_ray_coeffs(rows.coeffs, rows.units,
+                                              rows.angles[:, None])[..., 0]
+                                  for rows in run]).transpose(0, 2, 1)
         runs.append((slice(start, start + len(ray)), ray, ball))
         start += len(ray)
-    brackets = np.concatenate([stage.brackets[rows] for stage, rows in pieces])
+    brackets = np.concatenate([rows.brackets for rows in sets])
 
     def weighted_sq(r):
         sq, ball_rows, ball_parts = np.empty(r.shape), [], []
@@ -812,7 +795,8 @@ def _polish(pieces, alpha: float, weight_order: int) -> np.ndarray:
         out = sq * np.exp(-alpha * r * r)
         return out / (1.0 + r) ** (2 * weight_order) if weight_order else out
 
-    return np.sqrt(_golden_max_rows(weighted_sq, brackets[:, 0], brackets[:, 1]))
+    best = np.sqrt(_golden_max_rows(weighted_sq, brackets[:, 0], brackets[:, 1]))
+    return np.split(best, np.cumsum([rows.angles.size for rows in sets])[:-1])
 
 
 def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
@@ -825,27 +809,30 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
     exactly) times a uniform angle grid locate each maximum, one job at a
     time (see _sup_grid_stage).  The radial cells around the maxima of all
     jobs are then polished together by golden-section search along the best
-    rays, one row per unit and one per ball.  The rows are ordered by row
-    kind and coefficient count K, then cut into chunks of at most
-    _POLISH_ROWS rows across those groups, and each chunk runs one golden
-    loop (see _polish).  A row's arithmetic does not depend on the other
-    rows, so a batch gives what one call per job gives, bit for bit.
+    rays, one row per unit and one per ball.  The sets of rows are ordered
+    by coefficient count K and row kind, and a chunk is closed between two
+    sets once it holds _POLISH_ROWS rows, so no set is split; each chunk
+    runs one golden loop (see _polish).  A row's arithmetic does not depend
+    on the other rows, so a batch gives what one call per job gives, bit
+    for bit.
     """
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
     weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
     sets = [rows for f, units, ball in jobs
             for rows in _sup_grid_stage(f, units, ball, radii, theta, weight)]
-    groups = defaultdict(list)
-    for j, rows in enumerate(sets):
-        groups[len(rows.coeffs), rows.units is None].append((j, rows.angles.size))
-    sizes = [size for group in groups.values() for size in group]
-    polished = np.concatenate([np.empty(0)] + [
-        _polish([(sets[j], rows) for j, rows in chunk], alpha, weight_order)
-        for chunk in _row_chunks(sizes, _POLISH_ROWS)])
+    chunks, held = [], 0
+    for j in sorted(range(len(sets)),
+                    key=lambda j: (len(sets[j].coeffs), sets[j].units is None)):
+        if not chunks or held >= _POLISH_ROWS:
+            chunks.append([])
+            held = 0
+        chunks[-1].append(j)
+        held += sets[j].angles.size
     refined = [None] * len(sets)
-    for j, rows in sizes:
-        refined[j], polished = polished[:rows], polished[rows:]
+    for chunk in chunks:
+        for j, best in zip(chunk, _polish([sets[j] for j in chunk], alpha, weight_order)):
+            refined[j] = best
     # a sup that overflows is inf, which callers refuse; numpy need not warn
     with np.errstate(over="ignore"):
         found = iter([(np.ldexp(np.maximum(best, rows.grid_max), rows.exponent),

@@ -11,19 +11,20 @@ the closed form at p = 2, the refined quadrature at any other finite p,
 so their values are certified or the run raises GridTooCoarse.
 
 The sup search is about 0.6 s of a 1 s default run and, alone, close to
-its bit-identical floor.  So when norm-sandwich-sup is selected with other
-rows, the system has fork and two cores are usable, run_verify forks one
-worker for that row and runs the others meanwhile on the second core.
-The worker computes the same row from the same corpus in a copy of the
-process, so the report is the same bit for bit.  Its exception is raised
-again in the caller, caused by the worker's traceback, and before that of
-any row a serial run takes after the sup row; the worker is reaped on
-every path (killed first if the caller raises).  A thread would not help:
-the search is many small numpy calls that hold the GIL.  At p != 2 the p
-rows already take every core (fock._in_lanes), and beside them the worker
-gained less than the spread of timed runs, so there it forks only when no
-p row is selected.  Otherwise, and with one usable core, every row runs
-serially.
+its bit-identical floor.  A serial run takes norm-sandwich-sup last.  So
+when it is selected with other rows, the system has fork and two cores are
+usable, run_verify forks one worker for that row, makes the serial run
+without it meanwhile on the second core, then takes the worker's row.  The
+worker computes the same row from the same corpus in a copy of the
+process, so the report is the same bit for bit, and another row's
+exception is raised first, as in a serial run.  The worker's exception is
+raised again in the caller, caused by the worker's traceback.  The worker
+is reaped on every path, killed at once if another row raises.  A thread
+would not help: the search is many small numpy calls that hold the GIL.
+At p != 2 the p rows already take every core (fock._in_lanes), and beside
+them the worker gained less than the spread of timed runs, so there it
+forks only when no p row is selected.  Otherwise, and with one usable
+core, every row runs serially.
 
 Propositions:
 
@@ -85,9 +86,6 @@ PROPOSITIONS = (
 # one; monomial takes fock's SUP_RADIAL x SUP_ANGULAR
 SANDWICH_SUP_GRID = (65, 128)       # norm-sandwich-sup
 CRITERIA_SUP_GRID = (33, 64)        # dilation and derivative
-
-# the rows a serial run takes before norm-sandwich-sup
-_P_ROWS = ("norm-sandwich-p", "slice-pair")
 
 
 @dataclass(frozen=True)
@@ -408,7 +406,7 @@ class _Worker:
 
 def _run_rows(selected, corpus, params: FockParams, units,
               seed: int) -> list[PropositionResult]:
-    """The selected rows, one after another in this process."""
+    """The selected rows, one after another in this process, the sup row last."""
     results = []
     if "norm-sandwich-p" in selected or "slice-pair" in selected:
         sandwich, pair = _check_p_norms(corpus, params, units)
@@ -416,8 +414,6 @@ def _run_rows(selected, corpus, params: FockParams, units,
             results.append(sandwich)
         if "slice-pair" in selected:
             results.append(pair)
-    if "norm-sandwich-sup" in selected:
-        results.append(_check_sup_norms(corpus, params, units))
     if "star" in selected:
         results.append(_check_star(corpus, seed))
     if "split" in selected:
@@ -430,6 +426,8 @@ def _run_rows(selected, corpus, params: FockParams, units,
         results.append(_check_derivative(corpus, params))
     if "monomial" in selected:
         results.append(_check_monomial(corpus, params))
+    if "norm-sandwich-sup" in selected:
+        results.append(_check_sup_norms(corpus, params, units))
     return results
 
 
@@ -445,11 +443,11 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     not stabilize raises GridTooCoarse.  Sup propositions use
     Chebyshev radii with golden-section polish on SANDWICH_SUP_GRID,
     CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR.  The same seed
-    and flags always produce the same results, whether norm-sandwich-sup
-    runs in its forked worker or in this process (see the module
-    docstring).  p must be finite: the p-sandwich integrates |f|^p, and the
-    sup norms have their own proposition.  An empty selection raises
-    ValueError.
+    and flags always produce the same results, and the same exception when
+    rows raise, whether norm-sandwich-sup runs in its forked worker or last
+    in this process (see the module docstring).  p must be finite: the
+    p-sandwich integrates |f|^p, and the sup norms have their own
+    proposition.  An empty selection raises ValueError.
     """
     if not math.isfinite(p):
         raise ValueError(f"verify needs a finite p, got {p!r}")
@@ -459,20 +457,14 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     units = default_sphere(sphere_count)
 
     # at p != 2 the p rows already run on every core (fock._in_lanes)
-    lanes = p != 2.0 and any(name in _P_ROWS for name in selected)
+    lanes = p != 2.0 and ("norm-sandwich-p" in selected or "slice-pair" in selected)
     if ("norm-sandwich-sup" in selected and len(selected) > 1 and not lanes
             and hasattr(os, "fork") and fock._usable_cores() >= 2):
         worker = _Worker(lambda: _check_sup_norms(corpus, params, units))
         try:
-            results = _run_rows([name for name in selected if name in _P_ROWS],
+            results = _run_rows([name for name in selected
+                                 if name != "norm-sandwich-sup"],
                                 corpus, params, units, seed)
-            try:
-                results += _run_rows([name for name in selected
-                                      if name not in _P_ROWS + ("norm-sandwich-sup",)],
-                                     corpus, params, units, seed)
-            except Exception:
-                worker.result()     # a serial run raises the sup row's first
-                raise
             results.append(worker.result())
         finally:
             worker.close()

@@ -1455,6 +1455,53 @@ def test_polish_runs_one_golden_loop_per_chunk():
             assert report == derivative_criterion(f, 2, P2)
 
 
+@pytest.mark.parametrize("limit", [3, 100])
+def test_polish_chunks_hold_whole_row_sets(limit):
+    # sets of 1 to 67 unit rows and ball rows at three coefficient counts
+    rng = rng_for(37)
+    jobs = [(_series_from(rng.uniform(-1.0, 1.0, (count, 4))),
+             default_sphere()[:units], ball)
+            for count in (3, 8, 3, 13) for units, ball in
+            ((0, True), (1, False), (4, True), (7, False), (67, True))]
+    made, chunks, loops = [], [], []
+
+    def grid_stage(*args, stage=fock._sup_grid_stage):
+        sets = stage(*args)
+        made.extend(sets)
+        return sets
+
+    def polish(sets, *args, polish=fock._polish):
+        chunks.append(sets)
+        return polish(sets, *args)
+
+    def golden(fn, lo, hi):
+        loops.append(lo.size)
+        return _golden_max_rows(fn, lo, hi)
+
+    with unittest.mock.patch.multiple(fock, _POLISH_ROWS=limit,
+                                      _sup_grid_stage=grid_stage, _polish=polish,
+                                      _golden_max_rows=golden):
+        batched = _sup_over_rows(jobs, 1.0, 1.0, 17, 32)
+    sizes = [[rows.angles.size for rows in chunk] for chunk in chunks]
+    assert loops == [sum(chunk) for chunk in sizes]
+    assert sorted(map(id, made)) == sorted(id(rows) for chunk in chunks for rows in chunk)
+    assert all(sum(chunk) >= limit for chunk in sizes[:-1])
+    assert all(sum(chunk[:-1]) < limit for chunk in sizes)
+    for job, found in zip(jobs, batched):
+        [want] = _sup_over_rows([job], 1.0, 1.0, 17, 32)
+        assert _sups_bytes(found) == _sups_bytes(want)
+
+
+def test_sup_over_rows_takes_jobs_with_no_rows():
+    assert _sup_over_rows([], 1.0, 1.0, 17, 32) == []
+    jobs = [(Q_F, [UNIT_I], True), (Q_F, [], False), (ONE_F, [UNIT_J], False)]
+    batched = _sup_over_rows(jobs, 1.0, 1.0, 17, 32)
+    assert batched[1].sups.size == 0 and batched[1].ball is None
+    for job, found in zip(jobs, batched):
+        [want] = _sup_over_rows([job], 1.0, 1.0, 17, 32)
+        assert _sups_bytes(found) == _sups_bytes(want)
+
+
 def _parent_dilation_convergence(f, params, r_list, radial_samples, angular_count):
     """dilation_convergence as one sup call per factor."""
     out = []

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from slicefock import GridTooCoarse, fock
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -54,3 +56,29 @@ def test_run_verification_refuses_an_empty_selection(props, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: no proposition selected")
+
+
+def _raise_grid_too_coarse(*args):
+    raise GridTooCoarse("no grid agrees with a coarser one", [])
+
+
+def test_run_verification_refuses_a_grid_too_coarse(monkeypatch, capsys):
+    # exit 1 would read as a failed cell
+    monkeypatch.setattr(fock, "_refine_norms", _raise_grid_too_coarse)
+    code = load_script("run_verification").main(
+        ["--seeds", "0", "--p", "1.5", "--sphere", "2", "--props", "norm-sandwich-p"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: no grid agrees with a coarser one\n"
+
+
+def test_norm_sweep_refuses_a_grid_too_coarse(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(fock, "_refine_norms", _raise_grid_too_coarse)
+    out_path = tmp_path / "sweep.csv"
+    code = load_script("norm_sweep").main(
+        ["--degrees", "1", "--alphas", "1.0", "--p", "1.5", "--sphere", "2",
+         "--output", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: no grid agrees with a coarser one\n"
+    assert not out_path.exists()
