@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from . import fock, kernels, serialize, verify
@@ -261,9 +261,11 @@ def _add_common(sub, *, norm_flags=True):
                          help="imaginary units sampled on the sphere (default 64)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    # no flag may be abbreviated: a prefix such as --rad would otherwise be
-    # read as whichever one flag it starts (--radius), not refused
+    # built once per process: parsing reads the parser and changes nothing
+    # in it.  No flag may be abbreviated: a prefix such as --rad would
+    # otherwise be read as whichever one flag it starts (--radius), not refused
     parser = argparse.ArgumentParser(
         prog="slicefock", allow_abbrev=False,
         description="Slice-regular functions with Gaussian-weighted norms "

@@ -87,14 +87,17 @@ A = sum u_k a_k and B = sum v_k a_k do not depend on I, and
 |f|^2 = |A|^2 + |B|^2 + 2 <Im(A conj(B)), I>: one table of powers serves every
 unit at one 3-vector dot product per point.  At p != 2 the units x points
 array of |f|^p is built and summed in blocks of radial rows holding a few
-thousand points each, so it stays cache-sized however fine the grid.  The
-blocks are dealt round-robin to lanes, one per usable core: the calling
-thread runs the first lane and helper threads, made on first use, run the
-others, reading only the tables the calling thread built.  A block is numpy
-work that releases the GIL, so the lanes run at once.  Each block's unit
-sums are the same whichever lane makes them, and they are added in block
-order, as a serial loop adds them, so every norm is the same bit for bit on
-any number of cores.
+thousand points each, so it stays cache-sized however fine the grid.  |f|^p
+is taken in place as exp((p/2) log |f|^2), which is cheaper than a general
+power; log 0 = -inf and exp(-inf) = 0, so a zero of f needs no case of its
+own.  The blocks run on lanes, one per usable core: the calling thread runs
+one lane and helper threads, made on first use, run the others, reading
+only the tables the calling thread built.  Each lane takes the next block
+from a shared counter, so no lane idles while another has blocks queued.  A
+block is numpy work that releases the GIL, so the lanes run at once.  Each
+block's unit sums are the same whichever lane makes them, and they are added
+in block order, as a serial loop adds them, so every norm is the same bit
+for bit on any number of cores.
 
 Grid stages work in place.  s and v are written through two scratch rows,
 and under _FEW_UNITS units the sup search takes the root and the radial
@@ -106,6 +109,7 @@ for bit, without the page faults of a new multi-megabyte temporary per call.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 import os
 import threading
@@ -148,10 +152,10 @@ _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 48             # golden-section rounds of the sup polish
 SLACK = 1e-9                   # rounding allowance of derivative_criterion's test
 # grid points per block of the p != 2 quadrature sum: 67 units x 4096 points
-# of float64 is 2.2 MB, which stays in cache.  With two lanes on 2 cores,
-# 2048 and 4096 measured alike at the 512 x 1024 cap (158 ms a call) and
-# 8192 took twice as long (320 ms).  The block size sets the grouping of the
-# sums, so changing it moves the last bits of the norms.
+# of float64 is 2.2 MB, which stays in cache.  With two lanes on 2 vCPU, a
+# 67-unit call at the 512 x 1024 cap took 136 ms at 4096 and 131 ms at 2048
+# (medians of 8), 209 ms at 1024 and 342 ms at 8192.  The block size sets
+# the grouping of the sums, so changing it moves the last bits of the norms.
 _BLOCK_POINTS = 4096
 # rows after which a golden polish chunk is closed: a chunk's (rows, 2, K)
 # powers and values stay small however many jobs one sup call batches (1024
@@ -359,32 +363,47 @@ if hasattr(os, "register_at_fork"):         # absent where there is no fork
 
 
 def _in_lanes(fn, items) -> list:
-    """[fn(x) for x in items], the items dealt round-robin to one lane per core.
+    """[fn(x) for x in items], each lane taking the next item from a shared counter.
 
-    The calling thread runs lane 0 and pool helpers run the others, each
-    under a copy of the caller's context, so numpy's error state (a
-    contextvar) holds there too.  fn must only read shared arrays.  The
-    results come back in item order, so what a caller makes of them does
-    not depend on the number of lanes; a helper's exception reaches the
-    caller once every lane has finished.
+    One lane per usable core: the calling thread runs one and pool helpers
+    run the others, each under a copy of the caller's context, so numpy's
+    error state (a contextvar) holds there too.  fn must only read shared
+    arrays.  A lane that finishes early takes the next item, so no lane
+    idles while another has a queue.  The results come back in item order,
+    so what a caller makes of them does not depend on the number of lanes
+    or on which lane made each.  Once any lane raises, no lane starts a new
+    item, and the exception reaches the caller once every lane has stopped;
+    a helper that had not started when the items ran out is cancelled.
     """
     items = list(items)
     lanes = min(_usable_cores(), len(items))
     if lanes < 2:
         return [fn(x) for x in items]
+    out, taken, failed = [None] * len(items), itertools.count(), threading.Event()
+
+    def lane():
+        # next() on a count is one call under the GIL: no index is taken twice
+        for i in taken:
+            if i >= len(items) or failed.is_set():
+                return
+            try:
+                out[i] = fn(items[i])
+            except BaseException:
+                failed.set()
+                raise
+
     pool = _lane_pool()
-    futures = [pool.submit(contextvars.copy_context().run,
-                           lambda part: [fn(x) for x in part], items[lane::lanes])
-               for lane in range(1, lanes)]
+    futures = [pool.submit(contextvars.copy_context().run, lane)
+               for _ in range(1, lanes)]
     try:
-        parts = [[fn(x) for x in items[::lanes]]]
+        lane()
     finally:
         for future in futures:
-            future.exception()                  # waits, never raises
-    parts += [future.result() for future in futures]
-    out = [None] * len(items)
-    for lane, part in enumerate(parts):
-        out[lane::lanes] = part
+            if not future.cancel():
+                future.exception()              # waits, never raises
+    for future in futures:
+        if not future.cancelled():
+            future.result()                     # a helper's exception
     return out
 
 
@@ -472,8 +491,12 @@ def _slice_norms_on_grid(f: SliceSeries, units, params: FockParams,
     rows, nt = max(1, _BLOCK_POINTS // theta.size), theta.size
 
     def block_sum(i):
+        # |f|^p = exp((p/2) log |f|^2): log 0 = -inf and exp(-inf) = 0
         powered = evaluate(r[i:i + rows])
-        return np.power(powered, p / 2.0, out=powered) @ w[i * nt:(i + rows) * nt]
+        with np.errstate(divide="ignore"):
+            np.log(powered, out=powered)
+        powered *= p / 2.0
+        return np.exp(powered, out=powered) @ w[i * nt:(i + rows) * nt]
 
     sums = np.zeros(len(units))
     for part in _in_lanes(block_sum, range(0, r.size, rows)):
@@ -491,11 +514,13 @@ def _refine_norms(f, units, params, grid):
     it reaches RADIAL_CAP x ANGULAR_CAP (see module docstring).  Returns
     (values, grid, rel, refinements), rel the last relative change between
     successive grids.  A single grid certifies nothing, so a start grid at
-    the cap raises, as a residual disagreement there does.  A non-finite
-    value never stabilizes and raises at once; GridTooCoarse carries every
-    grid's values.
+    the cap raises, as a residual disagreement there does.  A nonzero
+    slice-regular f has |f|^p > 0 almost everywhere on every slice, so a 0
+    value of it is an underflow (of the weight, say) and agrees with
+    nothing; the zero function keeps its 0.  A non-finite value never
+    stabilizes and raises at once; GridTooCoarse carries every grid's values.
     """
-    trace, coarser = [], None
+    trace, coarser, nonzero = [], None, bool(f._coeff_rows.any())
     while True:
         values = _slice_norms_on_grid(f, units, params, grid)
         trace.append((grid.describe(), [float(v) for v in values]))
@@ -503,15 +528,17 @@ def _refine_norms(f, units, params, grid):
             raise GridTooCoarse("a value is not finite on grid "
                                 f"{grid.radial_count} x {grid.angular_count}", trace)
         at_cap = grid.radial_count >= RADIAL_CAP or grid.angular_count >= ANGULAR_CAP
+        vanished = nonzero and not np.all(values > 0.0)
         rel = (float(np.max(np.abs(values - coarser)
                             / np.maximum(np.abs(values), 1e-300)))
-               if coarser is not None else math.inf)
+               if coarser is not None and not vanished else math.inf)
         if rel <= REFINE_TOL or (at_cap and rel <= COARSE_TOL):
             return values, grid, rel, len(trace) - 1
         if at_cap:
-            raise GridTooCoarse("no grid agrees with a coarser one within 1e-6 relative "
-                                f"up to the resolution cap {RADIAL_CAP} x {ANGULAR_CAP}",
-                                trace)
+            why = ("a slice norm of a nonzero function is still 0" if vanished else
+                   "no grid agrees with a coarser one within 1e-6 relative")
+            raise GridTooCoarse(f"{why} up to the resolution cap {RADIAL_CAP} x "
+                                f"{ANGULAR_CAP}", trace)
         coarser, grid = values, grid.doubled()
 
 

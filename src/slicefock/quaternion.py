@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -314,13 +315,19 @@ def default_sphere(count: int = 64) -> list[ImaginaryUnit]:
 
     This is the sampling used by the norm routines when no explicit list is
     given: the lattice covers the sphere evenly while the canonical units
-    keep the classical slices exercised.
+    keep the classical slices exercised.  Each call returns a fresh list of
+    the cached units, so a caller that changes it changes no later call's.
     """
+    return list(_default_sphere(count))
+
+
+@lru_cache(maxsize=8)
+def _default_sphere(count: int) -> tuple[ImaginaryUnit, ...]:
     units = sphere_sample(count)
     for extra in (UNIT_I, UNIT_J, UNIT_K):
         if all(u != extra for u in units):
             units.append(extra)
-    return units
+    return tuple(units)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,27 @@ def test_norm_p2_builds_no_grid(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["grid"]["rule"] == "closed form"
 
 
+def test_a_zero_norm_of_a_nonzero_function_exits_three(tmp_path, capsys):
+    # the weight underflows at every node of the start grid; the true norm
+    # is about 0.565, and 0 is refused, not printed
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 0.5, 0.0, 0.0)])
+    code, out, err = run(capsys, ["norm", path, "--p", "1.5", "--alpha", "1e12",
+                                  "--sphere", "2"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "cap" in err.splitlines()[0]
+    zero = write_series(tmp_path, [Quaternion()], name="zero.json")
+    code, out, _ = run(capsys, ["norm", zero, "--p", "1.5", "--out", "json"])
+    assert code == 0 and json.loads(out)["value"] == 0.0
+
+
+def test_parser_is_built_once_and_output_repeats(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 0.5, 0.0, 0.0)])
+    argv = ["norm", path, "--p", "1.5", "--sphere", "2", "--out", "json"]
+    first, second = run(capsys, argv), run(capsys, argv)
+    assert first == second and first[0] == 0
+
+
 @pytest.mark.parametrize("extra", [[], ["--normalized"], ["--out", "json"]])
 def test_kernel_overflow_exits_three(capsys, extra):
     # alpha |q| |w| = 900: e^900 overflows a float, so the tail bound is inf;

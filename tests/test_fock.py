@@ -452,6 +452,29 @@ def test_cap_start_grid_is_refused(monkeypatch):
     assert [spec for spec, _ in err.value.trace] == [grid.describe()]
 
 
+SMOKE_F = SliceSeries((Quaternion(1.0), Quaternion(0.0, 0.5)))
+
+
+@pytest.mark.parametrize("params", [FockParams(alpha=1e12, p=1.5),
+                                    FockParams(alpha=1e16, p=1.5),
+                                    FockParams(alpha=1.0, p=1.5, radius=1e-200),
+                                    FockParams(alpha=1.0, p=1e300)])
+def test_a_zero_norm_of_a_nonzero_function_is_refused(params):
+    # the weight or the area underflows at every node, so the grids read 0;
+    # at alpha = 1e12 the norm is about 0.565
+    with pytest.raises(GridTooCoarse, match="cap"):
+        fock_norm_p(SMOKE_F, params, sphere=[UNIT_I])
+
+
+def test_the_zero_function_keeps_its_zero_norm():
+    zero = SliceSeries((Quaternion(),))
+    with np.errstate(divide="raise"):
+        report = fock_norm_p(zero, P15, sphere=small_sphere())
+    assert report.value == 0.0
+    assert {v for _, v in report.per_slice} == {0.0}
+    assert report.grid_spec["refinements"] == 1
+
+
 def test_refinement_count_reported():
     report = fock_norm_p(Q_F, P15, sphere=small_sphere())
     assert report.grid_spec["refinements"] >= 1
@@ -1045,7 +1068,15 @@ def _serial_abs_sq_blocks(coeffs, units, radii, theta, rows):
         yield i, np.maximum(out, 0.0, out=out)
 
 
-def _serial_slice_norms(f, units, params, grid):
+def _log_exp_power(powered, p):
+    """|f|^p from powered = |f|^2 in place, as the library takes it."""
+    with np.errstate(divide="ignore"):
+        np.log(powered, out=powered)
+    powered *= p / 2.0
+    return np.exp(powered, out=powered)
+
+
+def _serial_slice_norms(f, units, params, grid, power=_log_exp_power):
     """_slice_norms_on_grid at p != 2 with every block on the calling thread."""
     r, _ = grid.radial_arrays()
     (coeffs, exponent), theta = _scaled_rows(f), grid.angles()
@@ -1055,7 +1086,7 @@ def _serial_slice_norms(f, units, params, grid):
     rows, nt = max(1, _BLOCK_POINTS // theta.size), theta.size
     sums = np.zeros(len(units))
     for i, powered in _serial_abs_sq_blocks(coeffs, units, r, theta, rows):
-        sums += np.power(powered, p / 2.0, out=powered) @ w[i * nt:(i + rows) * nt]
+        sums += power(powered, p) @ w[i * nt:(i + rows) * nt]
     integrals = params.alpha / math.pi / math.pi * sums
     with np.errstate(over="ignore"):
         return np.ldexp(np.maximum(integrals, 0.0) ** (1.0 / p), exponent)
@@ -1076,6 +1107,28 @@ def test_lanes_equal_the_serial_block_loop_bit_for_bit(rows, p, count, shape,
     with unittest.mock.patch.object(fock, "_usable_cores", lambda: lanes):
         got = _slice_norms_on_grid(f, units, params, grid)
     assert got.tobytes() == _serial_slice_norms(f, units, params, grid).tobytes()
+
+
+@pytest.mark.parametrize("p", [0.7, 1.5, 3.0])
+@pytest.mark.parametrize("scale", [2.0 ** -664, 1.0, 2.0 ** 664])   # about 1e-+200
+@pytest.mark.parametrize("count", [1, 67])
+def test_log_exp_power_matches_np_power(p, scale, count):
+    # f = (q - r_0) scale vanishes at the grid node r_0 on every slice
+    # (angle 0), exactly, as the scale is a power of two; so log takes a 0
+    # there, which the caller's divide="raise" must not see
+    grid = QuadratureGrid.build(64, 128, 1.0)
+    r0 = float(grid.radial_arrays()[0][3])
+    f = SliceSeries((Quaternion(-r0 * scale), Quaternion(scale)))
+    units = default_sphere()[:count]
+    params = FockParams(alpha=1.3, p=p, radius=1.0)
+    assert _abs_sq_evaluator(_scaled_rows(f)[0], units, grid.angles())(
+        np.array([r0])).min() == 0.0
+    with np.errstate(divide="raise"):
+        got = _slice_norms_on_grid(f, units, params, grid)
+    want = _serial_slice_norms(f, units, params, grid,
+                               power=lambda x, p: np.power(x, p / 2.0, out=x))
+    assert np.all(want > 0.0)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_helper_lanes_keep_the_callers_error_state():
@@ -1099,15 +1152,70 @@ def test_helper_lanes_keep_the_callers_error_state():
 
 
 def test_helper_exception_reaches_the_caller():
+    helper_took = threading.Event()
+
     def fn(x):
-        if x == 1:                      # item 1 of 4 is lane 1's, a helper's
+        # any lane may take any item: a helper raises on the first it takes,
+        # and the caller's items wait for that, so a helper takes one
+        if threading.current_thread().name.startswith("slicefock-lane"):
+            helper_took.set()
             raise ValueError(threading.current_thread().name)
+        assert helper_took.wait(timeout=30)
         return x
 
     with unittest.mock.patch.object(fock, "_usable_cores", lambda: 2):
         assert fock._in_lanes(lambda x: 2 * x, range(5)) == [0, 2, 4, 6, 8]
         with pytest.raises(ValueError, match="slicefock-lane"):
             fock._in_lanes(fn, range(4))
+
+
+def test_lanes_take_the_next_item_when_free():
+    # item 0 waits until every other item is done: dealt round-robin, its
+    # lane would hold items after it and never finish; from a shared
+    # counter the other lane takes them all
+    count, done, lock = 6, [], threading.Lock()
+    rest_done = threading.Event()
+
+    def fn(x):
+        if x == 0:
+            assert rest_done.wait(timeout=10), "item 0 waited for a lane's own items"
+        else:
+            with lock:
+                done.append(x)
+                if len(done) == count - 1:
+                    rest_done.set()
+        return x
+
+    with unittest.mock.patch.object(fock, "_usable_cores", lambda: 2):
+        assert fock._in_lanes(fn, range(count)) == list(range(count))
+
+
+def test_no_lane_starts_an_item_after_a_raise():
+    # items 0 and 1 run at once; 1 raises while 0 runs, and 0 ends after
+    # the raise, so neither lane may start items 2 onwards
+    started, ended, lock = [], [], threading.Lock()
+    running, raised = threading.Event(), threading.Event()
+
+    def fn(x):
+        with lock:
+            started.append(x)
+        if x == 0:
+            running.set()
+            assert raised.wait(timeout=30)
+            time.sleep(0.1)             # the raise reaches its lane meanwhile
+        elif x == 1:
+            assert running.wait(timeout=30)
+            raised.set()
+            raise ValueError("item 1")
+        with lock:
+            ended.append(x)
+        return x
+
+    with unittest.mock.patch.object(fock, "_usable_cores", lambda: 2):
+        with pytest.raises(ValueError, match="item 1"):
+            fock._in_lanes(fn, range(20))
+    assert sorted(started) == [0, 1]
+    assert ended == [0]                 # the caller raised once both had stopped
 
 
 def test_concurrent_callers_make_one_pool_and_equal_results():

@@ -241,6 +241,14 @@ def test_default_sphere_appends_canonical_units():
     assert units[-3:] == [UNIT_I, UNIT_J, UNIT_K]
 
 
+def test_default_sphere_returns_a_fresh_list():
+    units = default_sphere(16)
+    units.clear()
+    again = default_sphere(16)
+    assert again is not default_sphere(16)
+    assert again == sphere_sample(16) + [UNIT_I, UNIT_J, UNIT_K]
+
+
 # --- misc accessors ---
 
 @given(quats)
