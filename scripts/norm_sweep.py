@@ -25,6 +25,19 @@ def monomial(n: int) -> SliceSeries:
     return SliceSeries((Quaternion(0.0),) * n + (Quaternion(1.0),))
 
 
+def parse_values(text: str, flag: str, kind) -> list:
+    """The comma separated values of a flag; none, or one that kind()
+    refuses, raises ValueError."""
+    try:
+        values = [kind(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ValueError(f"{flag} expects comma separated {kind.__name__} "
+                         f"values, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} names no value")
+    return values
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
                                      allow_abbrev=False)
@@ -40,10 +53,19 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    degrees = [int(s) for s in args.degrees.split(",") if s]
-    alphas = [float(s) for s in args.alphas.split(",") if s]
-    exponents = [float(s) for s in args.p.split(",") if s]
-    sphere = default_sphere(args.sphere)
+    try:
+        degrees = parse_values(args.degrees, "--degrees", int)
+        alphas = parse_values(args.alphas, "--alphas", float)
+        exponents = parse_values(args.p, "--p", float)
+        if min(degrees) < 0:
+            raise ValueError(f"--degrees must be nonnegative, got {args.degrees!r}")
+        for alpha in alphas:            # refused before any row is computed
+            for p in exponents:
+                FockParams(alpha=alpha, p=p, radius=args.radius)
+        sphere = default_sphere(args.sphere)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     lines = ["n,alpha,p,slice_norm,ball_norm,ball_over_slice,sup_norm"]
     try:

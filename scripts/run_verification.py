@@ -12,11 +12,25 @@ Example:
 """
 
 import argparse
+import math
 import sys
 import time
 
-from slicefock import GridTooCoarse
+from slicefock import FockParams, GridTooCoarse
 from slicefock.verify import format_text, run_verify
+
+
+def parse_values(text: str, flag: str, kind) -> list:
+    """The comma separated values of a flag; none, or one that kind()
+    refuses, raises ValueError."""
+    try:
+        values = [kind(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ValueError(f"{flag} expects comma separated {kind.__name__} "
+                         f"values, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} names no value")
+    return values
 
 
 def parse_args(argv=None):
@@ -37,8 +51,16 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    exponents = [float(s) for s in args.p.split(",") if s]
+    try:
+        seeds = parse_values(args.seeds, "--seeds", int)
+        exponents = parse_values(args.p, "--p", float)
+        for p in exponents:             # refused before any cell runs
+            FockParams(alpha=args.alpha, p=p)
+            if not math.isfinite(p):
+                raise ValueError(f"verify needs a finite p, got {p!r}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     worst: dict[str, float] = {}
     all_passed = True
@@ -49,7 +71,7 @@ def main(argv=None) -> int:
                 results = run_verify(seed=seed, props=args.props,
                                      alpha=args.alpha, p=p,
                                      sphere_count=args.sphere)
-            except ValueError as exc:       # an empty or unknown --props, a bad p
+            except ValueError as exc:       # an empty or unknown --props, a bad --sphere
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             except GridTooCoarse as exc:    # exit 1 is a failed cell

@@ -568,11 +568,14 @@ def tail_bound(f: SliceSeries, point_modulus: float, degree: int) -> float:
 
     The terms are summed on a power-of-two scale, so a representable bound
     is returned even where |q|^k alone overflows or underflows.  The degree
-    is an integer (operator.index), as truncate's is.  A bound that
-    overflows a float is inf, and so is the bound at an infinite modulus;
-    a negative or NaN modulus is refused.
+    is an integer (operator.index) and nonnegative, as truncate's is: a
+    negative degree raises ValueError.  A bound that overflows a float is
+    inf, and so is the bound at an infinite modulus; a negative or NaN
+    modulus is refused.
     """
     degree = operator.index(degree)
+    if degree < 0:
+        raise ValueError("truncation degree must be nonnegative")
     if not point_modulus >= 0.0:
         raise ValueError(f"point_modulus must be nonnegative, got {point_modulus!r}")
     if degree >= f.degree:

@@ -12,19 +12,18 @@ so their values are certified or the run raises GridTooCoarse.
 
 The sup search is about 0.6 s of a 1 s default run and, alone, close to
 its bit-identical floor.  A serial run takes norm-sandwich-sup last.  So
-when it is selected with other rows, the system has fork and two cores are
-usable, run_verify forks one worker for that row, makes the serial run
-without it meanwhile on the second core, then takes the worker's row.  The
-worker computes the same row from the same corpus in a copy of the
-process, so the report is the same bit for bit, and another row's
-exception is raised first, as in a serial run.  The worker's exception is
-raised again in the caller, caused by the worker's traceback.  The worker
-is reaped on every path, killed at once if another row raises.  A thread
-would not help: the search is many small numpy calls that hold the GIL.
-At p != 2 the p rows already take every core (fock._in_lanes), and beside
-them the worker gained less than the spread of timed runs, so there it
-forks only when no p row is selected.  Otherwise, and with one usable
-core, every row runs serially.
+when it is selected, the system has fork and two cores are usable,
+run_verify forks one worker for that row, makes the serial run without it
+meanwhile on the second core, then takes the worker's row.  The worker
+computes the same row from the same corpus in a copy of the process, so
+the report is the same bit for bit.  It sends its row or nothing: a
+worker that raised or died sends nothing, and the caller computes the
+row itself, last, as a serial run does.  verify is deterministic, so that
+rerun raises the worker's exception here, with this process's traceback
+and after any other row's exception.  The serial code is the one failure
+path.  The worker is reaped on every path, killed at once if another row
+raises.  A thread would not help: the search is many small numpy calls
+that hold the GIL.  With one usable core every row runs serially.
 
 Propositions:
 
@@ -46,7 +45,6 @@ import math
 import os
 import pickle
 import signal
-import traceback
 import warnings
 from dataclasses import dataclass
 
@@ -325,35 +323,14 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
 # runner and report formatting
 # ---------------------------------------------------------------------------
 
-class _RemoteTraceback(Exception):
-    """The worker's formatted traceback, the cause of the exception it sent."""
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-def _payload(outcome, trace: str) -> bytes:
-    """outcome and trace pickled; an exception that does not come back as
-    itself through pickle is sent as a RuntimeError naming it."""
-    try:
-        payload = pickle.dumps((outcome, trace))
-        pickle.loads(payload)
-        return payload
-    except Exception:
-        return pickle.dumps((RuntimeError(f"verify's worker raised {outcome!r}"),
-                             trace))
-
-
 class _Worker:
-    """task() in a forked child, whose result() returns or raises here.
+    """task() in a forked child, whose result() returns its result or None.
 
-    The child sends its pickled outcome, a result or an exception with its
-    formatted traceback, through a pipe and leaves with os._exit, so it
-    runs no exit handler and flushes none of the output buffers it
-    inherited.  result() raises the child's exception again, caused by a
-    _RemoteTraceback that shows where the child raised it.  close() reaps
-    the child on every path; a child whose result was not read is killed
-    first.
+    The child writes its pickled result to a pipe and leaves with os._exit,
+    so it runs no exit handler and flushes none of the output buffers it
+    inherited.  Its exit code is 0 only after a whole write, so result()
+    returns None for a child that raised or died.  close() reaps the child
+    on every path; a child whose result was not read is killed first.
     """
 
     def __init__(self, task):
@@ -369,13 +346,8 @@ class _Worker:
             status = 1
             try:
                 os.close(read)
-                trace = ""
-                try:
-                    outcome = task()
-                except BaseException as exc:     # raised again by result()
-                    outcome, trace = exc, traceback.format_exc()
                 with open(write, "wb") as pipe:
-                    pipe.write(_payload(outcome, trace))
+                    pipe.write(pickle.dumps(task()))
                 status = 0
             finally:
                 os._exit(status)
@@ -388,13 +360,7 @@ class _Worker:
             payload = pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        if not payload:
-            raise RuntimeError("verify's worker sent no result (exit code "
-                               f"{os.waitstatus_to_exitcode(status)})")
-        outcome, trace = pickle.loads(payload)
-        if isinstance(outcome, BaseException):
-            raise outcome from _RemoteTraceback(trace)
-        return outcome
+        return pickle.loads(payload) if os.waitstatus_to_exitcode(status) == 0 else None
 
     def close(self) -> None:
         if self.read is not None:
@@ -444,10 +410,14 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     Chebyshev radii with golden-section polish on SANDWICH_SUP_GRID,
     CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR.  The same seed
     and flags always produce the same results, and the same exception when
-    rows raise, whether norm-sandwich-sup runs in its forked worker or last
-    in this process (see the module docstring).  p must be finite: the
-    p-sandwich integrates |f|^p, and the sup norms have their own
-    proposition.  An empty selection raises ValueError.
+    rows raise, on any number of cores.  Whenever norm-sandwich-sup is
+    selected, the system has fork and two cores are usable, that row runs
+    in one forked worker beside the others.  The worker sends its row or
+    nothing; when it sends nothing, this process computes the row itself,
+    last, so the row's exception is raised here as in a serial run (see
+    the module docstring).  p must be finite: the p-sandwich integrates
+    |f|^p, and the sup norms have their own proposition.  An empty
+    selection raises ValueError.
     """
     if not math.isfinite(p):
         raise ValueError(f"verify needs a finite p, got {p!r}")
@@ -456,18 +426,18 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     corpus = standard_corpus(seed)
     units = default_sphere(sphere_count)
 
-    # at p != 2 the p rows already run on every core (fock._in_lanes)
-    lanes = p != 2.0 and ("norm-sandwich-p" in selected or "slice-pair" in selected)
-    if ("norm-sandwich-sup" in selected and len(selected) > 1 and not lanes
-            and hasattr(os, "fork") and fock._usable_cores() >= 2):
+    if ("norm-sandwich-sup" in selected and hasattr(os, "fork")
+            and fock._usable_cores() >= 2):
         worker = _Worker(lambda: _check_sup_norms(corpus, params, units))
         try:
             results = _run_rows([name for name in selected
                                  if name != "norm-sandwich-sup"],
                                 corpus, params, units, seed)
-            results.append(worker.result())
+            sup = worker.result()
         finally:
             worker.close()
+        # a worker that raised or died sent nothing: the row again, here
+        results.append(sup if sup is not None else _check_sup_norms(corpus, params, units))
     else:
         results = _run_rows(selected, corpus, params, units, seed)
     return sorted(results, key=lambda r: r.name)

@@ -42,6 +42,14 @@ def test_eval_text_with_truncation(tmp_path, capsys):
     assert "warning" not in out
 
 
+def test_eval_refuses_a_negative_truncation(tmp_path, capsys):
+    path = write_series(tmp_path, [Quaternion(5.0), Quaternion(1.0), Quaternion(1.0)])
+    code, out, err = run(capsys, ["eval", path, "--point", "0.5,0,0,0",
+                                  "--truncate", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: truncation degree must be nonnegative\n"
+
+
 def test_eval_csv_carries_the_truncation(tmp_path, capsys):
     path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 0.5),
                                    Quaternion(0.25, 0.0, -0.5, 0.125)])

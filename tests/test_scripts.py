@@ -82,3 +82,41 @@ def test_norm_sweep_refuses_a_grid_too_coarse(monkeypatch, tmp_path, capsys):
     assert code == 3 and captured.out == ""
     assert captured.err == "error: no grid agrees with a coarser one\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seeds", ""], "--seeds names no value"),
+    (["--p", ","], "--p names no value"),
+    (["--seeds", "x"], "--seeds expects comma separated int values, got 'x'"),
+    (["--seeds", "0,1.5"], "--seeds expects comma separated int values"),
+    (["--p", "2,x"], "--p expects comma separated float values"),
+    (["--p", "2,-1"], "p must be positive or infinity"),
+    (["--p", "2,inf"], "verify needs a finite p, got inf"),
+    (["--alpha", "0"], "alpha must be positive and finite")])
+def test_run_verification_refuses_a_bad_list(argv, message, capsys):
+    # each ran no cell and printed "all cells passed", or raised a traceback
+    code = load_script("run_verification").main(argv + ["--props", "split"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--degrees", ""], "--degrees names no value"),
+    (["--alphas", ","], "--alphas names no value"),
+    (["--p", ""], "--p names no value"),
+    (["--degrees=-1,0"], "--degrees must be nonnegative, got '-1,0'"),
+    (["--degrees", "1.5"], "--degrees expects comma separated int values"),
+    (["--alphas", "x"], "--alphas expects comma separated float values, got 'x'"),
+    (["--alphas", "1,-1"], "alpha must be positive and finite"),
+    (["--p", "nan"], "p must be positive or infinity"),
+    (["--radius", "0"], "radius must be positive and finite"),
+    (["--sphere", "-3"], "count must be a positive integer")])
+def test_norm_sweep_refuses_a_bad_list(argv, message, tmp_path, capsys):
+    # degree -1 gave a row of the constant 1; a bad alpha raised a traceback
+    out_path = tmp_path / "sweep.csv"
+    code = load_script("norm_sweep").main(argv + ["--output", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert not out_path.exists()

@@ -656,6 +656,13 @@ def test_tail_bound_degree_must_be_an_integer():
             tail_bound(f, 0.5, degree)
 
 
+def test_tail_bound_refuses_a_negative_degree():
+    # the sum started at k = 1, so degree -1 gave 0.75 < |f(0.5)| = 5.75
+    f = SliceSeries.from_reals([5.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        tail_bound(f, 0.5, -1)
+
+
 def test_tail_bound_refuses_a_negative_or_nan_modulus():
     # -0.5 gave -0.25, a negative bound on a sum of moduli, and NaN gave NaN
     f = SliceSeries((Quaternion(1.0), Quaternion(0.0, 0.5)))
