@@ -48,6 +48,32 @@ def random_orthogonal_pair(rng: np.random.Generator,
             return unit_i, ImaginaryUnit(w[0] / n, w[1] / n, w[2] / n)
 
 
+def _orthogonal_pair_rows(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random_orthogonal_pair draws as rows (I, J), shape (count, 2, 3).
+
+    One rng.normal call draws the normals that count scalar draws take
+    when none is rejected, and they are normalized in the scalar loop's
+    operations and order (np.vecdot takes the same dot product as
+    np.linalg.norm), so the rows equal the scalar pairs bit for bit.  Where
+    the scalar loop would reject a draw (a norm <= 1e-6), the generator is
+    put back and the scalar loop runs, so the stream is followed either way.
+    """
+    state = rng.bit_generator.state
+    draws = rng.normal(size=(count, 2, 3))
+    first, second = draws[:, 0], draws[:, 1]
+    norm_i = np.sqrt(np.vecdot(first, first))
+    units = first / norm_i[:, None]
+    d = (second[:, 0] * units[:, 0] + second[:, 1] * units[:, 1]
+         + second[:, 2] * units[:, 2])
+    w = second - d[:, None] * units
+    norm_j = np.sqrt(np.vecdot(w, w))
+    if not (np.all(norm_i > 1e-6) and np.all(norm_j > 1e-6)):
+        rng.bit_generator.state = state
+        return np.array([[[u.x, u.y, u.z] for u in random_orthogonal_pair(rng)]
+                         for _ in range(count)]).reshape(count, 2, 3)
+    return np.stack([units, w / norm_j[:, None]], axis=1)
+
+
 def random_ball_point(rng: np.random.Generator, radius: float = 1.0) -> Quaternion:
     """Uniform draw from the solid 4-ball of the given radius."""
     v = rng.normal(size=4)

@@ -59,17 +59,21 @@ units, and only the disk is sampled.  A per-slice sup is a sampled lower
 bound over the disk B_I.  Both are discretized on Chebyshev radii times a
 uniform angle grid, SUP_RADIAL x SUP_ANGULAR in the public sup functions
 (not a parameter: the sup is one number per f, a and R), then the best
-radial cell of every row is polished by golden-section search along its
-best ray: a unit row evaluates f on its slice, the ball row evaluates A and
-B and takes s + 2|v|.  One call takes a list of jobs (f, units, ball): it
-finds the grid maxima job by job, then polishes the rows of every job
-together, in chunks of whole row sets (a job's unit rows, or its ball row)
-that run one golden loop each, whatever mix of coefficient counts and row
-kinds they hold.  A chunk is closed once it holds _POLISH_ROWS rows.  A
-round then costs one product per coefficient count and kind in the chunk
-plus a few shared numpy calls, however many functions are batched.  A row's
-arithmetic does not depend on the rows beside it.  The radial endpoints are
-grid nodes, so boundary maxima are exact.
+radial cell of every row is polished along its best ray.  There the
+weighted square F = W |f|^2, W = e^{-a r^2} / (1+r)^{2t}, has the
+derivative F' = W (P' + P (log W)') with P = |f|^2 on a unit row and
+s + 2|v| on the ball row, and P' comes from the same power tables (r^k and
+k r^{k-1}); Illinois regula falsi on F' closes the cell around the root to
+1e-10 of its width in a few rounds.  One call takes a list of jobs (f,
+units, ball): it finds the grid maxima job by job, then polishes the rows
+of every job together, in chunks of whole row sets (a job's unit rows, or
+its ball row) that run one secant loop each, whatever mix of coefficient
+counts and row kinds they hold.  A chunk is closed once it holds
+_POLISH_ROWS rows.  A round then costs one product per coefficient count
+and kind in the chunk plus a few shared numpy calls, however many
+functions are batched.  A row's arithmetic does not depend on the rows
+beside it.  The radial endpoints are grid nodes, so boundary maxima are
+exact.
 Quadrature and sup norms both work on f 2^-e, with the largest coefficient
 component in [1/2, 1), and scale the result back by 2^e.
 
@@ -148,8 +152,12 @@ COARSE_TOL = 1e-6
 # functions read these at each call
 SUP_RADIAL = 129
 SUP_ANGULAR = 256
-_GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 48             # golden-section rounds of the sup polish
+# the sup polish: a row stops once its bracket is this fraction of its radial
+# cell, the bracket of a 48-round golden-section search (0.618^48 = 9.7e-11),
+# and a chunk after at most this many secant rounds; verify's chunks stop
+# after 9 rounds at most (seeds 0-39)
+_POLISH_TOL = 1e-10
+_POLISH_ROUNDS = 12
 SLACK = 1e-9                   # rounding allowance of derivative_criterion's test
 # grid points per block of the p != 2 quadrature sum: 67 units x 4096 points
 # of float64 is 2.2 MB, which stays in cache.  With two lanes on 2 vCPU, a
@@ -157,11 +165,11 @@ SLACK = 1e-9                   # rounding allowance of derivative_criterion's te
 # (medians of 8), 209 ms at 1024 and 342 ms at 8192.  The block size sets
 # the grouping of the sums, so changing it moves the last bits of the norms.
 _BLOCK_POINTS = 4096
-# rows after which a golden polish chunk is closed: a chunk's (rows, 2, K)
-# powers and values stay small however many jobs one sup call batches (1024
-# and 2048 measured alike).  A chunk holds fewer rows than this plus one
-# set's, and a set has no more rows than its job has units, whose units x
-# points array the grid stage already held.
+# rows after which a polish chunk is closed: a chunk's (rows, 2, K) powers
+# and values stay small however many jobs one sup call batches (1024 and
+# 2048 measured alike).  A chunk holds fewer rows than this plus one set's,
+# and a set has no more rows than its job has units, whose units x points
+# array the grid stage already held.
 _POLISH_ROWS = 1024
 # the per-unit grid stage first evaluates every unit on this many points of
 # largest bound w sqrt(s + 2|v|), then on whole blocks of _PRUNE_BLOCK
@@ -608,28 +616,44 @@ def _chebyshev_radii(count: int, radius: float) -> np.ndarray:
     return 0.5 * radius * (1.0 - np.cos(math.pi * i / (count - 1)))
 
 
-# interval ends (a, b) -> (a, c, d, b) with c = b - g (b - a), d = a + g (b - a)
-_GOLDEN_SPLIT = np.array([[1.0, _GOLDEN_RATIO_CONJ, 1.0 - _GOLDEN_RATIO_CONJ, 0.0],
-                          [0.0, 1.0 - _GOLDEN_RATIO_CONJ, _GOLDEN_RATIO_CONJ, 1.0]])
+def _secant_max_rows(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Max of F on [lo, hi] for every row, at the root of F' by Illinois regula falsi.
 
-
-def _golden_max_rows(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Golden-section max of every row on [lo, hi]; fn maps (M, 2) abscissae to values.
-
-    A round evaluates both interior points of every row in one call, so it
-    costs a few numpy calls however many rows there are.  The cuts are
-    formed elementwise, not as a BLAS product: BLAS rounds a lone row (gemv)
-    and a stack of rows (gemm, fused multiply-add) differently, and a row
-    must come out the same in every batch.
+    fn maps (M,) abscissae to F, F' and a kink flag, each (M,).  A row whose
+    F' falls from > 0 at lo to < 0 at hi holds a root of F' in its bracket;
+    every round cuts the bracket at the secant's root, and where the same end
+    was kept twice running its F' is halved (the Illinois rule), so both ends
+    close in superlinearly.  A row stops once its bracket is _POLISH_TOL of
+    its first one, the cut lands on an end, or F' is 0 or not finite there;
+    any other row is done at once, as its max is at an end.  A point where F'
+    jumps (a kink) is followed by a bisection, where the secant of a jump
+    would mislead.  The result is the largest F of every point a row
+    evaluated while it ran, ends included.  All of it is elementwise, so a
+    row takes the same steps alone and in any batch; a stopped row's F is
+    no longer taken, and the loop ends early once every row has stopped.
     """
-    ends = np.stack([lo, hi], axis=1)
-    best = fn(ends).max(axis=1)
-    for _ in range(_GOLDEN_ITERS):
-        cuts = ends[:, :1] * _GOLDEN_SPLIT[0] + ends[:, 1:] * _GOLDEN_SPLIT[1]
-        vals = fn(cuts[:, 1:3])
-        np.maximum(best, vals.max(axis=1), out=best)
-        ends = np.where((vals[:, 0] >= vals[:, 1])[:, None],
-                        cuts[:, 0::2], cuts[:, 1::2])
+    (best, slope_a, kink), (top, slope_b, kink_b) = fn(lo), fn(hi)
+    np.maximum(best, top, out=best)
+    a, b, tol = lo, hi, _POLISH_TOL * (hi - lo)
+    live = (slope_a > 0.0) & (slope_b < 0.0) & (b - a > tol)
+    bisect, kept_a, kept_b = kink | kink_b, np.zeros_like(live), np.zeros_like(live)
+    for _ in range(_POLISH_ROUNDS):
+        if not live.any():
+            break
+        # a stopped row's step is not taken, and may divide 0 by 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = np.where(bisect, 0.5 * (a + b),
+                         a + (b - a) * (slope_a / (slope_a - slope_b)))
+        live &= (a < x) & (x < b)
+        x = np.where(live, x, a)
+        value, slope, bisect = fn(x)
+        np.maximum(best, value, out=best, where=live)
+        up, down = live & (slope > 0.0), live & (slope < 0.0)   # the root above, below x
+        slope_a = np.where(up, slope, np.where(down & kept_a, 0.5 * slope_a, slope_a))
+        slope_b = np.where(down, slope, np.where(up & kept_b, 0.5 * slope_b, slope_b))
+        a, b = np.where(up, x, a), np.where(down, x, b)
+        kept_a, kept_b = down, up
+        live = (up | down) & (b - a > tol)
     return best
 
 
@@ -775,18 +799,23 @@ def _sup_grid_stage(f: SliceSeries, units, ball: bool, radii: np.ndarray,
     return out
 
 
-def _polish(sets, alpha: float, weight_order: int) -> list[np.ndarray]:
-    """Golden-section max of the weight times |f| along the best ray of each row.
+def _ray_evaluator(sets, alpha: float, weight_order: int):
+    """r -> F, F' and a kink flag of every row of sets at its abscissa in r, (M,) each.
 
-    sets holds whole _GridMaxima, with those of one kind (unit or ball) and
-    coefficient count K adjacent; returns each set's polished rows.  One
-    golden loop serves the whole chunk; a round makes one r^k @ ray per run
-    of sets of one kind and K, one _s_and_v over the A and B of all ball
-    rows, and one weight for all rows.  A unit row evaluates f on its slice;
-    a ball row evaluates A and B and takes s + 2|v|.  All of it is
-    elementwise or per item of a stacked product, so a row's value does not
-    depend on the rows beside it.  The rays' coefficients are built here, so
-    that only one chunk's are ever held.
+    F(r) = W(r) P(r) along the row's best ray, with W = e^{-a r^2} / (1+r)^{2t}
+    and P = |f|^2 (a unit row, on its slice) or s + 2|v| (a ball row, from A
+    and B); F' = W (P' + P (log W)').  One product per run of sets of one kind
+    and coefficient count K takes the values and the r-derivatives at once:
+    r^k and k r^{k-1} (k times the power below, with no second power) stacked
+    as (rows, 2, K) @ ray.  A unit row takes P' = 2 <f, f'>; the ball rows take
+    s and v from one _s_and_v over (A, B), (A', B) and (A, B'), so that
+    v' = v(A', B) + v(A, B') by bilinearity, and P' = s' + 2 <v', v/|v|> (the
+    envelope rule).  Where v = 0 and v' is not, |v| has a kink: P' is taken
+    from the right, s' + 2|v'|, which is the one that counts at r = 0, where
+    v always vanishes, and the point is flagged.  All of it is elementwise
+    or per item of a stacked product, so a row's values do not depend on the
+    rows beside it.  The rays' coefficients are built here, so that only one
+    chunk's are ever held.
     """
     runs, start = [], 0            # (rows of the chunk, ray (M, K, 4 or 12), ball)
     for (_, ball), run in groupby(sets, lambda rows: (len(rows.coeffs),
@@ -803,26 +832,61 @@ def _polish(sets, alpha: float, weight_order: int) -> list[np.ndarray]:
                                   for rows in run]).transpose(0, 2, 1)
         runs.append((slice(start, start + len(ray)), ray, ball))
         start += len(ray)
-    brackets = np.concatenate([rows.brackets for rows in sets])
 
-    def weighted_sq(r):
-        sq, ball_rows, ball_parts = np.empty(r.shape), [], []
+    ball_at = np.array([i for rows, _, ball in runs if ball
+                        for i in range(rows.start, rows.stop)], dtype=np.intp)
+
+    def evaluate(r):
+        sq, dsq = np.empty(r.shape), np.empty(r.shape)
+        kink, ball_parts = np.zeros(r.shape, dtype=bool), []
         for rows, ray, ball in runs:
-            vec = r[rows, :, None] ** np.arange(ray.shape[1]) @ ray   # (M, 2, .)
+            count = ray.shape[1]
+            powers = np.empty((rows.stop - rows.start, 2, count))
+            np.power(r[rows, None], np.arange(count), out=powers[:, 0])
+            powers[:, 1, 0] = 0.0
+            np.multiply(powers[:, 0, :-1], np.arange(1, count), out=powers[:, 1, 1:])
+            vec = powers @ ray                  # values, then r-derivatives
             if ball:
-                ball_rows.append(rows)
-                ball_parts.append(vec.transpose(2, 0, 1).reshape(2, 6, -1))
+                ball_parts.append(vec)
             else:
-                sq[rows] = (vec * vec).sum(axis=-1)
+                sq[rows] = (vec[:, 0] * vec[:, 0]).sum(axis=-1)
+                dsq[rows] = 2.0 * (vec[:, 0] * vec[:, 1]).sum(axis=-1)
         if ball_parts:
-            ball_sq = _ball_abs_sq(*_s_and_v(*np.concatenate(ball_parts, axis=2)))
-            for rows in ball_rows:
-                count = 2 * (rows.stop - rows.start)
-                sq[rows], ball_sq = ball_sq[:count].reshape(-1, 2), ball_sq[count:]
-        out = sq * np.exp(-alpha * r * r)
-        return out / (1.0 + r) ** (2 * weight_order) if weight_order else out
+            vec = np.concatenate(ball_parts)
+            val, der, n = vec[:, 0], vec[:, 1], len(vec)
+            s, v = _s_and_v(np.concatenate([val, der, val]).T[:6],
+                            np.concatenate([val, val, der]).T[6:])
+            v, dv = v[:, :n], v[:, n:2 * n] + v[:, 2 * n:]
+            norm, steep = (np.sqrt(np.einsum("ij,ij->j", w, w)) for w in (v, dv))
+            turn = np.divide(np.einsum("ij,ij->j", v, dv), norm, out=steep.copy(),
+                             where=norm > 0.0)
+            sq[ball_at] = 2.0 * norm + s[:n]    # _ball_abs_sq's terms and order
+            dsq[ball_at] = 2.0 * ((val[:, :4] * der[:, :4]).sum(axis=-1)
+                                  + (val[:, 6:10] * der[:, 6:10]).sum(axis=-1) + turn)
+            kink[ball_at] = (norm == 0.0) & (steep > 0.0)
+        gauss = np.exp(-alpha * r * r)
+        value = sq * gauss
+        slope = (dsq - sq * (2.0 * alpha * r + 2.0 * weight_order / (1.0 + r))) * gauss
+        if weight_order:
+            scale = (1.0 + r) ** (2 * weight_order)
+            value /= scale
+            slope /= scale
+        return value, slope, kink
+    return evaluate
 
-    best = np.sqrt(_golden_max_rows(weighted_sq, brackets[:, 0], brackets[:, 1]))
+
+def _polish(sets, alpha: float, weight_order: int) -> list[np.ndarray]:
+    """Max of the weight times |f| along the best ray of each row, from its radial cell.
+
+    sets holds whole _GridMaxima, with those of one kind (unit or ball) and
+    coefficient count K adjacent; returns each set's polished rows.  One
+    secant loop (_secant_max_rows) serves the whole chunk, and a round makes
+    one (rows, 2, K) @ ray per run of sets of one kind and K, one _s_and_v
+    over the ball rows, and one weight for all rows (see _ray_evaluator).
+    """
+    brackets = np.concatenate([rows.brackets for rows in sets])
+    best = np.sqrt(_secant_max_rows(_ray_evaluator(sets, alpha, weight_order),
+                                    brackets[:, 0], brackets[:, 1]))
     return np.split(best, np.cumsum([rows.angles.size for rows in sets])[:-1])
 
 
@@ -835,13 +899,15 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
     radius R, exact over the units.  Chebyshev radii (hitting 0 and R
     exactly) times a uniform angle grid locate each maximum, one job at a
     time (see _sup_grid_stage).  The radial cells around the maxima of all
-    jobs are then polished together by golden-section search along the best
-    rays, one row per unit and one per ball.  The sets of rows are ordered
-    by coefficient count K and row kind, and a chunk is closed between two
-    sets once it holds _POLISH_ROWS rows, so no set is split; each chunk
-    runs one golden loop (see _polish).  A row's arithmetic does not depend
-    on the other rows, so a batch gives what one call per job gives, bit
-    for bit.
+    jobs are then polished together along the best rays, one row per unit
+    and one per ball, by regula falsi on the r-derivative of the weighted
+    square.  The sets of rows are ordered by coefficient count K and row
+    kind, and a chunk is closed between two sets once it holds _POLISH_ROWS
+    rows, so no set is split; each chunk runs one secant loop (see
+    _polish).  A row's arithmetic does not depend on the other rows, so a
+    batch gives what one call per job gives, bit for bit.  A polished value
+    is the largest of the points the row evaluated, and never below its
+    grid max.
     """
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
@@ -884,7 +950,7 @@ def sup_norm(f: SliceSeries, params: FockParams, sphere=None) -> NormReport:
     [found] = _sup_over_rows([(f, units, True)], params.alpha, params.radius,
                              SUP_RADIAL, SUP_ANGULAR)
     per_slice = tuple((u, float(v)) for u, v in zip(units, found.sups))
-    spec = {"rule": "chebyshev x trapezoid + golden", "radial": SUP_RADIAL,
+    spec = {"rule": "chebyshev x trapezoid + secant", "radial": SUP_RADIAL,
             "angular": SUP_ANGULAR, "radius": params.radius, "sphere": len(units)}
     return NormReport(float(np.append(found.sups, found.ball).max()), per_slice, spec)
 

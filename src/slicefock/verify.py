@@ -10,8 +10,8 @@ take every slice norm as `norm` takes it, through fock's one p-norm path:
 the closed form at p = 2, the refined quadrature at any other finite p,
 so their values are certified or the run raises GridTooCoarse.
 
-The sup search is about 0.6 s of a 1 s default run and, alone, close to
-its bit-identical floor.  A serial run takes norm-sandwich-sup last.  So
+The sup row is about 0.5 s of a 1 s serial default run, as long as the
+other eight rows together.  A serial run takes norm-sandwich-sup last.  So
 when it is selected, the system has fork and two cores are usable,
 run_verify forks one worker for that row, makes the serial run without it
 meanwhile on the second core, then takes the worker's row.  The worker
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (random_ball_point, random_orthogonal_pair, random_unit,
+from .corpus import (_orthogonal_pair_rows, random_ball_point, random_unit,
                      rng_for, standard_corpus)
 from . import fock
 from .fock import (SLACK, FockParams, _derivative_reports, _dilation_values,
@@ -59,7 +59,7 @@ from .fock import (SLACK, FockParams, _derivative_reports, _dilation_values,
 # reads verify._slice_norms_on_grid
 from .fock import _slice_norms_on_grid  # noqa: F401
 from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _decompose_rows,
-                         _modulus_rows, _qmul, _rows, _unit_rows, default_sphere)
+                         _modulus_rows, _qmul, _rows, default_sphere)
 from .series import (_SINGULAR_TOL, MultiMonomial, SliceSeries, _coeff_table,
                      _eval_rows, _extend_rows, _rep_eval_rows, _row_table,
                      _split_rows, _star_inverse_rows, _transform_rows, star_mul,
@@ -180,10 +180,8 @@ def _check_star(corpus, seed: int) -> PropositionResult:
 
 
 def _check_split(corpus, seed: int) -> PropositionResult:
-    rng = rng_for(seed + 102)
-    pairs = np.empty((len(corpus) * 20, 2, 3))           # (I, J) of each draw
-    for pair in pairs:
-        pair[:] = _unit_rows(random_orthogonal_pair(rng))
+    # (I, J) of each draw, as len(corpus) * 20 random_orthogonal_pair draws
+    pairs = _orthogonal_pair_rows(rng_for(seed + 102), len(corpus) * 20)
     units_i, units_j = pairs[:, 0], pairs[:, 1]
     widths = np.repeat([len(f.coeffs) for f in corpus], 20)
     worst = 0.0
@@ -406,9 +404,10 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     quadrature refined, as `norm` refines it, from fock's start grid.
     grid-doubling-rel is the largest relative change of a last doubling
     (0 at p = 2, where no grid is built), and a function whose values do
-    not stabilize raises GridTooCoarse.  Sup propositions use
-    Chebyshev radii with golden-section polish on SANDWICH_SUP_GRID,
-    CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR.  The same seed
+    not stabilize raises GridTooCoarse.  Sup propositions search
+    Chebyshev radii times uniform angles, SANDWICH_SUP_GRID,
+    CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR, and polish each
+    best cell by regula falsi on the radial derivative (fock._polish).  The same seed
     and flags always produce the same results, and the same exception when
     rows raise, on any number of cores.  Whenever norm-sandwich-sup is
     selected, the system has fork and two cores are usable, that row runs

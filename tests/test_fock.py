@@ -26,12 +26,12 @@ from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
                        inner_product, little_space_profile,
                        orthonormal_partner, slice_norm_p, slice_sup_norm,
                        split, sup_norm)
-from slicefock import fock
+from slicefock import fock, verify
 from slicefock.corpus import random_series, rng_for, standard_corpus
-from slicefock.fock import (_BLOCK_POINTS, _POLISH_ROWS, _abs_sq_evaluator,
-                            _GOLDEN_RATIO_CONJ, _chebyshev_radii, _golden_max_rows,
-                            _ray_coeffs,
-                            _scaled_rows, _slice_norms_on_grid, _slice_terms,
+from slicefock.fock import (_BLOCK_POINTS, _POLISH_ROUNDS, _POLISH_ROWS,
+                            _GridMaxima, _abs_sq_evaluator, _chebyshev_radii,
+                            _ray_coeffs, _ray_evaluator, _scaled_rows,
+                            _secant_max_rows, _slice_norms_on_grid, _slice_terms,
                             _sup_over_rows, _terms_table, _unit_rows)
 from slicefock.quadrature import ANGULAR_CAP, RADIAL_CAP
 from slicefock.quaternion import _CONJ_SIGNS, _qmul, _rows
@@ -42,11 +42,14 @@ ONE_F = SliceSeries((Quaternion(1.0),))
 Q_F = SliceSeries((Quaternion(), Quaternion(1.0)))
 
 
+_GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _golden_max(fn, lo: float, hi: float, iters: int = 48) -> float:
     """Maximum of a unimodal fn on [lo, hi], one point at a time.
 
-    The scalar golden-section search that _golden_max_rows runs on whole
-    stacks of rows, kept as its reference; endpoints are always checked.
+    A scalar golden-section search, kept as a reference independent of the
+    sup polish; endpoints are always checked.
     """
     best = max(fn(lo), fn(hi))
     a, b = lo, hi
@@ -1033,6 +1036,95 @@ def test_lockstep_polish_matches_scalar_golden(rows, order, sphere_count):
         assert abs(sup - max(ray, grid_max)) <= 1e-12 * max(sup, 1e-300)
 
 
+# --- the secant polish: F' from the ray tables, peaks reached exactly ---
+
+def _ray_rows(f, units, angles):
+    """_GridMaxima of f's rows along angles (one per unit, or one ball row)."""
+    coeffs, exponent = _scaled_rows(f)
+    angles = np.array(angles, dtype=float)
+    return _GridMaxima(coeffs, units, angles, np.zeros((angles.size, 2)),
+                       np.zeros(angles.size), None, exponent)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_ray_slope_matches_a_central_difference(order):
+    rng = rng_for(41 + order)
+    fs = [random_series(rng, max_degree=12) for _ in range(3)]
+    # real coefficients: v = Im(A conj(B)) vanishes along every ray
+    real = SliceSeries.from_reals(rng.uniform(-1.0, 1.0, 7))
+    const = SliceSeries((Quaternion(0.3, -0.4, 0.5, 0.1),))
+    units = [UNIT_I, UNIT_J, ImaginaryUnit.normalized(1.0, -2.0, 3.0)]
+    sets = [_ray_rows(f, units, [0.3, 1.9, 4.0]) for f in fs + [const]]
+    sets += [_ray_rows(f, None, [angle]) for f in fs + [real, const]
+             for angle in (0.7, 2.9)]
+    evaluate = _ray_evaluator(sets, 1.3, order)
+    rows = sum(rows.angles.size for rows in sets)
+    h = 1e-6
+    for r in (0.05, 0.37, 0.81, 1.3):
+        value, slope, kink = evaluate(np.full(rows, r))
+        ahead, _, _ = evaluate(np.full(rows, r + h))
+        behind, _, _ = evaluate(np.full(rows, r - h))
+        central = (ahead - behind) / (2.0 * h)
+        assert np.all(np.abs(slope - central) <= 1e-7 * np.maximum(1.0, np.abs(value)))
+        assert not kink.any()
+    # at r = 0 a ball row's v vanishes, and its slope is the one from the right
+    value, slope, kink = evaluate(np.zeros(rows))
+    ahead, _, _ = evaluate(np.full(rows, h))
+    further, _, _ = evaluate(np.full(rows, 2.0 * h))
+    right = (4.0 * ahead - 3.0 * value - further) / (2.0 * h)
+    assert np.all(np.abs(slope - right) <= 1e-7 * np.maximum(1.0, value))
+    # the random series' ball rows have a kink there; the real and constant ones not
+    assert kink.tolist() == [False] * 12 + [True] * 6 + [False] * 4
+
+
+@pytest.mark.parametrize("coeff", [Quaternion(0.3, -0.4, 0.5, 0.1), Quaternion(1.0),
+                                   Quaternion(0.0, 3e-200, 0.0, -7e-201)])
+@pytest.mark.parametrize("radius", [1.0, 1.2])
+def test_polish_reaches_an_interior_peak_exactly(coeff, radius):
+    # |q a| e^{-2|q|^2} = r |a| e^{-2 r^2} peaks at r = 1/2 on every slice.
+    # At radius 1 that is a Chebyshev node; at radius 1.2 it lies between
+    # nodes, where the grid alone reads 2.7e-5 low
+    f = SliceSeries((Quaternion(), coeff))
+    params = FockParams(alpha=4.0, p=math.inf, radius=radius)
+    want = coeff.modulus() * 0.5 * math.exp(-0.5)
+    for got in (slice_sup_norm(f, UNIT_J, params), sup_norm(f, params).value):
+        assert abs(got - want) <= 1e-15 * want
+
+
+def test_polish_keeps_peaks_at_the_ends_of_the_radius():
+    a = Quaternion(0.3, -0.4, 0.5, 0.1)
+    params = FockParams(alpha=1.0, p=math.inf, radius=1.2)
+    # a constant peaks at r = 0, where the weight is 1; r^3 |a| e^{-r^2/2}
+    # rises up to r = sqrt(3), beyond R
+    for f, want in ((SliceSeries((a,)), a.modulus()),
+                    (SliceSeries((Quaternion(),) * 3 + (a,)),
+                     a.modulus() * 1.2 ** 3 * math.exp(-0.72))):
+        for got in (slice_sup_norm(f, UNIT_J, params), sup_norm(f, params).value):
+            assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_more_polish_round_changes_no_verify_sup(seed, monkeypatch):
+    # every row of verify's sup calls has stopped before the last round
+    calls, sup_over_rows = [], fock._sup_over_rows
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return sup_over_rows(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "_usable_cores", lambda: 1)     # no worker
+    monkeypatch.setattr(fock, "_sup_over_rows", recorded)
+    monkeypatch.setattr(verify, "_sup_over_rows", recorded)
+    verify.run_verify(seed, "derivative,dilation,monomial,norm-sandwich-sup")
+    assert len(calls) == 6
+    for args, kwargs in calls:
+        want = sup_over_rows(*args, **kwargs)
+        with unittest.mock.patch.object(fock, "_POLISH_ROUNDS", _POLISH_ROUNDS + 1):
+            got = sup_over_rows(*args, **kwargs)
+        assert [_sups_bytes(found) for found in got] == \
+            [_sups_bytes(found) for found in want]
+
+
 def test_blocked_p_norm_memory_stays_cache_sized():
     # at the 512 x 1024 cap one units x points array of |f|^p would take
     # 67 x 524288 doubles, 281 MB; the blocked sum never holds more than a block
@@ -1376,11 +1468,17 @@ def _reference_sup_over_rows(f, units, alpha, radius, radial_samples,
     ray = _ray_coeffs(coeffs, units, theta[ti][:, None])[..., 0].transpose(0, 2, 1)
 
     def weighted_sq(r):
-        vec = r[..., None] ** ks @ ray
-        out = (vec * vec).sum(axis=-1) * np.exp(-alpha * r * r)
-        return out / (1.0 + r) ** (2 * weight_order) if weight_order else out
+        # F = W |f|^2 and F' = W (2 <f, f'> + |f|^2 (log W)') from r^k and k r^(k-1)
+        pw = r[:, None] ** ks
+        dpw = np.concatenate([np.zeros((r.size, 1)), pw[:, :-1] * ks[1:]], axis=1)
+        vec, der = (np.stack([pw, dpw], axis=1) @ ray).transpose(1, 0, 2)
+        sq, dsq = (vec * vec).sum(axis=-1), 2.0 * (vec * der).sum(axis=-1)
+        gauss, scale = np.exp(-alpha * r * r), (1.0 + r) ** (2 * weight_order)
+        value = sq * gauss
+        slope = (dsq - sq * (2.0 * alpha * r + 2.0 * weight_order / (1.0 + r))) * gauss
+        return value / scale, slope / scale, np.zeros(r.size, dtype=bool)
 
-    refined = np.sqrt(_golden_max_rows(weighted_sq, radii[np.maximum(ri - 1, 0)],
+    refined = np.sqrt(_secant_max_rows(weighted_sq, radii[np.maximum(ri - 1, 0)],
                                        radii[np.minimum(ri + 1, radial_samples - 1)]))
     return np.ldexp(np.maximum(refined, grid_max), exponent)
 
@@ -1511,24 +1609,28 @@ def test_batched_polish_equals_one_call_per_job(jobs, order, chunk, shape):
 @given(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), min_size=2,
                 max_size=9))
 @settings(max_examples=40, deadline=None)
-def test_golden_rows_take_the_same_steps_alone_and_in_a_batch(cells):
-    # a lone row and a stack of rows must be cut at the same abscissae
+def test_secant_rows_take_the_same_steps_alone_and_in_a_batch(cells):
+    # a lone row and a stack of rows must be cut at the same abscissae; the
+    # kink flag above 1.5 makes some of the steps bisections
     lo, hi = np.array(cells).T
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
     def recorded(log):
         def fn(r):
             log.append(r.copy())
-            return np.sin(3.0 * r) * np.exp(-r)
+            return (np.sin(3.0 * r) * np.exp(-r),
+                    (3.0 * np.cos(3.0 * r) - np.sin(3.0 * r)) * np.exp(-r), r > 1.5)
         return fn
 
     batch_log = []
-    batched = _golden_max_rows(recorded(batch_log), lo, hi)
+    batched = _secant_max_rows(recorded(batch_log), lo, hi)
     for m in range(lo.size):
         row_log = []
-        alone = _golden_max_rows(recorded(row_log), lo[m:m + 1], hi[m:m + 1])
+        alone = _secant_max_rows(recorded(row_log), lo[m:m + 1], hi[m:m + 1])
         assert alone.tobytes() == batched[m:m + 1].tobytes()
-        assert np.array(row_log)[:, 0].tobytes() == np.array(batch_log)[:, m].tobytes()
+        # the batch may run on after this row has stopped
+        assert np.array(row_log)[:, 0].tobytes() == \
+            np.array(batch_log)[:len(row_log), m].tobytes()
 
 
 def test_batched_polish_crosses_a_chunk_boundary():
@@ -1545,17 +1647,17 @@ def test_batched_polish_crosses_a_chunk_boundary():
             assert _sups_bytes(found) == _sups_bytes(want)
 
 
-def test_polish_runs_one_golden_loop_per_chunk():
+def test_polish_runs_one_secant_loop_per_chunk():
     # 50 functions at order 2 make 150 rows of 22 (coefficient count, kind)
-    # groups: one chunk, so one golden loop, where one loop per group made 22
+    # groups: one chunk, so one secant loop, where one loop per group made 22
     loops = []
 
     def counted(*args, **kwargs):
         loops.append(args[1].size)
-        return _golden_max_rows(*args, **kwargs)
+        return _secant_max_rows(*args, **kwargs)
 
     subset = standard_corpus(0)[:50]
-    with unittest.mock.patch.object(fock, "_golden_max_rows", counted):
+    with unittest.mock.patch.object(fock, "_secant_max_rows", counted):
         reports = fock._derivative_reports(subset, 2, P2, 33, 64)
     assert loops == [150]
     for f, report in zip(subset[:3], reports):
@@ -1582,13 +1684,13 @@ def test_polish_chunks_hold_whole_row_sets(limit):
         chunks.append(sets)
         return polish(sets, *args)
 
-    def golden(fn, lo, hi):
+    def secant(fn, lo, hi):
         loops.append(lo.size)
-        return _golden_max_rows(fn, lo, hi)
+        return _secant_max_rows(fn, lo, hi)
 
     with unittest.mock.patch.multiple(fock, _POLISH_ROWS=limit,
                                       _sup_grid_stage=grid_stage, _polish=polish,
-                                      _golden_max_rows=golden):
+                                      _secant_max_rows=secant):
         batched = _sup_over_rows(jobs, 1.0, 1.0, 17, 32)
     sizes = [[rows.angles.size for rows in chunk] for chunk in chunks]
     assert loops == [sum(chunk) for chunk in sizes]

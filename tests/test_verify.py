@@ -11,7 +11,8 @@ import pytest
 
 from slicefock import fock, verify
 from slicefock.cli import main
-from slicefock.corpus import rng_for, standard_corpus
+from slicefock.corpus import (_orthogonal_pair_rows, random_orthogonal_pair, rng_for,
+                             standard_corpus)
 from slicefock.errors import GridTooCoarse
 from slicefock.quadrature import QuadratureGrid
 from slicefock.serialize import dumps_canonical
@@ -59,6 +60,51 @@ def test_corpus_determinism_and_shape():
     assert [f.coeffs for f in a] == [f.coeffs for f in b]
     assert [f.coeffs for f in a] != [f.coeffs for f in c]
     assert rng_for(7).integers(0, 100, 4).tolist() == rng_for(7).integers(0, 100, 4).tolist()
+
+
+def _scalar_pair_rows(rng, count):
+    return np.array([[[u.x, u.y, u.z] for u in random_orthogonal_pair(rng)]
+                     for _ in range(count)])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 39, 1234])
+def test_bulk_unit_pairs_equal_the_scalar_draws(seed):
+    # the split row's pairs: one normal draw, the scalar loop's arithmetic
+    bulk_rng, scalar_rng = rng_for(seed), rng_for(seed)
+    for count in (4000, 1, 3):
+        got = _orthogonal_pair_rows(bulk_rng, count)
+        assert got.shape == (count, 2, 3)
+        assert got.tobytes() == _scalar_pair_rows(scalar_rng, count).tobytes()
+    # both generators are left at the same place in the stream
+    assert bulk_rng.normal() == scalar_rng.normal()
+
+
+class _FixedNormals:
+    """A generator whose normal draws are a fixed stream; its state is the position."""
+
+    def __init__(self, stream):
+        self.stream, self.position, self.bit_generator = stream, 0, self
+
+    state = property(lambda self: self.position,
+                     lambda self, value: setattr(self, "position", value))
+
+    def normal(self, size):
+        start, self.position = self.position, self.position + int(np.prod(size))
+        return self.stream[start:self.position].reshape(size)
+
+
+@pytest.mark.parametrize("rejected", ["unit", "partner"])
+def test_a_rejected_draw_leaves_the_scalar_pairs(rejected):
+    stream = rng_for(5).normal(size=200)
+    if rejected == "unit":
+        stream[:3] = 1e-9                   # |v| <= 1e-6: the loop draws I again
+    else:
+        stream[3:6] = 2.0 * stream[:3]      # v parallel to I: w = 0, J is drawn again
+    bulk, scalar = _FixedNormals(stream), _FixedNormals(stream)
+    want = _scalar_pair_rows(scalar, 20)
+    got = _orthogonal_pair_rows(bulk, 20)
+    assert got.tobytes() == want.tobytes()
+    assert bulk.position == scalar.position == 123
 
 
 def test_algebra_subset_passes_and_is_deterministic():
