@@ -64,16 +64,17 @@ weighted square F = W |f|^2, W = e^{-a r^2} / (1+r)^{2t}, has the
 derivative F' = W (P' + P (log W)') with P = |f|^2 on a unit row and
 s + 2|v| on the ball row, and P' comes from the same power tables (r^k and
 k r^{k-1}); Illinois regula falsi on F' closes the cell around the root to
-1e-10 of its width in a few rounds.  One call takes a list of jobs (f,
-units, ball): it finds the grid maxima job by job, then polishes the rows
-of every job together, in chunks of whole row sets (a job's unit rows, or
-its ball row) that run one secant loop each, whatever mix of coefficient
-counts and row kinds they hold.  A chunk is closed once it holds
-_POLISH_ROWS rows.  A round then costs one product per coefficient count
-and kind in the chunk plus a few shared numpy calls, however many
-functions are batched.  A row's arithmetic does not depend on the rows
-beside it.  The radial endpoints are grid nodes, so boundary maxima are
-exact.
+1e-10 of its width in a few rounds, and halves it while F' is 0 at an end
+(r = 0 where f(0) = 0, or where the weight underflows).  One call takes a
+list of jobs (f, units, ball): it finds the grid maxima job by job, then
+polishes the rows of every job together, in chunks of whole row sets (a
+job's unit rows, or its ball row) that run one secant loop each, whatever
+mix of coefficient counts and row kinds they hold.  A chunk is closed once
+it holds _POLISH_ROWS rows.  A round then costs one product per
+coefficient count and kind in the chunk plus a few shared numpy calls,
+however many functions are batched.  A row's arithmetic does not depend
+on the rows beside it.  The radial endpoints are grid nodes, so boundary
+maxima are exact.
 Quadrature and sup norms both work on f 2^-e, with the largest coefficient
 component in [1/2, 1), and scale the result back by 2^e.
 
@@ -154,10 +155,10 @@ SUP_RADIAL = 129
 SUP_ANGULAR = 256
 # the sup polish: a row stops once its bracket is this fraction of its radial
 # cell, the bracket of a 48-round golden-section search (0.618^48 = 9.7e-11),
-# and a chunk after at most this many secant rounds; verify's chunks stop
-# after 9 rounds at most (seeds 0-39)
+# and a chunk after at most as many secant rounds, room for a bisection down
+# to that bracket; verify's chunks stop after 8 rounds at most (seeds 0-39)
 _POLISH_TOL = 1e-10
-_POLISH_ROUNDS = 12
+_POLISH_ROUNDS = 48
 SLACK = 1e-9                   # rounding allowance of derivative_criterion's test
 # grid points per block of the p != 2 quadrature sum: 67 units x 4096 points
 # of float64 is 2.2 MB, which stays in cache.  With two lanes on 2 vCPU, a
@@ -619,41 +620,53 @@ def _chebyshev_radii(count: int, radius: float) -> np.ndarray:
 def _secant_max_rows(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Max of F on [lo, hi] for every row, at the root of F' by Illinois regula falsi.
 
-    fn maps (M,) abscissae to F, F' and a kink flag, each (M,).  A row whose
-    F' falls from > 0 at lo to < 0 at hi holds a root of F' in its bracket;
-    every round cuts the bracket at the secant's root, and where the same end
-    was kept twice running its F' is halved (the Illinois rule), so both ends
-    close in superlinearly.  A row stops once its bracket is _POLISH_TOL of
-    its first one, the cut lands on an end, or F' is 0 or not finite there;
-    any other row is done at once, as its max is at an end.  A point where F'
-    jumps (a kink) is followed by a bisection, where the secant of a jump
-    would mislead.  The result is the largest F of every point a row
-    evaluated while it ran, ends included.  All of it is elementwise, so a
-    row takes the same steps alone and in any batch; a stopped row's F is
-    no longer taken, and the loop ends early once every row has stopped.
+    fn maps (M,) abscissae to F and F', each (M,).  A row whose F' falls
+    from >= 0 at lo to < 0 at hi holds a root of F' in its bracket; every
+    round cuts the bracket at the secant's root, and where the same end was
+    kept twice running its F' is halved (the Illinois rule), so both ends
+    close in superlinearly.  A cut is kept half of _POLISH_TOL's share of
+    the first bracket inside the bracket, so that one which would land on
+    an end, where a root is pinned to it, lands across the root instead.
+    F = F' = 0 is the weight underflowing past the peak, and counts as F'
+    < 0.  While F' is 0 at an end the cut is the midpoint, as the secant
+    would land on that end; at lo (r = 0 with f(0) = 0, or a stationary
+    |f| there) a first cut just above lo tells a minimum, from which F
+    rises, from a maximum, where the row is done.  A row stops once its
+    bracket is _POLISH_TOL of its first one, or F' is 0 or not finite at a
+    cut; any other row is done at once, as its max is at an end.  The
+    result is the largest F of every point a row evaluated while it ran,
+    ends included.  All of it is elementwise, so a row takes the same steps
+    alone and in any batch; a stopped row's F is no longer taken, and the
+    loop ends early once every row has stopped.
     """
-    (best, slope_a, kink), (top, slope_b, kink_b) = fn(lo), fn(hi)
+    (best, slope_a), (top, slope_b) = fn(lo), fn(hi)
     np.maximum(best, top, out=best)
     a, b, tol = lo, hi, _POLISH_TOL * (hi - lo)
-    live = (slope_a > 0.0) & (slope_b < 0.0) & (b - a > tol)
-    bisect, kept_a, kept_b = kink | kink_b, np.zeros_like(live), np.zeros_like(live)
+    live = (slope_a >= 0.0) & ((slope_b < 0.0) | (top == 0.0)) & (b - a > tol)
+    kept_a, kept_b, rising = (np.zeros_like(live) for _ in range(3))
     for _ in range(_POLISH_ROUNDS):
         if not live.any():
             break
+        probe = (slope_a == 0.0) & ~rising
         # a stopped row's step is not taken, and may divide 0 by 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x = np.where(bisect, 0.5 * (a + b),
+            x = np.where((slope_a == 0.0) | (slope_b == 0.0), 0.5 * (a + b),
                          a + (b - a) * (slope_a / (slope_a - slope_b)))
+        x = np.minimum(np.maximum(np.where(probe, a, x), a + 0.5 * tol), b - 0.5 * tol)
         live &= (a < x) & (x < b)
         x = np.where(live, x, a)
-        value, slope, bisect = fn(x)
+        value, slope = fn(x)
         np.maximum(best, value, out=best, where=live)
-        up, down = live & (slope > 0.0), live & (slope < 0.0)   # the root above, below x
+        up = live & (slope > 0.0)                               # the root above x
+        down = live & ((slope < 0.0) | (value == 0.0) & (slope == 0.0))   # below x
+        # F rises from a stationary a: a stays, and the bracket is halved
+        lifted, up = probe & up, up & ~probe
+        rising |= lifted
         slope_a = np.where(up, slope, np.where(down & kept_a, 0.5 * slope_a, slope_a))
         slope_b = np.where(down, slope, np.where(up & kept_b, 0.5 * slope_b, slope_b))
         a, b = np.where(up, x, a), np.where(down, x, b)
         kept_a, kept_b = down, up
-        live = (up | down) & (b - a > tol)
+        live = (up | down | lifted) & (b - a > tol)
     return best
 
 
@@ -800,7 +813,7 @@ def _sup_grid_stage(f: SliceSeries, units, ball: bool, radii: np.ndarray,
 
 
 def _ray_evaluator(sets, alpha: float, weight_order: int):
-    """r -> F, F' and a kink flag of every row of sets at its abscissa in r, (M,) each.
+    """r -> F and F' of every row of sets at its abscissa in r, (M,) each.
 
     F(r) = W(r) P(r) along the row's best ray, with W = e^{-a r^2} / (1+r)^{2t}
     and P = |f|^2 (a unit row, on its slice) or s + 2|v| (a ball row, from A
@@ -810,9 +823,9 @@ def _ray_evaluator(sets, alpha: float, weight_order: int):
     as (rows, 2, K) @ ray.  A unit row takes P' = 2 <f, f'>; the ball rows take
     s and v from one _s_and_v over (A, B), (A', B) and (A, B'), so that
     v' = v(A', B) + v(A, B') by bilinearity, and P' = s' + 2 <v', v/|v|> (the
-    envelope rule).  Where v = 0 and v' is not, |v| has a kink: P' is taken
-    from the right, s' + 2|v'|, which is the one that counts at r = 0, where
-    v always vanishes, and the point is flagged.  All of it is elementwise
+    envelope rule).  Where v = 0, P' is taken from the right, s' + 2|v'|: at
+    r = 0, where v always vanishes, v ~ r v' makes that the limit of F' from
+    above, and the polish needs no more at an end.  All of it is elementwise
     or per item of a stacked product, so a row's values do not depend on the
     rows beside it.  The rays' coefficients are built here, so that only one
     chunk's are ever held.
@@ -838,7 +851,7 @@ def _ray_evaluator(sets, alpha: float, weight_order: int):
 
     def evaluate(r):
         sq, dsq = np.empty(r.shape), np.empty(r.shape)
-        kink, ball_parts = np.zeros(r.shape, dtype=bool), []
+        ball_parts = []
         for rows, ray, ball in runs:
             count = ray.shape[1]
             powers = np.empty((rows.stop - rows.start, 2, count))
@@ -858,12 +871,11 @@ def _ray_evaluator(sets, alpha: float, weight_order: int):
                             np.concatenate([val, val, der]).T[6:])
             v, dv = v[:, :n], v[:, n:2 * n] + v[:, 2 * n:]
             norm, steep = (np.sqrt(np.einsum("ij,ij->j", w, w)) for w in (v, dv))
-            turn = np.divide(np.einsum("ij,ij->j", v, dv), norm, out=steep.copy(),
+            turn = np.divide(np.einsum("ij,ij->j", v, dv), norm, out=steep,
                              where=norm > 0.0)
             sq[ball_at] = 2.0 * norm + s[:n]    # _ball_abs_sq's terms and order
             dsq[ball_at] = 2.0 * ((val[:, :4] * der[:, :4]).sum(axis=-1)
                                   + (val[:, 6:10] * der[:, 6:10]).sum(axis=-1) + turn)
-            kink[ball_at] = (norm == 0.0) & (steep > 0.0)
         gauss = np.exp(-alpha * r * r)
         value = sq * gauss
         slope = (dsq - sq * (2.0 * alpha * r + 2.0 * weight_order / (1.0 + r))) * gauss
@@ -871,7 +883,7 @@ def _ray_evaluator(sets, alpha: float, weight_order: int):
             scale = (1.0 + r) ** (2 * weight_order)
             value /= scale
             slope /= scale
-        return value, slope, kink
+        return value, slope
     return evaluate
 
 

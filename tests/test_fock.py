@@ -1061,20 +1061,17 @@ def test_ray_slope_matches_a_central_difference(order):
     rows = sum(rows.angles.size for rows in sets)
     h = 1e-6
     for r in (0.05, 0.37, 0.81, 1.3):
-        value, slope, kink = evaluate(np.full(rows, r))
-        ahead, _, _ = evaluate(np.full(rows, r + h))
-        behind, _, _ = evaluate(np.full(rows, r - h))
+        value, slope = evaluate(np.full(rows, r))
+        ahead, _ = evaluate(np.full(rows, r + h))
+        behind, _ = evaluate(np.full(rows, r - h))
         central = (ahead - behind) / (2.0 * h)
         assert np.all(np.abs(slope - central) <= 1e-7 * np.maximum(1.0, np.abs(value)))
-        assert not kink.any()
     # at r = 0 a ball row's v vanishes, and its slope is the one from the right
-    value, slope, kink = evaluate(np.zeros(rows))
-    ahead, _, _ = evaluate(np.full(rows, h))
-    further, _, _ = evaluate(np.full(rows, 2.0 * h))
+    value, slope = evaluate(np.zeros(rows))
+    ahead, _ = evaluate(np.full(rows, h))
+    further, _ = evaluate(np.full(rows, 2.0 * h))
     right = (4.0 * ahead - 3.0 * value - further) / (2.0 * h)
     assert np.all(np.abs(slope - right) <= 1e-7 * np.maximum(1.0, value))
-    # the random series' ball rows have a kink there; the real and constant ones not
-    assert kink.tolist() == [False] * 12 + [True] * 6 + [False] * 4
 
 
 @pytest.mark.parametrize("coeff", [Quaternion(0.3, -0.4, 0.5, 0.1), Quaternion(1.0),
@@ -1087,6 +1084,23 @@ def test_polish_reaches_an_interior_peak_exactly(coeff, radius):
     f = SliceSeries((Quaternion(), coeff))
     params = FockParams(alpha=4.0, p=math.inf, radius=radius)
     want = coeff.modulus() * 0.5 * math.exp(-0.5)
+    for got in (slice_sup_norm(f, UNIT_J, params), sup_norm(f, params).value):
+        assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("coeffs, alpha, radius, want", [
+    # f(0) = 0, so F' = 0 at r = 0, and the peak lies inside the first cells
+    ((0.0, 1.0), 1.0, 1e4, math.exp(-0.5)),
+    ((0.0, 1.0), 1e7, 1.0, math.sqrt(math.exp(-1.0) / 1e7)),
+    ((0.0, 0.0, 0.0, 1.0), 1.0, 1e4, 3.0 ** 1.5 * math.exp(-1.5)),
+    # |1 + q^2| e^{-|q|^2/2} is stationary at 0 and peaks at |q| = 1 (2 e^{-1/2})
+    ((1.0, 0.0, 1.0), 1.0, 3e4, 2.0 * math.exp(-0.5)),
+    # the weight underflows at every grid radius but 0
+    ((0.0, 1.0), 1.0, 1e6, math.exp(-0.5)),
+])
+def test_polish_finds_a_peak_in_a_cell_flat_at_its_start(coeffs, alpha, radius, want):
+    f = SliceSeries(tuple(Quaternion(c) for c in coeffs))
+    params = FockParams(alpha=alpha, p=math.inf, radius=radius)
     for got in (slice_sup_norm(f, UNIT_J, params), sup_norm(f, params).value):
         assert abs(got - want) <= 1e-15 * want
 
@@ -1476,7 +1490,7 @@ def _reference_sup_over_rows(f, units, alpha, radius, radial_samples,
         gauss, scale = np.exp(-alpha * r * r), (1.0 + r) ** (2 * weight_order)
         value = sq * gauss
         slope = (dsq - sq * (2.0 * alpha * r + 2.0 * weight_order / (1.0 + r))) * gauss
-        return value / scale, slope / scale, np.zeros(r.size, dtype=bool)
+        return value / scale, slope / scale
 
     refined = np.sqrt(_secant_max_rows(weighted_sq, radii[np.maximum(ri - 1, 0)],
                                        radii[np.minimum(ri + 1, radial_samples - 1)]))
@@ -1608,18 +1622,21 @@ def test_batched_polish_equals_one_call_per_job(jobs, order, chunk, shape):
 
 @given(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), min_size=2,
                 max_size=9))
+@example([(0.0, 0.9), (0.0, 2.0), (0.3, 1.9), (1.2, 2.0), (0.1, 0.2)])
 @settings(max_examples=40, deadline=None)
 def test_secant_rows_take_the_same_steps_alone_and_in_a_batch(cells):
-    # a lone row and a stack of rows must be cut at the same abscissae; the
-    # kink flag above 1.5 makes some of the steps bisections
+    # a lone row and a stack of rows must be cut at the same abscissae.
+    # F = sin(3r)^2 e^{-r} has F'(0) = 0, so cells from 0 take a first cut
+    # just above it and then midpoints, and F = F' = 0 beyond 1.8 stands for
+    # an underflowed weight, which is cut at midpoints too
     lo, hi = np.array(cells).T
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
     def recorded(log):
         def fn(r):
             log.append(r.copy())
-            return (np.sin(3.0 * r) * np.exp(-r),
-                    (3.0 * np.cos(3.0 * r) - np.sin(3.0 * r)) * np.exp(-r), r > 1.5)
+            sin, cos, decay = np.sin(3.0 * r), np.cos(3.0 * r), np.exp(-r) * (r <= 1.8)
+            return sin * sin * decay, (6.0 * cos - sin) * sin * decay
         return fn
 
     batch_log = []
