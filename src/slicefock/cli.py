@@ -34,29 +34,30 @@ from .series import MultiPolynomial, rep_eval, tail_bound, truncate
 __all__ = ["main", "build_parser"]
 
 
-def _parse_quaternion(text: str, flag: str) -> Quaternion:
+def _parse_coordinates(text: str, flag: str, names: str, count: str) -> list[float]:
+    """The finite numbers of text, one per comma separated name in names.
+
+    names (like 'x,y,z') and count, their number in words, go into the
+    refusals.
+    """
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"{flag} expects 'w,x,y,z', got {text!r}")
+    if len(parts) != len(names.split(",")):
+        raise ValueError(f"{flag} expects {names!r}, got {text!r}")
     try:
         values = [float(v) for v in parts]
     except ValueError as exc:
-        raise ValueError(f"{flag} expects four numbers, got {text!r}") from exc
+        raise ValueError(f"{flag} expects {count} numbers, got {text!r}") from exc
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{flag} expects four finite numbers, got {text!r}")
-    return Quaternion(*values)
+        raise ValueError(f"{flag} expects {count} finite numbers, got {text!r}")
+    return values
+
+
+def _parse_quaternion(text: str, flag: str) -> Quaternion:
+    return Quaternion(*_parse_coordinates(text, flag, "w,x,y,z", "four"))
 
 
 def _parse_unit(text: str, flag: str) -> ImaginaryUnit:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{flag} expects 'x,y,z', got {text!r}")
-    try:
-        x, y, z = (float(v) for v in parts)
-    except ValueError as exc:
-        raise ValueError(f"{flag} expects three numbers, got {text!r}") from exc
-    if not all(math.isfinite(v) for v in (x, y, z)):
-        raise ValueError(f"{flag} expects three finite numbers, got {text!r}")
+    x, y, z = _parse_coordinates(text, flag, "x,y,z", "three")
     norm = math.sqrt(x * x + y * y + z * z)
     if norm < 1e-6:
         raise ValueError(f"{flag} must be a nonzero direction, got {text!r}")

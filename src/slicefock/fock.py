@@ -720,23 +720,21 @@ def _unit_values(s, v, unit_rows, w, cols) -> np.ndarray:
     weight, so where BLAS rounds the product alike (see _pruned_unit_maxima)
     each value is the one a full units x points array holds, bit for bit.
 
-    The product is formed in column blocks of at most _SERIAL_PRODUCT / (3M)
-    points.  OpenBLAS runs a dgemm whose m n k exceeds that size on helper
-    threads that spin between calls, and a spinning helper takes the core
-    that verify's sup worker runs on; a block keeps each product on the
-    calling thread.  Blocks hold whole multiples of _PRUNE_BLOCK columns, so
+    One loop forms the product in column blocks of at most
+    _SERIAL_PRODUCT / (3M) points; a smaller product is one block.
+    OpenBLAS runs a dgemm whose m n k exceeds that size on helper threads
+    that spin between calls, and a spinning helper takes the core that
+    verify's sup worker runs on; a block keeps each product on the calling
+    thread.  Blocks hold whole multiples of _PRUNE_BLOCK columns, so
     every column keeps its place modulo the kernel width: the values are
     those of one product, bit for bit, on every grid the library searches.
     """
     width = _SERIAL_PRODUCT // (v.shape[0] * len(unit_rows))
     width = max(_PRUNE_BLOCK, width - width % _PRUNE_BLOCK)
-    if cols.size <= width:
-        out = unit_rows @ (2.0 * v[:, cols])
-    else:
-        out = np.empty((len(unit_rows), cols.size))
-        for start in range(0, cols.size, width):
-            part = cols[start:start + width]
-            out[:, start:start + part.size] = unit_rows @ (2.0 * v[:, part])
+    out = np.empty((len(unit_rows), cols.size))
+    for start in range(0, cols.size, width):
+        part = cols[start:start + width]
+        out[:, start:start + part.size] = unit_rows @ (2.0 * v[:, part])
     out += s[cols]
     np.maximum(out, 0.0, out=out)
     np.sqrt(out, out=out)
@@ -877,13 +875,10 @@ def _ray_evaluator(sets, alpha: float, weight_order: int):
             dsq[ball_at] = 2.0 * ((val[:, :4] * der[:, :4]).sum(axis=-1)
                                   + (val[:, 6:10] * der[:, 6:10]).sum(axis=-1) + turn)
         gauss = np.exp(-alpha * r * r)
-        value = sq * gauss
-        slope = (dsq - sq * (2.0 * alpha * r + 2.0 * weight_order / (1.0 + r))) * gauss
-        if weight_order:
-            scale = (1.0 + r) ** (2 * weight_order)
-            value /= scale
-            slope /= scale
-        return value, slope
+        # at t = 0 the divisor (1 + r)^0 is exactly 1.0
+        scale = (1.0 + r) ** (2 * weight_order)
+        slope = dsq - sq * (2.0 * alpha * r + 2.0 * weight_order / (1.0 + r))
+        return sq * gauss / scale, slope * gauss / scale
     return evaluate
 
 

@@ -120,13 +120,16 @@ def function_from_dict(data: Any) -> SliceSeries | MultiPolynomial:
     return MultiPolynomial(n, tuple(monos))
 
 
-def load_function(path: str) -> SliceSeries | MultiPolynomial:
+def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    return function_from_dict(data)
+
+
+def load_function(path: str) -> SliceSeries | MultiPolynomial:
+    return function_from_dict(_load_json(path))
 
 
 def save_function(f: SliceSeries | MultiPolynomial, path: str) -> None:
@@ -162,12 +165,7 @@ def atomic_from_dict(data: Any) -> tuple[AtomicData, ImaginaryUnit]:
 
 
 def load_atomic(path: str) -> tuple[AtomicData, ImaginaryUnit]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    return atomic_from_dict(data)
+    return atomic_from_dict(_load_json(path))
 
 
 def norm_report_to_dict(report: NormReport) -> dict:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -175,16 +175,7 @@ class ComplexSlicePolynomial:
         return acc
 
     def derivative(self, order: int = 1) -> "ComplexSlicePolynomial":
-        order = operator.index(order)
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        if order == 0:
-            return self
-        if order > self.degree:
-            return ComplexSlicePolynomial(self.unit, (0j,))
-        out = tuple(math.perm(k + order, order) * self.coeffs[k + order]
-                    for k in range(len(self.coeffs) - order))
-        return ComplexSlicePolynomial(self.unit, out)
+        return _derivative(self, order, 0j, partial(ComplexSlicePolynomial, self.unit))
 
     def embed(self) -> SliceSeries:
         """The same polynomial as a quaternionic series with C_I coefficients."""
@@ -530,16 +521,24 @@ def derivative(f: SliceSeries, order: int = 1) -> SliceSeries:
     The order is an integer (operator.index): a float is refused, not
     rounded or taken as an order past the degree.
     """
+    return _derivative(f, order, Quaternion(),
+                       partial(SliceSeries, nominal_radius=f.nominal_radius))
+
+
+def _derivative(f, order, zero, build):
+    """derivative's body for both coefficient types: build(b), or f itself at order 0.
+
+    b_k = (k+t)!/k! * a_{k+t}, and b = (zero,) past f's degree.
+    """
     order = operator.index(order)
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     if order == 0:
         return f
     if order > f.degree:
-        return SliceSeries((Quaternion(),), f.nominal_radius)
-    coeffs = tuple(math.perm(k + order, order) * f.coeffs[k + order]
-                   for k in range(len(f.coeffs) - order))
-    return SliceSeries(coeffs, f.nominal_radius)
+        return build((zero,))
+    return build(tuple(math.perm(k + order, order) * f.coeffs[k + order]
+                       for k in range(len(f.coeffs) - order)))
 
 
 def dilate(f: SliceSeries, r: float) -> SliceSeries:

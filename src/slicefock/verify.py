@@ -10,20 +10,20 @@ take every slice norm as `norm` takes it, through fock's one p-norm path:
 the closed form at p = 2, the refined quadrature at any other finite p,
 so their values are certified or the run raises GridTooCoarse.
 
-The sup row is about 0.5 s of a 1 s serial default run, as long as the
-other eight rows together.  A serial run takes norm-sandwich-sup last.  So
-when it is selected, the system has fork and two cores are usable,
-run_verify forks one worker for that row, makes the serial run without it
-meanwhile on the second core, then takes the worker's row.  The worker
-computes the same row from the same corpus in a copy of the process, so
-the report is the same bit for bit.  It sends its row or nothing: a
-worker that raised or died sends nothing, and the caller computes the
-row itself, last, as a serial run does.  verify is deterministic, so that
-rerun raises the worker's exception here, with this process's traceback
-and after any other row's exception.  The serial code is the one failure
-path.  The worker is reaped on every path, killed at once if another row
-raises.  A thread would not help: the search is many small numpy calls
-that hold the GIL.  With one usable core every row runs serially.
+The sup row takes about 0.46 s of a serial default run, as long as the
+other eight rows together (0.47 s).  So whenever that row is selected,
+the system has fork and two cores are usable, run_verify first forks one
+worker for it.  Its one runner then takes every other selected row in
+this process, on the second core meanwhile, and appends the sup row last:
+the worker's, or the row computed here when no worker ran or it sent
+nothing.  The worker computes the same row from the same corpus in a copy
+of the process, so the report is the same bit for bit.  A worker that
+raised or died sends nothing; verify is deterministic, so the row computed
+here raises its exception in this process, with this process's traceback
+and after any other row's exception.  A serial run is the same run without
+a worker, and the one failure path.  The worker is reaped on every path,
+killed at once if another row raises.  A thread would not help: the
+search is many small numpy calls that hold the GIL.
 
 Propositions:
 
@@ -370,7 +370,7 @@ class _Worker:
 
 def _run_rows(selected, corpus, params: FockParams, units,
               seed: int) -> list[PropositionResult]:
-    """The selected rows, one after another in this process, the sup row last."""
+    """The selected rows but the sup row, one after another in this process."""
     results = []
     if "norm-sandwich-p" in selected or "slice-pair" in selected:
         sandwich, pair = _check_p_norms(corpus, params, units)
@@ -390,8 +390,6 @@ def _run_rows(selected, corpus, params: FockParams, units,
         results.append(_check_derivative(corpus, params))
     if "monomial" in selected:
         results.append(_check_monomial(corpus, params))
-    if "norm-sandwich-sup" in selected:
-        results.append(_check_sup_norms(corpus, params, units))
     return results
 
 
@@ -407,16 +405,16 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     not stabilize raises GridTooCoarse.  Sup propositions search
     Chebyshev radii times uniform angles, SANDWICH_SUP_GRID,
     CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR, and polish each
-    best cell by regula falsi on the radial derivative (fock._polish).  The same seed
-    and flags always produce the same results, and the same exception when
-    rows raise, on any number of cores.  Whenever norm-sandwich-sup is
-    selected, the system has fork and two cores are usable, that row runs
-    in one forked worker beside the others.  The worker sends its row or
-    nothing; when it sends nothing, this process computes the row itself,
-    last, so the row's exception is raised here as in a serial run (see
-    the module docstring).  p must be finite: the p-sandwich integrates
-    |f|^p, and the sup norms have their own proposition.  An empty
-    selection raises ValueError.
+    best cell by regula falsi on the radial derivative (fock._polish).
+    The same seed and flags always produce the same results, and the same
+    exception when rows raise, on any number of cores.  One runner takes
+    every selected row but norm-sandwich-sup in this process, then that
+    row last: the worker's when one was forked (the row is selected, the
+    system has fork and two cores are usable) and sent it, else computed
+    here, so the row's exception is raised here (see the module
+    docstring).  p must be finite: the p-sandwich integrates |f|^p, and
+    the sup norms have their own proposition.  An empty selection raises
+    ValueError.
     """
     if not math.isfinite(p):
         raise ValueError(f"verify needs a finite p, got {p!r}")
@@ -425,20 +423,20 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     corpus = standard_corpus(seed)
     units = default_sphere(sphere_count)
 
+    worker = sup = None
     if ("norm-sandwich-sup" in selected and hasattr(os, "fork")
             and fock._usable_cores() >= 2):
         worker = _Worker(lambda: _check_sup_norms(corpus, params, units))
-        try:
-            results = _run_rows([name for name in selected
-                                 if name != "norm-sandwich-sup"],
-                                corpus, params, units, seed)
-            sup = worker.result()
-        finally:
-            worker.close()
-        # a worker that raised or died sent nothing: the row again, here
-        results.append(sup if sup is not None else _check_sup_norms(corpus, params, units))
-    else:
+    try:
         results = _run_rows(selected, corpus, params, units, seed)
+        if worker is not None:
+            sup = worker.result()
+    finally:
+        if worker is not None:
+            worker.close()
+    if "norm-sandwich-sup" in selected:
+        # no worker ran, or it raised or died and sent nothing: the row here, last
+        results.append(sup if sup is not None else _check_sup_norms(corpus, params, units))
     return sorted(results, key=lambda r: r.name)
 
 

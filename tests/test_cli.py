@@ -105,6 +105,25 @@ def test_eval_bad_point_exits_two(tmp_path, capsys):
     assert "--point expects 'w,x,y,z'" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "f.json", "--point", "1,2,3"], "--point expects 'w,x,y,z', got '1,2,3'"),
+    (["eval", "f.json", "--point", "a,b,c,d"], "--point expects four numbers, got 'a,b,c,d'"),
+    (["eval", "f.json", "--point", "0,0,0,0", "--slice-unit", "1,2"],
+     "--slice-unit expects 'x,y,z', got '1,2'"),
+    (["eval", "f.json", "--point", "0,0,0,0", "--slice-unit", "x,0,0"],
+     "--slice-unit expects three numbers, got 'x,0,0'"),
+    (["eval", "f.json", "--point", "0,0,0,0", "--slice-unit", "0,0,0"],
+     "--slice-unit must be a nonzero direction, got '0,0,0'"),
+    (["kernel", "--q", "1,2", "--w", "0,0,0,0"], "--q expects 'w,x,y,z', got '1,2'"),
+])
+def test_coordinate_refusals_name_the_flag_and_the_text(tmp_path, capsys, monkeypatch,
+                                                         argv, message):
+    write_series(tmp_path, [Quaternion(1.0)])
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_norm_constant_matches_closed_form(tmp_path, capsys):
     path = write_series(tmp_path, [Quaternion(1.0)])
     code, out, err = run(capsys, ["norm", path, "--sphere", "4"])
@@ -320,6 +339,15 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, ["eval", str(path), "--point", "0,0,0,0"])
     assert code == 2
     assert "broken.json" in err
+
+
+def test_synth_on_malformed_json_exits_two_and_writes_nothing(tmp_path, capsys):
+    path, output = tmp_path / "broken.json", tmp_path / "g.json"
+    path.write_text("{ not json")
+    code, out, err = run(capsys, ["synth", str(path), "--output", str(output)])
+    assert code == 2 and out == ""
+    assert f"error: {path} is not valid JSON: " in err
+    assert not output.exists()
 
 
 def test_grid_too_coarse_exits_three(tmp_path, capsys, monkeypatch):

@@ -396,6 +396,23 @@ def test_a_healthy_worker_leaves_the_sup_row_to_itself(monkeypatch, tmp_path):
     assert len(pids) == 1 and int(pids[0]) != os.getpid()
 
 
+def test_one_runner_leaves_the_sup_row_to_run_verify(monkeypatch):
+    # the runner takes every other row; run_verify appends the sup row once
+    calls = []
+    monkeypatch.setattr(verify, "_check_sup_norms", lambda *args: (
+        calls.append(os.getpid())
+        or verify.PropositionResult("norm-sandwich-sup", 0, 0.0, 2.0, True)))
+    selected = ["norm-sandwich-sup", "split"]
+    rows = verify._run_rows(selected, standard_corpus(0), fock.FockParams(1.0),
+                            verify.default_sphere(4), 0)
+    assert [r.name for r in rows] == ["split"] and calls == []
+    monkeypatch.setattr(fock, "_usable_cores", lambda: 1)
+    results = run_verify(seed=0, props=",".join(selected), sphere_count=4)
+    assert [r.name for r in results] == selected
+    assert calls == [os.getpid()]
+    _no_child_left()
+
+
 def test_verify_prints_its_report_once(src_env):
     done = subprocess.run([sys.executable, "-m", "slicefock", "verify", "--seed", "0"],
                           env=src_env, capture_output=True, text=True, timeout=300)
