@@ -3,10 +3,13 @@
 
 Emits a CSV table (stdout or --output) with one row per (n, alpha, p):
 the slice p-norm on C_i, the ball norm from the sampled sphere, their
-ratio, and the weighted sup norm.  For p = 2 and R -> infinity the squared
-slice norm of q^n approaches n!/alpha^n up to the (alpha/pi)^n/pi prefactor,
-so the table doubles as a quick sanity read on quadrature behaviour as
-alpha grows; plot it externally if a picture is wanted.
+ratio, and the weighted sup norm.  At p = 2 the squared slice norm of q^n
+is n! P(n+1, alpha R^2)/(pi alpha^n), P the regularized lower incomplete
+gamma function, so it approaches n!/(pi alpha^n) as R -> infinity
+(1/(0.5 pi) = 0.63662 at n = 1, alpha = 0.5, R = 30).  p = 2 takes that
+closed form and builds no grid, so only at p != 2 does the table double as
+a quick sanity read on quadrature behaviour as alpha grows; plot it
+externally if a picture is wanted.
 
 Example:
 

@@ -23,7 +23,6 @@ from points z_k on a common slice and quaternion coefficients a_k.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import PointOffSlice
 from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, _from_rows,
                          _qmul, _qpowers, _rows)
-from .series import SliceSeries
+from .series import SliceSeries, _truncation_degree
 
 __all__ = [
     "AtomicData",
@@ -70,9 +69,7 @@ class AtomicData:
             raise ValueError("need at least one synthesis point")
         _require_alpha(self.alpha)
         # a float degree is refused here, not inside atomic_synthesis' range
-        object.__setattr__(self, "trunc_degree", operator.index(self.trunc_degree))
-        if self.trunc_degree < 0:
-            raise ValueError("truncation degree must be nonnegative")
+        object.__setattr__(self, "trunc_degree", _truncation_degree(self.trunc_degree))
         if not all(math.isfinite(a.w) and math.isfinite(a.x) and math.isfinite(a.y)
                    and math.isfinite(a.z) for a in self.points + self.coeffs):
             raise ValueError("synthesis points and coefficients must be finite")
@@ -90,8 +87,7 @@ def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
     the three kept as mantissa times 2^e (see _star_exp_sum).
     """
     _require_alpha(alpha)
-    if trunc_degree < 0:
-        raise ValueError("truncation degree must be nonnegative")
+    trunc_degree = _truncation_degree(trunc_degree)
     value = _star_exp_sum(q, w, alpha, trunc_degree, scaled=False)
     if not all(map(math.isfinite, value)):
         value = _star_exp_sum(q, w, alpha, trunc_degree, scaled=True)
@@ -189,8 +185,7 @@ def kernel_series(w: Quaternion, alpha: float, trunc_degree: int,
                   radius: float = 1.0) -> SliceSeries:
     """The kernel q -> e_*^{a q wbar} as a series with coefficients a^n wbar^n/n!."""
     _require_alpha(alpha)
-    if trunc_degree < 0:
-        raise ValueError("truncation degree must be nonnegative")
+    trunc_degree = _truncation_degree(trunc_degree)
     coeffs = [Quaternion(1.0)]
     wp = Quaternion(1.0)
     wbar = w.conjugate()

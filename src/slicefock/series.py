@@ -555,11 +555,17 @@ def dilate(f: SliceSeries, r: float) -> SliceSeries:
     return SliceSeries(tuple(coeffs), f.nominal_radius)
 
 
-def truncate(f: SliceSeries, degree: int) -> SliceSeries:
-    """Series with coefficients beyond the given degree dropped."""
+def _truncation_degree(degree) -> int:
+    """degree as an int (operator.index), refused with ValueError if negative."""
+    degree = operator.index(degree)
     if degree < 0:
         raise ValueError("truncation degree must be nonnegative")
-    return SliceSeries(f.coeffs[:degree + 1], f.nominal_radius)
+    return degree
+
+
+def truncate(f: SliceSeries, degree: int) -> SliceSeries:
+    """Series with coefficients beyond the given degree dropped."""
+    return SliceSeries(f.coeffs[:_truncation_degree(degree) + 1], f.nominal_radius)
 
 
 def tail_bound(f: SliceSeries, point_modulus: float, degree: int) -> float:
@@ -572,9 +578,7 @@ def tail_bound(f: SliceSeries, point_modulus: float, degree: int) -> float:
     inf, and so is the bound at an infinite modulus; a negative or NaN
     modulus is refused.
     """
-    degree = operator.index(degree)
-    if degree < 0:
-        raise ValueError("truncation degree must be nonnegative")
+    degree = _truncation_degree(degree)
     if not point_modulus >= 0.0:
         raise ValueError(f"point_modulus must be nonnegative, got {point_modulus!r}")
     if degree >= f.degree:

@@ -50,8 +50,12 @@ def test_kernel_brute_force_oracle():
 def test_kernel_validation():
     with pytest.raises(ValueError):
         star_exp_eval(I_Q, J_Q, 0.0, 10)
-    with pytest.raises(ValueError):
-        star_exp_eval(I_Q, J_Q, 1.0, -1)
+    for call in (lambda degree: star_exp_eval(I_Q, J_Q, 1.0, degree),
+                 lambda degree: kernel_series(J_Q, 1.0, degree)):
+        with pytest.raises(ValueError, match="truncation degree must be nonnegative"):
+            call(-1)
+        with pytest.raises(TypeError):
+            call(2.5)
     for alpha in (math.inf, math.nan, -1.0):
         for call in (lambda: star_exp_eval(I_Q, J_Q, alpha, 10),
                      lambda: star_exp_tail_bound(I_Q, J_Q, alpha, 10),

@@ -147,7 +147,7 @@ def test_norm_propositions_on_coarse_setup():
                                          "norm-sandwich-sup", "slice-pair"]
     assert all(r.passed for r in results)
     sandwich = results[1]
-    assert "grid-doubling-rel" in sandwich.detail
+    assert "grid-doubling-rel" not in sandwich.detail  # p = 2 compares no grids
     assert results[3].worst <= 1.0 + 1e-9  # pair ratio at p=2 is exactly one
 
 
@@ -160,9 +160,13 @@ def test_p_rows_refine_from_a_coarse_start_grid():
     # refinement, read 1.03e-6 here (and 8 x 16 read 4.57e-3)
     with unittest.mock.patch.object(fock, "_refine_norms",
                                     wraps=fock._refine_norms) as refine:
-        [sandwich] = run_verify(0, props="norm-sandwich-p", p=1.5, sphere_count=2)
+        sandwich, pair = run_verify(0, props="norm-sandwich-p,slice-pair", p=1.5,
+                                    sphere_count=2)
     assert refine.call_count == len(standard_corpus(0))
     assert sandwich.passed
+    # one ratio per function serves both rows
+    assert sandwich.worst == pair.worst
+    assert re.fullmatch(r"grid-doubling-rel=\S+", sandwich.detail)
     assert _doubling_rel(sandwich) <= 1e-6
 
 
@@ -175,7 +179,7 @@ def test_p2_rows_take_the_closed_form_once_per_function():
         [sandwich] = run_verify(0, props="norm-sandwich-p", sphere_count=2)
     assert p2.call_count == len(standard_corpus(0))
     assert on_grid.call_count == build.call_count == 0
-    assert sandwich.passed and _doubling_rel(sandwich) == 0.0
+    assert sandwich.passed and sandwich.detail == ""
 
 
 def test_run_verify_takes_no_sup_grid_size():
