@@ -22,23 +22,11 @@ import sys
 from slicefock import (UNIT_I, FockParams, GridTooCoarse, Quaternion,
                        SliceSeries, default_sphere, fock_norm_p, slice_norm_p,
                        sup_norm)
+from slicefock.cli import _parse_values
 
 
 def monomial(n: int) -> SliceSeries:
     return SliceSeries((Quaternion(0.0),) * n + (Quaternion(1.0),))
-
-
-def parse_values(text: str, flag: str, kind) -> list:
-    """The comma separated values of a flag; none, or one that kind()
-    refuses, raises ValueError."""
-    try:
-        values = [kind(s) for s in text.split(",") if s]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma separated {kind.__name__} "
-                         f"values, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} names no value")
-    return values
 
 
 def parse_args(argv=None):
@@ -57,9 +45,9 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        degrees = parse_values(args.degrees, "--degrees", int)
-        alphas = parse_values(args.alphas, "--alphas", float)
-        exponents = parse_values(args.p, "--p", float)
+        degrees = _parse_values(args.degrees, "--degrees", int)
+        alphas = _parse_values(args.alphas, "--alphas", float)
+        exponents = _parse_values(args.p, "--p", float)
         if min(degrees) < 0:
             raise ValueError(f"--degrees must be nonnegative, got {args.degrees!r}")
         for alpha in alphas:            # refused before any row is computed

@@ -17,20 +17,8 @@ import sys
 import time
 
 from slicefock import FockParams, GridTooCoarse
+from slicefock.cli import _parse_values
 from slicefock.verify import format_text, run_verify
-
-
-def parse_values(text: str, flag: str, kind) -> list:
-    """The comma separated values of a flag; none, or one that kind()
-    refuses, raises ValueError."""
-    try:
-        values = [kind(s) for s in text.split(",") if s]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma separated {kind.__name__} "
-                         f"values, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} names no value")
-    return values
 
 
 def parse_args(argv=None):
@@ -52,8 +40,8 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        seeds = parse_values(args.seeds, "--seeds", int)
-        exponents = parse_values(args.p, "--p", float)
+        seeds = _parse_values(args.seeds, "--seeds", int)
+        exponents = _parse_values(args.p, "--p", float)
         for p in exponents:             # refused before any cell runs
             FockParams(alpha=args.alpha, p=p)
             if not math.isfinite(p):

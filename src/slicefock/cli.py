@@ -64,16 +64,21 @@ def _parse_unit(text: str, flag: str) -> ImaginaryUnit:
     return ImaginaryUnit(x / norm, y / norm, z / norm)
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_values(text: str, flag: str, kind) -> list:
+    """The comma separated values of a flag; none, or one that kind()
+    refuses, raises ValueError."""
     try:
-        return [float(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise ValueError(f"{flag} expects comma separated numbers, got {text!r}") from exc
+        values = [kind(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ValueError(f"{flag} expects comma separated {kind.__name__} "
+                         f"values, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} names no value")
+    return values
 
 
 def _parse_p(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
+    # float() reads 'inf' and 'infinity' in any case
     try:
         return float(text)
     except ValueError as exc:
@@ -232,9 +237,7 @@ def cmd_synth(args) -> _Result:
 def cmd_profile(args) -> _Result:
     f = _load_series(args.function, "profile handles one-variable functions")
     params = fock.FockParams(args.alpha, 2.0, radius=args.radius)
-    rhos = _parse_floats(args.rho, "--rho")
-    if not rhos:
-        raise ValueError("--rho expects at least one radius")
+    rhos = _parse_values(args.rho, "--rho", float)
     report = fock.little_space_profile(f, params, rhos)
     pairs = list(zip(report.rhos, report.values))
     _require_finite(*[(f"M({r!r})", v) for r, v in pairs if not _finite(v)])

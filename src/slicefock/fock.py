@@ -154,9 +154,9 @@ COARSE_TOL = 1e-6
 SUP_RADIAL = 129
 SUP_ANGULAR = 256
 # the sup polish: a row stops once its bracket is this fraction of its radial
-# cell, the bracket of a 48-round golden-section search (0.618^48 = 9.7e-11),
-# and a chunk after at most as many secant rounds, room for a bisection down
-# to that bracket; verify's chunks stop after 8 rounds at most (seeds 0-39)
+# cell, and a chunk after at most _POLISH_ROUNDS secant rounds, room for the
+# 34 halvings a bisection takes down to that bracket (2^-34 = 5.8e-11);
+# verify's chunks stop after 8 rounds at most (seeds 0-39)
 _POLISH_TOL = 1e-10
 _POLISH_ROUNDS = 48
 SLACK = 1e-9                   # rounding allowance of derivative_criterion's test

@@ -181,20 +181,30 @@ def star_exp_tail_bound(q: Quaternion, w: Quaternion, alpha: float,
     return _tail_bound(alpha * q.modulus() * w.modulus(), trunc_degree)
 
 
+def _exp_scales(alpha: float, trunc_degree: int) -> np.ndarray:
+    """alpha^n / n! for n = 0, ..., N: each the last times (alpha / n), not
+    (last * alpha) / n, which rounds otherwise."""
+    scales = [1.0]
+    for n in range(1, trunc_degree + 1):
+        scales.append(scales[-1] * (alpha / n))
+    return np.array(scales)
+
+
 def kernel_series(w: Quaternion, alpha: float, trunc_degree: int,
                   radius: float = 1.0) -> SliceSeries:
-    """The kernel q -> e_*^{a q wbar} as a series with coefficients a^n wbar^n/n!."""
+    """The kernel q -> e_*^{a q wbar} as a series with coefficients a^n wbar^n/n!.
+
+    wbar^n comes from _qpowers and a^n/n! from _exp_scales, the tables
+    atomic_synthesis takes, so each coefficient is the `Quaternion` loop's
+    wp = wp * wbar times its scale bit for bit.  A coefficient that
+    overflows comes back inf or NaN, quietly, as the floats make it.
+    """
     _require_alpha(alpha)
     trunc_degree = _truncation_degree(trunc_degree)
-    coeffs = [Quaternion(1.0)]
-    wp = Quaternion(1.0)
-    wbar = w.conjugate()
-    scale = 1.0
-    for n in range(1, trunc_degree + 1):
-        wp = wp * wbar
-        scale *= alpha / n
-        coeffs.append(wp * scale)
-    return SliceSeries(tuple(coeffs), radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = (_qpowers(_rows([w]) * _CONJ_SIGNS, trunc_degree)[:, 0]
+                  * _exp_scales(alpha, trunc_degree)[:, None])
+    return SliceSeries(_from_rows(coeffs), radius)
 
 
 def normalized_kernel_eval(point: Quaternion, q: Quaternion, alpha: float,
@@ -242,16 +252,12 @@ def atomic_synthesis(data: AtomicData, unit: ImaginaryUnit) -> SliceSeries:
                             f"{dist[k]:.3e} away from the slice")
     # math.exp, not np.exp: the two may round differently
     damps = np.array([math.exp(-0.5 * data.alpha * m) for m in modulus_sq.tolist()])
-    scales = [1.0]
-    for n in range(1, data.trunc_degree + 1):
-        # scale * (alpha / n), not (scale * alpha) / n, which rounds otherwise
-        scales.append(scales[-1] * (data.alpha / n))
     # a coefficient that overflows comes back inf or NaN, quietly; the
     # caller decides whether to refuse it
     with np.errstate(over="ignore", invalid="ignore"):
         conj_powers = _qpowers(points * _CONJ_SIGNS, data.trunc_degree)
         terms = _qmul(conj_powers, _rows(data.coeffs)) * (
-            np.array(scales)[:, None] * damps)[..., None]
+            _exp_scales(data.alpha, data.trunc_degree)[:, None] * damps)[..., None]
         # add the atoms one by one in storage order; a BLAS product or np.sum
         # over k would reduce in a shape-dependent order, so a coefficient
         # could change with the truncation degree

@@ -126,7 +126,7 @@ class SliceSeries:
 
     @cached_property
     def _conj_rows(self) -> np.ndarray:
-        """Rows of f^c, (N, 4) and read-only; regular_conjugate's bit for bit."""
+        """Rows of f^c, (N, 4) and read-only; regular_conjugate reads them."""
         return _read_only(self._coeff_rows * _CONJ_SIGNS)
 
     @cached_property
@@ -285,8 +285,8 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
 
 
 def regular_conjugate(f: SliceSeries) -> SliceSeries:
-    """Series f^c with every coefficient conjugated."""
-    return SliceSeries(tuple(a.conjugate() for a in f.coeffs), f.nominal_radius)
+    """Series f^c with every coefficient conjugated, read from the f^c table."""
+    return SliceSeries(_from_rows(f._conj_rows), f.nominal_radius)
 
 
 def symmetrization(f: SliceSeries) -> SliceSeries:
@@ -417,18 +417,13 @@ def _row_table(tables) -> np.ndarray:
     return out
 
 
-def _coeff_table(fs) -> np.ndarray:
-    """Coefficient rows of several series, zero-padded at the top, (len(fs), K, 4)."""
-    return _row_table([f._coeff_rows for f in fs])
-
-
 def _eval_rows(table: np.ndarray, points: np.ndarray) -> np.ndarray:
     """SliceSeries.eval on rows: coefficient tables (..., K, 4) at points (..., 4).
 
     A left Horner, acc = q acc + a_k through _qmul: every step is eval's
     `q * acc + a` in the same terms and order, so every value is the same
     bit for bit.  The tables broadcast against the points.  Tables of
-    series of different degree are zero-padded at the top (_coeff_table);
+    series of different degree are zero-padded at the top (_row_table);
     a leading zero coefficient changes nothing, as q 0 + a = a up to the
     sign of a zero.
     """

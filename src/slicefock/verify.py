@@ -10,11 +10,11 @@ take every slice norm as `norm` takes it, through fock's one p-norm path:
 the closed form at p = 2, the refined quadrature at any other finite p,
 so their values are certified or the run raises GridTooCoarse.
 
-The sup row takes about 0.46 s of a serial default run, as long as the
-other eight rows together (0.47 s).  So whenever that row is selected,
-the system has fork and two cores are usable, run_verify first forks one
-worker for it.  Its one runner then takes every other selected row in
-this process, on the second core meanwhile, and appends the sup row last:
+The sup row takes about as long as the other eight rows together in a
+serial default run.  So whenever that row is selected, the system has
+fork and two cores are usable, run_verify first forks one worker for it.
+Its one runner then takes every other selected row in this process, on
+the second core meanwhile, and appends the sup row last:
 the worker's, or the row computed here when no worker ran or it sent
 nothing.  The worker computes the same row from the same corpus in a copy
 of the process, so the report is the same bit for bit.  A worker that
@@ -65,10 +65,9 @@ from .fock import (SLACK, FockParams, _derivative_reports, _dilation_values,
 from .fock import _slice_norms_on_grid  # noqa: F401
 from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _decompose_rows,
                          _modulus_rows, _qmul, _rows, default_sphere)
-from .series import (_SINGULAR_TOL, MultiMonomial, SliceSeries, _coeff_table,
-                     _eval_rows, _extend_rows, _rep_eval_rows, _row_table,
-                     _split_rows, _star_inverse_rows, _transform_rows, star_mul,
-                     truncate)
+from .series import (_SINGULAR_TOL, MultiMonomial, SliceSeries, _eval_rows,
+                     _extend_rows, _rep_eval_rows, _row_table, _split_rows,
+                     _star_inverse_rows, _transform_rows, star_mul, truncate)
 
 __all__ = ["PropositionResult", "PROPOSITIONS", "run_verify",
            "format_text", "results_to_dicts", "format_csv"]
@@ -109,21 +108,11 @@ def _select(props) -> list[str]:
     if not props:
         raise ValueError("no proposition selected; choose from "
                          + ", ".join(PROPOSITIONS))
-    chosen = []
     for token in props:
-        if token in PROPOSITIONS:
-            chosen.append(token)
-            continue
-        matches = [name for name in PROPOSITIONS if name.startswith(token)]
-        if len(matches) == 1:
-            chosen.append(matches[0])
-        elif not matches:
+        if token not in PROPOSITIONS:
             raise ValueError(f"unknown proposition {token!r}; "
                              f"choose from {', '.join(PROPOSITIONS)}")
-        else:
-            raise ValueError(f"proposition prefix {token!r} is ambiguous: "
-                             f"{', '.join(matches)}")
-    return sorted(set(chosen))
+    return sorted(set(props))
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +128,10 @@ def _check_star(corpus, seed: int) -> PropositionResult:
     rng = rng_for(seed + 101)
     fs = [truncate(f, 8) for f in corpus]
     firsts, seconds = fs[0:200:2], fs[1:200:2]
-    worst_zero = worst_real = 0.0
+    worst_zero = 0.0
     products, points = [], []
     for f, g in zip(firsts, seconds):
         products.append(star_mul(f, g))
-        # f^s from the series' table: |c| and |Im c| as modulus and imag_modulus
-        coeff_scale = max(1.0, max(_modulus_rows(f._sym_rows).tolist()))
-        imag = _decompose_rows(f._sym_rows[:, 1:])[0]
-        worst_real = max(worst_real, max(imag.tolist()) / coeff_scale)
 
         # a zero of the left factor must kill the star product
         z0 = random_ball_point(rng)
@@ -158,9 +143,14 @@ def _check_star(corpus, seed: int) -> PropositionResult:
         points.append(_rows([random_ball_point(rng) for _ in range(20)]))
 
     # every point of a function at once: one table row per function, (100, 1, K, 4)
-    f, g, fg = (_coeff_table(column)[:, None] for column in (firsts, seconds, products))
+    f, g, fg = (_row_table([h._coeff_rows for h in column])[:, None]
+                for column in (firsts, seconds, products))
     fc = _row_table([h._conj_rows for h in firsts])[:, None]
     sym = _row_table([h._sym_rows for h in firsts])[:, None]
+    # realness of f^s: the largest |Im c| over max(1, largest |c|) per function;
+    # the zero rows that pad a short f^s move neither max
+    coeff_scale = np.fmax(1.0, _modulus_rows(sym).max(axis=-1))
+    worst_real = _worst(_decompose_rows(sym[..., 1:])[0].max(axis=-1) / coeff_scale)
     q = np.array(points)
     # points where f(q) is small are skipped below; their rows may be inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -207,7 +197,7 @@ def _check_rep_formula(corpus, seed: int) -> PropositionResult:
     for row in draws:
         unit, q = random_unit(rng), random_ball_point(rng)
         row[:] = unit.x, unit.y, unit.z, q.w, q.x, q.y, q.z
-    table = _coeff_table(corpus)[np.arange(1000) % len(corpus)]
+    table = _row_table([f._coeff_rows for f in corpus])[np.arange(1000) % len(corpus)]
     direct = _eval_rows(table, draws[:, 3:])
     viaslice = _rep_eval_rows(table, draws[:, :3], draws[:, 3:])
     worst = _worst(_modulus_rows(viaslice - direct)
@@ -407,8 +397,9 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     system has fork and two cores are usable) and sent it, else computed
     here, so the row's exception is raised here (see the module
     docstring).  p must be finite: the p-sandwich integrates |f|^p, and
-    the sup norms have their own proposition.  An empty selection raises
-    ValueError.
+    the sup norms have their own proposition.  props names propositions
+    exactly, as a list or a comma separated string; an unknown name or an
+    empty selection raises ValueError.
     """
     if not math.isfinite(p):
         raise ValueError(f"verify needs a finite p, got {p!r}")

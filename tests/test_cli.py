@@ -115,6 +115,9 @@ def test_eval_bad_point_exits_two(tmp_path, capsys):
     (["eval", "f.json", "--point", "0,0,0,0", "--slice-unit", "0,0,0"],
      "--slice-unit must be a nonzero direction, got '0,0,0'"),
     (["kernel", "--q", "1,2", "--w", "0,0,0,0"], "--q expects 'w,x,y,z', got '1,2'"),
+    (["profile", "f.json", "--rho", ","], "--rho names no value"),
+    (["profile", "f.json", "--rho", "x"],
+     "--rho expects comma separated float values, got 'x'"),
 ])
 def test_coordinate_refusals_name_the_flag_and_the_text(tmp_path, capsys, monkeypatch,
                                                          argv, message):
@@ -605,7 +608,7 @@ def test_norm_rejects_infinite_alpha_and_radius(tmp_path, capsys, argv, field):
     assert f"{field} must be positive and finite" in err
 
 
-@pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("p", ["inf", "-inf", "nan", "INF"])
 def test_verify_rejects_non_finite_p(capsys, p):
     code, out, err = run(capsys, ["verify", "--props", "star", f"--p={p}"])
     assert code == 2 and out == ""

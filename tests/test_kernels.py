@@ -13,6 +13,7 @@ from slicefock import (UNIT_I, UNIT_J, AtomicData, FockParams, PointOffSlice,
                        normalized_kernel_tail_bound, rep_eval,
                        star_exp_eval, star_exp_tail_bound)
 from slicefock.corpus import random_unit, rng_for
+from slicefock.quaternion import _rows
 
 I_Q = Quaternion(0.0, 1.0, 0.0, 0.0)
 J_Q = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -330,6 +331,34 @@ kernel_quats = st.builds(Quaternion, *[st.floats(-2.0, 2.0)] * 4)
 def test_star_exp_equals_quaternion_loop_bit_for_bit(q, w, alpha, trunc):
     assert bits(star_exp_eval(q, w, alpha, trunc)) == bits(
         _quaternion_star_exp(q, w, alpha, trunc))
+
+
+def _quaternion_kernel_series(w, alpha, trunc):
+    """The Quaternion-operator loop kernel_series replaced, kept as the reference."""
+    coeffs = [Quaternion(1.0)]
+    wp = Quaternion(1.0)
+    wbar = w.conjugate()
+    scale = 1.0
+    for n in range(1, trunc + 1):
+        wp = wp * wbar
+        scale *= alpha / n
+        coeffs.append(wp * scale)
+    return coeffs
+
+
+@given(kernel_quats, st.sampled_from([1e-200, 1.0, 1e200]), st.floats(0.05, 5.0),
+       st.integers(0, 40))
+@example(Quaternion(0.3, -0.2, 0.1, 0.5), 1.0, 1.0, 0)                    # N = 0
+@example(Quaternion(1.0, -0.3, 0.0, -0.0), 1e200, 1.0, 6)    # inf and NaN powers
+@example(Quaternion(-0.0, 0.7, -0.0, 0.2), 1.0, 5.0, 40)                  # alpha = 5
+@settings(max_examples=150, deadline=None)
+def test_kernel_series_equals_quaternion_loop_bit_for_bit(w, size, alpha, trunc):
+    w = w * size
+    got = kernel_series(w, alpha, trunc, radius=2.0)
+    # tobytes: every bit, also the sign of a zero or a NaN
+    assert _rows(got.coeffs).tobytes() == _rows(
+        _quaternion_kernel_series(w, alpha, trunc)).tobytes()
+    assert got.nominal_radius == 2.0
 
 
 def test_synthesis_rejects_off_slice_points():

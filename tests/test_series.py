@@ -20,8 +20,8 @@ from slicefock import (UNIT_I, UNIT_J, UNIT_K, BadRadius, ComplexSlicePolynomial
                        transform_point, truncate)
 from slicefock.corpus import (random_ball_point, random_orthogonal_pair,
                               random_series, random_unit, rng_for)
-from slicefock.series import (_coeff_table, _eval_rows, _extend_rows,
-                              _rep_eval_rows, _split_rows, _star_inverse_rows,
+from slicefock.series import (_eval_rows, _extend_rows, _rep_eval_rows,
+                              _row_table, _split_rows, _star_inverse_rows,
                               _transform_rows)
 import slicefock.series as series_module
 from slicefock import fock
@@ -171,6 +171,18 @@ def test_eval_equals_quaternion_horner_bit_for_bit(a, q):
 def test_regular_conjugate():
     assert regular_conjugate(series(ONE, I)).coeffs == (ONE, -I)
     assert regular_conjugate(series(J)).coeffs == (-J,)
+
+
+@given(st.lists(st.builds(Quaternion, *[st.floats(allow_nan=False)] * 4),
+                min_size=1, max_size=14))
+@example([SIGNED_ZEROS, Quaternion(0.0, -0.0, 0.0, -0.0)])
+@example([Quaternion(-0.0, 1e-320, -1e308, float("inf")), ONE, I])
+@settings(max_examples=100, deadline=None)
+def test_regular_conjugate_equals_quaternion_conjugate_bit_for_bit(a):
+    # read from the f^c table; every component, so a -0.0 shows
+    fc = regular_conjugate(SliceSeries(tuple(a), 0.5))
+    assert [bits(c) for c in fc.coeffs] == [bits(c.conjugate()) for c in a]
+    assert fc.nominal_radius == 0.5
 
 
 def test_symmetrization_worked_examples():
@@ -753,7 +765,8 @@ scaled_series = st.tuples(st.lists(unit_coeffs, min_size=1, max_size=17),
 def test_eval_rows_equal_eval_in_one_zero_padded_table(functions, points):
     # degrees 0 to 16 in one table: the shorter series are zero-padded on top
     fs = [series(*(c * scale for c in coeffs)) for coeffs, scale in functions]
-    got = _eval_rows(_coeff_table(fs)[:, None], np.array([_row(q) for q in points]))
+    got = _eval_rows(_row_table([f._coeff_rows for f in fs])[:, None],
+                     np.array([_row(q) for q in points]))
     assert got.tolist() == [[_row(f.eval(q)) for q in points] for f in fs]
 
 
@@ -804,7 +817,8 @@ def test_split_and_extend_rows_equal_the_scalar_bodies(width, count, pairs, seed
     drawn = [[random_orthogonal_pair(rng) for _ in range(pairs)] for _ in fs]
     units_i = np.array([_unit_array(u for u, _ in row) for row in drawn])
     units_j = np.array([_unit_array(v for _, v in row) for row in drawn])
-    parts = _split_rows(_coeff_table(fs)[:, None], units_i, units_j)
+    parts = _split_rows(_row_table([f._coeff_rows for f in fs])[:, None],
+                        units_i, units_j)
     back = _extend_rows(parts, units_i, units_j)
     for f, row, got, again in zip(fs, drawn, parts, back):
         for (unit_i, unit_j), one, coeffs in zip(row, got, again):
@@ -832,12 +846,12 @@ def test_point_row_forms_equal_the_scalar_forms(coeffs, drawn, seed):
         Quaternion(q.w, q.x * u.x, q.x * u.y, q.x * u.z) for q, u in zip(drawn, units)]
     units = units * 3
     q = np.array([_row(p) for p in points])
-    table = _coeff_table([f])[0]
+    table = f._coeff_rows
     # the rows where the scalar forms refuse may divide by zero or overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         moved = _transform_rows(_eval_rows(table, q), q)
-        recip, sym_modulus = _star_inverse_rows(_coeff_table([star_mul(f, fc)])[0],
-                                                _coeff_table([fc])[0], q)
+        recip, sym_modulus = _star_inverse_rows(star_mul(f, fc)._coeff_rows,
+                                                fc._coeff_rows, q)
     via_slice = _rep_eval_rows(table, _unit_array(units), q)
     for i, (p, unit) in enumerate(zip(points, units)):
         assert via_slice[i].tolist() == _row(rep_eval(f, unit, p))
