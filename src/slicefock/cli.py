@@ -10,12 +10,12 @@ Subcommands:
     synth     build a function from kernel atoms and store it
     profile   boundary decay profile M(rho)
 
-Each subcommand returns its result in every output format; main alone writes
-the one --out asks for and maps errors to exit codes.  Exit codes: 0 success,
-1 a verified proposition failed, 2 bad input, 3 a computed value is not
-finite (nothing is written then, not even synth's file) or quadrature failed
-to stabilize at the resolution cap.  Output carries no timing or environment
-data, so a command line is reproducible byte for byte.
+Each subcommand returns one maker per output format; main calls only the
+maker --out names, writes its output and maps errors to exit codes.  Exit
+codes: 0 success, 1 a verified proposition failed, 2 bad input, 3 a computed
+value is not finite (nothing is written then, not even synth's file) or
+quadrature failed to stabilize at the resolution cap.  Output carries no
+timing or environment data, so a command line is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -187,9 +187,8 @@ def cmd_norm(args) -> _Result:
              f"worst slice unit = [{worst.x!r}, {worst.y!r}, {worst.z!r}]"]
     return _Result(lambda: {**serialize.norm_report_to_dict(report), "p": shown_p,
                             "alpha": args.alpha, "radius": args.radius},
-                   lambda: "function-id,p,alpha,R,value\n" + "\n".join(
-                       serialize.norm_report_csv_rows(args.function, p, args.alpha,
-                                                      args.radius, report)),
+                   lambda: f"function-id,p,alpha,R,value\n{args.function},{p!r},"
+                           f"{args.alpha!r},{args.radius!r},{report.value!r}",
                    lambda: "\n".join(lines))
 
 
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
                 shown += ", ..."
             sys.stderr.write(f"  grid {spec}: [{shown}]\n")
         return 3
-    except (SliceFockError, ValueError, KeyError, OSError) as exc:
+    except (SliceFockError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that a
+weight or radius is positive and finite."""
+
+import math
 
 
 class SliceFockError(Exception):
@@ -43,3 +46,9 @@ class GridTooCoarse(SliceFockError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = list(trace or [])
+
+
+def _require_positive_finite(name: str, value: float) -> None:
+    """Refuse a weight or radius that is not in (0, inf); NaN is refused too."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")

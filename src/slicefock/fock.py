@@ -97,9 +97,11 @@ is taken in place as exp((p/2) log |f|^2), which is cheaper than a general
 power; log 0 = -inf and exp(-inf) = 0, so a zero of f needs no case of its
 own.  The blocks run on lanes, one per usable core: the calling thread runs
 one lane and helper threads, made on first use, run the others, reading
-only the tables the calling thread built.  Each lane takes the next block
-from a shared counter, so no lane idles while another has blocks queued.  A
-block is numpy work that releases the GIL, so the lanes run at once.  Each
+only the tables the calling thread built.  A helper thread that cannot
+start is no lane, and the lanes that run take its blocks.  Each lane takes
+the next block from a shared counter, so no lane idles while another has
+blocks queued.  A block is numpy work that releases the GIL, so the lanes
+run at once.  Each
 block's unit sums are the same whichever lane makes them, and they are added
 in block order, as a serial loop adds them, so every norm is the same bit
 for bit on any number of cores.
@@ -124,7 +126,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, _require_positive_finite
 from .quadrature import ANGULAR_CAP, RADIAL_CAP, QuadratureGrid
 from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, UNIT_I,
                          _imaginary_rows, _qmul, _unit_rows,
@@ -197,12 +199,10 @@ class FockParams:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
+        _require_positive_finite("alpha", self.alpha)
         if not (self.p > 0.0 or self.p == math.inf):
             raise ValueError("p must be positive or infinity")
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError("radius must be positive and finite")
+        _require_positive_finite("radius", self.radius)
 
 
 @dataclass(frozen=True)
@@ -383,6 +383,10 @@ def _in_lanes(fn, items) -> list:
     or on which lane made each.  Once any lane raises, no lane starts a new
     item, and the exception reaches the caller once every lane has stopped;
     a helper that had not started when the items ran out is cancelled.
+    A helper whose thread cannot start (submit raises RuntimeError) is no
+    lane: the lanes that run take its items.  Its task stays queued until a
+    pool thread is free; with one caller at a time that is once a lane has
+    ended, so it finds no item left.
     """
     items = list(items)
     lanes = min(_usable_cores(), len(items))
@@ -402,8 +406,12 @@ def _in_lanes(fn, items) -> list:
                 raise
 
     pool = _lane_pool()
-    futures = [pool.submit(contextvars.copy_context().run, lane)
-               for _ in range(1, lanes)]
+    futures = []
+    for _ in range(1, lanes):
+        try:
+            futures.append(pool.submit(contextvars.copy_context().run, lane))
+        except RuntimeError:
+            break
     try:
         lane()
     finally:
@@ -979,13 +987,12 @@ def _monomial_sup(mono: MultiMonomial, alpha: float, radius: float) -> float:
     |z^m| depends only on the moduli r_k, and for a fixed total radius s the
     product prod r_k^{m_k} is maximized at r_k^2 = s^2 m_k / |m|.  What is
     left, s^{|m|} e^{-a s^2/2}, rises up to s = sqrt(|m|/a) and falls after
-    it, so its max on [0, R] is at s = min(R, sqrt(|m|/a)).
+    it, so its max on [0, R] is at s = min(R, sqrt(|m|/a)).  At |m| = 0 that
+    is s = 0, where the formula reads |a_m| (0.0 ** 0 = 1).
     """
     m = mono.multi_index
     total = sum(m)
     a = mono.coeff.modulus()
-    if total == 0:
-        return a * 1.0  # weight at s = 0
     direction = 1.0
     for mk in m:
         if mk > 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointOffSlice
+from .errors import PointOffSlice, _require_positive_finite
 from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, _from_rows,
                          _qmul, _qpowers, _rows)
 from .series import SliceSeries, _truncation_degree
@@ -46,11 +46,6 @@ __all__ = [
 _SLICE_TOL = 1e-10
 
 
-def _require_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-
-
 @dataclass(frozen=True)
 class AtomicData:
     """Synthesis data: points z_k on one slice, coefficients a_k, weight alpha."""
@@ -67,7 +62,7 @@ class AtomicData:
             raise ValueError("points and coefficients must pair up")
         if not self.points:
             raise ValueError("need at least one synthesis point")
-        _require_alpha(self.alpha)
+        _require_positive_finite("alpha", self.alpha)
         # a float degree is refused here, not inside atomic_synthesis' range
         object.__setattr__(self, "trunc_degree", _truncation_degree(self.trunc_degree))
         if not all(math.isfinite(a.w) and math.isfinite(a.x) and math.isfinite(a.y)
@@ -86,7 +81,7 @@ def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
     underflows while the terms are representable, it is formed again with
     the three kept as mantissa times 2^e (see _star_exp_sum).
     """
-    _require_alpha(alpha)
+    _require_positive_finite("alpha", alpha)
     trunc_degree = _truncation_degree(trunc_degree)
     value = _star_exp_sum(q, w, alpha, trunc_degree, scaled=False)
     if not all(map(math.isfinite, value)):
@@ -177,7 +172,7 @@ def star_exp_tail_bound(q: Quaternion, w: Quaternion, alpha: float,
 
     Never raises: a bound that overflows a float is inf (see _tail_bound).
     """
-    _require_alpha(alpha)
+    _require_positive_finite("alpha", alpha)
     return _tail_bound(alpha * q.modulus() * w.modulus(), trunc_degree)
 
 
@@ -199,7 +194,7 @@ def kernel_series(w: Quaternion, alpha: float, trunc_degree: int,
     wp = wp * wbar times its scale bit for bit.  A coefficient that
     overflows comes back inf or NaN, quietly, as the floats make it.
     """
-    _require_alpha(alpha)
+    _require_positive_finite("alpha", alpha)
     trunc_degree = _truncation_degree(trunc_degree)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = (_qpowers(_rows([w]) * _CONJ_SIGNS, trunc_degree)[:, 0]
@@ -221,7 +216,7 @@ def normalized_kernel_tail_bound(point: Quaternion, q: Quaternion, alpha: float,
     The damping enters the logarithm before it is exponentiated, so a bound
     whose undamped value overflows but whose damped value fits is returned.
     """
-    _require_alpha(alpha)
+    _require_positive_finite("alpha", alpha)
     return _tail_bound(alpha * q.modulus() * point.modulus(), trunc_degree,
                        -0.5 * alpha * point.modulus_sq())
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _require_positive_finite
+
 __all__ = ["QuadratureGrid", "DEFAULT_RADIAL", "DEFAULT_ANGULAR",
            "RADIAL_CAP", "ANGULAR_CAP"]
 
@@ -62,8 +64,7 @@ class QuadratureGrid:
             raise ValueError("radial_count must be positive")
         if self.angular_count < 1:
             raise ValueError("angular_count must be positive")
-        if not 0.0 < self.radius < np.inf:
-            raise ValueError("radius must be positive and finite")
+        _require_positive_finite("radius", self.radius)
 
     @classmethod
     def build(cls, radial_count: int = DEFAULT_RADIAL,

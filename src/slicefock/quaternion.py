@@ -140,11 +140,9 @@ class Quaternion:
         return NotImplemented
 
     def __rmul__(self, other):
-        # scalars commute with everything, so only this case is needed
-        if isinstance(other, (int, float)):
-            return Quaternion(other * self.w, other * self.x,
-                              other * self.y, other * self.z)
-        return NotImplemented
+        # a Quaternion on the left multiplies in its own __mul__, so only a
+        # scalar reaches here, and IEEE products commute
+        return self.__mul__(other)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):

@@ -1,4 +1,4 @@
-"""JSON and CSV codecs for the on-disk formats.
+"""JSON codecs for the on-disk formats.
 
 Function files:   {"n": 1, "radius": 1.0, "coeffs": [[w, x, y, z], ...]}
 Multi-variable:   {"n": k, "monomials": [{"m": [m1, ...], "a": [w, x, y, z]}]}
@@ -29,7 +29,7 @@ __all__ = [
     "function_to_dict", "function_from_dict",
     "load_function", "save_function",
     "atomic_to_dict", "atomic_from_dict", "load_atomic",
-    "norm_report_to_dict", "norm_report_csv_rows",
+    "norm_report_to_dict",
     "dumps_canonical",
 ]
 
@@ -172,12 +172,6 @@ def norm_report_to_dict(report: NormReport) -> dict:
     return {"value": report.value,
             "per_slice": [[unit_to_list(u), v] for u, v in report.per_slice],
             "grid": dict(report.grid_spec)}
-
-
-def norm_report_csv_rows(function_id: str, p: float, alpha: float,
-                         radius: float, report: NormReport) -> list[str]:
-    """Rows `function-id,p,alpha,R,value`; header is up to the caller."""
-    return [f"{function_id},{p!r},{alpha!r},{radius!r},{report.value!r}"]
 
 
 def dumps_canonical(obj: Any) -> str:

@@ -43,7 +43,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import (BadRadius, NotOrthogonal, SingularPoint, UnitMismatch,
-                     ZeroValue)
+                     ZeroValue, _require_positive_finite)
 from .quaternion import (_CONJ_SIGNS, _ONE_ROW, ImaginaryUnit, Quaternion,
                          _decompose_rows, _from_rows, _imaginary_rows,
                          _inverse_rows, _modulus_rows, _qmul, _rows, _unit_rows,
@@ -90,8 +90,7 @@ class SliceSeries:
         if not cs:
             cs = (Quaternion(),)
         object.__setattr__(self, "coeffs", cs)
-        if not 0.0 < self.nominal_radius < math.inf:
-            raise ValueError("nominal_radius must be positive and finite")
+        _require_positive_finite("nominal_radius", self.nominal_radius)
 
     @classmethod
     def from_reals(cls, values, radius: float = 1.0) -> "SliceSeries":

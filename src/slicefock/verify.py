@@ -16,8 +16,10 @@ fork and two cores are usable, run_verify first forks one worker for it.
 Its one runner then takes every other selected row in this process, on
 the second core meanwhile, and appends the sup row last:
 the worker's, or the row computed here when no worker ran or it sent
-nothing.  The worker computes the same row from the same corpus in a copy
-of the process, so the report is the same bit for bit.  A worker that
+nothing.  A worker that cannot start (os.pipe or os.fork raises OSError at
+a process or descriptor limit) is no worker.  The worker computes the same
+row from the same corpus in a copy of the process, so the report is the
+same bit for bit.  A worker that
 raised or died sends nothing; verify is deterministic, so the row computed
 here raises its exception in this process, with this process's traceback
 and after any other row's exception.  A serial run is the same run without
@@ -315,7 +317,9 @@ class _Worker:
     so it runs no exit handler and flushes none of the output buffers it
     inherited.  Its exit code is 0 only after a whole write, so result()
     returns None for a child that raised or died.  close() reaps the child
-    on every path; a child whose result was not read is killed first.
+    on every path; a child whose result was not read is killed first.  When
+    the pipe or the child cannot be made (OSError: a process or descriptor
+    limit), the constructor closes what it opened and raises.
     """
 
     def __init__(self, task):
@@ -326,7 +330,12 @@ class _Worker:
             # pool, which the child forgets; the child takes no lock they hold.
             warnings.filterwarnings("ignore", r".*multi-threaded.*fork",
                                     DeprecationWarning)
-            self.pid = os.fork()
+            try:
+                self.pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
         if self.pid == 0:
             status = 1
             try:
@@ -411,7 +420,10 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     worker = sup = None
     if ("norm-sandwich-sup" in selected and hasattr(os, "fork")
             and fock._usable_cores() >= 2):
-        worker = _Worker(lambda: _check_sup_norms(corpus, params, units))
+        try:
+            worker = _Worker(lambda: _check_sup_norms(corpus, params, units))
+        except OSError:
+            pass                    # a worker that cannot start is no worker
     try:
         results = _run_rows(selected, corpus, params, units, seed)
         if worker is not None:

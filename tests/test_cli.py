@@ -10,6 +10,7 @@ import pytest
 from slicefock import (UNIT_I, AtomicData, FockParams, MultiMonomial,
                        MultiPolynomial, Quaternion, SliceSeries, default_sphere,
                        fock_norm_p)
+from slicefock import kernels
 from slicefock.cli import build_parser, main
 from slicefock.errors import GridTooCoarse
 from slicefock.serialize import (atomic_to_dict, dumps_canonical,
@@ -118,6 +119,7 @@ def test_eval_bad_point_exits_two(tmp_path, capsys):
     (["profile", "f.json", "--rho", ","], "--rho names no value"),
     (["profile", "f.json", "--rho", "x"],
      "--rho expects comma separated float values, got 'x'"),
+    (["norm", "f.json", "--p", "abc"], "--p expects a number or 'inf', got 'abc'"),
 ])
 def test_coordinate_refusals_name_the_flag_and_the_text(tmp_path, capsys, monkeypatch,
                                                          argv, message):
@@ -443,6 +445,17 @@ def test_every_rough_norm_is_refined(tmp_path, capsys):
         code, out, err = run(capsys, ["norm", path, "--p", "1.5", "--out", "json"])
         assert code == 0, err
         assert json.loads(out)["grid"]["refinements"] >= 1, (zeros, degree)
+
+
+def test_a_key_error_is_a_programming_error_not_bad_input(monkeypatch, capsys):
+    # no input path raises KeyError, so main maps none to exit 2
+    def broken(*args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(kernels, "star_exp_eval", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["kernel", "--q", "0.1,0,0,0", "--w", "0.2,0,0,0"])
+    assert capsys.readouterr().out == ""
 
 
 def test_argparse_errors_raise_system_exit(capsys):

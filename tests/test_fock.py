@@ -1363,6 +1363,39 @@ def test_concurrent_callers_make_one_pool_and_equal_results():
     assert got == [want] * 6
 
 
+def test_a_lane_that_cannot_start_leaves_its_blocks_to_the_caller(monkeypatch):
+    # at a thread limit Thread.start raises RuntimeError inside the pool's
+    # submit, after the helper's task is queued; the caller takes every block
+    f = SliceSeries((Quaternion(-0.3, 0.1), Quaternion(1.0, 0.0, 0.2)))
+    params = FockParams(alpha=1.0, p=1.5)
+    monkeypatch.setattr(fock, "_usable_cores", lambda: 1)
+    want = fock_norm_p(f, params)
+    assert want.grid_spec["refinements"] >= 1
+    pool = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="slicefock-lane")
+    monkeypatch.setattr(fock, "_POOL", pool)
+    monkeypatch.setattr(fock, "_usable_cores", lambda: 2)
+    refused = []
+
+    def refuse(thread):
+        refused.append(thread.name)
+        raise RuntimeError("can't start new thread")
+
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(threading.Thread, "start", refuse)
+            assert fock_norm_p(f, params) == want
+        assert refused and all(n.startswith("slicefock-lane") for n in refused)
+        # the refused tasks are still queued: the next call's helper takes
+        # them first, finds no block left, and the call returns
+        got = []
+        caller = threading.Thread(target=lambda: got.append(fock_norm_p(f, params)))
+        caller.start()
+        caller.join(timeout=120)
+        assert got == [want]
+    finally:
+        pool.shutdown()
+
+
 FORK_SCRIPT = """
 import os, sys, time
 from slicefock import FockParams, SliceSeries, Quaternion, fock_norm_p

@@ -378,6 +378,8 @@ def test_synthesis_rejects_off_slice_points():
 def test_atomic_data_validation():
     with pytest.raises(ValueError):
         AtomicData((Quaternion(),), (), 1.0, 4)
+    with pytest.raises(ValueError, match="at least one synthesis point"):
+        AtomicData((), (), 1.0, 4)
     for alpha in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             AtomicData((Quaternion(),), (Quaternion(1.0),), alpha, 4)

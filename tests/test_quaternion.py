@@ -60,6 +60,27 @@ def test_conjugate_modulus_inverse_worked():
     assert i.inverse() == -i
 
 
+@given(quats, st.floats(-10.0, 10.0))
+@example(Quaternion(1.0, -0.0, 0.0, -2.5), 2.0)
+def test_scalar_operands(q, c):
+    # a scalar acts on w alone in sums and differences, on every component
+    # in products and quotients, on either side
+    assert q + c == c + q == Quaternion(q.w + c, q.x, q.y, q.z)
+    assert q - c == Quaternion(q.w - c, q.x, q.y, q.z)
+    assert c - q == Quaternion(c - q.w, -q.x, -q.y, -q.z)
+    scaled = Quaternion(q.w * c, q.x * c, q.y * c, q.z * c)
+    assert repr(q * c) == repr(c * q) == repr(scaled)       # signed zeros too
+    if c != 0.0:
+        assert q / c == Quaternion(q.w / c, q.x / c, q.y / c, q.z / c)
+    assert abs(q) == math.hypot(q.w, q.x, q.y, q.z)
+    for bad in ("1", [1.0]):
+        for op in (lambda: q + bad, lambda: bad + q, lambda: q - bad,
+                   lambda: bad - q, lambda: q * bad, lambda: bad * q,
+                   lambda: q / bad):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisor):
         Quaternion().inverse()

@@ -9,7 +9,7 @@ from slicefock import (UNIT_I, UNIT_J, AtomicData, FockParams, ImaginaryUnit,
 from slicefock.serialize import (atomic_from_dict, atomic_to_dict,
                                  dumps_canonical, function_from_dict,
                                  function_to_dict, load_atomic, load_function,
-                                 norm_report_csv_rows, norm_report_to_dict,
+                                 norm_report_to_dict,
                                  quaternion_from_list, quaternion_to_list,
                                  save_function, unit_from_list, unit_to_list)
 
@@ -51,6 +51,8 @@ def test_multi_polynomial_roundtrip():
     assert back.n == 2
     assert [m.multi_index for m in back.monomials] == [(1, 2), (0, 1)]
     assert back.monomials[1].coeff == UNIT_J.as_quaternion()
+    with pytest.raises(ValueError, match="cannot serialize Quaternion"):
+        function_to_dict(Quaternion(1.0))
 
 
 def test_function_from_dict_rejects_malformed():
@@ -116,6 +118,8 @@ def test_atomic_from_dict_rejects_malformed():
         data[key] = value
         with pytest.raises(ValueError):
             atomic_from_dict(data)
+    with pytest.raises(ValueError, match="synthesis file must be a JSON object"):
+        atomic_from_dict([good])
 
 
 def test_norm_report_serialization():
@@ -126,9 +130,6 @@ def test_norm_report_serialization():
     assert payload["value"] == report.value
     assert len(payload["per_slice"]) == 2
     assert payload["grid"]["rule"] == "closed form"
-
-    rows = norm_report_csv_rows("f.json", 2.0, 1.0, 1.0, report)
-    assert rows == [f"f.json,2.0,1.0,1.0,{report.value!r}"]
 
 
 def test_dumps_canonical_is_stable():

@@ -258,7 +258,9 @@ def _table_bits(rows):
 @settings(max_examples=100, deadline=None)
 def test_cached_tables_equal_their_conversions_and_are_read_only(a):
     f = series(*a)
-    fc = regular_conjugate(f)
+    # the reference conjugate comes from Quaternion.conjugate, not from
+    # regular_conjugate, which reads f._conj_rows itself
+    fc = series(*(c.conjugate() for c in f.coeffs))
     assert _table_bits(f._coeff_rows) == _table_bits(_rows(f.coeffs))
     assert _table_bits(f._conj_rows) == _table_bits(_rows(fc.coeffs))
     assert _table_bits(f._sym_rows) == _table_bits(_rows(_scalar_star_mul(f, fc)))
@@ -658,6 +660,8 @@ def test_truncate_and_tail_bound():
     q = Quaternion(r)
     for k in range(4):
         assert qdist(f.eval(q), truncate(f, k).eval(q)) <= bounds[k] + 1e-15
+    # every coefficient past the degree is zero: no term, so the bound is 0
+    assert tail_bound(SliceSeries.from_reals([1.0, 1.0, 0.0, 0.0]), r, 1) == 0.0
 
 
 def test_tail_bound_degree_must_be_an_integer():
@@ -743,6 +747,8 @@ def test_multi_monomial_and_polynomial():
     assert qdist(v, expected + ONE) <= 1e-15
     with pytest.raises(ValueError):
         MultiPolynomial(3, (mono,))
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        MultiPolynomial(0, ())
 
 
 # --- row forms: many points or pairs at once, equal to the scalar forms ---

@@ -1,15 +1,17 @@
+import errno
 import inspect
 import os
 import re
 import subprocess
 import sys
 import unittest.mock
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slicefock import fock, verify
+from slicefock import Quaternion, SliceSeries, default_sphere, fock, verify
 from slicefock.cli import main
 from slicefock.corpus import (_orthogonal_pair_rows, random_orthogonal_pair, rng_for,
                              standard_corpus)
@@ -376,6 +378,54 @@ def test_a_worker_that_dies_leaves_the_serial_report(monkeypatch):
     monkeypatch.setattr(fock, "_usable_cores", lambda: 1)
     assert forked == run_verify(seed=0, props="norm-sandwich-sup,split", sphere_count=4)
     _no_child_left()
+
+
+def _refuse(code):
+    def refuse(*args):
+        raise OSError(code, os.strerror(code))      # EAGAIN: a BlockingIOError
+    return refuse
+
+
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)])
+def test_a_worker_that_cannot_start_is_no_worker(monkeypatch, capsys, call, code):
+    # at a process or descriptor limit the serial run is the run: same
+    # results, exit code 0, and neither end of the pipe left open
+    props = "norm-sandwich-sup,split"
+    argv = ["verify", "--props", props, "--sphere", "4", "--out", "json"]
+    monkeypatch.setattr(fock, "_usable_cores", lambda: 1)
+    serial = run_verify(seed=0, props=props, sphere_count=4)
+    assert main(argv) == 0
+    serial_out = capsys.readouterr()
+    pipes, pipe = [], os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, call, _refuse(code))
+    monkeypatch.setattr(fock, "_usable_cores", lambda: 2)
+    assert run_verify(seed=0, props=props, sphere_count=4) == serial
+    _no_child_left()
+    assert main(argv) == 0
+    assert capsys.readouterr() == serial_out
+    _no_child_left()
+    assert len(pipes) == (2 if call == "fork" else 0)
+    for fd in (fd for ends in pipes for fd in ends):
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_rows_skip_a_function_whose_sup_is_zero():
+    # the zero series of degree 1 has sups of 0; a ratio over one would
+    # raise ZeroDivisionError or read NaN
+    zero = SliceSeries((Quaternion(), Quaternion()))
+    corpus, params, units = standard_corpus(0)[:3], fock.FockParams(1.0), default_sphere(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sup = verify._check_sup_norms([zero] + corpus, params, units)
+        monomial = verify._check_monomial([zero] + corpus, params)
+    # the zero series counts as ratio 1 on both sides of the sup sandwich
+    assert sup.worst == verify._check_sup_norms(corpus, params, units).worst
+    assert sup.passed and sup.detail == "lower=1.000000000000"
+    assert verify._check_sup_norms([zero], params, units).worst == 1.0
+    # the monomial row takes no instance from it
+    assert monomial == verify._check_monomial(corpus, params)
 
 
 def test_a_healthy_worker_leaves_the_sup_row_to_itself(monkeypatch, tmp_path):
