@@ -58,10 +58,9 @@ def _parse_quaternion(text: str, flag: str) -> Quaternion:
 
 def _parse_unit(text: str, flag: str) -> ImaginaryUnit:
     x, y, z = _parse_coordinates(text, flag, "x,y,z", "three")
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm < 1e-6:
+    if x == y == z == 0.0:
         raise ValueError(f"{flag} must be a nonzero direction, got {text!r}")
-    return ImaginaryUnit(x / norm, y / norm, z / norm)
+    return ImaginaryUnit.normalized(x, y, z)
 
 
 def _parse_values(text: str, flag: str, kind) -> list:

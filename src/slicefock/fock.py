@@ -913,7 +913,8 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
     on each unit's slice disk C_I and, if ball, the sup over the ball of
     radius R, exact over the units.  Chebyshev radii (hitting 0 and R
     exactly) times a uniform angle grid locate each maximum, one job at a
-    time (see _sup_grid_stage).  The radial cells around the maxima of all
+    time (see _sup_grid_stage); a job whose f is 0 needs no grid, and its
+    sups are 0.0 at the point 0.  The radial cells around the maxima of all
     jobs are then polished together along the best rays, one row per unit
     and one per ball, by regula falsi on the r-derivative of the weighted
     square.  The sets of rows are ordered by coefficient count K and row
@@ -927,7 +928,8 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
     weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
-    sets = [rows for f, units, ball in jobs
+    zero = [not f._coeff_rows.any() for f, _, _ in jobs]
+    sets = [rows for (f, units, ball), z in zip(jobs, zero) if not z
             for rows in _sup_grid_stage(f, units, ball, radii, theta, weight)]
     chunks, held = [], 0
     for j in sorted(range(len(sets)),
@@ -946,7 +948,12 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
         found = iter([(np.ldexp(np.maximum(best, rows.grid_max), rows.exponent),
                        rows.ball_point) for rows, best in zip(sets, refined)])
     results = []
-    for _, units, ball in jobs:
+    for (_, units, ball), z in zip(jobs, zero):
+        if z:
+            # f = 0: the grid path's values, whose argmax is node 0, at r = 0
+            results.append(_Sups(np.zeros(len(units)), 0.0 if ball else None,
+                                 0j if ball else None))
+            continue
         sups = next(found)[0] if units else np.empty(0)
         top, point = next(found) if ball else (None, None)
         results.append(_Sups(sups, None if top is None else float(top[0]), point))

@@ -74,69 +74,38 @@ def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
                   trunc_degree: int) -> Quaternion:
     """Truncated star exponential sum_{n<=N} q^n alpha^n wbar^n / n!.
 
-    The recurrences qp = qp * q, wp = wp * wbar and acc = acc + (qp * wp) *
-    scale run on floats, written out in the terms and order of the
-    `Quaternion` operators, so the value is the same bit for bit.  Where
-    that sum is not finite, because q^n or wbar^n overflows or 1/n!
-    underflows while the terms are representable, it is formed again with
-    the three kept as mantissa times 2^e (see _star_exp_sum).
+    Nested from the inside out,
+
+        1 + (a/1) q (1 + (a/2) q (... (1 + (a/N) q wbar) ...) wbar) wbar,
+
+    one step acc = 1 + (q' acc wbar') (a/n) for n = N, ..., 1, so no power
+    and no factorial is formed, and every partial value is at most
+    e^{a|q||w|} in modulus.  q' = q 2^-k and wbar' = wbar 2^k, with k half
+    the difference of the frexp exponents of the largest |component| of q
+    and of w, balance the two factors and leave every term unchanged: a
+    huge q against a tiny w neither overflows nor underflows.  The loop
+    runs on floats in the terms and order of the `Quaternion` operators,
+    ONE + x included (it adds 0.0 to each imaginary component), so the
+    value is theirs bit for bit.
     """
     _require_positive_finite("alpha", alpha)
     trunc_degree = _truncation_degree(trunc_degree)
-    value = _star_exp_sum(q, w, alpha, trunc_degree, scaled=False)
-    if not all(map(math.isfinite, value)):
-        value = _star_exp_sum(q, w, alpha, trunc_degree, scaled=True)
-    return Quaternion(*value)
-
-
-def _ldexp(x: float, e: int) -> float:
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-def _star_exp_sum(q: Quaternion, w: Quaternion, alpha: float, trunc_degree: int,
-                  scaled: bool) -> tuple[float, float, float, float]:
-    """Components of star_exp_eval's sum; scaled keeps the factors representable.
-
-    Scaled, qp, wp and scale are divided by a power of two after every
-    step, and each term takes the three powers back through its scale
-    factor.  Both are exact for normal numbers, so a term rounds as the
-    unscaled one does wherever that one is representable.
-    """
-    qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    bw, bx, by, bz = w.w, -w.x, -w.y, -w.z                # wbar
-    aw, ax, ay, az = 1.0, 0.0, 0.0, 0.0                   # acc
-    pw, px, py, pz = 1.0, 0.0, 0.0, 0.0                   # qp = q^n 2^-ep
-    vw, vx, vy, vz = 1.0, 0.0, 0.0, 0.0                   # wp = wbar^n 2^-ev
-    scale, ep, ev, es = 1.0, 0, 0, 0                      # scale = a^n/n! 2^-es
-    for n in range(1, trunc_degree + 1):
-        pw, px, py, pz = (pw * qw - px * qx - py * qy - pz * qz,
-                          pw * qx + px * qw + py * qz - pz * qy,
-                          pw * qy - px * qz + py * qw + pz * qx,
-                          pw * qz + px * qy - py * qx + pz * qw)
-        vw, vx, vy, vz = (vw * bw - vx * bx - vy * by - vz * bz,
-                          vw * bx + vx * bw + vy * bz - vz * by,
-                          vw * by - vx * bz + vy * bw + vz * bx,
-                          vw * bz + vx * by - vy * bx + vz * bw)
-        scale *= alpha / n
-        # scaled, the term's factor takes back all three powers of two
-        step = _ldexp(scale, ep + ev + es) if scaled else scale
-        aw += (pw * vw - px * vx - py * vy - pz * vz) * step
-        ax += (pw * vx + px * vw + py * vz - pz * vy) * step
-        ay += (pw * vy - px * vz + py * vw + pz * vx) * step
-        az += (pw * vz + px * vy - py * vx + pz * vw) * step
-        if scaled:
-            k = math.frexp(max(abs(pw), abs(px), abs(py), abs(pz)))[1]
-            pw, px, py, pz, ep = (math.ldexp(pw, -k), math.ldexp(px, -k),
-                                  math.ldexp(py, -k), math.ldexp(pz, -k), ep + k)
-            k = math.frexp(max(abs(vw), abs(vx), abs(vy), abs(vz)))[1]
-            vw, vx, vy, vz, ev = (math.ldexp(vw, -k), math.ldexp(vx, -k),
-                                  math.ldexp(vy, -k), math.ldexp(vz, -k), ev + k)
-            k = math.frexp(scale)[1]
-            scale, es = math.ldexp(scale, -k), es + k
-    return aw, ax, ay, az
+    k = (math.frexp(max(abs(q.w), abs(q.x), abs(q.y), abs(q.z)))[1]
+         - math.frexp(max(abs(w.w), abs(w.x), abs(w.y), abs(w.z)))[1]) // 2
+    qw, qx, qy, qz = (math.ldexp(c, -k) for c in (q.w, q.x, q.y, q.z))
+    bw, bx, by, bz = (math.ldexp(c, k) for c in (w.w, -w.x, -w.y, -w.z))   # wbar'
+    aw, ax, ay, az = 1.0, 0.0, 0.0, 0.0                                     # acc
+    for n in range(trunc_degree, 0, -1):
+        tw, tx, ty, tz = (qw * aw - qx * ax - qy * ay - qz * az,         # q' acc
+                          qw * ax + qx * aw + qy * az - qz * ay,
+                          qw * ay - qx * az + qy * aw + qz * ax,
+                          qw * az + qx * ay - qy * ax + qz * aw)
+        s = alpha / n
+        aw, ax, ay, az = (1.0 + (tw * bw - tx * bx - ty * by - tz * bz) * s,
+                          0.0 + (tw * bx + tx * bw + ty * bz - tz * by) * s,
+                          0.0 + (tw * by - tx * bz + ty * bw + tz * bx) * s,
+                          0.0 + (tw * bz + tx * by - ty * bx + tz * bw) * s)
+    return Quaternion(aw, ax, ay, az)
 
 
 def _tail_bound(x: float, trunc_degree: int, log_damp: float = 0.0) -> float:

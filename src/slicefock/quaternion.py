@@ -67,9 +67,6 @@ __all__ = [
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # below this modulus an inverse is treated as a division by zero
 _INVERSION_FLOOR = 1e-300
-# an |Im q| whose square is below the smallest normal double is taken on
-# (x, y, z) 2^_IMAG_SCALE, where the squares keep their bits, and scaled back
-_IMAG_SCALE = 600
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -178,16 +175,32 @@ class Quaternion:
         return (self.x, self.y, self.z)
 
     def imag_modulus(self) -> float:
-        sq = self.x * self.x + self.y * self.y + self.z * self.z
-        if not sq < sys.float_info.min:
-            return math.sqrt(sq)
-        x, y, z = (math.ldexp(c, _IMAG_SCALE) for c in (self.x, self.y, self.z))
-        return math.ldexp(math.sqrt(x * x + y * y + z * z), -_IMAG_SCALE)
+        *_, sq, e = _scaled_vector(self.x, self.y, self.z)
+        try:
+            return math.ldexp(math.sqrt(sq), e)
+        except OverflowError:           # |Im q| itself exceeds the largest float
+            return math.inf
 
 
 _SET_W, _SET_X, _SET_Y, _SET_Z = (Quaternion.__dict__[name].__set__
                                   for name in "wxyz")
 ONE = Quaternion(1.0)
+
+
+def _scaled_vector(x: float, y: float, z: float):
+    """(x, y, z) 2^-e, the sum of their squares, and e.
+
+    e = 0 where x^2 + y^2 + z^2 is a normal, finite float, so such a vector
+    takes the plain sum of squares.  Elsewhere e is the frexp exponent of
+    the largest |component|: the squares of the scaled components then sum
+    to [1/4, 3), so neither a huge nor a tiny vector loses its norm.
+    """
+    sq = x * x + y * y + z * z
+    if sys.float_info.min <= sq < math.inf:
+        return x, y, z, sq, 0
+    e = math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
+    return x, y, z, x * x + y * y + z * z, e
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,7 +225,9 @@ class ImaginaryUnit:
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "ImaginaryUnit":
-        n = math.sqrt(x * x + y * y + z * z)
+        """(x, y, z) / |(x, y, z)|, for any finite nonzero vector (see _scaled_vector)."""
+        x, y, z, sq, _ = _scaled_vector(x, y, z)
+        n = math.sqrt(sq)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(x / n, y / n, z / n)
@@ -261,11 +276,7 @@ def decompose(q: Quaternion) -> SliceCoords:
     im = q.imag_modulus()
     if im == 0.0:
         return SliceCoords(q.w, 0.0, UNIT_I)
-    if im < sys.float_info.min:
-        # a subnormal im has lost bits: Im q 2^_IMAG_SCALE gives the unit
-        return SliceCoords(q.w, im, ImaginaryUnit.normalized(
-            *(math.ldexp(c, _IMAG_SCALE) for c in (q.x, q.y, q.z))))
-    return SliceCoords(q.w, im, ImaginaryUnit(q.x / im, q.y / im, q.z / im))
+    return SliceCoords(q.w, im, ImaginaryUnit.normalized(q.x, q.y, q.z))
 
 
 def compose(coords: SliceCoords) -> Quaternion:
@@ -415,24 +426,24 @@ def _decompose_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """decompose's im, shape (N, ...), and unit, (N, ..., 3), of rows (x, y, z).
 
     Both are taken in the terms and order of `Quaternion.imag_modulus` and
-    decompose, so they equal the scalar forms bit for bit; a zero row takes
-    the unit i.
+    decompose, so they equal the scalar forms bit for bit: a nonzero row
+    whose square sum is not a normal float is scaled as _scaled_vector
+    scales it, and a zero row takes the unit i.
     """
-    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
-    sq = x * x + y * y + z * z
-    im = np.sqrt(sq)
-    tiny = sq < sys.float_info.min
-    if tiny.any():
-        x, y, z = np.ldexp(vectors[tiny], _IMAG_SCALE).T
-        im[tiny] = np.ldexp(np.sqrt(x * x + y * y + z * z), -_IMAG_SCALE)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
+        sq = x * x + y * y + z * z
+        im = np.sqrt(sq)
+        odd = ~((sq >= sys.float_info.min) & (sq < np.inf)) & vectors.any(axis=-1)
         unit = np.where(im[..., None] == 0.0, _unit_rows([UNIT_I]),
                         vectors / im[..., None])
-    sub = (im > 0.0) & (im < sys.float_info.min)
-    if sub.any():
-        scaled = np.ldexp(vectors[sub], _IMAG_SCALE)
-        x, y, z = scaled.T
-        unit[sub] = scaled / np.sqrt(x * x + y * y + z * z)[:, None]
+        if odd.any():
+            e = np.frexp(np.abs(vectors[odd]).max(axis=-1))[1]
+            scaled = np.ldexp(vectors[odd], -e[:, None])
+            x, y, z = scaled.T
+            n = np.sqrt(x * x + y * y + z * z)
+            im[odd] = np.ldexp(n, e)
+            unit[odd] = scaled / n[:, None]
     return im, unit
 
 

@@ -90,6 +90,30 @@ def test_eval_at_a_tiny_imaginary_part(tmp_path, capsys):
     assert payload["rep_residual"] <= 1e-15
 
 
+def test_eval_at_a_huge_imaginary_part(tmp_path, capsys):
+    # |Im q|^2 = 1e400 overflows: the constant 1 must still read 1
+    path = write_series(tmp_path, [Quaternion(1.0)])
+    code, out, err = run(capsys, ["eval", path, "--point", "0,1e200,0,0",
+                                  "--out", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["value"] == [1.0, 0.0, 0.0, 0.0]
+    assert payload["rep_residual"] == 0.0 and payload["outside_radius"]
+
+
+@pytest.mark.parametrize("unit", ["1e-200,0,0", "3e-7,4e-7,0", "0,1e300,1e300"])
+def test_eval_takes_any_nonzero_slice_unit(tmp_path, capsys, unit):
+    # the rep-formula cross-check on the slice of that direction
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 0.5)])
+    argv = ["eval", path, "--point", "0.1,0.2,0.3,0.1", "--out", "json"]
+    code, out, err = run(capsys, argv + ["--slice-unit", unit])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    _, plain, _ = run(capsys, argv)
+    assert payload["value"] == json.loads(plain)["value"]
+    assert payload["rep_residual"] <= 1e-15
+
+
 def test_eval_rejects_several_variable_files(tmp_path, capsys):
     poly = MultiPolynomial(2, (MultiMonomial((1, 0), Quaternion(1.0)),))
     path = tmp_path / "poly.json"

@@ -1698,21 +1698,56 @@ def test_batched_polish_crosses_a_chunk_boundary():
 
 
 def test_polish_runs_one_secant_loop_per_chunk():
-    # 50 functions at order 2 make 150 rows of 22 (coefficient count, kind)
-    # groups: one chunk, so one secant loop, where one loop per group made 22
-    loops = []
+    # 50 functions at order 2 make 150 jobs, 18 of them f = 0, which take no
+    # grid; the other 132 rows form one chunk, so one secant loop, where one
+    # loop per (coefficient count, kind) group made 22
+    loops, made = [], []
 
     def counted(*args, **kwargs):
         loops.append(args[1].size)
         return _secant_max_rows(*args, **kwargs)
 
+    def grid_stage(*args, stage=fock._sup_grid_stage):
+        sets = stage(*args)
+        made.extend(rows.angles.size for rows in sets)
+        return sets
+
     subset = standard_corpus(0)[:50]
-    with unittest.mock.patch.object(fock, "_secant_max_rows", counted):
+    with unittest.mock.patch.object(fock, "_secant_max_rows", counted), \
+            unittest.mock.patch.object(fock, "_sup_grid_stage", grid_stage):
         reports = fock._derivative_reports(subset, 2, P2, 33, 64)
-    assert loops == [150]
+    assert loops == [sum(made)] == [132]
     for f, report in zip(subset[:3], reports):
         with sup_grid(33, 64):
             assert report == derivative_criterion(f, 2, P2)
+
+
+@pytest.mark.parametrize("count", [3, 67])
+@pytest.mark.parametrize("ball", [False, True])
+@pytest.mark.parametrize("order", [0, 2])
+def test_a_zero_function_takes_no_sup_grid(count, ball, order):
+    # f = 0, as a derivative above the degree leaves it, has the values the
+    # grid path gave it: 0.0 per unit and on the ball, at the point 0j
+    # (the argmax of an all-zero bound is node 0, where r = 0)
+    rng = rng_for(29)
+    f = _series_from(rng.uniform(-1.0, 1.0, (6, 4)))
+    zero = _series_from([(0.0, 0.0, 0.0, 0.0)])
+    units = default_sphere()[:count]
+    jobs = [(f, units, ball), (zero, units, ball), (f, [UNIT_I], True)]
+    staged = []
+
+    def grid_stage(*args, stage=fock._sup_grid_stage):
+        staged.append(args[0])
+        return stage(*args)
+
+    with unittest.mock.patch.object(fock, "_sup_grid_stage", grid_stage):
+        found = _sup_over_rows(jobs, 1.0, 1.0, 17, 32, order)
+    assert len(staged) == len(jobs) - 1 and all(g is not zero for g in staged)
+    want = fock._Sups(np.zeros(count), 0.0 if ball else None, 0j if ball else None)
+    assert _sups_bytes(found[1]) == _sups_bytes(want)
+    for job, got in zip(jobs[::2], found[::2]):
+        [alone] = _sup_over_rows([job], 1.0, 1.0, 17, 32, order)
+        assert _sups_bytes(got) == _sups_bytes(alone)
 
 
 @pytest.mark.parametrize("limit", [3, 100])

@@ -1,11 +1,12 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slicefock import (UNIT_I, UNIT_J, AtomicData, FockParams, PointOffSlice,
+from slicefock import (ONE, UNIT_I, UNIT_J, AtomicData, FockParams, PointOffSlice,
                        ImaginaryUnit, Quaternion, SliceSeries,
                        atomic_synthesis,
                        embed_complex, fock_norm_p, kernel_series,
@@ -301,7 +302,7 @@ def test_synthesis_equals_scalar_loop_bit_for_bit(direction, atom_list, alpha, t
 
 
 def _quaternion_star_exp(q, w, alpha, trunc):
-    """The Quaternion-operator loop star_exp_eval replaced, kept as the reference."""
+    """The power sum with `Quaternion` operators, kept as a second oracle."""
     acc = Quaternion(1.0)
     qp = Quaternion(1.0)
     wp = Quaternion(1.0)
@@ -312,6 +313,24 @@ def _quaternion_star_exp(q, w, alpha, trunc):
         wp = wp * wbar
         scale *= alpha / n
         acc = acc + (qp * wp) * scale
+    return acc
+
+
+def _nested_star_exp(q, w, alpha, trunc):
+    """The nested loop with `Quaternion` operators, kept as the reference.
+
+    q 2^-k and wbar 2^k, k half the difference of the frexp exponents of
+    the largest |component| of q and of w, then acc = 1 + (q acc wbar)(a/n)
+    for n = N, ..., 1.
+    """
+    k = (math.frexp(max(map(abs, (q.w, q.x, q.y, q.z))))[1]
+         - math.frexp(max(map(abs, (w.w, w.x, w.y, w.z))))[1]) // 2
+    q = Quaternion(*(math.ldexp(c, -k) for c in (q.w, q.x, q.y, q.z)))
+    wbar = w.conjugate()
+    wbar = Quaternion(*(math.ldexp(c, k) for c in (wbar.w, wbar.x, wbar.y, wbar.z)))
+    acc = ONE
+    for n in range(trunc, 0, -1):
+        acc = ONE + (q * acc * wbar) * (alpha / n)
     return acc
 
 
@@ -327,10 +346,111 @@ kernel_quats = st.builds(Quaternion, *[st.floats(-2.0, 2.0)] * 4)
 @example(Quaternion(0.3, -0.2, 0.1, 0.5), Quaternion(-0.0, 0.7, -0.0, 0.2), 2.5, 0)
 @example(Quaternion(0.3, -0.2, 0.1, 0.5), Quaternion(0.4, 0.7, -0.1, 0.2), 0.3, 32)
 @example(Quaternion(-0.0, 0.0, -0.0, 0.0), Quaternion(0.4, -0.0, 0.0, -0.0), 1.7, 5)
+@example(Quaternion(1e300, -0.0, 2e299, 0.0), Quaternion(-0.0, 1e-300, 0.0, 3e-301), 1.0, 9)
 @settings(max_examples=150, deadline=None)
 def test_star_exp_equals_quaternion_loop_bit_for_bit(q, w, alpha, trunc):
     assert bits(star_exp_eval(q, w, alpha, trunc)) == bits(
-        _quaternion_star_exp(q, w, alpha, trunc))
+        _nested_star_exp(q, w, alpha, trunc))
+
+
+def _hamilton(a, b):
+    """The Hamilton product of two 4-tuples, as `Quaternion.__mul__` forms it."""
+    return (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
+            a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
+            a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
+            a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0])
+
+
+def _exact_star_exp(q, w, alpha, trunc):
+    """sum_{n<=N} q^n alpha^n wbar^n / n! of the floats given, as four Fractions.
+
+    Every float is an integer over a power of two, so with one shift s,
+    q = Q/2^s, wbar = B/2^s and alpha = A/2^s for integers Q, B, A, and the
+    sum is that of Q^n B^n A^n / (2^{3sn} n!), taken over the common
+    denominator 2^{3sN} N! in integers.
+    """
+    ratios = [c.as_integer_ratio() for c in (q.w, q.x, q.y, q.z,
+                                             w.w, -w.x, -w.y, -w.z, alpha)]
+    shift = max(d.bit_length() for _, d in ratios) - 1
+    ints = [n << (shift + 1 - d.bit_length()) for n, d in ratios]
+    big_q, big_b, big_a = ints[0:4], ints[4:8], ints[8]
+    qp = bp = (1, 0, 0, 0)
+    total = [0, 0, 0, 0]
+    for n in range(trunc + 1):
+        if n:
+            qp, bp = _hamilton(qp, big_q), _hamilton(bp, big_b)
+        weight = (big_a ** n << 3 * shift * (trunc - n)) \
+            * (math.factorial(trunc) // math.factorial(n))
+        total = [t + c * weight for t, c in zip(total, _hamilton(qp, bp))]
+    denominator = (1 << 3 * shift * trunc) * math.factorial(trunc)
+    return [Fraction(t, denominator) for t in total]
+
+
+# The bound's constant, from Horner's error analysis (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3 and 5), with
+# u = 2^-53 and gamma_m = m u / (1 - m u).  A quaternion product rounds each
+# component as a 4-term dot product, within gamma_4 of the sum of its |terms|;
+# that sum is at most |a||b| per component (Cauchy-Schwarz), so the product
+# is within 2 gamma_4 |a||b| <= gamma_8 |a||b| in modulus.
+#
+# Nested: step n takes the computed acc_n to acc_{n-1} = fl(1 + (q' acc_n
+# wbar') fl(a/n)): two products, the rounded a/n, one scalar product and one
+# sum.  With x = a|q||w| and y = x/n its rounding error is at most
+# theta (1 + y |acc_n|), theta = (1 + gamma_8)^2 (1 + u)^3 - 1 <= gamma_19.
+# H_N = 1, H_{n-1} = 1 + y H_n are the Horner values of sum x^m/m!, which
+# bound the exact partial values, and H_0 = sum_{n<=N} x^n/n!.  The error
+# D_n of acc_n then has D_{n-1} <= (1 + theta) y D_n + theta H_{n-1}, so by
+# induction D_n <= ((1 + theta)^{N-n} - 1) H_n, and the value is within
+# ((1 + gamma_19)^N - 1) H_0 <= gamma_{19N} H_0 (Higham Lemma 3.3).  Scaling
+# by 2^k is exact for every input here.
+#
+# Power sum: term n is made of 2n - 1 products, 2n + 1 scalar roundings and
+# at most N + 1 sums, so it is exact up to gamma_{8(2n-1) + 2n+1 + N+1} <=
+# gamma_{19N}, times x^n/n!.
+#
+# gamma_{19N} <= 20 N u for 19 N u <= 1/20, which holds for N < 10^13, so
+# both errors are at most C (N + 1) u H_0 with C = 20.  An underflowed term
+# adds at most 2^-1074 per rounding, far below the bound's floor of 20 u.
+_HORNER_C = 20.0
+
+
+def _error_and_bound(value, q, w, alpha, trunc):
+    """|value - exact| and C (N + 1) 2^-53 sum_{n<=N} x^n/n!, x = a|q||w|."""
+    exact = _exact_star_exp(q, w, alpha, trunc)
+    got = (value.w, value.x, value.y, value.z)
+    error = math.sqrt(sum(float(Fraction(v) - e) ** 2 for v, e in zip(got, exact)))
+    x = alpha * q.modulus() * w.modulus()
+    term, total = 1.0, 1.0
+    for n in range(1, trunc + 1):
+        term *= x / n
+        total += term
+    return error, _HORNER_C * (trunc + 1) * 2.0 ** -53 * total
+
+
+def test_star_exp_is_within_horner_error_bound():
+    rng = rng_for(86)
+    for _ in range(400):
+        q = Quaternion(*rng.uniform(-5.0, 5.0, 4))
+        w = Quaternion(*rng.uniform(-5.0, 5.0, 4))
+        alpha = float(rng.uniform(0.05, 4.0))
+        trunc = int(rng.integers(0, 61))
+        for value in (star_exp_eval(q, w, alpha, trunc),
+                      _quaternion_star_exp(q, w, alpha, trunc)):
+            error, bound = _error_and_bound(value, q, w, alpha, trunc)
+            assert error <= bound
+
+
+@pytest.mark.parametrize("q, w, trunc", [(20.0, 20.0, 300), (1e300, 1e-300, 32),
+                                         (1e-300, 1e300, 32), (1.5e308, 1e-308, 32)])
+def test_star_exp_is_finite_and_within_the_bound_at_extreme_inputs(q, w, trunc):
+    # the powers of q or wbar overflow or underflow; the terms do not, and
+    # at q = 1.5e308 neither does q acc once q and wbar are balanced.  The
+    # power-sum oracle is not held to these: its q^n underflows at 1e-300
+    q, w = Quaternion(q), Quaternion(w)
+    value = star_exp_eval(q, w, 1.0, trunc)
+    assert all(map(math.isfinite, (value.w, value.x, value.y, value.z)))
+    error, bound = _error_and_bound(value, q, w, 1.0, trunc)
+    assert error <= bound
 
 
 def _quaternion_kernel_series(w, alpha, trunc):

@@ -160,6 +160,33 @@ def test_decompose_keeps_tiny_imaginary_parts(vec):
     assert (im[0], *unit[0]) == (c.im, c.unit.x, c.unit.y, c.unit.z)
 
 
+@pytest.mark.parametrize("vec, im", [((0.0, 1e200, 0.0), 1e200),
+                                     ((1e300, -1e300, 1e300), math.sqrt(3.0) * 1e300),
+                                     ((3e200, 1e-200, -4e200), 5e200),
+                                     ((1.5e308, 1.5e308, 0.0), math.inf)])
+def test_decompose_keeps_huge_imaginary_parts(vec, im):
+    # the squares overflow; |Im q| is 1e200, 1.7e300, 5e200 or beyond a float
+    q = Quaternion(-2.0, *vec)
+    assert math.isclose(q.imag_modulus(), im, rel_tol=4e-16)
+    c = decompose(q)
+    assert (c.re, c.im) == (-2.0, q.imag_modulus())
+    scaled = [v / max(map(abs, vec)) for v in vec]
+    norm = math.sqrt(sum(v * v for v in scaled))
+    for got, v in zip((c.unit.x, c.unit.y, c.unit.z), scaled):
+        assert abs(got - v / norm) <= 4e-16
+    im_rows, unit = _decompose_rows(np.array([vec]))
+    assert (im_rows[0], *unit[0]) == (c.im, c.unit.x, c.unit.y, c.unit.z)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0 ** -1074, 2.0 ** -1060,
+                                   2.0 ** 1020])
+def test_normalized_takes_any_finite_nonzero_direction(scale):
+    # the squares of these scales underflow to 0 or overflow to inf
+    assert ImaginaryUnit.normalized(scale, 0.0, 0.0) == UNIT_I
+    u = ImaginaryUnit.normalized(0.0, -3.0 * scale, 4.0 * scale)
+    assert u.x == 0.0 and abs(u.y + 0.6) <= EPS and abs(u.z - 0.8) <= EPS
+
+
 @given(quats)
 @settings(max_examples=100)
 def test_imag_modulus_of_normal_squares_is_the_plain_root(q):
