@@ -48,7 +48,12 @@ _SLICE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class AtomicData:
-    """Synthesis data: points z_k on one slice, coefficients a_k, weight alpha."""
+    """Synthesis data: points z_k on one slice, coefficients a_k, weight alpha.
+
+    The points and coefficients are also kept as read-only (K, 4) rows,
+    `_point_rows` and `_coeff_rows`, for atomic_synthesis.  They are not
+    fields, so ==, hash and repr see the quaternions alone.
+    """
 
     points: tuple[Quaternion, ...]
     coeffs: tuple[Quaternion, ...]
@@ -65,9 +70,12 @@ class AtomicData:
         _require_positive_finite("alpha", self.alpha)
         # a float degree is refused here, not inside atomic_synthesis' range
         object.__setattr__(self, "trunc_degree", _truncation_degree(self.trunc_degree))
-        if not all(math.isfinite(a.w) and math.isfinite(a.x) and math.isfinite(a.y)
-                   and math.isfinite(a.z) for a in self.points + self.coeffs):
+        rows = _rows(self.points + self.coeffs)
+        if not np.isfinite(rows).all():
             raise ValueError("synthesis points and coefficients must be finite")
+        rows.flags.writeable = False
+        object.__setattr__(self, "_point_rows", rows[:len(self.points)])
+        object.__setattr__(self, "_coeff_rows", rows[len(self.points):])
 
 
 def star_exp_eval(q: Quaternion, w: Quaternion, alpha: float,
@@ -199,7 +207,7 @@ def atomic_synthesis(data: AtomicData, unit: ImaginaryUnit) -> SliceSeries:
 
     accumulated over k in storage order, so the result is deterministic.
     """
-    points = _rows(data.points)
+    points = data._point_rows
     pw, px, py, pz = points.T
     # the distances of Im z_k from the line R I and the |z_k|^2, in the terms
     # and order of the scalar expressions; huge points overflow quietly, as
@@ -220,14 +228,14 @@ def atomic_synthesis(data: AtomicData, unit: ImaginaryUnit) -> SliceSeries:
     # caller decides whether to refuse it
     with np.errstate(over="ignore", invalid="ignore"):
         conj_powers = _qpowers(points * _CONJ_SIGNS, data.trunc_degree)
-        terms = _qmul(conj_powers, _rows(data.coeffs)) * (
+        terms = _qmul(conj_powers, data._coeff_rows) * (
             _exp_scales(data.alpha, data.trunc_degree)[:, None] * damps)[..., None]
-        # add the atoms one by one in storage order; a BLAS product or np.sum
-        # over k would reduce in a shape-dependent order, so a coefficient
-        # could change with the truncation degree
-        coeffs = np.zeros((data.trunc_degree + 1, 4))
-        for k in range(len(data.points)):
-            coeffs += terms[:, k]
+        # add the atoms one by one in storage order, 0.0 + t_0 + t_1 + ...: an
+        # accumulate runs in that order, where a BLAS product or np.sum over
+        # k would reduce in a shape-dependent one, so a coefficient could
+        # change with the truncation degree
+        start = np.zeros((data.trunc_degree + 1, 1, 4))
+        coeffs = np.add.accumulate(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
     return SliceSeries(_from_rows(coeffs))
 
 

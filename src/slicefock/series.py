@@ -17,20 +17,21 @@ and evaluation anywhere in the ball from data on a single slice.
 A SliceSeries builds its coefficient tables once, on first use, from its
 coefficients alone: the float rows the Horner loop reads, the read-only
 (N, 4) array the row forms and fock read, and the rows of f^c and of
-f^s = f * f^c.  The tables are read-only and take no part in ==, hash,
-repr or pickling.
+f^s = f * f^c, as arrays and as float rows.  The tables are read-only and
+take no part in ==, hash, repr or pickling.
 
 Private row forms evaluate many points, units or pairs at once on
 quaternion rows (see quaternion.py): the Horner evaluation `_eval_rows`,
 the transformed point, the star reciprocal, the representation formula,
 and split/extend as `_split_rows`/`_extend_rows`.  Each row equals its
-scalar counterpart bit for bit.  split and extend are one-pair calls of
-their row forms.  The one-point forms eval, star_inverse_eval and rep_eval
-run the one float Horner loop `_horner_rows` on the cached rows instead,
-because a numpy call costs more than the arithmetic at one point:
-star_inverse_eval reads the f^c and f^s tables and builds no series for
-them, and rep_eval writes the representation formula out on floats.
-transform_point composes `Quaternion` operators on eval's value.
+scalar counterpart bit for bit.  split is a one-pair call of its row form.
+The one-point forms eval, transform_point, star_inverse_eval and rep_eval
+run the one float Horner loop `_horner_rows` on the cached float rows
+instead, because a numpy call costs more than the arithmetic at one
+point: star_inverse_eval reads the f^c and f^s rows and builds no series
+for them, and transform_point and rep_eval write their formulas out on
+floats.  extend of one pair runs on floats in _extend_rows' terms and
+order, for the same reason.
 """
 
 from __future__ import annotations
@@ -132,6 +133,16 @@ class SliceSeries:
     def _sym_rows(self) -> np.ndarray:
         """Rows of f^s = f * f^c, (2N - 1, 4) and read-only; star_mul's bit for bit."""
         return _read_only(_convolve_rows(self._coeff_rows, self._conj_rows))
+
+    @cached_property
+    def _conj_float_rows(self) -> tuple:
+        """The f^c table as (w, x, y, z) tuples, for star_inverse_eval's Horner loop."""
+        return _float_tuples(self._conj_rows)
+
+    @cached_property
+    def _sym_float_rows(self) -> tuple:
+        """The f^s table as (w, x, y, z) tuples, for star_inverse_eval's Horner loop."""
+        return _float_tuples(self._sym_rows)
 
     def eval(self, q: Quaternion) -> Quaternion:
         """Left-Horner evaluation a_0 + q(a_1 + q(a_2 + ...)).
@@ -241,6 +252,11 @@ def _read_only(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _float_tuples(rows: np.ndarray) -> tuple:
+    """Rows of an (N, 4) array as a tuple of (w, x, y, z) tuples of floats."""
+    return tuple(map(tuple, rows.tolist()))
+
+
 # The scalar Horner loop: each step is `q * acc + a` written out in the terms
 # and order of `Quaternion.__mul__` and `__add__`, so a value is the operator
 # loop's bit for bit.  It reads coefficient rows as Python sequences of
@@ -308,11 +324,11 @@ def star_inverse_eval(f: SliceSeries, q: Quaternion) -> Quaternion:
     symmetrization.
     """
     qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    s = Quaternion(*_horner_rows(f._sym_rows.tolist(), qw, qx, qy, qz))
+    s = Quaternion(*_horner_rows(f._sym_float_rows, qw, qx, qy, qz))
     if s.modulus() < _SINGULAR_TOL:
         raise SingularPoint(
             f"symmetrization vanishes at this point (|f^s(q)| = {s.modulus():.3e})")
-    return s.inverse() * Quaternion(*_horner_rows(f._conj_rows.tolist(), qw, qx, qy, qz))
+    return s.inverse() * Quaternion(*_horner_rows(f._conj_float_rows, qw, qx, qy, qz))
 
 
 def transform_point(f: SliceSeries, q: Quaternion) -> Quaternion:
@@ -320,11 +336,25 @@ def transform_point(f: SliceSeries, q: Quaternion) -> Quaternion:
 
     Preserves the real part and the modulus of q, so the result stays on the
     same sphere x + y*S.  Raises ZeroValue when f(q) is numerically zero.
+    It runs on floats: v = f(q) by the Horner loop, |v| by math.hypot, v^{-1}
+    as `Quaternion.inverse` forms it and the two products in the terms and
+    order of `Quaternion.__mul__`, so the value is v.inverse() * q * v bit
+    for bit.
     """
-    v = f.eval(q)
-    if v.modulus() < _SINGULAR_TOL:
-        raise ZeroValue(f"function vanishes at this point (|f(q)| = {v.modulus():.3e})")
-    return v.inverse() * q * v
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    vw, vx, vy, vz = _horner_rows(f._float_rows, qw, qx, qy, qz)          # v = f(q)
+    m = math.hypot(vw, vx, vy, vz)
+    if m < _SINGULAR_TOL:
+        raise ZeroValue(f"function vanishes at this point (|f(q)| = {m:.3e})")
+    iw, ix, iy, iz = vw / m / m, -vx / m / m, -vy / m / m, -vz / m / m   # v^{-1}
+    aw, ax, ay, az = (iw * qw - ix * qx - iy * qy - iz * qz,             # v^{-1} q
+                      iw * qx + ix * qw + iy * qz - iz * qy,
+                      iw * qy - ix * qz + iy * qw + iz * qx,
+                      iw * qz + ix * qy - iy * qx + iz * qw)
+    return Quaternion(aw * vw - ax * vx - ay * vy - az * vz,
+                      aw * vx + ax * vw + ay * vz - az * vy,
+                      aw * vy - ax * vz + ay * vw + az * vx,
+                      aw * vz + ax * vy - ay * vx + az * vw)
 
 
 def _check_orthogonal(unit_i: ImaginaryUnit, unit_j: ImaginaryUnit) -> None:
@@ -352,18 +382,29 @@ def extend(f1: ComplexSlicePolynomial, f2: ComplexSlicePolynomial,
            unit_j: ImaginaryUnit) -> SliceSeries:
     """Series with coefficients a_n = f1_n + f2_n * J, inverse of split().
 
-    One pair of _extend_rows; the shorter component is padded with zeros.
+    The shorter component is padded with zeros.  One pair runs on floats in
+    _extend_rows' terms and order, its `* 1.0` and the `* 0.0` terms from
+    J's zero real part included, so the coefficients are that row's bit
+    for bit, signed zeros too.
     """
     if (abs(f1.unit.x - f2.unit.x) > _UNIT_MATCH_TOL
             or abs(f1.unit.y - f2.unit.y) > _UNIT_MATCH_TOL
             or abs(f1.unit.z - f2.unit.z) > _UNIT_MATCH_TOL):
         raise UnitMismatch("component polynomials live on different slices")
     _check_orthogonal(f1.unit, unit_j)
-    parts = np.zeros((max(len(f1.coeffs), len(f2.coeffs)), 2), complex)
-    parts[:len(f1.coeffs), 0] = f1.coeffs
-    parts[:len(f2.coeffs), 1] = f2.coeffs
-    out = _extend_rows(parts.view(float), *_unit_rows([f1.unit, unit_j]))
-    return SliceSeries(_from_rows(out))
+    ux, uy, uz = f1.unit.x, f1.unit.y, f1.unit.z
+    jx, jy, jz = unit_j.x, unit_j.y, unit_j.z
+    width = max(len(f1.coeffs), len(f2.coeffs))
+    coeffs = []
+    for a, b in zip(f1.coeffs + (0j,) * (width - len(f1.coeffs)),
+                    f2.coeffs + (0j,) * (width - len(f2.coeffs))):
+        bw, bx, by, bz = b.real * 1.0, b.imag * ux, b.imag * uy, b.imag * uz
+        coeffs.append(Quaternion(                            # f2_n J + f1_n
+            bw * 0.0 - bx * jx - by * jy - bz * jz + a.real * 1.0,
+            bw * jx + bx * 0.0 + by * jz - bz * jy + a.imag * ux,
+            bw * jy - bx * jz + by * 0.0 + bz * jx + a.imag * uy,
+            bw * jz + bx * jy - by * jx + bz * 0.0 + a.imag * uz))
+    return SliceSeries(tuple(coeffs))
 
 
 def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:

@@ -728,12 +728,19 @@ MATRIX = {
 }
 
 
+# the file a matrix command writes, pinned beside its stdout
+MATRIX_WRITES = {"synth": "g.json"}
+
+
 def matrix_output(capsys, case: str, out: str) -> dict:
-    """Exit code, stdout and stderr of one matrix command, run in the cwd."""
+    """Exit code, stdout, stderr and written file of one matrix command, run in the cwd."""
     for name, text in _MATRIX_FILES.items():
         Path(name).write_text(text + "\n")
     code, stdout, err = run(capsys, shlex.split(MATRIX[case]) + ["--out", out])
-    return {"code": code, "out": stdout, "err": err}
+    result = {"code": code, "out": stdout, "err": err}
+    if case in MATRIX_WRITES:
+        result["file"] = Path(MATRIX_WRITES[case]).read_text()
+    return result
 
 
 @pytest.mark.parametrize("out", ["text", "json", "csv"])

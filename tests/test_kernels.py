@@ -292,13 +292,16 @@ atoms = st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
                            (0.5, 0.7, (1.0, 0.0, 0.0, 0.0))], 2.5, 33)
 @example((0.2, -1.0, 0.3), [(0.5, 0.0, (1.0, 1.0, 0.0, 0.0)),               # real atoms
                             (-1.2, 0.0, (0.0, 0.0, 1.0, -1.0))], 0.3, 0)
+@example((0.0, 0.0, 1.0), [(-0.0, 0.0, (-0.0, 0.0, -0.0, -0.0))], 1.0, 3)  # -0.0 terms
 @settings(max_examples=150, deadline=None)
 def test_synthesis_equals_scalar_loop_bit_for_bit(direction, atom_list, alpha, trunc):
     unit = ImaginaryUnit.normalized(*direction)
     points = tuple(embed_complex(complex(re, im), unit) for re, im, _ in atom_list)
     coeffs = tuple(Quaternion(*c) for _, _, c in atom_list)
     data = AtomicData(points, coeffs, alpha, trunc)
-    assert atomic_synthesis(data, unit).coeffs == _scalar_synthesis(data)
+    # hex bits: the sum starts from +0.0 on both sides, so -0.0 must not show
+    assert [bits(a) for a in atomic_synthesis(data, unit).coeffs] == [
+        bits(a) for a in _scalar_synthesis(data)]
 
 
 def _quaternion_star_exp(q, w, alpha, trunc):
@@ -495,6 +498,19 @@ def test_synthesis_rejects_off_slice_points():
         atomic_synthesis(data, ImaginaryUnit(0.6, 0.8, 0.0))
 
 
+def test_atomic_data_rows_are_not_state():
+    points = (Quaternion(0.1, 0.2), Quaternion(-0.3))
+    coeffs = (Quaternion(1.0, 0.0, 0.5), Quaternion(0.0, -0.25, 0.0, 1.0))
+    data = AtomicData(points, coeffs, 1.0, 6)
+    assert data._point_rows.tolist() == [[0.1, 0.2, 0.0, 0.0], [-0.3, 0.0, 0.0, 0.0]]
+    assert data._coeff_rows.tolist() == [[1.0, 0.0, 0.5, 0.0], [0.0, -0.25, 0.0, 1.0]]
+    assert "_rows" not in repr(data)
+    other = AtomicData(points, coeffs, 1.0, 6)
+    assert other == data and hash(other) == hash(data)
+    assert not data._point_rows.flags.writeable
+    assert not data._coeff_rows.flags.writeable
+
+
 def test_atomic_data_validation():
     with pytest.raises(ValueError):
         AtomicData((Quaternion(),), (), 1.0, 4)
@@ -509,9 +525,9 @@ def test_atomic_data_validation():
     # and inf * 0 = NaN) and synthesized all-NaN coefficients
     for bad in (Quaternion(0.1, math.nan, 0.0, 0.0), Quaternion(0.1, 0.0, math.inf, 0.0),
                 Quaternion(-math.inf)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite"):
             AtomicData((bad,), (Quaternion(1.0),), 1.0, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite"):
             AtomicData((Quaternion(0.1),), (bad,), 1.0, 4)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import doctest
 import math
+import re
 import sys
 
 import numpy as np
@@ -185,6 +186,17 @@ def test_normalized_takes_any_finite_nonzero_direction(scale):
     assert ImaginaryUnit.normalized(scale, 0.0, 0.0) == UNIT_I
     u = ImaginaryUnit.normalized(0.0, -3.0 * scale, 4.0 * scale)
     assert u.x == 0.0 and abs(u.y + 0.6) <= EPS and abs(u.z - 0.8) <= EPS
+
+
+@pytest.mark.parametrize("vec", [(math.inf, 0.0, 0.0), (math.nan, 1.0, 0.0),
+                                 (1.0, -math.inf, 2.0), (0.0, 0.0, -math.nan)])
+def test_normalized_refuses_a_non_finite_direction_by_name(vec):
+    # the refusal names the input, not a NaN norm of the normalized vector
+    shown = re.escape(repr(vec))
+    with pytest.raises(ValueError, match=f"direction must be finite, got {shown}"):
+        ImaginaryUnit.normalized(*vec)
+    with pytest.raises(ValueError, match=f"direction must be finite, got {shown}"):
+        decompose(Quaternion(0.5, *vec))
 
 
 @given(quats)

@@ -385,6 +385,32 @@ def test_transform_point_worked_examples():
         transform_point(series(Quaternion(), ONE), Quaternion())
 
 
+def _operator_transform_point(f, q):
+    """transform_point as a composition of Quaternion operators, kept as the reference."""
+    v = f.eval(q)
+    return v.inverse() * q * v
+
+
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-150, -1e150, 1e150])
+edge_quats = st.builds(Quaternion, *[edge_floats | st.floats(-2.0, 2.0)] * 4)
+
+
+@given(st.lists(edge_quats, min_size=1, max_size=8), edge_quats)
+@example([Quaternion(), ONE], Quaternion())                        # f(0) = 0
+@example([SIGNED_ZEROS, ONE], Quaternion(-0.0, 0.5, -0.0, 0.0))
+@example([ONE, I], Quaternion(1e150, -0.0, 1e-150, 5e-324))       # |v|^2 overflows
+@example([Quaternion(0.0, -5e-324, 0.0, 0.0)], ONE)                # |v| = 5e-324
+@example([Quaternion(1e-150, 0.0, -0.0, 2.0)], Quaternion(-0.0, -0.0, 5e-324, 0.0))
+@settings(max_examples=200, deadline=None)
+def test_transform_point_equals_operator_form_bit_for_bit(a, q):
+    f = series(*a)
+    if f.eval(q).modulus() < 1e-12:
+        with pytest.raises(ZeroValue, match="function vanishes at this point"):
+            transform_point(f, q)
+    else:
+        assert bits(transform_point(f, q)) == bits(_operator_transform_point(f, q))
+
+
 def test_star_pointwise_formula():
     rng = rng_for(11)
     for _ in range(50):
@@ -478,18 +504,56 @@ SIGNED_ZERO_COMPLEX = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.
 @example([1 + 2j], [0j, -3 - 0.5j, 1j], (1.0, 0.0, 0.0), 1.0)
 @settings(max_examples=150, deadline=None)
 def test_extend_equals_operator_form_bit_for_bit(c1, c2, direction, turn):
-    unit_i = ImaginaryUnit.normalized(*direction)
-    p = orthonormal_partner(unit_i)
-    # every unit orthogonal to I: p turned by the given angle about I
-    ip = unit_i.as_quaternion() * p.as_quaternion()
-    unit_j = ImaginaryUnit.normalized(*(math.cos(turn) * a + math.sin(turn) * b
-                                        for a, b in zip((p.x, p.y, p.z),
-                                                        (ip.x, ip.y, ip.z))))
+    unit_i, unit_j = _turned_pair(direction, turn)
     f1 = ComplexSlicePolynomial(unit_i, tuple(c1))
     f2 = ComplexSlicePolynomial(unit_i, tuple(c2))
     got = extend(f1, f2, unit_j).coeffs
     want = _operator_extend(f1, f2, unit_j)
     assert [bits(a) for a in got] == [bits(b) for b in want]
+
+
+def _turned_pair(direction, turn):
+    """I along the direction, and J its orthonormal partner turned by the angle about I.
+
+    Every unit orthogonal to I is such a J.
+    """
+    unit_i = ImaginaryUnit.normalized(*direction)
+    p = orthonormal_partner(unit_i)
+    ip = unit_i.as_quaternion() * p.as_quaternion()
+    return unit_i, ImaginaryUnit.normalized(*(math.cos(turn) * a + math.sin(turn) * b
+                                              for a, b in zip((p.x, p.y, p.z),
+                                                              (ip.x, ip.y, ip.z))))
+
+
+edge_complexes = st.builds(complex, edge_floats | st.floats(-1e3, 1e3),
+                           edge_floats | st.floats(-1e3, 1e3))
+# every pair of signed-zero coefficients; on the four (I, J) of the examples
+# below, each `* 0.0` term from J's zero real part decides some sign
+_ZEROS = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+ZERO_PAIRS = ([a for a in _ZEROS for _ in _ZEROS], _ZEROS * 4)
+
+
+@given(st.lists(edge_complexes, min_size=1, max_size=9),
+       st.lists(edge_complexes, min_size=1, max_size=9), unit_dirs,
+       st.floats(0.0, 2.0 * math.pi))
+@example(SIGNED_ZERO_COMPLEX, [complex(-0.0, 1.5)], (0.0, 0.0, 1.0), 0.0)  # f2 padded
+@example([complex(2.0, -0.0)], SIGNED_ZERO_COMPLEX + [-1j], (1.0, -1.0, 0.5), 2.0)
+@example(*ZERO_PAIRS, (1.0, 0.0, 0.0), 0.0)
+@example(*ZERO_PAIRS, (1.0, 0.0, 0.0), 2.0)
+@example(*ZERO_PAIRS, (0.0, 0.0, 1.0), 2.0)
+@example(*ZERO_PAIRS, (1.0, -1.0, 0.5), 1.0)
+@settings(max_examples=150, deadline=None)
+def test_extend_equals_its_row_form_bit_for_bit(c1, c2, direction, turn):
+    # one pair on floats against _extend_rows on the zero-padded part rows
+    unit_i, unit_j = _turned_pair(direction, turn)
+    parts = np.zeros((max(len(c1), len(c2)), 4))
+    parts[:len(c1), :2] = [(c.real, c.imag) for c in c1]
+    parts[:len(c2), 2:] = [(c.real, c.imag) for c in c2]
+    rows = _extend_rows(parts, *_unit_array([unit_i, unit_j]))
+    got = extend(ComplexSlicePolynomial(unit_i, tuple(c1)),
+                 ComplexSlicePolynomial(unit_i, tuple(c2)), unit_j)
+    assert [bits(a) for a in got.coeffs] == [tuple(c.hex() for c in row)
+                                             for row in rows.tolist()]
 
 
 def test_split_extend_roundtrip():
