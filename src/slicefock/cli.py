@@ -140,6 +140,10 @@ def cmd_eval(args) -> _Result:
     f = _load_series(args.function, "eval handles one-variable functions; "
                      "evaluate several-variable polynomials through the library")
     q = _parse_quaternion(args.point, "--point")
+    if q.imag_modulus() == math.inf:
+        # rep_eval would evaluate f at x -+ inf I, so no residual exists
+        raise ValueError(f"--point {args.point!r}: |Im q| exceeds the largest float, "
+                         "so the rep-formula check cannot evaluate f on its slice")
     unit = _parse_unit(args.slice_unit, "--slice-unit")
     value = f.eval(q)
     residual = (value - rep_eval(f, unit, q)).modulus()

@@ -465,7 +465,7 @@ def _pairing(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
     is a normal float the scaling is by powers of two alone, so the terms
     are those of the plain sum of m_k a_k conj(b_k), scaled exactly.
     """
-    count = min(len(f.coeffs), len(g.coeffs))
+    count = min(f.degree, g.degree) + 1
     (a, exp_a), (b, exp_b) = (_row_exponents(h._coeff_rows[:count]) for h in (f, g))
     pairs = _qmul(a, b * _CONJ_SIGNS)
     unit_row = _unit_rows([unit])[0]

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PointOffSlice, _require_positive_finite
-from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, _from_rows,
-                         _qmul, _qpowers, _rows)
+from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, _product_table,
+                         _qpowers, _rows, _table_mul)
 from .series import SliceSeries, _truncation_degree
 
 __all__ = [
@@ -176,7 +176,7 @@ def kernel_series(w: Quaternion, alpha: float, trunc_degree: int,
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = (_qpowers(_rows([w]) * _CONJ_SIGNS, trunc_degree)[:, 0]
                   * _exp_scales(alpha, trunc_degree)[:, None])
-    return SliceSeries(_from_rows(coeffs), radius)
+    return SliceSeries._of_rows(coeffs, radius)
 
 
 def normalized_kernel_eval(point: Quaternion, q: Quaternion, alpha: float,
@@ -205,7 +205,10 @@ def atomic_synthesis(data: AtomicData, unit: ImaginaryUnit) -> SliceSeries:
 
         sum_k  a^n zbar_k^n e^{-a |z_k|^2 / 2} a_k / n!
 
-    accumulated over k in storage order, so the result is deterministic.
+    summed by one reduce over k in storage order from +0.0,
+    0.0 + t_0 + t_1 + ..., so the result is deterministic and does not
+    depend on the truncation degree.  The products zbar_k^n a_k take the
+    table form of a_k, which repeats along n (quaternion._table_mul).
     """
     points = data._point_rows
     pw, px, py, pz = points.T
@@ -227,16 +230,19 @@ def atomic_synthesis(data: AtomicData, unit: ImaginaryUnit) -> SliceSeries:
     # a coefficient that overflows comes back inf or NaN, quietly; the
     # caller decides whether to refuse it
     with np.errstate(over="ignore", invalid="ignore"):
-        conj_powers = _qpowers(points * _CONJ_SIGNS, data.trunc_degree)
-        terms = _qmul(conj_powers, data._coeff_rows) * (
-            _exp_scales(data.alpha, data.trunc_degree)[:, None] * damps)[..., None]
-        # add the atoms one by one in storage order, 0.0 + t_0 + t_1 + ...: an
-        # accumulate runs in that order, where a BLAS product or np.sum over
-        # k would reduce in a shape-dependent one, so a coefficient could
-        # change with the truncation degree
-        start = np.zeros((data.trunc_degree + 1, 1, 4))
-        coeffs = np.add.accumulate(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
-    return SliceSeries(_from_rows(coeffs))
+        # zbar_k^n a_k by the table of a_k, which repeats along n: the
+        # powers components first, (4, 1, N + 1, K), against the table
+        # (4, 4, 1, K), give the terms (4, N + 1, K)
+        conj_powers = _qpowers(points * _CONJ_SIGNS, data.trunc_degree).transpose(2, 0, 1)
+        terms = _table_mul(conj_powers[:, None], _product_table(data._coeff_rows)[:, :, None])
+        terms *= _exp_scales(data.alpha, data.trunc_degree)[:, None] * damps
+        # the atoms added in storage order, 0.0 + t_0 + t_1 + ...: with k the
+        # outermost axis of a contiguous copy, numpy adds whole (4, N + 1)
+        # blocks one by one, where a BLAS product or np.sum over k would
+        # reduce in a shape-dependent order (pairwise along a contiguous k)
+        terms = np.ascontiguousarray(terms.transpose(2, 0, 1))
+        coeffs = np.add.reduce(terms, axis=0, initial=0.0).T
+    return SliceSeries._of_rows(coeffs)
 
 
 def lattice_points(spacing: float, unit: ImaginaryUnit,

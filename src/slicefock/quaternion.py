@@ -11,7 +11,8 @@ concurrent use requires no locking.
 A private array section at the end holds the package's one array kernel:
 quaternions as rows (w, x, y, z) on the last axis of a float64 array, a
 Hamilton product on such arrays, the modulus and inverse of every row, and
-conversions to and from `Quaternion`.  Hot loops in series, kernels, fock
+the conversion of `Quaternion`s to rows (a series built from rows makes
+its own `Quaternion`s, on demand).  Hot loops in series, kernels, fock
 and verify work on whole tables at once through it.  Its product uses the
 same formula, term order and rounding as `Quaternion.__mul__`, so an array
 product equals the scalar one bit for bit.  The row moduli are taken with
@@ -28,15 +29,19 @@ or array rows it replaces, term for term and in the same order, so the
 result equals theirs bit for bit.  Only the result is built as a
 `Quaternion`.
 
-`_qmul` is the one general array product.  `_qpowers` takes successive
-powers q^n = q^{n-1} q of one fixed table of rows, as atomic synthesis
-needs them: it builds the sign-permuted table of q once, and each power is
-one broadcast product and one ordered reduce, equal to `_qmul`'s bit for
-bit.  It works on components first, so its 2 ufunc calls a power each
-sweep contiguous rows, against `_qmul`'s 28 on strided component views:
-the powers of 49 rows to degree 32 take 0.11 ms against 0.44 ms by
-`_qmul`, and of 1,257 rows 0.8 against 1.4 ms (2-vCPU Xeon host).  A
-general product has no fixed factor to tabulate, so it stays `_qmul`.
+`_qmul` is the one general array product.  A product whose right factor
+repeats along a broadcast axis takes the table form instead: the
+sign-permuted table T_j(q) of the right factor is built once
+(`_product_table`), and `_table_mul` forms sum_j p_j T_j(q) with one
+broadcast product and one ordered reduce, equal to `_qmul`'s bit for bit.
+It works on components first, so its 2 ufunc calls sweep contiguous
+component rows, against `_qmul`'s 28 on strided component views.  The
+powers q^n = q^{n-1} q of `_qpowers`, the star product's a_k b_l
+(series._convolve_rows) and atomic synthesis' zbar_k^n a_k take it: all
+13 x 13 pairs of coefficient rows in about 11 us against 28 us by
+`_qmul`, the powers of 49 rows to degree 32 in 0.11 ms against 0.44 ms
+(2-vCPU Xeon host).  An elementwise product has no repeated factor to
+tabulate, so it stays `_qmul`.
 """
 
 from __future__ import annotations
@@ -177,10 +182,7 @@ class Quaternion:
 
     def imag_modulus(self) -> float:
         *_, sq, e = _scaled_vector(self.x, self.y, self.z)
-        try:
-            return math.ldexp(math.sqrt(sq), e)
-        except OverflowError:           # |Im q| itself exceeds the largest float
-            return math.inf
+        return _unscaled_root(sq, e)
 
 
 _SET_W, _SET_X, _SET_Y, _SET_Z = (Quaternion.__dict__[name].__set__
@@ -202,6 +204,45 @@ def _scaled_vector(x: float, y: float, z: float):
     e = math.frexp(max(abs(x), abs(y), abs(z)))[1]
     x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
     return x, y, z, x * x + y * y + z * z, e
+
+
+def _unscaled_root(sq: float, e: int) -> float:
+    """sqrt(sq) 2^e for _scaled_vector's sq and e: the vector's norm, inf
+    where the norm itself exceeds the largest float."""
+    try:
+        return math.ldexp(math.sqrt(sq), e)
+    except OverflowError:
+        return math.inf
+
+
+def _direction(x: float, y: float, z: float, scaled) -> tuple[float, float, float]:
+    """(x, y, z) / |(x, y, z)| from scaled = _scaled_vector(x, y, z).
+
+    A non-finite component is refused by name.  It is the one case in
+    which the square sum, scaled or not, is inf or NaN.
+    """
+    sx, sy, sz, sq, _ = scaled
+    if not sq < math.inf:
+        raise ValueError(f"imaginary unit direction must be finite, got {(x, y, z)!r}")
+    n = math.sqrt(sq)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return sx / n, sy / n, sz / n
+
+
+def _imag_parts(x: float, y: float, z: float) -> tuple[float, float, float, float]:
+    """decompose's im and unit of the imaginary part (x, y, z), on floats.
+
+    (im, ux, uy, uz): im as `Quaternion.imag_modulus` takes it and the unit
+    as `ImaginaryUnit.normalized` does, bit for bit; the zero vector takes
+    the unit i, and a non-finite component is refused as normalized
+    refuses it.
+    """
+    scaled = _scaled_vector(x, y, z)
+    im = _unscaled_root(scaled[3], scaled[4])
+    if im == 0.0:
+        return 0.0, 1.0, 0.0, 0.0
+    return (im, *_direction(x, y, z, scaled))
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,17 +269,9 @@ class ImaginaryUnit:
     def normalized(cls, x: float, y: float, z: float) -> "ImaginaryUnit":
         """(x, y, z) / |(x, y, z)|, for any finite nonzero vector (see _scaled_vector).
 
-        A non-finite component is refused by name.  It is the one case in
-        which the square sum, scaled or not, is inf or NaN.
+        A non-finite component is refused by name (see _direction).
         """
-        sx, sy, sz, sq, _ = _scaled_vector(x, y, z)
-        if not sq < math.inf:
-            raise ValueError(
-                f"imaginary unit direction must be finite, got {(x, y, z)!r}")
-        n = math.sqrt(sq)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(sx / n, sy / n, sz / n)
+        return cls(*_direction(x, y, z, _scaled_vector(x, y, z)))
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(0.0, self.x, self.y, self.z)
@@ -281,10 +314,8 @@ def decompose(q: Quaternion) -> SliceCoords:
     Real quaternions have no preferred slice; by convention they report the
     unit i so that compose(decompose(q)) is always well defined.
     """
-    im = q.imag_modulus()
-    if im == 0.0:
-        return SliceCoords(q.w, 0.0, UNIT_I)
-    return SliceCoords(q.w, im, ImaginaryUnit.normalized(q.x, q.y, q.z))
+    im, ux, uy, uz = _imag_parts(q.x, q.y, q.z)
+    return SliceCoords(q.w, im, UNIT_I if im == 0.0 else ImaginaryUnit(ux, uy, uz))
 
 
 def compose(coords: SliceCoords) -> Quaternion:
@@ -381,27 +412,55 @@ _PRODUCT_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
                            [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
 
 
+def _product_table(q: np.ndarray) -> np.ndarray:
+    """Sign-permuted table T_j(q) of (L, 4) rows, components first: (4, 4, L).
+
+    T_j(q)[c] holds the component of q, with its sign, that p_j meets in
+    component c of the product p q (see _table_mul).
+    """
+    return q.T[_PRODUCT_PERM] * _PRODUCT_SIGNS[..., None]
+
+
+def _table_mul(p: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
+    """Hamilton products sum_j p_j T_j(q), reduced over the first axis.
+
+    p holds the left factors' components p_j on its first axis and table
+    is _product_table(q), T_j(q) on its first axis and the product's
+    components c on its second.  The caller moves and inserts axes so
+    that p[j] broadcasts against table[j]: a length-1 axis in p where c
+    runs, and one in table where the right factor repeats.  The result is
+    p[j] * table[j] with the j axis reduced.  The reduce runs over j in
+    order, -0.0 + t_0 + t_1 + t_2 + t_3, so every term and partial sum is
+    _qmul's (s - a b and s + a (-b) round alike) and every product equals
+    _qmul's bit for bit.  -0.0 + t is t for every t, where numpy's default
+    start, +0.0, would turn a -0.0 sum into +0.0.  Only which NaN survives
+    where two meet may differ: IEEE 754 leaves it open, and numpy may swap
+    the operands of a sum.
+
+    The terms are laid out in C order whatever the operands' layouts, so j
+    is their outermost axis and numpy adds whole term blocks one by one;
+    were j the contiguous axis, it would sum pairwise.  The result, unless
+    out is given, is C-contiguous too, so a caller's later reduce over one
+    of its outer axes runs in order as well.
+    """
+    return np.add.reduce(np.multiply(p, table, order="C"), axis=0, initial=-0.0,
+                         out=out)
+
+
 def _qpowers(q: np.ndarray, count: int) -> np.ndarray:
     """q^0, ..., q^count of every row of an (N, 4) array, shape (count + 1, N, 4).
 
-    q^n = _qmul(q^{n-1}, q) bit for bit.  The sign-permuted table T_j(q) is
-    built once; each power is then one broadcast product p_j T_j(q) and
-    one reduce over j in order, -0.0 + t_0 + t_1 + t_2 + t_3, so every term
-    and partial sum is _qmul's: s - a b and s + a (-b) round alike.  Only
-    which NaN survives where two meet may differ (IEEE 754 leaves it open,
-    and numpy may swap the operands of a sum).  The work runs on components
-    first, (4, N), so every ufunc sweeps whole contiguous component rows;
-    the result is a view with the components moved back to the last axis.
+    q^n = _qmul(q^{n-1}, q) bit for bit: the table T_j(q) is built once and
+    each power is one _table_mul of the last.  The powers are kept
+    components first, (count + 1, 4, N), so every ufunc sweeps whole
+    contiguous component rows; the result is a view with the components
+    moved back to the last axis.
     """
-    table = q.T[_PRODUCT_PERM] * _PRODUCT_SIGNS[..., None]         # (4, 4, N)
+    table = _product_table(q)                                        # (4, 4, N)
     out = np.empty((count + 1, 4, len(q)))
     out[0] = _ONE_ROW[:, None]
-    terms = np.empty(table.shape)
     for n in range(1, count + 1):
-        np.multiply(out[n - 1][:, None], table, out=terms)
-        # -0.0 + t is t for every t; numpy's default start, +0.0, would turn
-        # a -0.0 sum into +0.0
-        np.add.reduce(terms, axis=0, initial=-0.0, out=out[n])
+        _table_mul(out[n - 1][:, None], table, out=out[n])
     return out.transpose(0, 2, 1)
 
 
@@ -461,10 +520,10 @@ def _imaginary_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def _rows(quaternions) -> np.ndarray:
-    """Quaternions as rows (w, x, y, z), shape (K, 4)."""
-    return np.array([[a.w, a.x, a.y, a.z] for a in quaternions]).reshape(-1, 4)
+    """Quaternions as rows (w, x, y, z), shape (K, 4).
 
-
-def _from_rows(rows: np.ndarray) -> tuple[Quaternion, ...]:
-    """Rows (w, x, y, z) of a (K, 4) array as a tuple of quaternions."""
-    return tuple(Quaternion(*row) for row in rows.tolist())
+    np.fromiter over one flat list of the components, which numpy reads
+    faster than a nested list: 18 against 27 us for 98 quaternions.
+    """
+    return np.fromiter([c for a in quaternions for c in (a.w, a.x, a.y, a.z)],
+                       float).reshape(-1, 4)

@@ -20,6 +20,15 @@ coefficients alone: the float rows the Horner loop reads, the read-only
 f^s = f * f^c, as arrays and as float rows.  The tables are read-only and
 take no part in ==, hash, repr or pickling.
 
+The results of star_mul, regular_conjugate, symmetrization and extend,
+and of kernels.kernel_series and atomic_synthesis, are computed as rows,
+and the rows are their state: such a series holds the read-only (N, 4)
+array as its coefficient rows, its float rows come from that array, and
+its `coeffs` tuple of `Quaternion`s is built the first time it is read.
+The tuple is the array's values bit for bit, so ==, hash, repr, pickling
+and dataclasses.replace, which all read `coeffs`, see the series as if it
+had been built from quaternions.
+
 Private row forms evaluate many points, units or pairs at once on
 quaternion rows (see quaternion.py): the Horner evaluation `_eval_rows`,
 the transformed point, the star reciprocal, the representation formula,
@@ -46,9 +55,9 @@ import numpy as np
 from .errors import (BadRadius, NotOrthogonal, SingularPoint, UnitMismatch,
                      ZeroValue, _require_positive_finite)
 from .quaternion import (_CONJ_SIGNS, _ONE_ROW, ImaginaryUnit, Quaternion,
-                         _decompose_rows, _from_rows, _imaginary_rows,
-                         _inverse_rows, _modulus_rows, _qmul, _rows, _unit_rows,
-                         decompose)
+                         _decompose_rows, _imag_parts, _imaginary_rows,
+                         _inverse_rows, _modulus_rows, _product_table, _qmul,
+                         _rows, _table_mul, _unit_rows)
 
 __all__ = [
     "SliceSeries",
@@ -94,12 +103,36 @@ class SliceSeries:
         _require_positive_finite("nominal_radius", self.nominal_radius)
 
     @classmethod
+    def _of_rows(cls, rows: np.ndarray, radius: float = 1.0) -> "SliceSeries":
+        """Series whose state is the coefficient rows (N, 4), N >= 1.
+
+        The rows become _coeff_rows, C-contiguous and read-only; coeffs is
+        built from them on first read (__getattr__).
+        """
+        _require_positive_finite("nominal_radius", radius)
+        f = object.__new__(cls)
+        f.__dict__.update(_coeff_rows=_read_only(np.ascontiguousarray(rows)),
+                          nominal_radius=radius)
+        return f
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: the coeffs of a series built
+        # from rows, on first read
+        if name != "coeffs" or "_coeff_rows" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        coeffs = tuple(Quaternion(*row) for row in self._float_rows)
+        self.__dict__["coeffs"] = coeffs
+        return coeffs
+
+    @classmethod
     def from_reals(cls, values, radius: float = 1.0) -> "SliceSeries":
         return cls(tuple(Quaternion(float(v)) for v in values), radius)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        # a series built from rows answers without building its coeffs
+        state = self.__dict__
+        return len(state["coeffs"] if "coeffs" in state else state["_coeff_rows"]) - 1
 
     def __getstate__(self):
         # the cached tables are not state: a copy builds its own, read-only
@@ -112,15 +145,19 @@ class SliceSeries:
 
     @cached_property
     def _float_rows(self) -> tuple:
-        """Coefficients as (w, x, y, z) tuples, sharing the coefficients' floats."""
-        return tuple((a.w, a.x, a.y, a.z) for a in self.coeffs)
+        """Coefficients as (w, x, y, z) tuples: sharing the coefficients'
+        floats, or read from the rows of a series built from rows."""
+        if "coeffs" in self.__dict__:
+            return tuple((a.w, a.x, a.y, a.z) for a in self.coeffs)
+        return _float_tuples(self._coeff_rows)
 
     @cached_property
     def _coeff_rows(self) -> np.ndarray:
         """Coefficient rows, (N, 4) and read-only.
 
         Built from coeffs, not from _float_rows, so a series that only needs
-        the array holds no tuples.
+        the array holds no tuples.  A series built from rows holds them
+        from the start.
         """
         return _read_only(_rows(self.coeffs))
 
@@ -278,16 +315,25 @@ def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficient rows of the star product, c_n = sum_k a_k b_{n-k}, (K + L - 1, 4).
 
     a (K, 4) and b (L, 4) are coefficient rows.  Each c_n sums its terms
-    over ascending k.
+    over ascending k from +0.0.
     """
-    prod = _qmul(a[:, None], b)                                # a_k b_l
-    out = np.zeros((len(a) + len(b) - 1, 4))
-    # one row of products per k, added in ascending k: every c_n sums its
-    # terms in the order above.  A BLAS product or np.sum would reduce in a
-    # shape-dependent order and change the rounding.
-    for k, row in enumerate(prod):
-        out[k:k + len(b)] += row
-    return out
+    size, width = len(a), len(b)
+    # every a_k b_l by the table form (b repeats along k), written
+    # components first into rows of width + size zeros: the flat offset of
+    # a_k b_l in a component is k (width + size) + l.  Read with row stride
+    # width + size - 1, row k then holds a_k b_{n-k} at column n and +0.0
+    # elsewhere.
+    buf = np.zeros((4, size, width + size))
+    _table_mul(a.T[:, None, :, None], _product_table(b)[:, :, None, :],
+               out=buf[..., :width])
+    skew = np.ndarray((4, size, size + width - 1), buffer=buf,
+                      strides=(buf.strides[0], buf.strides[1] - buf.itemsize,
+                               buf.itemsize))
+    # one reduce over k in ascending order (k is not the contiguous axis, so
+    # numpy adds row by row): 0.0 + t_0 + t_1 + ..., where a BLAS product or
+    # np.sum would reduce in a shape-dependent order.  A sum started at +0.0
+    # is never -0.0, so the +0.0 outside a_k's columns changes no bit.
+    return np.add.reduce(skew, axis=1, initial=0.0).T.copy()
 
 
 def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
@@ -296,12 +342,12 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     The sum runs over ascending k so the reduction order is fixed.
     """
     out = _convolve_rows(f._coeff_rows, g._coeff_rows)
-    return SliceSeries(_from_rows(out), min(f.nominal_radius, g.nominal_radius))
+    return SliceSeries._of_rows(out, min(f.nominal_radius, g.nominal_radius))
 
 
 def regular_conjugate(f: SliceSeries) -> SliceSeries:
     """Series f^c with every coefficient conjugated, read from the f^c table."""
-    return SliceSeries(_from_rows(f._conj_rows), f.nominal_radius)
+    return SliceSeries._of_rows(f._conj_rows, f.nominal_radius)
 
 
 def symmetrization(f: SliceSeries) -> SliceSeries:
@@ -310,7 +356,7 @@ def symmetrization(f: SliceSeries) -> SliceSeries:
     Read from the series' f^s table, so it equals
     star_mul(f, regular_conjugate(f)) bit for bit.
     """
-    return SliceSeries(_from_rows(f._sym_rows), f.nominal_radius)
+    return SliceSeries._of_rows(f._sym_rows, f.nominal_radius)
 
 
 def star_inverse_eval(f: SliceSeries, q: Quaternion) -> Quaternion:
@@ -395,16 +441,15 @@ def extend(f1: ComplexSlicePolynomial, f2: ComplexSlicePolynomial,
     ux, uy, uz = f1.unit.x, f1.unit.y, f1.unit.z
     jx, jy, jz = unit_j.x, unit_j.y, unit_j.z
     width = max(len(f1.coeffs), len(f2.coeffs))
-    coeffs = []
+    rows = []
     for a, b in zip(f1.coeffs + (0j,) * (width - len(f1.coeffs)),
                     f2.coeffs + (0j,) * (width - len(f2.coeffs))):
         bw, bx, by, bz = b.real * 1.0, b.imag * ux, b.imag * uy, b.imag * uz
-        coeffs.append(Quaternion(                            # f2_n J + f1_n
-            bw * 0.0 - bx * jx - by * jy - bz * jz + a.real * 1.0,
-            bw * jx + bx * 0.0 + by * jz - bz * jy + a.imag * ux,
-            bw * jy - bx * jz + by * 0.0 + bz * jx + a.imag * uy,
-            bw * jz + bx * jy - by * jx + bz * 0.0 + a.imag * uz))
-    return SliceSeries(tuple(coeffs))
+        rows += (bw * 0.0 - bx * jx - by * jy - bz * jz + a.real * 1.0,  # f2_n J + f1_n
+                 bw * jx + bx * 0.0 + by * jz - bz * jy + a.imag * ux,
+                 bw * jy - bx * jz + by * 0.0 + bz * jx + a.imag * uy,
+                 bw * jz + bx * jy - by * jx + bz * 0.0 + a.imag * uz)
+    return SliceSeries._of_rows(np.fromiter(rows, float).reshape(-1, 4))
 
 
 def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:
@@ -415,18 +460,19 @@ def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:
         f(q) = (1 - I_q I) f(x + yI) / 2 + (1 + I_q I) f(x - yI) / 2
 
     for q = x + y*I_q, which collapses to plain evaluation when q lies in
-    C_I and to f(x) when q is real.  It runs on floats: the two Horner
-    evaluations, I_q I, 1 -+ I_q I, the two products, the sum and the 0.5
-    scale are written out in the terms and order of the `Quaternion`
-    operators, so the value is theirs bit for bit.
+    C_I and to f(x) when q is real.  It runs on floats: y and I_q as
+    decompose takes them (a non-finite direction is refused with its
+    ValueError), the two Horner evaluations, I_q I, 1 -+ I_q I, the two
+    products, the sum and the 0.5 scale are written out in the terms and
+    order of the `Quaternion` operators, so the value is theirs bit for
+    bit.
     """
-    sc = decompose(q)
-    re, im, ux, uy, uz = sc.re, sc.im, unit.x, unit.y, unit.z
+    im, ix, iy, iz = _imag_parts(q.x, q.y, q.z)
+    re, ux, uy, uz = q.w, unit.x, unit.y, unit.z
     rows = f._float_rows
     pw, px, py, pz = _horner_rows(rows, re, im * ux, im * uy, im * uz)      # f(zp)
     mw, mx, my, mz = _horner_rows(rows, re, -im * ux, -im * uy, -im * uz)   # f(zm)
     # I_q I as (0, I_q) * (0, I); the 0.0 * terms keep the signs of zeros
-    ix, iy, iz = sc.unit.x, sc.unit.y, sc.unit.z
     cw = 0.0 * 0.0 - ix * ux - iy * uy - iz * uz
     cx = 0.0 * ux + ix * 0.0 + iy * uz - iz * uy
     cy = 0.0 * uy - ix * uz + iy * 0.0 + iz * ux

@@ -139,8 +139,8 @@ def _check_star(corpus, seed: int) -> PropositionResult:
         z0 = random_ball_point(rng)
         vanishing = star_mul(SliceSeries((-z0, Quaternion(1.0))), truncate(f, 6))
         killed = star_mul(vanishing, g)
-        scale = max(1.0, sum(c.modulus() * z0.modulus() ** k
-                             for k, c in enumerate(killed.coeffs)))
+        scale = max(1.0, sum(math.hypot(*c) * z0.modulus() ** k
+                             for k, c in enumerate(killed._float_rows)))
         worst_zero = max(worst_zero, killed.eval(z0).modulus() / scale)
         points.append(_rows([random_ball_point(rng) for _ in range(20)]))
 

@@ -749,3 +749,29 @@ def test_output_matrix(tmp_path, capsys, monkeypatch, case, out):
     monkeypatch.chdir(tmp_path)
     want = json.loads(OUTPUTS.read_text())[case][out]
     assert matrix_output(capsys, case, out) == want
+
+
+SMOKE = [Quaternion(1.0), Quaternion(0.0, 0.5, 0.0, 0.0)]        # f = 1 + q 0.5i
+
+
+def test_eval_refuses_a_point_whose_imaginary_modulus_overflows(tmp_path, capsys):
+    # |Im q| = 2.1e308: f(q) is finite, but the representation formula
+    # would evaluate f at x -+ inf I and read NaN
+    path = write_series(tmp_path, SMOKE)
+    code, out, err = run(capsys, ["eval", path, "--point", "0,1.5e308,1.5e308,0"])
+    assert code == 2 and out == ""
+    assert err == ("error: --point '0,1.5e308,1.5e308,0': |Im q| exceeds the largest "
+                   "float, so the rep-formula check cannot evaluate f on its slice\n")
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_eval_refuses_an_overflowing_imaginary_modulus_in_every_format(
+        tmp_path, capsys, out_format):
+    # a point just below it still evaluates: |Im q| = 1.7e308 is a float
+    path = write_series(tmp_path, SMOKE)
+    code, out, err = run(capsys, ["eval", path, "--point", "1,0,-1.3e308,1.3e308",
+                                  "--out", out_format])
+    assert code == 2 and out == "" and "|Im q| exceeds the largest float" in err
+    code, out, err = run(capsys, ["eval", path, "--point", "0,1.7e308,0,0",
+                                  "--out", out_format])
+    assert code == 0 and err == ""

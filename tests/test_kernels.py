@@ -575,3 +575,18 @@ def test_star_exp_sum_stays_finite_where_the_powers_overflow():
     assert all(map(math.isfinite, (value.w, value.x, value.y, value.z)))
     assert abs(value.w - want) <= 1e-12 * want
     assert value.x == value.y == value.z == 0.0
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2, 7])
+def test_synthesis_adds_many_atoms_in_storage_order_at_every_degree(trunc):
+    # 49 atoms: a sum over k taken pairwise (numpy does so where k is the
+    # contiguous axis, as it would be at N = 0 in a (4, K, N + 1) table)
+    # rounds differently from the ordered one
+    rng = rng_for(23)
+    unit = random_unit(rng)
+    points = tuple(lattice_points(0.25, unit, 1.0))
+    coeffs = tuple(Quaternion(*rng.uniform(-1.0, 1.0, 4)) for _ in points)
+    data = AtomicData(points, coeffs, 1.0, trunc)
+    assert len(points) == 49
+    assert _rows(atomic_synthesis(data, unit).coeffs).tobytes() == _rows(
+        _scalar_synthesis(data)).tobytes()

@@ -14,7 +14,8 @@ import slicefock.quaternion
 from slicefock import (ONE, UNIT_I, UNIT_J, UNIT_K, ImaginaryUnit, Quaternion,
                        SliceCoords, ZeroDivisor, compose, decompose,
                        default_sphere, orthonormal_partner, sphere_sample)
-from slicefock.quaternion import _CONJ_SIGNS, _decompose_rows, _qmul, _qpowers
+from slicefock.quaternion import (_CONJ_SIGNS, _decompose_rows, _product_table, _qmul,
+                                 _qpowers, _rows, _table_mul)
 
 component = st.floats(min_value=-10.0, max_value=10.0,
                       allow_nan=False, allow_infinity=False)
@@ -419,3 +420,39 @@ def test_qpowers_equal_repeated_qmul_bit_for_bit(q, count):
     nan = np.isnan(want)
     assert (np.isnan(got) == nan).all()
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# the table form: every a_k b_l against _qmul(a[:, None], b)
+table_floats = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@pytest.mark.parametrize("size, width", [(1, 1), (1, 9), (9, 1), (2, 3), (13, 13),
+                                         (7, 40), (64, 64)])
+@given(st.data())
+@settings(max_examples=10, deadline=None)
+def test_table_mul_equals_qmul_bit_for_bit(size, width, data):
+    a = data.draw(hnp.arrays(np.float64, (size, 4), elements=table_floats))
+    b = data.draw(hnp.arrays(np.float64, (width, 4), elements=table_floats))
+    with np.errstate(all="ignore"):
+        want = _qmul(a[:, None], b)
+        got = _table_mul(a.T[:, None, :, None], _product_table(b)[:, :, None, :])
+    got = np.moveaxis(got, 0, -1)
+    assert got.shape == want.shape == (size, width, 4)
+    # hex bits, so -0.0 != 0.0 too; for a NaN only its position (IEEE 754
+    # leaves open which NaN survives where two meet)
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert [x.hex() for x in got[~nan]] == [x.hex() for x in want[~nan]]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 98])
+def test_rows_equal_the_nested_list_form_bit_for_bit(count):
+    values = [0.5, -0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -1e308]
+    qs = [Quaternion(*(values[(4 * n + c) % len(values)] for c in range(4)))
+          for n in range(count)]
+    want = np.array([[a.w, a.x, a.y, a.z] for a in qs]).reshape(-1, 4)
+    got = _rows(qs)
+    assert got.shape == want.shape == (count, 4) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()            # NaN payloads and signs too

@@ -26,6 +26,7 @@ from slicefock.series import (_eval_rows, _extend_rows, _rep_eval_rows,
 import slicefock.series as series_module
 from slicefock import fock
 from slicefock.fock import FockParams
+from slicefock.kernels import AtomicData, atomic_synthesis, kernel_series
 from slicefock.quaternion import _rows
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
@@ -934,3 +935,94 @@ def test_point_row_forms_equal_the_scalar_forms(coeffs, drawn, seed):
             continue
         assert sym_modulus[i] == symmetrization(f).eval(p).modulus()
         assert recip[i].tolist() == _row(want)
+
+
+# --- results built from rows ---
+
+def _results_from_rows(f, g):
+    """Every result built from rows, by name, with f, g and an atomic datum."""
+    unit_j = orthonormal_partner(UNIT_K)
+    f1, f2 = split(f, UNIT_K, unit_j)
+    atoms = AtomicData((Quaternion(0.1), Quaternion(-0.2, 0.0, 0.0, 0.3)), (I, J), 1.5, 9)
+    w = Quaternion(0.2, -0.1, 0.4, 0.0)
+    return {"star_mul": lambda: star_mul(f, g),
+            "regular_conjugate": lambda: regular_conjugate(f),
+            "symmetrization": lambda: symmetrization(f),
+            "extend": lambda: extend(f1, f2, unit_j),
+            "kernel_series": lambda: kernel_series(w, 2.0, 11, radius=3.0),
+            "atomic_synthesis": lambda: atomic_synthesis(atoms, UNIT_K)}
+
+
+def test_results_built_from_rows_make_no_quaternion_until_coeffs_is_read(monkeypatch):
+    made = collections.Counter()
+    init = Quaternion.__init__
+
+    def counting(self, *args, **kwargs):
+        made["Quaternion"] += 1
+        init(self, *args, **kwargs)
+
+    f, g = random_series(rng_for(3), max_degree=9), series(ONE, I, SIGNED_ZEROS)
+    results = _results_from_rows(f, g)
+    monkeypatch.setattr(Quaternion, "__init__", counting)
+    for name, make in results.items():
+        made.clear()
+        h = make()
+        h.degree, h._float_rows, h._coeff_rows, h._conj_rows, h._sym_rows
+        assert made["Quaternion"] == 0, name
+        assert "coeffs" not in vars(h), name
+        coeffs = h.coeffs
+        assert made["Quaternion"] == len(coeffs) == h.degree + 1, name
+        assert h.coeffs is coeffs                     # built once
+
+
+def _hex_rows(rows):
+    return [tuple(c.hex() for c in row) for row in rows]
+
+
+def test_results_built_from_rows_equal_their_quaternion_twins():
+    f, g = random_series(rng_for(4), max_degree=8), series(SIGNED_ZEROS, K, -ONE)
+    fc = series(*(c.conjugate() for c in f.coeffs))
+    references = {"star_mul": _scalar_star_mul(f, g), "regular_conjugate": fc.coeffs,
+                  "symmetrization": _scalar_star_mul(f, fc)}
+    for name, make in _results_from_rows(f, g).items():
+        h = make()
+        assert h._coeff_rows.flags.c_contiguous and not h._coeff_rows.flags.writeable
+        # the kernel values are pinned against their references in test_kernels
+        coeffs = references.get(name) or tuple(
+            Quaternion(*row) for row in h._coeff_rows.tolist())
+        twin = SliceSeries(tuple(coeffs), h.nominal_radius)
+        fresh = [make() for _ in range(4)]            # each read cold, coeffs unbuilt
+        assert fresh[0] == twin and twin == fresh[1], name
+        assert hash(fresh[2]) == hash(twin), name
+        assert repr(fresh[3]) == repr(twin), name
+        copied = pickle.loads(pickle.dumps(make()))
+        assert copied == twin and repr(copied) == repr(twin), name
+        assert dataclasses.replace(make()) == twin, name
+        assert (dataclasses.replace(make(), nominal_radius=0.5)
+                == dataclasses.replace(twin, nominal_radius=0.5)), name
+        assert _hex_rows(h._float_rows) == _hex_rows(twin._float_rows), name
+        assert [bits(a) for a in h.coeffs] == [bits(a) for a in twin.coeffs], name
+
+
+@given(coeff_lists, st.sampled_from([1e154, 1e200, 1e300, 1.2e308]),
+       unit_directions)
+@settings(max_examples=60, deadline=None)
+def test_rep_eval_equals_decompose_form_at_huge_imaginary_parts(a, size, direction):
+    f = series(*a[:2])
+    unit = ImaginaryUnit.normalized(*direction)
+    for q in (Quaternion(0.5, size, 0.0, 0.0), Quaternion(0.0, size, -size, 0.5 * size)):
+        with np.errstate(all="ignore"):
+            got, want = rep_eval(f, unit, q), _operator_rep_eval(f, unit, q)
+        assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("vec", [(math.inf, 0.0, 0.0), (math.nan, 1.0, 0.0),
+                                 (0.0, -math.inf, math.nan)])
+def test_rep_eval_refuses_a_non_finite_direction_as_decompose_does(vec):
+    q = Quaternion(0.25, *vec)
+    with pytest.raises(ValueError) as want:
+        decompose(q)
+    with pytest.raises(ValueError) as got:
+        rep_eval(series(ONE, I), UNIT_J, q)
+    assert str(got.value) == str(want.value)
+    assert "direction must be finite" in str(got.value)
