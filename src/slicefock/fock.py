@@ -1024,8 +1024,8 @@ def _dilation_values(fs, params: FockParams, r_list, radial_samples: int,
     rs = [float(r) for r in r_list]
     if any(not 0.0 < r < 1.0 for r in rs) or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_list must be strictly increasing inside (0, 1)")
-    jobs = [(SliceSeries(tuple(a - b for a, b in zip(dilate(f, r).coeffs, f.coeffs)),
-                         f.nominal_radius), [], True) for f in fs for r in rs]
+    jobs = [(SliceSeries._of_rows(dilate(f, r)._coeff_rows - f._coeff_rows, f.nominal_radius),
+             [], True) for f in fs for r in rs]
     sups = [found.ball for found in _sup_over_rows(
         jobs, params.alpha, params.radius, radial_samples, angular_count)]
     return [sups[i * len(rs):(i + 1) * len(rs)] for i in range(len(fs))]

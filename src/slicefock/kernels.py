@@ -252,10 +252,8 @@ def lattice_points(spacing: float, unit: ImaginaryUnit,
     Points are ordered by modulus, then by angle in [0, 2 pi), which makes
     the enumeration deterministic.
     """
-    if not spacing > 0.0:
-        raise ValueError("spacing must be positive")
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
+    _require_positive_finite("spacing", spacing)
+    _require_positive_finite("radius", radius)
     reach = int(math.floor(radius / spacing + 1e-12))
     out = []
     for m in range(-reach, reach + 1):

@@ -11,8 +11,8 @@ concurrent use requires no locking.
 A private array section at the end holds the package's one array kernel:
 quaternions as rows (w, x, y, z) on the last axis of a float64 array, a
 Hamilton product on such arrays, the modulus and inverse of every row, and
-the conversion of `Quaternion`s to rows (a series built from rows makes
-its own `Quaternion`s, on demand).  Hot loops in series, kernels, fock
+the conversion of `Quaternion`s to rows (a series holds rows, and makes
+its `Quaternion`s on demand).  Hot loops in series, kernels, fock
 and verify work on whole tables at once through it.  Its product uses the
 same formula, term order and rounding as `Quaternion.__mul__`, so an array
 product equals the scalar one bit for bit.  The row moduli are taken with

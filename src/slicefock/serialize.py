@@ -78,7 +78,7 @@ def unit_from_list(data: Any, context: str = "unit") -> ImaginaryUnit:
 def function_to_dict(f: SliceSeries | MultiPolynomial) -> dict:
     if isinstance(f, SliceSeries):
         return {"n": 1, "radius": f.nominal_radius,
-                "coeffs": [quaternion_to_list(a) for a in f.coeffs]}
+                "coeffs": f._coeff_rows.tolist()}
     if isinstance(f, MultiPolynomial):
         return {"n": f.n,
                 "monomials": [{"m": list(m.multi_index),

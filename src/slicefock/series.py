@@ -14,20 +14,18 @@ The module also provides the slice machinery: splitting a series into two
 complex polynomials along an orthogonal pair (I, J), the inverse extension,
 and evaluation anywhere in the ball from data on a single slice.
 
-A SliceSeries builds its coefficient tables once, on first use, from its
-coefficients alone: the float rows the Horner loop reads, the read-only
-(N, 4) array the row forms and fock read, and the rows of f^c and of
-f^s = f * f^c, as arrays and as float rows.  The tables are read-only and
-take no part in ==, hash, repr or pickling.
-
-The results of star_mul, regular_conjugate, symmetrization and extend,
-and of kernels.kernel_series and atomic_synthesis, are computed as rows,
-and the rows are their state: such a series holds the read-only (N, 4)
-array as its coefficient rows, its float rows come from that array, and
-its `coeffs` tuple of `Quaternion`s is built the first time it is read.
-The tuple is the array's values bit for bit, so ==, hash, repr, pickling
-and dataclasses.replace, which all read `coeffs`, see the series as if it
-had been built from quaternions.
+A SliceSeries has one state, whatever built it: its coefficient rows, a
+read-only, C-contiguous (N, 4) array.  A series built from quaternions
+turns them into rows at construction; star_mul, regular_conjugate,
+symmetrization, extend, truncate, dilate, derivative and scale_right, and
+kernels.kernel_series and atomic_synthesis, compute their rows directly.
+Everything else is read from the rows, once, on first use: the float rows
+the Horner loop reads, the rows of f^c and of f^s = f * f^c as arrays and
+as float rows, and the `coeffs` tuple of `Quaternion`s.  The tuple is the
+rows' values bit for bit, so ==, hash, repr and dataclasses.replace, which
+read `coeffs`, see one series however it was built, and a pickle or copy
+is rebuilt from `coeffs` and holds its own rows.  The other tables are
+read-only and take no part in ==, hash, repr or pickling.
 
 Private row forms evaluate many points, units or pairs at once on
 quaternion rows (see quaternion.py): the Horner evaluation `_eval_rows`,
@@ -48,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -90,35 +88,29 @@ class SliceSeries:
 
     `nominal_radius` records the ball the coefficients are meant for;
     evaluation outside it is legal but callers are expected to flag it.
+    The coefficients are held as the rows `_coeff_rows` (see the module
+    docstring); an empty tuple is the zero series.
     """
 
     coeffs: tuple[Quaternion, ...]
     nominal_radius: float = 1.0
 
     def __post_init__(self):
-        cs = tuple(self.coeffs)
-        if not cs:
-            cs = (Quaternion(),)
-        object.__setattr__(self, "coeffs", cs)
         _require_positive_finite("nominal_radius", self.nominal_radius)
+        _hold_rows(self, _rows(self.__dict__.pop("coeffs")))
 
     @classmethod
     def _of_rows(cls, rows: np.ndarray, radius: float = 1.0) -> "SliceSeries":
-        """Series whose state is the coefficient rows (N, 4), N >= 1.
-
-        The rows become _coeff_rows, C-contiguous and read-only; coeffs is
-        built from them on first read (__getattr__).
-        """
+        """Series whose coefficient rows are rows (N, 4); no rows is one zero row."""
         _require_positive_finite("nominal_radius", radius)
         f = object.__new__(cls)
-        f.__dict__.update(_coeff_rows=_read_only(np.ascontiguousarray(rows)),
-                          nominal_radius=radius)
+        f.__dict__["nominal_radius"] = radius
+        _hold_rows(f, rows)
         return f
 
     def __getattr__(self, name):
-        # reached only when normal lookup fails: the coeffs of a series built
-        # from rows, on first read
-        if name != "coeffs" or "_coeff_rows" not in self.__dict__:
+        # reached only when normal lookup fails: coeffs, on first read
+        if name != "coeffs":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         coeffs = tuple(Quaternion(*row) for row in self._float_rows)
         self.__dict__["coeffs"] = coeffs
@@ -130,13 +122,11 @@ class SliceSeries:
 
     @property
     def degree(self) -> int:
-        # a series built from rows answers without building its coeffs
-        state = self.__dict__
-        return len(state["coeffs"] if "coeffs" in state else state["_coeff_rows"]) - 1
+        return len(self._coeff_rows) - 1
 
-    def __getstate__(self):
-        # the cached tables are not state: a copy builds its own, read-only
-        return {"coeffs": self.coeffs, "nominal_radius": self.nominal_radius}
+    def __reduce__(self):
+        # a copy is built from the coefficients, so it holds its own rows
+        return type(self), (self.coeffs, self.nominal_radius)
 
     # The coefficient tables.  cached_property stores each in the instance
     # __dict__ past the frozen __setattr__, on first use.  Building one calls
@@ -145,21 +135,8 @@ class SliceSeries:
 
     @cached_property
     def _float_rows(self) -> tuple:
-        """Coefficients as (w, x, y, z) tuples: sharing the coefficients'
-        floats, or read from the rows of a series built from rows."""
-        if "coeffs" in self.__dict__:
-            return tuple((a.w, a.x, a.y, a.z) for a in self.coeffs)
+        """Coefficients as (w, x, y, z) tuples of floats, for the Horner loop."""
         return _float_tuples(self._coeff_rows)
-
-    @cached_property
-    def _coeff_rows(self) -> np.ndarray:
-        """Coefficient rows, (N, 4) and read-only.
-
-        Built from coeffs, not from _float_rows, so a series that only needs
-        the array holds no tuples.  A series built from rows holds them
-        from the start.
-        """
-        return _read_only(_rows(self.coeffs))
 
     @cached_property
     def _conj_rows(self) -> np.ndarray:
@@ -191,7 +168,7 @@ class SliceSeries:
 
     def scale_right(self, c: Quaternion) -> "SliceSeries":
         """Series of q -> f(q) c, i.e. every coefficient multiplied by c."""
-        return SliceSeries(tuple(a * c for a in self.coeffs), self.nominal_radius)
+        return SliceSeries._of_rows(_qmul(self._coeff_rows, _rows([c])), self.nominal_radius)
 
 
 @dataclass(frozen=True)
@@ -222,7 +199,8 @@ class ComplexSlicePolynomial:
         return acc
 
     def derivative(self, order: int = 1) -> "ComplexSlicePolynomial":
-        return _derivative(self, order, 0j, partial(ComplexSlicePolynomial, self.unit))
+        return _derivative(self, order, self.coeffs, lambda scales, cs: ComplexSlicePolynomial(
+            self.unit, tuple(s * c for s, c in zip(scales, cs))))
 
     def embed(self) -> SliceSeries:
         """The same polynomial as a quaternionic series with C_I coefficients."""
@@ -287,6 +265,16 @@ def embed_complex(c: complex, unit: ImaginaryUnit) -> Quaternion:
 def _read_only(rows: np.ndarray) -> np.ndarray:
     rows.flags.writeable = False
     return rows
+
+
+def _hold_rows(f: SliceSeries, rows: np.ndarray) -> None:
+    """Store rows (N, 4), C-contiguous and read-only, as f's coefficient rows.
+
+    They are the series' one state: coeffs, the float rows and every other
+    table are read from them.  No rows (N = 0) is one zero row.
+    """
+    rows = np.ascontiguousarray(rows) if len(rows) else np.zeros((1, 4))
+    f.__dict__["_coeff_rows"] = _read_only(rows)
 
 
 def _float_tuples(rows: np.ndarray) -> tuple:
@@ -602,24 +590,25 @@ def derivative(f: SliceSeries, order: int = 1) -> SliceSeries:
     The order is an integer (operator.index): a float is refused, not
     rounded or taken as an order past the degree.
     """
-    return _derivative(f, order, Quaternion(),
-                       partial(SliceSeries, nominal_radius=f.nominal_radius))
+    return _derivative(f, order, f._coeff_rows, lambda scales, rows: SliceSeries._of_rows(
+        rows * np.array(scales).reshape(-1, 1), f.nominal_radius))
 
 
-def _derivative(f, order, zero, build):
-    """derivative's body for both coefficient types: build(b), or f itself at order 0.
+def _derivative(f, order, coeffs, build):
+    """derivative's body for both coefficient types: f itself at order 0, else
+    build(scales, coeffs[t:]) with b_k = scales[k] * a_{k+t}.
 
-    b_k = (k+t)!/k! * a_{k+t}, and b = (zero,) past f's degree.
+    scales[k] = float((k+t)!/k!), which is what an int factor rounds to in a
+    float or complex product, so b_k is `(k+t)!/k! * a_{k+t}` bit for bit.
+    Both are empty past f's degree: build makes that the zero series.
     """
     order = operator.index(order)
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     if order == 0:
         return f
-    if order > f.degree:
-        return build((zero,))
-    return build(tuple(math.perm(k + order, order) * f.coeffs[k + order]
-                       for k in range(len(f.coeffs) - order)))
+    return build([float(math.perm(k + order, order)) for k in range(len(coeffs) - order)],
+                 coeffs[order:])
 
 
 def dilate(f: SliceSeries, r: float) -> SliceSeries:
@@ -628,12 +617,11 @@ def dilate(f: SliceSeries, r: float) -> SliceSeries:
         raise BadRadius(f"dilation factor must lie in (0, 1], got {r!r}")
     if r == 1.0:
         return f
-    coeffs = []
-    scale = 1.0
-    for a in f.coeffs:
-        coeffs.append(scale * a)
-        scale *= r
-    return SliceSeries(tuple(coeffs), f.nominal_radius)
+    scales = np.full((len(f._coeff_rows), 1), r)
+    scales[0] = 1.0
+    # 1, r, r r, ... as one running product, in the order of `scale *= r`
+    return SliceSeries._of_rows(np.multiply.accumulate(scales) * f._coeff_rows,
+                                f.nominal_radius)
 
 
 def _truncation_degree(degree) -> int:
@@ -646,7 +634,8 @@ def _truncation_degree(degree) -> int:
 
 def truncate(f: SliceSeries, degree: int) -> SliceSeries:
     """Series with coefficients beyond the given degree dropped."""
-    return SliceSeries(f.coeffs[:_truncation_degree(degree) + 1], f.nominal_radius)
+    return SliceSeries._of_rows(f._coeff_rows[:_truncation_degree(degree) + 1],
+                                f.nominal_radius)
 
 
 def tail_bound(f: SliceSeries, point_modulus: float, degree: int) -> float:
@@ -667,11 +656,11 @@ def tail_bound(f: SliceSeries, point_modulus: float, degree: int) -> float:
     mant, step = math.frexp(point_modulus)
     power, shift = 1.0, 0          # |q|^k = power 2^shift, power in [1/2, 1)
     terms = []                     # (m, e) for the term m 2^e
-    for k, a in enumerate(f.coeffs[1:], 1):
+    for k, a in enumerate(f._float_rows[1:], 1):
         power, e = math.frexp(power * mant)
         shift += step + e
         if k > degree:
-            m, e = math.frexp(a.modulus())
+            m, e = math.frexp(math.hypot(*a))
             if m:                  # skip zeros: an infinite power never meets 0
                 terms.append((power * m, shift + e))
     if not terms:

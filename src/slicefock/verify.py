@@ -180,12 +180,12 @@ def _check_split(corpus, seed: int) -> PropositionResult:
     # (I, J) of each draw, as len(corpus) * 20 random_orthogonal_pair draws
     pairs = _orthogonal_pair_rows(rng_for(seed + 102), len(corpus) * 20)
     units_i, units_j = pairs[:, 0], pairs[:, 1]
-    widths = np.repeat([len(f.coeffs) for f in corpus], 20)
+    widths = np.repeat([len(f._coeff_rows) for f in corpus], 20)
     worst = 0.0
     # one solve per coefficient count: padding would change the rounding
     for width in np.unique(widths):
         at = np.flatnonzero(widths == width)
-        table = np.repeat([f._coeff_rows for f in corpus if len(f.coeffs) == width],
+        table = np.repeat([f._coeff_rows for f in corpus if len(f._coeff_rows) == width],
                           20, axis=0)
         back = _extend_rows(_split_rows(table, units_i[at], units_j[at]),
                             units_i[at], units_j[at])

@@ -563,6 +563,12 @@ def test_lattice_validation():
         lattice_points(0.0, UNIT_I, 1.0)
     with pytest.raises(ValueError):
         lattice_points(0.5, UNIT_I, 0.0)
+    # an infinite radius has no finite reach, and an infinite spacing puts
+    # the origin at inf * 0 = nan: both are refused, not overflowed or emptied
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        lattice_points(0.25, UNIT_I, math.inf)
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        lattice_points(math.inf, UNIT_I, 1.0)
 
 
 def test_star_exp_sum_stays_finite_where_the_powers_overflow():

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import types
 import unittest.mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from slicefock import (UNIT_I, UNIT_J, UNIT_K, BadRadius, ComplexSlicePolynomial
                        star_mul, sup_norm, symmetrization, tail_bound,
                        transform_point, truncate)
 from slicefock.corpus import (random_ball_point, random_orthogonal_pair,
-                              random_series, random_unit, rng_for)
+                              random_series, random_unit, rng_for, standard_corpus)
 from slicefock.series import (_eval_rows, _extend_rows, _rep_eval_rows,
                               _row_table, _split_rows, _star_inverse_rows,
                               _transform_rows)
@@ -28,6 +29,7 @@ from slicefock import fock
 from slicefock.fock import FockParams
 from slicefock.kernels import AtomicData, atomic_synthesis, kernel_series
 from slicefock.quaternion import _rows
+from slicefock.serialize import load_function, save_function
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -295,9 +297,14 @@ def _values(f, q):
                          ids=["pickle", "deepcopy", "copy"])
 def test_copies_keep_the_values_and_build_read_only_tables(clone):
     rng = rng_for(5)
+    cold = random_series(rng, max_degree=9)          # coeffs not yet read
     f = _warm(random_series(rng, max_degree=9))
-    twin = clone(f)
-    assert twin == f
+    for original in (cold, f):
+        twin = clone(original)
+        # a copy holds its own rows from the start, and no coeffs until read
+        assert "_coeff_rows" in vars(twin) and "coeffs" not in vars(twin)
+        assert twin._coeff_rows.flags.c_contiguous
+        assert twin == original and repr(twin) == repr(original)
     for _ in range(5):
         q = random_ball_point(rng)
         assert _values(twin, q) == _values(f, q)
@@ -953,7 +960,8 @@ def _results_from_rows(f, g):
             "atomic_synthesis": lambda: atomic_synthesis(atoms, UNIT_K)}
 
 
-def test_results_built_from_rows_make_no_quaternion_until_coeffs_is_read(monkeypatch):
+def test_results_built_from_rows_make_no_quaternion_until_coeffs_is_read(monkeypatch,
+                                                                        tmp_path):
     made = collections.Counter()
     init = Quaternion.__init__
 
@@ -962,12 +970,26 @@ def test_results_built_from_rows_make_no_quaternion_until_coeffs_is_read(monkeyp
         init(self, *args, **kwargs)
 
     f, g = random_series(rng_for(3), max_degree=9), series(ONE, I, SIGNED_ZEROS)
-    results = _results_from_rows(f, g)
+    path = tmp_path / "f.json"
+    save_function(f, str(path))
+    coeffs = f.coeffs
+    # every series holds rows alone, whatever built it; a file or the corpus
+    # makes its Quaternions while it parses or draws them, before the series
+    parsed = {"load_function": lambda: load_function(str(path)),
+              "standard_corpus": lambda: standard_corpus(3, count=4)[-1]}
+    results = {**_results_from_rows(f, g), **parsed,
+               "quaternions": lambda: SliceSeries(coeffs, 2.0),
+               "truncate": lambda: truncate(f, 4), "dilate": lambda: dilate(f, 0.75),
+               "derivative": lambda: derivative(f, 2), "scale_right": lambda: f.scale_right(J)}
     monkeypatch.setattr(Quaternion, "__init__", counting)
     for name, make in results.items():
         made.clear()
         h = make()
+        if name in parsed:
+            made.clear()
+        assert "_coeff_rows" in vars(h) and "coeffs" not in vars(h), name
         h.degree, h._float_rows, h._coeff_rows, h._conj_rows, h._sym_rows
+        tail_bound(h, 0.5, 0)
         assert made["Quaternion"] == 0, name
         assert "coeffs" not in vars(h), name
         coeffs = h.coeffs
@@ -1002,6 +1024,82 @@ def test_results_built_from_rows_equal_their_quaternion_twins():
                 == dataclasses.replace(twin, nominal_radius=0.5)), name
         assert _hex_rows(h._float_rows) == _hex_rows(twin._float_rows), name
         assert [bits(a) for a in h.coeffs] == [bits(a) for a in twin.coeffs], name
+
+
+# --- transforms on rows, against their Quaternion-operator forms ---
+
+def _operator_dilate(f, r):
+    """The Quaternion-operator loop dilate replaced, kept as the reference."""
+    coeffs, scale = [], 1.0
+    for a in f.coeffs:
+        coeffs.append(scale * a)
+        scale *= r
+    return tuple(coeffs)
+
+
+def _operator_derivative(coeffs, order, zero):
+    """The operator form of both derivatives, (k+t)!/k! * a_{k+t}, kept as the reference."""
+    if order >= len(coeffs):
+        return (zero,)
+    return tuple(math.perm(k + order, order) * coeffs[k + order]
+                 for k in range(len(coeffs) - order))
+
+
+def _dilation_difference(f, r):
+    """The series f_r - f that fock._dilation_values hands to the sup search."""
+    jobs = []
+
+    def capture(batch, *args, **kwargs):
+        jobs.extend(batch)
+        return [types.SimpleNamespace(ball=0.0)] * len(batch)
+
+    with unittest.mock.patch.object(fock, "_sup_over_rows", capture):
+        fock._dilation_values([f], FockParams(alpha=1.0, p=2.0, radius=1.0), [r], 9, 8)
+    return jobs[0][0]
+
+
+signed_floats = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+signed_quats = st.builds(Quaternion, *[signed_floats] * 4)
+
+
+@given(st.lists(signed_quats, min_size=1, max_size=14), signed_quats,
+       st.floats(1e-3, 1.0, exclude_max=True), st.integers(0, 16), st.integers(1, 24))
+@example([SIGNED_ZEROS], SIGNED_ZEROS, 0.5, 0, 1)
+@example([Quaternion(-0.0, 1e3, -0.0, 0.0), SIGNED_ZEROS, -I, SIGNED_ZEROS],
+         Quaternion(0.0, -0.0, 2.0, -0.0), 0.25, 1, 2)
+@example([ONE] * 30, ONE, 0.75, 13, 15)             # (k+t)!/k! past 2^53
+@settings(max_examples=100, deadline=None)
+def test_row_transforms_equal_their_operator_forms_bit_for_bit(a, c, r, degree, order):
+    f = series(*a)
+    want = {"quaternions": tuple(a),
+            "truncate": tuple(a[:degree + 1]),
+            "dilate": _operator_dilate(f, r),
+            "dilation difference": tuple(x - y for x, y in zip(_operator_dilate(f, r), a)),
+            "derivative": _operator_derivative(tuple(a), order, Quaternion()),
+            "scale_right": tuple(x * c for x in a)}
+    got = {"quaternions": series(*a), "truncate": truncate(f, degree),
+           "dilate": dilate(f, r), "dilation difference": _dilation_difference(f, r),
+           "derivative": derivative(f, order), "scale_right": f.scale_right(c)}
+    for name, h in got.items():
+        reference = [bits(x) for x in want[name]]
+        assert _hex_rows(h._coeff_rows.tolist()) == reference, name
+        assert [bits(x) for x in h.coeffs] == reference, name
+        assert h._coeff_rows.flags.c_contiguous and not h._coeff_rows.flags.writeable, name
+
+
+signed_complexes = st.builds(complex, signed_floats, signed_floats)
+
+
+@given(st.lists(signed_complexes, min_size=1, max_size=14), st.integers(1, 24))
+@example([complex(-0.0, 0.0), complex(1.0, -0.0), complex(-0.0, -0.0)], 1)
+@example([complex(1.0, -1.0)] * 30, 15)             # (k+t)!/k! past 2^53
+@settings(max_examples=100, deadline=None)
+def test_complex_derivative_equals_its_operator_form_bit_for_bit(cs, order):
+    poly = ComplexSlicePolynomial(UNIT_K, cs)
+    got = poly.derivative(order).coeffs
+    want = _operator_derivative(poly.coeffs, order, 0j)
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == \
+        [(z.real.hex(), z.imag.hex()) for z in want]
 
 
 @given(coeff_lists, st.sampled_from([1e154, 1e200, 1e300, 1.2e308]),
