@@ -88,9 +88,13 @@ def random_ball_point(rng: np.random.Generator, radius: float = 1.0) -> Quaterni
 
 def random_series(rng: np.random.Generator, max_degree: int = 12,
                   radius: float = 1.0) -> SliceSeries:
+    """Degree uniform on 0..max_degree and coefficients uniform in [-1, 1]^4.
+
+    The coefficients are one draw of (degree + 1, 4) uniforms, the stream of
+    degree + 1 random_quaternion calls.
+    """
     degree = int(rng.integers(0, max_degree + 1))
-    return SliceSeries(tuple(random_quaternion(rng)
-                             for _ in range(degree + 1)), radius)
+    return SliceSeries._of_rows(rng.uniform(-1.0, 1.0, (degree + 1, 4)), radius)
 
 
 def standard_corpus(seed: int, count: int = 200,

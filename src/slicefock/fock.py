@@ -12,54 +12,55 @@ and for p = infinity
 
     ||f||_inf = sup |f(q)| e^{-a|q|^2/2}
 
-over the ball.  The inner product pairs f against the conjugate of g
-with weight (a/pi) e^{-a|z|^2}.  At p = 2 the norm and the inner product
-are closed forms in the moments m_k below, and no grid is built; _norms
-is the one place that picks the closed form for a norm.  The quadrature
-rule itself, polar Gauss-Legendre times trapezoid (see quadrature.py),
-takes any finite p, p = 2 included; the norms use it at p != 2 with
-automatic refinement: from the library's 64 x 128 start grid (no norm takes
-a grid), the grid is doubled until successive values agree to 1e-8
-relative or the 512 x 1024 cap, and a residual disagreement above 1e-6, or
-a non-finite value, raises GridTooCoarse.  Every value is compared with a
-coarser grid's: one grid alone certifies nothing.
+over the ball.  The inner product is the left pairing <f, g> = integral
+conj(g) f with weight (a/pi) e^{-a|z|^2}, that of the slice Fock space.  At
+p = 2 the norm and the inner product are closed forms in the moments m_k
+below, and no grid is built; _norms is the one place that picks the closed
+form for a norm.  The quadrature rule itself, polar Gauss-Legendre times
+trapezoid (see quadrature.py), takes any finite p, p = 2 included; the norms
+use it at p != 2 with automatic refinement: from the library's 64 x 128
+start grid (no norm takes a grid), the grid is doubled until successive
+values agree to 1e-8 relative or the 512 x 1024 cap, and a residual
+disagreement above 1e-6, or a non-finite value, raises GridTooCoarse.  Every
+value is compared with a coarser grid's: one grid alone certifies nothing.
 
-p = 2.  On C_I write f(z) = sum z^k a_k and z = r e^{I t}, and split a
-quaternion c into pi_I(c), its projection onto C_I, which commutes with I,
-and the rest c', which anticommutes with I.  Then z^k c conj(z)^l =
-r^{k+l} (pi_I(c) e^{I(k-l)t} + c' e^{-I(k+l)t}), whose angular integral
-keeps pi_I(c) when k = l, c' only when k = l = 0, and nothing else.
-Hence, with the weight above,
+p = 2.  On C_I write f(z) = sum z^k a_k, g(z) = sum z^k b_k and
+z = r e^{I t}.  Then conj(g(z)) f(z) = sum_{k,l} conj(b_l) conj(z)^l z^k a_k,
+and conj(z)^l z^k = r^{k+l} e^{I(k-l)t} is a C_I scalar whose angular
+integral is 0 unless k = l.  Hence, with the weight above,
 
     ||f||_{2,I}^2 = sum_k |a_k|^2 m_k,
-    <f, g>_I = a_0 conj(b_0) m_0 + sum_{k >= 1} pi_I(a_k conj(b_k)) m_k,
+    <f, g> = sum_k conj(b_k) a_k m_k,
     m_k = (a/pi^2) integral_{|z| < R} |z|^{2k} e^{-a|z|^2} dx dy
         = (2a/pi) integral_0^R r^{2k+1} e^{-a r^2} dr = k! P(k + 1, x) / (pi a^k),
 
 with x = a R^2 and P the regularized lower incomplete gamma function.  The
-norm is the same on every slice.  (Zhu, Analysis on Fock Spaces, 2012,
-ch. 2, for the complex case; Alpay, Colombo, Sabadini, Salomon 2014 for
-the slice case.)  _log_moments takes log m_k in two regimes.  Where
-k + 1 > x, P = e^{-x} x^{k+1}/k! S_k with S_{k-1} = (x S_k + 1)/k, run
-downward from S = 0 at index count + 2x + 60 (above 2x each step damps the
-start's error by x/k < 1/2), and only where x < count, so it takes fewer
-than 3 count + 60 steps; then m_k = e^{-x} a R^{2k+2} S_k / pi.  Where
-k + 1 <= x, P = 1 - e^{-x} x^k/k! U_k with U_k = 1 + k U_{k-1}/x from
-U_0 = 1, and the subtracted tail is at most about 1/2.  Each recurrence
-runs the way its factor x/k or k/x is at most 1, so rounding does not
-grow; a single downward recurrence would underflow e^{-x} beyond x = 745,
-and a Poisson tail normalized by k! would overflow near k = 170.
-_pairing splits every term m_k a_k conj(b_k) into mantissas and powers of
-two, so a norm or pairing within the float range is finite even where a
-moment or a square alone is not, and one beyond it is inf, never NaN.
+norm and the pairing are the same on every slice; the pairing is
+right-linear in f, <f c, g> = <f, g> c, and conjugate-linear in g,
+<f, g c> = conj(c) <f, g>, for every quaternion c.  (Zhu, Analysis on Fock
+Spaces, 2012, ch. 2, for the complex case; Alpay, Colombo, Sabadini,
+Salomon 2014 for the slice case.)  _log_moments takes log m_k in two
+regimes.  Where k + 1 > x, P = e^{-x} x^{k+1}/k! S_k with
+S_{k-1} = (x S_k + 1)/k, run downward from S = 0 at index count + 2x + 60
+(above 2x each step damps the start's error by x/k < 1/2), and only where
+x < count, so it takes fewer than 3 count + 60 steps; then
+m_k = e^{-x} a R^{2k+2} S_k / pi.  Where k + 1 <= x,
+P = 1 - e^{-x} x^k/k! U_k with U_k = 1 + k U_{k-1}/x from U_0 = 1, and the
+subtracted tail is at most about 1/2.  Each recurrence runs the way its
+factor x/k or k/x is at most 1, so rounding does not grow; a single downward
+recurrence would underflow e^{-x} beyond x = 745, and a Poisson tail
+normalized by k! would overflow near k = 170.  _pairing splits every term
+m_k conj(b_k) a_k into mantissas and powers of two, so a norm or pairing
+within the float range is finite even where a moment or a square alone is
+not, and one beyond it is inf, never NaN.
 
 Suprema.  On C_I, |f(x + yI)|^2 = s + 2 <v, I> with s and v independent of I
 (below), so max_I |f|^2 = s + 2|v| exactly: the ball sup is exact over the
-units, and only the disk is sampled.  A per-slice sup is a sampled lower
-bound over the disk B_I.  Both are discretized on Chebyshev radii times a
-uniform angle grid, SUP_RADIAL x SUP_ANGULAR in the public sup functions
-(not a parameter: the sup is one number per f, a and R), then the best
-radial cell of every row is polished along its best ray.  There the
+units, and only the disk is sampled.  So every sup, the ball's as well as
+a slice's, is a sampled lower bound over the disk.  Both are discretized on
+Chebyshev radii times a uniform angle grid, SUP_RADIAL x SUP_ANGULAR in the
+public sup functions (not a parameter: the sup is one number per f, a and
+R), then the best radial cell of every row is polished along its best ray.  There the
 weighted square F = W |f|^2, W = e^{-a r^2} / (1+r)^{2t}, has the
 derivative F' = W (P' + P (log W)') with P = |f|^2 on a unit row and
 s + 2|v| on the ball row, and P' comes from the same power tables (r^k and
@@ -454,22 +455,19 @@ def _row_exponents(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(rows, -exps[:, None]), exps
 
 
-def _pairing(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
-             params: FockParams) -> tuple[np.ndarray, int]:
-    """(sums, shift) with <f, g>_I = sums 2^shift and shift even.
+def _pairing(f: SliceSeries, g: SliceSeries, params: FockParams) -> tuple[np.ndarray, int]:
+    """(sums, shift) with <f, g> = sums 2^shift and shift even.
 
-    Every row a_k conj(b_k) m_k is split into a mantissa and a power of two,
+    Every row conj(b_k) a_k m_k is split into a mantissa and a power of two,
     and the powers are taken relative to the largest, so no moment,
     coefficient or product over- or underflows on its own and np.ldexp(sums,
     shift) is inf only where the pairing leaves the float range.  Where m_k
     is a normal float the scaling is by powers of two alone, so the terms
-    are those of the plain sum of m_k a_k conj(b_k), scaled exactly.
+    are those of the plain sum of m_k conj(b_k) a_k, scaled exactly.
     """
     count = min(f.degree, g.degree) + 1
     (a, exp_a), (b, exp_b) = (_row_exponents(h._coeff_rows[:count]) for h in (f, g))
-    pairs = _qmul(a, b * _CONJ_SIGNS)
-    unit_row = _unit_rows([unit])[0]
-    pairs[1:, 1:] = (pairs[1:, 1:] @ unit_row)[:, None] * unit_row
+    pairs = _qmul(b * _CONJ_SIGNS, a)
     logs = _log_moments(count, params.alpha, params.radius)
     # m_k = mant 2^(n + exp_m); n = 0 wherever e^logs is a normal float, so
     # that there mant 2^exp_m is the float m_k exactly
@@ -483,8 +481,8 @@ def _pairing(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
 
 
 def _p2_norm(f: SliceSeries, params: FockParams) -> float:
-    """||f||_{2,I} = sqrt(<f, f>_I) = sqrt(sum_k |a_k|^2 m_k), the same on every slice."""
-    sums, shift = _pairing(f, f, UNIT_I, params)
+    """||f||_{2,I} = sqrt(<f, f>) = sqrt(sum_k |a_k|^2 m_k), the same on every slice."""
+    sums, shift = _pairing(f, f, params)
     with np.errstate(over="ignore"):
         return float(np.ldexp(math.sqrt(sums[0]), shift // 2))
 
@@ -600,16 +598,15 @@ def fock_norm_p(f: SliceSeries, params: FockParams, *, sphere=None) -> NormRepor
     return NormReport(float(values.max()), per_slice, {**spec, "sphere": len(units)})
 
 
-def inner_product(f: SliceSeries, g: SliceSeries, unit: ImaginaryUnit,
-                  params: FockParams) -> Quaternion:
-    """Quaternion-valued pairing integral_{B_I} f(z) conj(g(z)) dlambda_I(z).
+def inner_product(f: SliceSeries, g: SliceSeries, params: FockParams) -> Quaternion:
+    """Quaternion-valued pairing <f, g> = integral_{B_I} conj(g(z)) f(z) dlambda_I(z).
 
-    The weight is (a/pi) e^{-a|z|^2} dA_I.  Linear in f; conjugate-linear
-    in g only for slice-valued g, which tests keep visible.  In closed form
-    it is a_0 conj(b_0) m_0 + sum_{k >= 1} pi_I(a_k conj(b_k)) m_k, with
-    pi_I the projection onto C_I (module docstring).
+    The weight is (a/pi) e^{-a|z|^2} dA_I.  In closed form it is
+    sum_k conj(b_k) a_k m_k (module docstring), the same on every slice, so
+    it takes no unit.  Right-linear in f, <f c, g> = <f, g> c, and
+    conjugate-linear in g, <f, g c> = conj(c) <f, g>, for every quaternion c.
     """
-    sums, shift = _pairing(f, g, unit, params)
+    sums, shift = _pairing(f, g, params)
     with np.errstate(over="ignore"):
         return Quaternion(*(float(c) for c in np.ldexp(sums, shift)))
 
@@ -961,12 +958,16 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
 
 
 def sup_norm(f: SliceSeries, params: FockParams, sphere=None) -> NormReport:
-    """sup of |f(q)| e^{-a|q|^2/2} over the ball of radius R, exact over the units.
+    """A lower bound of sup |f(q)| e^{-a|q|^2/2} over the ball of radius R.
 
+    The value is the ball row's sup, or the largest slice sup where
+    rounding or the polish puts one above it: exact over the units, but
+    sampled over the disk, on a SUP_RADIAL x SUP_ANGULAR grid whose best
+    cells are polished along their rays only.  So the value itself is a
+    lower bound of the sup: a peak on the circle r = R stays at the best
+    grid angle, and at R = 1 the value reads up to 5.6e-4 relative low.
     per_slice holds the sup on the slice disk of each sampled unit, a lower
-    bound of the value.  The value is the ball row's sup, or the largest
-    slice sup where rounding or the polish puts one above it.  The search
-    grid is SUP_RADIAL x SUP_ANGULAR.
+    bound of the value.
     """
     units = list(sphere) if sphere is not None else default_sphere()
     [found] = _sup_over_rows([(f, units, True)], params.alpha, params.radius,
@@ -978,7 +979,11 @@ def sup_norm(f: SliceSeries, params: FockParams, sphere=None) -> NormReport:
 
 
 def slice_sup_norm(f: SliceSeries, unit: ImaginaryUnit, params: FockParams) -> float:
-    """sup of |f(z)| e^{-a|z|^2/2} over the single slice disk B_I."""
+    """A lower bound of sup |f(z)| e^{-a|z|^2/2} over the slice disk B_I.
+
+    Sampled on the SUP_RADIAL x SUP_ANGULAR grid and polished along the
+    best ray only, so it can read low as sup_norm's value does.
+    """
     [found] = _sup_over_rows([(f, [unit], False)], params.alpha, params.radius,
                              SUP_RADIAL, SUP_ANGULAR)
     return float(found.sups[0])
@@ -1085,8 +1090,9 @@ def little_space_profile(f: SliceSeries, params: FockParams,
                          rho_list) -> LittleSpaceReport:
     """Boundary decay profile M(rho) = max_{|q| = rho} |f(q)| e^{-a rho^2/2}.
 
-    The max is exact over the units and sampled over SUP_ANGULAR angles, so
-    M(rho) is a lower bound.  rho_list must be non-empty and increase
+    The max is exact over the units but sampled over SUP_ANGULAR angles,
+    with no polish, so each M(rho) is a lower bound of the max over the
+    circle, not the max itself.  rho_list must be non-empty and increase
     inside (0, R].
     """
     rhos = [float(r) for r in rho_list]

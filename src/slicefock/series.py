@@ -16,16 +16,16 @@ and evaluation anywhere in the ball from data on a single slice.
 
 A SliceSeries has one state, whatever built it: its coefficient rows, a
 read-only, C-contiguous (N, 4) array.  A series built from quaternions
-turns them into rows at construction; star_mul, regular_conjugate,
-symmetrization, extend, truncate, dilate, derivative and scale_right, and
-kernels.kernel_series and atomic_synthesis, compute their rows directly.
+turns them into rows at construction; star_mul, extend, truncate, dilate,
+derivative, scale_right, embed and from_reals, the corpus draw, and
+kernels.kernel_series and atomic_synthesis compute their rows directly.
 Everything else is read from the rows, once, on first use: the float rows
-the Horner loop reads, the rows of f^c and of f^s = f * f^c as arrays and
-as float rows, and the `coeffs` tuple of `Quaternion`s.  The tuple is the
-rows' values bit for bit, so ==, hash, repr and dataclasses.replace, which
-read `coeffs`, see one series however it was built, and a pickle or copy
-is rebuilt from `coeffs` and holds its own rows.  The other tables are
-read-only and take no part in ==, hash, repr or pickling.
+the Horner loop reads, the series f^c and f^s = f * f^c, and the `coeffs`
+tuple of `Quaternion`s.  The tuple is the rows' values bit for bit, so ==,
+hash, repr and dataclasses.replace, which read `coeffs`, see one series
+however it was built, and a pickle or copy is rebuilt from `coeffs` and
+holds its own rows.  The float rows and the cached f^c and f^s take no
+part in ==, hash, repr or pickling.
 
 Private row forms evaluate many points, units or pairs at once on
 quaternion rows (see quaternion.py): the Horner evaluation `_eval_rows`,
@@ -35,8 +35,8 @@ scalar counterpart bit for bit.  split is a one-pair call of its row form.
 The one-point forms eval, transform_point, star_inverse_eval and rep_eval
 run the one float Horner loop `_horner_rows` on the cached float rows
 instead, because a numpy call costs more than the arithmetic at one
-point: star_inverse_eval reads the f^c and f^s rows and builds no series
-for them, and transform_point and rep_eval write their formulas out on
+point: star_inverse_eval reads the float rows of the cached f^c and f^s,
+and transform_point and rep_eval write their formulas out on
 floats.  extend of one pair runs on floats in _extend_rows' terms and
 order, for the same reason.
 """
@@ -118,7 +118,11 @@ class SliceSeries:
 
     @classmethod
     def from_reals(cls, values, radius: float = 1.0) -> "SliceSeries":
-        return cls(tuple(Quaternion(float(v)) for v in values), radius)
+        """Series with the real coefficients values: column 0 of zero rows."""
+        reals = [float(v) for v in values]
+        rows = np.zeros((len(reals), 4))
+        rows[:, 0] = reals
+        return cls._of_rows(rows, radius)
 
     @property
     def degree(self) -> int:
@@ -128,35 +132,26 @@ class SliceSeries:
         # a copy is built from the coefficients, so it holds its own rows
         return type(self), (self.coeffs, self.nominal_radius)
 
-    # The coefficient tables.  cached_property stores each in the instance
-    # __dict__ past the frozen __setattr__, on first use.  Building one calls
-    # no public function and no `Quaternion` operator, so what a call counts
-    # does not depend on whether the tables are already built.
+    # The cached float rows, f^c and f^s.  cached_property stores each in the
+    # instance __dict__ past the frozen __setattr__, on first use.  Building
+    # one calls no public function and no `Quaternion` operator, so what a
+    # call counts does not depend on whether they are already built.
 
     @cached_property
     def _float_rows(self) -> tuple:
         """Coefficients as (w, x, y, z) tuples of floats, for the Horner loop."""
-        return _float_tuples(self._coeff_rows)
+        return tuple(map(tuple, self._coeff_rows.tolist()))
 
     @cached_property
-    def _conj_rows(self) -> np.ndarray:
-        """Rows of f^c, (N, 4) and read-only; regular_conjugate reads them."""
-        return _read_only(self._coeff_rows * _CONJ_SIGNS)
+    def _conj(self) -> "SliceSeries":
+        """f^c, every coefficient conjugated; regular_conjugate returns it."""
+        return SliceSeries._of_rows(self._coeff_rows * _CONJ_SIGNS, self.nominal_radius)
 
     @cached_property
-    def _sym_rows(self) -> np.ndarray:
-        """Rows of f^s = f * f^c, (2N - 1, 4) and read-only; star_mul's bit for bit."""
-        return _read_only(_convolve_rows(self._coeff_rows, self._conj_rows))
-
-    @cached_property
-    def _conj_float_rows(self) -> tuple:
-        """The f^c table as (w, x, y, z) tuples, for star_inverse_eval's Horner loop."""
-        return _float_tuples(self._conj_rows)
-
-    @cached_property
-    def _sym_float_rows(self) -> tuple:
-        """The f^s table as (w, x, y, z) tuples, for star_inverse_eval's Horner loop."""
-        return _float_tuples(self._sym_rows)
+    def _sym(self) -> "SliceSeries":
+        """f^s = f * f^c, star_mul's rows bit for bit; symmetrization returns it."""
+        return SliceSeries._of_rows(_convolve_rows(self._coeff_rows, self._conj._coeff_rows),
+                                    self.nominal_radius)
 
     def eval(self, q: Quaternion) -> Quaternion:
         """Left-Horner evaluation a_0 + q(a_1 + q(a_2 + ...)).
@@ -203,8 +198,13 @@ class ComplexSlicePolynomial:
             self.unit, tuple(s * c for s, c in zip(scales, cs))))
 
     def embed(self) -> SliceSeries:
-        """The same polynomial as a quaternionic series with C_I coefficients."""
-        return SliceSeries(tuple(embed_complex(c, self.unit) for c in self.coeffs))
+        """The same polynomial as a quaternionic series with C_I coefficients.
+
+        Its rows are (re, im x, im y, im z), as embed_complex forms them.
+        """
+        cs, unit = np.array(self.coeffs), self.unit
+        return SliceSeries._of_rows(np.stack(
+            [cs.real, cs.imag * unit.x, cs.imag * unit.y, cs.imag * unit.z], axis=1))
 
 
 @dataclass(frozen=True)
@@ -262,24 +262,15 @@ def embed_complex(c: complex, unit: ImaginaryUnit) -> Quaternion:
     return Quaternion(c.real, c.imag * unit.x, c.imag * unit.y, c.imag * unit.z)
 
 
-def _read_only(rows: np.ndarray) -> np.ndarray:
-    rows.flags.writeable = False
-    return rows
-
-
 def _hold_rows(f: SliceSeries, rows: np.ndarray) -> None:
     """Store rows (N, 4), C-contiguous and read-only, as f's coefficient rows.
 
-    They are the series' one state: coeffs, the float rows and every other
-    table are read from them.  No rows (N = 0) is one zero row.
+    They are the series' one state: coeffs, the float rows, f^c and f^s are
+    read from them.  No rows (N = 0) is one zero row.
     """
     rows = np.ascontiguousarray(rows) if len(rows) else np.zeros((1, 4))
-    f.__dict__["_coeff_rows"] = _read_only(rows)
-
-
-def _float_tuples(rows: np.ndarray) -> tuple:
-    """Rows of an (N, 4) array as a tuple of (w, x, y, z) tuples of floats."""
-    return tuple(map(tuple, rows.tolist()))
+    rows.flags.writeable = False
+    f.__dict__["_coeff_rows"] = rows
 
 
 # The scalar Horner loop: each step is `q * acc + a` written out in the terms
@@ -334,35 +325,34 @@ def star_mul(f: SliceSeries, g: SliceSeries) -> SliceSeries:
 
 
 def regular_conjugate(f: SliceSeries) -> SliceSeries:
-    """Series f^c with every coefficient conjugated, read from the f^c table."""
-    return SliceSeries._of_rows(f._conj_rows, f.nominal_radius)
+    """Series f^c with every coefficient conjugated, cached on f."""
+    return f._conj
 
 
 def symmetrization(f: SliceSeries) -> SliceSeries:
     """f^s = f * f^c; its coefficients are real up to rounding.
 
-    Read from the series' f^s table, so it equals
-    star_mul(f, regular_conjugate(f)) bit for bit.
+    Cached on f, and equal to star_mul(f, regular_conjugate(f)) bit for bit.
     """
-    return SliceSeries._of_rows(f._sym_rows, f.nominal_radius)
+    return f._sym
 
 
 def star_inverse_eval(f: SliceSeries, q: Quaternion) -> Quaternion:
     """Value of the star reciprocal, (f^s(q))^{-1} f^c(q).
 
     Only the pointwise value is formed; the reciprocal is not a polynomial
-    so no series object exists for it.  The series' f^c and f^s tables are
-    evaluated by the float Horner loop, so the value is that of
+    so no series object exists for it.  The float rows of f's cached f^c and
+    f^s are evaluated by the float Horner loop, so the value is that of
     symmetrization(f).eval(q).inverse() * regular_conjugate(f).eval(q) bit
     for bit.  Raises SingularPoint at (numerical) zeros of the
     symmetrization.
     """
     qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    s = Quaternion(*_horner_rows(f._sym_float_rows, qw, qx, qy, qz))
+    s = Quaternion(*_horner_rows(f._sym._float_rows, qw, qx, qy, qz))
     if s.modulus() < _SINGULAR_TOL:
         raise SingularPoint(
             f"symmetrization vanishes at this point (|f^s(q)| = {s.modulus():.3e})")
-    return s.inverse() * Quaternion(*_horner_rows(f._conj_float_rows, qw, qx, qy, qz))
+    return s.inverse() * Quaternion(*_horner_rows(f._conj._float_rows, qw, qx, qy, qz))
 
 
 def transform_point(f: SliceSeries, q: Quaternion) -> Quaternion:

@@ -147,8 +147,8 @@ def _check_star(corpus, seed: int) -> PropositionResult:
     # every point of a function at once: one table row per function, (100, 1, K, 4)
     f, g, fg = (_row_table([h._coeff_rows for h in column])[:, None]
                 for column in (firsts, seconds, products))
-    fc = _row_table([h._conj_rows for h in firsts])[:, None]
-    sym = _row_table([h._sym_rows for h in firsts])[:, None]
+    fc = _row_table([h._conj._coeff_rows for h in firsts])[:, None]
+    sym = _row_table([h._sym._coeff_rows for h in firsts])[:, None]
     # realness of f^s: the largest |Im c| over max(1, largest |c|) per function;
     # the zero rows that pad a short f^s move neither max
     coeff_scale = np.fmax(1.0, _modulus_rows(sym).max(axis=-1))

@@ -27,12 +27,13 @@ from slicefock import (UNIT_I, UNIT_J, FockParams, GridTooCoarse,
                        orthonormal_partner, slice_norm_p, slice_sup_norm,
                        split, sup_norm)
 from slicefock import fock, verify
-from slicefock.corpus import random_series, rng_for, standard_corpus
+from slicefock.corpus import random_quaternion, random_series, rng_for, standard_corpus
 from slicefock.fock import (_BLOCK_POINTS, _POLISH_ROUNDS, _POLISH_ROWS,
                             _GridMaxima, _abs_sq_evaluator, _chebyshev_radii,
                             _ray_coeffs, _ray_evaluator, _scaled_rows,
                             _secant_max_rows, _slice_norms_on_grid, _slice_terms,
                             _sup_over_rows, _terms_table, _unit_rows)
+from slicefock.kernels import kernel_series
 from slicefock.quadrature import ANGULAR_CAP, RADIAL_CAP
 from slicefock.quaternion import _CONJ_SIGNS, _qmul, _rows
 from slicefock.serialize import save_function
@@ -186,7 +187,7 @@ def test_point_evaluation_stays_bounded():
 # --- inner products ---
 
 def test_inner_product_constants():
-    v = inner_product(ONE_F, ONE_F, UNIT_I, P2)
+    v = inner_product(ONE_F, ONE_F, P2)
     expected = (1.0 - math.exp(-1.0)) / math.pi
     assert abs(v.w - expected) <= 1e-8 * expected
     assert v.imag_modulus() <= 1e-12
@@ -194,7 +195,7 @@ def test_inner_product_constants():
 
 def test_inner_product_monomial_orthogonality():
     for n, m in ((0, 1), (1, 3), (2, 5)):
-        v = inner_product(monomial_series(n), monomial_series(m), UNIT_I, P2)
+        v = inner_product(monomial_series(n), monomial_series(m), P2)
         assert v.modulus() <= 1e-12
 
 
@@ -202,7 +203,7 @@ def test_inner_product_matches_norm():
     rng = rng_for(65)
     for _ in range(5):
         f = random_series(rng, max_degree=8)
-        v = inner_product(f, f, UNIT_I, P2)
+        v = inner_product(f, f, P2)
         norm = slice_norm_p(f, UNIT_I, P2)
         assert abs(v.w - norm**2) <= 1e-10 * max(1.0, norm**2)
         assert v.imag_modulus() <= 1e-10 * max(1.0, norm**2)
@@ -214,27 +215,27 @@ def test_inner_product_left_linear_in_first_argument():
     g = random_series(rng, max_degree=6)
     h = random_series(rng, max_degree=6)
     fsum = SliceSeries(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
-    left = inner_product(fsum, h, UNIT_I, P2)
-    right = inner_product(f, h, UNIT_I, P2) + inner_product(g, h, UNIT_I, P2)
+    left = inner_product(fsum, h, P2)
+    right = inner_product(f, h, P2) + inner_product(g, h, P2)
     assert (left - right).modulus() <= 1e-10
 
 
 def _pointwise_pairing(f, g, unit, params, grid):
-    """integral f conj(g) dlambda_I as a grid sum, the closed form's reference."""
+    """integral conj(g) f dlambda_I as a grid sum, the closed form's reference."""
     r, _ = grid.radial_arrays()
     fv, gv = ((r[:, None] ** np.arange(len(c.coeffs))
                @ _ray_coeffs(_rows(c.coeffs), [unit], grid.angles())).reshape(4, -1).T
               for c in (f, g))
     weight = (grid.area_weights().reshape(r.size, -1)
               * np.exp(-params.alpha * r * r)[:, None]).ravel()
-    pairs = _qmul(fv, gv * _CONJ_SIGNS)
+    pairs = _qmul(gv * _CONJ_SIGNS, fv)
     return Quaternion(*(params.alpha / math.pi ** 2 * (weight @ pairs)))
 
 
 @pytest.mark.parametrize("unit", [UNIT_I, default_sphere()[9]])
 def test_inner_product_equals_the_pointwise_quadrature(unit):
-    # general quaternion coefficients: the part of a_k conj(b_k) off C_I
-    # averages out for k >= 1 and stays for k = 0
+    # general quaternion coefficients: the quadrature of conj(g) f on each
+    # slice equals the one closed form, which takes no unit
     rng = rng_for(67)
     for alpha, radius in ((1.0, 1.0), (0.5, 2.0), (2.5, 1.5)):
         params = FockParams(alpha=alpha, p=2.0, radius=radius)
@@ -244,7 +245,7 @@ def test_inner_product_equals_the_pointwise_quadrature(unit):
             angular = 2 * max(len(f.coeffs), len(g.coeffs))
             want = _pointwise_pairing(f, g, unit, params,
                                       QuadratureGrid.build(64, angular, radius))
-            got = inner_product(f, g, unit, params)
+            got = inner_product(f, g, params)
             bound = slice_norm_p(f, unit, params) * slice_norm_p(g, unit, params)
             assert (got - want).modulus() <= 1e-13 * bound
 
@@ -254,13 +255,36 @@ def test_inner_product_of_a_scaled_pair_keeps_its_value():
     # is that of f with g, about (0.1006, 0.0421, -0.0402, 0)
     f = SliceSeries((Quaternion(1.0), Quaternion(0.0, 0.5, 0.0, 0.0)))
     g = SliceSeries((Quaternion(0.5, 0.0, 0.2, 0.0), Quaternion(1.0)))
-    want = inner_product(f, g, UNIT_I, P2)
+    want = inner_product(f, g, P2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = inner_product(f.scale_right(Quaternion(1e160)),
-                            g.scale_right(Quaternion(1e-160)), UNIT_I, P2)
+                            g.scale_right(Quaternion(1e-160)), P2)
     assert (got - want).modulus() <= 1e-14 * want.modulus()
     assert abs(want.w - 0.1006) <= 1e-4 and abs(want.z) <= 1e-15
+
+
+def test_inner_product_reproduces_a_value_against_the_plane_kernel():
+    # <f, g> = sum conj(b_k) a_k m_k with b_k = pi wbar^k / k! and, at
+    # R = 7, m_k = k! P(k + 1, 49) / pi: the sum is f(w) up to the tail of P
+    unit = default_sphere()[9]
+    w = Quaternion(0.3, 0.4 * unit.x, 0.4 * unit.y, 0.4 * unit.z)
+    params = FockParams(alpha=1.0, p=2.0, radius=7.0)
+    kernel = kernel_series(w, 1.0, 60, 7.0).scale_right(Quaternion(math.pi))
+    for f in standard_corpus(0, count=20):
+        want = f.eval(w)
+        assert (inner_product(f, kernel, params) - want).modulus() <= 1e-12 * want.modulus()
+
+
+def test_inner_product_is_right_linear_in_f_and_conjugate_linear_in_g():
+    rng = rng_for(70)
+    fs = standard_corpus(0, count=20)
+    for f, g in zip(fs[::2], fs[1::2]):
+        c = random_quaternion(rng)
+        value = inner_product(f, g, P2)
+        bound = 1e-15 * slice_norm_p(f, UNIT_I, P2) * slice_norm_p(g, UNIT_I, P2) * c.modulus()
+        assert (inner_product(f.scale_right(c), g, P2) - value * c).modulus() <= bound
+        assert (inner_product(f, g.scale_right(c), P2) - c.conjugate() * value).modulus() <= bound
 
 
 def test_p2_builds_and_evaluates_no_grid():
@@ -274,7 +298,7 @@ def test_p2_builds_and_evaluates_no_grid():
                                       points=refuse, area_weights=refuse):
         report = fock_norm_p(f, P2, sphere=small_sphere())
         value = slice_norm_p(f, UNIT_J, P2)
-        pairing = inner_product(f, f, UNIT_I, P2)
+        pairing = inner_product(f, f, P2)
     assert report.grid_spec == {"rule": "closed form", "radius": 1.0,
                                 "sphere": len(small_sphere())}
     assert value == report.value
@@ -970,7 +994,7 @@ def test_p2_norm_past_an_overflowing_moment_is_finite(alpha, radius, coeff):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = fock_norm_p(f, params, sphere=small_sphere()).value
-        pairing = inner_product(f, f, UNIT_I, params)
+        pairing = inner_product(f, f, params)
     assert abs(got - want) <= 1e-12 * want
     # <f, f> = ||f||^2 fits or overflows to inf, never NaN
     assert (pairing.x, pairing.y, pairing.z) == (0.0, 0.0, 0.0)
@@ -982,7 +1006,7 @@ def test_p2_norm_past_an_overflowing_moment_is_finite(alpha, radius, coeff):
 
 def test_inner_product_past_an_overflowing_moment_is_finite():
     # m_200 (about 1e434) overflows, 0 m_200 is NaN, but the pairing of
-    # 1 + 1e-100 q^200 with 1 + 1e-100 j q^200 is about m_0 - 1e234 j on C_j
+    # 1 + 1e-100 q^200 with 1 + 1e-100 j q^200 is about m_0 - 1e234 j
     alpha, radius = 0.5, 40.0
     params = FockParams(alpha=alpha, p=2.0, radius=radius)
     f = _sparse(a0=1.0, a200=1e-100)
@@ -991,19 +1015,15 @@ def test_inner_product_past_an_overflowing_moment_is_finite():
         assert np.isinf(np.exp(fock._log_moments(201, alpha, radius))[200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        unit_j = inner_product(f, g, UNIT_J, params)
-        unit_i = inner_product(f, g, UNIT_I, params)
+        got = inner_product(f, g, params)
     x = alpha * radius * radius
     m0 = gammainc(1, x) / math.pi
     pair = -math.exp(2.0 * math.log(1e-100) + gammaln(201)
                      + math.log(gammainc(201, x)) - 200 * math.log(alpha)
                      - math.log(math.pi))
     # terms are taken relative to the largest, 1e234, in log space
-    assert abs(unit_j.y - pair) <= 1e-12 * abs(pair)
-    assert abs(unit_j.w - m0) <= 1e-12 * m0 and unit_j.x == unit_j.z == 0.0
-    # on C_i the j part of a_200 conj(b_200) is projected away
-    assert abs(unit_i.w - m0) <= 1e-12 * m0
-    assert unit_i.x == unit_i.y == unit_i.z == 0.0
+    assert abs(got.y - pair) <= 1e-12 * abs(pair)
+    assert abs(got.w - m0) <= 1e-12 * m0 and got.x == got.z == 0.0
 
 
 @given(coeff_rows, st.integers(0, 3), st.sampled_from([1, 11]))

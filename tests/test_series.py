@@ -20,7 +20,8 @@ from slicefock import (UNIT_I, UNIT_J, UNIT_K, BadRadius, ComplexSlicePolynomial
                        star_mul, sup_norm, symmetrization, tail_bound,
                        transform_point, truncate)
 from slicefock.corpus import (random_ball_point, random_orthogonal_pair,
-                              random_series, random_unit, rng_for, standard_corpus)
+                              random_quaternion, random_series, random_unit, rng_for,
+                              standard_corpus)
 from slicefock.series import (_eval_rows, _extend_rows, _rep_eval_rows,
                               _row_table, _split_rows, _star_inverse_rows,
                               _transform_rows)
@@ -182,7 +183,7 @@ def test_regular_conjugate():
 @example([Quaternion(-0.0, 1e-320, -1e308, float("inf")), ONE, I])
 @settings(max_examples=100, deadline=None)
 def test_regular_conjugate_equals_quaternion_conjugate_bit_for_bit(a):
-    # read from the f^c table; every component, so a -0.0 shows
+    # the series' cached f^c; every component, so a -0.0 shows
     fc = regular_conjugate(SliceSeries(tuple(a), 0.5))
     assert [bits(c) for c in fc.coeffs] == [bits(c.conjugate()) for c in a]
     assert fc.nominal_radius == 0.5
@@ -220,7 +221,7 @@ def _reference_star_inverse(f, q):
     """star_inverse_eval as it formed f^s at every point, kept as the reference.
 
     f^s comes from the scalar convolution, not from symmetrization, which
-    reads the series' cached f^s table under test.
+    returns the series' cached f^s under test.
     """
     s = SliceSeries(_scalar_star_mul(f, regular_conjugate(f))).eval(q)
     if s.modulus() < 1e-12:
@@ -262,12 +263,12 @@ def _table_bits(rows):
 def test_cached_tables_equal_their_conversions_and_are_read_only(a):
     f = series(*a)
     # the reference conjugate comes from Quaternion.conjugate, not from
-    # regular_conjugate, which reads f._conj_rows itself
+    # regular_conjugate, which returns f._conj itself
     fc = series(*(c.conjugate() for c in f.coeffs))
     assert _table_bits(f._coeff_rows) == _table_bits(_rows(f.coeffs))
-    assert _table_bits(f._conj_rows) == _table_bits(_rows(fc.coeffs))
-    assert _table_bits(f._sym_rows) == _table_bits(_rows(_scalar_star_mul(f, fc)))
-    for rows in (f._coeff_rows, f._conj_rows, f._sym_rows):
+    assert _table_bits(f._conj._coeff_rows) == _table_bits(_rows(fc.coeffs))
+    assert _table_bits(f._sym._coeff_rows) == _table_bits(_rows(_scalar_star_mul(f, fc)))
+    for rows in (f._coeff_rows, f._conj._coeff_rows, f._sym._coeff_rows):
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
 
@@ -308,7 +309,7 @@ def test_copies_keep_the_values_and_build_read_only_tables(clone):
     for _ in range(5):
         q = random_ball_point(rng)
         assert _values(twin, q) == _values(f, q)
-    for rows in (twin._coeff_rows, twin._conj_rows, twin._sym_rows):
+    for rows in (twin._coeff_rows, twin._conj._coeff_rows, twin._sym._coeff_rows):
         assert not rows.flags.writeable
 
 
@@ -318,7 +319,7 @@ def test_replace_builds_fresh_tables():
     fresh = series(K, ONE)
     q = Quaternion(0.1, -0.2, 0.3, 0.05)
     assert _table_bits(g._coeff_rows) == _table_bits(fresh._coeff_rows)
-    assert _table_bits(g._sym_rows) == _table_bits(fresh._sym_rows)
+    assert _table_bits(g._sym._coeff_rows) == _table_bits(fresh._sym._coeff_rows)
     assert _values(g, q) == _values(fresh, q)
 
 
@@ -947,15 +948,27 @@ def test_point_row_forms_equal_the_scalar_forms(coeffs, drawn, seed):
 # --- results built from rows ---
 
 def _results_from_rows(f, g):
-    """Every result built from rows, by name, with f, g and an atomic datum."""
+    """Every result built from rows, by name, with f, g and an atomic datum.
+
+    f^c and f^s are cached on their series, so each of those calls takes a
+    fresh copy of f's rows and returns a series read cold.
+    """
     unit_j = orthonormal_partner(UNIT_K)
     f1, f2 = split(f, UNIT_K, unit_j)
     atoms = AtomicData((Quaternion(0.1), Quaternion(-0.2, 0.0, 0.0, 0.3)), (I, J), 1.5, 9)
     w = Quaternion(0.2, -0.1, 0.4, 0.0)
+    poly = ComplexSlicePolynomial(UNIT_K, (complex(1.5, -0.0), -0.25j, 0j))
+
+    def fresh():
+        return SliceSeries._of_rows(f._coeff_rows, f.nominal_radius)
+
     return {"star_mul": lambda: star_mul(f, g),
-            "regular_conjugate": lambda: regular_conjugate(f),
-            "symmetrization": lambda: symmetrization(f),
+            "regular_conjugate": lambda: regular_conjugate(fresh()),
+            "symmetrization": lambda: symmetrization(fresh()),
             "extend": lambda: extend(f1, f2, unit_j),
+            "embed": poly.embed,
+            "from_reals": lambda: SliceSeries.from_reals([0.5, -0.0, 3, np.float64(-2.5)]),
+            "standard_corpus": lambda: standard_corpus(3, count=4)[-1],
             "kernel_series": lambda: kernel_series(w, 2.0, 11, radius=3.0),
             "atomic_synthesis": lambda: atomic_synthesis(atoms, UNIT_K)}
 
@@ -973,10 +986,9 @@ def test_results_built_from_rows_make_no_quaternion_until_coeffs_is_read(monkeyp
     path = tmp_path / "f.json"
     save_function(f, str(path))
     coeffs = f.coeffs
-    # every series holds rows alone, whatever built it; a file or the corpus
-    # makes its Quaternions while it parses or draws them, before the series
-    parsed = {"load_function": lambda: load_function(str(path)),
-              "standard_corpus": lambda: standard_corpus(3, count=4)[-1]}
+    # every series holds rows alone, whatever built it; a file makes its
+    # Quaternions while it parses, before the series
+    parsed = {"load_function": lambda: load_function(str(path))}
     results = {**_results_from_rows(f, g), **parsed,
                "quaternions": lambda: SliceSeries(coeffs, 2.0),
                "truncate": lambda: truncate(f, 4), "dilate": lambda: dilate(f, 0.75),
@@ -988,7 +1000,7 @@ def test_results_built_from_rows_make_no_quaternion_until_coeffs_is_read(monkeyp
         if name in parsed:
             made.clear()
         assert "_coeff_rows" in vars(h) and "coeffs" not in vars(h), name
-        h.degree, h._float_rows, h._coeff_rows, h._conj_rows, h._sym_rows
+        h.degree, h._float_rows, h._coeff_rows, h._conj._float_rows, h._sym._float_rows
         tail_bound(h, 0.5, 0)
         assert made["Quaternion"] == 0, name
         assert "coeffs" not in vars(h), name
@@ -1024,6 +1036,25 @@ def test_results_built_from_rows_equal_their_quaternion_twins():
                 == dataclasses.replace(twin, nominal_radius=0.5)), name
         assert _hex_rows(h._float_rows) == _hex_rows(twin._float_rows), name
         assert [bits(a) for a in h.coeffs] == [bits(a) for a in twin.coeffs], name
+
+
+def test_drawn_embedded_and_real_rows_equal_their_quaternion_constructions():
+    # the Quaternion constructions the row forms replaced, kept as the reference
+    for seed in range(6):
+        old = rng_for(seed)
+        for f in standard_corpus(seed):
+            degree = int(old.integers(0, 13))
+            twin = SliceSeries(tuple(random_quaternion(old) for _ in range(degree + 1)))
+            assert _hex_rows(f._float_rows) == _hex_rows(twin._float_rows)
+    for unit in (UNIT_K, ImaginaryUnit(0.6, 0.0, -0.8)):
+        for cs in ((complex(1.5, -0.0), -0.25j, complex(-0.0, 3.0), 0j), ()):
+            poly = ComplexSlicePolynomial(unit, cs)
+            twin = SliceSeries(tuple(embed_complex(c, unit) for c in poly.coeffs))
+            assert _hex_rows(poly.embed()._float_rows) == _hex_rows(twin._float_rows)
+    for values in ([0.5, -0.0, 3, np.float64(-2.5), math.inf], []):
+        twin = SliceSeries(tuple(Quaternion(float(v)) for v in values), 2.0)
+        f = SliceSeries.from_reals(values, 2.0)
+        assert f == twin and _hex_rows(f._float_rows) == _hex_rows(twin._float_rows)
 
 
 # --- transforms on rows, against their Quaternion-operator forms ---
