@@ -20,14 +20,14 @@ product equals the scalar one bit for bit.  The row moduli are taken with
 four-argument hypot, and a sum of squares rounds otherwise), and the row
 inverse divides by the modulus twice, as `Quaternion.inverse` does.
 
-Loops that run one point or one pair at a time, the scalar Horner
-evaluation, the transformed point, the star reciprocal, the representation
-formula and extend in series and the star exponential in kernels, run on
-plain floats instead of constructing one `Quaternion` per step or calling
-numpy: each step writes out the components of the `Quaternion` operators
-or array rows it replaces, term for term and in the same order, so the
-result equals theirs bit for bit.  Only the result is built as a
-`Quaternion`.
+The point formulas of series (the Horner step, v^{-1} q v, the
+representation formula and extend's f1 + f2 J) have one body each, written
+on four components in the terms and order of the `Quaternion` operators, so
+each result equals theirs bit for bit.  A body runs on floats for one point
+and on component arrays in verify's rows, and builds no `Quaternion` per
+step; kernels' star exponential is such a loop, on floats only.
+decompose's rescaling has one body too, `_imag_parts`: `_decompose_rows`
+maps it over rows, as `_modulus_rows` maps `math.hypot`.
 
 `_qmul` is the one general array product.  A product whose right factor
 repeats along a broadcast axis takes the table form instead: the
@@ -490,28 +490,15 @@ def _unit_rows(units) -> np.ndarray:
 
 
 def _decompose_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """decompose's im, shape (N, ...), and unit, (N, ..., 3), of rows (x, y, z).
+    """decompose's im (...) and unit (..., 3) of imaginary parts (x, y, z) (..., 3).
 
-    Both are taken in the terms and order of `Quaternion.imag_modulus` and
-    decompose, so they equal the scalar forms bit for bit: a nonzero row
-    whose square sum is not a normal float is scaled as _scaled_vector
-    scales it, and a zero row takes the unit i.
+    _imag_parts per row, so both are the scalar forms bit for bit: a zero
+    row takes the unit i, and a non-finite row is refused with decompose's
+    ValueError.
     """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
-        sq = x * x + y * y + z * z
-        im = np.sqrt(sq)
-        odd = ~((sq >= sys.float_info.min) & (sq < np.inf)) & vectors.any(axis=-1)
-        unit = np.where(im[..., None] == 0.0, _unit_rows([UNIT_I]),
-                        vectors / im[..., None])
-        if odd.any():
-            e = np.frexp(np.abs(vectors[odd]).max(axis=-1))[1]
-            scaled = np.ldexp(vectors[odd], -e[:, None])
-            x, y, z = scaled.T
-            n = np.sqrt(x * x + y * y + z * z)
-            im[odd] = np.ldexp(n, e)
-            unit[odd] = scaled / n[:, None]
-    return im, unit
+    x, y, z = vectors.reshape(-1, 3).T.tolist()
+    parts = np.array(list(map(_imag_parts, x, y, z))).reshape(vectors.shape[:-1] + (4,))
+    return parts[..., 0], parts[..., 1:]
 
 
 def _imaginary_rows(vectors: np.ndarray) -> np.ndarray:

@@ -27,18 +27,19 @@ however it was built, and a pickle or copy is rebuilt from `coeffs` and
 holds its own rows.  The float rows and the cached f^c and f^s take no
 part in ==, hash, repr or pickling.
 
-Private row forms evaluate many points, units or pairs at once on
-quaternion rows (see quaternion.py): the Horner evaluation `_eval_rows`,
-the transformed point, the star reciprocal, the representation formula,
-and split/extend as `_split_rows`/`_extend_rows`.  Each row equals its
-scalar counterpart bit for bit.  split is a one-pair call of its row form.
-The one-point forms eval, transform_point, star_inverse_eval and rep_eval
-run the one float Horner loop `_horner_rows` on the cached float rows
-instead, because a numpy call costs more than the arithmetic at one
-point: star_inverse_eval reads the float rows of the cached f^c and f^s,
-and transform_point and rep_eval write their formulas out on
-floats.  extend of one pair runs on floats in _extend_rows' terms and
-order, for the same reason.
+Each point formula has one body, written on four components that may be
+floats or numpy arrays, in the terms and order of the `Quaternion`
+operators: the Horner step (`_horner_rows`), v^{-1} q v (`_moved_point`),
+the representation formula with its I_q I (`_represent`) and extend's
+f1_n + f2_n J (`_join`).  eval, transform_point, rep_eval and extend run
+it on floats for one point or pair, because a numpy call costs more than
+the arithmetic at one point.  The private row forms `_eval_rows`,
+`_transform_rows`, `_rep_eval_rows` and `_extend_rows` run it on component
+arrays for verify's batches of points, units or pairs: they move the
+component axis first, call the body and stack the result, so each row is
+the one-point value bit for bit.  star_inverse_eval reads the float rows
+of the cached f^c and f^s; its row form is two `_eval_rows` and one array
+product.  split is a one-pair call of its row form, one batched solve.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ import numpy as np
 
 from .errors import (BadRadius, NotOrthogonal, SingularPoint, UnitMismatch,
                      ZeroValue, _require_positive_finite)
-from .quaternion import (_CONJ_SIGNS, _ONE_ROW, ImaginaryUnit, Quaternion,
-                         _decompose_rows, _imag_parts, _imaginary_rows,
-                         _inverse_rows, _modulus_rows, _product_table, _qmul,
-                         _rows, _table_mul, _unit_rows)
+from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, _decompose_rows,
+                         _imag_parts, _inverse_rows, _modulus_rows, _product_table,
+                         _qmul, _rows, _table_mul, _unit_rows)
 
 __all__ = [
     "SliceSeries",
@@ -273,14 +273,18 @@ def _hold_rows(f: SliceSeries, rows: np.ndarray) -> None:
     f.__dict__["_coeff_rows"] = rows
 
 
-# The scalar Horner loop: each step is `q * acc + a` written out in the terms
-# and order of `Quaternion.__mul__` and `__add__`, so a value is the operator
-# loop's bit for bit.  It reads coefficient rows as Python sequences of
-# floats, which every series caches once (SliceSeries._float_rows), so no
-# call turns `Quaternion` coefficients into rows.
+# The point bodies.  Each takes its quaternions as four components, Python
+# floats for one point (a series' cached float rows feed the Horner loop) or
+# numpy arrays that broadcast against each other for many, and writes every
+# product and sum out in the terms and order of the `Quaternion` operators,
+# so a value is the operator form's bit for bit, on floats and on arrays.
 
-def _horner_rows(rows, qw: float, qx: float, qy: float, qz: float):
-    """Components of sum_n q^n a_n for coefficient rows (w, x, y, z) of floats."""
+def _horner_rows(rows, qw, qx, qy, qz):
+    """Components of sum_n q^n a_n, each step `q * acc + a` written out.
+
+    rows is a sequence of coefficient rows (w, x, y, z): tuples of floats,
+    or an array (K, 4, ...) whose components broadcast against q's.
+    """
     aw, ax, ay, az = rows[-1]
     for bw, bx, by, bz in reversed(rows[:-1]):
         aw, ax, ay, az = (qw * aw - qx * ax - qy * ay - qz * az + bw,
@@ -288,6 +292,68 @@ def _horner_rows(rows, qw: float, qx: float, qy: float, qz: float):
                           qw * ay - qx * az + qy * aw + qz * ax + by,
                           qw * az + qx * ay - qy * ax + qz * aw + bz)
     return aw, ax, ay, az
+
+
+def _moved_point(v, m, q):
+    """Components of v^{-1} q v, from v's and q's components and m = |v|.
+
+    v^{-1} is formed as `Quaternion.inverse` forms it, dividing by m twice.
+    """
+    vw, vx, vy, vz = v
+    qw, qx, qy, qz = q
+    iw, ix, iy, iz = vw / m / m, -vx / m / m, -vy / m / m, -vz / m / m   # v^{-1}
+    aw, ax, ay, az = (iw * qw - ix * qx - iy * qy - iz * qz,             # v^{-1} q
+                      iw * qx + ix * qw + iy * qz - iz * qy,
+                      iw * qy - ix * qz + iy * qw + iz * qx,
+                      iw * qz + ix * qy - iy * qx + iz * qw)
+    return (aw * vw - ax * vx - ay * vy - az * vz,
+            aw * vx + ax * vw + ay * vz - az * vy,
+            aw * vy - ax * vz + ay * vw + az * vx,
+            aw * vz + ax * vy - ay * vx + az * vw)
+
+
+def _represent(rows, re, im, point_unit, unit):
+    """Components of (1 - I_q I) f(zp) / 2 + (1 + I_q I) f(zm) / 2.
+
+    f has the coefficient rows rows (as _horner_rows reads them), the point
+    is re + im I_q with I_q = point_unit (x, y, z), and zp, zm = re +- im I
+    for unit = I.
+    """
+    ix, iy, iz = point_unit
+    ux, uy, uz = unit
+    pw, px, py, pz = _horner_rows(rows, re, im * ux, im * uy, im * uz)      # f(zp)
+    mw, mx, my, mz = _horner_rows(rows, re, -im * ux, -im * uy, -im * uz)   # f(zm)
+    # I_q I as (0, I_q) * (0, I); the 0.0 * terms keep the signs of zeros
+    cw = 0.0 * 0.0 - ix * ux - iy * uy - iz * uz
+    cx = 0.0 * ux + ix * 0.0 + iy * uz - iz * uy
+    cy = 0.0 * uy - ix * uz + iy * 0.0 + iz * ux
+    cz = 0.0 * uz + ix * uy - iy * ux + iz * 0.0
+    aw, ax, ay, az = 1.0 - cw, 0.0 - cx, 0.0 - cy, 0.0 - cz                # 1 - I_q I
+    bw, bx, by, bz = 1.0 + cw, 0.0 + cx, 0.0 + cy, 0.0 + cz                # 1 + I_q I
+    return (0.5 * ((aw * pw - ax * px - ay * py - az * pz)
+                   + (bw * mw - bx * mx - by * my - bz * mz)),
+            0.5 * ((aw * px + ax * pw + ay * pz - az * py)
+                   + (bw * mx + bx * mw + by * mz - bz * my)),
+            0.5 * ((aw * py - ax * pz + ay * pw + az * px)
+                   + (bw * my - bx * mz + by * mw + bz * mx)),
+            0.5 * ((aw * pz + ax * py - ay * px + az * pw)
+                   + (bw * mz + bx * my - by * mx + bz * mw)))
+
+
+def _join(aw, ai, bw, bi, unit_i, unit_j):
+    """Components of embed_complex(f1_n) + embed_complex(f2_n) * J.
+
+    f1_n = aw + ai I and f2_n = bw + bi I, and unit_i and unit_j are I's
+    and J's components (x, y, z).  The `* 0.0` terms are J's zero real
+    part, so signed zeros come out as the operators make them.
+    """
+    ux, uy, uz = unit_i
+    jx, jy, jz = unit_j
+    bx, by, bz = bi * ux, bi * uy, bi * uz                      # embed_complex(f2_n)
+    return (bw * 0.0 - bx * jx - by * jy - bz * jz + aw,        # f2_n J + f1_n
+            bw * jx + bx * 0.0 + by * jz - bz * jy + ai * ux,
+            bw * jy - bx * jz + by * 0.0 + bz * jx + ai * uy,
+            bw * jz + bx * jy - by * jx + bz * 0.0 + ai * uz)
 
 
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -360,25 +426,16 @@ def transform_point(f: SliceSeries, q: Quaternion) -> Quaternion:
 
     Preserves the real part and the modulus of q, so the result stays on the
     same sphere x + y*S.  Raises ZeroValue when f(q) is numerically zero.
-    It runs on floats: v = f(q) by the Horner loop, |v| by math.hypot, v^{-1}
-    as `Quaternion.inverse` forms it and the two products in the terms and
-    order of `Quaternion.__mul__`, so the value is v.inverse() * q * v bit
-    for bit.
+    It runs on floats: v = f(q) by the Horner loop, |v| by math.hypot and
+    v^{-1} q v by _moved_point, so the value is v.inverse() * q * v bit for
+    bit.
     """
-    qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    vw, vx, vy, vz = _horner_rows(f._float_rows, qw, qx, qy, qz)          # v = f(q)
-    m = math.hypot(vw, vx, vy, vz)
+    point = q.w, q.x, q.y, q.z
+    v = _horner_rows(f._float_rows, *point)
+    m = math.hypot(*v)
     if m < _SINGULAR_TOL:
         raise ZeroValue(f"function vanishes at this point (|f(q)| = {m:.3e})")
-    iw, ix, iy, iz = vw / m / m, -vx / m / m, -vy / m / m, -vz / m / m   # v^{-1}
-    aw, ax, ay, az = (iw * qw - ix * qx - iy * qy - iz * qz,             # v^{-1} q
-                      iw * qx + ix * qw + iy * qz - iz * qy,
-                      iw * qy - ix * qz + iy * qw + iz * qx,
-                      iw * qz + ix * qy - iy * qx + iz * qw)
-    return Quaternion(aw * vw - ax * vx - ay * vy - az * vz,
-                      aw * vx + ax * vw + ay * vz - az * vy,
-                      aw * vy - ax * vz + ay * vw + az * vx,
-                      aw * vz + ax * vy - ay * vx + az * vw)
+    return Quaternion(*_moved_point(v, m, point))
 
 
 def _check_orthogonal(unit_i: ImaginaryUnit, unit_j: ImaginaryUnit) -> None:
@@ -406,28 +463,22 @@ def extend(f1: ComplexSlicePolynomial, f2: ComplexSlicePolynomial,
            unit_j: ImaginaryUnit) -> SliceSeries:
     """Series with coefficients a_n = f1_n + f2_n * J, inverse of split().
 
-    The shorter component is padded with zeros.  One pair runs on floats in
-    _extend_rows' terms and order, its `* 1.0` and the `* 0.0` terms from
-    J's zero real part included, so the coefficients are that row's bit
-    for bit, signed zeros too.
+    The shorter component is padded with zeros.  One pair runs _join on
+    floats, coefficient by coefficient, so the coefficients are
+    _extend_rows' bit for bit, signed zeros too.
     """
     if (abs(f1.unit.x - f2.unit.x) > _UNIT_MATCH_TOL
             or abs(f1.unit.y - f2.unit.y) > _UNIT_MATCH_TOL
             or abs(f1.unit.z - f2.unit.z) > _UNIT_MATCH_TOL):
         raise UnitMismatch("component polynomials live on different slices")
     _check_orthogonal(f1.unit, unit_j)
-    ux, uy, uz = f1.unit.x, f1.unit.y, f1.unit.z
-    jx, jy, jz = unit_j.x, unit_j.y, unit_j.z
+    unit_i = f1.unit.x, f1.unit.y, f1.unit.z
+    unit_j = unit_j.x, unit_j.y, unit_j.z
     width = max(len(f1.coeffs), len(f2.coeffs))
-    rows = []
-    for a, b in zip(f1.coeffs + (0j,) * (width - len(f1.coeffs)),
-                    f2.coeffs + (0j,) * (width - len(f2.coeffs))):
-        bw, bx, by, bz = b.real * 1.0, b.imag * ux, b.imag * uy, b.imag * uz
-        rows += (bw * 0.0 - bx * jx - by * jy - bz * jz + a.real * 1.0,  # f2_n J + f1_n
-                 bw * jx + bx * 0.0 + by * jz - bz * jy + a.imag * ux,
-                 bw * jy - bx * jz + by * 0.0 + bz * jx + a.imag * uy,
-                 bw * jz + bx * jy - by * jx + bz * 0.0 + a.imag * uz)
-    return SliceSeries._of_rows(np.fromiter(rows, float).reshape(-1, 4))
+    return SliceSeries._of_rows(np.fromiter([
+        c for a, b in zip(f1.coeffs + (0j,) * (width - len(f1.coeffs)),
+                          f2.coeffs + (0j,) * (width - len(f2.coeffs)))
+        for c in _join(a.real, a.imag, b.real, b.imag, unit_i, unit_j)], float).reshape(-1, 4))
 
 
 def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:
@@ -440,37 +491,17 @@ def rep_eval(f: SliceSeries, unit: ImaginaryUnit, q: Quaternion) -> Quaternion:
     for q = x + y*I_q, which collapses to plain evaluation when q lies in
     C_I and to f(x) when q is real.  It runs on floats: y and I_q as
     decompose takes them (a non-finite direction is refused with its
-    ValueError), the two Horner evaluations, I_q I, 1 -+ I_q I, the two
-    products, the sum and the 0.5 scale are written out in the terms and
-    order of the `Quaternion` operators, so the value is theirs bit for
-    bit.
+    ValueError), then _represent, so the value is the `Quaternion`
+    operators' bit for bit.
     """
-    im, ix, iy, iz = _imag_parts(q.x, q.y, q.z)
-    re, ux, uy, uz = q.w, unit.x, unit.y, unit.z
-    rows = f._float_rows
-    pw, px, py, pz = _horner_rows(rows, re, im * ux, im * uy, im * uz)      # f(zp)
-    mw, mx, my, mz = _horner_rows(rows, re, -im * ux, -im * uy, -im * uz)   # f(zm)
-    # I_q I as (0, I_q) * (0, I); the 0.0 * terms keep the signs of zeros
-    cw = 0.0 * 0.0 - ix * ux - iy * uy - iz * uz
-    cx = 0.0 * ux + ix * 0.0 + iy * uz - iz * uy
-    cy = 0.0 * uy - ix * uz + iy * 0.0 + iz * ux
-    cz = 0.0 * uz + ix * uy - iy * ux + iz * 0.0
-    aw, ax, ay, az = 1.0 - cw, 0.0 - cx, 0.0 - cy, 0.0 - cz                # 1 - I_q I
-    bw, bx, by, bz = 1.0 + cw, 0.0 + cx, 0.0 + cy, 0.0 + cz                # 1 + I_q I
-    return Quaternion(
-        0.5 * ((aw * pw - ax * px - ay * py - az * pz)
-               + (bw * mw - bx * mx - by * my - bz * mz)),
-        0.5 * ((aw * px + ax * pw + ay * pz - az * py)
-               + (bw * mx + bx * mw + by * mz - bz * my)),
-        0.5 * ((aw * py - ax * pz + ay * pw + az * px)
-               + (bw * my - bx * mz + by * mw + bz * mx)),
-        0.5 * ((aw * pz + ax * py - ay * px + az * pw)
-               + (bw * mz + bx * my - by * mx + bz * mw)))
+    im, *point_unit = _imag_parts(q.x, q.y, q.z)
+    return Quaternion(*_represent(f._float_rows, q.w, im, point_unit,
+                                  (unit.x, unit.y, unit.z)))
 
 
 # ---------------------------------------------------------------------------
-# row forms: many points, units or pairs at once, each row equal to its
-# scalar counterpart bit for bit
+# row forms: many points, units or pairs at once.  Each runs its one-point
+# body on component arrays, so each row equals the one-point value bit for bit
 # ---------------------------------------------------------------------------
 
 def _row_table(tables) -> np.ndarray:
@@ -481,22 +512,29 @@ def _row_table(tables) -> np.ndarray:
     return out
 
 
+def _components(rows: np.ndarray) -> np.ndarray:
+    """Rows (..., C) with the component axis first, (C, ...), as the bodies read them."""
+    return np.moveaxis(rows, -1, 0)
+
+
+def _stacked(parts, *shapes) -> np.ndarray:
+    """Components (w, x, y, z), broadcast to the shapes' broadcast, as rows (..., 4)."""
+    out = np.empty(np.broadcast_shapes(*shapes) + (4,))
+    for c, part in enumerate(parts):
+        out[..., c] = part
+    return out
+
+
 def _eval_rows(table: np.ndarray, points: np.ndarray) -> np.ndarray:
     """SliceSeries.eval on rows: coefficient tables (..., K, 4) at points (..., 4).
 
-    A left Horner, acc = q acc + a_k through _qmul: every step is eval's
-    `q * acc + a` in the same terms and order, so every value is the same
-    bit for bit.  The tables broadcast against the points.  Tables of
-    series of different degree are zero-padded at the top (_row_table);
-    a leading zero coefficient changes nothing, as q 0 + a = a up to the
-    sign of a zero.
+    The tables broadcast against the points.  Tables of series of different
+    degree are zero-padded at the top (_row_table); a leading zero
+    coefficient changes nothing, as q 0 + a = a up to the sign of a zero.
     """
-    shape = np.broadcast_shapes(table.shape[:-2] + (4,), points.shape)
-    acc = np.broadcast_to(table[..., -1, :], shape).copy()
-    for k in range(table.shape[-2] - 2, -1, -1):
-        acc = _qmul(points, acc)
-        acc += table[..., k, :]
-    return acc
+    # the table's coefficients first, then its components: (K, 4, ...)
+    return _stacked(_horner_rows(np.moveaxis(table, (-2, -1), (0, 1)), *_components(points)),
+                    table.shape[:-2], points.shape[:-1])
 
 
 def _transform_rows(values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -504,7 +542,8 @@ def _transform_rows(values: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     Rows with v = 0 are not refused: callers mask them out.
     """
-    return _qmul(_qmul(_inverse_rows(values), points), values)
+    return _stacked(_moved_point(_components(values), _modulus_rows(values),
+                                 _components(points)), values.shape[:-1], points.shape[:-1])
 
 
 def _star_inverse_rows(sym: np.ndarray, fc: np.ndarray,
@@ -524,16 +563,12 @@ def _rep_eval_rows(table: np.ndarray, units: np.ndarray,
     """rep_eval on rows: coefficient tables (..., K, 4), units (..., 3), points (..., 4).
 
     Slice coordinates as decompose forms them (a real point takes the unit
-    i), then the representation formula in rep_eval's terms and order.
+    i), then _represent.
     """
-    re = points[..., :1]
     im, point_unit = _decompose_rows(points[..., 1:])
-    im = im[..., None]
-    zp = np.concatenate([re, im * units], axis=-1)
-    zm = np.concatenate([re, -im * units], axis=-1)
-    prod = _qmul(_imaginary_rows(point_unit), _imaginary_rows(units))
-    return 0.5 * (_qmul(_ONE_ROW - prod, _eval_rows(table, zp))
-                  + _qmul(_ONE_ROW + prod, _eval_rows(table, zm)))
+    return _stacked(_represent(np.moveaxis(table, (-2, -1), (0, 1)), points[..., 0], im,
+                               _components(point_unit), _components(units)),
+                    table.shape[:-2], units.shape[:-1], points.shape[:-1])
 
 
 def _split_rows(coeffs: np.ndarray, units_i: np.ndarray,
@@ -555,23 +590,16 @@ def _split_rows(coeffs: np.ndarray, units_i: np.ndarray,
     return np.linalg.solve(basis, np.swapaxes(coeffs, -1, -2)).swapaxes(-1, -2)
 
 
-# the columns (re, im, im, im) of the first and second component in a part row
-_FIRST, _SECOND = np.array([0, 1, 1, 1]), np.array([2, 3, 3, 3])
-
-
 def _extend_rows(parts: np.ndarray, units_i: np.ndarray,
                  units_j: np.ndarray) -> np.ndarray:
     """extend on rows, the inverse of _split_rows: a_n = f1_n + f2_n J, (..., K, 4).
 
-    Each coefficient is embed_complex(f1_n) + embed_complex(f2_n) * J in the
-    terms and order of the `Quaternion` operators.
+    parts (..., K, 4) holds (re f1_n, im f1_n, re f2_n, im f2_n); each table's
+    units (..., 3) broadcast along its K coefficients into _join.
     """
-    # (re, im, im, im) (1, ux, uy, uz) = (re, im ux, im uy, im uz), as embed_complex
-    scale = np.ones(units_i.shape[:-1] + (1, 4))
-    scale[..., 0, 1:] = units_i
-    out = _qmul(parts[..., _SECOND] * scale, _imaginary_rows(units_j)[..., None, :])
-    out += parts[..., _FIRST] * scale
-    return out
+    units_i, units_j = units_i[..., None, :], units_j[..., None, :]
+    return _stacked(_join(*_components(parts), _components(units_i), _components(units_j)),
+                    parts.shape[:-1], units_i.shape[:-1], units_j.shape[:-1])
 
 
 def derivative(f: SliceSeries, order: int = 1) -> SliceSeries:

@@ -29,7 +29,7 @@ import slicefock.series as series_module
 from slicefock import fock
 from slicefock.fock import FockParams
 from slicefock.kernels import AtomicData, atomic_synthesis, kernel_series
-from slicefock.quaternion import _rows
+from slicefock.quaternion import _decompose_rows, _rows
 from slicefock.serialize import load_function, save_function
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
@@ -932,17 +932,18 @@ def test_point_row_forms_equal_the_scalar_forms(coeffs, drawn, seed):
         recip, sym_modulus = _star_inverse_rows(star_mul(f, fc)._coeff_rows,
                                                 fc._coeff_rows, q)
     via_slice = _rep_eval_rows(table, _unit_array(units), q)
+    # hex bits, so the rows must match the sign of every zero too
     for i, (p, unit) in enumerate(zip(points, units)):
-        assert via_slice[i].tolist() == _row(rep_eval(f, unit, p))
+        assert bits(Quaternion(*via_slice[i])) == bits(rep_eval(f, unit, p))
         if f.eval(p).modulus() >= 1e-12:
-            assert moved[i].tolist() == _row(transform_point(f, p))
+            assert bits(Quaternion(*moved[i])) == bits(transform_point(f, p))
         try:
             want = star_inverse_eval(f, p)
         except SingularPoint:
             assert sym_modulus[i] < 1e-12
             continue
         assert sym_modulus[i] == symmetrization(f).eval(p).modulus()
-        assert recip[i].tolist() == _row(want)
+        assert bits(Quaternion(*recip[i])) == bits(want)
 
 
 # --- results built from rows ---
@@ -1153,5 +1154,7 @@ def test_rep_eval_refuses_a_non_finite_direction_as_decompose_does(vec):
         decompose(q)
     with pytest.raises(ValueError) as got:
         rep_eval(series(ONE, I), UNIT_J, q)
-    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as rows:
+        _decompose_rows(np.array([vec]))
+    assert str(got.value) == str(rows.value) == str(want.value)
     assert "direction must be finite" in str(got.value)
