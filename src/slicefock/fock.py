@@ -91,7 +91,14 @@ Evaluation on a slice uses f(x + yI) = A(z) + I B(z) (Colombo, Gentili,
 Sabadini, Struppa, Adv. Math. 2009): with z = x + iy and z^k = u_k + i v_k,
 A = sum u_k a_k and B = sum v_k a_k do not depend on I, and
 |f|^2 = |A|^2 + |B|^2 + 2 <Im(A conj(B)), I>: one table of powers serves every
-unit at one 3-vector dot product per point.  At p != 2 the units x points
+unit at one 3-vector dot product per point.  One kernel, _unit_abs_sq, forms
+that s + 2 <v, I> for the p != 2 blocks and the sup search alike: the units x
+points product in column blocks that each stay on the calling thread, then
+the separate + s.  s >= 2|v| exactly, so rounding can push a value below 0
+only where the two nearly cancel, at a zero of f; the clamp at 0 is taken
+only on the columns where s does not exceed 2|v| by a slack derived from
+the rounding (a handful of columns, usually none), and the values are those
+of a clamp of every column bit for bit.  At p != 2 the units x points
 array of |f|^p is built and summed in blocks of radial rows holding a few
 thousand points each, so it stays cache-sized however fine the grid.  |f|^p
 is taken in place as exp((p/2) log |f|^2), which is cheaper than a general
@@ -180,9 +187,14 @@ _POLISH_ROWS = 1024
 # consecutive points (see _pruned_unit_maxima)
 _TOP_POINTS = 64
 _PRUNE_BLOCK = 16
-# m n k of the largest product _unit_values forms at once: OpenBLAS threads a
-# dgemm above 65536 x 4
+# m n k of the largest units x points product _unit_abs_sq forms at once, for
+# the p != 2 blocks and the sup search alike: OpenBLAS threads a dgemm above
+# 65536 x 4
 _SERIAL_PRODUCT = 1 << 18
+# _unit_abs_sq clamps s + 2 <v, I> only where not s > 2 (1 + _CLAMP_SLACK)
+# max(|v|, _CLAMP_FLOOR); both are derived in its docstring, not tuned
+_CLAMP_SLACK = 1e-12
+_CLAMP_FLOOR = 2.0 ** -510
 # relative allowance for rounding in "a unit's weighted |f| never exceeds the
 # bound at the same point"; the rounding itself is a few ulps
 _BOUND_SLACK = 1e-12
@@ -303,10 +315,10 @@ def _abs_sq_evaluator(coeffs: np.ndarray, units, theta: np.ndarray):
 
     The angle table is built here, once for every block of radial rows; the
     evaluator only reads it and makes its own arrays, so several threads
-    may call it at once.  Many units share s and v; s + 2 <v, I> can land a
-    few ulps below 0 at a zero of f, so it is clamped.  Under _FEW_UNITS
-    units |A + I B|^2 is cheaper; it is squared in place, as a second
-    temporary re-faults the heap each call.
+    may call it at once.  Many units share s and v and take s + 2 <v, I>
+    from _unit_abs_sq, clamped at 0 where rounding could push it below.
+    Under _FEW_UNITS units |A + I B|^2 is cheaper; it is squared in place,
+    as a second temporary re-faults the heap each call.
     """
     if len(units) < _FEW_UNITS:
         ks, table = np.arange(len(coeffs)), _ray_coeffs(coeffs, units, theta)
@@ -316,13 +328,54 @@ def _abs_sq_evaluator(coeffs: np.ndarray, units, theta: np.ndarray):
             return np.square(vals, out=vals).sum(axis=1).reshape(len(units), -1)
         return few
     table, unit_rows = _terms_table(coeffs, theta), _unit_rows(units)
+    return lambda radii: _unit_abs_sq(*_slice_terms(table, radii), unit_rows)
 
-    def many(radii):
-        s, v = _slice_terms(table, radii)
-        out = unit_rows @ (2.0 * v)
-        out += s
-        return np.maximum(out, 0.0, out=out)
-    return many
+
+def _unit_abs_sq(s: np.ndarray, v: np.ndarray, unit_rows: np.ndarray) -> np.ndarray:
+    """max(s + 2 <v, I>, 0) for every unit row I at every point, (M, N).
+
+    The product I @ (2v) is formed in column blocks of at most
+    _SERIAL_PRODUCT / (3M) points, whole multiples of _PRUNE_BLOCK, then s
+    is added.  OpenBLAS runs a dgemm whose m n k exceeds that size on helper
+    threads that spin between calls and take the cores of the p != 2 lanes
+    and of verify's sup worker; a block keeps each product on the calling
+    thread.  Every column keeps its place modulo the kernel width, so the
+    values are those of one product, bit for bit, on every grid the library
+    evaluates.
+
+    s >= 2|v| exactly, so a value can fall below 0 only where the two nearly
+    cancel, at a zero of f.  The clamp np.maximum(., 0) is therefore taken
+    only on the columns where not s > 2 (1 + d) max(|v|, 2^-510), with
+    d = _CLAMP_SLACK and |v| = sqrt(sum v_k^2) as rounded; elsewhere every
+    unit's rounded sum is already >= 0, and the result is the full clamp's
+    bit for bit.  With u = 2^-53: the rounded sum has the sign of p + s,
+    where p is the rounded product, so it is >= 0 where s >= |p|.  The
+    3-term product, in any order and with or without fused multiply-adds,
+    is within 3.01 u 2|I||v| of the exact one, beyond absolute underflow
+    errors of at most 5 2^-1075, and an ImaginaryUnit has |I|^2 within
+    1e-12 of 1, so |p| <= 2|v| (1 + 5e-13 + 6 u) + 5 2^-1075.  Where the
+    rounded sum of squares is at least 2^-1020, the rounded |v| is at least
+    |v| (1 - 3 u); below that |v| < 2^-510 (1 + 3 u), which the floor
+    covers, so the floored |v| is never below |v| (1 - 3 u).  The rounded
+    factor 2 (1 + d) and the rounded threshold lose at most u each, and the
+    threshold is at least 2^-509, so the underflow errors are below u s.
+    An unflagged column thus has s (1 - u) > 2 (1 + d) (1 - 6 u) |v|, which
+    is at least the bound on |p| for any d >= 5e-13 + 13 u; d = 1e-12 is
+    that, rounded up.  A NaN s, a NaN or infinite v component, and a v
+    whose squares overflow all fail the comparison, so those columns are
+    clamped too; an infinite s with a finite v sums to inf either way.
+    """
+    width = _SERIAL_PRODUCT // (3 * len(unit_rows))
+    width = max(_PRUNE_BLOCK, width - width % _PRUNE_BLOCK)
+    out = np.empty((len(unit_rows), s.size))
+    for start in range(0, s.size, width):
+        out[:, start:start + width] = unit_rows @ (2.0 * v[:, start:start + width])
+    out += s
+    norm = np.sqrt(np.einsum("ij,ij->j", v, v))
+    near = np.flatnonzero(~(s > 2.0 * (1.0 + _CLAMP_SLACK)
+                            * np.maximum(norm, _CLAMP_FLOOR, out=norm)))
+    out[:, near] = np.maximum(out[:, near], 0.0)
+    return out
 
 
 def _scaled_rows(f: SliceSeries) -> tuple[np.ndarray, int]:
@@ -721,27 +774,12 @@ def _ball_abs_sq(s: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _unit_values(s, v, unit_rows, w, cols) -> np.ndarray:
     """Weighted |f| of every unit on the grid points cols, (M, cols.size).
 
-    The many-unit evaluator's terms in its order, then the root and the
-    weight, so where BLAS rounds the product alike (see _pruned_unit_maxima)
-    each value is the one a full units x points array holds, bit for bit.
-
-    One loop forms the product in column blocks of at most
-    _SERIAL_PRODUCT / (3M) points; a smaller product is one block.
-    OpenBLAS runs a dgemm whose m n k exceeds that size on helper threads
-    that spin between calls, and a spinning helper takes the core that
-    verify's sup worker runs on; a block keeps each product on the calling
-    thread.  Blocks hold whole multiples of _PRUNE_BLOCK columns, so
-    every column keeps its place modulo the kernel width: the values are
-    those of one product, bit for bit, on every grid the library searches.
+    _unit_abs_sq on the columns cols, the many-unit evaluator's kernel, then
+    the root and the weight: where BLAS rounds the product alike (see
+    _pruned_unit_maxima) each value is the one a full units x points array
+    holds, bit for bit.
     """
-    width = _SERIAL_PRODUCT // (v.shape[0] * len(unit_rows))
-    width = max(_PRUNE_BLOCK, width - width % _PRUNE_BLOCK)
-    out = np.empty((len(unit_rows), cols.size))
-    for start in range(0, cols.size, width):
-        part = cols[start:start + width]
-        out[:, start:start + part.size] = unit_rows @ (2.0 * v[:, part])
-    out += s[cols]
-    np.maximum(out, 0.0, out=out)
+    out = _unit_abs_sq(s[cols], v[:, cols], unit_rows)
     np.sqrt(out, out=out)
     out *= w[cols]
     return out

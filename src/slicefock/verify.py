@@ -65,7 +65,7 @@ from .fock import (SLACK, FockParams, _derivative_reports, _dilation_values,
 # not called here: perfbench's test_tracer_counts_the_grid_evaluations_verify_makes
 # reads verify._slice_norms_on_grid
 from .fock import _slice_norms_on_grid  # noqa: F401
-from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _decompose_rows,
+from .quaternion import (_ONE_ROW, UNIT_I, Quaternion, _imaginary_rows,
                          _modulus_rows, _qmul, _rows, default_sphere)
 from .series import (_SINGULAR_TOL, MultiMonomial, SliceSeries, _eval_rows,
                      _extend_rows, _rep_eval_rows, _row_table, _split_rows,
@@ -149,10 +149,14 @@ def _check_star(corpus, seed: int) -> PropositionResult:
                 for column in (firsts, seconds, products))
     fc = _row_table([h._conj._coeff_rows for h in firsts])[:, None]
     sym = _row_table([h._sym._coeff_rows for h in firsts])[:, None]
-    # realness of f^s: the largest |Im c| over max(1, largest |c|) per function;
-    # the zero rows that pad a short f^s move neither max
+    # realness of f^s: the largest |Im c|, the modulus of (0, Im c), over
+    # max(1, largest |c|) per function; the zero rows that pad a short f^s
+    # move neither max.  _worst passes NaN over, so a non-finite f^s is refused
+    if not np.isfinite(sym).all():
+        raise ValueError("star: a symmetrization f^s has a non-finite coefficient")
     coeff_scale = np.fmax(1.0, _modulus_rows(sym).max(axis=-1))
-    worst_real = _worst(_decompose_rows(sym[..., 1:])[0].max(axis=-1) / coeff_scale)
+    worst_real = _worst(_modulus_rows(_imaginary_rows(sym[..., 1:])).max(axis=-1)
+                        / coeff_scale)
     q = np.array(points)
     # points where f(q) is small are skipped below; their rows may be inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

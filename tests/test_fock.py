@@ -1597,6 +1597,80 @@ def test_sup_over_rows_equals_reference_bit_for_bit_on_overflow(sphere, alpha):
     assert got.sups.tobytes() == want.tobytes()
 
 
+# --- the units x points kernel against a clamp of every column ---
+
+_KERNEL_SPHERES = {5: default_sphere()[:5], 67: default_sphere(),
+                   200: default_sphere(200)[:200]}
+
+
+def _kernel_and_unclamped(coeffs, units, radii, theta, cols):
+    """_unit_abs_sq on the grid points cols, and unit_rows @ (2v) + s there."""
+    s, v = _slice_terms(_terms_table(coeffs, theta), radii)
+    s, v, unit_rows = s[cols], v[:, cols], _unit_rows(units)
+    raw = unit_rows @ (2.0 * v)
+    raw += s
+    return fock._unit_abs_sq(s, v, unit_rows), raw
+
+
+def _node_zero(unit, radii, theta, i, j):
+    """Rows of f = q - q0, q0 = r_i (cos t_j + I sin t_j) on the slice of unit."""
+    x0, y0 = radii[i] * np.cos(theta[j]), radii[i] * np.sin(theta[j])
+    return np.array([[-x0, -y0 * unit.x, -y0 * unit.y, -y0 * unit.z],
+                     [1.0, 0.0, 0.0, 0.0]])
+
+
+def _aligned_blocks(rng, size):
+    """About half of the aligned 16-point blocks of a grid, as the pruning keeps them."""
+    return np.flatnonzero(np.repeat(rng.uniform(size=size // 16) < 0.5, 16))
+
+
+# a zero: (radial node, angular node, unit); at R = 1e30, r^k overflows on the
+# outer radii, and a 1e200 scale overflows the squares, so s and v hold inf
+# and NaN there
+@given(coeff_rows, st.sampled_from([5, 67, 200]), st.sampled_from([1e-200, 1.0, 1e200]),
+       st.sampled_from([1.2, 1e30]), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       st.none() | st.tuples(st.integers(0, 32), st.integers(1, 31), st.integers(0, 199)))
+@example([(0.3, -0.2, 0.5, 0.1)] * 13, 67, 1.0, 1e30, False, 0, None)
+@example([(0.0, 0.0, 0.0, 0.0)], 67, 1.0, 1.2, True, 0, (20, 5, 66))
+@settings(max_examples=80, deadline=None)
+def test_unit_abs_sq_equals_a_clamp_of_every_column_bit_for_bit(
+        rows, count, scale, radius, pruned, seed, zero):
+    units = _KERNEL_SPHERES[count]
+    radii, theta = _chebyshev_radii(33, radius), 2.0 * np.pi * np.arange(64) / 64
+    if zero is not None:
+        rows = _node_zero(units[zero[2] % count], radii, theta, *zero[:2])
+    size = radii.size * theta.size
+    cols = _aligned_blocks(np.random.default_rng(seed), size) if pruned \
+        else np.arange(size)
+    with np.errstate(all="ignore"):
+        got, raw = _kernel_and_unclamped(np.array(rows) * scale, units, radii,
+                                         theta, cols)
+        want = np.maximum(raw, 0.0)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [5, 67, 200])
+def test_unit_abs_sq_clamps_the_values_below_zero_at_a_zero_of_f(count):
+    # f = q - q0 with q0 a non-real node of one unit's slice on the start
+    # grid: |f|^2 is 0 there, and s + 2 <v, I> rounds below 0 for some of
+    # these f (a real q0 gives an exact 0).  So a kernel that clamps none of
+    # its columns, or too few, fails here
+    units = _KERNEL_SPHERES[count]
+    grid = QuadratureGrid.build(64, 128)
+    radii, theta = grid.radial_arrays()[0], grid.angles()
+    rng = np.random.default_rng(count)
+    below = 0
+    for n in range(40):
+        unit = units[rng.integers(count)]
+        rows = _node_zero(unit, radii, theta, rng.integers(64), rng.integers(1, 64))
+        cols = _aligned_blocks(rng, radii.size * theta.size) if n % 2 \
+            else np.arange(radii.size * theta.size)
+        got, raw = _kernel_and_unclamped(rows, units, radii, theta, cols)
+        assert got.tobytes() == np.maximum(raw, 0.0).tobytes()
+        below += int(np.count_nonzero(raw < 0.0))
+    assert below > 0
+
+
 @given(coeff_rows, st.lists(st.floats(0.0, 1.5), min_size=1, max_size=9),
        st.integers(1, 17))
 @settings(max_examples=60, deadline=None)

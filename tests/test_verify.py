@@ -493,3 +493,17 @@ def test_blocked_unit_values_equal_one_product(count):
         got = fock._unit_values(s, v, unit_rows, w, cols)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("coeffs", [
+    # f^c * f overflows, and inf - inf leaves NaN in the imaginary parts
+    (Quaternion(1e200, 1e200, 0.0, 0.0), Quaternion(1e200, 0.0, 1e200, 0.0)),
+    # the real part overflows and the imaginary parts stay exactly 0
+    (Quaternion(1e200),)])
+def test_star_row_refuses_a_non_finite_symmetrization(coeffs):
+    # the realness figure is a max taken with fmax, which passes NaN over, and
+    # an infinite scale would read any imaginary part as 0: neither may pass
+    corpus = [SliceSeries(coeffs), standard_corpus(0)[1]]
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="non-finite coefficient"):
+        verify._check_star(corpus, 0)
