@@ -199,6 +199,10 @@ def cmd_verify(args) -> _Result:
     results = verify.run_verify(seed=args.seed, props=args.props,
                                 alpha=args.alpha, p=_parse_p(args.p),
                                 radius=args.radius, sphere_count=args.sphere)
+    # a worst of -inf is a row with nothing to compare: dilation's converged
+    # values, or the derivative row's all-vacuous instances
+    _require_finite(*[(f"{r.name} worst", r.worst) for r in results
+                      if not _finite(r.worst) and r.worst != -math.inf])
     return _Result(partial(verify.results_to_dicts, results),
                    partial(verify.format_csv, results),
                    partial(verify.format_text, results),

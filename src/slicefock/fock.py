@@ -732,7 +732,8 @@ class _GridMaxima(NamedTuple):
     """Grid maxima of one set of rows, ready for the polish.
 
     A row is the slice of one unit or, with units None, the ball row: the
-    unit-free w sqrt(s + 2|v|), which is max_I w |f(x + yI)| exactly.
+    unit-free w sqrt(s + 2|v|), which is max_I w |f(x + yI)| exactly.  The
+    polish raises grid_max in place to the largest value a row reached.
     """
 
     coeffs: np.ndarray          # f 2^-exponent as rows (K, 4)
@@ -740,8 +741,6 @@ class _GridMaxima(NamedTuple):
     angles: np.ndarray          # angle of each row's best ray, (M,)
     brackets: np.ndarray        # radial cell around each maximum, (M, 2)
     grid_max: np.ndarray
-    ball_point: complex | None  # complex grid argmax of the ball row; None: units
-    exponent: int
 
 
 class _Sups(NamedTuple):
@@ -750,17 +749,6 @@ class _Sups(NamedTuple):
     sups: np.ndarray            # on each unit's slice disk, (M,)
     ball: float | None          # over the ball, exact over the units; None if not asked
     ball_point: complex | None  # complex grid argmax of the ball row
-
-
-def _grid_maxima(coeffs, units, exponent, flat, grid_max, radii, theta) -> _GridMaxima:
-    """_GridMaxima of rows whose grid maxima sit at the flat indices flat."""
-    ri, ti = np.divmod(flat, theta.size)
-    point = None if units is not None else \
-        complex(radii[ri[0]] * np.exp(1j * theta[ti[0]]))
-    return _GridMaxima(coeffs, units, theta[ti],
-                       np.stack([radii[np.maximum(ri - 1, 0)],
-                                 radii[np.minimum(ri + 1, radii.size - 1)]], axis=1),
-                       grid_max, point, exponent)
 
 
 def _ball_abs_sq(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -820,16 +808,19 @@ def _pruned_unit_maxima(s, v, bound, units, w) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sup_grid_stage(f: SliceSeries, units, ball: bool, radii: np.ndarray,
-                    theta: np.ndarray, weight: np.ndarray) -> list[_GridMaxima]:
-    """Grid maxima of one job: its unit rows if it has units, then its ball row.
+                    theta: np.ndarray, weight: np.ndarray):
+    """Grid maxima of one job: its exponent, its ball point and its row sets.
 
-    _FEW_UNITS units or more and the ball row share one s and v.  Under
-    _FEW_UNITS units the root and the radial weight are taken in place in
-    the units x points array of |f|^2.  Every grid array is released on
-    return, before the next job's is built.
+    f 2^-exponent is the f the rows evaluate; the ball point is the complex
+    grid argmax of the ball row, None without one.  The sets are the unit
+    rows if the job has units, then the ball row, each with the radial
+    cell around every maximum.  _FEW_UNITS units or more and the ball row
+    share one s and v.  Under _FEW_UNITS units the root and the radial
+    weight are taken in place in the units x points array of |f|^2.  Every
+    grid array is released on return, before the next job's is built.
     """
     coeffs, exponent = _scaled_rows(f)
-    out = []
+    found = []                                  # (units or None, flat argmax, max)
     if ball or len(units) >= _FEW_UNITS:
         s, v = _slice_terms(_terms_table(coeffs, theta), radii)
         w = np.repeat(weight, theta.size)
@@ -837,38 +828,43 @@ def _sup_grid_stage(f: SliceSeries, units, ball: bool, radii: np.ndarray,
         np.sqrt(bound, out=bound)
         bound *= w
     if len(units) >= _FEW_UNITS:
-        flat, grid_max = _pruned_unit_maxima(s, v, bound, units, w)
-        out.append(_grid_maxima(coeffs, units, exponent, flat, grid_max, radii, theta))
+        found.append((units, *_pruned_unit_maxima(s, v, bound, units, w)))
     elif units:
         vals = _abs_sq_evaluator(coeffs, units, theta)(radii)
         np.sqrt(vals, out=vals)
         cells = vals.reshape(len(units), radii.size, theta.size)   # a view
         cells *= weight[:, None]
         flat = vals.argmax(axis=1)
-        out.append(_grid_maxima(coeffs, units, exponent, flat,
-                                vals[np.arange(flat.size), flat], radii, theta))
+        found.append((units, flat, vals[np.arange(flat.size), flat]))
     if ball:
         flat = np.array([bound.argmax()])
-        out.append(_grid_maxima(coeffs, None, exponent, flat, bound[flat], radii, theta))
-    return out
+        found.append((None, flat, bound[flat]))
+    sets = [_GridMaxima(coeffs, rows_units, theta[at % theta.size], radii[np.clip(
+        at[:, None] // theta.size + [-1, 1], 0, radii.size - 1)], grid_max)
+        for rows_units, at, grid_max in found]
+    point = complex(radii[flat[0] // theta.size]
+                    * np.exp(1j * theta[flat[0] % theta.size])) if ball else None
+    return exponent, point, sets
 
 
 def _ray_evaluator(sets, alpha: float, weight_order: int):
     """r -> F and F' of every row of sets at its abscissa in r, (M,) each.
 
-    F(r) = W(r) P(r) along the row's best ray, with W = e^{-a r^2} / (1+r)^{2t}
-    and P = |f|^2 (a unit row, on its slice) or s + 2|v| (a ball row, from A
-    and B); F' = W (P' + P (log W)').  One product per run of sets of one kind
-    and coefficient count K takes the values and the r-derivatives at once:
-    r^k and k r^{k-1} (k times the power below, with no second power) stacked
-    as (rows, 2, K) @ ray.  A unit row takes P' = 2 <f, f'>; the ball rows take
-    s and v from one _s_and_v over (A, B), (A', B) and (A, B'), so that
-    v' = v(A', B) + v(A, B') by bilinearity, and P' = s' + 2 <v', v/|v|> (the
-    envelope rule).  Where v = 0, P' is taken from the right, s' + 2|v'|: at
-    r = 0, where v always vanishes, v ~ r v' makes that the limit of F' from
-    above, and the polish needs no more at an end.  All of it is elementwise
-    or per item of a stacked product, so a row's values do not depend on the
-    rows beside it.  The rays' coefficients are built here, so that only one
+    sets holds one chunk's _GridMaxima, with those of one kind (unit or
+    ball) and coefficient count K adjacent.  F(r) = W(r) P(r) along the
+    row's best ray, with W = e^{-a r^2} / (1+r)^{2t} and P = |f|^2 (a unit
+    row, on its slice) or s + 2|v| (a ball row, from A and B); F' = W (P' +
+    P (log W)').  One product per run of sets of one kind and K takes the
+    values and the r-derivatives at once: r^k and k r^{k-1} (k times the
+    power below, with no second power) stacked as (rows, 2, K) @ ray.  A
+    unit row takes P' = 2 <f, f'>; the ball rows take s and v from one
+    _s_and_v over (A, B), (A', B) and (A, B'), so that v' = v(A', B) +
+    v(A, B') by bilinearity, and P' = s' + 2 <v', v/|v|> (the envelope
+    rule).  Where v = 0, P' is taken from the right, s' + 2|v'|: at r = 0,
+    where v always vanishes, v ~ r v' makes that the limit of F' from above,
+    and the polish needs no more at an end.  All of it is elementwise or per
+    item of a stacked product, so a row's values do not depend on the rows
+    beside it.  The rays' coefficients are built here, so that only one
     chunk's are ever held.
     """
     runs, start = [], 0            # (rows of the chunk, ray (M, K, 4 or 12), ball)
@@ -925,21 +921,6 @@ def _ray_evaluator(sets, alpha: float, weight_order: int):
     return evaluate
 
 
-def _polish(sets, alpha: float, weight_order: int) -> list[np.ndarray]:
-    """Max of the weight times |f| along the best ray of each row, from its radial cell.
-
-    sets holds whole _GridMaxima, with those of one kind (unit or ball) and
-    coefficient count K adjacent; returns each set's polished rows.  One
-    secant loop (_secant_max_rows) serves the whole chunk, and a round makes
-    one (rows, 2, K) @ ray per run of sets of one kind and K, one _s_and_v
-    over the ball rows, and one weight for all rows (see _ray_evaluator).
-    """
-    brackets = np.concatenate([rows.brackets for rows in sets])
-    best = np.sqrt(_secant_max_rows(_ray_evaluator(sets, alpha, weight_order),
-                                    brackets[:, 0], brackets[:, 1]))
-    return np.split(best, np.cumsum([rows.angles.size for rows in sets])[:-1])
-
-
 def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
                    angular_count: int, weight_order: int = 0) -> list[_Sups]:
     """Weighted sup of |f|(q) e^{-a|q|^2/2} / (1+|q|)^t, per slice and on the ball.
@@ -953,45 +934,51 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
     jobs are then polished together along the best rays, one row per unit
     and one per ball, by regula falsi on the r-derivative of the weighted
     square.  The sets of rows are ordered by coefficient count K and row
-    kind, and a chunk is closed between two sets once it holds _POLISH_ROWS
-    rows, so no set is split; each chunk runs one secant loop (see
-    _polish).  A row's arithmetic does not depend on the other rows, so a
-    batch gives what one call per job gives, bit for bit.  A polished value
-    is the largest of the points the row evaluated, and never below its
-    grid max.
+    kind, and a chunk is closed at the first set that brings it to
+    _POLISH_ROWS rows, so no set is split.  Each chunk runs one secant loop
+    (_secant_max_rows), and a round makes one (rows, 2, K) @ ray per run of
+    sets of one kind and K, one _s_and_v over the ball rows, and one weight
+    for all rows (see _ray_evaluator).  A row's arithmetic does not depend
+    on the other rows, so a batch gives what one call per job gives, bit
+    for bit.  A polished value is the largest of the points the row
+    evaluated, and never below its grid max.
     """
     radii = _chebyshev_radii(radial_samples, radius)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
-    weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
-    zero = [not f._coeff_rows.any() for f, _, _ in jobs]
-    sets = [rows for (f, units, ball), z in zip(jobs, zero) if not z
-            for rows in _sup_grid_stage(f, units, ball, radii, theta, weight)]
-    chunks, held = [], 0
-    for j in sorted(range(len(sets)),
-                    key=lambda j: (len(sets[j].coeffs), sets[j].units is None)):
-        if not chunks or held >= _POLISH_ROWS:
-            chunks.append([])
-            held = 0
-        chunks[-1].append(j)
-        held += sets[j].angles.size
-    refined = [None] * len(sets)
-    for chunk in chunks:
-        for j, best in zip(chunk, _polish([sets[j] for j in chunk], alpha, weight_order)):
-            refined[j] = best
-    # a sup that overflows is inf, which callers refuse; numpy need not warn
-    with np.errstate(over="ignore"):
-        found = iter([(np.ldexp(np.maximum(best, rows.grid_max), rows.exponent),
-                       rows.ball_point) for rows, best in zip(sets, refined)])
+    # at a large R squares overflow (|v|^2 once R^{4N} passes 1e308), and
+    # inf - inf or 0 inf is NaN: callers refuse a sup that is not finite, and
+    # numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.exp(-0.5 * alpha * radii ** 2) / (1.0 + radii) ** weight_order
+        staged = [_sup_grid_stage(f, units, ball, radii, theta, weight)
+                  if f._coeff_rows.any() else None for f, units, ball in jobs]
+    sets = sorted((rows for found in staged if found for rows in found[2]),
+                  key=lambda rows: (len(rows.coeffs), rows.units is None))
+    start = held = 0
+    for stop, added in enumerate(sets, 1):
+        held += added.angles.size
+        if held >= _POLISH_ROWS or stop == len(sets):
+            chunk = sets[start:stop]
+            lo, hi = np.concatenate([rows.brackets for rows in chunk]).T
+            with np.errstate(over="ignore", invalid="ignore"):
+                best = np.sqrt(_secant_max_rows(_ray_evaluator(chunk, alpha, weight_order),
+                                                lo, hi))
+            for rows, part in zip(chunk, np.split(
+                    best, np.cumsum([rows.angles.size for rows in chunk])[:-1])):
+                np.maximum(part, rows.grid_max, out=rows.grid_max)
+            start, held = stop, 0
     results = []
-    for (_, units, ball), z in zip(jobs, zero):
-        if z:
+    for (_, units, ball), found in zip(jobs, staged):
+        if found is None:
             # f = 0: the grid path's values, whose argmax is node 0, at r = 0
             results.append(_Sups(np.zeros(len(units)), 0.0 if ball else None,
                                  0j if ball else None))
             continue
-        sups = next(found)[0] if units else np.empty(0)
-        top, point = next(found) if ball else (None, None)
-        results.append(_Sups(sups, None if top is None else float(top[0]), point))
+        exponent, point, job_sets = found
+        with np.errstate(over="ignore"):        # a sup may overflow to inf, as above
+            sups = [np.ldexp(rows.grid_max, exponent) for rows in job_sets]
+        results.append(_Sups(sups[0] if units else np.empty(0),
+                             float(sups[-1][0]) if ball else None, point))
     return results
 
 
@@ -1108,9 +1095,12 @@ def _derivative_reports(fs, order: int, params: FockParams, radial_samples: int,
                              angular_count, weight_order=order)
 
     def ratio_at(poly: ComplexSlicePolynomial, z: complex) -> float:
-        mag = abs(poly.eval(z))
-        return mag * math.exp(-0.5 * params.alpha * abs(z) ** 2) \
-            / (1.0 + abs(z)) ** order
+        try:
+            mag = abs(poly.eval(z))
+            return mag * math.exp(-0.5 * params.alpha * abs(z) ** 2) \
+                / (1.0 + abs(z)) ** order
+        except OverflowError:       # past the float range: no value, as the sups
+            return math.nan
 
     reports = []
     for i, (f1, f2) in enumerate(parts):
@@ -1141,10 +1131,11 @@ def little_space_profile(f: SliceSeries, params: FockParams,
         raise ValueError("rho_list must be strictly increasing inside (0, R]")
     theta = 2.0 * np.pi * np.arange(SUP_ANGULAR) / SUP_ANGULAR
     coeffs, exponent = _scaled_rows(f)
-    s, v = _slice_terms(_terms_table(coeffs, theta), np.array(rhos))
-    peaks = np.sqrt(_ball_abs_sq(s, v).reshape(len(rhos), SUP_ANGULAR).max(axis=1))
-    # an M that overflows is inf, which callers refuse; numpy need not warn
-    with np.errstate(over="ignore"):
+    # an M that overflows is inf, or NaN where inf meets 0, which callers
+    # refuse; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, v = _slice_terms(_terms_table(coeffs, theta), np.array(rhos))
+        peaks = np.sqrt(_ball_abs_sq(s, v).reshape(len(rhos), SUP_ANGULAR).max(axis=1))
         values = [float(np.ldexp(m * math.exp(-0.5 * params.alpha * rho * rho),
                                  exponent)) for m, rho in zip(peaks, rhos)]
     return LittleSpaceReport(tuple(rhos), tuple(values))

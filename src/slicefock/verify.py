@@ -246,9 +246,8 @@ def _check_sup_norms(corpus, params: FockParams, units) -> PropositionResult:
 
     results = _sup_over_rows([(f, units, True) for f in corpus], params.alpha,
                              params.radius, *SANDWICH_SUP_GRID)
-    rows = [one(found) for found in results]
-    worst_lower = max(r[0] for r in rows)
-    worst_upper = max(r[1] for r in rows)
+    # np.max keeps a NaN, which the CLI refuses
+    worst_lower, worst_upper = (float(np.max(col)) for col in zip(*map(one, results)))
     instances = len(corpus) * len(units)
     ok = worst_upper <= 2.0 + SLACK and worst_lower <= 1.0 + SLACK
     return PropositionResult("norm-sandwich-sup", instances, worst_upper, 2.0,
@@ -260,12 +259,13 @@ def _check_dilation(corpus, params: FockParams) -> PropositionResult:
     factors = (0.5, 0.9, 0.99)
 
     def one(vals):
-        if max(vals) < 1e-12:
+        if np.max(vals) < 1e-12:
             return -math.inf  # already converged, nothing to order
-        return max(b - a for a, b in zip(vals, vals[1:]))
+        return float(np.max(np.diff(vals)))
 
-    worst = max(one(vals) for vals in _dilation_values(
-        subset, params, factors, *CRITERIA_SUP_GRID))
+    # np.max keeps a NaN, which the CLI refuses
+    worst = float(np.max([one(vals) for vals in _dilation_values(
+        subset, params, factors, *CRITERIA_SUP_GRID)]))
     return PropositionResult("dilation", len(subset) * len(factors), worst,
                              0.0, worst < 0.0)
 
@@ -282,7 +282,7 @@ def _check_derivative(corpus, params: FockParams) -> PropositionResult:
                 vacuous += 1
             else:
                 margins.append(rep.sup_ratio - sum(rep.component_sups))
-    worst = max(margins, default=-math.inf)
+    worst = float(np.max(margins, initial=-math.inf))     # NaN kept, as above
     return PropositionResult("derivative", len(subset) * len(orders), worst,
                              SLACK, worst <= SLACK, f"vacuous={vacuous}")
 
@@ -304,7 +304,7 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
             mono = MultiMonomial((k,), low.coeffs[k])
             lhs = _monomial_sup(mono, params.alpha, params.radius)
             rhs = constant * math.sqrt(k / 2.0) * ssup
-            worst = max(worst, lhs / rhs)
+            worst = float(np.maximum(worst, lhs / rhs))    # NaN kept, as above
             instances += 1
     return PropositionResult("monomial", instances, worst, 1.0,
                              worst <= 1.0 + SLACK)
@@ -399,12 +399,13 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     norm-sandwich-p's grid-doubling-rel is the largest relative change of a
     last doubling, printed only where grids were compared (not at p = 2,
     where no grid is built), and a function whose values do not stabilize
-    raises GridTooCoarse.  Sup propositions search
-    Chebyshev radii times uniform angles, SANDWICH_SUP_GRID,
-    CRITERIA_SUP_GRID or fock's SUP_RADIAL x SUP_ANGULAR, and polish each
-    best cell by regula falsi on the radial derivative (fock._polish).
-    The same seed and flags always produce the same results, and the same
-    exception when rows raise, on any number of cores.  One runner takes
+    raises GridTooCoarse.  Sup propositions search Chebyshev radii times
+    uniform angles, SANDWICH_SUP_GRID, CRITERIA_SUP_GRID or fock's
+    SUP_RADIAL x SUP_ANGULAR, and polish each best cell by regula falsi on
+    the radial derivative (fock._sup_over_rows).  A sup row's worst is NaN
+    where one of its sups is, and the CLI refuses a NaN or +inf worst with
+    exit 3.  The same seed and flags always produce the same results, and
+    the same exception when rows raise, on any number of cores.  One runner takes
     every selected row but norm-sandwich-sup in this process, then that
     row last: the worker's when one was forked (the row is selected, the
     system has fork and two cores are usable) and sent it, else computed

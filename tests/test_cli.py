@@ -406,6 +406,36 @@ def test_verify_that_does_not_stabilize_exits_three(capsys, monkeypatch):
     assert "grid {'radial': 64, 'angular': 128" in err
 
 
+@pytest.mark.parametrize("props, radius", [
+    # the criterion's re-evaluation at the ball argmax overflowed in
+    # (1 + |z|)^3, an uncaught OverflowError that exited 1
+    ("derivative", "1e110"),
+    # these printed worst=nan FAIL and exited 1
+    ("dilation", "1e100"),
+    ("norm-sandwich-sup", "1e100"),
+    # every slice sup is NaN, yet max(worst, nan) kept 0 and the row passed
+    ("monomial", "1e200"),
+])
+def test_verify_past_the_float_range_exits_three(capsys, props, radius):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", "--seed", "0", "--props", props,
+                                      "--radius", radius])
+    assert code == 3 and out == ""
+    assert err == f"error: a value is not finite: {props} worst = nan\n"
+
+
+def test_verify_passes_rows_with_nothing_to_compare(capsys, monkeypatch):
+    # on constants every derivative is the zero series (all vacuous) and
+    # every dilation difference is 0 (already converged): both worsts are -inf
+    monkeypatch.setattr("slicefock.verify.standard_corpus", lambda seed: [
+        SliceSeries((Quaternion(0.5 * k, 0.1, 0.0, -0.2),)) for k in range(1, 21)])
+    code, out, _ = run(capsys, ["verify", "--props", "derivative,dilation", "--out", "json"])
+    assert code == 0
+    assert [(r["name"], r["worst"], r["passed"]) for r in json.loads(out)] == \
+        [("derivative", -math.inf, True), ("dilation", -math.inf, True)]
+
+
 @pytest.mark.parametrize("argv", [
     ["norm", "f.json", "--rad", "2"],
     ["norm", "f.json", "--radial", "8"],

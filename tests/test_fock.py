@@ -639,6 +639,13 @@ def test_derivative_criterion_flags_a_vacuous_instance():
     assert reports[2].sup_ratio > 0.0
 
 
+def test_derivative_criterion_past_the_float_range_reads_nan():
+    # the re-evaluation at the ball argmax overflowed in (1 + |z|)^3 and
+    # raised OverflowError; the sups there are NaN, and so is the report
+    report = derivative_criterion(standard_corpus(0)[0], 3, FockParams(1.0, 2.0, 1e110))
+    assert math.isnan(report.sup_ratio) and not report.passed and not report.vacuous
+
+
 def test_derivative_criterion_split_inequality_random():
     rng = rng_for(78)
     for _ in range(10):
@@ -1060,10 +1067,10 @@ def test_lockstep_polish_matches_scalar_golden(rows, order, sphere_count):
 
 def _ray_rows(f, units, angles):
     """_GridMaxima of f's rows along angles (one per unit, or one ball row)."""
-    coeffs, exponent = _scaled_rows(f)
+    coeffs, _ = _scaled_rows(f)
     angles = np.array(angles, dtype=float)
     return _GridMaxima(coeffs, units, angles, np.zeros((angles.size, 2)),
-                       np.zeros(angles.size), None, exponent)
+                       np.zeros(angles.size))
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -1802,9 +1809,9 @@ def test_polish_runs_one_secant_loop_per_chunk():
         return _secant_max_rows(*args, **kwargs)
 
     def grid_stage(*args, stage=fock._sup_grid_stage):
-        sets = stage(*args)
-        made.extend(rows.angles.size for rows in sets)
-        return sets
+        staged = stage(*args)
+        made.extend(rows.angles.size for rows in staged[2])
+        return staged
 
     subset = standard_corpus(0)[:50]
     with unittest.mock.patch.object(fock, "_secant_max_rows", counted), \
@@ -1855,20 +1862,21 @@ def test_polish_chunks_hold_whole_row_sets(limit):
     made, chunks, loops = [], [], []
 
     def grid_stage(*args, stage=fock._sup_grid_stage):
-        sets = stage(*args)
-        made.extend(sets)
-        return sets
+        staged = stage(*args)
+        made.extend(staged[2])
+        return staged
 
-    def polish(sets, *args, polish=fock._polish):
+    def ray_evaluator(sets, *args, evaluator=fock._ray_evaluator):
         chunks.append(sets)
-        return polish(sets, *args)
+        return evaluator(sets, *args)
 
     def secant(fn, lo, hi):
         loops.append(lo.size)
         return _secant_max_rows(fn, lo, hi)
 
     with unittest.mock.patch.multiple(fock, _POLISH_ROWS=limit,
-                                      _sup_grid_stage=grid_stage, _polish=polish,
+                                      _sup_grid_stage=grid_stage,
+                                      _ray_evaluator=ray_evaluator,
                                       _secant_max_rows=secant):
         batched = _sup_over_rows(jobs, 1.0, 1.0, 17, 32)
     sizes = [[rows.angles.size for rows in chunk] for chunk in chunks]
