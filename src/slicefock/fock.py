@@ -137,7 +137,7 @@ import numpy as np
 from .errors import GridTooCoarse, _require_positive_finite
 from .quadrature import ANGULAR_CAP, RADIAL_CAP, QuadratureGrid
 from .quaternion import (_CONJ_SIGNS, ImaginaryUnit, Quaternion, UNIT_I,
-                         _imaginary_rows, _qmul, _unit_rows,
+                         _imaginary_rows, _modulus_rows, _qmul, _unit_rows,
                          default_sphere, orthonormal_partner)
 from .series import (ComplexSlicePolynomial, MultiMonomial,
                      SliceSeries, derivative, dilate, split)
@@ -1120,8 +1120,12 @@ def little_space_profile(f: SliceSeries, params: FockParams,
 
     The max is exact over the units but sampled over SUP_ANGULAR angles,
     with no polish, so each M(rho) is a lower bound of the max over the
-    circle, not the max itself.  rho_list must be non-empty and increase
-    inside (0, R].
+    circle, not the max itself.  An M that overflows is inf, or NaN where
+    an inf peak meets an underflowed weight.  Such an M reads 0.0 where
+    the majorant sum_k |a_k| rho^k e^{-a rho^2/2} of max_I |f| e^{-a rho^2/2}
+    lies below e^{-745.2}, under half the least subnormal float, so 0.0
+    is the value rounded; any other non-finite M is left for callers to
+    refuse.  rho_list must be non-empty and increase inside (0, R].
     """
     rhos = [float(r) for r in rho_list]
     if not rhos:
@@ -1131,11 +1135,19 @@ def little_space_profile(f: SliceSeries, params: FockParams,
         raise ValueError("rho_list must be strictly increasing inside (0, R]")
     theta = 2.0 * np.pi * np.arange(SUP_ANGULAR) / SUP_ANGULAR
     coeffs, exponent = _scaled_rows(f)
-    # an M that overflows is inf, or NaN where inf meets 0, which callers
-    # refuse; numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an M that overflows is inf, or NaN where inf meets 0; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s, v = _slice_terms(_terms_table(coeffs, theta), np.array(rhos))
         peaks = np.sqrt(_ball_abs_sq(s, v).reshape(len(rhos), SUP_ANGULAR).max(axis=1))
         values = [float(np.ldexp(m * math.exp(-0.5 * params.alpha * rho * rho),
                                  exponent)) for m, rho in zip(peaks, rhos)]
+        # log of the majorant sum_k |a_k| rho^k 2^e e^{-a rho^2/2} on the
+        # scaled rows; a zero a_k is dropped as a term of log 0 = -inf
+        terms = np.log(_modulus_rows(coeffs)) + np.outer(np.log(rhos), np.arange(len(coeffs)))
+        logs = (np.logaddexp.reduce(terms, axis=1) + exponent * math.log(2.0)
+                - 0.5 * params.alpha * np.square(rhos))
+    # a non-finite M whose majorant lies below e^{-745.2} is 0.0, as rounded;
+    # callers refuse any other
+    values = [0.0 if not math.isfinite(m) and log < -745.2 else m
+              for m, log in zip(values, logs)]
     return LittleSpaceReport(tuple(rhos), tuple(values))

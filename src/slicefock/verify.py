@@ -10,6 +10,12 @@ take every slice norm as `norm` takes it, through fock's one p-norm path:
 the closed form at p = 2, the refined quadrature at any other finite p,
 so their values are certified or the run raises GridTooCoarse.
 
+Every row reduces its figures one way, _worst: the largest figure, from
+0.0 or from -inf where a row may have nothing to compare.  A NaN figure
+makes the row's worst NaN, so the row fails, and the CLI refuses a NaN or
++inf worst with exit 3 rather than report it; no row passes on a NaN or
+raises for one.
+
 The sup row takes about as long as the other eight rows together in a
 serial default run.  So whenever that row is selected, the system has
 fork and two cores are usable, run_verify first forks one worker for it.
@@ -53,7 +59,7 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,17 +127,16 @@ def _select(props) -> list[str]:
 # individual propositions
 # ---------------------------------------------------------------------------
 
-def _worst(values: np.ndarray, start: float = 0.0) -> float:
-    """max(start, *values) as a loop of builtin max makes it: NaN is passed over."""
-    return float(np.fmax.reduce(values, axis=None, initial=start))
+def _worst(figures, start: float = 0.0) -> float:
+    """The largest of start and every figure; a NaN figure makes it NaN."""
+    return float(np.max(figures, initial=start))
 
 
 def _check_star(corpus, seed: int) -> PropositionResult:
     rng = rng_for(seed + 101)
     fs = [truncate(f, 8) for f in corpus]
     firsts, seconds = fs[0:200:2], fs[1:200:2]
-    worst_zero = 0.0
-    products, points = [], []
+    zeros, products, points = [], [], []
     for f, g in zip(firsts, seconds):
         products.append(star_mul(f, g))
 
@@ -141,7 +146,7 @@ def _check_star(corpus, seed: int) -> PropositionResult:
         killed = star_mul(vanishing, g)
         scale = max(1.0, sum(math.hypot(*c) * z0.modulus() ** k
                              for k, c in enumerate(killed._float_rows)))
-        worst_zero = max(worst_zero, killed.eval(z0).modulus() / scale)
+        zeros.append(killed.eval(z0).modulus() / scale)
         points.append(_rows([random_ball_point(rng) for _ in range(20)]))
 
     # every point of a function at once: one table row per function, (100, 1, K, 4)
@@ -151,9 +156,7 @@ def _check_star(corpus, seed: int) -> PropositionResult:
     sym = _row_table([h._sym._coeff_rows for h in firsts])[:, None]
     # realness of f^s: the largest |Im c|, the modulus of (0, Im c), over
     # max(1, largest |c|) per function; the zero rows that pad a short f^s
-    # move neither max.  _worst passes NaN over, so a non-finite f^s is refused
-    if not np.isfinite(sym).all():
-        raise ValueError("star: a symmetrization f^s has a non-finite coefficient")
+    # move neither max
     coeff_scale = np.fmax(1.0, _modulus_rows(sym).max(axis=-1))
     worst_real = _worst(_modulus_rows(_imaginary_rows(sym[..., 1:])).max(axis=-1)
                         / coeff_scale)
@@ -173,8 +176,9 @@ def _check_star(corpus, seed: int) -> PropositionResult:
     # the reciprocal is skipped where f^s vanishes (SingularPoint)
     regular = kept & ~(sym_modulus < _SINGULAR_TOL)
     worst_inverse = _worst(_modulus_rows(residual[regular]))
-    worst = max(worst_point / 1e-10, worst_zero / 1e-10,
-                worst_real / 1e-12, worst_inverse / 1e-10)
+    worst_zero = _worst(zeros)
+    worst = _worst([worst_point / 1e-10, worst_zero / 1e-10,
+                    worst_real / 1e-12, worst_inverse / 1e-10])
     detail = (f"pointwise={worst_point:.2e} zero={worst_zero:.2e} "
               f"real={worst_real:.2e} reciprocal={worst_inverse:.2e}")
     return PropositionResult("star", instances, worst, 1.0, worst <= 1.0, detail)
@@ -224,7 +228,7 @@ def _check_p_norms(corpus, params: FockParams,
         return 1.0 if top < 1e-300 else float(top / powered.min())
 
     values, specs, rels = zip(*(_norms(f, units, params) for f in corpus))
-    worst = max(map(ratio, values))
+    worst = _worst([ratio(vals) for vals in values])
     # a doubling is reported only where _norms compared grids
     detail = f"grid-doubling-rel={max(rels):.2e}" if "refinements" in specs[0] else ""
     instances = len(corpus) * len(units)
@@ -246,8 +250,7 @@ def _check_sup_norms(corpus, params: FockParams, units) -> PropositionResult:
 
     results = _sup_over_rows([(f, units, True) for f in corpus], params.alpha,
                              params.radius, *SANDWICH_SUP_GRID)
-    # np.max keeps a NaN, which the CLI refuses
-    worst_lower, worst_upper = (float(np.max(col)) for col in zip(*map(one, results)))
+    worst_lower, worst_upper = (_worst(col) for col in zip(*map(one, results)))
     instances = len(corpus) * len(units)
     ok = worst_upper <= 2.0 + SLACK and worst_lower <= 1.0 + SLACK
     return PropositionResult("norm-sandwich-sup", instances, worst_upper, 2.0,
@@ -259,13 +262,12 @@ def _check_dilation(corpus, params: FockParams) -> PropositionResult:
     factors = (0.5, 0.9, 0.99)
 
     def one(vals):
-        if np.max(vals) < 1e-12:
+        if _worst(vals) < 1e-12:
             return -math.inf  # already converged, nothing to order
-        return float(np.max(np.diff(vals)))
+        return _worst(np.diff(vals), -math.inf)
 
-    # np.max keeps a NaN, which the CLI refuses
-    worst = float(np.max([one(vals) for vals in _dilation_values(
-        subset, params, factors, *CRITERIA_SUP_GRID)]))
+    worst = _worst([one(vals) for vals in _dilation_values(
+        subset, params, factors, *CRITERIA_SUP_GRID)], -math.inf)
     return PropositionResult("dilation", len(subset) * len(factors), worst,
                              0.0, worst < 0.0)
 
@@ -282,7 +284,7 @@ def _check_derivative(corpus, params: FockParams) -> PropositionResult:
                 vacuous += 1
             else:
                 margins.append(rep.sup_ratio - sum(rep.component_sups))
-    worst = float(np.max(margins, initial=-math.inf))     # NaN kept, as above
+    worst = _worst(margins, -math.inf)
     return PropositionResult("derivative", len(subset) * len(orders), worst,
                              SLACK, worst <= SLACK, f"vacuous={vacuous}")
 
@@ -290,8 +292,7 @@ def _check_derivative(corpus, params: FockParams) -> PropositionResult:
 def _check_monomial(corpus, params: FockParams) -> PropositionResult:
     subset = corpus[:50]
     constant = 2.0 ** max(params.p, 1.0)
-    worst = 0.0
-    instances = 0
+    ratios = []
     lows = [truncate(f, 5) for f in subset]
     results = _sup_over_rows([(low, [UNIT_I], False) for low in lows],
                              params.alpha, params.radius, fock.SUP_RADIAL,
@@ -303,10 +304,9 @@ def _check_monomial(corpus, params: FockParams) -> PropositionResult:
         for k in range(1, low.degree + 1):
             mono = MultiMonomial((k,), low.coeffs[k])
             lhs = _monomial_sup(mono, params.alpha, params.radius)
-            rhs = constant * math.sqrt(k / 2.0) * ssup
-            worst = float(np.maximum(worst, lhs / rhs))    # NaN kept, as above
-            instances += 1
-    return PropositionResult("monomial", instances, worst, 1.0,
+            ratios.append(lhs / (constant * math.sqrt(k / 2.0) * ssup))
+    worst = _worst(ratios)
+    return PropositionResult("monomial", len(ratios), worst, 1.0,
                              worst <= 1.0 + SLACK)
 
 
@@ -402,9 +402,9 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     raises GridTooCoarse.  Sup propositions search Chebyshev radii times
     uniform angles, SANDWICH_SUP_GRID, CRITERIA_SUP_GRID or fock's
     SUP_RADIAL x SUP_ANGULAR, and polish each best cell by regula falsi on
-    the radial derivative (fock._sup_over_rows).  A sup row's worst is NaN
-    where one of its sups is, and the CLI refuses a NaN or +inf worst with
-    exit 3.  The same seed and flags always produce the same results, and
+    the radial derivative (fock._sup_over_rows).  Any row's worst is NaN
+    where one of its figures is (a NaN sup, round trip or point value, say),
+    and the CLI refuses a NaN or +inf worst with exit 3.  The same seed and flags always produce the same results, and
     the same exception when rows raise, on any number of cores.  One runner takes
     every selected row but norm-sandwich-sup in this process, then that
     row last: the worker's when one was forked (the row is selected, the
@@ -457,9 +457,7 @@ def format_text(results) -> str:
 
 
 def results_to_dicts(results) -> list[dict]:
-    return [{"name": r.name, "instances": r.instances, "worst": r.worst,
-             "bound": r.bound, "passed": r.passed, "detail": r.detail}
-            for r in results]
+    return [asdict(r) for r in results]
 
 
 def format_csv(results) -> str:

@@ -270,6 +270,25 @@ def test_profile_overflow_exits_three(tmp_path, capsys, out):
     assert err == "error: a value is not finite: M(10.0) = inf\n"
 
 
+def test_profile_reads_zero_where_the_weight_underflows(tmp_path, capsys):
+    # f = 1 + 0.5 i q at rho = 1e200: the peak overflows to inf and the weight
+    # underflows to 0, which read M = nan and exited 3; the majorant
+    # sum_k |a_k| rho^k e^{-rho^2/2} is far below the least subnormal float
+    path = write_series(tmp_path, [Quaternion(1.0), Quaternion(0.0, 0.5, 0.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["profile", path, "--rho", "1e200",
+                                      "--radius", "1e300"])
+        assert (code, out, err) == (0, "rho = 1e+200  M = 0.0\n", "")
+        code, out, _ = run(capsys, ["profile", path, "--rho", "0.5,1e200",
+                                    "--radius", "1e300", "--out", "json"])
+        assert code == 0
+        _, alone, _ = run(capsys, ["profile", path, "--rho", "0.5",
+                                   "--radius", "1e300", "--out", "json"])
+    values = json.loads(out)["values"]
+    assert values == [json.loads(alone)["values"][0], 0.0]
+
+
 @pytest.mark.parametrize("out", ["text", "json"])
 def test_norm_sup_overflow_exits_three(tmp_path, capsys, out):
     # f = 1e308 (1 + q): the weighted sup near |q| = 10 is about 1e309

@@ -498,12 +498,51 @@ def test_blocked_unit_values_equal_one_product(count):
 @pytest.mark.parametrize("coeffs", [
     # f^c * f overflows, and inf - inf leaves NaN in the imaginary parts
     (Quaternion(1e200, 1e200, 0.0, 0.0), Quaternion(1e200, 0.0, 1e200, 0.0)),
-    # the real part overflows and the imaginary parts stay exactly 0
+    # the real part overflows and the imaginary parts stay exactly 0: the
+    # realness figure reads 0 on its infinite scale, the reciprocal NaN
     (Quaternion(1e200),)])
-def test_star_row_refuses_a_non_finite_symmetrization(coeffs):
-    # the realness figure is a max taken with fmax, which passes NaN over, and
-    # an infinite scale would read any imaginary part as 0: neither may pass
+def test_star_row_refuses_a_non_finite_symmetrization(coeffs, monkeypatch, capsys):
+    # the row's worst keeps the NaN, so the row fails and the CLI refuses it
     corpus = [SliceSeries(coeffs), standard_corpus(0)[1]]
-    with np.errstate(all="ignore"), \
-            pytest.raises(ValueError, match="non-finite coefficient"):
-        verify._check_star(corpus, 0)
+    monkeypatch.setattr(verify, "standard_corpus", lambda seed: corpus)
+    with np.errstate(all="ignore"):
+        result = verify._check_star(corpus, 0)
+        assert np.isnan(result.worst) and not result.passed
+        assert main(["verify", "--props", "star"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a value is not finite: star worst = nan\n"
+
+
+def _with_nan(fn, every):
+    """fn, each result copied with its first value NaN, or every value NaN."""
+    def patched(*args):
+        out = np.array(fn(*args))
+        if every:
+            out[...] = np.nan
+        else:
+            out.reshape(-1, 4)[0] = np.nan
+        return out
+    return patched
+
+
+@pytest.mark.parametrize("row, evaluator, every", [
+    # a NaN in one split/extend round trip of each coefficient count, then in
+    # every one: the rows read 7.4e-16 and 0.0 and passed while the worst
+    # passed NaN over
+    ("split", "_extend_rows", False),
+    ("split", "_extend_rows", True),
+    # one representation-formula value NaN (read 2.3e-15 and passed)
+    ("rep-formula", "_rep_eval_rows", False),
+    # one point's value NaN in the star formula (pointwise read 2.96e-15)
+    ("star", "_eval_rows", False),
+])
+def test_a_nan_figure_fails_its_row_and_is_refused(monkeypatch, capsys, row,
+                                                    evaluator, every):
+    monkeypatch.setattr(verify, evaluator, _with_nan(getattr(verify, evaluator), every))
+    [result] = run_verify(seed=0, props=row)
+    assert np.isnan(result.worst) and not result.passed
+    assert main(["verify", "--seed", "0", "--props", row]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a value is not finite: {row} worst = nan\n"
