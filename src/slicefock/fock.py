@@ -1124,8 +1124,10 @@ def little_space_profile(f: SliceSeries, params: FockParams,
     an inf peak meets an underflowed weight.  Such an M reads 0.0 where
     the majorant sum_k |a_k| rho^k e^{-a rho^2/2} of max_I |f| e^{-a rho^2/2}
     lies below e^{-745.2}, under half the least subnormal float, so 0.0
-    is the value rounded; any other non-finite M is left for callers to
-    refuse.  rho_list must be non-empty and increase inside (0, R].
+    is the value rounded.  The majorant's exponent is the weight's own
+    ((-a/2) rho) rho, never rho^2 alone, which overflows past about
+    1.34e154 whatever a is.  Any other non-finite M is left for callers
+    to refuse.  rho_list must be non-empty and increase inside (0, R].
     """
     rhos = [float(r) for r in rho_list]
     if not rhos:
@@ -1135,17 +1137,19 @@ def little_space_profile(f: SliceSeries, params: FockParams,
         raise ValueError("rho_list must be strictly increasing inside (0, R]")
     theta = 2.0 * np.pi * np.arange(SUP_ANGULAR) / SUP_ANGULAR
     coeffs, exponent = _scaled_rows(f)
+    radii = np.array(rhos)
     # an M that overflows is inf, or NaN where inf meets 0; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s, v = _slice_terms(_terms_table(coeffs, theta), np.array(rhos))
+        s, v = _slice_terms(_terms_table(coeffs, theta), radii)
         peaks = np.sqrt(_ball_abs_sq(s, v).reshape(len(rhos), SUP_ANGULAR).max(axis=1))
-        values = [float(np.ldexp(m * math.exp(-0.5 * params.alpha * rho * rho),
-                                 exponent)) for m, rho in zip(peaks, rhos)]
+        # one weight exponent ((-a/2) rho) rho for M and its majorant: it
+        # overflows only where a rho^2 / 2 does, not where rho^2 alone does
+        gauss = -0.5 * params.alpha * radii * radii
+        values = [float(np.ldexp(m * math.exp(g), exponent)) for m, g in zip(peaks, gauss)]
         # log of the majorant sum_k |a_k| rho^k 2^e e^{-a rho^2/2} on the
         # scaled rows; a zero a_k is dropped as a term of log 0 = -inf
-        terms = np.log(_modulus_rows(coeffs)) + np.outer(np.log(rhos), np.arange(len(coeffs)))
-        logs = (np.logaddexp.reduce(terms, axis=1) + exponent * math.log(2.0)
-                - 0.5 * params.alpha * np.square(rhos))
+        terms = np.log(_modulus_rows(coeffs)) + np.outer(np.log(radii), np.arange(len(coeffs)))
+        logs = np.logaddexp.reduce(terms, axis=1) + exponent * math.log(2.0) + gauss
     # a non-finite M whose majorant lies below e^{-745.2} is 0.0, as rounded;
     # callers refuse any other
     values = [0.0 if not math.isfinite(m) and log < -745.2 else m

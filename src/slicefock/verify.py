@@ -156,8 +156,10 @@ def _check_star(corpus, seed: int) -> PropositionResult:
     sym = _row_table([h._sym._coeff_rows for h in firsts])[:, None]
     # realness of f^s: the largest |Im c|, the modulus of (0, Im c), over
     # max(1, largest |c|) per function; the zero rows that pad a short f^s
-    # move neither max
-    coeff_scale = np.fmax(1.0, _modulus_rows(sym).max(axis=-1))
+    # move neither max.  A non-finite scale is NaN, so an overflowed f^s
+    # reads a NaN realness figure, not |Im c| / inf = 0
+    coeff_scale = np.maximum(1.0, _modulus_rows(sym).max(axis=-1))
+    coeff_scale[~np.isfinite(coeff_scale)] = np.nan
     worst_real = _worst(_modulus_rows(_imaginary_rows(sym[..., 1:])).max(axis=-1)
                         / coeff_scale)
     q = np.array(points)

@@ -289,6 +289,26 @@ def test_profile_reads_zero_where_the_weight_underflows(tmp_path, capsys):
     assert values == [json.loads(alone)["values"][0], 0.0]
 
 
+@pytest.mark.parametrize("coeffs, alpha, rho, shown", [
+    # f = 1 + 0.5 i q: a rho^2 / 2 is about 50, the true M about 1e133, and
+    # the float peak overflows to inf
+    ([Quaternion(1.0), Quaternion(0.0, 0.5, 0.0, 0.0)], "1e-309", "1e155", "inf"),
+    # f = q^2: the true M is about 3e303, and inf meets a weight of e^{-11}
+    ([Quaternion(0.0), Quaternion(0.0), Quaternion(1.0)], "1e-307", "1.5e154", "nan"),
+])
+def test_profile_refuses_an_overflow_where_rho_squared_alone_overflows(
+        tmp_path, capsys, coeffs, alpha, rho, shown):
+    # rho^2 is inf past about 1.34e154, but a small alpha keeps a rho^2 / 2
+    # finite: the majorant is far above e^{-745.2}, so M is no certified 0.0
+    path = write_series(tmp_path, coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["profile", path, "--alpha", alpha,
+                                      "--rho", rho, "--radius", rho])
+    assert code == 3 and out == ""
+    assert err == f"error: a value is not finite: M({float(rho)!r}) = {shown}\n"
+
+
 @pytest.mark.parametrize("out", ["text", "json"])
 def test_norm_sup_overflow_exits_three(tmp_path, capsys, out):
     # f = 1e308 (1 + q): the weighted sup near |q| = 10 is about 1e309

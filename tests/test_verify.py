@@ -499,7 +499,7 @@ def test_blocked_unit_values_equal_one_product(count):
     # f^c * f overflows, and inf - inf leaves NaN in the imaginary parts
     (Quaternion(1e200, 1e200, 0.0, 0.0), Quaternion(1e200, 0.0, 1e200, 0.0)),
     # the real part overflows and the imaginary parts stay exactly 0: the
-    # realness figure reads 0 on its infinite scale, the reciprocal NaN
+    # realness figure reads NaN on its non-finite scale, not |Im c| / inf = 0
     (Quaternion(1e200),)])
 def test_star_row_refuses_a_non_finite_symmetrization(coeffs, monkeypatch, capsys):
     # the row's worst keeps the NaN, so the row fails and the CLI refuses it
@@ -508,6 +508,7 @@ def test_star_row_refuses_a_non_finite_symmetrization(coeffs, monkeypatch, capsy
     with np.errstate(all="ignore"):
         result = verify._check_star(corpus, 0)
         assert np.isnan(result.worst) and not result.passed
+        assert "real=nan" in result.detail
         assert main(["verify", "--props", "star"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
