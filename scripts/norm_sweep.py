@@ -19,10 +19,9 @@ Example:
 import argparse
 import sys
 
-from slicefock import (UNIT_I, FockParams, GridTooCoarse, Quaternion,
-                       SliceSeries, default_sphere, fock_norm_p, slice_norm_p,
-                       sup_norm)
-from slicefock.cli import _parse_values
+from slicefock import (UNIT_I, FockParams, Quaternion, SliceSeries,
+                       default_sphere, fock_norm_p, slice_norm_p, sup_norm)
+from slicefock.cli import _exit_code, _parse_values, _require_finite
 
 
 def monomial(n: int) -> SliceSeries:
@@ -42,38 +41,32 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    try:
-        degrees = _parse_values(args.degrees, "--degrees", int)
-        alphas = _parse_values(args.alphas, "--alphas", float)
-        exponents = _parse_values(args.p, "--p", float)
-        if min(degrees) < 0:
-            raise ValueError(f"--degrees must be nonnegative, got {args.degrees!r}")
-        for alpha in alphas:            # refused before any row is computed
-            for p in exponents:
-                FockParams(alpha=alpha, p=p, radius=args.radius)
-        sphere = default_sphere(args.sphere)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def sweep(args) -> int:
+    degrees = _parse_values(args.degrees, "--degrees", int)
+    alphas = _parse_values(args.alphas, "--alphas", float)
+    exponents = _parse_values(args.p, "--p", float)
+    if min(degrees) < 0:
+        raise ValueError(f"--degrees must be nonnegative, got {args.degrees!r}")
+    for alpha in alphas:                # refused before any row is computed
+        for p in exponents:
+            FockParams(alpha=alpha, p=p, radius=args.radius)
+    sphere = default_sphere(args.sphere)
 
     lines = ["n,alpha,p,slice_norm,ball_norm,ball_over_slice,sup_norm"]
-    try:
-        for n in degrees:
-            f = monomial(n)
-            for alpha in alphas:
-                sup_params = FockParams(alpha=alpha, p=2.0, radius=args.radius)
-                sup = sup_norm(f, sup_params, sphere).value
-                for p in exponents:
-                    params = FockParams(alpha=alpha, p=p, radius=args.radius)
-                    on_slice = slice_norm_p(f, UNIT_I, params)
-                    ball = fock_norm_p(f, params, sphere=sphere).value
-                    lines.append(f"{n},{alpha!r},{p!r},{on_slice!r},{ball!r},"
-                                 f"{ball / on_slice!r},{sup!r}")
-    except GridTooCoarse as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    for n in degrees:
+        f = monomial(n)
+        for alpha in alphas:
+            sup_params = FockParams(alpha=alpha, p=2.0, radius=args.radius)
+            sup = sup_norm(f, sup_params, sphere).value
+            for p in exponents:
+                params = FockParams(alpha=alpha, p=p, radius=args.radius)
+                on_slice = slice_norm_p(f, UNIT_I, params)
+                ball = fock_norm_p(f, params, sphere=sphere).value
+                row = f"n={n} alpha={alpha!r} p={p!r}"
+                _require_finite((f"{row} slice_norm", on_slice),
+                                (f"{row} ball_norm", ball), (f"{row} sup_norm", sup))
+                lines.append(f"{n},{alpha!r},{p!r},{on_slice!r},{ball!r},"
+                             f"{ball / on_slice!r},{sup!r}")
 
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -83,6 +76,12 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def main(argv=None) -> int:
+    # a bad list or an unwritable --output exits 2; a value that is not
+    # finite or GridTooCoarse exits 3, and nothing is written then
+    return _exit_code(lambda: sweep(parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ import math
 import sys
 import time
 
-from slicefock import FockParams, GridTooCoarse
-from slicefock.cli import _parse_values
-from slicefock.verify import format_text, run_verify
+from slicefock import FockParams
+from slicefock.cli import _exit_code, _parse_values, _require_finite
+from slicefock.verify import _refused, format_text, run_verify
 
 
 def parse_args(argv=None):
@@ -37,35 +37,23 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    try:
-        seeds = _parse_values(args.seeds, "--seeds", int)
-        exponents = _parse_values(args.p, "--p", float)
-        for p in exponents:             # refused before any cell runs
-            FockParams(alpha=args.alpha, p=p)
-            if not math.isfinite(p):
-                raise ValueError(f"verify needs a finite p, got {p!r}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def sweep(args) -> int:
+    seeds = _parse_values(args.seeds, "--seeds", int)
+    exponents = _parse_values(args.p, "--p", float)
+    for p in exponents:                 # refused before any cell runs
+        FockParams(alpha=args.alpha, p=p)
+        if not math.isfinite(p):
+            raise ValueError(f"verify needs a finite p, got {p!r}")
 
     worst: dict[str, float] = {}
     all_passed = True
     for seed in seeds:
         for p in exponents:
             start = time.monotonic()
-            try:
-                results = run_verify(seed=seed, props=args.props,
-                                     alpha=args.alpha, p=p,
-                                     sphere_count=args.sphere)
-            except ValueError as exc:       # an empty or unknown --props, a bad --sphere
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            except GridTooCoarse as exc:    # exit 1 is a failed cell
-                print(f"error: {exc}", file=sys.stderr)
-                return 3
+            results = run_verify(seed=seed, props=args.props, alpha=args.alpha,
+                                 p=p, sphere_count=args.sphere)
             elapsed = time.monotonic() - start
+            _require_finite(*_refused(results))
             print(f"== seed={seed} p={p} alpha={args.alpha} "
                   f"({elapsed:.1f} s) ==")
             print(format_text(results))
@@ -80,6 +68,12 @@ def main(argv=None) -> int:
         print(f"{name:<18} {worst[name]:.3e}")
     print("all cells passed" if all_passed else "SOME CELLS FAILED")
     return 0 if all_passed else 1
+
+
+def main(argv=None) -> int:
+    # a bad list, --props or --sphere exits 2; a value that is not finite or
+    # GridTooCoarse exits 3; a failed cell exits 1
+    return _exit_code(lambda: sweep(parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -11,10 +11,12 @@ Subcommands:
     profile   boundary decay profile M(rho)
 
 Each subcommand returns one maker per output format; main calls only the
-maker --out names, writes its output and maps errors to exit codes.  Exit
-codes: 0 success, 1 a verified proposition failed, 2 bad input, 3 a computed
-value is not finite (nothing is written then, not even synth's file) or
-quadrature failed to stabilize at the resolution cap.  Output carries no
+maker --out names and writes its output, and _exit_code maps errors to
+exit codes.  The experiment scripts (scripts/run_verification.py and
+scripts/norm_sweep.py) share _exit_code, so they exit as slicefock does.
+Exit codes: 0 success, 1 a verified proposition failed, 2 bad input, 3 a
+computed value is not finite (nothing is written then, not even synth's
+file) or quadrature failed to stabilize at the resolution cap.  Output carries no
 timing or environment data, so a command line is reproducible byte for byte.
 """
 
@@ -96,7 +98,7 @@ def _spaced(q: Quaternion) -> str:
 
 
 class _NotFinite(Exception):
-    """A computed value is not finite; main refuses it with exit code 3."""
+    """A computed value is not finite; _exit_code refuses it with exit code 3."""
 
 
 class _Result(NamedTuple):
@@ -199,10 +201,7 @@ def cmd_verify(args) -> _Result:
     results = verify.run_verify(seed=args.seed, props=args.props,
                                 alpha=args.alpha, p=_parse_p(args.p),
                                 radius=args.radius, sphere_count=args.sphere)
-    # a worst of -inf is a row with nothing to compare: dilation's converged
-    # values, or the derivative row's all-vacuous instances
-    _require_finite(*[(f"{r.name} worst", r.worst) for r in results
-                      if not _finite(r.worst) and r.worst != -math.inf])
+    _require_finite(*verify._refused(results))
     return _Result(partial(verify.results_to_dicts, results),
                    partial(verify.format_csv, results),
                    partial(verify.format_text, results),
@@ -334,15 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _exit_code(run: Callable[[], int]) -> int:
+    """run()'s exit code, or the one its raise maps to, with one error line on stderr.
+
+    3 for a value that is not finite and for GridTooCoarse, whose grids
+    follow on their own lines; 2 for bad input (SliceFockError, ValueError,
+    OSError).  main and the experiment scripts all return through here.
+    """
     try:
-        result = args.handler(args)
-        text = getattr(result, args.out)()
-        if args.out == "json":
-            text = serialize.dumps_canonical(text)
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        return result.code
+        return run()
     except _NotFinite as exc:
         sys.stderr.write(f"error: a value is not finite: {exc}\n")
         return 3
@@ -357,6 +356,19 @@ def main(argv=None) -> int:
     except (SliceFockError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+
+    def run() -> int:
+        result = args.handler(args)
+        text = getattr(result, args.out)()
+        if args.out == "json":
+            text = serialize.dumps_canonical(text)
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return result.code
+    return _exit_code(run)
 
 
 if __name__ == "__main__":

@@ -789,19 +789,17 @@ def _pruned_unit_maxima(s, v, bound, units, w) -> tuple[np.ndarray, np.ndarray]:
     BLAS rounds the trailing columns of a product differently when their
     count is not a multiple of its kernel width (measured: OpenBLAS moves
     a partial group of 4 by an ulp).  Whole aligned blocks keep every
-    column at its place modulo _PRUNE_BLOCK and the count a multiple of it,
-    and a grid whose size is not such a multiple is evaluated whole.
+    column at its place modulo _PRUNE_BLOCK and the count a multiple of it.
     """
     unit_rows = _unit_rows(units)
     cols = np.arange(bound.size)
-    if bound.size % _PRUNE_BLOCK == 0 and bound.size > _TOP_POINTS:
-        top = np.argpartition(bound, -_TOP_POINTS)[-_TOP_POINTS:]
-        low = _unit_values(s, v, unit_rows, w, top).max(axis=1).min()
-        # rounding is relative only down to the smallest normal number
-        if low >= np.finfo(float).tiny:
-            keep = ~(bound < low * (1.0 - _BOUND_SLACK))
-            blocks = keep.reshape(-1, _PRUNE_BLOCK).any(axis=1)
-            cols = np.flatnonzero(np.repeat(blocks, _PRUNE_BLOCK))
+    top = np.argpartition(bound, -_TOP_POINTS)[-_TOP_POINTS:]
+    low = _unit_values(s, v, unit_rows, w, top).max(axis=1).min()
+    # rounding is relative only down to the smallest normal number
+    if low >= np.finfo(float).tiny:
+        keep = ~(bound < low * (1.0 - _BOUND_SLACK))
+        blocks = keep.reshape(-1, _PRUNE_BLOCK).any(axis=1)
+        cols = np.flatnonzero(np.repeat(blocks, _PRUNE_BLOCK))
     vals = _unit_values(s, v, unit_rows, w, cols)
     best = vals.argmax(axis=1)
     return cols[best], vals[np.arange(best.size), best]
@@ -929,7 +927,9 @@ def _sup_over_rows(jobs, alpha: float, radius: float, radial_samples: int,
     on each unit's slice disk C_I and, if ball, the sup over the ball of
     radius R, exact over the units.  Chebyshev radii (hitting 0 and R
     exactly) times a uniform angle grid locate each maximum, one job at a
-    time (see _sup_grid_stage); a job whose f is 0 needs no grid, and its
+    time (see _sup_grid_stage).  The grid's radial_samples x angular_count
+    points must be a multiple of _PRUNE_BLOCK and more than _TOP_POINTS,
+    as _pruned_unit_maxima assumes; a job whose f is 0 needs no grid, and its
     sups are 0.0 at the point 0.  The radial cells around the maxima of all
     jobs are then polished together along the best rays, one row per unit
     and one per ball, by regula falsi on the r-derivative of the weighted

@@ -12,9 +12,9 @@ so their values are certified or the run raises GridTooCoarse.
 
 Every row reduces its figures one way, _worst: the largest figure, from
 0.0 or from -inf where a row may have nothing to compare.  A NaN figure
-makes the row's worst NaN, so the row fails, and the CLI refuses a NaN or
-+inf worst with exit 3 rather than report it; no row passes on a NaN or
-raises for one.
+makes the row's worst NaN, so the row fails, and the CLI refuses every row
+_refused names, a NaN or +inf worst, with exit 3 rather than report it; no
+row passes on a NaN or raises for one.
 
 The sup row takes about as long as the other eight rows together in a
 serial default run.  So whenever that row is selected, the system has
@@ -130,6 +130,18 @@ def _select(props) -> list[str]:
 def _worst(figures, start: float = 0.0) -> float:
     """The largest of start and every figure; a NaN figure makes it NaN."""
     return float(np.max(figures, initial=start))
+
+
+def _refused(results) -> list[tuple[str, float]]:
+    """A ('NAME worst', worst) pair for every row whose worst is NaN or +inf.
+
+    The CLI and scripts/run_verification.py refuse these rows with exit 3
+    (cli._require_finite).  A worst of -inf is a row with nothing to compare,
+    dilation's converged values or the derivative row's all-vacuous
+    instances, and passes.
+    """
+    return [(f"{r.name} worst", r.worst) for r in results
+            if math.isnan(r.worst) or r.worst == math.inf]
 
 
 def _check_star(corpus, seed: int) -> PropositionResult:
@@ -406,16 +418,17 @@ def run_verify(seed: int = 0, props=None, *, alpha: float = 1.0, p: float = 2.0,
     SUP_RADIAL x SUP_ANGULAR, and polish each best cell by regula falsi on
     the radial derivative (fock._sup_over_rows).  Any row's worst is NaN
     where one of its figures is (a NaN sup, round trip or point value, say),
-    and the CLI refuses a NaN or +inf worst with exit 3.  The same seed and flags always produce the same results, and
-    the same exception when rows raise, on any number of cores.  One runner takes
-    every selected row but norm-sandwich-sup in this process, then that
-    row last: the worker's when one was forked (the row is selected, the
-    system has fork and two cores are usable) and sent it, else computed
-    here, so the row's exception is raised here (see the module
-    docstring).  p must be finite: the p-sandwich integrates |f|^p, and
-    the sup norms have their own proposition.  props names propositions
-    exactly, as a list or a comma separated string; an unknown name or an
-    empty selection raises ValueError.
+    and _refused names every row whose worst is NaN or +inf, which the CLI
+    refuses with exit 3.  The same seed and flags always produce the same
+    results, and the same exception when rows raise, on any number of
+    cores.  One runner takes every selected row but norm-sandwich-sup in
+    this process, then that row last: the worker's when one was forked
+    (the row is selected, the system has fork and two cores are usable)
+    and sent it, else computed here, so the row's exception is raised here
+    (see the module docstring).  p must be finite: the p-sandwich
+    integrates |f|^p, and the sup norms have their own proposition.  props
+    names propositions exactly, as a list or a comma separated string; an
+    unknown name or an empty selection raises ValueError.
     """
     if not math.isfinite(p):
         raise ValueError(f"verify needs a finite p, got {p!r}")

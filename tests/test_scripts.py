@@ -4,9 +4,10 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from slicefock import GridTooCoarse, fock
+from slicefock import GridTooCoarse, fock, verify
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -120,3 +121,42 @@ def test_norm_sweep_refuses_a_bad_list(argv, message, tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert not out_path.exists()
+
+
+def test_norm_sweep_refuses_a_sup_that_is_not_finite(tmp_path, capsys):
+    # at R = 1e200 the sup of q reads NaN; the row was written as nan, exit 0
+    out_path = tmp_path / "far.csv"
+    code = load_script("norm_sweep").main(
+        ["--degrees", "1", "--alphas", "1.0", "--p", "2", "--radius", "1e200",
+         "--sphere", "2", "--output", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: a value is not finite:")
+    assert captured.err.count("\n") == 1
+    assert "n=1 alpha=1.0 p=2.0 sup_norm = nan" in captured.err
+    assert not out_path.exists()
+
+
+def test_run_verification_refuses_a_nan_worst(monkeypatch, capsys):
+    # exited 1 and reported the split row's margin as 0.000e+00
+    extend = verify._extend_rows
+    monkeypatch.setattr(verify, "_extend_rows",
+                        lambda *args: np.full_like(extend(*args), np.nan))
+    code = load_script("run_verification").main(
+        ["--seeds", "0", "--p", "2", "--props", "split"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: a value is not finite: split worst = nan\n"
+
+
+def test_norm_sweep_refuses_an_output_it_cannot_write(tmp_path, capsys):
+    # FileNotFoundError ended the run in a traceback, exit 1
+    out_path = tmp_path / "missing" / "sweep.csv"
+    code = load_script("norm_sweep").main(
+        ["--degrees", "0", "--alphas", "1.0", "--p", "2", "--sphere", "2",
+         "--output", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out_path) in captured.err
+    assert not out_path.parent.exists()
